@@ -18,8 +18,7 @@ import (
 // that differ only in which cache tier carries the setup or the points:
 //
 //   - cold: share cache disabled, empty caches — every point builds its own
-//     topology/routing/class-mask state and simulates (the pre-sharing
-//     behavior).
+//     topology and routing state and simulates (the pre-sharing behavior).
 //   - share: share cache enabled — concurrent points build the immutable
 //     per-config state once and share it read-only; same simulations.
 //   - disk-warm: a fresh server on the share run's cache directory — every

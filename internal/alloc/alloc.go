@@ -145,10 +145,10 @@ type sepIF struct {
 	iters      int
 	uncond     bool
 	name       string
-	inArb      []arbiter.Arbiter // per row, cols wide
-	outArb     []arbiter.Arbiter // per col, rows wide
-	fwd        []*bitvec.Vec     // per col, rows wide: forwarded requests
-	gnt        *bitvec.Matrix
+	inArb      arbiter.Bank // per row, cols wide
+	outArb     arbiter.Bank // per col, rows wide
+	fwd        []bitvec.Vec // per col, rows wide: forwarded requests
+	gnt        bitvec.Matrix
 	rowFree    *bitvec.Vec
 	colFree    *bitvec.Vec
 	rowReq     *bitvec.Vec
@@ -156,25 +156,25 @@ type sepIF struct {
 
 func newSepIF(c Config) *sepIF {
 	a := &sepIF{
-		rows:    c.Rows,
-		cols:    c.Cols,
-		iters:   c.iterations(),
-		uncond:  c.UnconditionalUpdate,
-		name:    "sep_if/" + c.ArbKind.String(),
-		inArb:   make([]arbiter.Arbiter, c.Rows),
-		outArb:  make([]arbiter.Arbiter, c.Cols),
-		fwd:     make([]*bitvec.Vec, c.Cols),
-		gnt:     bitvec.NewMatrix(c.Rows, c.Cols),
-		rowFree: bitvec.New(c.Rows),
-		colFree: bitvec.New(c.Cols),
-		rowReq:  bitvec.New(c.Cols),
+		rows:   c.Rows,
+		cols:   c.Cols,
+		iters:  c.iterations(),
+		uncond: c.UnconditionalUpdate,
+		name:   "sep_if/" + c.ArbKind.String(),
 	}
-	for i := range a.inArb {
-		a.inArb[i] = arbiter.New(c.ArbKind, c.Cols)
-	}
-	for j := range a.outArb {
-		a.outArb[j] = arbiter.New(c.ArbKind, c.Rows)
-		a.fwd[j] = bitvec.New(c.Rows)
+	// Two passes over one slab (see package slab): measure, then carve.
+	var s arbiter.Slab
+	for pass := 0; pass < 2; pass++ {
+		a.inArb = s.Bank(c.ArbKind, c.Rows, c.Cols)
+		a.outArb = s.Bank(c.ArbKind, c.Cols, c.Rows)
+		a.fwd = s.Vecs(c.Cols, c.Rows)
+		a.gnt = s.Matrix(c.Rows, c.Cols)
+		a.rowFree = s.Vec(c.Rows)
+		a.colFree = s.Vec(c.Cols)
+		a.rowReq = s.Vec(c.Cols)
+		if pass == 0 {
+			s.Alloc()
+		}
 	}
 	return a
 }
@@ -183,12 +183,8 @@ func (a *sepIF) Shape() (int, int) { return a.rows, a.cols }
 func (a *sepIF) Name() string      { return a.name }
 
 func (a *sepIF) Reset() {
-	for _, x := range a.inArb {
-		x.Reset()
-	}
-	for _, x := range a.outArb {
-		x.Reset()
-	}
+	a.inArb.Reset()
+	a.outArb.Reset()
 }
 
 func (a *sepIF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
@@ -206,13 +202,13 @@ func (a *sepIF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 			if !a.rowReq.AndInto(req.Row(i), a.colFree) {
 				continue
 			}
-			c := a.inArb[i].Pick(a.rowReq)
+			c := a.inArb.Pick(i, a.rowReq)
 			if c < 0 {
 				continue
 			}
 			if a.uncond {
 				// Ablation: naive policy updates on every first-stage grant.
-				a.inArb[i].Update(c)
+				a.inArb.Update(i, c)
 			}
 			a.fwd[c].Set(i)
 			picked = true
@@ -225,7 +221,7 @@ func (a *sepIF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 			if !a.fwd[j].Any() {
 				continue
 			}
-			w := a.outArb[j].Pick(a.fwd[j])
+			w := a.outArb.Pick(j, &a.fwd[j])
 			if w < 0 {
 				continue
 			}
@@ -234,13 +230,13 @@ func (a *sepIF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 			a.colFree.Clear(j)
 			// The output grant is final: update the output arbiter, and the
 			// input arbiter whose pick succeeded end to end.
-			a.outArb[j].Update(w)
+			a.outArb.Update(j, w)
 			if !a.uncond {
-				a.inArb[w].Update(j)
+				a.inArb.Update(w, j)
 			}
 		}
 	}
-	return a.gnt
+	return &a.gnt
 }
 
 // sepOF is a separable output-first allocator: each column first picks one
@@ -252,39 +248,37 @@ type sepOF struct {
 	iters      int
 	uncond     bool
 	name       string
-	outArb     []arbiter.Arbiter // per col, rows wide (first stage)
-	inArb      []arbiter.Arbiter // per row, cols wide (second stage)
-	offered    []*bitvec.Vec     // per row, cols wide: columns offered to row
-	gnt        *bitvec.Matrix
+	outArb     arbiter.Bank // per col, rows wide (first stage)
+	inArb      arbiter.Bank // per row, cols wide (second stage)
+	offered    []bitvec.Vec // per row, cols wide: columns offered to row
+	gnt        bitvec.Matrix
 	rowFree    *bitvec.Vec
 	colFree    *bitvec.Vec
-	colReq     []*bitvec.Vec // per col, rows wide: requesting free rows
-	colAny     *bitvec.Vec   // cols whose colReq vector is dirty
+	colReq     []bitvec.Vec // per col, rows wide: requesting free rows
+	colAny     *bitvec.Vec  // cols whose colReq vector is dirty
 }
 
 func newSepOF(c Config) *sepOF {
 	a := &sepOF{
-		rows:    c.Rows,
-		cols:    c.Cols,
-		iters:   c.iterations(),
-		uncond:  c.UnconditionalUpdate,
-		name:    "sep_of/" + c.ArbKind.String(),
-		outArb:  make([]arbiter.Arbiter, c.Cols),
-		inArb:   make([]arbiter.Arbiter, c.Rows),
-		offered: make([]*bitvec.Vec, c.Rows),
-		gnt:     bitvec.NewMatrix(c.Rows, c.Cols),
-		rowFree: bitvec.New(c.Rows),
-		colFree: bitvec.New(c.Cols),
-		colReq:  make([]*bitvec.Vec, c.Cols),
-		colAny:  bitvec.New(c.Cols),
+		rows:   c.Rows,
+		cols:   c.Cols,
+		iters:  c.iterations(),
+		uncond: c.UnconditionalUpdate,
+		name:   "sep_of/" + c.ArbKind.String(),
 	}
-	for j := range a.outArb {
-		a.outArb[j] = arbiter.New(c.ArbKind, c.Rows)
-		a.colReq[j] = bitvec.New(c.Rows)
-	}
-	for i := range a.inArb {
-		a.inArb[i] = arbiter.New(c.ArbKind, c.Cols)
-		a.offered[i] = bitvec.New(c.Cols)
+	var s arbiter.Slab
+	for pass := 0; pass < 2; pass++ {
+		a.outArb = s.Bank(c.ArbKind, c.Cols, c.Rows)
+		a.inArb = s.Bank(c.ArbKind, c.Rows, c.Cols)
+		a.offered = s.Vecs(c.Rows, c.Cols)
+		a.gnt = s.Matrix(c.Rows, c.Cols)
+		a.rowFree = s.Vec(c.Rows)
+		a.colFree = s.Vec(c.Cols)
+		a.colReq = s.Vecs(c.Cols, c.Rows)
+		a.colAny = s.Vec(c.Cols)
+		if pass == 0 {
+			s.Alloc()
+		}
 	}
 	return a
 }
@@ -293,12 +287,8 @@ func (a *sepOF) Shape() (int, int) { return a.rows, a.cols }
 func (a *sepOF) Name() string      { return a.name }
 
 func (a *sepOF) Reset() {
-	for _, x := range a.inArb {
-		x.Reset()
-	}
-	for _, x := range a.outArb {
-		x.Reset()
-	}
+	a.inArb.Reset()
+	a.outArb.Reset()
 }
 
 func (a *sepOF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
@@ -332,13 +322,13 @@ func (a *sepOF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 		// Output stage: each free column picks one requesting free row.
 		picked := false
 		for j := a.colAny.NextSet(0); j >= 0; j = a.colAny.NextSet(j + 1) {
-			w := a.outArb[j].Pick(a.colReq[j])
+			w := a.outArb.Pick(j, &a.colReq[j])
 			if w < 0 {
 				continue
 			}
 			if a.uncond {
 				// Ablation: naive policy updates on every first-stage grant.
-				a.outArb[j].Update(w)
+				a.outArb.Update(j, w)
 			}
 			a.offered[w].Set(j)
 			picked = true
@@ -351,20 +341,20 @@ func (a *sepOF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 			if !a.offered[i].Any() {
 				continue
 			}
-			c := a.inArb[i].Pick(a.offered[i])
+			c := a.inArb.Pick(i, &a.offered[i])
 			if c < 0 {
 				continue
 			}
 			a.gnt.Set(i, c)
 			a.rowFree.Clear(i)
 			a.colFree.Clear(c)
-			a.inArb[i].Update(c)
+			a.inArb.Update(i, c)
 			if !a.uncond {
-				a.outArb[c].Update(i)
+				a.outArb.Update(c, i)
 			}
 		}
 	}
-	return a.gnt
+	return &a.gnt
 }
 
 // wavefront implements the wavefront allocator of Tamir & Chi as used in the
@@ -376,12 +366,12 @@ type wavefront struct {
 	rows, cols int
 	n          int // number of diagonal classes = max(rows, cols)
 	prio       int
-	gnt        *bitvec.Matrix
+	gnt        bitvec.Matrix
 	rowFree    *bitvec.Vec
 	colFree    *bitvec.Vec
-	diagRows   []*bitvec.Vec // per diagonal class, rows wide: rows requesting on it
-	diagAny    *bitvec.Vec   // diagonal classes whose diagRows vector is dirty
-	wave       *bitvec.Vec   // scratch: diagRows[d] & rowFree
+	diagRows   []bitvec.Vec // per diagonal class, rows wide: rows requesting on it
+	diagAny    *bitvec.Vec  // diagonal classes whose diagRows vector is dirty
+	wave       *bitvec.Vec  // scratch: diagRows[d] & rowFree
 }
 
 // NewWavefront returns a rows×cols wavefront allocator.
@@ -390,19 +380,18 @@ func NewWavefront(rows, cols int) Allocator {
 	if cols > n {
 		n = cols
 	}
-	a := &wavefront{
-		rows:     rows,
-		cols:     cols,
-		n:        n,
-		gnt:      bitvec.NewMatrix(rows, cols),
-		rowFree:  bitvec.New(rows),
-		colFree:  bitvec.New(cols),
-		diagRows: make([]*bitvec.Vec, n),
-		diagAny:  bitvec.New(n),
-		wave:     bitvec.New(rows),
-	}
-	for d := range a.diagRows {
-		a.diagRows[d] = bitvec.New(rows)
+	a := &wavefront{rows: rows, cols: cols, n: n}
+	var s bitvec.Slab
+	for pass := 0; pass < 2; pass++ {
+		a.gnt = s.Matrix(rows, cols)
+		a.rowFree = s.Vec(rows)
+		a.colFree = s.Vec(cols)
+		a.diagRows = s.Vecs(n, rows)
+		a.diagAny = s.Vec(n)
+		a.wave = s.Vec(rows)
+		if pass == 0 {
+			s.Alloc()
+		}
 	}
 	return a
 }
@@ -440,7 +429,7 @@ func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	}
 	for k := 0; k < a.n; k++ {
 		d := (a.prio + k) % a.n
-		if !a.wave.AndInto(a.diagRows[d], a.rowFree) {
+		if !a.wave.AndInto(&a.diagRows[d], a.rowFree) {
 			continue
 		}
 		for i := a.wave.NextSet(0); i >= 0; i = a.wave.NextSet(i + 1) {
@@ -453,7 +442,7 @@ func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 		}
 	}
 	a.prio = (a.prio + 1) % a.n
-	return a.gnt
+	return &a.gnt
 }
 
 // maximum is a maximum-size allocator based on Hopcroft–Karp style repeated

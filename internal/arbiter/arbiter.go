@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"repro/internal/bitvec"
+	"repro/internal/slab"
 )
 
 // Arbiter selects a single winner among a set of requesters.
@@ -72,47 +73,45 @@ func New(k Kind, n int) Arbiter {
 
 // RoundRobinArbiter grants the first request at or after a rotating priority
 // pointer. After a successful grant to input i, the pointer moves to i+1, so
-// the just-served input becomes lowest priority.
+// the just-served input becomes lowest priority. It is a round-robin Bank of
+// one, which is where the arbitration itself is written.
 type RoundRobinArbiter struct {
-	n   int
-	ptr int
+	n   int32
+	ptr [1]int32
 }
 
 // NewRoundRobin returns an n-input round-robin arbiter with priority
 // initially at input 0.
 func NewRoundRobin(n int) *RoundRobinArbiter {
+	checkSize(n)
+	return &RoundRobinArbiter{n: int32(n)}
+}
+
+func checkSize(n int) {
 	if n <= 0 {
 		panic("arbiter: size must be positive")
 	}
-	return &RoundRobinArbiter{n: n}
 }
 
+func (a *RoundRobinArbiter) bank() Bank { return Bank{rrN: a.n, rr: a.ptr[:]} }
+
 // Size implements Arbiter.
-func (a *RoundRobinArbiter) Size() int { return a.n }
+func (a *RoundRobinArbiter) Size() int { return int(a.n) }
 
 // Pick implements Arbiter.
 func (a *RoundRobinArbiter) Pick(req *bitvec.Vec) int {
-	if req.Len() != a.n {
-		panic(fmt.Sprintf("arbiter: request width %d, arbiter width %d", req.Len(), a.n))
-	}
-	return req.NextFrom(a.ptr)
+	b := a.bank()
+	return b.Pick(0, req)
 }
 
 // Update implements Arbiter.
 func (a *RoundRobinArbiter) Update(winner int) {
-	if winner < 0 || winner >= a.n {
-		panic(fmt.Sprintf("arbiter: winner %d out of range [0,%d)", winner, a.n))
-	}
-	// winner+1 <= n after the range check, so a conditional reset beats the
-	// hardware divide a % would cost on this per-grant path.
-	a.ptr = winner + 1
-	if a.ptr == a.n {
-		a.ptr = 0
-	}
+	b := a.bank()
+	b.Update(0, winner)
 }
 
 // Reset implements Arbiter.
-func (a *RoundRobinArbiter) Reset() { a.ptr = 0 }
+func (a *RoundRobinArbiter) Reset() { a.ptr[0] = 0 }
 
 // MatrixArbiter implements Tamir & Chi's matrix arbiter: the priority state
 // says, for every ordered pair, whether input i beats input j. The winner is
@@ -125,22 +124,25 @@ func (a *RoundRobinArbiter) Reset() { a.ptr = 0 }
 // requester" is a word-parallel req &^ beats[i] instead of a per-bit scan.
 type MatrixArbiter struct {
 	n     int
-	beats []*bitvec.Vec // beats[i].Get(j): i beats j; only i != j meaningful
-	loses *bitvec.Vec   // scratch: requesters i does not beat
+	beats []bitvec.Vec // beats[i].Get(j): i beats j; only i != j meaningful
+	loses *bitvec.Vec  // scratch: requesters i does not beat
 }
 
 // NewMatrix returns an n-input matrix arbiter with initial priority order
 // 0 > 1 > ... > n-1.
 func NewMatrix(n int) *MatrixArbiter {
-	if n <= 0 {
-		panic("arbiter: size must be positive")
-	}
-	a := &MatrixArbiter{n: n, beats: make([]*bitvec.Vec, n), loses: bitvec.New(n)}
-	for i := range a.beats {
-		a.beats[i] = bitvec.New(n)
-	}
-	a.Reset()
+	checkSize(n)
+	a := &MatrixArbiter{}
+	a.init(bitvec.NewSlab(n+1, n))
 	return a
+}
+
+// init builds an n-input arbiter on n+1 n-bit vectors: one beats row per
+// input and the scratch vector.
+func (a *MatrixArbiter) init(vs []bitvec.Vec) {
+	n := len(vs) - 1
+	*a = MatrixArbiter{n: n, beats: vs[:n], loses: &vs[n]}
+	a.Reset()
 }
 
 // Size implements Arbiter.
@@ -158,7 +160,7 @@ func (a *MatrixArbiter) Pick(req *bitvec.Vec) int {
 	for i := req.NextSet(0); i >= 0; i = req.NextSet(i + 1) {
 		// i wins when the requesters it fails to beat are exactly {i}
 		// (the diagonal bit is never set, so i always survives the mask).
-		if !a.loses.AndNotInto(req, a.beats[i]) {
+		if !a.loses.AndNotInto(req, &a.beats[i]) {
 			return i // unreachable for a valid tournament, kept for safety
 		}
 		if a.loses.Count() == 1 {
@@ -184,7 +186,8 @@ func (a *MatrixArbiter) Update(winner int) {
 
 // Reset implements Arbiter.
 func (a *MatrixArbiter) Reset() {
-	for i, b := range a.beats {
+	for i := range a.beats {
+		b := &a.beats[i]
 		b.Reset()
 		for j := i + 1; j < a.n; j++ {
 			b.Set(j)
@@ -192,59 +195,93 @@ func (a *MatrixArbiter) Reset() {
 	}
 }
 
-// TreeArbiter decomposes a (groups×groupSize)-input arbitration into
-// groupSize-input leaf arbiters operating in parallel with a groups-input
-// root arbiter that selects among them, as described in §4.1 of the paper
-// for the output-stage P×V:1 arbiters of separable VC allocators. Input i
-// belongs to group i/groupSize.
-type TreeArbiter struct {
+// Bank is a set of arbiters of one kind and one width held as bare state in
+// one contiguous slice, addressed by index: a round-robin arbiter is its
+// 4-byte pointer (the width is the bank's), a matrix arbiter its value. It is
+// what the allocators hold instead of a slice of Arbiter interfaces: no
+// per-arbiter heap object, no interface word pair per entry, and neighbours
+// in index order are neighbours in memory. The zero Bank is empty.
+//
+// Like a single arbiter, a bank is not safe for concurrent use, and its
+// arbiters may share scratch storage: one owner steps all of them.
+type Bank struct {
+	rrN int32   // width of the round-robin arbiters
+	rr  []int32 // their priority pointers
+	mx  []MatrixArbiter
+}
+
+// Pick is Arbiter.Pick on arbiter i.
+func (b *Bank) Pick(i int, req *bitvec.Vec) int {
+	if b.mx != nil {
+		return b.mx[i].Pick(req)
+	}
+	if req.Len() != int(b.rrN) {
+		panic(fmt.Sprintf("arbiter: request width %d, arbiter width %d", req.Len(), b.rrN))
+	}
+	return req.NextFrom(int(b.rr[i]))
+}
+
+// Update is Arbiter.Update on arbiter i.
+func (b *Bank) Update(i, winner int) {
+	if b.mx != nil {
+		b.mx[i].Update(winner)
+		return
+	}
+	if winner < 0 || winner >= int(b.rrN) {
+		panic(fmt.Sprintf("arbiter: winner %d out of range [0,%d)", winner, b.rrN))
+	}
+	// winner+1 <= n after the range check, so a conditional reset beats the
+	// hardware divide a % would cost on this per-grant path.
+	next := int32(winner) + 1
+	if next == b.rrN {
+		next = 0
+	}
+	b.rr[i] = next
+}
+
+// Reset restores the initial priority state of every arbiter.
+func (b *Bank) Reset() {
+	for i := range b.rr {
+		b.rr[i] = 0
+	}
+	for i := range b.mx {
+		b.mx[i].Reset()
+	}
+}
+
+// TreeBank is a bank of tree arbiters of one shape. A tree arbiter
+// decomposes a (groups×groupSize)-input arbitration into groupSize-input
+// leaf arbiters operating in parallel with a groups-input root arbiter that
+// selects among them, as described in §4.1 of the paper for the output-stage
+// P×V:1 arbiters of separable VC allocators. Input i belongs to group
+// i/groupSize. All roots live in one bank, all leaves in another, and the
+// trees share the two scratch vectors.
+//
+// A tree with single-input leaves degenerates to its root (the leaves can
+// neither change a pick nor hold priority state), so for groupSize 1 the bank
+// holds roots only.
+type TreeBank struct {
 	groups    int
 	groupSize int
-	size      int // groups * groupSize, cached for the per-Pick width check
-	leaves    []Arbiter
-	root      Arbiter
+	size      int  // groups * groupSize, cached for the per-Pick width check
+	root      Bank // per tree: groups wide
+	leaves    Bank // per tree: groups arbiters, groupSize wide; tree t's start at t*groups
 
-	// scratch
-	leafReq *bitvec.Vec
-	rootReq *bitvec.Vec
+	leafReq *bitvec.Vec // scratch, groupSize wide
+	rootReq *bitvec.Vec // scratch, groups wide
 }
 
-// NewTree returns a tree arbiter over groups*groupSize inputs with the leaf
-// and root arbiters built from the given kind.
-func NewTree(k Kind, groups, groupSize int) *TreeArbiter {
-	if groups <= 0 || groupSize <= 0 {
-		panic("arbiter: tree dimensions must be positive")
+// Pick is Arbiter.Pick on tree i. The winner is the leaf winner of the
+// root-winning group, matching the RTL structure where the root arbiter
+// selects among per-group any-request signals.
+func (t *TreeBank) Pick(i int, req *bitvec.Vec) int {
+	if req.Len() != t.size {
+		panic(fmt.Sprintf("arbiter: request width %d, arbiter width %d", req.Len(), t.size))
 	}
-	t := &TreeArbiter{
-		groups:    groups,
-		groupSize: groupSize,
-		size:      groups * groupSize,
-		leaves:    make([]Arbiter, groups),
-		root:      New(k, groups),
-		leafReq:   bitvec.New(groupSize),
-		rootReq:   bitvec.New(groups),
-	}
-	for g := range t.leaves {
-		t.leaves[g] = New(k, groupSize)
-	}
-	return t
-}
-
-// Size implements Arbiter.
-func (t *TreeArbiter) Size() int { return t.size }
-
-// Pick implements Arbiter. The winner is the leaf winner of the root-winning
-// group, matching the RTL structure where the root arbiter selects among
-// per-group any-request signals.
-func (t *TreeArbiter) Pick(req *bitvec.Vec) int {
-	if req.Len() != t.Size() {
-		panic(fmt.Sprintf("arbiter: request width %d, arbiter width %d", req.Len(), t.Size()))
-	}
-	// Degenerate tree (groupSize 1): the root sees the request vector
-	// unchanged and the width-1 leaves cannot alter the pick, so skip the
-	// per-group gather and its divides entirely.
+	// Degenerate tree: the root sees the request vector unchanged, so skip
+	// the per-group gather and its divides entirely.
 	if t.groupSize == 1 {
-		return t.root.Pick(req)
+		return t.root.Pick(i, req)
 	}
 	t.rootReq.Reset()
 	// One word scan over the set bits: each hit marks its group and jumps
@@ -254,37 +291,132 @@ func (t *TreeArbiter) Pick(req *bitvec.Vec) int {
 		t.rootReq.Set(g)
 		b = req.NextSet((g + 1) * t.groupSize)
 	}
-	g := t.root.Pick(t.rootReq)
+	g := t.root.Pick(i, t.rootReq)
 	if g < 0 {
 		return -1
 	}
 	t.leafReq.SliceFrom(req, g*t.groupSize)
-	w := t.leaves[g].Pick(t.leafReq)
+	w := t.leaves.Pick(i*t.groups+g, t.leafReq)
 	if w < 0 {
 		return -1
 	}
 	return g*t.groupSize + w
 }
 
-// Update implements Arbiter, advancing both the root and the winning leaf.
-func (t *TreeArbiter) Update(winner int) {
-	if winner < 0 || winner >= t.Size() {
-		panic(fmt.Sprintf("arbiter: winner %d out of range [0,%d)", winner, t.Size()))
+// Update is Arbiter.Update on tree i, advancing both the root and the
+// winning leaf.
+func (t *TreeBank) Update(i, winner int) {
+	if winner < 0 || winner >= t.size {
+		panic(fmt.Sprintf("arbiter: winner %d out of range [0,%d)", winner, t.size))
 	}
 	if t.groupSize == 1 {
-		t.root.Update(winner)
-		t.leaves[winner].Update(0)
+		t.root.Update(i, winner)
 		return
 	}
 	g := winner / t.groupSize
-	t.root.Update(g)
-	t.leaves[g].Update(winner % t.groupSize)
+	t.root.Update(i, g)
+	t.leaves.Update(i*t.groups+g, winner%t.groupSize)
 }
 
-// Reset implements Arbiter.
-func (t *TreeArbiter) Reset() {
+// Reset restores the initial priority state of every tree.
+func (t *TreeBank) Reset() {
 	t.root.Reset()
-	for _, l := range t.leaves {
-		l.Reset()
+	t.leaves.Reset()
+}
+
+// TreeArbiter is a single tree arbiter: a TreeBank of one.
+type TreeArbiter struct {
+	bank TreeBank
+}
+
+// NewTree returns a tree arbiter over groups*groupSize inputs with the leaf
+// and root arbiters built from the given kind.
+func NewTree(k Kind, groups, groupSize int) *TreeArbiter {
+	return &TreeArbiter{bank: NewTreeBank(k, 1, groups, groupSize)}
+}
+
+// Size implements Arbiter.
+func (t *TreeArbiter) Size() int { return t.bank.size }
+
+// Pick implements Arbiter.
+func (t *TreeArbiter) Pick(req *bitvec.Vec) int { return t.bank.Pick(0, req) }
+
+// Update implements Arbiter.
+func (t *TreeArbiter) Update(winner int) { t.bank.Update(0, winner) }
+
+// Reset implements Arbiter.
+func (t *TreeArbiter) Reset() { t.bank.Reset() }
+
+// Slab lays out any number of banks, plus whatever bit vectors their owner
+// needs (the embedded bitvec.Slab), in a handful of allocations: one state
+// slice per arbiter kind in use and the vector slab's two blocks. It is a
+// two-pass slab (see package slab): run the layout code once to measure,
+// call Alloc, run it again to carve. The ownership rule of bitvec.Slab
+// applies: one slab per independently stepped owner.
+type Slab struct {
+	bitvec.Slab
+	rr slab.Of[int32]
+	mx slab.Of[MatrixArbiter]
+}
+
+// Bank returns count n-input arbiters of kind k (empty on the measuring
+// pass).
+func (s *Slab) Bank(k Kind, count, n int) Bank {
+	checkSize(n)
+	switch k {
+	case RoundRobin:
+		return Bank{rrN: int32(n), rr: s.rr.Take(count)}
+	case Matrix:
+		mx, vs := s.mx.Take(count), s.Vecs(count*(n+1), n)
+		for i := range mx {
+			mx[i].init(vs[i*(n+1) : (i+1)*(n+1)])
+		}
+		return Bank{mx: mx}
+	default:
+		panic(fmt.Sprintf("arbiter: unknown kind %d", int(k)))
 	}
+}
+
+// TreeBank returns count tree arbiters over groups*groupSize inputs with
+// leaf and root arbiters of kind k (unusable on the measuring pass).
+func (s *Slab) TreeBank(k Kind, count, groups, groupSize int) TreeBank {
+	if groups <= 0 || groupSize <= 0 {
+		panic("arbiter: tree dimensions must be positive")
+	}
+	t := TreeBank{
+		groups:    groups,
+		groupSize: groupSize,
+		size:      groups * groupSize,
+		root:      s.Bank(k, count, groups),
+	}
+	if groupSize > 1 {
+		t.leaves = s.Bank(k, count*groups, groupSize)
+		t.leafReq = s.Vec(groupSize)
+		t.rootReq = s.Vec(groups)
+	}
+	return t
+}
+
+// Alloc ends the measuring pass and allocates the blocks.
+func (s *Slab) Alloc() {
+	s.Slab.Alloc()
+	s.rr.Alloc()
+	s.mx.Alloc()
+}
+
+// NewBank returns a bank of count n-input arbiters of kind k.
+func NewBank(k Kind, count, n int) Bank {
+	var s Slab
+	s.Bank(k, count, n)
+	s.Alloc()
+	return s.Bank(k, count, n)
+}
+
+// NewTreeBank returns a bank of count tree arbiters over groups*groupSize
+// inputs with leaf and root arbiters of kind k.
+func NewTreeBank(k Kind, count, groups, groupSize int) TreeBank {
+	var s Slab
+	s.TreeBank(k, count, groups, groupSize)
+	s.Alloc()
+	return s.TreeBank(k, count, groups, groupSize)
 }

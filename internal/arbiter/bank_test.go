@@ -1,0 +1,165 @@
+package arbiter
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/bitvec"
+	"repro/internal/xrand"
+)
+
+// refTree is the tree arbiter of §4.1 assembled from standalone flat
+// arbiters, one heap object each, with none of TreeBank's shortcuts: the
+// reference the bank layout is compared against.
+type refTree struct {
+	groups, groupSize int
+	root              Arbiter
+	leaves            []Arbiter
+}
+
+func newRefTree(k Kind, groups, groupSize int) *refTree {
+	t := &refTree{groups: groups, groupSize: groupSize, root: New(k, groups)}
+	for g := 0; g < groups; g++ {
+		t.leaves = append(t.leaves, New(k, groupSize))
+	}
+	return t
+}
+
+func (t *refTree) Size() int { return t.groups * t.groupSize }
+
+func (t *refTree) Pick(req *bitvec.Vec) int {
+	rootReq := bitvec.New(t.groups)
+	for i := req.NextSet(0); i >= 0; i = req.NextSet(i + 1) {
+		rootReq.Set(i / t.groupSize)
+	}
+	g := t.root.Pick(rootReq)
+	if g < 0 {
+		return -1
+	}
+	leafReq := bitvec.New(t.groupSize)
+	for i := 0; i < t.groupSize; i++ {
+		leafReq.SetTo(i, req.Get(g*t.groupSize+i))
+	}
+	return g*t.groupSize + t.leaves[g].Pick(leafReq)
+}
+
+func (t *refTree) Update(winner int) {
+	t.root.Update(winner / t.groupSize)
+	t.leaves[winner/t.groupSize].Update(winner % t.groupSize)
+}
+
+func (t *refTree) Reset() {
+	t.root.Reset()
+	for _, l := range t.leaves {
+		l.Reset()
+	}
+}
+
+// indexed is what Bank and TreeBank have in common.
+type indexed interface {
+	Pick(i int, req *bitvec.Vec) int
+	Update(i, winner int)
+	Reset()
+}
+
+// checkBankEquivalence drives bank and one standalone reference arbiter per
+// bank slot through the same random sequence of Pick, Update and Reset calls
+// and requires identical picks throughout. Slots are visited in random order,
+// so state leaking from one slot into a neighbour shows up as a diverging
+// pick on the neighbour.
+func checkBankEquivalence(t *testing.T, bank indexed, refs []Arbiter, seed uint64) {
+	t.Helper()
+	rng := xrand.New(seed)
+	n := refs[0].Size()
+	req := bitvec.New(n)
+	for step := 0; step < 4000; step++ {
+		i := rng.Intn(len(refs))
+		switch op := rng.Intn(20); {
+		case op == 0:
+			// Reset is bank-wide, so reset every reference with it.
+			bank.Reset()
+			for _, r := range refs {
+				r.Reset()
+			}
+		default:
+			req.Reset()
+			density := rng.Float64()
+			for b := 0; b < n; b++ {
+				if rng.Bool(density) {
+					req.Set(b)
+				}
+			}
+			got, want := bank.Pick(i, req), refs[i].Pick(req)
+			if got != want {
+				t.Fatalf("step %d: slot %d picked %d for %s, standalone arbiter picked %d", step, i, got, req, want)
+			}
+			if again := bank.Pick(i, req); again != got {
+				t.Fatalf("step %d: slot %d pick changed from %d to %d without an Update", step, i, got, again)
+			}
+			// Update on roughly two picks in three, as a separable allocator
+			// does when a pick wins the second stage.
+			if got >= 0 && op%3 != 0 {
+				bank.Update(i, got)
+				refs[i].Update(got)
+			}
+		}
+	}
+}
+
+func TestBankMatchesStandaloneArbiters(t *testing.T) {
+	for _, k := range allKinds() {
+		for _, shape := range []struct{ count, n int }{{1, 1}, {3, 2}, {7, 5}, {4, 64}, {5, 65}, {2, 130}} {
+			t.Run(fmt.Sprintf("%s/%dx%d", k, shape.count, shape.n), func(t *testing.T) {
+				bank := NewBank(k, shape.count, shape.n)
+				refs := make([]Arbiter, shape.count)
+				for i := range refs {
+					refs[i] = New(k, shape.n)
+				}
+				checkBankEquivalence(t, &bank, refs, uint64(shape.count*1000+shape.n))
+			})
+		}
+	}
+}
+
+func TestTreeBankMatchesStandaloneTrees(t *testing.T) {
+	for _, k := range allKinds() {
+		for _, shape := range []struct{ count, groups, groupSize int }{
+			{1, 1, 1}, {6, 5, 1}, {10, 5, 2}, {3, 10, 16}, {4, 3, 64}, {2, 7, 9},
+		} {
+			t.Run(fmt.Sprintf("%s/%dx(%dx%d)", k, shape.count, shape.groups, shape.groupSize), func(t *testing.T) {
+				bank := NewTreeBank(k, shape.count, shape.groups, shape.groupSize)
+				refs := make([]Arbiter, shape.count)
+				for i := range refs {
+					refs[i] = newRefTree(k, shape.groups, shape.groupSize)
+				}
+				checkBankEquivalence(t, &bank, refs, uint64(shape.groups*100+shape.groupSize))
+				// NewTree is a bank of one; it must agree with the reference too.
+				single := NewTree(k, shape.groups, shape.groupSize)
+				one := NewTreeBank(k, 1, shape.groups, shape.groupSize)
+				checkBankEquivalence(t, &one, []Arbiter{single}, 7)
+			})
+		}
+	}
+}
+
+// TestBankAllocations pins the layout: a bank is a fixed number of
+// allocations however many arbiters it holds.
+func TestBankAllocations(t *testing.T) {
+	var bankSink Bank
+	var treeSink TreeBank
+	for _, c := range []struct {
+		name string
+		want float64
+		make func()
+	}{
+		{"rr bank", 1, func() { bankSink = NewBank(RoundRobin, 160, 16) }},
+		{"matrix bank", 3, func() { bankSink = NewBank(Matrix, 160, 16) }},
+		{"rr tree bank", 3, func() { treeSink = NewTreeBank(RoundRobin, 160, 10, 16) }},
+		{"matrix tree bank", 3, func() { treeSink = NewTreeBank(Matrix, 160, 10, 16) }},
+	} {
+		if got := testing.AllocsPerRun(5, c.make); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+	_, _ = bankSink, treeSink
+}

@@ -11,12 +11,14 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+
+	"repro/internal/slab"
 )
 
 const wordBits = 64
 
 // Vec is a fixed-size dense bit vector. The zero value is unusable; create
-// vectors with New. All indices must be in [0, Len()).
+// vectors with New, NewSlab or a Slab. All indices must be in [0, Len()).
 type Vec struct {
 	n     int
 	words []uint64
@@ -24,10 +26,75 @@ type Vec struct {
 
 // New returns a zeroed bit vector with n bits.
 func New(n int) *Vec {
+	return &Vec{n: n, words: make([]uint64, wordsFor(n))}
+}
+
+func wordsFor(n int) int {
 	if n < 0 {
 		panic("bitvec: negative length")
 	}
-	return &Vec{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
+	return (n + wordBits - 1) / wordBits
+}
+
+// Slab lays many vectors, of any mix of widths, out in two allocations: one
+// block of Vec headers and one word backing that every header points into.
+// It is a two-pass slab (see package slab): run the layout code once to
+// measure, call Alloc, run it again to carve. Elements are used through their
+// address (&vs[i] is the *Vec the rest of the API takes); each element's
+// word slice has its capacity cut to its length, so no operation on one
+// element, not even an append to its Words, can reach a neighbour.
+//
+// A slab belongs to whoever built it — in the simulator, to one router. It
+// must not be shared by objects that step on different goroutines: adjacent
+// elements share cache lines.
+type Slab struct {
+	hdr   slab.Of[Vec]
+	words slab.Of[uint64]
+}
+
+// Vecs returns count zeroed n-bit vectors (nil on the measuring pass).
+func (s *Slab) Vecs(count, n int) []Vec {
+	if count < 0 {
+		panic("bitvec: negative count")
+	}
+	k := wordsFor(n)
+	hdr, words := s.hdr.Take(count), s.words.Take(count*k)
+	for i := range hdr {
+		hdr[i] = Vec{n: n, words: words[i*k : (i+1)*k : (i+1)*k]}
+	}
+	return hdr
+}
+
+// Vec returns one zeroed n-bit vector (nil on the measuring pass).
+func (s *Slab) Vec(n int) *Vec {
+	if vs := s.Vecs(1, n); vs != nil {
+		return &vs[0]
+	}
+	return nil
+}
+
+// Matrix returns a zeroed rows×cols matrix whose rows come from the slab
+// (unusable on the measuring pass).
+func (s *Slab) Matrix(rows, cols int) Matrix {
+	if rows < 0 || cols < 0 {
+		panic("bitvec: negative matrix dimension")
+	}
+	return Matrix{rows: rows, cols: cols, bits: s.Vecs(rows, cols)}
+}
+
+// Alloc ends the measuring pass and allocates the two blocks.
+func (s *Slab) Alloc() {
+	s.hdr.Alloc()
+	s.words.Alloc()
+}
+
+// NewSlab returns count zeroed n-bit vectors laid out in one header block and
+// one word backing.
+func NewSlab(count, n int) []Vec {
+	var s Slab
+	s.Vecs(count, n)
+	s.Alloc()
+	return s.Vecs(count, n)
 }
 
 // FromBools builds a vector from a bool slice.
@@ -345,7 +412,7 @@ func (v *Vec) String() string {
 // grant matrices: rows index requesters, columns index resources.
 type Matrix struct {
 	rows, cols int
-	bits       []*Vec // one Vec per row
+	bits       []Vec // one Vec per row, from one slab
 }
 
 // NewMatrix returns a zeroed rows×cols matrix.
@@ -353,11 +420,7 @@ func NewMatrix(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic("bitvec: negative matrix dimension")
 	}
-	m := &Matrix{rows: rows, cols: cols, bits: make([]*Vec, rows)}
-	for i := range m.bits {
-		m.bits[i] = New(cols)
-	}
-	return m
+	return &Matrix{rows: rows, cols: cols, bits: NewSlab(rows, cols)}
 }
 
 // Rows returns the number of rows (requesters).
@@ -379,28 +442,28 @@ func (m *Matrix) Clear(r, c int) { m.bits[r].Clear(c) }
 func (m *Matrix) SetTo(r, c int, b bool) { m.bits[r].SetTo(c, b) }
 
 // Row returns the live Vec backing row r. Mutations are visible in m.
-func (m *Matrix) Row(r int) *Vec { return m.bits[r] }
+func (m *Matrix) Row(r int) *Vec { return &m.bits[r] }
 
 // Reset clears all entries.
 func (m *Matrix) Reset() {
-	for _, row := range m.bits {
-		row.Reset()
+	for i := range m.bits {
+		m.bits[i].Reset()
 	}
 }
 
 // Count returns the total number of set entries.
 func (m *Matrix) Count() int {
 	c := 0
-	for _, row := range m.bits {
-		c += row.Count()
+	for i := range m.bits {
+		c += m.bits[i].Count()
 	}
 	return c
 }
 
 // Any reports whether any entry is set.
 func (m *Matrix) Any() bool {
-	for _, row := range m.bits {
-		if row.Any() {
+	for i := range m.bits {
+		if m.bits[i].Any() {
 			return true
 		}
 	}
@@ -410,8 +473,8 @@ func (m *Matrix) Any() bool {
 // ColCount returns the number of set entries in column c.
 func (m *Matrix) ColCount(c int) int {
 	n := 0
-	for _, row := range m.bits {
-		if row.Get(c) {
+	for i := range m.bits {
+		if m.bits[i].Get(c) {
 			n++
 		}
 	}
@@ -421,8 +484,8 @@ func (m *Matrix) ColCount(c int) int {
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
-	for i, row := range m.bits {
-		c.bits[i].CopyFrom(row)
+	for i := range m.bits {
+		c.bits[i].CopyFrom(&m.bits[i])
 	}
 	return c
 }
@@ -433,7 +496,7 @@ func (m *Matrix) Equal(o *Matrix) bool {
 		return false
 	}
 	for i := range m.bits {
-		if !m.bits[i].Equal(o.bits[i]) {
+		if !m.bits[i].Equal(&o.bits[i]) {
 			return false
 		}
 	}
@@ -447,7 +510,7 @@ func (m *Matrix) SubsetOf(o *Matrix) bool {
 	}
 	for i := range m.bits {
 		t := m.bits[i].Clone()
-		t.AndNot(o.bits[i])
+		t.AndNot(&o.bits[i])
 		if t.Any() {
 			return false
 		}
@@ -458,8 +521,8 @@ func (m *Matrix) SubsetOf(o *Matrix) bool {
 // IsMatching reports whether m has at most one set entry per row and per
 // column, i.e. whether it is a valid matching.
 func (m *Matrix) IsMatching() bool {
-	for _, row := range m.bits {
-		if row.Count() > 1 {
+	for i := range m.bits {
+		if m.bits[i].Count() > 1 {
 			return false
 		}
 	}
@@ -474,11 +537,11 @@ func (m *Matrix) IsMatching() bool {
 // String renders the matrix one row per line.
 func (m *Matrix) String() string {
 	var sb strings.Builder
-	for i, row := range m.bits {
+	for i := range m.bits {
 		if i > 0 {
 			sb.WriteByte('\n')
 		}
-		sb.WriteString(row.String())
+		sb.WriteString(m.bits[i].String())
 	}
 	return sb.String()
 }

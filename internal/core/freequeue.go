@@ -22,12 +22,13 @@ type freeQueueVCAllocator struct {
 	spec  VCSpec
 	v     int
 	name  string
+	kind  arbiter.Kind
 
 	// Per (output port, class): FIFO of free VC ids (global per-port local
 	// index) and the arbiter among requesting input VCs.
 	queues [][]int
-	arbs   []arbiter.Arbiter // width ports*v
-	inQ    []bool            // per (port, local vc): tracked as free
+	arbs   arbiter.Bank // width ports*v
+	inQ    []bool       // per (port, local vc): tracked as free
 
 	grants []int
 	reqVec *bitvec.Vec
@@ -35,37 +36,38 @@ type freeQueueVCAllocator struct {
 
 // NewFreeQueueVCAllocator builds the free-VC-queue allocator.
 func NewFreeQueueVCAllocator(cfg VCAllocConfig) VCAllocator {
-	if cfg.Ports <= 0 {
-		panic("core: Ports must be positive")
-	}
-	if err := cfg.Spec.Validate(); err != nil {
-		panic(err)
-	}
+	cfg.FreeQueue = true
+	return NewVCAllocator(cfg)
+}
+
+func newFreeQueueVCAllocator(cfg VCAllocConfig) *freeQueueVCAllocator {
 	v := cfg.Spec.V()
-	a := &freeQueueVCAllocator{
+	return &freeQueueVCAllocator{
 		ports:  cfg.Ports,
 		spec:   cfg.Spec,
 		v:      v,
 		name:   "freeq/" + cfg.ArbKind.String(),
-		grants: make([]int, cfg.Ports*v),
-		reqVec: bitvec.New(cfg.Ports * v),
+		kind:   cfg.ArbKind,
+		queues: make([][]int, cfg.Ports*cfg.Spec.Classes()),
 		inQ:    make([]bool, cfg.Ports*v),
 	}
-	classes := cfg.Spec.Classes()
-	for port := 0; port < cfg.Ports; port++ {
-		for cls := 0; cls < classes; cls++ {
-			q := make([]int, 0, cfg.Spec.VCsPerClass)
-			for c := 0; c < cfg.Spec.VCsPerClass; c++ {
-				vc := cls*cfg.Spec.VCsPerClass + c
-				q = append(q, vc)
-				a.inQ[port*v+vc] = true
-			}
-			a.queues = append(a.queues, q)
-			a.arbs = append(a.arbs, arbiter.New(cfg.ArbKind, cfg.Ports*v))
-		}
-	}
-	return a
 }
+
+func (a *freeQueueVCAllocator) layout(s slabs) slabs {
+	n := a.ports * a.v
+	a.arbs = s.Bank(a.kind, len(a.queues), n)
+	a.grants = s.ints.Take(n)
+	a.reqVec = s.Vec(n)
+	// A queue never holds more than the VCsPerClass ids of its class (see
+	// noteFreed), which is exactly the capacity its slab slice is cut to.
+	for qi := range a.queues {
+		a.queues[qi] = s.ints.Take(a.spec.VCsPerClass)
+	}
+	return s
+}
+
+// fill enqueues every VC as free.
+func (a *freeQueueVCAllocator) fill() { a.Reset() }
 
 func (a *freeQueueVCAllocator) Ports() int   { return a.ports }
 func (a *freeQueueVCAllocator) VCs() int     { return a.v }
@@ -85,9 +87,9 @@ func (a *freeQueueVCAllocator) Reset() {
 				a.inQ[port*a.v+vc] = true
 			}
 			a.queues[port*classes+cls] = q
-			a.arbs[port*classes+cls].Reset()
 		}
 	}
+	a.arbs.Reset()
 }
 
 func (a *freeQueueVCAllocator) qIndex(port, class int) int { return port*a.spec.Classes() + class }
@@ -158,12 +160,12 @@ func (a *freeQueueVCAllocator) Allocate(reqs []VCRequest) []int {
 					a.reqVec.Set(gi)
 				}
 			}
-			winner := a.arbs[qi].Pick(a.reqVec)
+			winner := a.arbs.Pick(qi, a.reqVec)
 			if winner < 0 {
 				continue
 			}
 			a.grants[winner] = port*a.v + vc
-			a.arbs[qi].Update(winner)
+			a.arbs.Update(qi, winner)
 			a.queues[qi] = append(q[:head], q[head+1:]...)
 			a.inQ[port*a.v+vc] = false
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/alloc"
-)
+import "fmt"
 
 // precomputedSwitch implements the arbitration pre-computation technique of
 // Mullins et al. [15] (paper related work, §1): the switch allocator
@@ -17,8 +13,7 @@ import (
 // Speculation is not combined with pre-computation (the speculative path's
 // whole point is same-cycle allocation), so construction requires SpecNone.
 type precomputedSwitch struct {
-	inner SwitchAllocator
-	name  string
+	inner *switchAllocator
 
 	prev     []SwitchRequest
 	havePrev bool
@@ -31,22 +26,28 @@ type precomputedSwitch struct {
 // NewPrecomputedSwitchAllocator wraps the configured base switch allocator
 // with request pre-computation. cfg.SpecMode must be SpecNone.
 func NewPrecomputedSwitchAllocator(cfg SwitchAllocConfig) SwitchAllocator {
+	cfg.Precomputed = true
+	return NewSwitchAllocator(cfg)
+}
+
+func newPrecomputedSwitch(cfg SwitchAllocConfig) *precomputedSwitch {
 	if cfg.SpecMode != SpecNone {
 		panic("core: precomputed switch allocation cannot be combined with speculation")
 	}
-	cfg.Precomputed = false // build the plain base allocator
-	inner := NewSwitchAllocator(cfg)
+	inner := newSwitchAllocator(cfg)
 	return &precomputedSwitch{
 		inner:  inner,
-		name:   inner.Name() + "+precomp",
 		prev:   make([]SwitchRequest, cfg.Ports*cfg.VCs),
 		grants: make([]SwitchGrant, cfg.Ports),
 	}
 }
 
+func (a *precomputedSwitch) layout(s slabs) slabs { return a.inner.layout(s) }
+func (a *precomputedSwitch) fill()                { a.inner.fill() }
+
 func (a *precomputedSwitch) Ports() int   { return a.inner.Ports() }
 func (a *precomputedSwitch) VCs() int     { return a.inner.VCs() }
-func (a *precomputedSwitch) Name() string { return a.name }
+func (a *precomputedSwitch) Name() string { return a.inner.Name() + "+precomp" }
 
 func (a *precomputedSwitch) Reset() {
 	a.inner.Reset()
@@ -99,9 +100,7 @@ func (a *precomputedSwitch) SkipIdle(idleCycles int64) {
 		}
 	}
 	if idleCycles > 0 {
-		if s, ok := a.inner.(alloc.IdleSkipper); ok {
-			s.SkipIdle(idleCycles)
-		}
+		a.inner.SkipIdle(idleCycles)
 	}
 }
 

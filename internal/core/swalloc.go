@@ -10,11 +10,14 @@ import (
 )
 
 // SwitchRequest is one input VC's crossbar request for a given cycle.
+//
+// The two flags sit together after OutPort so an entry is 16 bytes, not 24:
+// a router holds one per input VC, and the allocator a second copy.
 type SwitchRequest struct {
-	// Active indicates the VC has a flit ready to traverse the crossbar.
-	Active bool
 	// OutPort is the output port the flit must be switched to.
 	OutPort int
+	// Active indicates the VC has a flit ready to traverse the crossbar.
+	Active bool
 	// Spec marks a speculative request: a head flit bidding for the
 	// crossbar in the same cycle it requests an output VC (§5.2). When the
 	// allocator was built with SpecNone, speculative requests are ignored.
@@ -143,51 +146,54 @@ type MaskedSwitchAllocator interface {
 
 // NewSwitchAllocator builds a switch allocator.
 func NewSwitchAllocator(cfg SwitchAllocConfig) SwitchAllocator {
+	a := newSwitchPart(cfg)
+	build(a)
+	return a
+}
+
+// switchPart is a switch allocator before its storage is laid out.
+type switchPart interface {
+	SwitchAllocator
+	part
+}
+
+func newSwitchPart(cfg SwitchAllocConfig) switchPart {
 	if cfg.Precomputed {
-		return NewPrecomputedSwitchAllocator(cfg)
+		return newPrecomputedSwitch(cfg)
 	}
+	return newSwitchAllocator(cfg)
+}
+
+func newSwitchAllocator(cfg SwitchAllocConfig) *switchAllocator {
 	if cfg.Ports <= 0 || cfg.VCs <= 0 {
 		panic("core: Ports and VCs must be positive")
 	}
-	name := cfg.Arch.String()
-	if cfg.Arch != alloc.Wavefront {
-		name += "/" + cfg.ArbKind.String()
-	} else {
-		name += "/rr"
-	}
-	name += "+" + cfg.SpecMode.String()
 	a := &switchAllocator{
-		cfg:      cfg,
-		name:     name,
-		nonspec:  newSwEngine(cfg, false),
-		grants:   make([]SwitchGrant, cfg.Ports),
-		nsGntIn:  bitvec.New(cfg.Ports),
-		nsGntOut: bitvec.New(cfg.Ports),
-		accepted: make([]bool, cfg.Ports),
-		prev:     make([]SwitchRequest, cfg.Ports*cfg.VCs),
-		portOf:   make([]int32, cfg.Ports*cfg.VCs),
-		vcOf:     make([]int32, cfg.Ports*cfg.VCs),
+		cfg:       cfg,
+		speculate: cfg.SpecMode != SpecNone,
+		grants:    make([]SwitchGrant, cfg.Ports),
+		accepted:  make([]bool, cfg.Ports),
+		prev:      make([]SwitchRequest, cfg.Ports*cfg.VCs),
 	}
-	for i := range a.portOf {
-		a.portOf[i] = int32(i / cfg.VCs)
-		a.vcOf[i] = int32(i % cfg.VCs)
-	}
-	if cfg.SpecMode != SpecNone {
-		a.spec = newSwEngine(cfg, true)
+	props := make([]swProposal, 2*cfg.Ports)
+	a.nonspec = newSwEngine(cfg, false, props[:cfg.Ports:cfg.Ports])
+	if a.speculate {
+		a.spec = newSwEngine(cfg, true, props[cfg.Ports:])
 	}
 	return a
 }
 
 type switchAllocator struct {
-	cfg     SwitchAllocConfig
-	name    string
-	nonspec *swEngine
-	spec    *swEngine // nil when SpecNone
-	grants  []SwitchGrant
+	cfg       SwitchAllocConfig
+	speculate bool
+	nonspec   swEngine
+	spec      swEngine // unused unless speculate
+	grants    []SwitchGrant
 
 	// Grant conflict-summary vectors for the conventional masking scheme
-	// (Fig. 9a). The pessimistic scheme's per-port request summaries
-	// (Fig. 9b) come from the nonspec engine's cached request state.
+	// (Fig. 9a); laid out under SpecGnt only. The pessimistic scheme's
+	// per-port request summaries (Fig. 9b) come from the nonspec engine's
+	// cached request state.
 	nsGntIn, nsGntOut *bitvec.Vec
 	accepted          []bool
 	// prev holds the last-seen value of every request entry, so an
@@ -201,13 +207,45 @@ type switchAllocator struct {
 	stats  SwitchAllocStats
 }
 
-func (a *switchAllocator) Ports() int   { return a.cfg.Ports }
-func (a *switchAllocator) VCs() int     { return a.cfg.VCs }
-func (a *switchAllocator) Name() string { return a.name }
+func (a *switchAllocator) layout(s slabs) slabs {
+	p, n := a.cfg.Ports, a.cfg.Ports*a.cfg.VCs
+	a.portOf = s.i32.Take(n)
+	a.vcOf = s.i32.Take(n)
+	if a.cfg.SpecMode == SpecGnt {
+		a.nsGntIn = s.Vec(p)
+		a.nsGntOut = s.Vec(p)
+	}
+	a.nonspec.layout(&s)
+	if a.speculate {
+		a.spec.layout(&s)
+	}
+	return s
+}
+
+func (a *switchAllocator) fill() {
+	for i := range a.portOf {
+		a.portOf[i] = int32(i / a.cfg.VCs)
+		a.vcOf[i] = int32(i % a.cfg.VCs)
+	}
+}
+
+func (a *switchAllocator) Ports() int { return a.cfg.Ports }
+func (a *switchAllocator) VCs() int   { return a.cfg.VCs }
+
+// Name is assembled on demand (see vcAllocator.Name).
+func (a *switchAllocator) Name() string {
+	name := a.cfg.Arch.String()
+	if a.cfg.Arch != alloc.Wavefront {
+		name += "/" + a.cfg.ArbKind.String()
+	} else {
+		name += "/rr"
+	}
+	return name + "+" + a.cfg.SpecMode.String()
+}
 
 func (a *switchAllocator) Reset() {
 	a.nonspec.reset()
-	if a.spec != nil {
+	if a.speculate {
 		a.spec.reset()
 	}
 	a.stats = SwitchAllocStats{}
@@ -223,7 +261,7 @@ func (a *switchAllocator) SkipIdle(idleCycles int64) {
 	if s, ok := a.nonspec.wf.(alloc.IdleSkipper); ok {
 		s.SkipIdle(idleCycles)
 	}
-	if a.spec != nil {
+	if a.speculate {
 		if s, ok := a.spec.wf.(alloc.IdleSkipper); ok {
 			s.SkipIdle(idleCycles)
 		}
@@ -265,7 +303,7 @@ func (a *switchAllocator) note(i int, nw SwitchRequest) {
 	}
 	port, vc := int(a.portOf[i]), int(a.vcOf[i])
 	a.nonspec.noteChange(port, vc, old, nw)
-	if a.spec != nil {
+	if a.speculate {
 		a.spec.noteChange(port, vc, old, nw)
 	}
 	a.prev[i] = nw
@@ -286,7 +324,7 @@ func (a *switchAllocator) run(reqs []SwitchRequest) []SwitchGrant {
 
 	// Non-speculative sub-allocator.
 	nsProps := a.nonspec.propose(reqs)
-	if a.spec == nil {
+	if !a.speculate {
 		for port, prop := range nsProps {
 			a.accepted[port] = prop.outPort >= 0
 			if prop.outPort >= 0 {
@@ -362,79 +400,68 @@ type swProposal struct {
 // ports that actually hold requests and never rescans the request slice.
 type swEngine struct {
 	cfg    SwitchAllocConfig
-	spec   bool              // which request class this engine serves
-	vcArb  []arbiter.Arbiter // per input port, V wide
-	outArb []arbiter.Arbiter // per output port, P wide (separable archs)
-	wf     alloc.Allocator   // wavefront port allocator
+	spec   bool            // which request class this engine serves
+	vcArb  arbiter.Bank    // per input port, V wide
+	outArb arbiter.Bank    // per output port, P wide (separable archs)
+	wf     alloc.Allocator // wavefront port allocator
 
 	// Cached request state, synchronized by noteChange.
-	reqMask []*bitvec.Vec  // per input port, V wide: VCs with matching requests
-	portAny *bitvec.Vec    // P wide: input ports with any matching request
-	cnt     []int32        // P·P: matching requests per (input port, output port)
-	outTot  []int32        // per output port: total matching requests
-	count   int            // total matching requests
-	portReq *bitvec.Matrix // P×P port-request matrix (wavefront/maximum)
-	colReq  []*bitvec.Vec  // per output port, P wide: requesting inputs (sep_of)
+	reqMask []bitvec.Vec  // per input port, V wide: VCs with matching requests
+	portAny *bitvec.Vec   // P wide: input ports with any matching request
+	cnt     []int32       // P·P: matching requests per (input port, output port)
+	outTot  []int32       // per output port: total matching requests
+	count   int           // total matching requests
+	portReq bitvec.Matrix // P×P port-request matrix (with wf)
+	colReq  []bitvec.Vec  // per output port, P wide: requesting inputs (sep_of)
 
 	props   []swProposal
-	vcReq   *bitvec.Vec   // V wide scratch
-	fwd     []*bitvec.Vec // per output port, P wide (sep_if stage 2)
-	fwdAny  *bitvec.Vec   // output ports with a forwarded pick (sep_if)
-	offered []*bitvec.Vec // per input port, P wide (sep_of stage 2)
-	offAny  *bitvec.Vec   // input ports with at least one offer (sep_of)
-	picks   []int         // per input port, VC pick (sep_if)
+	vcReq   *bitvec.Vec  // V wide scratch
+	fwd     []bitvec.Vec // per output port, P wide (sep_if stage 2)
+	fwdAny  *bitvec.Vec  // output ports with a forwarded pick (sep_if)
+	offered []bitvec.Vec // per input port, P wide (sep_of stage 2)
+	offAny  *bitvec.Vec  // input ports with at least one offer (sep_of)
+	picks   []int        // per input port, VC pick (sep_if)
 }
 
-func newSwEngine(cfg SwitchAllocConfig, spec bool) *swEngine {
-	p, v := cfg.Ports, cfg.VCs
-	e := &swEngine{
-		cfg:     cfg,
-		spec:    spec,
-		vcArb:   make([]arbiter.Arbiter, p),
-		reqMask: make([]*bitvec.Vec, p),
-		portAny: bitvec.New(p),
-		cnt:     make([]int32, p*p),
-		outTot:  make([]int32, p),
-		props:   make([]swProposal, p),
-		vcReq:   bitvec.New(v),
-		picks:   make([]int, p),
-	}
-	for i := range e.vcArb {
-		e.vcArb[i] = arbiter.New(cfg.ArbKind, v)
-		e.reqMask[i] = bitvec.New(v)
-	}
+func newSwEngine(cfg SwitchAllocConfig, spec bool, props []swProposal) swEngine {
+	e := swEngine{cfg: cfg, spec: spec, props: props}
 	switch cfg.Arch {
-	case alloc.SepIF:
-		e.outArb = make([]arbiter.Arbiter, p)
-		e.fwd = make([]*bitvec.Vec, p)
-		e.fwdAny = bitvec.New(p)
-		for i := 0; i < p; i++ {
-			e.outArb[i] = arbiter.New(cfg.ArbKind, p)
-			e.fwd[i] = bitvec.New(p)
-		}
-	case alloc.SepOF:
-		e.outArb = make([]arbiter.Arbiter, p)
-		e.offered = make([]*bitvec.Vec, p)
-		e.offAny = bitvec.New(p)
-		e.colReq = make([]*bitvec.Vec, p)
-		for i := 0; i < p; i++ {
-			e.outArb[i] = arbiter.New(cfg.ArbKind, p)
-			e.offered[i] = bitvec.New(p)
-			e.colReq[i] = bitvec.New(p)
-		}
+	case alloc.SepIF, alloc.SepOF:
 	case alloc.Wavefront:
-		e.wf = alloc.NewWavefront(p, p)
-		e.portReq = bitvec.NewMatrix(p, p)
+		e.wf = alloc.NewWavefront(cfg.Ports, cfg.Ports)
 	case alloc.Maximum:
 		// Upper-bound configuration (§2.3): a maximum-size port matching
 		// with the wavefront datapath's VC pre-selection. Not realizable as
 		// single-cycle hardware; used to bound achievable performance.
-		e.wf = alloc.NewMaximum(p, p)
-		e.portReq = bitvec.NewMatrix(p, p)
+		e.wf = alloc.NewMaximum(cfg.Ports, cfg.Ports)
 	default:
 		panic(fmt.Sprintf("core: unsupported switch allocator arch %v", cfg.Arch))
 	}
 	return e
+}
+
+func (e *swEngine) layout(s *slabs) {
+	p, v, k := e.cfg.Ports, e.cfg.VCs, e.cfg.ArbKind
+	e.vcArb = s.Bank(k, p, v)
+	e.reqMask = s.Vecs(p, v)
+	e.vcReq = s.Vec(v)
+	e.portAny = s.Vec(p)
+	e.cnt = s.i32.Take(p * p)
+	e.outTot = s.i32.Take(p)
+	switch e.cfg.Arch {
+	case alloc.SepIF:
+		e.outArb = s.Bank(k, p, p)
+		e.fwd = s.Vecs(p, p)
+		e.fwdAny = s.Vec(p)
+		e.picks = s.ints.Take(p)
+	case alloc.SepOF:
+		e.outArb = s.Bank(k, p, p)
+		e.offered = s.Vecs(p, p)
+		e.offAny = s.Vec(p)
+		e.colReq = s.Vecs(p, p)
+	default:
+		e.portReq = s.Matrix(p, p)
+	}
 }
 
 // noteChange updates the cached request state for request entry (port, vc),
@@ -450,7 +477,7 @@ func (e *swEngine) noteChange(port, vc int, old, nw SwitchRequest) {
 		e.outTot[old.OutPort]--
 		c := &e.cnt[port*p+old.OutPort]
 		if *c--; *c == 0 {
-			if e.portReq != nil {
+			if e.wf != nil {
 				e.portReq.Row(port).Clear(old.OutPort)
 			}
 			if e.colReq != nil {
@@ -463,7 +490,7 @@ func (e *swEngine) noteChange(port, vc int, old, nw SwitchRequest) {
 		e.outTot[nw.OutPort]++
 		c := &e.cnt[port*p+nw.OutPort]
 		if *c++; *c == 1 {
-			if e.portReq != nil {
+			if e.wf != nil {
 				e.portReq.Row(port).Set(nw.OutPort)
 			}
 			if e.colReq != nil {
@@ -483,12 +510,8 @@ func (e *swEngine) noteChange(port, vc int, old, nw SwitchRequest) {
 }
 
 func (e *swEngine) reset() {
-	for _, a := range e.vcArb {
-		a.Reset()
-	}
-	for _, a := range e.outArb {
-		a.Reset()
-	}
+	e.vcArb.Reset()
+	e.outArb.Reset()
 	if e.wf != nil {
 		e.wf.Reset()
 	}
@@ -512,7 +535,7 @@ func (e *swEngine) propose(reqs []SwitchRequest) []swProposal {
 		// pass, but the wavefront block still rotates its priority diagonal
 		// (see SkipIdle), so it must run even on an empty matrix.
 		if e.wf != nil {
-			e.wf.Allocate(e.portReq)
+			e.wf.Allocate(&e.portReq)
 		}
 		return e.props
 	}
@@ -546,7 +569,7 @@ func (e *swEngine) proposeSepIF(reqs []SwitchRequest) {
 	for wi, w := range e.portAny.Words() {
 		for base := wi * 64; w != 0; w &= w - 1 {
 			port := base + bits.TrailingZeros64(w)
-			pk := e.vcArb[port].Pick(e.reqMask[port])
+			pk := e.vcArb.Pick(port, &e.reqMask[port])
 			if pk < 0 {
 				continue
 			}
@@ -559,7 +582,7 @@ func (e *swEngine) proposeSepIF(reqs []SwitchRequest) {
 	for wi, w := range e.fwdAny.Words() {
 		for base := wi * 64; w != 0; w &= w - 1 {
 			o := base + bits.TrailingZeros64(w)
-			winner := e.outArb[o].Pick(e.fwd[o])
+			winner := e.outArb.Pick(o, &e.fwd[o])
 			if winner < 0 {
 				continue
 			}
@@ -581,7 +604,7 @@ func (e *swEngine) proposeSepOF(reqs []SwitchRequest) {
 		if e.outTot[o] == 0 {
 			continue
 		}
-		winner := e.outArb[o].Pick(e.colReq[o])
+		winner := e.outArb.Pick(o, &e.colReq[o])
 		if winner < 0 {
 			continue
 		}
@@ -597,7 +620,7 @@ func (e *swEngine) proposeSepOF(reqs []SwitchRequest) {
 				e.vcReq.Set(vc)
 			}
 		}
-		w := e.vcArb[port].Pick(e.vcReq)
+		w := e.vcArb.Pick(port, e.vcReq)
 		if w < 0 {
 			continue
 		}
@@ -610,7 +633,7 @@ func (e *swEngine) proposeSepOF(reqs []SwitchRequest) {
 // winning VC for the granted output.
 func (e *swEngine) proposeWavefront(reqs []SwitchRequest) {
 	v := e.cfg.VCs
-	g := e.wf.Allocate(e.portReq)
+	g := e.wf.Allocate(&e.portReq)
 	// Grants are a subset of requests, so only ports in portAny can hold one.
 	for port := e.portAny.NextSet(0); port >= 0; port = e.portAny.NextSet(port + 1) {
 		o := g.Row(port).NextSet(0)
@@ -623,7 +646,7 @@ func (e *swEngine) proposeWavefront(reqs []SwitchRequest) {
 				e.vcReq.Set(vc)
 			}
 		}
-		w := e.vcArb[port].Pick(e.vcReq)
+		w := e.vcArb.Pick(port, e.vcReq)
 		if w < 0 {
 			continue
 		}
@@ -642,9 +665,9 @@ func (e *swEngine) commit(accepted []bool) {
 		if prop.outPort < 0 {
 			continue
 		}
-		e.vcArb[port].Update(prop.vc)
-		if e.outArb != nil {
-			e.outArb[prop.outPort].Update(port)
+		e.vcArb.Update(port, prop.vc)
+		if e.wf == nil {
+			e.outArb.Update(prop.outPort, port)
 		}
 	}
 }
@@ -657,7 +680,12 @@ func CheckSwitchGrants(p, v int, reqs []SwitchRequest, grants []SwitchGrant) err
 	if len(grants) != p {
 		return fmt.Errorf("core: %d grants, want %d", len(grants), p)
 	}
-	usedOut := make(map[int]int)
+	// holder[o] is 1 + the input port granted output port o.
+	var buf [64]int32
+	holder := buf[:]
+	if p > len(buf) {
+		holder = make([]int32, p)
+	}
 	for port, g := range grants {
 		if g.OutPort < 0 {
 			if g.VC >= 0 {
@@ -667,6 +695,9 @@ func CheckSwitchGrants(p, v int, reqs []SwitchRequest, grants []SwitchGrant) err
 		}
 		if g.VC < 0 || g.VC >= v {
 			return fmt.Errorf("core: port %d granted invalid VC %d", port, g.VC)
+		}
+		if g.OutPort >= p {
+			return fmt.Errorf("core: port %d granted invalid output %d", port, g.OutPort)
 		}
 		r := reqs[port*v+g.VC]
 		if !r.Active {
@@ -679,10 +710,10 @@ func CheckSwitchGrants(p, v int, reqs []SwitchRequest, grants []SwitchGrant) err
 		if r.Spec != g.Spec {
 			return fmt.Errorf("core: port %d VC %d speculative flag mismatch", port, g.VC)
 		}
-		if prev, dup := usedOut[g.OutPort]; dup {
-			return fmt.Errorf("core: output %d granted to ports %d and %d", g.OutPort, prev, port)
+		if prev := holder[g.OutPort]; prev != 0 {
+			return fmt.Errorf("core: output %d granted to ports %d and %d", g.OutPort, prev-1, port)
 		}
-		usedOut[g.OutPort] = port
+		holder[g.OutPort] = int32(port) + 1
 	}
 	return nil
 }

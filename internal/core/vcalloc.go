@@ -88,38 +88,38 @@ type VCAllocConfig struct {
 
 // NewVCAllocator builds a VC allocator.
 func NewVCAllocator(cfg VCAllocConfig) VCAllocator {
-	if cfg.FreeQueue {
-		return NewFreeQueueVCAllocator(cfg)
-	}
+	a := newVCPart(cfg)
+	build(a)
+	return a
+}
+
+// vcPart is a VC allocator before its storage is laid out.
+type vcPart interface {
+	VCAllocator
+	part
+}
+
+func newVCPart(cfg VCAllocConfig) vcPart {
 	if cfg.Ports <= 0 {
 		panic("core: Ports must be positive")
 	}
 	if err := cfg.Spec.Validate(); err != nil {
 		panic(err)
 	}
+	if cfg.FreeQueue {
+		return newFreeQueueVCAllocator(cfg)
+	}
 	v := cfg.Spec.V()
-	name := cfg.Arch.String()
-	if cfg.Arch != alloc.Wavefront {
-		name += "/" + cfg.ArbKind.String()
-	} else {
-		name += "/rr"
-	}
-	a := &vcAllocator{
-		ports:  cfg.Ports,
-		v:      v,
-		name:   name,
-		active: bitvec.New(cfg.Ports * v),
-	}
+	a := &vcAllocator{ports: cfg.Ports, v: v}
 	if cfg.Sparse {
-		a.name += " (sparse)"
 		perClass := cfg.Spec.ResourceClasses * cfg.Spec.VCsPerClass
-		for m := 0; m < cfg.Spec.MessageClasses; m++ {
-			a.engines = append(a.engines, newVCEngine(cfg, m*perClass, perClass))
+		a.engines = make([]vcEngine, cfg.Spec.MessageClasses)
+		for m := range a.engines {
+			a.engines[m] = newVCEngine(cfg, m*perClass, perClass)
 		}
 	} else {
-		a.engines = append(a.engines, newVCEngine(cfg, 0, v))
+		a.engines = []vcEngine{newVCEngine(cfg, 0, v)}
 	}
-	a.grants = make([]int, cfg.Ports*v)
 	return a
 }
 
@@ -128,8 +128,7 @@ func NewVCAllocator(cfg VCAllocConfig) VCAllocator {
 // sparse decomposition loses no matching opportunities (paper §4.2).
 type vcAllocator struct {
 	ports, v int
-	name     string
-	engines  []*vcEngine
+	engines  []vcEngine
 	grants   []int
 
 	// active caches which request indices carry an issuable request
@@ -139,13 +138,43 @@ type vcAllocator struct {
 	active *bitvec.Vec
 }
 
-func (a *vcAllocator) Ports() int   { return a.ports }
-func (a *vcAllocator) VCs() int     { return a.v }
-func (a *vcAllocator) Name() string { return a.name }
+func (a *vcAllocator) Ports() int { return a.ports }
+func (a *vcAllocator) VCs() int   { return a.v }
+
+// Name is assembled on demand: reports ask for it a handful of times, and
+// building the string per constructed allocator was two heap objects each.
+func (a *vcAllocator) Name() string {
+	cfg := a.engines[0].cfg
+	name := cfg.Arch.String()
+	if cfg.Arch != alloc.Wavefront {
+		name += "/" + cfg.ArbKind.String()
+	} else {
+		name += "/rr"
+	}
+	if cfg.Sparse {
+		name += " (sparse)"
+	}
+	return name
+}
+
+func (a *vcAllocator) layout(s slabs) slabs {
+	a.active = s.Vec(a.ports * a.v)
+	a.grants = s.ints.Take(a.ports * a.v)
+	for i := range a.engines {
+		a.engines[i].layout(&s)
+	}
+	return s
+}
+
+func (a *vcAllocator) fill() {
+	for i := range a.engines {
+		a.engines[i].fill()
+	}
+}
 
 func (a *vcAllocator) Reset() {
-	for _, e := range a.engines {
-		e.reset()
+	for i := range a.engines {
+		a.engines[i].reset()
 	}
 }
 
@@ -154,8 +183,8 @@ func (a *vcAllocator) Reset() {
 // so skipped idle cycles must be replayed into them. Separable engines only
 // update arbiter priority on grants and need no catch-up.
 func (a *vcAllocator) SkipIdle(idleCycles int64) {
-	for _, e := range a.engines {
-		if s, ok := e.wf.(alloc.IdleSkipper); ok {
+	for i := range a.engines {
+		if s, ok := a.engines[i].wf.(alloc.IdleSkipper); ok {
 			s.SkipIdle(idleCycles)
 		}
 	}
@@ -201,8 +230,8 @@ func (a *vcAllocator) run(reqs []VCRequest) []int {
 			a.grants[i] = -1
 		}
 	}
-	for _, e := range a.engines {
-		e.allocate(reqs, a.grants, a.active)
+	for i := range a.engines {
+		a.engines[i].allocate(reqs, a.grants, a.active)
 	}
 	return a.grants
 }
@@ -221,12 +250,12 @@ type vcEngine struct {
 	// this engine bidding for an output VC. Output-side arbitration uses
 	// tree arbiters (a stage of w-input arbiters under a P-input arbiter),
 	// matching the structure suggested in §4.1.
-	inArb  []arbiter.Arbiter // per input VC in range, width w
-	outArb []arbiter.Arbiter // per output VC in range, width P·w
+	inArb  arbiter.Bank     // per input VC in range, width w
+	outArb arbiter.TreeBank // per output VC in range, width P·w
 
 	// Wavefront state.
 	wf    alloc.Allocator
-	wfReq *bitvec.Matrix
+	wfReq bitvec.Matrix
 
 	// Index tables hoisting the divides out of the per-request allocate
 	// loops: liOf maps a global request index gi to this engine's local
@@ -238,85 +267,76 @@ type vcEngine struct {
 	gIdx []int32 // p·w wide
 
 	// Scratch.
-	cand    *bitvec.Vec   // w wide
-	bids    []*bitvec.Vec // per output VC in range, P·w wide (sep_if stage 2)
-	bidsAny *bitvec.Vec   // output VCs with at least one bid (sep_if)
-	bidVC   []int         // per input VC in range: chosen local candidate (sep_if)
-	offers  []*bitvec.Vec // per input VC in range, w wide (sep_of stage 2)
-	offAny  *bitvec.Vec   // input VCs with at least one offer (sep_of)
-	reqTo   []*bitvec.Vec // per output VC in range, P·w wide (sep_of stage 1)
-	outAny  *bitvec.Vec   // output VCs whose reqTo vector is dirty (sep_of)
-	wfRows  *bitvec.Vec   // rows of wfReq that are dirty (wavefront)
+	cand    *bitvec.Vec  // w wide; sparse sub-engines only
+	bids    []bitvec.Vec // per output VC in range, P·w wide (sep_if stage 2)
+	bidsAny *bitvec.Vec  // output VCs with at least one bid (sep_if)
+	bidVC   []int        // per input VC in range: chosen local candidate (sep_if)
+	offers  []bitvec.Vec // per input VC in range, w wide (sep_of stage 2)
+	offAny  *bitvec.Vec  // input VCs with at least one offer (sep_of)
+	reqTo   []bitvec.Vec // per output VC in range, P·w wide (sep_of stage 1)
+	outAny  *bitvec.Vec  // output VCs whose reqTo vector is dirty (sep_of)
+	wfRows  *bitvec.Vec  // rows of wfReq that are dirty (wavefront)
 }
 
-func newVCEngine(cfg VCAllocConfig, off, w int) *vcEngine {
-	p := cfg.Ports
-	e := &vcEngine{cfg: cfg, off: off, w: w, arch: cfg.Arch}
-	// outTree builds a P·w-input output-side arbiter. A tree with
-	// single-input leaves degenerates to its root (the leaves can neither
-	// change a pick nor hold meaningful priority state), so build the flat
-	// root arbiter directly and skip a dispatch level on every pick.
-	outTree := func() arbiter.Arbiter {
-		if w == 1 {
-			return arbiter.New(cfg.ArbKind, p)
-		}
-		return arbiter.NewTree(cfg.ArbKind, p, w)
-	}
+func newVCEngine(cfg VCAllocConfig, off, w int) vcEngine {
+	e := vcEngine{cfg: cfg, off: off, w: w, arch: cfg.Arch}
 	switch cfg.Arch {
-	case alloc.SepIF:
-		e.inArb = make([]arbiter.Arbiter, p*w)
-		e.outArb = make([]arbiter.Arbiter, p*w)
-		e.bids = make([]*bitvec.Vec, p*w)
-		e.bidsAny = bitvec.New(p * w)
-		e.bidVC = make([]int, p*w)
-		for i := range e.inArb {
-			e.inArb[i] = arbiter.New(cfg.ArbKind, w)
-			e.outArb[i] = outTree()
-			e.bids[i] = bitvec.New(p * w)
-		}
-	case alloc.SepOF:
-		e.inArb = make([]arbiter.Arbiter, p*w)
-		e.outArb = make([]arbiter.Arbiter, p*w)
-		e.offers = make([]*bitvec.Vec, p*w)
-		e.offAny = bitvec.New(p * w)
-		e.reqTo = make([]*bitvec.Vec, p*w)
-		e.outAny = bitvec.New(p * w)
-		for i := range e.inArb {
-			e.inArb[i] = arbiter.New(cfg.ArbKind, w)
-			e.outArb[i] = outTree()
-			e.offers[i] = bitvec.New(w)
-			e.reqTo[i] = bitvec.New(p * w)
-		}
+	case alloc.SepIF, alloc.SepOF:
 	case alloc.Wavefront:
-		e.wf = alloc.NewWavefront(p*w, p*w)
-		e.wfReq = bitvec.NewMatrix(p*w, p*w)
-		e.wfRows = bitvec.New(p * w)
+		e.wf = alloc.NewWavefront(cfg.Ports*w, cfg.Ports*w)
 	default:
 		panic(fmt.Sprintf("core: unsupported VC allocator arch %v", cfg.Arch))
 	}
-	v := cfg.Spec.V()
-	e.liOf = make([]int32, p*v)
+	return e
+}
+
+func (e *vcEngine) layout(s *slabs) {
+	p, w, k := e.cfg.Ports, e.w, e.cfg.ArbKind
+	switch e.arch {
+	case alloc.SepIF:
+		e.inArb = s.Bank(k, p*w, w)
+		e.outArb = s.TreeBank(k, p*w, p, w)
+		e.bids = s.Vecs(p*w, p*w)
+		e.bidsAny = s.Vec(p * w)
+		e.bidVC = s.ints.Take(p * w)
+	case alloc.SepOF:
+		e.inArb = s.Bank(k, p*w, w)
+		e.outArb = s.TreeBank(k, p*w, p, w)
+		e.offers = s.Vecs(p*w, w)
+		e.offAny = s.Vec(p * w)
+		e.reqTo = s.Vecs(p*w, p*w)
+		e.outAny = s.Vec(p * w)
+	case alloc.Wavefront:
+		e.wfReq = s.Matrix(p*w, p*w)
+		e.wfRows = s.Vec(p * w)
+	}
+	e.liOf = s.i32.Take(p * e.cfg.Spec.V())
+	e.gIdx = s.i32.Take(p * w)
+	if !e.full() {
+		e.cand = s.Vec(w)
+	}
+}
+
+func (e *vcEngine) fill() {
+	v := e.cfg.Spec.V()
 	for gi := range e.liOf {
 		e.liOf[gi] = -1
 		if vc := gi % v; e.inRange(vc) {
 			e.liOf[gi] = int32(e.local(gi/v, vc))
 		}
 	}
-	e.gIdx = make([]int32, p*w)
 	for l := range e.gIdx {
-		e.gIdx[l] = int32((l/w)*v + off + l%w)
+		e.gIdx[l] = int32((l/e.w)*v + e.off + l%e.w)
 	}
-	e.cand = bitvec.New(w)
-	return e
 }
 
+// full reports whether the engine covers every VC, i.e. is not a sparse
+// sub-engine.
+func (e *vcEngine) full() bool { return e.off == 0 && e.w == e.cfg.Spec.V() }
+
 func (e *vcEngine) reset() {
-	for _, a := range e.inArb {
-		a.Reset()
-	}
-	for _, a := range e.outArb {
-		a.Reset()
-	}
+	e.inArb.Reset()
+	e.outArb.Reset()
 	if e.wf != nil {
 		e.wf.Reset()
 	}
@@ -327,7 +347,7 @@ func (e *vcEngine) reset() {
 // range reads the request's own (caller-owned, read-only) vector in place;
 // sparse sub-engines extract their window into the e.cand scratch vector.
 func (e *vcEngine) candFor(r VCRequest) *bitvec.Vec {
-	if e.off == 0 && e.w == e.cfg.Spec.V() {
+	if e.full() {
 		if !r.Candidates.Any() {
 			return nil
 		}
@@ -390,7 +410,7 @@ func (e *vcEngine) allocateSepIF(reqs []VCRequest, grants []int, act *bitvec.Vec
 			if cand == nil {
 				continue
 			}
-			c := e.inArb[li].Pick(cand)
+			c := e.inArb.Pick(li, cand)
 			if c < 0 {
 				continue
 			}
@@ -404,13 +424,13 @@ func (e *vcEngine) allocateSepIF(reqs []VCRequest, grants []int, act *bitvec.Vec
 	for wi, bw := range e.bidsAny.Words() {
 		for base := wi * 64; bw != 0; bw &= bw - 1 {
 			lo := base + bits.TrailingZeros64(bw)
-			winner := e.outArb[lo].Pick(e.bids[lo])
+			winner := e.outArb.Pick(lo, &e.bids[lo])
 			if winner < 0 {
 				continue
 			}
 			grants[e.gIdx[winner]] = int(e.gIdx[lo])
-			e.outArb[lo].Update(winner)
-			e.inArb[winner].Update(e.bidVC[winner])
+			e.outArb.Update(lo, winner)
+			e.inArb.Update(winner, e.bidVC[winner])
 		}
 	}
 }
@@ -450,7 +470,7 @@ func (e *vcEngine) allocateSepOF(reqs []VCRequest, grants []int, act *bitvec.Vec
 	}
 	// Stage 1: output-side arbitration at every requested output VC.
 	for lo := e.outAny.NextSet(0); lo >= 0; lo = e.outAny.NextSet(lo + 1) {
-		winner := e.outArb[lo].Pick(e.reqTo[lo])
+		winner := e.outArb.Pick(lo, &e.reqTo[lo])
 		if winner < 0 {
 			continue
 		}
@@ -459,15 +479,15 @@ func (e *vcEngine) allocateSepOF(reqs []VCRequest, grants []int, act *bitvec.Vec
 	}
 	// Stage 2: input-side arbitration among offered output VCs.
 	for li := e.offAny.NextSet(0); li >= 0; li = e.offAny.NextSet(li + 1) {
-		c := e.inArb[li].Pick(e.offers[li])
+		c := e.inArb.Pick(li, &e.offers[li])
 		if c < 0 {
 			continue
 		}
 		gi := int(e.gIdx[li])
 		oPort := reqs[gi].OutPort
 		grants[gi] = oPort*v + (e.off + c)
-		e.inArb[li].Update(c)
-		e.outArb[oPort*e.w+c].Update(li)
+		e.inArb.Update(li, c)
+		e.outArb.Update(oPort*e.w+c, li)
 	}
 }
 
@@ -496,7 +516,7 @@ func (e *vcEngine) allocateWavefront(reqs []VCRequest, grants []int, act *bitvec
 			wfRow.Set(base + c)
 		}
 	}
-	g := e.wf.Allocate(e.wfReq)
+	g := e.wf.Allocate(&e.wfReq)
 	// Grants are a subset of requests, so only dirty rows can hold one.
 	for row := e.wfRows.NextSet(0); row >= 0; row = e.wfRows.NextSet(row + 1) {
 		gRow := g.Row(row)
@@ -512,7 +532,13 @@ func (e *vcEngine) allocateWavefront(reqs []VCRequest, grants []int, act *bitvec
 // returns an error describing the first violation found.
 func CheckVCGrants(p int, spec VCSpec, reqs []VCRequest, grants []int) error {
 	v := spec.V()
-	seen := make(map[int]int)
+	// holder[g] is 1 + the input VC granted output VC g. The paper's largest
+	// router has P·V = 160, so the table normally lives on the stack.
+	var buf [256]int32
+	holder := buf[:]
+	if len(grants) > len(buf) {
+		holder = make([]int32, len(grants))
+	}
 	for gi, g := range grants {
 		if g < 0 {
 			continue
@@ -528,10 +554,13 @@ func CheckVCGrants(p int, spec VCSpec, reqs []VCRequest, grants []int) error {
 		if r.Candidates == nil || !r.Candidates.Get(ovc) {
 			return fmt.Errorf("core: input VC %d granted non-candidate output VC %d", gi, ovc)
 		}
-		if prev, dup := seen[g]; dup {
-			return fmt.Errorf("core: output VC %d granted to both input VC %d and %d", g, prev, gi)
+		if g >= len(holder) {
+			return fmt.Errorf("core: input VC %d granted out-of-range output VC %d", gi, g)
 		}
-		seen[g] = gi
+		if prev := holder[g]; prev != 0 {
+			return fmt.Errorf("core: output VC %d granted to both input VC %d and %d", g, prev-1, gi)
+		}
+		holder[g] = int32(gi) + 1
 	}
 	return nil
 }

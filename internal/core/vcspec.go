@@ -183,13 +183,19 @@ func (s VCSpec) TransitionMatrix() *bitvec.Matrix {
 // i.e. the population count of TransitionMatrix.
 func (s VCSpec) CountLegalTransitions() int { return s.TransitionMatrix().Count() }
 
+// ClassRange returns the half-open VC index range [lo, hi) of class (m, r);
+// the VCs of one class are contiguous.
+func (s VCSpec) ClassRange(m, r int) (lo, hi int) {
+	lo = s.ClassIndex(m, r) * s.VCsPerClass
+	return lo, lo + s.VCsPerClass
+}
+
 // ClassMask returns a V-wide bit vector selecting the VCs of class
 // (m, r).
 func (s VCSpec) ClassMask(m, r int) *bitvec.Vec {
 	v := bitvec.New(s.V())
-	base := s.ClassIndex(m, r) * s.VCsPerClass
-	for c := 0; c < s.VCsPerClass; c++ {
-		v.Set(base + c)
+	for c, hi := s.ClassRange(m, r); c < hi; c++ {
+		v.Set(c)
 	}
 	return v
 }

@@ -124,11 +124,10 @@ func TestAdaptiveKneeMatchesFixedGrid(t *testing.T) {
 }
 
 // TestShareCacheTraceEquivalence is the mutation-detection audit: a trace
-// with the share cache enabled (topology, routing and class masks shared by
-// concurrent sims) must be byte-equal to the same trace with sharing
-// disabled (every sim builds its own state — the pre-sharing path), and the
-// shared topology must checksum identically before and after concurrent
-// Validate-mode runs.
+// with the share cache enabled (topology and routing shared by concurrent
+// sims) must be byte-equal to the same trace with sharing disabled (every sim
+// builds its own state — the pre-sharing path), and the shared topology must
+// checksum identically before and after concurrent Validate-mode runs.
 func TestShareCacheTraceEquivalence(t *testing.T) {
 	ctx := context.Background()
 	spec := tinySpec("mesh", "mmp")

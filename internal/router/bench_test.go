@@ -122,8 +122,8 @@ func benchCommitSA(b *testing.B, fedPorts int) {
 		r.deps = r.deps[:0]
 		r.credits = r.credits[:0]
 		r.buildRequests()
-		copy(r.vaGranted, r.vaMasked(r.vaReqs, r.dirty))
-		saGrants := r.saMasked(r.saReqs, r.dirty)
+		copy(r.vaGranted, r.vaMasked.AllocateMasked(r.vaReqs, r.dirty))
+		saGrants := r.saMasked.AllocateMasked(r.saReqs, r.dirty)
 		r.dirty.Reset()
 		r.commitVA()
 		b.StartTimer()
@@ -138,3 +138,28 @@ func benchCommitSA(b *testing.B, fedPorts int) {
 
 func BenchmarkCommitSALowLoad(b *testing.B)    { benchCommitSA(b, 1) }
 func BenchmarkCommitSASaturation(b *testing.B) { benchCommitSA(b, 4) }
+
+var routerNewSink *Router
+
+// BenchmarkRouterNew times the construction of one router with its
+// allocators at the two extreme shapes of the paper: the 5-port mesh router
+// with 2 VCs and the 10-port flattened-butterfly router with 16.
+func BenchmarkRouterNew(b *testing.B) {
+	for _, shape := range []struct {
+		name  string
+		ports int
+		spec  core.VCSpec
+	}{
+		{"mesh_2x1x1", 5, core.NewVCSpec(2, 1, 1)},
+		{"fbfly_2x2x4", 10, core.NewVCSpec(2, 2, 4)},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := testConfig(core.SpecReq)
+			cfg.Ports, cfg.Spec = shape.ports, shape.spec
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				routerNewSink = New(cfg)
+			}
+		})
+	}
+}

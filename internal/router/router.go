@@ -14,6 +14,7 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/routing"
+	"repro/internal/slab"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -83,14 +84,6 @@ type Config struct {
 	BufDepth int
 	// Routing supplies lookahead route decisions.
 	Routing routing.Function
-	// ClassMasks, when non-nil, supplies the per-(message class, resource
-	// class) output-VC candidate masks in ClassIndex order, replacing the
-	// per-router Spec.ClassMask build. The router only ever reads them
-	// (computeVAReq consumes a mask via AndNotInto), so one slice may be
-	// shared by every router of every concurrently running simulation with
-	// the same Spec; callers must never mutate the vectors after handoff.
-	// nil keeps the per-router build.
-	ClassMasks []*bitvec.Vec
 	// VA configures the VC allocator (Ports and Spec are overridden).
 	VA core.VCAllocConfig
 	// SA configures the switch allocator (Ports and VCs are overridden);
@@ -135,11 +128,12 @@ type Router struct {
 
 	va core.VCAllocator
 	sa core.SwitchAllocator
-	// vaMasked and saMasked are the allocators' incremental entry points,
-	// resolved once at construction; nil when the allocator keeps no derived
-	// request cache (free queue, precomputed) or under DenseRequests.
-	vaMasked func([]core.VCRequest, *bitvec.Vec) []int
-	saMasked func([]core.SwitchRequest, *bitvec.Vec) []core.SwitchGrant
+	// vaMasked and saMasked are the allocators seen through their incremental
+	// entry points, resolved once at construction; nil when the allocator
+	// keeps no derived request cache (free queue, precomputed) or under
+	// DenseRequests.
+	vaMasked core.MaskedVCAllocator
+	saMasked core.MaskedSwitchAllocator
 
 	// Input VC state (SoA, indexed port*v+vc). fifo holds all input
 	// buffers back to back: VC i's ring is fifo[i*depth : (i+1)*depth],
@@ -156,15 +150,15 @@ type Router struct {
 	// an allocated output VC back to the input VC holding it (-1 when
 	// free), which is how a credit return finds the one cached switch
 	// request it can invalidate.
-	outAlloc   []*bitvec.Vec // per output port, width v
-	outCredits []int32       // per output VC
-	outOwner   []int32       // per output VC: owning input VC or -1
+	outAlloc   []bitvec.Vec // per output port, width v
+	outCredits []int32      // per output VC
+	outOwner   []int32      // per output VC: owning input VC or -1
 
 	vaReqs     []core.VCRequest
 	saReqs     []core.SwitchRequest
-	candidates []*bitvec.Vec // per input VC, width v
-	classMasks []*bitvec.Vec // per (m,r) class, width v
-	vaGranted  []int         // per input VC: granted global out VC this cycle, -1
+	candidates []bitvec.Vec // per input VC, width v
+	classMasks []bitvec.Vec // per (m,r) class, width v
+	vaGranted  []int        // per input VC: granted global out VC this cycle, -1
 
 	// dirty marks the input VCs whose cached VA/SA request entries must be
 	// rebuilt this cycle; every other entry is byte-identical to what a
@@ -172,7 +166,7 @@ type Router struct {
 	// waiters[o] marks the input VCs in vcWaitVA routed to output port o —
 	// the set whose candidate masks depend on port o's allocation state.
 	dirty   *bitvec.Vec
-	waiters []*bitvec.Vec
+	waiters []bitvec.Vec
 
 	// chkCand is Validate-mode scratch for the dense request cross-check.
 	chkCand *bitvec.Vec
@@ -186,9 +180,10 @@ type Router struct {
 	// occupied counts input VCs currently holding at least one flit; it is
 	// maintained by AcceptFlit and commitSA and backs Quiescent.
 	occupied int
-	// skipVA and skipSA are the allocators' idle catch-up hooks, resolved
-	// once at construction (nil when the allocator is idle-invariant).
-	skipVA, skipSA func(int64)
+	// skipVA and skipSA are the allocators seen through their idle catch-up
+	// hook, resolved once at construction (nil when the allocator is
+	// idle-invariant).
+	skipVA, skipSA idleSkipper
 }
 
 // idleSkipper mirrors alloc.IdleSkipper structurally; see Router.SkipIdle.
@@ -229,62 +224,54 @@ func New(cfg Config) *Router {
 	cfg.SA.VCs = v
 	n := cfg.Ports * v
 	r := &Router{
-		cfg:        cfg,
-		p:          cfg.Ports,
-		v:          v,
-		depth:      cfg.BufDepth,
-		va:         core.NewVCAllocator(cfg.VA),
-		sa:         core.NewSwitchAllocator(cfg.SA),
-		fifo:       make([]*Flit, n*cfg.BufDepth),
-		head:       make([]int32, n),
-		count:      make([]int32, n),
-		state:      make([]vcState, n),
-		outPort:    make([]int32, n),
-		class:      make([]int32, n),
-		outVC:      make([]int32, n),
-		outAlloc:   make([]*bitvec.Vec, cfg.Ports),
-		outCredits: make([]int32, n),
-		outOwner:   make([]int32, n),
-		vaReqs:     make([]core.VCRequest, n),
-		saReqs:     make([]core.SwitchRequest, n),
-		candidates: make([]*bitvec.Vec, n),
-		vaGranted:  make([]int, n),
-		dirty:      bitvec.New(n),
-		waiters:    make([]*bitvec.Vec, cfg.Ports),
-		chkCand:    bitvec.New(v),
-		speculate:  cfg.SA.SpecMode != core.SpecNone,
+		cfg:       cfg,
+		p:         cfg.Ports,
+		v:         v,
+		depth:     cfg.BufDepth,
+		fifo:      make([]*Flit, n*cfg.BufDepth),
+		state:     make([]vcState, n),
+		vaReqs:    make([]core.VCRequest, n),
+		saReqs:    make([]core.SwitchRequest, n),
+		vaGranted: make([]int, n),
+		speculate: cfg.SA.SpecMode != core.SpecNone,
+	}
+	r.va, r.sa = core.NewAllocators(cfg.VA, cfg.SA)
+	// The per-VC int32 columns are runs of one block, and every bit vector
+	// the router owns comes out of one slab (see DESIGN.md §14).
+	var cols slab.Of[int32]
+	var vecs bitvec.Slab
+	for pass := 0; pass < 2; pass++ {
+		r.head, r.count = cols.Take(n), cols.Take(n)
+		r.outPort, r.class, r.outVC = cols.Take(n), cols.Take(n), cols.Take(n)
+		r.outCredits, r.outOwner = cols.Take(n), cols.Take(n)
+		r.candidates = vecs.Vecs(n, v)
+		r.outAlloc = vecs.Vecs(cfg.Ports, v)
+		r.classMasks = vecs.Vecs(cfg.Spec.Classes(), v)
+		r.chkCand = vecs.Vec(v)
+		r.dirty = vecs.Vec(n)
+		r.waiters = vecs.Vecs(cfg.Ports, n)
+		if pass == 0 {
+			cols.Alloc()
+			vecs.Alloc()
+		}
 	}
 	for i := 0; i < n; i++ {
 		r.outCredits[i] = int32(cfg.BufDepth)
 		r.outOwner[i] = -1
-		r.candidates[i] = bitvec.New(v)
 	}
-	for p := 0; p < cfg.Ports; p++ {
-		r.outAlloc[p] = bitvec.New(v)
-		r.waiters[p] = bitvec.New(n)
-	}
-	if cfg.ClassMasks != nil {
-		r.classMasks = cfg.ClassMasks
-	} else {
-		for m := 0; m < cfg.Spec.MessageClasses; m++ {
-			for rc := 0; rc < cfg.Spec.ResourceClasses; rc++ {
-				r.classMasks = append(r.classMasks, cfg.Spec.ClassMask(m, rc))
+	for m := 0; m < cfg.Spec.MessageClasses; m++ {
+		for rc := 0; rc < cfg.Spec.ResourceClasses; rc++ {
+			mask := &r.classMasks[cfg.Spec.ClassIndex(m, rc)]
+			for c, hi := cfg.Spec.ClassRange(m, rc); c < hi; c++ {
+				mask.Set(c)
 			}
 		}
 	}
-	if s, ok := r.va.(idleSkipper); ok {
-		r.skipVA = s.SkipIdle
-	}
-	if s, ok := r.sa.(idleSkipper); ok {
-		r.skipSA = s.SkipIdle
-	}
+	r.skipVA, _ = r.va.(idleSkipper)
+	r.skipSA, _ = r.sa.(idleSkipper)
 	if !cfg.DenseRequests {
-		if m, ok := r.va.(core.MaskedVCAllocator); ok {
-			r.vaMasked = m.AllocateMasked
-		}
-		if m, ok := r.sa.(core.MaskedSwitchAllocator); ok {
-			r.saMasked = m.AllocateMasked
-		}
+		r.vaMasked, _ = r.va.(core.MaskedVCAllocator)
+		r.saMasked, _ = r.sa.(core.MaskedSwitchAllocator)
 	}
 	return r
 }
@@ -377,10 +364,10 @@ func (r *Router) Quiescent() bool { return r.occupied == 0 }
 // bit-exact with stepping the router every cycle.
 func (r *Router) SkipIdle(idleCycles int64) {
 	if r.skipVA != nil {
-		r.skipVA(idleCycles)
+		r.skipVA.SkipIdle(idleCycles)
 	}
 	if r.skipSA != nil {
-		r.skipSA(idleCycles)
+		r.skipSA.SkipIdle(idleCycles)
 	}
 }
 
@@ -403,11 +390,11 @@ func (r *Router) SkipIdle(idleCycles int64) {
 // events) may run concurrently across routers — the sim package's sharded
 // stepper relies on this. Everything a router shares with its siblings is
 // read-only after New: Config carries the Spec by value and the Routing
-// function (NextHop mutates only the packet's own Route), VCSpec.ClassMask
-// returns freshly built bit vectors so per-router class masks never alias,
-// and each router constructs its own allocator and arbiter instances. A
-// single Router is not safe for concurrent use; the Trace collector is the
-// one shared mutable sink, which is why tracing forces serial stepping.
+// function (NextHop mutates only the packet's own Route), and each router
+// builds its own class masks, allocators and arbiters on slabs no other
+// router touches. A single Router is not safe for concurrent use; the Trace
+// collector is the one shared mutable sink, which is why tracing forces
+// serial stepping.
 func (r *Router) Step() ([]Departure, []Credit) {
 	r.deps = r.deps[:0]
 	r.credits = r.credits[:0]
@@ -419,14 +406,14 @@ func (r *Router) Step() ([]Departure, []Credit) {
 	// derived state of those entries.
 	var vaGrants []int
 	if r.vaMasked != nil {
-		vaGrants = r.vaMasked(r.vaReqs, r.dirty)
+		vaGrants = r.vaMasked.AllocateMasked(r.vaReqs, r.dirty)
 	} else {
 		vaGrants = r.va.Allocate(r.vaReqs)
 	}
 	copy(r.vaGranted, vaGrants)
 	var saGrants []core.SwitchGrant
 	if r.saMasked != nil {
-		saGrants = r.saMasked(r.saReqs, r.dirty)
+		saGrants = r.saMasked.AllocateMasked(r.saReqs, r.dirty)
 	} else {
 		saGrants = r.sa.Allocate(r.saReqs)
 	}
@@ -489,7 +476,7 @@ func (r *Router) buildRequest(i int) {
 				Packet: f.Pkt.ID, Seq: f.Seq})
 		}
 	}
-	r.vaReqs[i] = r.computeVAReq(i, r.candidates[i])
+	r.vaReqs[i] = r.computeVAReq(i, &r.candidates[i])
 	r.saReqs[i] = r.computeSAReq(i, r.vaReqs[i].Active)
 }
 
@@ -502,8 +489,8 @@ func (r *Router) computeVAReq(i int, cand *bitvec.Vec) core.VCRequest {
 		return core.VCRequest{}
 	}
 	m := r.front(i).Pkt.Type.MessageClass()
-	mask := r.classMasks[r.cfg.Spec.ClassIndex(m, int(r.class[i]))]
-	if !cand.AndNotInto(mask, r.outAlloc[r.outPort[i]]) {
+	mask := &r.classMasks[r.cfg.Spec.ClassIndex(m, int(r.class[i]))]
+	if !cand.AndNotInto(mask, &r.outAlloc[r.outPort[i]]) {
 		return core.VCRequest{}
 	}
 	return core.VCRequest{Active: true, OutPort: int(r.outPort[i]), Candidates: cand}
@@ -590,7 +577,7 @@ func (r *Router) commitVA() {
 		r.outOwner[g] = int32(i)
 		r.outVC[i] = int32(outVC)
 		r.state[i] = vcActive
-		r.dirty.Or(r.waiters[outPort])
+		r.dirty.Or(&r.waiters[outPort])
 		r.waiters[outPort].Clear(i)
 		if r.cfg.Trace != nil {
 			f := r.front(i)
@@ -669,7 +656,7 @@ func (r *Router) commitSA(grants []core.SwitchGrant) {
 			r.outAlloc[op].Clear(ov)
 			r.outOwner[ovcIdx] = -1
 			r.state[i] = vcIdle
-			r.dirty.Or(r.waiters[op])
+			r.dirty.Or(&r.waiters[op])
 		}
 	}
 }

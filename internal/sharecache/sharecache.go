@@ -1,7 +1,7 @@
 // Package sharecache is a content-addressed build-once cache for immutable
 // derived state shared across concurrently running simulations: topology
-// wiring, routing functions, router class masks — anything proven read-only
-// after construction. Concurrent callers asking for the same key build the
+// wiring and routing functions — anything proven read-only after
+// construction. Concurrent callers asking for the same key build the
 // value once and share the result (per-key singleflight), so a curve tracer
 // or design-space search that launches dozens of sims of the same design
 // point pays for one construction instead of one per sim.

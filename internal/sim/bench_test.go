@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
 )
 
@@ -100,6 +101,27 @@ func BenchmarkNetworkShardedFig14(b *testing.B) {
 	for _, s := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
 			benchNetworkSpec(b, 0.30, false, s, core.SpecGnt)
+		})
+	}
+}
+
+// simNewSink keeps the constructed network reachable so the compiler cannot
+// drop the call.
+var simNewSink *Network
+
+// BenchmarkSimNew times construction alone — what every design point of a
+// sweep, a curve trace or a Pareto search pays before its first cycle — on
+// the paper's six design points in their default sep_if / spec_req
+// configuration. allocs/op and B/op are the numbers TestNewAllocBudget
+// bounds.
+func BenchmarkSimNew(b *testing.B) {
+	for _, pt := range designPoints {
+		b.Run(fmt.Sprintf("%s_c%d", pt.topo, pt.c), func(b *testing.B) {
+			cfg := pt.config(alloc.SepIF)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				simNewSink = New(cfg)
+			}
 		})
 	}
 }

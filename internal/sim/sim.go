@@ -19,11 +19,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/routing"
-	"repro/internal/sharecache"
 	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -277,21 +275,21 @@ func New(cfg Config) *Network {
 	}
 	n := &Network{
 		cfg:       cfg,
+		routers:   make([]*router.Router, 0, cfg.Topology.Routers),
+		terminals: make([]*terminal, 0, cfg.Topology.Terminals()),
 		wheelSize: wheelSizeFor(cfg.Topology),
 		leapOn:    cfg.Leap && !cfg.Dense && cfg.Trace == nil,
 	}
 	root := xrand.New(cfg.Seed)
-	masks := sharedClassMasks(cfg.Spec)
 	for r := 0; r < cfg.Topology.Routers; r++ {
 		rcfg := router.Config{
-			ID:         r,
-			Ports:      cfg.Topology.Ports,
-			Spec:       cfg.Spec,
-			BufDepth:   cfg.BufDepth,
-			Routing:    cfg.Routing,
-			VA:         cfg.VA,
-			SA:         cfg.SA,
-			ClassMasks: masks,
+			ID:       r,
+			Ports:    cfg.Topology.Ports,
+			Spec:     cfg.Spec,
+			BufDepth: cfg.BufDepth,
+			Routing:  cfg.Routing,
+			VA:       cfg.VA,
+			SA:       cfg.SA,
 		}
 		if cfg.Trace != nil {
 			rcfg.Trace = cfg.Trace
@@ -310,33 +308,6 @@ func New(cfg Config) *Network {
 	}
 	n.buildShards()
 	return n
-}
-
-// sharedClassMasks returns the per-(message class, resource class) output-VC
-// candidate masks for a spec through the share cache: every router of every
-// concurrently running simulation with the same VC organization reads one
-// slice instead of building its own (routers only consume the masks via
-// AndNotInto, so sharing is read-only — see router.Config.ClassMasks). When
-// sharing is disabled it returns nil, which keeps the original per-router
-// build as the cold reference path.
-func sharedClassMasks(spec core.VCSpec) []*bitvec.Vec {
-	if !sharecache.Default.Enabled() {
-		return nil
-	}
-	// The masks depend only on the class geometry (ClassMask marks the VCs
-	// of one (m, r) class); ResourceSucc is included in the key anyway so a
-	// custom successor relation can never alias a default one.
-	key := fmt.Sprintf("classmasks/%dx%dx%d/%v",
-		spec.MessageClasses, spec.ResourceClasses, spec.VCsPerClass, spec.ResourceSucc)
-	return sharecache.Get(sharecache.Default, key, func() []*bitvec.Vec {
-		var ms []*bitvec.Vec
-		for m := 0; m < spec.MessageClasses; m++ {
-			for rc := 0; rc < spec.ResourceClasses; rc++ {
-				ms = append(ms, spec.ClassMask(m, rc))
-			}
-		}
-		return ms
-	})
 }
 
 // buildShards partitions the routers into contiguous balanced ranges, each

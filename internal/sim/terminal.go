@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/trace"
@@ -58,8 +57,6 @@ type terminal struct {
 	vcBusy  []bool
 	credits []int
 
-	classMasks []*bitvec.Vec
-
 	// recorded accumulates this terminal's injected request transactions
 	// when Config.RecordArrivals is set (nil otherwise); the per-terminal
 	// buffers are merged into one canonical trace by Network.ArrivalTrace,
@@ -87,11 +84,6 @@ func newTerminal(id, routerID, port int, cfg Config, rng *xrand.Source, proc tra
 	t.gen.ReadFraction = *cfg.ReadFraction
 	for i := range t.credits {
 		t.credits[i] = cfg.BufDepth
-	}
-	for m := 0; m < cfg.Spec.MessageClasses; m++ {
-		for r := 0; r < cfg.Spec.ResourceClasses; r++ {
-			t.classMasks = append(t.classMasks, cfg.Spec.ClassMask(m, r))
-		}
 	}
 	return t
 }
@@ -287,14 +279,14 @@ func (t *terminal) open(s *shard) {
 	// Routing decision at injection (UGAL consults local queue state).
 	n.cfg.Routing.Inject(t.routerID, &p.Route, n, t.rng)
 	// The packet must occupy an input VC matching its message class and
-	// initial resource class.
-	mask := t.classMasks[t.spec.ClassIndex(p.Type.MessageClass(), p.Route.Phase)]
+	// initial resource class: the lowest free one of that class's range.
 	vc := -1
-	mask.ForEach(func(c int) {
-		if vc < 0 && !t.vcBusy[c] {
+	for c, hi := t.spec.ClassRange(p.Type.MessageClass(), p.Route.Phase); c < hi; c++ {
+		if !t.vcBusy[c] {
 			vc = c
+			break
 		}
-	})
+	}
 	if vc < 0 {
 		return // head-of-line blocked until a VC frees up
 	}
