@@ -451,7 +451,12 @@ func qualityBench(trials int) qualityReport {
 		{Ports: ports, VCs: spec.V(), Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecNone},
 		{Ports: ports, VCs: spec.V(), Arch: alloc.Wavefront, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecNone},
 	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
+	// One row per distinct worker count: on a 1-CPU host NumCPU is 1 too.
+	workerCounts := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		workerCounts = append(workerCounts, n)
+	}
+	for _, workers := range workerCounts {
 		start := time.Now()
 		series := quality.VCSeriesMulti(vcCfgs, rates, trials, 42, workers)
 		elapsed := time.Since(start)

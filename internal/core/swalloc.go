@@ -273,9 +273,27 @@ func (a *switchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	if len(reqs) != p*v {
 		panic(fmt.Sprintf("core: %d switch requests, want %d", len(reqs), p*v))
 	}
-	for i := range reqs {
-		a.note(i, reqs[i])
+	// The dense entry point sees a fresh matrix as often as not (the quality
+	// harness always, a DenseRequests router whenever traffic moves), so it
+	// rebuilds the engines' cached request state from reqs in one pass
+	// instead of diffing every entry against prev.
+	a.nonspec.clearRequests()
+	if a.speculate {
+		a.spec.clearRequests()
 	}
+	i := 0
+	for port := 0; port < p; port++ {
+		for vc := 0; vc < v; vc, i = vc+1, i+1 {
+			if r := reqs[i]; !r.Active {
+				continue
+			} else if !r.Spec {
+				a.nonspec.add(port, vc, r.OutPort)
+			} else if a.speculate {
+				a.spec.add(port, vc, r.OutPort)
+			}
+		}
+	}
+	copy(a.prev, reqs)
 	return a.run(reqs)
 }
 
@@ -506,6 +524,43 @@ func (e *swEngine) noteChange(port, vc int, old, nw SwitchRequest) {
 		if !e.reqMask[port].Any() {
 			e.portAny.Clear(port)
 		}
+	}
+}
+
+// add folds a matching request of input VC (port, vc) for output port out
+// into request state emptied by clearRequests: the dense rebuild's half of
+// noteChange, which keeps its own copy inline because it runs per changed
+// entry on the masked path of every router step.
+func (e *swEngine) add(port, vc, out int) {
+	e.count++
+	e.outTot[out]++
+	c := &e.cnt[port*e.cfg.Ports+out]
+	if *c++; *c == 1 {
+		if e.wf != nil {
+			e.portReq.Row(port).Set(out)
+		}
+		if e.colReq != nil {
+			e.colReq[out].Set(port)
+		}
+	}
+	e.reqMask[port].Set(vc)
+	e.portAny.Set(port)
+}
+
+// clearRequests empties the cached request state.
+func (e *swEngine) clearRequests() {
+	for i := range e.reqMask {
+		e.reqMask[i].Reset()
+	}
+	e.portAny.Reset()
+	clear(e.cnt)
+	clear(e.outTot)
+	e.count = 0
+	if e.wf != nil {
+		e.portReq.Reset()
+	}
+	for i := range e.colReq {
+		e.colReq[i].Reset()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
+	"repro/internal/bitvec"
 	"repro/internal/xrand"
 )
 
@@ -542,6 +543,64 @@ func TestMaximumSwitchAllocatorBound(t *testing.T) {
 	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
 		if got := count(arch); got > max {
 			t.Errorf("%v granted %d > maximum bound %d", arch, got, max)
+		}
+	}
+}
+
+// TestSwitchAllocateAndMaskedInterleave pins the two entry points against
+// each other: one allocator is driven through a random interleaving of
+// Allocate (which rebuilds the cached request state from the slice) and
+// AllocateMasked (which patches it from a changed set), its twin through
+// Allocate only, on the same request stream — a reused backing array with a
+// random subset of entries rewritten each cycle, as the router's request
+// cache does. Grants and speculation counters must agree every cycle, for
+// every architecture, arbiter kind and speculation mode.
+func TestSwitchAllocateAndMaskedInterleave(t *testing.T) {
+	const p, v, cycles = 5, 4, 600
+	for _, mode := range []SpecMode{SpecNone, SpecGnt, SpecReq} {
+		for _, cfg := range swConfigs(p, v, mode) {
+			mixed := NewSwitchAllocator(cfg).(MaskedSwitchAllocator)
+			dense := NewSwitchAllocator(cfg)
+			rng := xrand.New(42)
+			reqs := make([]SwitchRequest, p*v)
+			changed := bitvec.New(p * v)
+			masked := 0
+			for c := 0; c < cycles; c++ {
+				churn := []float64{0.05, 0.5, 1}[rng.Intn(3)]
+				changed.Reset()
+				for i := range reqs {
+					if !rng.Bool(churn) {
+						continue
+					}
+					// Marked entries may or may not actually differ.
+					changed.Set(i)
+					if rng.Bool(0.6) {
+						reqs[i] = SwitchRequest{Active: true, OutPort: rng.Intn(p), Spec: rng.Bool(0.4)}
+					} else if rng.Bool(0.7) {
+						reqs[i] = SwitchRequest{OutPort: rng.Intn(p)} // inactive, stale port
+					}
+				}
+				want := dense.Allocate(reqs)
+				var got []SwitchGrant
+				if rng.Bool(0.5) {
+					got = mixed.AllocateMasked(reqs, changed)
+					masked++
+				} else {
+					got = mixed.Allocate(reqs)
+				}
+				for port := range want {
+					if got[port] != want[port] {
+						t.Fatalf("%s cycle %d port %d: interleaved grant %+v, dense-only %+v",
+							dense.Name(), c, port, got[port], want[port])
+					}
+				}
+				if mixed.Stats() != dense.Stats() {
+					t.Fatalf("%s cycle %d: stats %+v vs %+v", dense.Name(), c, mixed.Stats(), dense.Stats())
+				}
+			}
+			if masked == 0 || masked == cycles {
+				t.Fatalf("%s: %d of %d cycles masked; no interleaving", dense.Name(), masked, cycles)
+			}
 		}
 	}
 }

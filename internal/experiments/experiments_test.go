@@ -11,6 +11,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/costmodel"
 	"repro/internal/quality"
+	"repro/internal/sim"
 )
 
 func TestPoints(t *testing.T) {
@@ -513,6 +514,17 @@ func TestLeapInvarianceFig13(t *testing.T) {
 			if !reflect.DeepEqual(ta, tb) {
 				t.Errorf("%s shards=%d: leaped Fig13 series diverged from ticked\nticked: %+v\nleaped: %+v",
 					topo, shards, ta, tb)
+			}
+			// The same simulations with the simulator's self-checks on: every
+			// stepped cycle compares the wake index with the dormant/quiescent
+			// predicates, every leap the skipped span with the wheel.
+			for _, rate := range rates {
+				ca, cb := BuildSim(pt, rate, a), BuildSim(pt, rate, b)
+				ca.Validate, cb.Validate = true, true
+				if ra, rb := sim.New(ca).Run(), sim.New(cb).Run(); ra != rb {
+					t.Errorf("%s shards=%d rate=%g: validated leaped run diverged from ticked\nticked: %+v\nleaped: %+v",
+						topo, shards, rate, ra, rb)
+				}
 			}
 		}
 	}

@@ -53,6 +53,15 @@ func BenchmarkNetworkLowRate(b *testing.B) {
 	// and a long drain tail.
 	b.Run("active", func(b *testing.B) { benchNetwork(b, 0.05, false) })
 	b.Run("dense", func(b *testing.B) { benchNetwork(b, 0.05, true) })
+	// At 0.02 some packet is in flight in nearly every cycle, so the leap
+	// gate almost never fires: what leap=true buys here is presampled
+	// arrivals and the wake index alone (most terminals asleep, a few
+	// routers active), with every cycle still stepped.
+	for _, leap := range []bool{false, true} {
+		b.Run(fmt.Sprintf("rate=0.02/leap=%t", leap), func(b *testing.B) {
+			benchNetworkCfg(b, 0.02, func(cfg *Config) { cfg.Leap = leap })
+		})
+	}
 }
 
 func BenchmarkNetworkNearSaturation(b *testing.B) {

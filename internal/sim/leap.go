@@ -20,6 +20,9 @@ import "fmt"
 //   - Every terminal is dormant. A terminal with offered load exposes its
 //     next arrival cycle by presampling the Bernoulli gate draws (see
 //     terminal.go); the earliest such arrival bounds the leap.
+//     Both are read off the shards' wake index (wake.go), not asked of
+//     each router and terminal: no active router, no awake terminal, and
+//     the sleep queue's earliest wake cycle as the bound.
 //   - No timing-wheel event lands in the skipped span. Each shard keeps an
 //     occupancy bitmask over its wheel slots, making the earliest-pending-
 //     event query O(wheelSize/64); the leap target is the min over shards
@@ -54,26 +57,15 @@ func (n *Network) tryLeap(horizon int64) bool {
 	if live > 0 {
 		return false
 	}
-	for _, r := range n.routers {
-		if !r.Quiescent() {
-			return false
-		}
-	}
 	target := horizon
-	for _, t := range n.terminals {
-		if !t.dormant(n) {
-			return false
-		}
-		// A pending presampled arrival bounds the leap even when the process
-		// has gone quiet since it was drawn (trace replay's rate drops to 0
-		// once its last arrival is presampled).
-		if next := t.gen.PresampledArrival(); next < target && (t.gen.Rate() > 0 || t.gen.PendingArrival()) {
-			target = next
-		}
-	}
 	for _, s := range n.shards {
-		if s.outboxPending() {
+		if s.active.any() || s.awake.any() || s.outboxPending() {
 			return false
+		}
+		// The earliest sleeper bounds the leap (a due one forbids it): a
+		// presampled arrival, or the checkpoint where sampling resumes.
+		if at := s.sleep.earliest(); at < target {
+			target = at
 		}
 		if d := s.nextEventDelta(); d >= 0 && n.now+d < target {
 			target = n.now + d
@@ -97,8 +89,9 @@ func (n *Network) tryLeap(horizon int64) bool {
 // shard's occupancy bitmask must agree with its raw wheel slots, no slot in
 // the skipped span may hold an event, and no presampled terminal arrival
 // may precede the target — i.e. the leap skips no cycle in which any router
-// or terminal could have made progress (router quiescence and terminal
-// dormancy were established by the caller immediately before).
+// or terminal could have made progress. The caller took quiescence, dormancy
+// and the earliest wake cycle from the wake index; here they are asked of
+// every router and terminal directly.
 func (n *Network) validateLeap(target int64) {
 	skip := target - n.now
 	for _, s := range n.shards {
@@ -121,8 +114,13 @@ func (n *Network) validateLeap(target int64) {
 		}
 	}
 	for _, t := range n.terminals {
-		if next := t.gen.PresampledArrival(); next < target && (t.gen.Rate() > 0 || t.gen.PendingArrival()) {
-			panic(fmt.Sprintf("sim: leap to cycle %d would skip terminal %d arrival at %d", target, t.id, next))
+		if at := t.wakeAt(n); at < target {
+			panic(fmt.Sprintf("sim: leap to cycle %d would skip terminal %d, awake at %d", target, t.id, at))
+		}
+	}
+	for _, r := range n.routers {
+		if !r.Quiescent() {
+			panic(fmt.Sprintf("sim: leap to cycle %d would skip busy router %d", target, r.ID()))
 		}
 	}
 }

@@ -71,6 +71,11 @@ type shard struct {
 	// scheduler uses it to replay skipped idle cycles into the allocators.
 	lastStep []int64
 
+	// wakeIndex says which terminals and routers the active-set scheduler
+	// visits this cycle and how far the leap gate may jump (wake.go). The
+	// dense stepper visits everything and never reads it.
+	wakeIndex
+
 	// Free lists recycle flit and packet objects, with burst decay (see
 	// pool.go). A flit is drawn at its source terminal's shard and recycled
 	// at its destination's, so objects migrate between pools, but each pool
@@ -256,6 +261,7 @@ func (s *shard) phase1() {
 		switch e.kind {
 		case evFlitToRouter:
 			n.routers[e.router].AcceptFlit(e.port, e.vc, e.flit)
+			s.active.set(e.router - s.r0)
 		case evCreditToRouter:
 			n.routers[e.router].AcceptCredit(e.port, e.vc)
 		case evFlitToTerminal:
@@ -277,25 +283,40 @@ func (s *shard) phase1() {
 		for r := s.r0; r < s.r1; r++ {
 			s.stepRouter(n.routers[r])
 		}
-	} else {
-		for t := s.t0; t < s.t1; t++ {
+		return
+	}
+	s.wakeDue()
+	if n.cfg.Validate {
+		s.validateWakeIndex()
+	}
+	// Each word is read before its terminals (routers) are visited, and a
+	// visit changes no bit but its own, so the scan sees every member once,
+	// in id order.
+	for wi, w := range s.awake {
+		for base := s.t0 + wi*64; w != 0; w &= w - 1 {
+			t := base + bits.TrailingZeros64(w)
 			term := n.terminals[t]
-			if term.dormant(n) {
-				continue
-			}
 			term.generate(s)
 			term.send(s)
-		}
-		for r := s.r0; r < s.r1; r++ {
-			rt := n.routers[r]
-			if rt.Quiescent() {
-				continue
+			if term.wakeAt(n) > n.now { // still awake otherwise: nothing to re-file
+				s.settle(t)
 			}
-			if gap := n.now - s.lastStep[r-s.r0] - 1; gap > 0 {
+			s.termVisits++
+		}
+	}
+	for wi, w := range s.active {
+		for base := wi * 64; w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			rt := n.routers[s.r0+i]
+			if gap := n.now - s.lastStep[i] - 1; gap > 0 {
 				rt.SkipIdle(gap)
 			}
-			s.lastStep[r-s.r0] = n.now
+			s.lastStep[i] = n.now
 			s.stepRouter(rt)
+			if rt.Quiescent() {
+				s.active.clear(i)
+			}
+			s.routerVisits++
 		}
 	}
 }
@@ -467,6 +488,7 @@ func (n *Network) commitDelivery(s *shard, d delivery) {
 			n.inFlight++
 		}
 		n.terminals[d.terminal].replyQ.push(reply)
+		s.settle(d.terminal)
 	}
 	s.pktPool.put(p)
 	s.livePkts--

@@ -82,8 +82,10 @@ type Config struct {
 	// Trace, when non-nil, receives pipeline and terminal events stamped
 	// with the simulation cycle.
 	Trace *trace.Tracer
-	// Validate enables per-cycle allocation checking in every router
-	// (panics on any invariant violation); used by tests.
+	// Validate enables per-cycle allocation checking in every router, the
+	// wake index's per-cycle check against the dormant/quiescent predicates
+	// and the leap gate's check of every skipped span (panics on any
+	// invariant violation); used by tests.
 	Validate bool
 	// Dense disables the active-set scheduler and steps every router and
 	// terminal every cycle. Results are bit-identical either way; the dense
@@ -340,12 +342,17 @@ func (n *Network) buildShards() {
 			outCur:   make([][]outEvent, S),
 			outPrev:  make([][]outEvent, S),
 			lastStep: make([]int64, r1-r0),
+
+			wakeIndex: newWakeIndex((r1-r0)*conc, r1-r0),
 		}
 		for j := range s.lastStep {
 			s.lastStep[j] = -1
 		}
 		for r := r0; r < r1; r++ {
 			n.shardOfRouter[r] = int32(i)
+		}
+		for t := s.t0; t < s.t1; t++ {
+			s.settle(t)
 		}
 		n.shards = append(n.shards, s)
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/router"
 	"repro/internal/trace"
@@ -88,37 +90,49 @@ func newTerminal(id, routerID, port int, cfg Config, rng *xrand.Source, proc tra
 	return t
 }
 
-// dormant reports whether the terminal can be skipped this cycle: at zero
-// rate the injection process draws no randomness when ticked (the
-// ArrivalProcess quiet-at-zero-rate contract), and with no open packet and
-// empty source queues both generate and send are no-ops. A reply elicited
-// by a delivery this cycle is enqueued by the end-of-cycle commit, so the
-// predicate sees it — and wakes the terminal — from the next cycle on;
-// that is exactly when the reply first becomes sendable (its CreatedAt is
-// the following cycle, which the open gate already enforced when receive
-// pushed replies mid-cycle).
+// never is the wake cycle of a terminal nothing but an outside event — a
+// delivered request's reply or a rate change — can wake.
+const never = math.MaxInt64
+
+// wakeAt returns the first cycle in which the terminal has to be visited
+// again; any value <= now means this cycle. At zero rate the injection
+// process draws no randomness when ticked (the ArrivalProcess
+// quiet-at-zero-rate contract), and with no open packet and empty source
+// queues both generate and send are no-ops, so the terminal sleeps until
+// something outside wakes it. A reply elicited by a delivery this cycle is
+// enqueued by the end-of-cycle commit, so the terminal is awake from the
+// next cycle on; that is exactly when the reply first becomes sendable (its
+// CreatedAt is the following cycle).
 //
 // With event leaping an idle terminal that has presampled its next arrival
-// (generate) is dormant until that cycle: the per-cycle gate draws it would
+// (generate) sleeps until that cycle: the per-cycle gate draws it would
 // have made were consumed in one batch at presample time, and any earlier
 // wake-up rewinds and replays them, so skipping the terminal neither skips
 // work nor desynchronizes its RNG stream.
-func (t *terminal) dormant(n *Network) bool {
+func (t *terminal) wakeAt(n *Network) int64 {
 	if t.cur != nil || !t.replyQ.empty() || !t.reqQ.empty() {
-		return false
+		return n.now
 	}
 	if n.leapOn && t.gen.PendingArrival() {
 		// A presampled arrival is still owed even if the process has gone
 		// quiet since it was drawn — a trace replay's rate drops to 0 the
 		// moment its last arrival is presampled — so the terminal sleeps
 		// only until that cycle, never past it.
-		return t.gen.PresampledArrival() > n.now
+		return t.gen.PresampledArrival()
 	}
 	if t.gen.Rate() <= 0 {
-		return true
+		return never
 	}
-	return n.leapOn && t.gen.PresampledArrival() > n.now
+	if n.leapOn {
+		return t.gen.PresampledArrival() // -1, so awake, until presampled
+	}
+	return n.now
 }
+
+// dormant reports whether the terminal can be skipped this cycle. The
+// steppers read the shards' wake index instead (wake.go); this is the
+// predicate Validate mode checks that index against.
+func (t *terminal) dormant(n *Network) bool { return t.wakeAt(n) > n.now }
 
 // inject pushes a new request transaction into the source queue, recording
 // it when arrival recording is on.
@@ -305,8 +319,12 @@ func (t *terminal) open(s *shard) {
 // rate — before the new rate takes effect at the current cycle, exactly as
 // per-cycle ticking would have it.
 func (n *Network) SetInjectionRate(rate float64) {
-	for _, t := range n.terminals {
-		t.gen.SetRate(t.rng, rate, n.now)
+	for _, s := range n.shards {
+		for i := s.t0; i < s.t1; i++ {
+			t := n.terminals[i]
+			t.gen.SetRate(t.rng, rate, n.now)
+			s.settle(i)
+		}
 	}
 }
 

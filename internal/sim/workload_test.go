@@ -22,6 +22,8 @@ func workloadConfig(mk func(int, float64) Config, rate float64, w traffic.Worklo
 // ticked active-set and event-leaped schedules (shards 1 and 4) to
 // reproduce it bit for bit — the same equivalence matrix TestLeapGolden
 // pins for the bernoulli/uniform baseline, extended to the new workloads.
+// Both run with Validate on, so every stepped cycle also checks the wake
+// index against dormant()/Quiescent() and every leap against the wheel.
 func assertExecutionGolden(t *testing.T, name string, base Config) {
 	t.Helper()
 	ref := base
@@ -33,6 +35,7 @@ func assertExecutionGolden(t *testing.T, name string, base Config) {
 	for _, shards := range []int{1, 4} {
 		ticked := base
 		ticked.Shards = shards
+		ticked.Validate = true
 		if got := New(ticked).Run(); got != want {
 			t.Errorf("%s shards=%d: ticked active-set diverged from dense:\ndense:  %+v\nticked: %+v",
 				name, shards, want, got)
@@ -176,6 +179,7 @@ func TestMMPRateChangeRewind(t *testing.T) {
 	mk := func(leap bool) *Network {
 		cfg := workloadConfig(meshConfig, 0.05, traffic.Workload{Process: "mmp", BurstLen: 16, Duty: 0.25})
 		cfg.Leap = leap
+		cfg.Validate = true // SetInjectionRate re-files every terminal in the wake index
 		return New(cfg)
 	}
 	a, b := mk(true), mk(false)

@@ -61,20 +61,6 @@ type ProcState struct {
 	on    bool
 }
 
-// tickDelta is the shared NextArrivalDelta loop: exactly the draw sequence
-// of up to max Ticks, stopping after the first arrival.
-func tickDelta(p ArrivalProcess, rng *xrand.Source, max int) int {
-	if p.Rate() <= 0 {
-		return -1
-	}
-	for k := 0; k < max; k++ {
-		if p.Tick(rng) {
-			return k
-		}
-	}
-	return -1
-}
-
 // --- Bernoulli ---------------------------------------------------------------
 
 // Bernoulli is the paper's §3.2 injection process: one independent gate draw
@@ -82,30 +68,37 @@ func tickDelta(p ArrivalProcess, rng *xrand.Source, max int) int {
 // memoryless, so State/Restore carry nothing.
 type Bernoulli struct {
 	rate float64
+	gate uint64 // xrand.Threshold of the per-cycle transaction probability
 }
 
 // NewBernoulli builds the memoryless process at the given flit rate.
-func NewBernoulli(rate float64) *Bernoulli { return &Bernoulli{rate: rate} }
+func NewBernoulli(rate float64) *Bernoulli {
+	b := &Bernoulli{}
+	b.SetRate(rate)
+	return b
+}
 
 func (b *Bernoulli) Name() string        { return "bernoulli" }
 func (b *Bernoulli) Rate() float64       { return b.rate }
-func (b *Bernoulli) SetRate(r float64)   { b.rate = r }
 func (b *Bernoulli) State() ProcState    { return ProcState{} }
 func (b *Bernoulli) Restore(_ ProcState) {}
 
-// Tick draws the per-cycle Bernoulli gate. xrand.Bool consumes no draw at
-// p <= 0, which is what makes the zero-rate quiet guarantee hold.
-func (b *Bernoulli) Tick(rng *xrand.Source) bool {
-	return rng.Bool(b.rate / FlitsPerTransaction)
+func (b *Bernoulli) SetRate(r float64) {
+	b.rate = r
+	b.gate = xrand.Threshold(r / FlitsPerTransaction)
 }
+
+// Tick draws the per-cycle gate: a batch of one.
+func (b *Bernoulli) Tick(rng *xrand.Source) bool { return rng.FirstBelow(b.gate, 1) == 0 }
 
 // NextArrivalDelta consumes per-cycle gate draws until the first success —
 // the exact stream Tick would consume one cycle at a time, which is what
-// keeps event-leaped runs bit-identical to per-cycle ticking. A closed-form
+// keeps event-leaped runs bit-identical to per-cycle ticking; a zero gate
+// draws nothing, which is the quiet-at-zero-rate guarantee. A closed-form
 // inversion sampler deliberately is not used here because it consumes a
 // different number of draws.
 func (b *Bernoulli) NextArrivalDelta(rng *xrand.Source, max int) int {
-	return tickDelta(b, rng, max)
+	return rng.FirstBelow(b.gate, max)
 }
 
 // --- Markov-modulated on/off (bursty) ---------------------------------------
@@ -122,8 +115,8 @@ func (b *Bernoulli) NextArrivalDelta(rng *xrand.Source, max int) int {
 // (p_off->on = duty/(1-duty) * p_on->off, the detailed-balance rate).
 // While ON the transaction gate fires at (rate/6)/duty, so the long-run
 // mean is the configured rate. Duty 1 degenerates to Bernoulli exactly:
-// both transition probabilities are 0, and xrand.Bool(0) consumes no draw,
-// so the draw stream is bit-identical to the memoryless process.
+// both transition probabilities are 0, and a zero gate consumes no draw, so
+// the draw stream is bit-identical to the memoryless process.
 //
 // Every terminal starts ON deterministically; the synchronized initial
 // burst is absorbed by warmup like any other cold-start transient.
@@ -131,10 +124,10 @@ type MMP struct {
 	rate     float64
 	burstLen float64
 	duty     float64
-	pOnOff   float64
-	pOffOn   float64
-	pArr     float64
 	on       bool
+	// xrand.Threshold of the three per-cycle gates: ON->OFF, OFF->ON and,
+	// while ON, the arrival.
+	gOnOff, gOffOn, gArr uint64
 }
 
 // NewMMP builds the bursty process: mean flit rate, mean burst length in
@@ -155,8 +148,9 @@ func NewMMP(rate, burstLen, duty float64) (*MMP, error) {
 	}
 	m := &MMP{burstLen: burstLen, duty: duty, on: true}
 	if duty < 1 {
-		m.pOnOff = 1 / burstLen
-		m.pOffOn = duty / (1 - duty) * m.pOnOff
+		pOnOff := 1 / burstLen
+		m.gOnOff = xrand.Threshold(pOnOff)
+		m.gOffOn = xrand.Threshold(duty / (1 - duty) * pOnOff)
 	}
 	m.SetRate(rate)
 	return m, nil
@@ -170,32 +164,46 @@ func (m *MMP) Rate() float64 { return m.rate }
 // process in its current phase.
 func (m *MMP) SetRate(r float64) {
 	m.rate = r
-	m.pArr = r / FlitsPerTransaction / m.duty
+	m.gArr = xrand.Threshold(r / FlitsPerTransaction / m.duty)
 }
 
 func (m *MMP) State() ProcState     { return ProcState{on: m.on} }
 func (m *MMP) Restore(st ProcState) { m.on = st.on }
 
-// Tick draws the phase transition, then the arrival gate if the phase is ON.
-// At rate <= 0 it consumes nothing and freezes the phase — the dense
-// schedule keeps ticking zero-rate terminals while the active set skips
-// them, and both must leave the rng stream untouched.
-func (m *MMP) Tick(rng *xrand.Source) bool {
-	if m.rate <= 0 {
-		return false
-	}
-	if m.on {
-		if rng.Bool(m.pOnOff) {
-			m.on = false
-		}
-	} else if rng.Bool(m.pOffOn) {
-		m.on = true
-	}
-	return m.on && rng.Bool(m.pArr)
-}
+// Tick draws the phase transition, then the arrival gate if the phase is ON:
+// a batch of one.
+func (m *MMP) Tick(rng *xrand.Source) bool { return m.NextArrivalDelta(rng, 1) == 0 }
 
+// NextArrivalDelta runs up to max cycles of the chain. A cycle that starts
+// OFF draws the OFF->ON gate and, only if that fires, the arrival gate; one
+// that starts ON draws the ON->OFF gate and, unless that fires, the arrival
+// gate. An OFF silence is therefore a run of single draws against one
+// threshold and goes through FirstBelow in one batch; ON cycles alternate
+// two thresholds and are drawn one at a time. At rate <= 0 it consumes
+// nothing and freezes the phase — the dense schedule keeps ticking zero-rate
+// terminals while the active set skips them, and both must leave the rng
+// stream untouched.
 func (m *MMP) NextArrivalDelta(rng *xrand.Source, max int) int {
-	return tickDelta(m, rng, max)
+	if m.rate <= 0 {
+		return -1
+	}
+	for k := 0; k < max; k++ {
+		if !m.on {
+			d := rng.FirstBelow(m.gOffOn, max-k)
+			if d < 0 {
+				return -1
+			}
+			k += d
+			m.on = true
+		} else if rng.FirstBelow(m.gOnOff, 1) == 0 {
+			m.on = false
+			continue
+		}
+		if rng.FirstBelow(m.gArr, 1) == 0 {
+			return k
+		}
+	}
+	return -1
 }
 
 // --- Trace replay ------------------------------------------------------------

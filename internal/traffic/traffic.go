@@ -411,10 +411,8 @@ func (g *Generator) ClearPresample() { g.next = -1 }
 func (g *Generator) Rewind(rng *xrand.Source, through int64) {
 	rng.Restore(g.snapRNG)
 	g.proc.Restore(g.snapProc)
-	for c := g.snapCycle; c <= through; c++ {
-		if g.proc.Tick(rng) {
-			panic("traffic: presample replay produced an arrival before the sampled one")
-		}
+	if n := through - g.snapCycle + 1; n > 0 && g.proc.NextArrivalDelta(rng, int(n)) >= 0 {
+		panic("traffic: presample replay produced an arrival before the sampled one")
 	}
 	g.next = -1
 }

@@ -105,6 +105,53 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
+// Threshold converts a Bool probability into the integer form FirstBelow
+// takes: Float64() < p compares m/2^53 against p for the 53-bit integer m a
+// draw yields, and m/2^53 < p ⇔ m < ceil(p·2^53) because m is an integer and
+// p·2^53 is exact. p <= 0 maps to 0 and p >= 1 to 2^53, the two values for
+// which FirstBelow, like Bool, draws nothing.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// FirstBelow is max consecutive Bool(p) calls in one, for thresh =
+// Threshold(p): it returns the index of the first draw that succeeds, or -1
+// after max failures, having consumed exactly the draws those calls would
+// have — index+1 on success, max on failure, none at all when p <= 0 or
+// p >= 1. The generator state lives in locals for the length of the batch.
+func (s *Source) FirstBelow(thresh uint64, max int) int {
+	if thresh == 0 || max <= 0 {
+		return -1
+	}
+	if thresh >= 1<<53 {
+		return 0
+	}
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	k := -1
+	for i := 0; i < max; i++ {
+		r := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		if r>>11 < thresh {
+			k = i
+			break
+		}
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
+	return k
+}
+
 // Geometric returns a sample from the geometric distribution with success
 // probability p: the number of Bernoulli(p) trials up to and including the
 // first success. Returns math.MaxInt for degenerate p <= 0.

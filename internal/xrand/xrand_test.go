@@ -241,3 +241,80 @@ func TestStateRestore(t *testing.T) {
 		t.Error("State of a copy must equal the copy")
 	}
 }
+
+// yielding returns a source whose next Uint64 is u: the output function
+// rotl(s1*5, 7)*9 is a bijection on s1 (5 and 9 are odd), so invert it.
+func yielding(t *testing.T, u uint64) *Source {
+	t.Helper()
+	const inv5, inv9 = 0xcccccccccccccccd, 0x8e38e38e38e38e39
+	s := New(1)
+	s.s[1] = rotl(u*inv9, 64-7) * inv5
+	if probe := *s; probe.Uint64() != u {
+		t.Fatalf("yielding(%#x) yields %#x", u, probe.Uint64())
+	}
+	return s
+}
+
+// TestThresholdAgreesWithBool pins the integer form of the gate: for
+// probabilities on and either side of the 2^-53 lattice a draw lands on, and
+// draws on and either side of the threshold, FirstBelow(Threshold(p), 1)
+// decides what Bool(p) decides and leaves the generator where Bool leaves
+// it — one draw on, or untouched at p <= 0 and p >= 1.
+func TestThresholdAgreesWithBool(t *testing.T) {
+	const one = 1 << 53
+	var ps []float64
+	for _, k := range []uint64{1, 2, 3, 1 << 20, 1<<52 - 1, 1 << 52, 1<<52 + 1, one - 2, one - 1} {
+		p := float64(k) / one
+		ps = append(ps, p, math.Nextafter(p, 0), math.Nextafter(p, 1))
+	}
+	ps = append(ps, 0, -0.5, 1, 1.5, math.SmallestNonzeroFloat64, 0.02/6, 1.0/3)
+	for _, p := range ps {
+		th := Threshold(p)
+		ms := []uint64{0, 1, one - 1}
+		for d := uint64(0); d <= 2; d++ {
+			ms = append(ms, (th+d)%one, (th+one-d)%one)
+		}
+		for _, m := range ms {
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				a, b := yielding(t, m<<11|low), yielding(t, m<<11|low)
+				start := *a
+				want := a.Bool(p)
+				if got := b.FirstBelow(th, 1) == 0; got != want {
+					t.Errorf("p=%g (threshold %d) draw %d: FirstBelow says %v, Bool says %v", p, th, m, got, want)
+				}
+				if *a != *b {
+					t.Errorf("p=%g draw %d: FirstBelow and Bool left different generator states", p, m)
+				}
+				if drew := *a != start; drew != (p > 0 && p < 1) {
+					t.Errorf("p=%g: consumed a draw: %v", p, drew)
+				}
+			}
+		}
+	}
+}
+
+// TestFirstBelowIsRepeatedBool pins the batch against the loop it replaces:
+// same index, same generator state, for hits, misses and the max <= 0 and
+// no-draw probabilities.
+func TestFirstBelowIsRepeatedBool(t *testing.T) {
+	for _, p := range []float64{-1, 0, 1e-9, 0.001, 0.02 / 6, 0.3, 0.999, 1, 2} {
+		for _, max := range []int{-3, 0, 1, 7, 1024} {
+			a, b := New(42), New(42)
+			for trial := 0; trial < 200; trial++ {
+				want := -1
+				for i := 0; i < max; i++ {
+					if a.Bool(p) {
+						want = i
+						break
+					}
+				}
+				if got := b.FirstBelow(Threshold(p), max); got != want {
+					t.Fatalf("p=%g max=%d trial %d: FirstBelow = %d, Bool loop = %d", p, max, trial, got, want)
+				}
+				if *a != *b {
+					t.Fatalf("p=%g max=%d trial %d: generator states diverged", p, max, trial)
+				}
+			}
+		}
+	}
+}
