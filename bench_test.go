@@ -5,7 +5,9 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro"
@@ -61,7 +63,7 @@ func BenchmarkFig07VCQuality(b *testing.B) {
 			b.ReportAllocs()
 			rates := []float64{0.5}
 			for i := 0; i < b.N; i++ {
-				series := experiments.VCQuality(pt, rates, 50, uint64(i)+1)
+				series := experiments.VCQuality(pt, rates, 50, uint64(i)+1, runtime.NumCPU())
 				if len(series) != 3 {
 					b.Fatal("want 3 series")
 				}
@@ -104,7 +106,7 @@ func BenchmarkFig12SwitchQuality(b *testing.B) {
 			b.ReportAllocs()
 			rates := []float64{0.5}
 			for i := 0; i < b.N; i++ {
-				series := experiments.SwitchQuality(pt, rates, 50, uint64(i)+1)
+				series := experiments.SwitchQuality(pt, rates, 50, uint64(i)+1, runtime.NumCPU())
 				if len(series) != 3 {
 					b.Fatal("want 3 series")
 				}
@@ -134,7 +136,7 @@ func BenchmarkFig13SwitchAllocatorNetwork(b *testing.B) {
 			rates := []float64{0.2}
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				series := experiments.Fig13(pt, rates, benchScale)
+				series := experiments.Fig13(context.Background(), pt, rates, benchScale)
 				if len(series) != 3 {
 					b.Fatal("want 3 series")
 				}
@@ -157,7 +159,7 @@ func BenchmarkFig14SpeculationNetwork(b *testing.B) {
 			rates := []float64{0.2}
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				series := experiments.Fig14(pt, rates, benchScale)
+				series := experiments.Fig14(context.Background(), pt, rates, benchScale)
 				if len(series) != 3 {
 					b.Fatal("want 3 series")
 				}
@@ -181,7 +183,7 @@ func BenchmarkVASweepNetwork(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		series := experiments.VASweep(pt, []float64{0.2}, benchScale)
+		series := experiments.VASweep(context.Background(), pt, []float64{0.2}, benchScale)
 		if len(series) != 4 {
 			b.Fatal("want 4 series")
 		}
@@ -432,16 +434,16 @@ func BenchmarkTorusDatelineNetwork(b *testing.B) {
 	spec.ResourceSucc = repro.TorusResourceSucc()
 	for i := 0; i < b.N; i++ {
 		cfg := repro.SimConfig{
-			Topology:      topo,
-			Routing:       repro.NewTorusDateline(topo),
-			Spec:          spec,
-			VA:            repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
-			SA:            repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
-			InjectionRate: 0.2,
-			Seed:          uint64(i) + 1,
-			Warmup:        150,
-			Measure:       300,
-			Drain:         1000,
+			Topology: topo,
+			Routing:  repro.NewTorusDateline(topo),
+			Spec:     spec,
+			VA:       repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
+			SA:       repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
+			Workload: repro.Workload{Rate: 0.2},
+			Seed:     uint64(i) + 1,
+			Warmup:   150,
+			Measure:  300,
+			Drain:    1000,
 		}
 		if res := repro.NewNetwork(cfg).Run(); res.FlitsDelivered == 0 {
 			b.Fatal("torus wedged")

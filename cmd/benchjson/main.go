@@ -3,9 +3,9 @@
 // comparable across changes without parsing `go test -bench` output:
 //
 //   - BENCH_net.json: full warmup/measure/drain network simulations of the
-//     Fig. 13 mesh 2x1x1 design at a drain-dominated low rate and a
-//     near-saturation rate, under the active-set scheduler and the dense
-//     reference, serial and sharded.
+//     Fig. 13 mesh 2x1x1 design from a drain-dominated low rate to a
+//     near-saturation rate, under the simulator's default schedule (serial
+//     and sharded) and its reference schedule.
 //   - BENCH_alloc.json: allocator microbenchmarks — VC and switch allocator
 //     Allocate calls over synthetic workloads at low-load and saturation
 //     request rates, timing both the dense entry point (full resync every
@@ -17,8 +17,8 @@
 //   - BENCH_pareto.json: design-space search mechanisms — pruned-vs-brute
 //     simulation counts and disk-cold vs disk-warm search wall time.
 //   - BENCH_curve.json: adaptive curve tracer — adaptive vs fixed-grid point
-//     counts, trace wall time cold vs share-cache vs disk-warm, and the
-//     per-simulation setup cost with and without shared immutable precompute.
+//     counts, trace wall time cold vs disk-warm, and the per-simulation
+//     setup cost.
 //
 // Usage:
 //
@@ -65,8 +65,7 @@ type netPoint struct {
 	// bernoulli/uniform baseline points).
 	Workload       string  `json:"workload,omitempty"`
 	Rate           float64 `json:"rate"`
-	Dense          bool    `json:"dense"`
-	Leap           bool    `json:"leap"`
+	Reference      bool    `json:"reference"`
 	Shards         int     `json:"shards"`
 	Iters          int     `json:"iters"`
 	NsPerOp        float64 `json:"ns_per_op"`
@@ -74,7 +73,7 @@ type netPoint struct {
 	CyclesPerSec   float64 `json:"cycles_per_sec"`
 	FlitsDelivered int64   `json:"flits_delivered_per_op"`
 	// LeapEvents and CyclesLeapt average the leap gate's firings and the
-	// cycles it skipped per run (zero with Leap off).
+	// cycles it skipped per run (zero under the reference schedule).
 	LeapEvents  int64 `json:"leap_events_per_op,omitempty"`
 	CyclesLeapt int64 `json:"cycles_leapt_per_op,omitempty"`
 }
@@ -97,16 +96,16 @@ type netReport struct {
 
 // benchScale is the phase-length/seed baseline every network point runs
 // at; the shared -warmup/-measure/-drain/-seed flags adjust it, while each
-// point's own shards/dense/leap matrix overrides the execution axes.
+// point's own shards/reference matrix overrides the execution axes.
 var benchScale = experiments.SimScale{Warmup: 500, Measure: 1500, Drain: 8000, Seed: 42}
 
 // runNetPoint times iters runs of one configuration. Only Run() is on the
 // clock: network construction costs ~1.5 ms regardless of configuration,
 // which on short low-rate points would dilute every stepper-level ratio
 // the snapshot exists to track.
-func runNetPoint(name string, pt experiments.Point, rate float64, shards int, dense, leap bool, iters int, w traffic.Workload) netPoint {
+func runNetPoint(name string, pt experiments.Point, rate float64, shards int, reference bool, iters int, w traffic.Workload) netPoint {
 	scale := benchScale
-	scale.Shards, scale.Dense, scale.Leap = shards, dense, leap
+	scale.Shards, scale.Reference = shards, reference
 	scale.Workload = w
 	cfg := experiments.BuildSim(pt, rate, scale)
 	var cycles, flits, leaps, leapt int64
@@ -134,8 +133,7 @@ func runNetPoint(name string, pt experiments.Point, rate float64, shards int, de
 		Name:           name,
 		Workload:       wname,
 		Rate:           rate,
-		Dense:          dense,
-		Leap:           leap,
+		Reference:      reference,
 		Shards:         shards,
 		Iters:          iters,
 		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(iters),
@@ -158,22 +156,21 @@ func netBench(iters int) netReport {
 	// arrival gaps dwarf a transaction's round trip, so the network is fully
 	// idle most cycles and the leap gate carries the run.
 	for _, rate := range []float64{0.0005, 0.005, 0.05, 0.30} {
-		for _, sched := range []string{"dense", "active", "leap"} {
+		for _, sched := range []string{"reference", "default"} {
 			for _, shards := range []int{1, 2, 4} {
-				if sched == "dense" && shards != 1 {
-					continue // the dense × sharded cross is covered by tests, not tracked perf
+				if sched == "reference" && shards != 1 {
+					continue // the reference × sharded cross is covered by tests, not tracked perf
 				}
 				name := fmt.Sprintf("mesh_2x1x1/rate=%g/%s/shards=%d", rate, sched, shards)
 				rep.Points = append(rep.Points,
-					runNetPoint(name, pt, rate, shards, sched == "dense", sched == "leap", iters, traffic.Workload{}))
+					runNetPoint(name, pt, rate, shards, sched == "reference", iters, traffic.Workload{}))
 			}
 		}
 	}
-	// Workload axis: the bursty (mmp) and hotspot injection workloads under
-	// the active-set scheduler and the leap gate, so the arrival-process
-	// layer's cost stays tracked against the bernoulli/uniform baseline
-	// above. 0.05 is low enough that mmp's OFF periods leave real idle
-	// stretches for the leap gate to skip.
+	// Workload axis: the bursty (mmp) and hotspot injection workloads, so the
+	// arrival-process layer's cost stays tracked against the
+	// bernoulli/uniform baseline above. 0.05 is low enough that mmp's OFF
+	// periods leave real idle stretches for the leap gate to skip.
 	for _, wl := range []struct {
 		name string
 		w    traffic.Workload
@@ -181,10 +178,10 @@ func netBench(iters int) netReport {
 		{"mmp", traffic.Workload{Process: "mmp"}},
 		{"hotspot", traffic.Workload{Pattern: "hotspot"}},
 	} {
-		for _, sched := range []string{"active", "leap"} {
+		for _, sched := range []string{"reference", "default"} {
 			name := fmt.Sprintf("mesh_2x1x1/rate=0.05/%s/%s/shards=1", wl.name, sched)
 			rep.Points = append(rep.Points,
-				runNetPoint(name, pt, 0.05, 1, false, sched == "leap", iters, wl.w))
+				runNetPoint(name, pt, 0.05, 1, sched == "reference", iters, wl.w))
 		}
 	}
 	rep.Multicore = multicoreBench(pt, iters)
@@ -209,8 +206,8 @@ func multicoreBench(pt experiments.Point, iters int) []multicoreRun {
 		runtime.GOMAXPROCS(gmp)
 		run := multicoreRun{GoMaxProcs: gmp}
 		for _, shards := range []int{1, 2, 4, 8, 16} {
-			name := fmt.Sprintf("mesh_2x1x1/gomaxprocs=%d/rate=0.3/leap/shards=%d", gmp, shards)
-			run.Points = append(run.Points, runNetPoint(name, pt, 0.30, shards, false, true, iters, traffic.Workload{}))
+			name := fmt.Sprintf("mesh_2x1x1/gomaxprocs=%d/rate=0.3/default/shards=%d", gmp, shards)
+			run.Points = append(run.Points, runNetPoint(name, pt, 0.30, shards, false, iters, traffic.Workload{}))
 		}
 		runs = append(runs, run)
 	}

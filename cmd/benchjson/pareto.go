@@ -60,7 +60,6 @@ func paretoBench() paretoReport {
 	workers := runtime.GOMAXPROCS(0)
 	newServer := func() *sweep.Server {
 		srv, err := sweep.NewServer(sweep.Options{
-			Exec:     sweep.Exec{Leap: true},
 			Workers:  workers,
 			CacheDir: cacheDir,
 		})

@@ -76,7 +76,7 @@ func sweepdBench(hitIters int) sweepdReport {
 		HitIters: hitIters,
 	}
 
-	srv, err := sweep.NewServer(sweep.Options{Workers: 2, Exec: sweep.Exec{Leap: true}})
+	srv, err := sweep.NewServer(sweep.Options{Workers: 2})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -93,7 +93,7 @@ func sweepdBench(hitIters int) sweepdReport {
 
 	// Coalescing throughput needs a cold server so every request races for
 	// the same in-flight simulation.
-	srv2, err := sweep.NewServer(sweep.Options{Workers: 2, Exec: sweep.Exec{Leap: true}})
+	srv2, err := sweep.NewServer(sweep.Options{Workers: 2})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -52,13 +52,13 @@ func main() {
 		if !*asJSON {
 			fmt.Printf("VC allocator matching quality (Fig. 7), %s, %d trials/point\n", pt, *trials)
 		}
-		series = experiments.VCQualityN(pt, rates, *trials, *seed, *workers)
+		series = experiments.VCQuality(pt, rates, *trials, *seed, *workers)
 	case "sw":
 		figure = "fig12"
 		if !*asJSON {
 			fmt.Printf("switch allocator matching quality (Fig. 12), %s, %d trials/point\n", pt, *trials)
 		}
-		series = experiments.SwitchQualityN(pt, rates, *trials, *seed, *workers)
+		series = experiments.SwitchQuality(pt, rates, *trials, *seed, *workers)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown unit %q (want vc or sw)\n", *unit)
 		os.Exit(1)

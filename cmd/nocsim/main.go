@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -34,7 +35,7 @@ func main() {
 	topo := flag.String("topo", "mesh", "design point topology: mesh or fbfly")
 	c := flag.Int("c", 1, "VCs per class (1, 2 or 4)")
 	scaleOf := experiments.ScaleFlags(flag.CommandLine,
-		experiments.SimScale{Warmup: 3000, Measure: 6000, Drain: 20000, Seed: 42, Workers: 4, Leap: true})
+		experiments.SimScale{Warmup: 3000, Measure: 6000, Drain: 20000, Seed: 42, Workers: 4})
 	workloadOf := experiments.WorkloadFlags(flag.CommandLine, traffic.Workload{})
 	record := flag.String("record", "", "run once under the selected workload (at -rate, default mid-sweep), write the arrival trace to this file and exit")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
@@ -74,21 +75,22 @@ func main() {
 			fmt.Printf(format, args...)
 		}
 	}
+	ctx := context.Background()
 	var series []experiments.NetSeries
 	switch *exp {
 	case "fig13":
 		header("switch allocator performance (Fig. 13), %s, uniform request-reply traffic\n", pt)
-		series = experiments.Fig13(pt, rates, scale)
+		series = experiments.Fig13(ctx, pt, rates, scale)
 	case "fig14":
 		header("speculative switch allocation (Fig. 14), %s, sep_if switch allocator\n", pt)
-		series = experiments.Fig14(pt, rates, scale)
+		series = experiments.Fig14(ctx, pt, rates, scale)
 	case "vasweep":
 		header("VC allocator sensitivity (§4.3.3), %s\n", pt)
-		series = experiments.VASweep(pt, rates, scale)
+		series = experiments.VASweep(ctx, pt, rates, scale)
 	case "patterns":
 		header("traffic pattern sweep (§3.2), %s at rate %.2f\n", pt, rates[len(rates)/2])
 		var err error
-		series, err = experiments.PatternSweep(pt, rates[len(rates)/2], scale,
+		series, err = experiments.PatternSweep(ctx, pt, rates[len(rates)/2], scale,
 			[]string{"uniform", "transpose", "bitcomp", "bitrev", "shuffle", "tornado", "neighbor", "hotspot"})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -102,7 +104,7 @@ func main() {
 			// swept parameter: one point regenerates the recorded run.
 			wrates = []float64{0}
 		}
-		series = experiments.WorkloadCurve(pt, wrates, scale)
+		series = experiments.WorkloadCurve(ctx, pt, wrates, scale)
 	case "saturation":
 		fmt.Printf("saturation throughput summary (paper conclusions), %s\n", pt)
 		for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {

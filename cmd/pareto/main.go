@@ -71,7 +71,7 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	scaleOf := experiments.ScaleFlags(flag.CommandLine,
 		experiments.SimScale{Warmup: 500, Measure: 1000, Drain: 4000, Seed: 42,
-			Workers: runtime.GOMAXPROCS(0), Leap: true})
+			Workers: runtime.GOMAXPROCS(0)})
 	flag.Parse()
 	scale := scaleOf()
 	stop := prof.Start(*cpuprofile, *memprofile)
@@ -115,7 +115,7 @@ func main() {
 	}
 
 	srv, err := sweep.NewServer(sweep.Options{
-		Exec:     sweep.Exec{Shards: scale.Shards, Dense: scale.Dense, DenseRequests: scale.DenseRequests, Leap: scale.Leap},
+		Defaults: scale,
 		Workers:  scale.Workers,
 		CacheDir: *cacheDir,
 	})

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -65,6 +66,7 @@ func main() {
 	}
 
 	want := func(name string) bool { return *only == "" || *only == name }
+	ctx := context.Background()
 	tech := costmodel.Default45nm()
 
 	if want("fig4") {
@@ -95,7 +97,7 @@ func main() {
 		section("Fig. 7: VC allocator matching quality")
 		for _, pt := range experiments.Points() {
 			fmt.Printf("-- %s --\n", pt)
-			fmt.Print(quality.FormatSeries(experiments.VCQualityN(pt, sparseRates(), trials, 1, scale.Workers)))
+			fmt.Print(quality.FormatSeries(experiments.VCQuality(pt, sparseRates(), trials, 1, scale.Workers)))
 		}
 	}
 
@@ -115,7 +117,7 @@ func main() {
 		section("Fig. 12: switch allocator matching quality")
 		for _, pt := range experiments.Points() {
 			fmt.Printf("-- %s --\n", pt)
-			fmt.Print(quality.FormatSeries(experiments.SwitchQualityN(pt, sparseRates(), trials, 1, scale.Workers)))
+			fmt.Print(quality.FormatSeries(experiments.SwitchQuality(pt, sparseRates(), trials, 1, scale.Workers)))
 		}
 	}
 
@@ -123,7 +125,7 @@ func main() {
 		section("Fig. 13: network performance of switch allocators")
 		for _, pt := range experiments.Points() {
 			fmt.Printf("-- %s --\n", pt)
-			series := experiments.Fig13(pt, experiments.InjectionRates(pt), scale)
+			series := experiments.Fig13(ctx, pt, experiments.InjectionRates(pt), scale)
 			fmt.Print(experiments.FormatNetSeries(series))
 			for _, s := range series {
 				fmt.Printf("%s saturation ~%.3f\n", s.Name, s.SaturationRate())
@@ -135,7 +137,7 @@ func main() {
 		section("Fig. 14: speculative switch allocation schemes")
 		for _, pt := range experiments.Points() {
 			fmt.Printf("-- %s --\n", pt)
-			series := experiments.Fig14(pt, experiments.InjectionRates(pt), scale)
+			series := experiments.Fig14(ctx, pt, experiments.InjectionRates(pt), scale)
 			fmt.Print(experiments.FormatNetSeries(series))
 		}
 	}
@@ -144,7 +146,7 @@ func main() {
 		section("§4.3.3: VC allocator sensitivity sweep")
 		for _, pt := range experiments.Points()[:3] { // mesh points suffice
 			fmt.Printf("-- %s --\n", pt)
-			series := experiments.VASweep(pt, experiments.InjectionRates(pt), scale)
+			series := experiments.VASweep(ctx, pt, experiments.InjectionRates(pt), scale)
 			fmt.Print(experiments.FormatNetSeries(series))
 		}
 	}

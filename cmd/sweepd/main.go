@@ -6,7 +6,7 @@
 // concurrent duplicates, and a bounded worker pool schedules true misses.
 // Results are bit-identical to the batch CLIs (cmd/repro, cmd/nocsim) for
 // the same unit — the cache key covers exactly the semantic fields, so
-// hits are correct regardless of the server's -shards/-leap execution
+// hits are correct regardless of the server's -shards/-reference execution
 // configuration.
 //
 // Usage:
@@ -29,9 +29,9 @@
 //
 // The -warmup/-measure/-drain/-seed flags and the workload flag set
 // (-process/-pattern/-burstlen/-duty/-hotspots/-hotfrac) set server-side
-// defaults for request fields left zero; -shards/-dense/-denserequests/-leap
-// pick the execution path for every simulated unit (bit-identical axes,
-// never part of the cache key). Trace-replay workloads are batch-only: the
+// defaults for request fields left zero; -shards/-reference pick the
+// execution path for every simulated unit (bit-identical axes, never part of
+// the cache key). Trace-replay workloads are batch-only: the
 // service content-addresses units by config and cannot materialize trace
 // bytes.
 package main
@@ -65,7 +65,7 @@ func main() {
 	cacheMaxEntries := flag.Int64("cachemaxentries", 0, "disk cache entry budget (0 = unbounded); LRU result files are evicted when a write crosses it")
 	selfcheck := flag.Bool("selfcheck", false, "run an in-process smoke test (cold miss, then byte-equal cache hit; with -cachedir, also a restart warm hit) and exit")
 	scaleOf := experiments.ScaleFlags(flag.CommandLine,
-		experiments.SimScale{Workers: runtime.GOMAXPROCS(0), Leap: true})
+		experiments.SimScale{Workers: runtime.GOMAXPROCS(0)})
 	workloadOf := experiments.WorkloadFlags(flag.CommandLine, traffic.Workload{})
 	flag.Parse()
 	scale := scaleOf()
@@ -82,7 +82,6 @@ func main() {
 
 	opts := sweep.Options{
 		Defaults:   scale,
-		Exec:       sweep.Exec{Shards: scale.Shards, Dense: scale.Dense, DenseRequests: scale.DenseRequests, Leap: scale.Leap},
 		Workers:    scale.Workers,
 		MaxEntries: *cacheEntries,
 		MaxBytes:   *cacheBytes,

@@ -33,7 +33,7 @@ func main() {
 	fmt.Println("rate\tavg latency\tthroughput\tsaturated")
 	for _, rate := range []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40} {
 		cfg := base
-		cfg.InjectionRate = rate
+		cfg.Workload.Rate = rate
 		res := repro.NewNetwork(cfg).Run()
 		fmt.Printf("%.2f\t%8.1f\t%8.3f\t%v\n", rate, res.AvgLatency, res.Throughput, res.Saturated)
 		if res.Saturated {

@@ -26,11 +26,11 @@ func main() {
 			SA: repro.SwitchAllocConfig{
 				Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: mode,
 			},
-			InjectionRate: 0.05,
-			Seed:          3,
-			Warmup:        1000,
-			Measure:       3000,
-			Drain:         8000,
+			Workload: repro.Workload{Rate: 0.05},
+			Seed:     3,
+			Warmup:   1000,
+			Measure:  3000,
+			Drain:    8000,
 		}
 		res := repro.NewNetwork(cfg).Run()
 		est := repro.SwitchAllocCost(tech, repro.SwitchAllocConfig{

@@ -45,7 +45,7 @@ func main() {
 	fmt.Println("rate\tavg latency\tp99\tthroughput")
 	for _, rate := range []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30} {
 		cfg := base
-		cfg.InjectionRate = rate
+		cfg.Workload.Rate = rate
 		res := repro.NewNetwork(cfg).Run()
 		fmt.Printf("%.2f\t%8.1f\t%4d\t%8.3f\n", rate, res.AvgLatency, res.LatencyP99, res.Throughput)
 		if res.Saturated {

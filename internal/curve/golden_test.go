@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/sharecache"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -39,8 +38,7 @@ func TestTracerPointsByteEqualBatch(t *testing.T) {
 		for _, shards := range []int{1, 4} {
 			for _, process := range []string{"bernoulli", "mmp"} {
 				t.Run(fmt.Sprintf("%s/shards=%d/%s", topo, shards, process), func(t *testing.T) {
-					exec := sweep.Exec{Shards: shards, Leap: true}
-					srv, err := sweep.NewServer(sweep.Options{Exec: exec, Workers: 4})
+					srv, err := sweep.NewServer(sweep.Options{Defaults: experiments.SimScale{Shards: shards}, Workers: 4})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -55,7 +53,7 @@ func TestTracerPointsByteEqualBatch(t *testing.T) {
 					for _, p := range tr.Points {
 						u := tr.Spec.Base
 						u.Rate = tr.Spec.Lattice().Rate(p.Index)
-						batch, err := sweep.RunUnit(ctx, u, exec)
+						batch, err := sweep.RunUnit(ctx, u, shards, false)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -80,7 +78,7 @@ func TestAdaptiveKneeMatchesFixedGrid(t *testing.T) {
 	ctx := context.Background()
 	for _, topo := range []string{"mesh", "fbfly"} {
 		t.Run(topo, func(t *testing.T) {
-			srv, err := sweep.NewServer(sweep.Options{Exec: sweep.Exec{Leap: true}, Workers: 4})
+			srv, err := sweep.NewServer(sweep.Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,53 +121,20 @@ func TestAdaptiveKneeMatchesFixedGrid(t *testing.T) {
 	}
 }
 
-// TestShareCacheTraceEquivalence is the mutation-detection audit: a trace
-// with the share cache enabled (topology and routing shared by concurrent
-// sims) must be byte-equal to the same trace with sharing disabled (every sim
-// builds its own state — the pre-sharing path), and the shared topology must
-// checksum identically before and after concurrent Validate-mode runs.
-func TestShareCacheTraceEquivalence(t *testing.T) {
-	ctx := context.Background()
-	spec := tinySpec("mesh", "mmp")
-	run := func() []byte {
-		srv, err := sweep.NewServer(sweep.Options{Exec: sweep.Exec{Shards: 4, Leap: true}, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		tr, err := TraceCurve(ctx, srv, spec, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := json.Marshal(tr.Points)
-		return b
-	}
-	if !sharecache.Default.Enabled() {
-		t.Fatal("share cache not enabled by default")
-	}
-	shared := run()
-	sharecache.Default.SetEnabled(false)
-	cold := run()
-	sharecache.Default.SetEnabled(true)
-	if string(shared) != string(cold) {
-		t.Fatalf("sharing changed results:\nshared: %s\ncold:   %s", shared, cold)
-	}
-}
-
-// TestSharedTopologyUnmutated proves the share-cache immutability contract
-// directly: BuildSim hands every caller the same topology instance, and its
-// serialized form is unchanged after concurrent Validate-mode simulations
-// ran on it.
+// TestSharedTopologyUnmutated proves the immutability contract of the shared
+// networks directly: BuildSim hands every caller the same topology instance,
+// and its serialized form is unchanged after concurrent Validate-mode
+// simulations ran on it.
 func TestSharedTopologyUnmutated(t *testing.T) {
 	pt, err := experiments.PointByName("mesh", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := experiments.SimScale{Warmup: 150, Measure: 300, Drain: 1500, Seed: 42, Leap: true}
+	scale := experiments.SimScale{Warmup: 150, Measure: 300, Drain: 1500, Seed: 42}
 	cfg1 := experiments.BuildSim(pt, 0.2, scale)
 	cfg2 := experiments.BuildSim(pt, 0.3, scale)
 	if cfg1.Topology != cfg2.Topology {
-		t.Fatal("share cache enabled but BuildSim returned distinct topology instances")
+		t.Fatal("BuildSim returned distinct topology instances")
 	}
 	before, _ := json.Marshal(cfg1.Topology)
 	done := make(chan sim.Result, 2)

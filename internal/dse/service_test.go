@@ -31,7 +31,6 @@ func tinySpec() Spec {
 func newEvalServer(t *testing.T, workers int, cacheDir string) *sweep.Server {
 	t.Helper()
 	srv, err := sweep.NewServer(sweep.Options{
-		Exec:     sweep.Exec{Leap: true},
 		Workers:  workers,
 		CacheDir: cacheDir,
 	})

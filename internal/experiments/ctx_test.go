@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,7 +30,7 @@ func TestFig13CtxCancelStopsEarly(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []NetSeries, 1)
-	go func() { done <- Fig13Ctx(ctx, pt, []float64{0.2, 0.25, 0.3}, ctxHugeScale()) }()
+	go func() { done <- Fig13(ctx, pt, []float64{0.2, 0.25, 0.3}, ctxHugeScale()) }()
 	time.Sleep(30 * time.Millisecond)
 	cancel()
 	select {
@@ -38,7 +39,7 @@ func TestFig13CtxCancelStopsEarly(t *testing.T) {
 			t.Fatalf("want 3 series even when cancelled, got %d", len(series))
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled Fig13Ctx sweep did not return within 30s")
+		t.Fatal("cancelled Fig13 sweep did not return within 30s")
 	}
 }
 
@@ -52,7 +53,7 @@ func TestPatternSweepCtxCancelStopsEarly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := PatternSweepCtx(ctx, pt, 0.3, ctxHugeScale(), []string{"uniform", "transpose", "tornado"})
+		_, err := PatternSweep(ctx, pt, 0.3, ctxHugeScale(), []string{"uniform", "transpose", "tornado"})
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -63,31 +64,15 @@ func TestPatternSweepCtxCancelStopsEarly(t *testing.T) {
 			t.Fatalf("cancelled sweep returned error: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled PatternSweepCtx did not return within 30s")
-	}
-}
-
-// TestCtxVariantsMatchPlain pins that the Background-context wrappers are
-// the same computation as the plain entry points.
-func TestCtxVariantsMatchPlain(t *testing.T) {
-	pt, err := PointByName("mesh", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale := SimScale{Warmup: 200, Measure: 400, Drain: 1500, Seed: 42, Workers: 2}
-	rates := []float64{0.1, 0.2}
-	if a, b := Fig13(pt, rates, scale), Fig13Ctx(context.Background(), pt, rates, scale); !reflect.DeepEqual(a, b) {
-		t.Fatalf("Fig13 and Fig13Ctx diverged")
-	}
-	if a, b := Fig14(pt, rates, scale), Fig14Ctx(context.Background(), pt, rates, scale); !reflect.DeepEqual(a, b) {
-		t.Fatalf("Fig14 and Fig14Ctx diverged")
+		t.Fatal("cancelled PatternSweep did not return within 30s")
 	}
 }
 
 // TestScaleFlags pins the shared flag surface: defaults pass through
-// untouched, and every registered flag lands in the resolved SimScale.
+// untouched, every registered flag lands in the resolved SimScale, and the
+// execution mode is one flag — the switches it replaced are gone.
 func TestScaleFlags(t *testing.T) {
-	def := SimScale{Warmup: 100, Measure: 200, Drain: 300, Seed: 7, Workers: 2, Leap: true}
+	def := SimScale{Warmup: 100, Measure: 200, Drain: 300, Seed: 7, Workers: 2}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	get := ScaleFlags(fs, def)
 	if err := fs.Parse(nil); err != nil {
@@ -101,14 +86,23 @@ func TestScaleFlags(t *testing.T) {
 	get = ScaleFlags(fs, def)
 	args := []string{
 		"-warmup", "11", "-measure", "22", "-drain", "33", "-seed", "44",
-		"-workers", "5", "-shards", "6", "-dense", "-denserequests", "-leap=false",
+		"-workers", "5", "-shards", "6", "-reference",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want := SimScale{Warmup: 11, Measure: 22, Drain: 33, Seed: 44, Workers: 5, Shards: 6, Dense: true, DenseRequests: true, Leap: false}
+	want := SimScale{Warmup: 11, Measure: 22, Drain: 33, Seed: 44, Workers: 5, Shards: 6, Reference: true}
 	if got := get(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parsed flags: got %+v want %+v", got, want)
+	}
+
+	for _, gone := range []string{"-leap", "-dense", "-denserequests"} {
+		fs = flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		ScaleFlags(fs, def)
+		if err := fs.Parse([]string{gone}); err == nil {
+			t.Errorf("%s still parses; want it rejected as an unknown flag", gone)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -18,7 +17,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/quality"
 	"repro/internal/routing"
-	"repro/internal/sharecache"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -223,15 +221,10 @@ func PessimisticDelaySaving(tech costmodel.Tech) (best float64, bestRow string) 
 // --- Figs. 7 & 12: matching quality -------------------------------------------
 
 // VCQuality regenerates one subfigure of Fig. 7: the three architecture
-// curves (sep_if, sep_of, wf; round-robin arbiters) for a design point.
-// Rate points are swept with one worker per CPU; see VCQualityN.
-func VCQuality(pt Point, rates []float64, trials int, seed uint64) []quality.Series {
-	return VCQualityN(pt, rates, trials, seed, runtime.NumCPU())
-}
-
-// VCQualityN is VCQuality with an explicit bound on concurrently swept rate
-// points. Results are bit-identical for any worker count.
-func VCQualityN(pt Point, rates []float64, trials int, seed uint64, workers int) []quality.Series {
+// curves (sep_if, sep_of, wf; round-robin arbiters) for a design point, with
+// up to `workers` rate points swept concurrently. Results are bit-identical
+// for any worker count.
+func VCQuality(pt Point, rates []float64, trials int, seed uint64, workers int) []quality.Series {
 	var cfgs []core.VCAllocConfig
 	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
 		cfgs = append(cfgs, core.VCAllocConfig{
@@ -241,15 +234,10 @@ func VCQualityN(pt Point, rates []float64, trials int, seed uint64, workers int)
 	return quality.VCSeriesMulti(cfgs, rates, trials, seed, workers)
 }
 
-// SwitchQuality regenerates one subfigure of Fig. 12. Rate points are swept
-// with one worker per CPU; see SwitchQualityN.
-func SwitchQuality(pt Point, rates []float64, trials int, seed uint64) []quality.Series {
-	return SwitchQualityN(pt, rates, trials, seed, runtime.NumCPU())
-}
-
-// SwitchQualityN is SwitchQuality with an explicit bound on concurrently
-// swept rate points. Results are bit-identical for any worker count.
-func SwitchQualityN(pt Point, rates []float64, trials int, seed uint64, workers int) []quality.Series {
+// SwitchQuality regenerates one subfigure of Fig. 12, with up to `workers`
+// rate points swept concurrently. Results are bit-identical for any worker
+// count.
+func SwitchQuality(pt Point, rates []float64, trials int, seed uint64, workers int) []quality.Series {
 	var cfgs []core.SwitchAllocConfig
 	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
 		cfgs = append(cfgs, core.SwitchAllocConfig{
@@ -272,26 +260,15 @@ type SimScale struct {
 	Workers int
 	// Shards splits each individual simulation into this many concurrently
 	// stepped router groups (sim.Config.Shards); results are bit-identical
-	// for any value. Zero keeps single-threaded stepping, except in
-	// PatternSweep, which auto-shards when run-level parallelism alone
-	// cannot fill the machine.
+	// for any value. Zero keeps single-threaded stepping.
 	Shards int
-	// Dense disables the simulator's active-set scheduling and steps every
-	// router and terminal every cycle; results are bit-identical either way
-	// (golden tests rely on this), the dense stepper is just slower.
-	Dense bool
-	// DenseRequests disables the routers' change-driven request caching and
-	// rebuilds every VA/switch request from scratch each cycle
-	// (sim.Config.DenseRequests); an independent axis from Dense, likewise
-	// bit-identical and slower, kept as the golden reference path.
-	DenseRequests bool
-	// Leap enables the simulator's event-leaping fast path
-	// (sim.Config.Leap): provably idle stretches are jumped instead of
-	// ticked. Bit-identical either way; DefaultScale turns it on.
-	Leap bool
+	// Reference runs every simulation under the simulator's reference
+	// schedule (sim.Config.Reference): slower, bit-identical, what the golden
+	// tests compare the default against.
+	Reference bool
 	// Workload selects the injection workload (arrival process, traffic
 	// pattern, parameters) applied to every simulation built through
-	// BuildSim. Unlike the execution fields above it is semantic — it
+	// BuildSim. Unlike Workers, Shards and Reference it is semantic — it
 	// changes results — and its zero value is the paper default (Bernoulli
 	// over uniform). The offered rate stays per-point: BuildSim overwrites
 	// Workload.Rate with its rate argument.
@@ -300,7 +277,7 @@ type SimScale struct {
 
 // DefaultScale is sized for the cmd-line tools.
 func DefaultScale() SimScale {
-	return SimScale{Warmup: 3000, Measure: 6000, Drain: 20000, Seed: 42, Leap: true}
+	return SimScale{Warmup: 3000, Measure: 6000, Drain: 20000, Seed: 42}
 }
 
 // NetPoint is one latency/throughput sample.
@@ -367,68 +344,62 @@ func BuildSim(pt Point, rate float64, scale SimScale) sim.Config {
 		w.Rate = rate
 	}
 	cfg := sim.Config{
-		Spec:          pt.Spec,
-		VA:            core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
-		SA:            core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
-		Workload:      w,
-		InjectionRate: rate,
-		Seed:          scale.Seed,
-		Warmup:        scale.Warmup,
-		Measure:       scale.Measure,
-		Drain:         scale.Drain,
-		Shards:        scale.Shards,
-		Dense:         scale.Dense,
-		DenseRequests: scale.DenseRequests,
-		Leap:          scale.Leap,
+		Spec:      pt.Spec,
+		VA:        core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
+		SA:        core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
+		Workload:  w,
+		Seed:      scale.Seed,
+		Warmup:    scale.Warmup,
+		Measure:   scale.Measure,
+		Drain:     scale.Drain,
+		Shards:    scale.Shards,
+		Reference: scale.Reference,
 	}
 	cfg.Topology, cfg.Routing = sharedNet(pt.Topo)
 	return cfg
 }
 
-// builtNet pairs a topology with its routing function; both are immutable
-// after construction (the topology is never written post-build and the
-// routing functions hold no mutable fields — all per-packet state lives in
-// routing.PacketRoute), so one instance is safely shared by every
-// concurrently running simulation of the design point.
-type builtNet struct {
-	topo *topology.Topology
-	rt   routing.Function
-}
+// The two paper networks, built on first use and shared by every simulation
+// in the process (building one costs 7–18 µs against a 0.06 µs lookup, once
+// per simulated point). Both halves are immutable after construction — the
+// topology is never written post-build and the routing functions hold no
+// mutable fields, all per-packet state lives in routing.PacketRoute — so one
+// instance is safely shared by concurrently running simulations. The
+// constructors are named only inside sharedNet, not in a package-level
+// initializer, so a program that simulates nothing (cmd/matchquality) does
+// not link the simulator.
+var (
+	meshOnce, fbflyOnce sync.Once
+	meshTopo, fbflyTopo *topology.Topology
+	meshRt, fbflyRt     routing.Function
+)
 
-// sharedNet returns the (topology, routing) pair for a topology name
-// through the share cache: built once per process while sharing is enabled,
-// built fresh per call (the pre-sharing cold path) when it is disabled.
+// sharedNet returns the shared (topology, routing) pair for a topology name.
 func sharedNet(topo string) (*topology.Topology, routing.Function) {
-	var build func() builtNet
 	switch topo {
 	case "mesh":
-		build = func() builtNet {
-			t := topology.Mesh(8)
-			return builtNet{t, routing.NewDOR(t)}
-		}
+		meshOnce.Do(func() {
+			meshTopo = topology.Mesh(8)
+			meshRt = routing.NewDOR(meshTopo)
+		})
+		return meshTopo, meshRt
 	case "fbfly":
-		build = func() builtNet {
-			t := topology.FlattenedButterfly(4, 4)
-			return builtNet{t, routing.NewUGAL(t, 1)}
-		}
-	default:
-		panic("experiments: unknown topology " + topo)
+		fbflyOnce.Do(func() {
+			fbflyTopo = topology.FlattenedButterfly(4, 4)
+			fbflyRt = routing.NewUGAL(fbflyTopo, 1)
+		})
+		return fbflyTopo, fbflyRt
 	}
-	n := sharecache.Get(sharecache.Default, "net/"+topo, build)
-	return n.topo, n.rt
+	panic("experiments: unknown topology " + topo)
 }
 
-func runCurve(ctx context.Context, name string, rates []float64, mk func(rate float64) sim.Config) NetSeries {
-	return runCurveN(ctx, name, rates, 1, mk)
-}
-
-// runCurveN sweeps the rate points with up to `workers` simulations in
+// runCurve sweeps the rate points with up to `workers` simulations in
 // flight. Every point is an independent simulation with its own seed, so
 // results are bit-identical regardless of parallelism. Cancelling ctx
 // aborts in-flight simulations (sim.RunCtx polls it every
 // sim.AbortCheckInterval cycles) and skips unstarted points; aborted points
 // are left zero-valued, so callers that care must check ctx.Err().
-func runCurveN(ctx context.Context, name string, rates []float64, workers int, mk func(rate float64) sim.Config) NetSeries {
+func runCurve(ctx context.Context, name string, rates []float64, workers int, mk func(rate float64) sim.Config) NetSeries {
 	s := NetSeries{Name: name, Points: make([]NetPoint, len(rates))}
 	if workers < 1 {
 		workers = 1
@@ -465,17 +436,13 @@ func runCurveN(ctx context.Context, name string, rates []float64, workers int, m
 // Fig13 regenerates one subfigure of Fig. 13: average packet latency vs
 // injection rate for the three switch allocator architectures (separable
 // input-first VC allocation and pessimistic speculation, per §5.3.3).
-func Fig13(pt Point, rates []float64, scale SimScale) []NetSeries {
-	return Fig13Ctx(context.Background(), pt, rates, scale)
-}
-
-// Fig13Ctx is Fig13 with cooperative cancellation: cancelling ctx aborts
-// in-flight simulations and skips unstarted rate points.
-func Fig13Ctx(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
+// Cancelling ctx aborts in-flight simulations and skips unstarted rate
+// points, here and in every curve function below.
+func Fig13(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
 	var out []NetSeries
 	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
 		arch := arch
-		out = append(out, runCurveN(ctx, arch.String(), rates, scale.Workers, func(rate float64) sim.Config {
+		out = append(out, runCurve(ctx, arch.String(), rates, scale.Workers, func(rate float64) sim.Config {
 			cfg := BuildSim(pt, rate, scale)
 			cfg.SA.Arch = arch
 			return cfg
@@ -486,16 +453,11 @@ func Fig13Ctx(ctx context.Context, pt Point, rates []float64, scale SimScale) []
 
 // Fig14 regenerates one subfigure of Fig. 14: the three speculation schemes
 // on a separable input-first switch allocator.
-func Fig14(pt Point, rates []float64, scale SimScale) []NetSeries {
-	return Fig14Ctx(context.Background(), pt, rates, scale)
-}
-
-// Fig14Ctx is Fig14 with cooperative cancellation.
-func Fig14Ctx(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
+func Fig14(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
 	var out []NetSeries
 	for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
 		mode := mode
-		out = append(out, runCurveN(ctx, mode.String(), rates, scale.Workers, func(rate float64) sim.Config {
+		out = append(out, runCurve(ctx, mode.String(), rates, scale.Workers, func(rate float64) sim.Config {
 			cfg := BuildSim(pt, rate, scale)
 			cfg.SA.SpecMode = mode
 			return cfg
@@ -507,7 +469,7 @@ func Fig14Ctx(ctx context.Context, pt Point, rates []float64, scale SimScale) []
 // VASweep regenerates the §4.3.3 experiment the paper describes but omits
 // for space: latency curves for different VC allocator architectures,
 // demonstrating the network's insensitivity to the choice.
-func VASweep(pt Point, rates []float64, scale SimScale) []NetSeries {
+func VASweep(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
 	type va struct {
 		arch   alloc.Arch
 		sparse bool
@@ -522,7 +484,7 @@ func VASweep(pt Point, rates []float64, scale SimScale) []NetSeries {
 	var out []NetSeries
 	for _, v := range vas {
 		v := v
-		out = append(out, runCurveN(context.Background(), v.name, rates, scale.Workers, func(rate float64) sim.Config {
+		out = append(out, runCurve(ctx, v.name, rates, scale.Workers, func(rate float64) sim.Config {
 			cfg := BuildSim(pt, rate, scale)
 			cfg.VA.Arch = v.arch
 			cfg.VA.Sparse = v.sparse
@@ -641,14 +603,9 @@ func WorkloadName(w traffic.Workload) string {
 // rates: the latency-throughput curve for bursty/hotspot workloads. For
 // trace replay the offered load is data, not a parameter, so callers pass a
 // single placeholder rate.
-func WorkloadCurve(pt Point, rates []float64, scale SimScale) []NetSeries {
-	return WorkloadCurveCtx(context.Background(), pt, rates, scale)
-}
-
-// WorkloadCurveCtx is WorkloadCurve with cooperative cancellation.
-func WorkloadCurveCtx(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
+func WorkloadCurve(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
 	name := WorkloadName(scale.Workload)
-	return []NetSeries{runCurveN(ctx, name, rates, scale.Workers, func(rate float64) sim.Config {
+	return []NetSeries{runCurve(ctx, name, rates, scale.Workers, func(rate float64) sim.Config {
 		return BuildSim(pt, rate, scale)
 	})}
 }
@@ -659,13 +616,7 @@ func WorkloadCurveCtx(ctx context.Context, pt Point, rates []float64, scale SimS
 // swept with up to scale.Workers simulations in flight; each pattern is an
 // independent, deterministic simulation, so results do not depend on the
 // worker count.
-func PatternSweep(pt Point, rate float64, scale SimScale, patterns []string) ([]NetSeries, error) {
-	return PatternSweepCtx(context.Background(), pt, rate, scale, patterns)
-}
-
-// PatternSweepCtx is PatternSweep with cooperative cancellation: cancelling
-// ctx aborts in-flight simulations and skips unstarted patterns.
-func PatternSweepCtx(ctx context.Context, pt Point, rate float64, scale SimScale, patterns []string) ([]NetSeries, error) {
+func PatternSweep(ctx context.Context, pt Point, rate float64, scale SimScale, patterns []string) ([]NetSeries, error) {
 	resolved := make([]traffic.Pattern, len(patterns))
 	for i, name := range patterns {
 		p, err := traffic.NewPattern(name, 64)
@@ -675,22 +626,7 @@ func PatternSweepCtx(ctx context.Context, pt Point, rate float64, scale SimScale
 		resolved[i] = p
 	}
 	out := make([]NetSeries, len(patterns))
-	workers := scale.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(patterns) {
-		workers = len(patterns)
-	}
-	// Placement: run-level parallelism comes first (independent simulations
-	// scale perfectly), but a sweep shorter than the worker budget leaves
-	// cores idle — hand those to intra-run sharding. Explicit Shards wins.
-	if scale.Shards == 0 && workers < scale.Workers {
-		if perRun := scale.Workers / workers; perRun > 1 {
-			scale.Shards = perRun
-		}
-	}
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, max(scale.Workers, 1))
 	var wg sync.WaitGroup
 	for i := range patterns {
 		i := i
@@ -699,7 +635,7 @@ func PatternSweepCtx(ctx context.Context, pt Point, rate float64, scale SimScale
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			out[i] = runCurve(ctx, patterns[i], []float64{rate}, func(r float64) sim.Config {
+			out[i] = runCurve(ctx, patterns[i], []float64{rate}, 1, func(r float64) sim.Config {
 				cfg := BuildSim(pt, r, scale)
 				cfg.Pattern = resolved[i]
 				return cfg

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -141,7 +142,7 @@ func TestPessimisticDelayHeadline(t *testing.T) {
 
 func TestVCQualitySeries(t *testing.T) {
 	pt, _ := PointByName("mesh", 2)
-	series := VCQuality(pt, []float64{0.3, 0.9}, 100, 1)
+	series := VCQuality(pt, []float64{0.3, 0.9}, 100, 1, runtime.NumCPU())
 	if len(series) != 3 {
 		t.Fatalf("want 3 series, got %d", len(series))
 	}
@@ -161,7 +162,7 @@ func TestVCQualitySeries(t *testing.T) {
 
 func TestSwitchQualitySeries(t *testing.T) {
 	pt, _ := PointByName("fbfly", 2)
-	series := SwitchQuality(pt, []float64{0.5}, 100, 1)
+	series := SwitchQuality(pt, []float64{0.5}, 100, 1, runtime.NumCPU())
 	if len(series) != 3 {
 		t.Fatalf("want 3 series, got %d", len(series))
 	}
@@ -183,7 +184,7 @@ func TestInjectionRates(t *testing.T) {
 func TestFig13SmallRun(t *testing.T) {
 	pt, _ := PointByName("mesh", 1)
 	scale := SimScale{Warmup: 200, Measure: 500, Drain: 2000, Seed: 3}
-	series := Fig13(pt, []float64{0.1}, scale)
+	series := Fig13(context.Background(), pt, []float64{0.1}, scale)
 	if len(series) != 3 {
 		t.Fatalf("want 3 switch-arch curves, got %d", len(series))
 	}
@@ -204,7 +205,7 @@ func TestFig13SmallRun(t *testing.T) {
 func TestFig14SmallRun(t *testing.T) {
 	pt, _ := PointByName("mesh", 1)
 	scale := SimScale{Warmup: 200, Measure: 500, Drain: 2000, Seed: 3}
-	series := Fig14(pt, []float64{0.1}, scale)
+	series := Fig14(context.Background(), pt, []float64{0.1}, scale)
 	if len(series) != 3 {
 		t.Fatalf("want 3 speculation curves, got %d", len(series))
 	}
@@ -225,7 +226,7 @@ func TestFig14SmallRun(t *testing.T) {
 func TestVASweepSmallRun(t *testing.T) {
 	pt, _ := PointByName("mesh", 2)
 	scale := SimScale{Warmup: 200, Measure: 500, Drain: 2000, Seed: 3}
-	series := VASweep(pt, []float64{0.1}, scale)
+	series := VASweep(context.Background(), pt, []float64{0.1}, scale)
 	if len(series) != 4 {
 		t.Fatalf("want 4 VA curves, got %d", len(series))
 	}
@@ -276,7 +277,7 @@ func TestPatternSweepInvariance(t *testing.T) {
 	// at low load every pattern must deliver with sane latency.
 	pt, _ := PointByName("mesh", 2)
 	scale := SimScale{Warmup: 300, Measure: 600, Drain: 3000, Seed: 5}
-	series, err := PatternSweep(pt, 0.1, scale, []string{"uniform", "transpose", "bitcomp", "tornado", "neighbor"})
+	series, err := PatternSweep(context.Background(), pt, 0.1, scale, []string{"uniform", "transpose", "bitcomp", "tornado", "neighbor"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,19 +290,19 @@ func TestPatternSweepInvariance(t *testing.T) {
 			t.Errorf("pattern %s: implausible low-load point %+v", s.Name, p)
 		}
 	}
-	if _, err := PatternSweep(pt, 0.1, scale, []string{"bogus"}); err == nil {
+	if _, err := PatternSweep(context.Background(), pt, 0.1, scale, []string{"bogus"}); err == nil {
 		t.Fatal("unknown pattern should error")
 	}
 }
 
 func TestGoldenActiveMatchesDense(t *testing.T) {
-	// Acceptance criterion for the active-set scheduler: the Fig. 13 and
-	// Fig. 14 series (latency, throughput, saturation flags) at seed 42 are
-	// bit-identical to the dense reference stepper on both paper topologies.
+	// The Fig. 13 and Fig. 14 series (latency, throughput, saturation flags)
+	// at seed 42 are bit-identical to the simulator's reference schedule on
+	// both paper topologies.
 	rates := []float64{0.05, 0.2, 0.35}
-	active := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
-	dense := active
-	dense.Dense = true
+	def := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
+	ref := def
+	ref.Reference = true
 	for _, topo := range []string{"mesh", "fbfly"} {
 		pt, err := PointByName(topo, 1)
 		if err != nil {
@@ -309,13 +310,13 @@ func TestGoldenActiveMatchesDense(t *testing.T) {
 		}
 		for _, fig := range []struct {
 			name string
-			run  func(Point, []float64, SimScale) []NetSeries
+			run  func(context.Context, Point, []float64, SimScale) []NetSeries
 		}{{"fig13", Fig13}, {"fig14", Fig14}} {
-			a := fig.run(pt, rates, active)
-			d := fig.run(pt, rates, dense)
-			if !reflect.DeepEqual(a, d) {
-				t.Errorf("%s %s: active scheduler series diverged from dense reference\nactive: %+v\ndense:  %+v",
-					topo, fig.name, a, d)
+			d := fig.run(context.Background(), pt, rates, def)
+			r := fig.run(context.Background(), pt, rates, ref)
+			if !reflect.DeepEqual(d, r) {
+				t.Errorf("%s %s: default series diverged from the reference schedule\ndefault:   %+v\nreference: %+v",
+					topo, fig.name, d, r)
 			}
 		}
 	}
@@ -328,14 +329,14 @@ func TestPatternSweepWorkersMatchSerial(t *testing.T) {
 	pt, _ := PointByName("mesh", 1)
 	patterns := []string{"uniform", "transpose", "bitcomp", "tornado"}
 	serial := SimScale{Warmup: 200, Measure: 400, Drain: 2000, Seed: 7, Workers: 1}
-	a, err := PatternSweep(pt, 0.1, serial, patterns)
+	a, err := PatternSweep(context.Background(), pt, 0.1, serial, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, runtime.NumCPU(), 64} {
 		par := serial
 		par.Workers = workers
-		b, err := PatternSweep(pt, 0.1, par, patterns)
+		b, err := PatternSweep(context.Background(), pt, 0.1, par, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,11 +353,11 @@ func TestParallelCurveMatchesSerial(t *testing.T) {
 	pt, _ := PointByName("mesh", 1)
 	rates := []float64{0.1, 0.2, 0.3}
 	serial := SimScale{Warmup: 200, Measure: 400, Drain: 1500, Seed: 5, Workers: 1}
-	a := Fig13(pt, rates, serial)
+	a := Fig13(context.Background(), pt, rates, serial)
 	for _, workers := range []int{4, runtime.NumCPU()} {
 		parallel := serial
 		parallel.Workers = workers
-		b := Fig13(pt, rates, parallel)
+		b := Fig13(context.Background(), pt, rates, parallel)
 		for si := range a {
 			for pi := range a[si].Points {
 				if a[si].Points[pi] != b[si].Points[pi] {
@@ -374,11 +375,11 @@ func TestQualityWorkersMatchSerial(t *testing.T) {
 	pt, _ := PointByName("mesh", 2)
 	rates := []float64{0.4, 0.8}
 	const trials, seed = 60, 42
-	vc1 := VCQualityN(pt, rates, trials, seed, 1)
-	sw1 := SwitchQualityN(pt, rates, trials, seed, 1)
+	vc1 := VCQuality(pt, rates, trials, seed, 1)
+	sw1 := SwitchQuality(pt, rates, trials, seed, 1)
 	for _, workers := range []int{4, runtime.NumCPU()} {
-		vcN := VCQualityN(pt, rates, trials, seed, workers)
-		swN := SwitchQualityN(pt, rates, trials, seed, workers)
+		vcN := VCQuality(pt, rates, trials, seed, workers)
+		swN := SwitchQuality(pt, rates, trials, seed, workers)
 		for k := range vc1 {
 			for i := range vc1[k].Points {
 				if vc1[k].Points[i] != vcN[k].Points[i] {
@@ -431,12 +432,12 @@ func TestReportsRoundTrip(t *testing.T) {
 	}
 
 	pt, _ := PointByName("mesh", 1)
-	qr := QualityReport("fig7", pt, VCQuality(pt, []float64{0.5}, 50, 1))
+	qr := QualityReport("fig7", pt, VCQuality(pt, []float64{0.5}, 50, 1, 1))
 	if len(qr.Quality) != 3 || len(qr.Quality[0].Rate) != 1 {
 		t.Fatalf("quality report malformed: %+v", qr)
 	}
 	scale := SimScale{Warmup: 100, Measure: 200, Drain: 800, Seed: 1}
-	nr := NetworkReport("fig14", pt, Fig14(pt, []float64{0.1}, scale))
+	nr := NetworkReport("fig14", pt, Fig14(context.Background(), pt, []float64{0.1}, scale))
 	if len(nr.Network) != 3 || len(nr.Network[0].Latency) != 1 {
 		t.Fatalf("network report malformed: %+v", nr)
 	}
@@ -456,74 +457,47 @@ func TestShardsMatchSerialCurves(t *testing.T) {
 	pt, _ := PointByName("mesh", 1)
 	rates := []float64{0.1, 0.3}
 	base := SimScale{Warmup: 200, Measure: 400, Drain: 1500, Seed: 42}
-	serial := Fig13(pt, rates, base)
+	serial := Fig13(context.Background(), pt, rates, base)
 	for _, shards := range []int{2, 4} {
 		sharded := base
 		sharded.Shards = shards
-		if got := Fig13(pt, rates, sharded); !reflect.DeepEqual(serial, got) {
+		if got := Fig13(context.Background(), pt, rates, sharded); !reflect.DeepEqual(serial, got) {
 			t.Fatalf("shards=%d: Fig13 curves diverged from serial:\nserial:  %+v\nsharded: %+v",
 				shards, serial, got)
 		}
 	}
 }
 
-func TestPatternSweepAutoShardsMatchesSerial(t *testing.T) {
-	// A sweep shorter than the worker budget hands the leftover cores to
-	// intra-run sharding (Workers=8 over 2 patterns -> 4 shards each);
-	// results must still be bit-identical to the plain serial sweep.
-	pt, _ := PointByName("mesh", 1)
-	patterns := []string{"uniform", "transpose"}
-	serialScale := SimScale{Warmup: 200, Measure: 400, Drain: 2000, Seed: 7, Workers: 1}
-	serial, err := PatternSweep(pt, 0.1, serialScale, patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide := serialScale
-	wide.Workers = 8
-	got, err := PatternSweep(pt, 0.1, wide, patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, got) {
-		t.Fatalf("auto-sharded pattern sweep diverged from serial:\nserial: %+v\nauto:   %+v", serial, got)
-	}
-}
-
-// TestLeapInvarianceFig13 pins the Fig. 13/14 pipeline end to end across
-// the event-leaping axis: SimScale.Leap (the cmd-tool default) must produce
-// series bit-identical to the per-cycle stepper, including a drain-heavy
-// low-rate point where leaping actually skips most cycles, composed with
-// intra-run sharding.
+// TestLeapInvarianceFig13 pins the Fig. 13/14 pipeline end to end against
+// the reference schedule, including a drain-heavy low-rate point where the
+// default leaps over most cycles, composed with intra-run sharding.
 func TestLeapInvarianceFig13(t *testing.T) {
 	rates := []float64{0.005, 0.2}
-	ticked := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
-	leaped := ticked
-	leaped.Leap = true
+	base := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
 	for _, topo := range []string{"mesh", "fbfly"} {
 		pt, err := PointByName(topo, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{0, 4} {
-			a := ticked
-			a.Shards = shards
-			b := leaped
-			b.Shards = shards
-			ta := Fig13(pt, rates, a)
-			tb := Fig13(pt, rates, b)
-			if !reflect.DeepEqual(ta, tb) {
-				t.Errorf("%s shards=%d: leaped Fig13 series diverged from ticked\nticked: %+v\nleaped: %+v",
-					topo, shards, ta, tb)
+			def := base
+			def.Shards = shards
+			ref := def
+			ref.Reference = true
+			want := Fig13(context.Background(), pt, rates, ref)
+			if got := Fig13(context.Background(), pt, rates, def); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s shards=%d: default Fig13 series diverged from the reference\nreference: %+v\ndefault:   %+v",
+					topo, shards, want, got)
 			}
 			// The same simulations with the simulator's self-checks on: every
 			// stepped cycle compares the wake index with the dormant/quiescent
 			// predicates, every leap the skipped span with the wheel.
 			for _, rate := range rates {
-				ca, cb := BuildSim(pt, rate, a), BuildSim(pt, rate, b)
-				ca.Validate, cb.Validate = true, true
-				if ra, rb := sim.New(ca).Run(), sim.New(cb).Run(); ra != rb {
-					t.Errorf("%s shards=%d rate=%g: validated leaped run diverged from ticked\nticked: %+v\nleaped: %+v",
-						topo, shards, rate, ra, rb)
+				cd, cr := BuildSim(pt, rate, def), BuildSim(pt, rate, ref)
+				cd.Validate = true
+				if rd, rr := sim.New(cd).Run(), sim.New(cr).Run(); rd != rr {
+					t.Errorf("%s shards=%d rate=%g: validated default run diverged from the reference\nreference: %+v\ndefault:   %+v",
+						topo, shards, rate, rr, rd)
 				}
 			}
 		}

@@ -12,12 +12,12 @@ import (
 )
 
 // ScaleFlags registers the standard simulation-scale flag set — phase
-// lengths, seed, and the parallelism/reference-path switches — on fs with
+// lengths, seed, parallelism and the reference-schedule switch — on fs with
 // the given defaults, and returns a function that resolves the final
 // SimScale after fs.Parse. Every command-line tool (and the sweep service)
 // shares this one definition, so the scale surface cannot drift between
-// entry points; tools with extra conventions (-quick presets, auto
-// sharding) adjust the returned value.
+// entry points; tools with extra conventions (-quick presets) adjust the
+// returned value.
 func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
 	warmup := fs.Int("warmup", def.Warmup, "warmup cycles")
 	measure := fs.Int("measure", def.Measure, "measurement cycles")
@@ -25,21 +25,17 @@ func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
 	seed := fs.Uint64("seed", def.Seed, "simulation seed")
 	workers := fs.Int("workers", def.Workers, "concurrent simulations per curve")
 	shards := fs.Int("shards", def.Shards, "parallel shards within each simulation (results are bit-identical for any value)")
-	dense := fs.Bool("dense", def.Dense, "step every router every cycle (reference scheduler; slower, bit-identical)")
-	denseRequests := fs.Bool("denserequests", def.DenseRequests, "rebuild every VA/switch request every cycle (reference request path; slower, bit-identical)")
-	leap := fs.Bool("leap", def.Leap, "leap over provably idle cycles (-leap=false keeps the per-cycle slow twin; results are bit-identical either way)")
+	reference := fs.Bool("reference", def.Reference, "run the simulator's reference schedule: every router and terminal stepped and every request rebuilt every cycle, no leaping (slower, bit-identical)")
 	return func() SimScale {
 		return SimScale{
-			Warmup:        *warmup,
-			Measure:       *measure,
-			Drain:         *drain,
-			Seed:          *seed,
-			Workers:       *workers,
-			Shards:        *shards,
-			Dense:         *dense,
-			DenseRequests: *denseRequests,
-			Leap:          *leap,
-			Workload:      def.Workload,
+			Warmup:    *warmup,
+			Measure:   *measure,
+			Drain:     *drain,
+			Seed:      *seed,
+			Workers:   *workers,
+			Shards:    *shards,
+			Reference: *reference,
+			Workload:  def.Workload,
 		}
 	}
 }

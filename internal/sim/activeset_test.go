@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/alloc"
@@ -12,22 +13,40 @@ import (
 	"repro/internal/traffic"
 )
 
-// runBoth runs the same configuration under the active-set scheduler and the
-// dense reference stepper and returns both results.
-func runBoth(cfg Config) (active, dense Result) {
-	cfg.Dense = false
-	active = New(cfg).Run()
-	cfg.Dense = true
-	dense = New(cfg).Run()
-	return active, dense
+// assertGolden is the golden contract of the default schedule: one run of
+// base under the reference schedule (every router and terminal stepped every
+// cycle, every request rebuilt, arrivals ticked, no leap), and for each shard
+// count a run of the default schedule that must reproduce it bit for bit —
+// same RNG draw order, same packet IDs, same floating-point latency sums.
+// The default leg runs under Validate, so a divergence is localised to a fast
+// path at the cycle it first happens: the routers check their cached requests
+// against a full rebuild, every stepped cycle checks the wake index against
+// dormant()/Quiescent(), and every leap checks the span it skips. Under `go
+// test -race` (CI does) the sharded legs double as the data-race
+// certification of that bookkeeping.
+func assertGolden(t *testing.T, name string, base Config, shards ...int) {
+	t.Helper()
+	ref := base
+	ref.Reference = true
+	want := New(ref).Run()
+	if want.MeasuredPackets == 0 || want.FlitsDelivered == 0 {
+		t.Fatalf("%s: the reference moved no measured traffic; the golden is vacuous", name)
+	}
+	for _, s := range shards {
+		cfg := base
+		cfg.Shards = s
+		cfg.Validate = true
+		if got := New(cfg).Run(); got != want {
+			t.Errorf("%s shards=%d: default schedule diverged from the reference:\nreference: %+v\ndefault:   %+v",
+				name, s, want, got)
+		}
+	}
 }
 
-// TestActiveSchedulerBitExact is the core contract of the active-set
-// scheduler: skipping dormant terminals and quiescent routers must reproduce
-// the dense stepper bit for bit — same RNG draw order, same packet IDs, same
-// latencies and counters — across topologies, speculation modes and the
-// allocator microarchitectures with idle-variant state (wavefront priority
-// diagonals, precomputed request latches).
+// TestActiveSchedulerBitExact pins the default schedule against the reference
+// across topologies, speculation modes and the allocator microarchitectures
+// with idle-variant state (wavefront priority diagonals, precomputed request
+// latches), which skipping quiescent routers has to replay on wake-up.
 func TestActiveSchedulerBitExact(t *testing.T) {
 	cases := []struct {
 		name string
@@ -73,18 +92,13 @@ func TestActiveSchedulerBitExact(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.cfg.Warmup, tc.cfg.Measure, tc.cfg.Drain = 300, 700, 6000
-		active, dense := runBoth(tc.cfg)
-		if active != dense {
-			t.Errorf("%s: active scheduler diverged from dense reference:\nactive: %+v\ndense:  %+v",
-				tc.name, active, dense)
-		}
+		assertGolden(t, tc.name, tc.cfg, 1)
 	}
 }
 
 // TestActiveSchedulerBitExactValidated re-runs the equivalence with per-cycle
-// allocation checking enabled in every router across all three speculation
-// modes and both paper topologies (satellite: Validate-mode invariant tests
-// on the active-set scheduler).
+// allocation checking enabled in the reference's routers too, across all
+// three speculation modes and both paper topologies.
 func TestActiveSchedulerBitExactValidated(t *testing.T) {
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
@@ -92,19 +106,13 @@ func TestActiveSchedulerBitExactValidated(t *testing.T) {
 			cfg.SA.SpecMode = mode
 			cfg.Validate = true
 			cfg.Warmup, cfg.Measure, cfg.Drain = 200, 400, 4000
-			active, dense := runBoth(cfg)
-			if active != dense {
-				t.Errorf("%s %v validated: active %+v != dense %+v", cfg.Topology.Name, mode, active, dense)
-			}
-			if active.FlitsDelivered == 0 {
-				t.Errorf("%s %v validated: no flits moved", cfg.Topology.Name, mode)
-			}
+			assertGolden(t, fmt.Sprintf("%s %v validated", cfg.Topology.Name, mode), cfg, 1)
 		}
 	}
 }
 
 // TestFlitConservationActiveAllSpecModes drains a loaded network under the
-// active-set scheduler for every speculation mode on both topologies: every
+// default schedule for every speculation mode on both topologies: every
 // flit handed to a router must eventually reach a terminal, exercising the
 // dormant-terminal path once injection is cut to zero.
 func TestFlitConservationActiveAllSpecModes(t *testing.T) {
@@ -201,16 +209,16 @@ func TestReadFractionDefault(t *testing.T) {
 func TestLongLatencyChannels(t *testing.T) {
 	topo := topology.MeshWithLatency(4, 20)
 	cfg := Config{
-		Topology:      topo,
-		Routing:       routing.NewDOR(topo),
-		Spec:          core.NewVCSpec(2, 1, 2),
-		VA:            core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
-		SA:            core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
-		InjectionRate: 0.05,
-		Seed:          7,
-		Warmup:        300,
-		Measure:       700,
-		Drain:         8000,
+		Topology: topo,
+		Routing:  routing.NewDOR(topo),
+		Spec:     core.NewVCSpec(2, 1, 2),
+		VA:       core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
+		SA:       core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
+		Workload: traffic.Workload{Rate: 0.05},
+		Seed:     7,
+		Warmup:   300,
+		Measure:  700,
+		Drain:    8000,
 	}
 	n := New(cfg)
 	if want := int64(2 + 20 + 1); n.wheelSize != want {
@@ -226,10 +234,7 @@ func TestLongLatencyChannels(t *testing.T) {
 		t.Fatalf("latency %.1f implausibly low for 20-cycle channels", res.AvgLatency)
 	}
 	// The equivalence contract holds for long-latency wheels too.
-	active, dense := runBoth(cfg)
-	if active != dense {
-		t.Fatalf("long-latency active %+v != dense %+v", active, dense)
-	}
+	assertGolden(t, "long-latency mesh", cfg, 1)
 }
 
 // TestWheelSizedFromTopology pins the wheel sizing rule for the paper's two

@@ -9,35 +9,15 @@ import (
 )
 
 // Benchmarks for the simulation core: each target runs one Fig.13-style
-// mesh (C=1) simulation per iteration under both the active-set scheduler
-// and the dense reference stepper, reporting simulated cycles per second
-// of wall-clock time. The drain-dominated low-rate point is where skipping
-// quiescent routers pays off most; the near-saturation point bounds the
-// scheduler's overhead when almost nothing is skippable.
+// mesh (C=1) simulation per iteration, reporting simulated cycles per second
+// of wall-clock time.
 
-func benchNetwork(b *testing.B, rate float64, dense bool) {
-	benchNetworkShards(b, rate, dense, 0)
-}
-
-func benchNetworkShards(b *testing.B, rate float64, dense bool, shards int) {
-	benchNetworkSpec(b, rate, dense, shards, core.SpecReq)
-}
-
-func benchNetworkSpec(b *testing.B, rate float64, dense bool, shards int, spec core.SpecMode) {
-	benchNetworkCfg(b, rate, func(cfg *Config) {
-		cfg.Dense = dense
-		cfg.Shards = shards
-		cfg.SA.SpecMode = spec
-	})
-}
-
-func benchNetworkCfg(b *testing.B, rate float64, mut func(*Config)) {
+func benchNetwork(b *testing.B, rate float64, mut func(*Config)) {
 	b.ReportAllocs()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
 		cfg := meshConfig(1, rate)
 		cfg.Seed = 42
-		cfg.SA.SpecMode = core.SpecReq
 		mut(&cfg)
 		res := New(cfg).Run()
 		if res.FlitsDelivered == 0 {
@@ -48,39 +28,19 @@ func benchNetworkCfg(b *testing.B, rate float64, mut func(*Config)) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
-func BenchmarkNetworkLowRate(b *testing.B) {
-	// Fig. 13 mesh 2x1x1 at 0.05 flits/cycle/terminal: mostly idle routers
-	// and a long drain tail.
-	b.Run("active", func(b *testing.B) { benchNetwork(b, 0.05, false) })
-	b.Run("dense", func(b *testing.B) { benchNetwork(b, 0.05, true) })
-	// At 0.02 some packet is in flight in nearly every cycle, so the leap
-	// gate almost never fires: what leap=true buys here is presampled
-	// arrivals and the wake index alone (most terminals asleep, a few
-	// routers active), with every cycle still stepped.
-	for _, leap := range []bool{false, true} {
-		b.Run(fmt.Sprintf("rate=0.02/leap=%t", leap), func(b *testing.B) {
-			benchNetworkCfg(b, 0.02, func(cfg *Config) { cfg.Leap = leap })
-		})
-	}
-}
-
-func BenchmarkNetworkNearSaturation(b *testing.B) {
-	// Fig. 13 mesh 2x1x1 near its saturation rate: every router busy almost
-	// every cycle, so this measures active-set bookkeeping overhead.
-	b.Run("active", func(b *testing.B) { benchNetwork(b, 0.30, false) })
-	b.Run("dense", func(b *testing.B) { benchNetwork(b, 0.30, true) })
-}
-
-// BenchmarkNetworkLeap compares the event-leaping fast path against ticked
-// active-set stepping at drain-dominated rates, where long fully-idle
-// stretches separate transactions. Results are bit-identical either way
-// (TestLeapGolden); only wall-clock differs.
-func BenchmarkNetworkLeap(b *testing.B) {
-	for _, rate := range []float64{0.0005, 0.005} {
-		for _, leap := range []bool{false, true} {
-			name := fmt.Sprintf("rate=%g/leap=%t", rate, leap)
-			b.Run(name, func(b *testing.B) {
-				benchNetworkCfg(b, rate, func(cfg *Config) { cfg.Leap = leap })
+// BenchmarkNetworkSchedule compares the default schedule with the reference
+// from drain-dominated rates, where long fully-idle stretches separate
+// transactions and the clock leaps (0.0005, 0.005), over rates where some
+// packet is in flight in nearly every cycle and the wake index alone pays
+// (0.02, 0.05), to near saturation, which bounds the default's bookkeeping
+// overhead when almost nothing is skippable (0.30). Results are bit-identical
+// either way (TestLeapGolden, TestDenseRequestsGolden); only wall-clock
+// differs.
+func BenchmarkNetworkSchedule(b *testing.B) {
+	for _, rate := range []float64{0.0005, 0.005, 0.02, 0.05, 0.30} {
+		for _, reference := range []bool{false, true} {
+			b.Run(fmt.Sprintf("rate=%g/reference=%t", rate, reference), func(b *testing.B) {
+				benchNetwork(b, rate, func(cfg *Config) { cfg.Reference = reference })
 			})
 		}
 	}
@@ -88,17 +48,17 @@ func BenchmarkNetworkLeap(b *testing.B) {
 
 // BenchmarkNetworkSharded measures the sharded stepper at the
 // near-saturation point, where intra-run parallelism is the only speedup
-// left (the active-set scheduler skips almost nothing there). shards=1
-// bounds the restructuring overhead of the two-phase cycle itself; higher
-// counts scale with available cores and degrade only by the per-cycle
-// barrier cost when cores are scarce. The 8- and 16-shard points exist to
-// profile the serial commit barrier (run with -blockprofile/-mutexprofile);
-// on the Fig.13 mesh they oversubscribe most hosts and are expected to
-// regress wall-clock there.
+// left (the default schedule skips almost nothing there). shards=1 bounds
+// the restructuring overhead of the two-phase cycle itself; higher counts
+// scale with available cores and degrade only by the per-cycle barrier cost
+// when cores are scarce. The 8- and 16-shard points exist to profile the
+// serial commit barrier (run with -blockprofile/-mutexprofile); on the Fig.13
+// mesh they oversubscribe most hosts and are expected to regress wall-clock
+// there.
 func BenchmarkNetworkSharded(b *testing.B) {
 	for _, s := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
-			benchNetworkShards(b, 0.30, false, s)
+			benchNetwork(b, 0.30, func(cfg *Config) { cfg.Shards = s })
 		})
 	}
 }
@@ -109,7 +69,10 @@ func BenchmarkNetworkSharded(b *testing.B) {
 func BenchmarkNetworkShardedFig14(b *testing.B) {
 	for _, s := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
-			benchNetworkSpec(b, 0.30, false, s, core.SpecGnt)
+			benchNetwork(b, 0.30, func(cfg *Config) {
+				cfg.Shards = s
+				cfg.SA.SpecMode = core.SpecGnt
+			})
 		})
 	}
 }

@@ -1,54 +1,43 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
 )
 
-// TestLeapGolden is the core contract of event leaping: jumping the clock
-// over provably idle stretches must reproduce the per-cycle stepper bit for
-// bit — same grants, same packet IDs, same floating-point latency sums — at
-// seed 42 on both paper topologies, all three speculation modes and both
-// shard counts, against both the dense reference schedule and the ticked
-// active-set schedule. The low-rate points are where leaping actually
-// engages (the network is fully idle between transactions); the fbfly ones
-// further pin the presample rewind path, because UGAL draws routing
-// randomness from the terminal's stream when a reply wakes it before its
-// presampled arrival. Validate is on for the leap runs, so every leap also
-// cross-checks the occupancy bitmask and the skipped span (validateLeap).
-func TestLeapGolden(t *testing.T) {
+// goldenMatrix runs assertGolden over topology × speculation mode at seed 42
+// and one rate, shards 1 and 4.
+func goldenMatrix(t *testing.T, rate float64) {
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
-			for _, rate := range []float64{0.3, 0.002} {
-				base := mk(2, rate)
-				base.Seed = 42
-				base.SA.SpecMode = mode
-				base.Warmup, base.Measure, base.Drain = 200, 500, 5000
-				ref := base
-				ref.Dense = true
-				want := New(ref).Run()
-				for _, shards := range []int{1, 4} {
-					ticked := base
-					ticked.Shards = shards
-					if got := New(ticked).Run(); got != want {
-						t.Errorf("%s %v rate=%g shards=%d: ticked active-set diverged from dense:\ndense:  %+v\nticked: %+v",
-							base.Topology.Name, mode, rate, shards, want, got)
-					}
-					leap := base
-					leap.Shards = shards
-					leap.Leap = true
-					leap.Validate = true
-					n := New(leap)
-					if got := n.Run(); got != want {
-						t.Errorf("%s %v rate=%g shards=%d: leaped run diverged from dense:\ndense: %+v\nleap:  %+v",
-							base.Topology.Name, mode, rate, shards, want, got)
-					}
-				}
-			}
+			base := mk(2, rate)
+			base.Seed = 42
+			base.SA.SpecMode = mode
+			base.Warmup, base.Measure, base.Drain = 200, 500, 5000
+			assertGolden(t, fmt.Sprintf("%s %v rate=%g", base.Topology.Name, mode, rate), base, 1, 4)
 		}
 	}
+}
+
+// TestDenseRequestsGolden is the loaded half of the golden matrix: at rate
+// 0.3 every router is busy, and the change-driven request cache — rebuilding
+// only dirty VCs' VA/SA request entries where the reference
+// (router.Config.DenseRequests) rebuilds them all — is the fast path doing
+// the work.
+func TestDenseRequestsGolden(t *testing.T) {
+	goldenMatrix(t, 0.3)
+}
+
+// TestLeapGolden is the drain-dominated half: at rate 0.002 the network is
+// fully idle between transactions, so this is where presampled arrivals and
+// clock leaps actually engage. The fbfly cells further pin the presample
+// rewind path, because UGAL draws routing randomness from the terminal's
+// stream when a reply wakes it before its presampled arrival.
+func TestLeapGolden(t *testing.T) {
+	goldenMatrix(t, 0.002)
 }
 
 // TestLeapEngages guards against the golden equivalence passing vacuously:
@@ -58,7 +47,6 @@ func TestLeapEngages(t *testing.T) {
 	cfg := meshConfig(2, 0.001)
 	cfg.Seed = 42
 	cfg.Warmup, cfg.Measure, cfg.Drain = 200, 500, 5000
-	cfg.Leap = true
 	cfg.Validate = true
 	n := New(cfg)
 	res := n.Run()
@@ -72,15 +60,23 @@ func TestLeapEngages(t *testing.T) {
 	if res.MeasuredPackets == 0 {
 		t.Error("no measured packets; the run exercised nothing")
 	}
+	// The reference ticks every one of those cycles.
+	cfg.Reference = true
+	ref := New(cfg)
+	if got := ref.Run(); got != res {
+		t.Errorf("reference diverged:\nreference: %+v\ndefault:   %+v", got, res)
+	}
+	if events, cycles := ref.LeapStats(); events != 0 || cycles != 0 {
+		t.Errorf("reference run leapt %d times over %d cycles, want 0 and 0", events, cycles)
+	}
 }
 
-// TestLeapComposesWithVariants pins leap bit-exactness for the allocator
-// variants with cross-cycle idle-priority state — wavefront's SkipIdle is a
-// modular priority advance, the free-queue VC allocator re-infers state
-// from request vectors, and the precomputed switch allocator latches a
-// request snapshot — exactly the machinery a multi-thousand-cycle leap
-// must compose with through the existing lastStep wake-up replay.
-func TestLeapComposesWithVariants(t *testing.T) {
+// variantsMatrix runs assertGolden at one rate over the allocator variants
+// with cross-cycle state: wavefront's SkipIdle is a modular priority advance
+// and its engines keep dirty-row scratch between calls, the free-queue VC
+// allocator re-infers freed VCs from the candidate vectors it is shown, and
+// the precomputed switch allocator latches a full request snapshot.
+func variantsMatrix(t *testing.T, rate float64) {
 	variants := []struct {
 		name string
 		set  func(*Config)
@@ -97,24 +93,26 @@ func TestLeapComposesWithVariants(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			for _, rate := range []float64{0.3, 0.002} {
-				base := meshConfig(2, rate)
-				base.Seed = 42
-				base.Warmup, base.Measure, base.Drain = 200, 400, 4000
-				v.set(&base)
-				ref := base
-				ref.Dense = true
-				want := New(ref).Run()
-				cfg := base
-				cfg.Leap = true
-				cfg.Validate = true
-				if got := New(cfg).Run(); got != want {
-					t.Errorf("%s rate=%g: leaped run diverged from dense:\ndense: %+v\nleap:  %+v",
-						v.name, rate, want, got)
-				}
-			}
+			base := meshConfig(2, rate)
+			base.Seed = 42
+			base.Warmup, base.Measure, base.Drain = 200, 400, 4000
+			v.set(&base)
+			assertGolden(t, fmt.Sprintf("%s rate=%g", v.name, rate), base, 1)
 		})
 	}
+}
+
+// TestDenseRequestsComposesWithVariants is the variants' loaded half: the
+// state above has to compose with a change-driven request rebuild.
+func TestDenseRequestsComposesWithVariants(t *testing.T) {
+	variantsMatrix(t, 0.3)
+}
+
+// TestLeapComposesWithVariants is their drain-dominated half: the same state
+// has to compose with multi-thousand-cycle leaps through the lastStep
+// wake-up replay.
+func TestLeapComposesWithVariants(t *testing.T) {
+	variantsMatrix(t, 0.002)
 }
 
 // TestLeapTorusGolden extends the golden matrix to the torus dateline
@@ -123,34 +121,23 @@ func TestLeapTorusGolden(t *testing.T) {
 	base := torusConfig(2, 0.002)
 	base.Seed = 42
 	base.Warmup, base.Measure, base.Drain = 200, 500, 5000
-	ref := base
-	ref.Dense = true
-	want := New(ref).Run()
-	for _, shards := range []int{1, 4} {
-		cfg := base
-		cfg.Shards = shards
-		cfg.Leap = true
-		cfg.Validate = true
-		if got := New(cfg).Run(); got != want {
-			t.Errorf("torus shards=%d: leaped run diverged from dense:\ndense: %+v\nleap:  %+v",
-				shards, want, got)
-		}
-	}
+	assertGolden(t, "torus", base, 1, 4)
 }
 
 // TestLeapRateChangeRewind pins the presample invalidation on
 // SetInjectionRate: the already-elapsed cycles must be replayed at the old
 // rate and the new rate take effect at the current cycle, exactly as
-// per-cycle ticking would have it. The two networks are stepped manually
-// (no leaping), so this isolates the presample/rewind bookkeeping itself.
+// per-cycle ticking (the reference) has it. The two networks are stepped
+// manually (no leaping), so this isolates the presample/rewind bookkeeping
+// itself.
 func TestLeapRateChangeRewind(t *testing.T) {
-	mk := func(leap bool) *Network {
+	mk := func(reference bool) *Network {
 		cfg := meshConfig(2, 0.05)
 		cfg.Seed = 42
-		cfg.Leap = leap
+		cfg.Reference = reference
 		return New(cfg)
 	}
-	a, b := mk(true), mk(false)
+	a, b := mk(false), mk(true)
 	step := func(n *Network, cycles int) {
 		for i := 0; i < cycles; i++ {
 			n.stepCycle()

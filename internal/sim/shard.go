@@ -73,7 +73,7 @@ type shard struct {
 
 	// wakeIndex says which terminals and routers the active-set scheduler
 	// visits this cycle and how far the leap gate may jump (wake.go). The
-	// dense stepper visits everything and never reads it.
+	// reference schedule visits everything and never reads it.
 	wakeIndex
 
 	// Free lists recycle flit and packet objects, with burst decay (see
@@ -274,7 +274,7 @@ func (s *shard) phase1() {
 	s.flitPool.trim()
 	s.pktPool.trim()
 
-	if n.cfg.Dense {
+	if n.cfg.Reference {
 		for t := s.t0; t < s.t1; t++ {
 			term := n.terminals[t]
 			term.generate(s)

@@ -35,21 +35,21 @@ func TestShardInvarianceGolden(t *testing.T) {
 	}
 }
 
-// TestShardInvarianceComposesWithDense checks the sharded stepper against
-// the dense reference: sharding and the active-set scheduler are
-// independent axes, and all four combinations must agree.
+// TestShardInvarianceComposesWithDense checks the sharded stepper under the
+// reference schedule too: sharding and the schedule are independent axes,
+// and all four combinations must agree.
 func TestShardInvarianceComposesWithDense(t *testing.T) {
 	base := meshConfig(2, 0.3)
 	base.Seed = 42
 	base.Warmup, base.Measure, base.Drain = 200, 500, 5000
 	want := New(base).Run()
-	for _, dense := range []bool{false, true} {
+	for _, reference := range []bool{false, true} {
 		for _, s := range []int{1, 4} {
 			cfg := base
-			cfg.Dense = dense
+			cfg.Reference = reference
 			cfg.Shards = s
 			if got := New(cfg).Run(); got != want {
-				t.Errorf("dense=%v shards=%d diverged:\nwant: %+v\ngot:  %+v", dense, s, want, got)
+				t.Errorf("reference=%v shards=%d diverged:\nwant: %+v\ngot:  %+v", reference, s, want, got)
 			}
 		}
 	}

@@ -48,19 +48,14 @@ type Config struct {
 	// scheme; Ports/VCs are filled in per router.
 	SA core.SwitchAllocConfig
 	// Workload selects the injection workload: arrival process, traffic
-	// pattern and their parameters (traffic.Workload). The zero value is
-	// the paper default (Bernoulli over uniform), with the legacy Pattern /
-	// InjectionRate fields below feeding its zero fields for backward
-	// compatibility; applyDefaults normalizes the three into one coherent
-	// spec.
+	// pattern, their parameters and the offered load Workload.Rate in
+	// flits/cycle/terminal (traffic.Workload). The zero value is the paper
+	// default (Bernoulli over uniform) at rate 0; applyDefaults normalizes it.
 	Workload traffic.Workload
 	// Pattern chooses packet destinations (default: built from
 	// Workload.Pattern; an explicitly set Pattern object wins over the
 	// workload's pattern name).
 	Pattern traffic.Pattern
-	// InjectionRate is the offered load in flits/cycle/terminal (legacy
-	// field: used when Workload.Rate is zero, and kept in sync with it).
-	InjectionRate float64
 	// RecordArrivals makes every terminal record its injected request
 	// transactions; Network.ArrivalTrace returns the merged trace after a
 	// run, ready for trace-replay workloads.
@@ -70,7 +65,10 @@ type Config struct {
 	ReadFraction *float64
 	// Seed makes the run deterministic.
 	Seed uint64
-	// Warmup, Measure and Drain are the phase lengths in cycles.
+	// Warmup, Measure and Drain are the phase lengths in cycles. Zero selects
+	// the default (2000 / 5000 / 20000) — Drain included, so "do not drain"
+	// is spelled Drain: 1. The drain phase ends early once every measured
+	// packet is delivered.
 	Warmup, Measure, Drain int
 	// Shards partitions the routers (each with its attached terminals) into
 	// this many groups that step concurrently within each cycle; a serial
@@ -83,29 +81,22 @@ type Config struct {
 	// with the simulation cycle.
 	Trace *trace.Tracer
 	// Validate enables per-cycle allocation checking in every router, the
+	// routers' check of their cached requests against a full rebuild, the
 	// wake index's per-cycle check against the dormant/quiescent predicates
 	// and the leap gate's check of every skipped span (panics on any
 	// invariant violation); used by tests.
 	Validate bool
-	// Dense disables the active-set scheduler and steps every router and
-	// terminal every cycle. Results are bit-identical either way; the dense
-	// stepper is kept as the golden reference for that equivalence.
-	Dense bool
-	// DenseRequests disables the routers' change-driven request caching:
-	// every stepped router rebuilds all VA/SA requests from scratch each
-	// cycle. Results are bit-identical either way; the dense rebuild is
-	// kept as the golden reference for that equivalence (it is a separate
-	// axis from Dense, which governs which routers are stepped at all).
-	DenseRequests bool
-	// Leap enables event leaping (see leap.go): when every router is
-	// quiescent, every terminal is dormant and no event is due, the clock
-	// jumps directly to the earliest pending timing-wheel event or
-	// presampled terminal arrival instead of ticking empty cycles. Results
-	// are bit-identical either way; the per-cycle stepper is kept as the
-	// golden reference for that equivalence. Dense or tracing forces the
-	// leap path off (the dense schedule steps every entity every cycle by
-	// definition, and traces record per-cycle state).
-	Leap bool
+	// Reference selects the reference schedule: every router and terminal
+	// is stepped every cycle, every router rebuilds all of its VA/SA
+	// requests from scratch each cycle (router.Config.DenseRequests), the
+	// arrival processes are ticked one cycle at a time and the clock never
+	// leaps. The default schedule visits only what the wake index names
+	// (wake.go), rebuilds only the requests that changed, presamples
+	// arrivals and jumps the clock over provably idle stretches (leap.go).
+	// Results are bit-identical either way; the reference is kept as what
+	// the golden tests compare the default against, and Validate is what
+	// localises a divergence to one of the default's fast paths.
+	Reference bool
 }
 
 func (c *Config) applyDefaults() {
@@ -116,14 +107,7 @@ func (c *Config) applyDefaults() {
 		rf := 0.5
 		c.ReadFraction = &rf
 	}
-	// Unify the workload spec with the legacy fields: the legacy rate feeds
-	// a zero Workload.Rate, normalization fills process/pattern defaults,
-	// and the legacy field is re-synced so old readers stay coherent.
-	if c.Workload.Rate == 0 {
-		c.Workload.Rate = c.InjectionRate
-	}
 	c.Workload = c.Workload.Normalized()
-	c.InjectionRate = c.Workload.Rate
 	if err := c.Workload.Validate(c.Topology.Terminals()); err != nil {
 		panic(err)
 	}
@@ -226,8 +210,9 @@ type Network struct {
 
 	nextPktID int64
 
-	// Event-leaping state (leap.go): leapOn caches the effective Leap
-	// setting after the Dense/Trace clamps; the counters feed LeapStats.
+	// Event-leaping state (leap.go): leapOn is the default schedule without
+	// a tracer (traces record per-cycle state, so a traced run ticks); the
+	// counters feed LeapStats.
 	leapOn      bool
 	leapEvents  int64
 	cyclesLeapt int64
@@ -280,7 +265,7 @@ func New(cfg Config) *Network {
 		routers:   make([]*router.Router, 0, cfg.Topology.Routers),
 		terminals: make([]*terminal, 0, cfg.Topology.Terminals()),
 		wheelSize: wheelSizeFor(cfg.Topology),
-		leapOn:    cfg.Leap && !cfg.Dense && cfg.Trace == nil,
+		leapOn:    !cfg.Reference && cfg.Trace == nil,
 	}
 	root := xrand.New(cfg.Seed)
 	for r := 0; r < cfg.Topology.Routers; r++ {
@@ -297,7 +282,7 @@ func New(cfg Config) *Network {
 			rcfg.Trace = cfg.Trace
 		}
 		rcfg.Validate = cfg.Validate
-		rcfg.DenseRequests = cfg.DenseRequests
+		rcfg.DenseRequests = cfg.Reference
 		n.routers = append(n.routers, router.New(rcfg))
 	}
 	procs, err := cfg.Workload.Processes(cfg.Topology.Terminals())
@@ -383,7 +368,7 @@ func (n *Network) Occupancy(r, p int) int { return n.routers[r].OutputOccupancy(
 // Within a shard the default schedule is active-set: terminals that cannot
 // make progress (no offered load, no open packet, empty source queues) and
 // quiescent routers (no occupied input VC) are skipped. Skipping is
-// bit-exact with the dense schedule because a dormant terminal draws no
+// bit-exact with the reference schedule because a dormant terminal draws no
 // randomness (the injection process consumes no RNG at zero rate) and a
 // quiescent router's Step is a state no-op apart from idle-variant
 // allocator priority, which SkipIdle replays on wake-up. Iteration stays
@@ -411,11 +396,11 @@ func (n *Network) stepCycle() {
 // stretches). Tests pin worker-release latency against this constant.
 const AbortCheckInterval = 256
 
-// Run executes warmup, measurement and drain and returns the result. With
-// Config.Leap the loops first offer each cycle to the leap gate (leap.go),
-// which jumps the clock over provably empty stretches; tryLeap never
-// advances past the phase horizon, so phase boundaries land on exactly the
-// cycles per-cycle ticking would visit.
+// Run executes warmup, measurement and drain and returns the result. Unless
+// Config.Reference is set the loops first offer each cycle to the leap gate
+// (leap.go), which jumps the clock over provably empty stretches; tryLeap
+// never advances past the phase horizon, so phase boundaries land on exactly
+// the cycles per-cycle ticking would visit.
 func (n *Network) Run() Result {
 	return n.RunCtx(context.Background())
 }

@@ -17,16 +17,16 @@ import (
 func meshConfig(c int, rate float64) Config {
 	topo := topology.Mesh(8)
 	return Config{
-		Topology:      topo,
-		Routing:       routing.NewDOR(topo),
-		Spec:          core.NewVCSpec(2, 1, c),
-		VA:            core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
-		SA:            core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
-		InjectionRate: rate,
-		Seed:          11,
-		Warmup:        500,
-		Measure:       1500,
-		Drain:         8000,
+		Topology: topo,
+		Routing:  routing.NewDOR(topo),
+		Spec:     core.NewVCSpec(2, 1, c),
+		VA:       core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
+		SA:       core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
+		Workload: traffic.Workload{Rate: rate},
+		Seed:     11,
+		Warmup:   500,
+		Measure:  1500,
+		Drain:    8000,
 	}
 }
 
@@ -304,7 +304,9 @@ func TestHighLoadNoDeadlockAllArchCombos(t *testing.T) {
 				cfg.VA.Arch = va
 				cfg.SA.Arch = sa
 				cfg.SA.SpecMode = mode
-				cfg.Warmup, cfg.Measure, cfg.Drain = 200, 400, 0
+				// Drain 0 would select the 20 000-cycle default: one cycle is
+				// "do not drain" (a saturated network never empties anyway).
+				cfg.Warmup, cfg.Measure, cfg.Drain = 200, 400, 1
 				n := New(cfg)
 				res := n.Run()
 				if res.FlitsDelivered == 0 {
@@ -533,6 +535,14 @@ func TestTracedSimulationTellsPacketStory(t *testing.T) {
 	}
 	if collector.Total() == 0 {
 		t.Fatal("no events recorded")
+	}
+	// A tracer keeps the default schedule's wake index but ticks arrivals and
+	// never leaps; that combination runs nowhere else and must reproduce the
+	// untraced reference all the same.
+	ref := cfg
+	ref.Trace, ref.Reference = nil, true
+	if want := New(ref).Run(); res != want {
+		t.Fatalf("traced run diverged from the reference:\nreference: %+v\ntraced:    %+v", want, res)
 	}
 	// Find a packet with a complete retained story.
 	var story []trace.Event

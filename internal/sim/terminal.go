@@ -146,7 +146,7 @@ func (t *terminal) inject(s *shard, typ traffic.PacketType, dst int) {
 // generate rolls the injection process for this cycle. With event leaping
 // an idle terminal consumes the whole run of per-cycle Bernoulli failures
 // up to the next success in one batch, exposing the arrival cycle to the
-// leap gate; the batch is the exact same draw sequence the dense reference
+// leap gate; the batch is the exact same draw sequence the reference schedule
 // consumes one cycle at a time.
 func (t *terminal) generate(s *shard) {
 	n := s.net
@@ -180,7 +180,7 @@ func (t *terminal) generateLeap(s *shard) {
 		case n.now < next:
 			// Woken before the presampled arrival (a reply arrived this
 			// cycle): rewind and replay the gate draws through this cycle
-			// so the stream position matches dense ticking before open()
+			// so the stream position matches per-cycle ticking before open()
 			// consumes any routing randomness.
 			g.Rewind(t.rng, n.now)
 			return

@@ -21,7 +21,6 @@ func TestWakeIndexVisitCounts(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := meshConfig(1, 0.001)
 			cfg.Seed = 42
-			cfg.Leap = true
 			cfg.Shards = shards
 			n := New(cfg)
 			defer n.Close()

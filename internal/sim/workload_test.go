@@ -14,45 +14,14 @@ func workloadConfig(mk func(int, float64) Config, rate float64, w traffic.Worklo
 	cfg := mk(2, rate)
 	cfg.Seed = 42
 	cfg.Warmup, cfg.Measure, cfg.Drain = 200, 500, 5000
+	w.Rate = rate
 	cfg.Workload = w
 	return cfg
 }
 
-// assertExecutionGolden runs the dense per-cycle reference and requires the
-// ticked active-set and event-leaped schedules (shards 1 and 4) to
-// reproduce it bit for bit — the same equivalence matrix TestLeapGolden
-// pins for the bernoulli/uniform baseline, extended to the new workloads.
-// Both run with Validate on, so every stepped cycle also checks the wake
-// index against dormant()/Quiescent() and every leap against the wheel.
-func assertExecutionGolden(t *testing.T, name string, base Config) {
-	t.Helper()
-	ref := base
-	ref.Dense = true
-	want := New(ref).Run()
-	if want.MeasuredPackets == 0 {
-		t.Fatalf("%s: no measured packets; the golden is vacuous", name)
-	}
-	for _, shards := range []int{1, 4} {
-		ticked := base
-		ticked.Shards = shards
-		ticked.Validate = true
-		if got := New(ticked).Run(); got != want {
-			t.Errorf("%s shards=%d: ticked active-set diverged from dense:\ndense:  %+v\nticked: %+v",
-				name, shards, want, got)
-		}
-		leap := base
-		leap.Shards = shards
-		leap.Leap = true
-		leap.Validate = true
-		if got := New(leap).Run(); got != want {
-			t.Errorf("%s shards=%d: leaped run diverged from dense:\ndense: %+v\nleap:  %+v",
-				name, shards, want, got)
-		}
-	}
-}
-
-// TestWorkloadGoldenMMP pins the execution-equivalence matrix for the
-// bursty MMP arrival process on both paper topologies. The fbfly leg also
+// TestWorkloadGoldenMMP pins the default schedule against the reference
+// (assertGolden, shards 1 and 4) for the bursty MMP arrival process on both
+// paper topologies. The fbfly leg also
 // exercises the presample rewind under UGAL's terminal-stream routing
 // draws, now with phase state in the process snapshot.
 func TestWorkloadGoldenMMP(t *testing.T) {
@@ -64,7 +33,7 @@ func TestWorkloadGoldenMMP(t *testing.T) {
 		{"fbfly", fbflyConfig},
 	} {
 		w := traffic.Workload{Process: "mmp", BurstLen: 16, Duty: 0.25}
-		assertExecutionGolden(t, tc.name+"/mmp", workloadConfig(tc.mk, 0.1, w))
+		assertGolden(t, tc.name+"/mmp", workloadConfig(tc.mk, 0.1, w), 1, 4)
 	}
 }
 
@@ -79,15 +48,16 @@ func TestWorkloadGoldenHotspot(t *testing.T) {
 		{"fbfly", fbflyConfig},
 	} {
 		w := traffic.Workload{Pattern: "hotspot", Hotspots: []int{0, 9}, HotspotFraction: 0.2}
-		assertExecutionGolden(t, tc.name+"/hotspot", workloadConfig(tc.mk, 0.1, w))
+		assertGolden(t, tc.name+"/hotspot", workloadConfig(tc.mk, 0.1, w), 1, 4)
 	}
 }
 
-// recordedTrace runs one dense recording pass and returns its trace.
+// recordedTrace runs one recording pass under the reference schedule and
+// returns its trace.
 func recordedTrace(t *testing.T, mk func(int, float64) Config, rate float64) *traffic.PacketTrace {
 	t.Helper()
 	cfg := workloadConfig(mk, rate, traffic.Workload{})
-	cfg.Dense = true
+	cfg.Reference = true
 	cfg.RecordArrivals = true
 	n := New(cfg)
 	n.Run()
@@ -99,8 +69,8 @@ func recordedTrace(t *testing.T, mk func(int, float64) Config, rate float64) *tr
 }
 
 // TestWorkloadGoldenReplay pins the matrix for trace replay on both
-// topologies: a trace recorded on each network replays through the dense,
-// active-set and leaped schedules bit-identically. Replay consumes no
+// topologies: a trace recorded on each network replays through the reference
+// and the default schedule bit-identically. Replay consumes no
 // terminal randomness at all, so this exercises the quiet-terminal and
 // exhausted-replay paths of the scheduler.
 func TestWorkloadGoldenReplay(t *testing.T) {
@@ -112,7 +82,7 @@ func TestWorkloadGoldenReplay(t *testing.T) {
 		{"fbfly", fbflyConfig},
 	} {
 		pt := recordedTrace(t, tc.mk, 0.1)
-		assertExecutionGolden(t, tc.name+"/replay", workloadConfig(tc.mk, 0, traffic.Workload{Trace: pt}))
+		assertGolden(t, tc.name+"/replay", workloadConfig(tc.mk, 0, traffic.Workload{Trace: pt}), 1, 4)
 	}
 }
 
@@ -155,7 +125,6 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 // cycles while every terminal sits in its OFF phase.
 func TestLeapEngagesDuringBurstOFF(t *testing.T) {
 	cfg := workloadConfig(meshConfig, 0.002, traffic.Workload{Process: "mmp", BurstLen: 64, Duty: 0.05})
-	cfg.Leap = true
 	cfg.Validate = true
 	n := New(cfg)
 	res := n.Run()
@@ -176,13 +145,13 @@ func TestLeapEngagesDuringBurstOFF(t *testing.T) {
 // at the old rate in the old phase, and the new rate takes effect at the
 // current cycle, exactly as per-cycle ticking has it.
 func TestMMPRateChangeRewind(t *testing.T) {
-	mk := func(leap bool) *Network {
+	mk := func(reference bool) *Network {
 		cfg := workloadConfig(meshConfig, 0.05, traffic.Workload{Process: "mmp", BurstLen: 16, Duty: 0.25})
-		cfg.Leap = leap
+		cfg.Reference = reference
 		cfg.Validate = true // SetInjectionRate re-files every terminal in the wake index
 		return New(cfg)
 	}
-	a, b := mk(true), mk(false)
+	a, b := mk(false), mk(true)
 	step := func(n *Network, cycles int) {
 		for i := 0; i < cycles; i++ {
 			n.stepCycle()

@@ -155,7 +155,6 @@ func TestServerDiskRestartWarm(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
 		Defaults: goldenScale(1),
-		Exec:     Exec{Leap: true},
 		Workers:  2,
 		CacheDir: root,
 	}
@@ -227,7 +226,6 @@ func TestServerDiskCorruptionFallsBackToSim(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
 		Defaults: goldenScale(1),
-		Exec:     Exec{Leap: true},
 		Workers:  1,
 		CacheDir: root,
 	}
@@ -302,7 +300,7 @@ func TestServerHealsStaleV2Cache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := Options{Defaults: goldenScale(1), Exec: Exec{Leap: true}, Workers: 1, CacheDir: root}
+	opts := Options{Defaults: goldenScale(1), Workers: 1, CacheDir: root}
 	s, ts := newTestServer(t, opts)
 	res := postSweep(t, ts.Client(), ts.URL, req)
 	if res.Summary.Misses != 1 || s.SimRuns() != 1 {
@@ -476,7 +474,6 @@ func TestServerRestartAfterEvictionHeals(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
 		Defaults:       goldenScale(1),
-		Exec:           Exec{Leap: true},
 		Workers:        2,
 		CacheDir:       root,
 		DiskMaxEntries: 2,

@@ -55,9 +55,10 @@ const SchemaVersion = 3
 
 // UnitConfig is one (config, seed) simulation unit: the semantic
 // description of a run, and nothing else. Execution hints — shard count,
-// worker placement, dense/leap reference paths — are deliberately excluded:
-// the simulator is bit-identical across all of them (the golden suite pins
-// this), so they must not influence the content key. They live in Exec.
+// worker placement, the simulator's reference schedule — are deliberately
+// excluded: the simulator is bit-identical across all of them (the golden
+// suite pins this), so they must not influence the content key. A server
+// takes them from its Options.Defaults.
 //
 // Zero values mean "default" and are filled by Normalized before hashing,
 // so a default-filled and an explicitly-spelled config produce the same
@@ -117,20 +118,6 @@ type UnitConfig struct {
 	// Seed makes the run deterministic. Zero is a valid seed and is NOT
 	// defaulted — two requests differing only in seed are different units.
 	Seed uint64 `json:"seed"`
-}
-
-// Exec carries the execution hints a server applies to every unit it
-// simulates. None of these fields may influence results (bit-identity is
-// golden-tested), so none participate in the content key.
-type Exec struct {
-	// Shards splits each simulation into concurrently stepped router
-	// groups (sim.Config.Shards).
-	Shards int `json:"shards,omitempty"`
-	// Dense and DenseRequests select the reference scheduler / request
-	// paths; Leap enables event leaping. All bit-identical axes.
-	Dense         bool `json:"dense,omitempty"`
-	DenseRequests bool `json:"dense_requests,omitempty"`
-	Leap          bool `json:"leap,omitempty"`
 }
 
 // Normalized returns the config with every defaultable zero field filled
@@ -332,8 +319,10 @@ func (c UnitConfig) Key() string {
 
 // BuildSim assembles the unit's sim.Config through the same
 // experiments.BuildSim path the batch CLIs use, then applies the unit's
-// allocator/pattern/workload overrides and the server's execution hints.
-func (c UnitConfig) BuildSim(exec Exec) (sim.Config, error) {
+// allocator/pattern/workload overrides. shards and reference are the
+// execution hints (sim.Config.Shards / Reference): they change no result and
+// are no part of the unit.
+func (c UnitConfig) BuildSim(shards int, reference bool) (sim.Config, error) {
 	c = c.Normalized()
 	if err := c.Validate(); err != nil {
 		return sim.Config{}, err
@@ -344,7 +333,7 @@ func (c UnitConfig) BuildSim(exec Exec) (sim.Config, error) {
 	}
 	scale := experiments.SimScale{
 		Warmup: c.Warmup, Measure: c.Measure, Drain: c.Drain, Seed: c.Seed,
-		Shards: exec.Shards, Dense: exec.Dense, DenseRequests: exec.DenseRequests, Leap: exec.Leap,
+		Shards: shards, Reference: reference,
 		Workload: c.workload(),
 	}
 	cfg := experiments.BuildSim(pt, c.Rate, scale)
@@ -396,9 +385,9 @@ func (r UnitResult) NetPoint() experiments.NetPoint {
 // RunUnit simulates one unit to completion (or until ctx is cancelled,
 // checked every sim.AbortCheckInterval cycles; a cancelled run returns
 // ctx.Err() and no result).
-func RunUnit(ctx context.Context, c UnitConfig, exec Exec) (UnitResult, error) {
+func RunUnit(ctx context.Context, c UnitConfig, shards int, reference bool) (UnitResult, error) {
 	c = c.Normalized()
-	cfg, err := c.BuildSim(exec)
+	cfg, err := c.BuildSim(shards, reference)
 	if err != nil {
 		return UnitResult{}, err
 	}

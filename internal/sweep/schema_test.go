@@ -211,11 +211,11 @@ func TestKeyWorkloadCollapse(t *testing.T) {
 // the batch CLI path builds for the same design point and scale.
 func TestBuildSimMatchesBatchPath(t *testing.T) {
 	u := UnitConfig{Topo: "mesh", VCsPerClass: 2, Rate: 0.25, Seed: 42, Warmup: 500, Measure: 1000, Drain: 4000}
-	cfg, err := u.BuildSim(Exec{Shards: 4, Leap: true})
+	cfg, err := u.BuildSim(4, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.InjectionRate != 0.25 || cfg.Seed != 42 || cfg.Shards != 4 || !cfg.Leap {
+	if cfg.Workload.Rate != 0.25 || cfg.Seed != 42 || cfg.Shards != 4 || !cfg.Reference {
 		t.Fatalf("BuildSim dropped fields: %+v", cfg)
 	}
 	if cfg.Spec.VCsPerClass != 2 || cfg.Topology == nil || cfg.Routing == nil {

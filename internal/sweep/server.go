@@ -124,12 +124,12 @@ type SweepSummary struct {
 
 // Options configures a Server.
 type Options struct {
-	// Defaults fills a request's zero phase lengths and seed before
-	// normalization (a sweepd -warmup/-measure/-drain/-seed flag set);
-	// zero fields fall back to the schema defaults.
+	// Defaults fills a request's zero phase lengths, seed and workload
+	// fields before normalization (a sweepd -warmup/-measure/-drain/-seed
+	// flag set); zero fields fall back to the schema defaults. Its Shards
+	// and Reference are the execution hints applied to every simulated unit
+	// (they change no result and no content key); Workers is not read.
 	Defaults experiments.SimScale
-	// Exec carries the execution hints applied to every simulated unit.
-	Exec Exec
 	// Workers bounds concurrently running simulations (default
 	// 1; sweepd passes GOMAXPROCS).
 	Workers int
@@ -160,7 +160,6 @@ type Options struct {
 // GET /statz report liveness and counters.
 type Server struct {
 	defaults experiments.SimScale
-	exec     Exec
 	store    *Store
 	disk     *DiskStore // nil when CacheDir is empty
 	flight   *Group
@@ -197,7 +196,6 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	return &Server{
 		defaults: opts.Defaults,
-		exec:     opts.Exec,
 		store:    NewStore(opts.MaxEntries, opts.MaxBytes),
 		disk:     disk,
 		flight:   NewGroup(),
@@ -417,7 +415,7 @@ func (s *Server) serveUnit(ctx context.Context, u UnitConfig, key string) (data 
 		var runErr error
 		poolErr := s.pool.Run(runCtx, func(simCtx context.Context) {
 			s.simRuns.Add(1)
-			res, runErr = RunUnit(simCtx, u, s.exec)
+			res, runErr = RunUnit(simCtx, u, s.defaults.Shards, s.defaults.Reference)
 		})
 		if poolErr != nil {
 			return nil, poolErr

@@ -88,7 +88,7 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 
 // goldenScale is the test-sized batch scale the golden comparisons use.
 func goldenScale(shards int) experiments.SimScale {
-	return experiments.SimScale{Warmup: 200, Measure: 400, Drain: 2000, Seed: 42, Workers: 2, Shards: shards, Leap: true}
+	return experiments.SimScale{Warmup: 200, Measure: 400, Drain: 2000, Seed: 42, Workers: 2, Shards: shards}
 }
 
 // TestServerGoldenBitIdentical is the acceptance golden: for both paper
@@ -107,15 +107,15 @@ func TestServerGoldenBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				scale := goldenScale(shards)
-				batch := experiments.Fig13(pt, rates, scale)
+				batch := experiments.Fig13(context.Background(), pt, rates, scale)
 				batchJSON, err := json.Marshal(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				srv, ts := newTestServer(t, Options{
-					Workers: 2,
-					Exec:    Exec{Shards: shards, Leap: true},
+					Workers:  2,
+					Defaults: experiments.SimScale{Shards: shards},
 				})
 				req := Request{
 					Base: UnitConfig{
@@ -182,7 +182,7 @@ func TestServerGoldenBitIdentical(t *testing.T) {
 // requests for one identical unit run exactly one simulation, verified by
 // the server's sim-run counter, and every caller receives identical bytes.
 func TestServerCoalescing(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 2, Exec: Exec{Leap: true}})
+	srv, ts := newTestServer(t, Options{Workers: 2})
 	req := Request{Base: UnitConfig{
 		Topo: "mesh", Rate: 0.2, Seed: 42, Warmup: 500, Measure: 2000, Drain: 6000,
 	}}
@@ -216,7 +216,7 @@ func TestServerCoalescing(t *testing.T) {
 // checks the accounting: evictions occurred, the store stayed within
 // bounds, and an evicted unit re-simulates on the next request.
 func TestServerEviction(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 2, MaxEntries: 2, Exec: Exec{Leap: true}})
+	srv, ts := newTestServer(t, Options{Workers: 2, MaxEntries: 2})
 	base := UnitConfig{Topo: "mesh", Seed: 42, Warmup: 100, Measure: 200, Drain: 1000}
 	req := Request{Base: base, Rates: []float64{0.05, 0.1, 0.15}}
 	postSweep(t, ts.Client(), ts.URL, req)
@@ -239,12 +239,41 @@ func TestServerEviction(t *testing.T) {
 	}
 }
 
+// TestServerShardsFromDefaults pins where the server's execution hints come
+// from: the Shards (and Reference) of the one Options.Defaults, with no second
+// copy to forget. A unit running on a Shards: 4 server has three shard workers
+// parked beside the stepping goroutine.
+func TestServerShardsFromDefaults(t *testing.T) {
+	srv, _ := newTestServer(t, Options{Workers: 1, Defaults: experiments.SimScale{Shards: 4}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		// ~50M cycles: it runs until cancelled.
+		_, err := srv.EvalUnit(ctx, UnitConfig{Topo: "mesh", Rate: 0.3, Seed: 42, Warmup: 500, Measure: 50_000_000, Drain: 1000})
+		done <- err
+	}()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for workers := 0; workers != 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shard workers running, want 3", workers)
+		}
+		time.Sleep(time.Millisecond)
+		workers = bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*Network).shardWorker("))
+	}
+	cancel()
+	if err := <-done; err == nil {
+		t.Fatal("cancelled unit returned a result")
+	}
+}
+
 // TestServerDisconnectCancelsUnit is the acceptance cancellation check: a
 // client that disconnects mid-simulation frees its worker promptly (the
 // sim aborts within one sim.AbortCheckInterval poll), the coalescing key is
 // released, and no goroutines leak.
 func TestServerDisconnectCancelsUnit(t *testing.T) {
-	srv, ts := newTestServer(t, Options{Workers: 1, Exec: Exec{Leap: true}})
+	srv, ts := newTestServer(t, Options{Workers: 1})
 	// Let httptest's server bookkeeping settle before baselining.
 	time.Sleep(20 * time.Millisecond)
 	baseGoroutines := runtime.NumGoroutine()
@@ -341,7 +370,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 
 // TestServerEndpoints smoke-tests /healthz and /statz.
 func TestServerEndpoints(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, Exec: Exec{Leap: true}})
+	_, ts := newTestServer(t, Options{Workers: 1})
 	resp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,8 @@
 package repro
 
 import (
+	"context"
+
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
 	"repro/internal/bitvec"
@@ -249,6 +251,10 @@ func NewTrafficPattern(name string, terminals int) (TrafficPattern, error) {
 	return traffic.NewPattern(name, terminals)
 }
 
+// Workload is the injection workload of a simulation: arrival process,
+// traffic pattern and the offered load Workload.Rate in flits/cycle/terminal.
+type Workload = traffic.Workload
+
 // --- Network simulation -------------------------------------------------------------
 
 // SimConfig describes one network simulation run.
@@ -284,12 +290,12 @@ type SimScale = experiments.SimScale
 
 // Fig13 regenerates a Fig. 13 subfigure (switch allocator comparison).
 func Fig13(pt DesignPoint, rates []float64, s SimScale) []NetSeries {
-	return experiments.Fig13(pt, rates, s)
+	return experiments.Fig13(context.Background(), pt, rates, s)
 }
 
 // Fig14 regenerates a Fig. 14 subfigure (speculation scheme comparison).
 func Fig14(pt DesignPoint, rates []float64, s SimScale) []NetSeries {
-	return experiments.Fig14(pt, rates, s)
+	return experiments.Fig14(context.Background(), pt, rates, s)
 }
 
 // InjectionRates returns the paper's x-axis sweep for a design point.

@@ -121,16 +121,16 @@ func TestFacadeQuality(t *testing.T) {
 func TestFacadeSimulation(t *testing.T) {
 	topo := repro.Mesh(8)
 	res := repro.NewNetwork(repro.SimConfig{
-		Topology:      topo,
-		Routing:       repro.NewDOR(topo),
-		Spec:          repro.NewVCSpec(2, 1, 1),
-		VA:            repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
-		SA:            repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
-		InjectionRate: 0.1,
-		Seed:          1,
-		Warmup:        300,
-		Measure:       700,
-		Drain:         4000,
+		Topology: topo,
+		Routing:  repro.NewDOR(topo),
+		Spec:     repro.NewVCSpec(2, 1, 1),
+		VA:       repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
+		SA:       repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
+		Workload: repro.Workload{Rate: 0.1},
+		Seed:     1,
+		Warmup:   300,
+		Measure:  700,
+		Drain:    4000,
 	}).Run()
 	if res.Saturated || res.AvgLatency <= 0 {
 		t.Fatalf("facade sim run broken: %+v", res)
@@ -219,16 +219,16 @@ func TestFacadeExtensions(t *testing.T) {
 	tspec := repro.NewVCSpec(2, 2, 1)
 	tspec.ResourceSucc = repro.TorusResourceSucc()
 	res := repro.NewNetwork(repro.SimConfig{
-		Topology:      topo,
-		Routing:       repro.NewTorusDateline(topo),
-		Spec:          tspec,
-		VA:            repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
-		SA:            repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
-		InjectionRate: 0.1,
-		Seed:          1,
-		Warmup:        200,
-		Measure:       500,
-		Drain:         3000,
+		Topology: topo,
+		Routing:  repro.NewTorusDateline(topo),
+		Spec:     tspec,
+		VA:       repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
+		SA:       repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
+		Workload: repro.Workload{Rate: 0.1},
+		Seed:     1,
+		Warmup:   200,
+		Measure:  500,
+		Drain:    3000,
 	}).Run()
 	if res.Unfinished != 0 {
 		t.Fatalf("torus facade run did not drain: %+v", res)
