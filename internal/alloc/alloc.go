@@ -367,11 +367,11 @@ type wavefront struct {
 	n          int // number of diagonal classes = max(rows, cols)
 	prio       int
 	gnt        bitvec.Matrix
-	rowFree    *bitvec.Vec
+	rowBusy    *bitvec.Vec // rows granted by the latest Allocate: the non-zero rows of gnt
 	colFree    *bitvec.Vec
 	diagRows   []bitvec.Vec // per diagonal class, rows wide: rows requesting on it
 	diagAny    *bitvec.Vec  // diagonal classes whose diagRows vector is dirty
-	wave       *bitvec.Vec  // scratch: diagRows[d] & rowFree
+	wave       *bitvec.Vec  // scratch: diagRows[d] &^ rowBusy
 }
 
 // NewWavefront returns a rows×cols wavefront allocator.
@@ -384,7 +384,7 @@ func NewWavefront(rows, cols int) Allocator {
 	var s bitvec.Slab
 	for pass := 0; pass < 2; pass++ {
 		a.gnt = s.Matrix(rows, cols)
-		a.rowFree = s.Vec(rows)
+		a.rowBusy = s.Vec(rows)
 		a.colFree = s.Vec(cols)
 		a.diagRows = s.Vecs(n, rows)
 		a.diagAny = s.Vec(n)
@@ -409,12 +409,15 @@ func (a *wavefront) SkipIdle(idleCycles int64) {
 
 func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	checkShape(req, a.rows, a.cols)
-	a.gnt.Reset()
-	a.rowFree.SetAll()
-	a.colFree.SetAll()
+	// Only the rows the previous call granted hold a bit.
+	for i := a.rowBusy.NextSet(0); i >= 0; i = a.rowBusy.NextSet(i + 1) {
+		a.gnt.Row(i).Reset()
+	}
+	a.rowBusy.Reset()
 	// Bucket requests by diagonal class. Since n >= cols, each row has at
 	// most one column on any diagonal: (i, j) lies on class (i + j) mod n,
-	// and j is recoverable from (class, i).
+	// and j is recoverable from (class, i). Both are below n, so one
+	// conditional subtraction (or addition, going back) reduces mod n.
 	for d := a.diagAny.NextSet(0); d >= 0; d = a.diagAny.NextSet(d + 1) {
 		a.diagRows[d].Reset()
 	}
@@ -422,27 +425,48 @@ func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	for i := 0; i < a.rows; i++ {
 		row := req.Row(i)
 		for j := row.NextSet(0); j >= 0; j = row.NextSet(j + 1) {
-			d := (i + j) % a.n
+			d := i + j
+			if d >= a.n {
+				d -= a.n
+			}
 			a.diagRows[d].Set(i)
 			a.diagAny.Set(d)
 		}
 	}
-	for k := 0; k < a.n; k++ {
-		d := (a.prio + k) % a.n
-		if !a.wave.AndInto(&a.diagRows[d], a.rowFree) {
-			continue
-		}
-		for i := a.wave.NextSet(0); i >= 0; i = a.wave.NextSet(i + 1) {
-			j := (d - i%a.n + a.n) % a.n
-			if a.colFree.Get(j) {
-				a.gnt.Set(i, j)
-				a.rowFree.Clear(i)
-				a.colFree.Clear(j)
+	// Visit the classes that hold a request, from the priority diagonal
+	// round to the one before it.
+	if first := a.diagAny.NextFrom(a.prio); first >= 0 {
+		a.colFree.SetAll()
+		for d := first; ; {
+			a.sweep(d)
+			if d = a.diagAny.NextFrom(d + 1); d == first {
+				break
 			}
 		}
 	}
-	a.prio = (a.prio + 1) % a.n
+	if a.prio++; a.prio == a.n {
+		a.prio = 0
+	}
 	return &a.gnt
+}
+
+// sweep grants every request on diagonal class d whose row and column are
+// still free.
+func (a *wavefront) sweep(d int) {
+	if !a.wave.AndNotInto(&a.diagRows[d], a.rowBusy) {
+		return
+	}
+	for i := a.wave.NextSet(0); i >= 0; i = a.wave.NextSet(i + 1) {
+		j := d - i
+		if j < 0 {
+			j += a.n
+		}
+		if a.colFree.Get(j) {
+			a.gnt.Set(i, j)
+			a.rowBusy.Set(i)
+			a.colFree.Clear(j)
+		}
+	}
 }
 
 // maximum is a maximum-size allocator based on Hopcroft–Karp style repeated

@@ -183,6 +183,51 @@ func TestWavefrontMaximalRectangular(t *testing.T) {
 	}
 }
 
+// TestWavefrontMatchesCellByCell holds the wavefront allocator to the
+// textbook formulation it abbreviates: every one of the n diagonals visited
+// from the priority diagonal on, every row of each tried in turn, all index
+// arithmetic by %, a fresh grant matrix per call. Square, wide and tall
+// shapes (one past a word boundary), request matrices from empty to full so
+// that stale grant rows and request-free calls occur, SkipIdle and Reset in
+// between.
+func TestWavefrontMatchesCellByCell(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {5, 5}, {16, 16}, {6, 11}, {11, 6}, {65, 9}, {3, 70}} {
+		rows, cols := shape[0], shape[1]
+		n := max(rows, cols)
+		a := NewWavefront(rows, cols)
+		rng := xrand.New(uint64(113 + rows*100 + cols))
+		prio := 0
+		for trial := 0; trial < 400; trial++ {
+			switch rng.Intn(12) {
+			case 0:
+				k := rng.Intn(3 * n)
+				a.(IdleSkipper).SkipIdle(int64(k))
+				prio = (prio + k) % n
+			case 1:
+				a.Reset()
+				prio = 0
+			}
+			req := randomMatrix(rng, rows, cols, []float64{0, 0.02, 0.3, 1}[rng.Intn(4)])
+			want := bitvec.NewMatrix(rows, cols)
+			rowUsed, colUsed := make([]bool, rows), make([]bool, cols)
+			for k := 0; k < n; k++ {
+				d := (prio + k) % n
+				for i := 0; i < rows; i++ {
+					j := ((d-i)%n + n) % n
+					if j < cols && req.Get(i, j) && !rowUsed[i] && !colUsed[j] {
+						want.Set(i, j)
+						rowUsed[i], colUsed[j] = true, true
+					}
+				}
+			}
+			prio = (prio + 1) % n
+			if got := a.Allocate(req); !got.Equal(want) {
+				t.Fatalf("%dx%d trial %d:\nreq:\n%v\ngot:\n%v\nwant:\n%v", rows, cols, trial, req, got, want)
+			}
+		}
+	}
+}
+
 func TestMaximumIsMaximum(t *testing.T) {
 	// Cross-check Kuhn's algorithm against brute force on small matrices.
 	rng := xrand.New(113)

@@ -13,6 +13,7 @@ package arbiter
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/slab"
@@ -170,6 +171,27 @@ func (a *MatrixArbiter) Pick(req *bitvec.Vec) int {
 	return -1
 }
 
+// pickWord is Pick for an arbiter at most 64 wide whose request vector is
+// held in one word.
+func (a *MatrixArbiter) pickWord(req uint64) int {
+	checkWord(a.n, req)
+	for w := req; w != 0; w &= w - 1 {
+		c := bits.TrailingZeros64(w)
+		if bits.OnesCount64(req&^a.beats[c].Words()[0]) == 1 {
+			return c
+		}
+	}
+	return -1
+}
+
+// checkWord panics unless an n-input request vector fits the word req and
+// req has no bit at or above n.
+func checkWord(n int, req uint64) {
+	if n > 64 || req>>uint(n) != 0 {
+		panic(fmt.Sprintf("arbiter: request word %#x does not fit arbiter width %d", req, n))
+	}
+}
+
 // Update implements Arbiter.
 func (a *MatrixArbiter) Update(winner int) {
 	if winner < 0 || winner >= a.n {
@@ -219,6 +241,24 @@ func (b *Bank) Pick(i int, req *bitvec.Vec) int {
 		panic(fmt.Sprintf("arbiter: request width %d, arbiter width %d", req.Len(), b.rrN))
 	}
 	return req.NextFrom(int(b.rr[i]))
+}
+
+// PickWord is Pick on arbiter i for banks of arbiters at most 64 wide, with
+// the request vector held in one word: bit r of req is request r. It panics
+// if the arbiters are wider or req has a bit at or above their width.
+func (b *Bank) PickWord(i int, req uint64) int {
+	if b.mx != nil {
+		return b.mx[i].pickWord(req)
+	}
+	checkWord(int(b.rrN), req)
+	// Requests at or above the pointer win over the wrapped-around ones.
+	if hi := req &^ (1<<uint(b.rr[i]) - 1); hi != 0 {
+		return bits.TrailingZeros64(hi)
+	}
+	if req == 0 {
+		return -1
+	}
+	return bits.TrailingZeros64(req)
 }
 
 // Update is Arbiter.Update on arbiter i.

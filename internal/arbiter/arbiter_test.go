@@ -377,6 +377,26 @@ func BenchmarkMatrixPick64(b *testing.B) {
 	}
 }
 
+// BenchmarkBankPickWord is the word form of the two benches above: the same
+// 64-wide request set, picked and updated through a bank.
+func BenchmarkBankPickWord(b *testing.B) {
+	var req uint64
+	for i := 0; i < 64; i += 3 {
+		req |= 1 << uint(i)
+	}
+	for _, k := range allKinds() {
+		b.Run(k.String(), func(b *testing.B) {
+			bank := NewBank(k, 1, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := bank.PickWord(0, req)
+				bank.Update(0, w)
+			}
+		})
+	}
+}
+
 // Property: the matrix arbiter's priority matrix always encodes a
 // tournament (exactly one of "i beats j" / "j beats i" for i != j), so a
 // unique winner exists for every non-empty request set.

@@ -96,6 +96,11 @@ func checkBankEquivalence(t *testing.T, bank indexed, refs []Arbiter, seed uint6
 			if again := bank.Pick(i, req); again != got {
 				t.Fatalf("step %d: slot %d pick changed from %d to %d without an Update", step, i, got, again)
 			}
+			if wb, ok := bank.(*Bank); ok && n <= 64 {
+				if w := wb.PickWord(i, req.Words()[0]); w != got {
+					t.Fatalf("step %d: slot %d PickWord picked %d for %s, Pick picked %d", step, i, w, req, got)
+				}
+			}
 			// Update on roughly two picks in three, as a separable allocator
 			// does when a pick wins the second stage.
 			if got >= 0 && op%3 != 0 {
@@ -138,6 +143,36 @@ func TestTreeBankMatchesStandaloneTrees(t *testing.T) {
 				one := NewTreeBank(k, 1, shape.groups, shape.groupSize)
 				checkBankEquivalence(t, &one, []Arbiter{single}, 7)
 			})
+		}
+	}
+}
+
+// TestPickWordRejectsWhatDoesNotFit: a word cannot carry a request vector
+// wider than 64, and a bit at or above the arbiter's width is a caller bug
+// that must not be arbitrated as if it were a request.
+func TestPickWordRejectsWhatDoesNotFit(t *testing.T) {
+	for _, k := range allKinds() {
+		wide, narrow, full := NewBank(k, 1, 65), NewBank(k, 1, 5), NewBank(k, 1, 64)
+		for name, fn := range map[string]func(){
+			"width 65":       func() { wide.PickWord(0, 1) },
+			"bit 5 of 5":     func() { narrow.PickWord(0, 1<<5) },
+			"bit 63 of 5":    func() { narrow.PickWord(0, 1<<63) },
+			"empty width 65": func() { wide.PickWord(0, 0) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: expected panic", k, name)
+					}
+				}()
+				fn()
+			}()
+		}
+		if got := full.PickWord(0, 1<<63); got != 63 {
+			t.Errorf("%s: bit 63 of a 64-wide arbiter picked %d", k, got)
+		}
+		if got := narrow.PickWord(0, 0); got != -1 {
+			t.Errorf("%s: empty request picked %d", k, got)
 		}
 	}
 }

@@ -73,6 +73,16 @@ func (s *Slab) Vec(n int) *Vec {
 	return nil
 }
 
+// Words returns n zeroed raw words from the word backing, capacity cut like a
+// vector's (nil on the measuring pass). It is for owners whose sets fit one
+// machine word each and need no header: word i of the result is set i.
+func (s *Slab) Words(n int) []uint64 {
+	if n < 0 {
+		panic("bitvec: negative count")
+	}
+	return s.words.Take(n)
+}
+
 // Matrix returns a zeroed rows×cols matrix whose rows come from the slab
 // (unusable on the measuring pass).
 func (s *Slab) Matrix(rows, cols int) Matrix {

@@ -36,17 +36,25 @@ func TestSlabMixedWidths(t *testing.T) {
 	var narrow, wide []Vec
 	var one *Vec
 	var m Matrix
+	var raw []uint64
 	for pass := 0; pass < 2; pass++ {
 		narrow = s.Vecs(3, 5)
 		one = s.Vec(64)
+		raw = s.Words(3)
 		wide = s.Vecs(2, 129)
 		m = s.Matrix(4, 7)
 		if pass == 0 {
-			if narrow != nil || one != nil || wide != nil {
+			if narrow != nil || one != nil || wide != nil || raw != nil {
 				t.Fatal("measuring pass returned storage")
 			}
 			s.Alloc()
 		}
+	}
+	if len(raw) != 3 || cap(raw) != 3 || raw[0]|raw[1]|raw[2] != 0 {
+		t.Fatalf("Words(3) = %v (cap %d), want three zero words with the capacity cut", raw, cap(raw))
+	}
+	for i := range raw {
+		raw[i] = ^uint64(0)
 	}
 	one.SetAll()
 	wide[0].SetAll()

@@ -51,6 +51,9 @@ func (a *precomputedSwitch) Name() string { return a.inner.Name() + "+precomp" }
 
 func (a *precomputedSwitch) Reset() {
 	a.inner.Reset()
+	// An empty latch, not just an invalid one: SkipIdle's first idle cycle
+	// marks the latch valid without writing it.
+	clear(a.prev)
 	a.havePrev = false
 	a.aborted, a.issued = 0, 0
 }

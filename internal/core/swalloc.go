@@ -168,12 +168,18 @@ func newSwitchAllocator(cfg SwitchAllocConfig) *switchAllocator {
 	if cfg.Ports <= 0 || cfg.VCs <= 0 {
 		panic("core: Ports and VCs must be positive")
 	}
+	if cfg.Ports > 64 || cfg.VCs > 64 {
+		panic(fmt.Sprintf("core: switch allocator with %d ports and %d VCs per port: "+
+			"at most 64 of each, every port set and VC set is one machine word", cfg.Ports, cfg.VCs))
+	}
 	a := &switchAllocator{
 		cfg:       cfg,
 		speculate: cfg.SpecMode != SpecNone,
 		grants:    make([]SwitchGrant, cfg.Ports),
-		accepted:  make([]bool, cfg.Ports),
 		prev:      make([]SwitchRequest, cfg.Ports*cfg.VCs),
+	}
+	for i := range a.grants {
+		a.grants[i] = SwitchGrant{VC: -1, OutPort: -1}
 	}
 	props := make([]swProposal, 2*cfg.Ports)
 	a.nonspec = newSwEngine(cfg, false, props[:cfg.Ports:cfg.Ports])
@@ -189,17 +195,11 @@ type switchAllocator struct {
 	nonspec   swEngine
 	spec      swEngine // unused unless speculate
 	grants    []SwitchGrant
-
-	// Grant conflict-summary vectors for the conventional masking scheme
-	// (Fig. 9a); laid out under SpecGnt only. The pessimistic scheme's
-	// per-port request summaries (Fig. 9b) come from the nonspec engine's
-	// cached request state.
-	nsGntIn, nsGntOut *bitvec.Vec
-	accepted          []bool
+	granted   uint64 // input ports whose grants entry is not the no-grant value
 	// prev holds the last-seen value of every request entry, so an
 	// incremental resync can subtract the old entry's contribution from the
-	// engines' cached counts before adding the new one. portOf/vcOf decode
-	// a request index without the divides the hot resync path would
+	// engines' cached request state before adding the new one. portOf/vcOf
+	// decode a request index without the divides the hot resync path would
 	// otherwise pay once per engine.
 	prev   []SwitchRequest
 	portOf []int32
@@ -208,13 +208,9 @@ type switchAllocator struct {
 }
 
 func (a *switchAllocator) layout(s slabs) slabs {
-	p, n := a.cfg.Ports, a.cfg.Ports*a.cfg.VCs
+	n := a.cfg.Ports * a.cfg.VCs
 	a.portOf = s.i32.Take(n)
 	a.vcOf = s.i32.Take(n)
-	if a.cfg.SpecMode == SpecGnt {
-		a.nsGntIn = s.Vec(p)
-		a.nsGntOut = s.Vec(p)
-	}
 	a.nonspec.layout(&s)
 	if a.speculate {
 		a.spec.layout(&s)
@@ -254,17 +250,13 @@ func (a *switchAllocator) Reset() {
 func (a *switchAllocator) Stats() SwitchAllocStats { return a.stats }
 
 // SkipIdle implements alloc.IdleSkipper: on a request-free cycle the only
-// state change in Allocate is the wavefront port allocators' diagonal
-// rotation (arbiters commit only on accepted proposals), so replay exactly
-// that into each engine's wavefront block.
+// state change in Allocate is the rotation of the wavefront blocks' priority
+// diagonal (arbiters commit only on accepted proposals), so replay exactly
+// that. The separable datapaths never read the diagonal.
 func (a *switchAllocator) SkipIdle(idleCycles int64) {
-	if s, ok := a.nonspec.wf.(alloc.IdleSkipper); ok {
-		s.SkipIdle(idleCycles)
-	}
+	a.nonspec.rotate(idleCycles)
 	if a.speculate {
-		if s, ok := a.spec.wf.(alloc.IdleSkipper); ok {
-			s.SkipIdle(idleCycles)
-		}
+		a.spec.rotate(idleCycles)
 	}
 }
 
@@ -274,8 +266,8 @@ func (a *switchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
 		panic(fmt.Sprintf("core: %d switch requests, want %d", len(reqs), p*v))
 	}
 	// The dense entry point sees a fresh matrix as often as not (the quality
-	// harness always, a DenseRequests router whenever traffic moves), so it
-	// rebuilds the engines' cached request state from reqs in one pass
+	// harness always, a reference-schedule router whenever traffic moves), so
+	// it rebuilds the engines' cached request state from reqs in one pass
 	// instead of diffing every entry against prev.
 	a.nonspec.clearRequests()
 	if a.speculate {
@@ -328,83 +320,61 @@ func (a *switchAllocator) note(i int, nw SwitchRequest) {
 }
 
 // run performs one allocation cycle from the engines' cached request state,
-// which note has already synchronized with reqs.
+// which Allocate or note has already synchronized with reqs.
 func (a *switchAllocator) run(reqs []SwitchRequest) []SwitchGrant {
-	// Scan-and-clear: grants are sparse (at most one per input port, and
-	// most ports grant nothing on most cycles), so skipping the store for
-	// entries already at the no-grant value beats rewriting all of them.
-	// The zero value's OutPort is 0, so first use also clears correctly.
-	for i := range a.grants {
-		if a.grants[i].OutPort >= 0 {
-			a.grants[i] = SwitchGrant{VC: -1, OutPort: -1}
-		}
+	// Grants are sparse (at most one per input port, and most ports grant
+	// nothing on most cycles): restore only the entries the previous cycle
+	// wrote.
+	for w := a.granted; w != 0; w &= w - 1 {
+		a.grants[bits.TrailingZeros64(w)] = SwitchGrant{VC: -1, OutPort: -1}
 	}
 
-	// Non-speculative sub-allocator.
-	nsProps := a.nonspec.propose(reqs)
+	// Non-speculative sub-allocator: every proposal is a grant.
+	ns := a.nonspec.propose(reqs)
+	var nsOut uint64 // output ports granted non-speculatively
+	for w := ns; w != 0; w &= w - 1 {
+		port := bits.TrailingZeros64(w)
+		prop := a.nonspec.props[port]
+		a.grants[port] = SwitchGrant{VC: prop.vc, OutPort: prop.outPort}
+		nsOut |= 1 << uint(prop.outPort)
+	}
+	a.nonspec.commit(ns)
+	a.granted = ns
 	if !a.speculate {
-		for port, prop := range nsProps {
-			a.accepted[port] = prop.outPort >= 0
-			if prop.outPort >= 0 {
-				a.grants[port] = SwitchGrant{VC: prop.vc, OutPort: prop.outPort}
-			}
-		}
-		a.nonspec.commit(a.accepted)
 		return a.grants
 	}
-	// The nsGnt vectors feed only the SpecGnt mask; SpecReq reads the
-	// nonspec engine's cached request summaries instead, so skip their
-	// per-cycle maintenance there.
-	gnt := a.cfg.SpecMode == SpecGnt
-	if gnt {
-		a.nsGntIn.Reset()
-		a.nsGntOut.Reset()
-	}
-	for port, prop := range nsProps {
-		a.accepted[port] = prop.outPort >= 0
-		if prop.outPort >= 0 {
-			a.grants[port] = SwitchGrant{VC: prop.vc, OutPort: prop.outPort}
-			if gnt {
-				a.nsGntIn.Set(port)
-				a.nsGntOut.Set(prop.outPort)
-			}
-		}
-	}
-	a.nonspec.commit(a.accepted)
 
-	// Speculative sub-allocator plus masking (Fig. 9). The pessimistic
-	// scheme's request summaries are read straight off the nonspec engine's
-	// cache: portAny is the per-input-port request OR and outTot[o] > 0 the
-	// per-output-port one.
-	spProps := a.spec.propose(reqs)
-	for port, prop := range spProps {
-		ok := prop.outPort >= 0
-		if ok {
-			a.stats.SpecProposals++
-			switch a.cfg.SpecMode {
-			case SpecGnt:
-				ok = !a.nsGntIn.Get(port) && !a.nsGntOut.Get(prop.outPort)
-			case SpecReq:
-				ok = !a.nonspec.portAny.Get(port) && a.nonspec.outTot[prop.outPort] == 0
-			}
-			if !ok {
-				a.stats.SpecMasked++
-			} else {
-				a.stats.SpecGranted++
-			}
-		}
-		a.accepted[port] = ok
-		if ok {
-			a.grants[port] = SwitchGrant{VC: prop.vc, OutPort: prop.outPort, Spec: true}
-		}
+	// Speculative sub-allocator plus masking (Fig. 9): a proposal is
+	// discarded when its input or output port is in use, by a
+	// non-speculative grant under the conventional scheme and already by a
+	// non-speculative request under the pessimistic one, whose summaries are
+	// the nonspec engine's cached request state.
+	busyIn, busyOut := ns, nsOut
+	if a.cfg.SpecMode == SpecReq {
+		busyIn, busyOut = a.nonspec.portAny, a.nonspec.outAny
 	}
-	a.spec.commit(a.accepted)
+	sp := a.spec.propose(reqs)
+	var accepted uint64
+	for w := sp; w != 0; w &= w - 1 {
+		port := bits.TrailingZeros64(w)
+		prop := a.spec.props[port]
+		if (busyIn>>uint(port)|busyOut>>uint(prop.outPort))&1 != 0 {
+			continue
+		}
+		accepted |= 1 << uint(port)
+		a.grants[port] = SwitchGrant{VC: prop.vc, OutPort: prop.outPort, Spec: true}
+	}
+	a.stats.SpecProposals += int64(bits.OnesCount64(sp))
+	a.stats.SpecMasked += int64(bits.OnesCount64(sp &^ accepted))
+	a.stats.SpecGranted += int64(bits.OnesCount64(accepted))
+	a.spec.commit(accepted)
+	a.granted |= accepted
 	return a.grants
 }
 
 // swProposal is one input port's tentative grant before speculation masking.
 type swProposal struct {
-	vc, outPort int // -1 if none
+	vc, outPort int
 }
 
 // swEngine is a single switch-allocation datapath (Fig. 8) handling either
@@ -412,46 +382,45 @@ type swProposal struct {
 // advances on commit, so masked speculative grants do not consume fairness
 // slots.
 //
-// The engine keeps derived request state cached across cycles — per-port VC
-// masks, per-(input, output) request counts and the port-request matrix —
-// maintained incrementally by noteChange, so a propose pass touches only
-// ports that actually hold requests and never rescans the request slice.
+// The engine keeps derived request state cached across cycles, maintained
+// incrementally by add and noteChange, so a propose pass touches only ports
+// that actually hold requests and never rescans the request slice. A router
+// has at most 64 ports and 64 VCs per port (the paper's largest: 10 and 16),
+// so every set of ports or VCs is one machine word.
 type swEngine struct {
 	cfg    SwitchAllocConfig
-	spec   bool            // which request class this engine serves
-	vcArb  arbiter.Bank    // per input port, V wide
-	outArb arbiter.Bank    // per output port, P wide (separable archs)
-	wf     alloc.Allocator // wavefront port allocator
+	spec   bool         // which request class this engine serves
+	vcArb  arbiter.Bank // per input port, V wide
+	outArb arbiter.Bank // per output port, P wide (separable archs)
+	prio   int          // wavefront: the diagonal with top priority this cycle
 
-	// Cached request state, synchronized by noteChange.
-	reqMask []bitvec.Vec  // per input port, V wide: VCs with matching requests
-	portAny *bitvec.Vec   // P wide: input ports with any matching request
-	cnt     []int32       // P·P: matching requests per (input port, output port)
-	outTot  []int32       // per output port: total matching requests
-	count   int           // total matching requests
-	portReq bitvec.Matrix // P×P port-request matrix (with wf)
-	colReq  []bitvec.Vec  // per output port, P wide: requesting inputs (sep_of)
+	// Cached request state, written by add and noteChange only. A request
+	// of input VC (in, vc) for output port out is bit vc of vcs[in·P+out];
+	// everything else is a summary of vcs.
+	vcs     []uint64 // per (input, output) port pair: the input's VCs requesting the output
+	reqMask []uint64 // per input port: VCs with a request
+	colReq  []uint64 // per output port: input ports requesting it
+	diag    []uint64 // wavefront only, per diagonal d: input ports in requesting output (d-in) mod P
+	portAny uint64   // input ports with a request
+	outAny  uint64   // output ports with a request
 
-	props   []swProposal
-	vcReq   *bitvec.Vec  // V wide scratch
-	fwd     []bitvec.Vec // per output port, P wide (sep_if stage 2)
-	fwdAny  *bitvec.Vec  // output ports with a forwarded pick (sep_if)
-	offered []bitvec.Vec // per input port, P wide (sep_of stage 2)
-	offAny  *bitvec.Vec  // input ports with at least one offer (sep_of)
-	picks   []int        // per input port, VC pick (sep_if)
+	// props[port] is meaningful for the ports in the set propose returned.
+	props []swProposal
+	stage []uint64 // per port: what a separable pass's first stage hands its second
+
+	// Arch: alloc.Maximum only (§2.3): a maximum-size port matching in
+	// place of the wavefront block. Not realizable as single-cycle hardware;
+	// used to bound achievable performance.
+	max    alloc.Allocator
+	maxReq bitvec.Matrix // P×P port requests, refilled from colReq every cycle
 }
 
 func newSwEngine(cfg SwitchAllocConfig, spec bool, props []swProposal) swEngine {
 	e := swEngine{cfg: cfg, spec: spec, props: props}
 	switch cfg.Arch {
-	case alloc.SepIF, alloc.SepOF:
-	case alloc.Wavefront:
-		e.wf = alloc.NewWavefront(cfg.Ports, cfg.Ports)
+	case alloc.SepIF, alloc.SepOF, alloc.Wavefront:
 	case alloc.Maximum:
-		// Upper-bound configuration (§2.3): a maximum-size port matching
-		// with the wavefront datapath's VC pre-selection. Not realizable as
-		// single-cycle hardware; used to bound achievable performance.
-		e.wf = alloc.NewMaximum(cfg.Ports, cfg.Ports)
+		e.max = alloc.NewMaximum(cfg.Ports, cfg.Ports)
 	default:
 		panic(fmt.Sprintf("core: unsupported switch allocator arch %v", cfg.Arch))
 	}
@@ -461,25 +430,67 @@ func newSwEngine(cfg SwitchAllocConfig, spec bool, props []swProposal) swEngine 
 func (e *swEngine) layout(s *slabs) {
 	p, v, k := e.cfg.Ports, e.cfg.VCs, e.cfg.ArbKind
 	e.vcArb = s.Bank(k, p, v)
-	e.reqMask = s.Vecs(p, v)
-	e.vcReq = s.Vec(v)
-	e.portAny = s.Vec(p)
-	e.cnt = s.i32.Take(p * p)
-	e.outTot = s.i32.Take(p)
+	e.vcs = s.Words(p * p)
+	e.reqMask = s.Words(p)
+	e.colReq = s.Words(p)
 	switch e.cfg.Arch {
-	case alloc.SepIF:
+	case alloc.SepIF, alloc.SepOF:
 		e.outArb = s.Bank(k, p, p)
-		e.fwd = s.Vecs(p, p)
-		e.fwdAny = s.Vec(p)
-		e.picks = s.ints.Take(p)
-	case alloc.SepOF:
-		e.outArb = s.Bank(k, p, p)
-		e.offered = s.Vecs(p, p)
-		e.offAny = s.Vec(p)
-		e.colReq = s.Vecs(p, p)
-	default:
-		e.portReq = s.Matrix(p, p)
+		e.stage = s.Words(p)
+	case alloc.Wavefront:
+		e.diag = s.Words(p)
+	case alloc.Maximum:
+		e.maxReq = s.Matrix(p, p)
 	}
+}
+
+// add folds a request of this engine's class, of input VC (port, vc) for
+// output port out, into the cached request state. The VC must not hold one
+// already.
+func (e *swEngine) add(port, vc, out int) {
+	p := e.cfg.Ports
+	if uint(out) >= uint(p) {
+		panic(fmt.Sprintf("core: input VC (%d, %d) requests output port %d, want [0,%d)", port, vc, out, p))
+	}
+	if m := &e.vcs[port*p+out]; *m == 0 {
+		*m = 1 << uint(vc)
+		e.colReq[out] |= 1 << uint(port)
+		e.outAny |= 1 << uint(out)
+		if e.diag != nil {
+			e.diag[diagonal(port, out, p)] |= 1 << uint(port)
+		}
+	} else {
+		*m |= 1 << uint(vc)
+	}
+	e.reqMask[port] |= 1 << uint(vc)
+	e.portAny |= 1 << uint(port)
+}
+
+// remove undoes add.
+func (e *swEngine) remove(port, vc, out int) {
+	p := e.cfg.Ports
+	if m := &e.vcs[port*p+out]; *m == 1<<uint(vc) {
+		*m = 0
+		if e.colReq[out] &^= 1 << uint(port); e.colReq[out] == 0 {
+			e.outAny &^= 1 << uint(out)
+		}
+		if e.diag != nil {
+			e.diag[diagonal(port, out, p)] &^= 1 << uint(port)
+		}
+	} else {
+		*m &^= 1 << uint(vc)
+	}
+	if e.reqMask[port] &^= 1 << uint(vc); e.reqMask[port] == 0 {
+		e.portAny &^= 1 << uint(port)
+	}
+}
+
+// diagonal returns the wavefront diagonal (in + out) mod p of a cell.
+func diagonal(in, out, p int) int {
+	if d := in + out; d < p {
+		return d
+	}
+	return in + out - p
 }
 
 // noteChange updates the cached request state for request entry (port, vc),
@@ -489,239 +500,196 @@ func (e *swEngine) noteChange(port, vc int, old, nw SwitchRequest) {
 	if om == nm && (!om || old.OutPort == nw.OutPort) {
 		return
 	}
-	p := e.cfg.Ports
 	if om {
-		e.count--
-		e.outTot[old.OutPort]--
-		c := &e.cnt[port*p+old.OutPort]
-		if *c--; *c == 0 {
-			if e.wf != nil {
-				e.portReq.Row(port).Clear(old.OutPort)
-			}
-			if e.colReq != nil {
-				e.colReq[old.OutPort].Clear(port)
-			}
-		}
+		e.remove(port, vc, old.OutPort)
 	}
 	if nm {
-		e.count++
-		e.outTot[nw.OutPort]++
-		c := &e.cnt[port*p+nw.OutPort]
-		if *c++; *c == 1 {
-			if e.wf != nil {
-				e.portReq.Row(port).Set(nw.OutPort)
-			}
-			if e.colReq != nil {
-				e.colReq[nw.OutPort].Set(port)
-			}
-		}
+		e.add(port, vc, nw.OutPort)
 	}
-	if nm {
-		e.reqMask[port].Set(vc)
-		e.portAny.Set(port)
-	} else {
-		e.reqMask[port].Clear(vc)
-		if !e.reqMask[port].Any() {
-			e.portAny.Clear(port)
-		}
-	}
-}
-
-// add folds a matching request of input VC (port, vc) for output port out
-// into request state emptied by clearRequests: the dense rebuild's half of
-// noteChange, which keeps its own copy inline because it runs per changed
-// entry on the masked path of every router step.
-func (e *swEngine) add(port, vc, out int) {
-	e.count++
-	e.outTot[out]++
-	c := &e.cnt[port*e.cfg.Ports+out]
-	if *c++; *c == 1 {
-		if e.wf != nil {
-			e.portReq.Row(port).Set(out)
-		}
-		if e.colReq != nil {
-			e.colReq[out].Set(port)
-		}
-	}
-	e.reqMask[port].Set(vc)
-	e.portAny.Set(port)
 }
 
 // clearRequests empties the cached request state.
 func (e *swEngine) clearRequests() {
-	for i := range e.reqMask {
-		e.reqMask[i].Reset()
-	}
-	e.portAny.Reset()
-	clear(e.cnt)
-	clear(e.outTot)
-	e.count = 0
-	if e.wf != nil {
-		e.portReq.Reset()
-	}
-	for i := range e.colReq {
-		e.colReq[i].Reset()
-	}
+	clear(e.vcs)
+	clear(e.reqMask)
+	clear(e.colReq)
+	clear(e.diag)
+	e.portAny, e.outAny = 0, 0
 }
 
 func (e *swEngine) reset() {
 	e.vcArb.Reset()
 	e.outArb.Reset()
-	if e.wf != nil {
-		e.wf.Reset()
-	}
+	e.prio = 0
+}
+
+// rotate advances the priority diagonal by k cycles.
+func (e *swEngine) rotate(k int64) {
+	e.prio = int((int64(e.prio) + k) % int64(e.cfg.Ports))
 }
 
 // matches reports whether request r belongs to this proposal pass.
 func matches(r SwitchRequest, spec bool) bool { return r.Active && r.Spec == spec }
 
-// propose computes tentative grants for this engine's request class without
-// advancing any priority state.
-func (e *swEngine) propose(reqs []SwitchRequest) []swProposal {
-	// Scan-and-clear (see switchAllocator.run): only entries a previous
-	// pass proposed into need restoring to the no-proposal value.
-	for i := range e.props {
-		if e.props[i].outPort >= 0 {
-			e.props[i] = swProposal{vc: -1, outPort: -1}
-		}
-	}
-	if e.count == 0 {
-		// No matching requests: separable arbiters are untouched by an empty
-		// pass, but the wavefront block still rotates its priority diagonal
-		// (see SkipIdle), so it must run even on an empty matrix.
-		if e.wf != nil {
-			e.wf.Allocate(&e.portReq)
-		}
-		return e.props
-	}
+// propose computes tentative grants for this engine's request class from the
+// cached request state, without advancing any arbiter, and returns the set
+// of input ports that hold one in props.
+func (e *swEngine) propose(reqs []SwitchRequest) uint64 {
 	switch e.cfg.Arch {
 	case alloc.SepIF:
-		e.proposeSepIF(reqs)
+		return e.proposeSepIF(reqs)
 	case alloc.SepOF:
-		e.proposeSepOF(reqs)
-	case alloc.Wavefront, alloc.Maximum:
-		e.proposeWavefront(reqs)
+		return e.proposeSepOF(reqs)
+	case alloc.Wavefront:
+		return e.proposeWavefront()
+	default:
+		return e.proposeMaximum()
 	}
-	return e.props
 }
 
 // proposeSepIF implements Fig. 8(a): a V-input arbiter per input port picks
 // the winning VC, whose single request is forwarded to a P-input arbiter at
 // the output port. Only ports in portAny run stage 1, and only outputs that
-// received a forwarded pick run stage 2; picks of ports that did not forward
-// this cycle are stale and never read.
-func (e *swEngine) proposeSepIF(reqs []SwitchRequest) {
+// received a forwarded pick run stage 2.
+func (e *swEngine) proposeSepIF(reqs []SwitchRequest) uint64 {
 	v := e.cfg.VCs
-	// P <= 64 in practice, but iterate word-at-a-time generically; none of
-	// the loop bodies mutate the vector word they are scanning (stage 1
-	// sets fwdAny only after it was reset, and stage 2 only reads it).
-	for wi, w := range e.fwdAny.Words() {
-		for base := wi * 64; w != 0; w &= w - 1 {
-			e.fwd[base+bits.TrailingZeros64(w)].Reset()
+	fwd := e.stage // per output port: input ports whose pick wants it
+	var fwdAny uint64
+	for w := e.portAny; w != 0; w &= w - 1 {
+		port := bits.TrailingZeros64(w)
+		pk := e.vcArb.PickWord(port, e.reqMask[port])
+		if pk < 0 {
+			continue
+		}
+		o := reqs[port*v+pk].OutPort
+		e.props[port] = swProposal{vc: pk, outPort: o}
+		if fwdAny>>uint(o)&1 == 0 {
+			fwdAny |= 1 << uint(o)
+			fwd[o] = 0
+		}
+		fwd[o] |= 1 << uint(port)
+	}
+	var winners uint64
+	for w := fwdAny; w != 0; w &= w - 1 {
+		o := bits.TrailingZeros64(w)
+		if winner := e.outArb.PickWord(o, fwd[o]); winner >= 0 {
+			winners |= 1 << uint(winner)
 		}
 	}
-	e.fwdAny.Reset()
-	for wi, w := range e.portAny.Words() {
-		for base := wi * 64; w != 0; w &= w - 1 {
-			port := base + bits.TrailingZeros64(w)
-			pk := e.vcArb.Pick(port, &e.reqMask[port])
-			if pk < 0 {
-				continue
-			}
-			e.picks[port] = pk
-			o := reqs[port*v+pk].OutPort
-			e.fwd[o].Set(port)
-			e.fwdAny.Set(o)
-		}
-	}
-	for wi, w := range e.fwdAny.Words() {
-		for base := wi * 64; w != 0; w &= w - 1 {
-			o := base + bits.TrailingZeros64(w)
-			winner := e.outArb.Pick(o, &e.fwd[o])
-			if winner < 0 {
-				continue
-			}
-			e.props[winner] = swProposal{vc: e.picks[winner], outPort: o}
-		}
-	}
+	return winners
 }
 
 // proposeSepOF implements Fig. 8(b): requests from all VCs are combined and
 // forwarded; each output port picks an input port, then each input port
-// arbitrates among its VCs that can use one of the granted outputs.
-func (e *swEngine) proposeSepOF(reqs []SwitchRequest) {
+// arbitrates among its VCs that can use one of the granted outputs. The
+// winning VC's port select drives the crossbar.
+func (e *swEngine) proposeSepOF(reqs []SwitchRequest) uint64 {
 	p, v := e.cfg.Ports, e.cfg.VCs
-	for port := e.offAny.NextSet(0); port >= 0; port = e.offAny.NextSet(port + 1) {
-		e.offered[port].Reset()
-	}
-	e.offAny.Reset()
-	for o := 0; o < p; o++ {
-		if e.outTot[o] == 0 {
-			continue
-		}
-		winner := e.outArb.Pick(o, &e.colReq[o])
+	offered := e.stage // per input port: output ports that picked it
+	var offAny uint64
+	for w := e.outAny; w != 0; w &= w - 1 {
+		o := bits.TrailingZeros64(w)
+		winner := e.outArb.PickWord(o, e.colReq[o])
 		if winner < 0 {
 			continue
 		}
-		e.offered[winner].Set(o)
-		e.offAny.Set(winner)
-	}
-	for port := e.offAny.NextSet(0); port >= 0; port = e.offAny.NextSet(port + 1) {
-		// VC arbitration among VCs whose requested output was offered; the
-		// winning VC's port select drives the crossbar (Fig. 8b).
-		e.vcReq.Reset()
-		for vc := e.reqMask[port].NextSet(0); vc >= 0; vc = e.reqMask[port].NextSet(vc + 1) {
-			if e.offered[port].Get(reqs[port*v+vc].OutPort) {
-				e.vcReq.Set(vc)
-			}
+		if offAny>>uint(winner)&1 == 0 {
+			offAny |= 1 << uint(winner)
+			offered[winner] = 0
 		}
-		w := e.vcArb.Pick(port, e.vcReq)
-		if w < 0 {
+		offered[winner] |= 1 << uint(o)
+	}
+	winners := offAny
+	for w := offAny; w != 0; w &= w - 1 {
+		port := bits.TrailingZeros64(w)
+		var vcReq uint64
+		for ow := offered[port]; ow != 0; ow &= ow - 1 {
+			vcReq |= e.vcs[port*p+bits.TrailingZeros64(ow)]
+		}
+		vc := e.vcArb.PickWord(port, vcReq)
+		if vc < 0 {
+			winners &^= 1 << uint(port)
 			continue
 		}
-		e.props[port] = swProposal{vc: w, outPort: reqs[port*v+w].OutPort}
+		e.props[port] = swProposal{vc: vc, outPort: reqs[port*v+vc].OutPort}
 	}
+	return winners
 }
 
-// proposeWavefront implements Fig. 8(c): a P×P wavefront block over the
-// cached port-request matrix, with per-input V-input arbiters selecting the
-// winning VC for the granted output.
-func (e *swEngine) proposeWavefront(reqs []SwitchRequest) {
-	v := e.cfg.VCs
-	g := e.wf.Allocate(&e.portReq)
-	// Grants are a subset of requests, so only ports in portAny can hold one.
-	for port := e.portAny.NextSet(0); port >= 0; port = e.portAny.NextSet(port + 1) {
-		o := g.Row(port).NextSet(0)
-		if o < 0 {
-			continue
-		}
-		e.vcReq.Reset()
-		for vc := e.reqMask[port].NextSet(0); vc >= 0; vc = e.reqMask[port].NextSet(vc + 1) {
-			if reqs[port*v+vc].OutPort == o {
-				e.vcReq.Set(vc)
+// proposeWavefront implements Fig. 8(c): a P×P wavefront block grants port
+// requests diagonal by diagonal from the priority diagonal on, a grant
+// taking its row and its column out of the later diagonals (the cells of one
+// diagonal share neither), and the granted input port's V-input arbiter
+// picks among its VCs requesting the granted output. The priority diagonal
+// moves on every cycle, requests or not.
+func (e *swEngine) proposeWavefront() uint64 {
+	p := e.cfg.Ports
+	rowFree, colFree := e.portAny, ^uint64(0)
+	d := e.prio
+	for k := 0; k < p && rowFree != 0; k++ {
+		for w := e.diag[d] & rowFree; w != 0; w &= w - 1 {
+			in := bits.TrailingZeros64(w)
+			out := d - in
+			if out < 0 {
+				out += p
 			}
+			if colFree>>uint(out)&1 == 0 {
+				continue
+			}
+			vc := e.vcArb.PickWord(in, e.vcs[in*p+out])
+			if vc < 0 {
+				continue
+			}
+			rowFree &^= 1 << uint(in)
+			colFree &^= 1 << uint(out)
+			e.props[in] = swProposal{vc: vc, outPort: out}
 		}
-		w := e.vcArb.Pick(port, e.vcReq)
-		if w < 0 {
+		if d++; d == p {
+			d = 0
+		}
+	}
+	if e.prio++; e.prio == p {
+		e.prio = 0
+	}
+	return e.portAny &^ rowFree
+}
+
+// proposeMaximum is proposeWavefront with the maximum-size matcher as the
+// port block.
+func (e *swEngine) proposeMaximum() uint64 {
+	p := e.cfg.Ports
+	e.maxReq.Reset()
+	for ow := e.outAny; ow != 0; ow &= ow - 1 {
+		out := bits.TrailingZeros64(ow)
+		for w := e.colReq[out]; w != 0; w &= w - 1 {
+			e.maxReq.Set(bits.TrailingZeros64(w), out)
+		}
+	}
+	g := e.max.Allocate(&e.maxReq)
+	var winners uint64
+	for w := e.portAny; w != 0; w &= w - 1 {
+		in := bits.TrailingZeros64(w)
+		out := g.Row(in).First()
+		if out < 0 {
 			continue
 		}
-		e.props[port] = swProposal{vc: w, outPort: o}
+		if vc := e.vcArb.PickWord(in, e.vcs[in*p+out]); vc >= 0 {
+			e.props[in] = swProposal{vc: vc, outPort: out}
+			winners |= 1 << uint(in)
+		}
 	}
+	return winners
 }
 
 // commit advances priority state for the input ports whose proposals were
 // accepted end to end.
-func (e *swEngine) commit(accepted []bool) {
-	for port, ok := range accepted {
-		if !ok {
-			continue
-		}
+func (e *swEngine) commit(accepted uint64) {
+	separable := e.cfg.Arch == alloc.SepIF || e.cfg.Arch == alloc.SepOF
+	for w := accepted; w != 0; w &= w - 1 {
+		port := bits.TrailingZeros64(w)
 		prop := e.props[port]
-		if prop.outPort < 0 {
-			continue
-		}
 		e.vcArb.Update(port, prop.vc)
-		if e.wf == nil {
+		if separable {
 			e.outArb.Update(prop.outPort, port)
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -57,24 +60,218 @@ func TestSwitchAllocatorNames(t *testing.T) {
 	}
 }
 
+// mustPanic runs fn and returns its panic message; it fails the test if fn
+// returns normally.
+func mustPanic(t *testing.T, name string, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Errorf("%s: expected panic", name)
+		}
+		msg = fmt.Sprint(r)
+	}()
+	fn()
+	return ""
+}
+
 func TestSwitchAllocatorBadConfigPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewSwitchAllocator(SwitchAllocConfig{Ports: 0, VCs: 1}) },
-		func() { NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 0}) },
-		func() { NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 1, Arch: alloc.Arch(99)}) },
-		func() {
+	for name, fn := range map[string]func(){
+		"no ports": func() { NewSwitchAllocator(SwitchAllocConfig{Ports: 0, VCs: 1}) },
+		"no VCs":   func() { NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 0}) },
+		"bad arch": func() { NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 1, Arch: alloc.Arch(99)}) },
+		"short request slice": func() {
 			a := NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 2, Arch: alloc.SepIF})
 			a.Allocate(make([]SwitchRequest, 3))
 		},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
+		mustPanic(t, name, fn)
+	}
+	// Port and VC sets are single words; one more than fits must be refused
+	// at construction, by a message that says what the limit is.
+	for name, cfg := range map[string]SwitchAllocConfig{
+		"65 ports":                             {Ports: 65, VCs: 2, Arch: alloc.SepIF},
+		"65 VCs":                               {Ports: 5, VCs: 65, Arch: alloc.Wavefront},
+		"65 ports built with the VC allocator": {Ports: 65, VCs: 1, Arch: alloc.SepOF, Precomputed: true},
+	} {
+		if msg := mustPanic(t, name, func() { NewSwitchAllocator(cfg) }); !strings.Contains(msg, "at most 64") {
+			t.Errorf("%s: panic %q does not name the limit", name, msg)
+		}
+	}
+}
+
+// TestSwitchBadOutPortPanics: a request the allocator considers must name an
+// output port the router has. Anything else would shift a set bit out of, or
+// into the wrong place of, the port words, so it must stop the run at the
+// entry that carries it, through either entry point and in either request
+// class. An inactive entry's port is never read.
+func TestSwitchBadOutPortPanics(t *testing.T) {
+	const p, v = 5, 2
+	for _, cfg := range swConfigs(p, v, SpecReq) {
+		for _, out := range []int{-1, p, 64, 1 << 40} {
+			for _, spec := range []bool{false, true} {
+				bad := SwitchRequest{Active: true, OutPort: out, Spec: spec}
+				name := fmt.Sprintf("%s out %d spec %v", NewSwitchAllocator(cfg).Name(), out, spec)
+
+				reqs := make([]SwitchRequest, p*v)
+				reqs[3] = bad
+				msg := mustPanic(t, name+" dense", func() { NewSwitchAllocator(cfg).Allocate(reqs) })
+				if !strings.Contains(msg, "output port") {
+					t.Errorf("%s dense: panic %q does not say what is wrong", name, msg)
 				}
-			}()
-			fn()
-		}()
+
+				a := NewSwitchAllocator(cfg).(MaskedSwitchAllocator)
+				reqs = make([]SwitchRequest, p*v)
+				reqs[2] = SwitchRequest{Active: true, OutPort: 1}
+				a.Allocate(reqs)
+				reqs[3] = bad
+				changed := bitvec.New(p * v)
+				changed.Set(3)
+				msg = mustPanic(t, name+" masked", func() { a.AllocateMasked(reqs, changed) })
+				if !strings.Contains(msg, "output port") {
+					t.Errorf("%s masked: panic %q does not say what is wrong", name, msg)
+				}
+
+				reqs[3].Active = false
+				b := NewSwitchAllocator(cfg)
+				if g := b.Allocate(reqs); g[1] != (SwitchGrant{VC: 0, OutPort: 1}) {
+					t.Errorf("%s: inactive entry disturbed the grants: %+v", name, g)
+				}
+			}
+		}
+	}
+	// A non-speculative allocator does not consider speculative requests.
+	a := NewSwitchAllocator(SwitchAllocConfig{Ports: p, VCs: v, Arch: alloc.SepIF})
+	reqs := make([]SwitchRequest, p*v)
+	reqs[3] = SwitchRequest{Active: true, OutPort: p, Spec: true}
+	a.Allocate(reqs)
+}
+
+// allSwConfigs is swConfigs for every speculation mode.
+func allSwConfigs(p, v int) []SwitchAllocConfig {
+	var cfgs []SwitchAllocConfig
+	for _, mode := range []SpecMode{SpecNone, SpecGnt, SpecReq} {
+		cfgs = append(cfgs, swConfigs(p, v, mode)...)
+	}
+	return cfgs
+}
+
+// TestSwitchAllocatorWordBoundary runs every architecture at the largest
+// size a word holds, 64 ports of 64 VCs, where the last port and the last VC
+// are bit 63: a lone request there, a full permutation (every row and column
+// of the wavefront taken, all 64 bits of every port set in use), and two VCs
+// alternating across a round-robin pointer that wraps from 63 to 0.
+func TestSwitchAllocatorWordBoundary(t *testing.T) {
+	const n = 64
+	for _, cfg := range append(allSwConfigs(n, n), SwitchAllocConfig{Ports: n, VCs: n, Arch: alloc.Maximum, SpecMode: SpecGnt}) {
+		a := NewSwitchAllocator(cfg)
+		for _, spec := range []bool{false, cfg.SpecMode != SpecNone} {
+			a.Reset()
+			reqs := make([]SwitchRequest, n*n)
+			reqs[63*n+63] = SwitchRequest{Active: true, OutPort: 63, Spec: spec}
+			if g, want := a.Allocate(reqs)[63], (SwitchGrant{VC: 63, OutPort: 63, Spec: spec}); g != want {
+				t.Fatalf("%s: lone request at bit 63 got %+v, want %+v", a.Name(), g, want)
+			}
+
+			for port := 0; port < n; port++ {
+				reqs[port*n+63] = SwitchRequest{Active: true, OutPort: (port + 1) % n, Spec: spec}
+			}
+			for cycle := 0; cycle < 3; cycle++ {
+				grants := a.Allocate(reqs)
+				if err := CheckSwitchGrants(n, n, reqs, grants); err != nil {
+					t.Fatalf("%s: %v", a.Name(), err)
+				}
+				for port, g := range grants {
+					if want := (SwitchGrant{VC: 63, OutPort: (port + 1) % n, Spec: spec}); g != want {
+						t.Fatalf("%s cycle %d: permutation port %d got %+v, want %+v", a.Name(), cycle, port, g, want)
+					}
+				}
+			}
+
+			reqs = make([]SwitchRequest, n*n)
+			reqs[63*n+62] = SwitchRequest{Active: true, OutPort: 63, Spec: spec}
+			reqs[63*n+63] = SwitchRequest{Active: true, OutPort: 63, Spec: spec}
+			a.Reset()
+			for cycle := 0; cycle < 6; cycle++ {
+				if g, want := a.Allocate(reqs)[63], (SwitchGrant{VC: 62 + cycle%2, OutPort: 63, Spec: spec}); g != want {
+					t.Fatalf("%s cycle %d: VCs 62 and 63 must alternate, got %+v, want %+v", a.Name(), cycle, g, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSwitchSkipIdleEqualsEmptyAllocates: SkipIdle(k) must leave an allocator
+// exactly where k Allocate calls without a single request leave its twin, for
+// gaps shorter and longer than one rotation of the priority diagonal, with
+// both request classes in play, through both entry points and across Reset.
+func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
+	const p, v = 5, 4
+	for _, cfg := range append(allSwConfigs(p, v), SwitchAllocConfig{Ports: p, VCs: v, Arch: alloc.Wavefront, Precomputed: true}) {
+		stepped, skipped := NewSwitchAllocator(cfg), NewSwitchAllocator(cfg)
+		rng := xrand.New(977)
+		empty := make([]SwitchRequest, p*v)
+		reqs := make([]SwitchRequest, p*v)
+		changed := bitvec.New(p * v)
+		changed.SetAll()
+		for round, k := range []int{1, p - 1, p, p + 3, 3*p + 2, 0, 1000*p + 1} {
+			if round == 4 {
+				stepped.Reset()
+				skipped.Reset()
+			}
+			for c := 0; c < k; c++ {
+				stepped.Allocate(empty)
+			}
+			skipped.(interface{ SkipIdle(int64) }).SkipIdle(int64(k))
+			for c := 0; c < 2*p; c++ {
+				specFrac := 0.4
+				if cfg.SpecMode == SpecNone {
+					specFrac = 0
+				}
+				copy(reqs, randomSwitchRequests(rng, p, v, 0.5, specFrac))
+				want := stepped.Allocate(reqs)
+				var got []SwitchGrant
+				if m, ok := skipped.(MaskedSwitchAllocator); ok && c%2 == 0 {
+					got = m.AllocateMasked(reqs, changed)
+				} else {
+					got = skipped.Allocate(reqs)
+				}
+				for port := range want {
+					if got[port] != want[port] {
+						t.Fatalf("%s after idle gap %d, cycle %d, port %d: skipped %+v, stepped %+v",
+							stepped.Name(), k, c, port, got[port], want[port])
+					}
+				}
+				if stepped.Stats() != skipped.Stats() {
+					t.Fatalf("%s after idle gap %d: stats %+v vs %+v", stepped.Name(), k, skipped.Stats(), stepped.Stats())
+				}
+			}
+		}
+	}
+}
+
+// TestSwitchAllocatorLayout pins what NewAllocators costs: a router's two
+// allocators are the two allocator values, the switch allocator's grant,
+// latch and proposal slices, the VC allocator's engine slice and the five
+// slab blocks, whatever the switch allocator's architecture, arbiters,
+// speculation scheme or size. The switch datapath's words come out of the
+// vector slab's word backing, not out of a block of their own.
+func TestSwitchAllocatorLayout(t *testing.T) {
+	const want = 11
+	// The process's first collection starts the collector's worker
+	// goroutines, and their stacks would be counted against whichever
+	// configuration happens to be measured at that moment.
+	runtime.GC()
+	for _, size := range []struct{ p, c, v int }{{5, 1, 2}, {10, 2, 16}} {
+		spec := NewVCSpec(2, size.c, size.v/(2*size.c))
+		va := VCAllocConfig{Ports: size.p, Spec: spec, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin}
+		for _, sa := range allSwConfigs(size.p, spec.V()) {
+			va.ArbKind = sa.ArbKind
+			if got := testing.AllocsPerRun(5, func() { NewAllocators(va, sa) }); got > want {
+				v, s := NewAllocators(va, sa)
+				t.Errorf("%s + %s, %d ports: %v allocations, want %d", v.Name(), s.Name(), size.p, got, want)
+			}
+		}
 	}
 }
 

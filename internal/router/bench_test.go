@@ -3,8 +3,11 @@ package router
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/routing"
 	"repro/internal/traffic"
+	"repro/internal/xrand"
 )
 
 // Router microbenchmarks for the change-driven request schedule. Each
@@ -72,6 +75,102 @@ func BenchmarkStepLowLoadDirty(b *testing.B)    { benchStep(b, 1, false) }
 func BenchmarkStepLowLoadDense(b *testing.B)    { benchStep(b, 1, true) }
 func BenchmarkStepSaturationDirty(b *testing.B) { benchStep(b, 4, false) }
 func BenchmarkStepSaturationDense(b *testing.B) { benchStep(b, 4, true) }
+
+// spreadRoute sends a packet to output port dst mod ports in resource class
+// (dst / ports) mod classes, so uniformly drawn destinations load every
+// output port and every VC class alike.
+type spreadRoute struct{ ports, classes int }
+
+func (s spreadRoute) Name() string         { return "spread" }
+func (s spreadRoute) ResourceClasses() int { return s.classes }
+func (s spreadRoute) Inject(int, *routing.PacketRoute, routing.QueueEstimator, *xrand.Source) {
+}
+func (s spreadRoute) NextHop(_ int, pr *routing.PacketRoute) (int, int) {
+	return pr.DestTerminal % s.ports, pr.DestTerminal / s.ports % s.classes
+}
+
+// kneeFeeder offers every input port one flit per cycle, as an upstream
+// channel at full rate would: packets of all four types with uniformly drawn
+// outputs, each on a VC of its own message class, flit after flit. Downstream
+// credits come back at once, so what limits the router is its own
+// allocation. The packets are built once and recycled.
+type kneeFeeder struct {
+	r     *Router
+	spec  core.VCSpec
+	pkts  [][]*Flit
+	next  int
+	flits [][]*Flit // per input port: the rest of the packet on its way in
+	vc    []int     // per input port: the VC that packet is using
+	turn  int
+}
+
+func newKneeFeeder(r *Router, ports int, spec core.VCSpec) *kneeFeeder {
+	f := &kneeFeeder{r: r, spec: spec, flits: make([][]*Flit, ports), vc: make([]int, ports)}
+	rng := xrand.New(16)
+	types := []traffic.PacketType{traffic.ReadRequest, traffic.WriteRequest, traffic.ReadReply, traffic.WriteReply}
+	for i := 0; i < 1024; i++ {
+		dst := rng.Intn(ports * spec.ResourceClasses)
+		f.pkts = append(f.pkts, MakeFlits(mkPacket(int64(i), types[rng.Intn(len(types))], dst)))
+	}
+	return f
+}
+
+func (f *kneeFeeder) cycle() {
+	for port := range f.flits {
+		if len(f.flits[port]) == 0 {
+			fs := f.pkts[f.next%len(f.pkts)]
+			f.next++
+			// Resource classes, and the VCs within one, are used in turn.
+			rc := f.spec.ResourceClasses
+			lo, hi := f.spec.ClassRange(fs[0].Pkt.Type.MessageClass(), f.turn%rc)
+			f.flits[port], f.vc[port] = fs, lo+f.turn/rc%(hi-lo)
+			f.turn++
+		}
+		if f.r.InputOccupancy(port, f.vc[port]) < f.r.depth {
+			f.r.AcceptFlit(port, f.vc[port], f.flits[port][0])
+			f.flits[port] = f.flits[port][1:]
+		}
+	}
+	deps, _ := f.r.Step()
+	for _, d := range deps {
+		f.r.AcceptCredit(d.OutPort, d.OutVC)
+	}
+}
+
+// BenchmarkStepSaturation is one router cycle at full offered load for the
+// router of each sim_saturation knee unit (bench/gen.go): the mesh and
+// flattened-butterfly radices and VC counts with the switch allocator
+// architecture and speculation scheme that unit simulates.
+func BenchmarkStepSaturation(b *testing.B) {
+	for _, cell := range []struct {
+		name  string
+		ports int
+		spec  core.VCSpec
+		arch  alloc.Arch
+		mode  core.SpecMode
+	}{
+		{"mesh_c1_sep_if_spec_req", 5, core.NewVCSpec(2, 1, 1), alloc.SepIF, core.SpecReq},
+		{"mesh_c2_wf_spec_gnt", 5, core.NewVCSpec(2, 1, 2), alloc.Wavefront, core.SpecGnt},
+		{"fbfly_c1_sep_of_nonspec", 10, core.NewVCSpec(2, 2, 1), alloc.SepOF, core.SpecNone},
+		{"fbfly_c2_wf_spec_req", 10, core.NewVCSpec(2, 2, 2), alloc.Wavefront, core.SpecReq},
+	} {
+		b.Run(cell.name, func(b *testing.B) {
+			cfg := testConfig(cell.mode)
+			cfg.Ports, cfg.Spec = cell.ports, cell.spec
+			cfg.Routing = spreadRoute{cell.ports, cell.spec.ResourceClasses}
+			cfg.SA.Arch = cell.arch
+			f := newKneeFeeder(New(cfg), cell.ports, cell.spec)
+			for i := 0; i < 500; i++ { // fill the buffers first
+				f.cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.cycle()
+			}
+		})
+	}
+}
 
 // benchBuildRequests isolates the request-assembly phase. Under the dirty
 // schedule the benchmark re-marks the fed VCs every iteration (the mask a
