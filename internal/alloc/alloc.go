@@ -12,6 +12,7 @@ package alloc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arbiter"
 	"repro/internal/bitvec"
@@ -367,11 +368,13 @@ type wavefront struct {
 	n          int // number of diagonal classes = max(rows, cols)
 	prio       int
 	gnt        bitvec.Matrix
-	rowBusy    *bitvec.Vec // rows granted by the latest Allocate: the non-zero rows of gnt
 	colFree    *bitvec.Vec
-	diagRows   []bitvec.Vec // per diagonal class, rows wide: rows requesting on it
-	diagAny    *bitvec.Vec  // diagonal classes whose diagRows vector is dirty
-	wave       *bitvec.Vec  // scratch: diagRows[d] &^ rowBusy
+	diagAny    *bitvec.Vec // diagonal classes whose diagRows set is dirty
+	// Sets of rows as raw words, rw words each: the bucketing loop sets one
+	// bit per request, which a call per bit would dominate.
+	rw       int
+	rowBusy  []uint64 // rows granted by the latest Allocate: the non-zero rows of gnt
+	diagRows []uint64 // per diagonal class d, at d*rw: rows requesting on it
 }
 
 // NewWavefront returns a rows×cols wavefront allocator.
@@ -380,15 +383,14 @@ func NewWavefront(rows, cols int) Allocator {
 	if cols > n {
 		n = cols
 	}
-	a := &wavefront{rows: rows, cols: cols, n: n}
+	a := &wavefront{rows: rows, cols: cols, n: n, rw: (rows + 63) / 64}
 	var s bitvec.Slab
 	for pass := 0; pass < 2; pass++ {
 		a.gnt = s.Matrix(rows, cols)
-		a.rowBusy = s.Vec(rows)
 		a.colFree = s.Vec(cols)
-		a.diagRows = s.Vecs(n, rows)
 		a.diagAny = s.Vec(n)
-		a.wave = s.Vec(rows)
+		a.rowBusy = s.Words(a.rw)
+		a.diagRows = s.Words(n * a.rw)
 		if pass == 0 {
 			s.Alloc()
 		}
@@ -410,27 +412,44 @@ func (a *wavefront) SkipIdle(idleCycles int64) {
 func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	checkShape(req, a.rows, a.cols)
 	// Only the rows the previous call granted hold a bit.
-	for i := a.rowBusy.NextSet(0); i >= 0; i = a.rowBusy.NextSet(i + 1) {
-		a.gnt.Row(i).Reset()
+	for wi, w := range a.rowBusy {
+		for base := wi * 64; w != 0; w &= w - 1 {
+			a.gnt.Row(base + bits.TrailingZeros64(w)).Reset()
+		}
+		a.rowBusy[wi] = 0
 	}
-	a.rowBusy.Reset()
 	// Bucket requests by diagonal class. Since n >= cols, each row has at
 	// most one column on any diagonal: (i, j) lies on class (i + j) mod n,
 	// and j is recoverable from (class, i). Both are below n, so one
 	// conditional subtraction (or addition, going back) reduces mod n.
 	for d := a.diagAny.NextSet(0); d >= 0; d = a.diagAny.NextSet(d + 1) {
-		a.diagRows[d].Reset()
+		clear(a.diagRows[d*a.rw : (d+1)*a.rw])
 	}
 	a.diagAny.Reset()
 	for i := 0; i < a.rows; i++ {
-		row := req.Row(i)
-		for j := row.NextSet(0); j >= 0; j = row.NextSet(j + 1) {
-			d := i + j
-			if d >= a.n {
-				d -= a.n
+		iw, ibit := i/64, uint64(1)<<(uint(i)%64)
+		for wi, w := range req.Row(i).Words() {
+			if w == 0 {
+				continue
 			}
-			a.diagRows[d].Set(i)
-			a.diagAny.Set(d)
+			// Column wi*64+b is on class i+wi*64+b mod n: the row word, moved
+			// to that position, is the set of classes it touches. It passes
+			// class n-1 at most once; what does wraps to class 0.
+			pos, low := i+wi*64, w
+			if pos >= a.n {
+				pos -= a.n
+			} else if k := uint(a.n - pos); k < 64 && w>>k != 0 {
+				a.diagAny.OrWordAt(0, w>>k)
+				low = w & (1<<k - 1)
+			}
+			a.diagAny.OrWordAt(pos, low)
+			for base := i + wi*64; w != 0; w &= w - 1 {
+				d := base + bits.TrailingZeros64(w)
+				if d >= a.n {
+					d -= a.n
+				}
+				a.diagRows[d*a.rw+iw] |= ibit
+			}
 		}
 	}
 	// Visit the classes that hold a request, from the priority diagonal
@@ -451,20 +470,22 @@ func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 }
 
 // sweep grants every request on diagonal class d whose row and column are
-// still free.
+// still free. A row meets a diagonal once, so a grant made here cannot take
+// the row of a later request of the same sweep.
 func (a *wavefront) sweep(d int) {
-	if !a.wave.AndNotInto(&a.diagRows[d], a.rowBusy) {
-		return
-	}
-	for i := a.wave.NextSet(0); i >= 0; i = a.wave.NextSet(i + 1) {
-		j := d - i
-		if j < 0 {
-			j += a.n
-		}
-		if a.colFree.Get(j) {
-			a.gnt.Set(i, j)
-			a.rowBusy.Set(i)
-			a.colFree.Clear(j)
+	for wi, busy := range a.rowBusy {
+		for w := a.diagRows[d*a.rw+wi] &^ busy; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			i := wi*64 + b
+			j := d - i
+			if j < 0 {
+				j += a.n
+			}
+			if a.colFree.Get(j) {
+				a.gnt.Set(i, j)
+				a.rowBusy[wi] |= 1 << uint(b)
+				a.colFree.Clear(j)
+			}
 		}
 	}
 }

@@ -191,7 +191,11 @@ func TestWavefrontMaximalRectangular(t *testing.T) {
 // that stale grant rows and request-free calls occur, SkipIdle and Reset in
 // between.
 func TestWavefrontMatchesCellByCell(t *testing.T) {
-	for _, shape := range [][2]int{{1, 1}, {5, 5}, {16, 16}, {6, 11}, {11, 6}, {65, 9}, {3, 70}} {
+	// The last four are wider than a word in both dimensions: a row word's
+	// diagonal classes then pass n-1 and wrap mid-word (64 and 128 wrap on a
+	// word boundary; 80 and 160 are the VC allocators of the paper's mesh and
+	// fbfly routers).
+	for _, shape := range [][2]int{{1, 1}, {5, 5}, {16, 16}, {6, 11}, {11, 6}, {65, 9}, {3, 70}, {64, 64}, {80, 80}, {70, 130}, {160, 160}} {
 		rows, cols := shape[0], shape[1]
 		n := max(rows, cols)
 		a := NewWavefront(rows, cols)

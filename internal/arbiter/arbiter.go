@@ -343,6 +343,25 @@ func (t *TreeBank) Pick(i int, req *bitvec.Vec) int {
 	return g*t.groupSize + w
 }
 
+// PickWords is Pick on tree i for trees of at most 64 groups of at most 64
+// inputs, with the request vector handed over in the shape of the tree: bit g
+// of any says group g holds a request, and leaves[g] holds group g's requests
+// (bit r is input g*groupSize+r). Only the winning group's word is read, so
+// words of groups outside any may hold anything; a tree with single-input
+// leaves reads none. No gather, no scratch: one root PickWord and one leaf
+// PickWord, with PickWord's panics.
+func (t *TreeBank) PickWords(i int, any uint64, leaves []uint64) int {
+	g := t.root.PickWord(i, any)
+	if g < 0 || t.groupSize == 1 {
+		return g
+	}
+	w := t.leaves.PickWord(i*t.groups+g, leaves[g])
+	if w < 0 {
+		return -1
+	}
+	return g*t.groupSize + w
+}
+
 // Update is Arbiter.Update on tree i, advancing both the root and the
 // winning leaf.
 func (t *TreeBank) Update(i, winner int) {

@@ -397,6 +397,29 @@ func BenchmarkBankPickWord(b *testing.B) {
 	}
 }
 
+// BenchmarkTreeBankPickWords is the output stage of a separable VC allocator
+// at the fbfly design point: a tree of 10 ports × 16 VCs, a third of the
+// inputs requesting, picked and updated through the word entry point.
+func BenchmarkTreeBankPickWords(b *testing.B) {
+	leaves := make([]uint64, 10)
+	var any uint64
+	for i := 0; i < 160; i += 3 {
+		leaves[i/16] |= 1 << uint(i%16)
+		any |= 1 << uint(i/16)
+	}
+	for _, k := range allKinds() {
+		b.Run(k.String(), func(b *testing.B) {
+			bank := NewTreeBank(k, 1, 10, 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := bank.PickWords(0, any, leaves)
+				bank.Update(0, w)
+			}
+		})
+	}
+}
+
 // Property: the matrix arbiter's priority matrix always encodes a
 // tournament (exactly one of "i beats j" / "j beats i" for i != j), so a
 // unique winner exists for every non-empty request set.

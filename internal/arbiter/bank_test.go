@@ -147,6 +147,80 @@ func TestTreeBankMatchesStandaloneTrees(t *testing.T) {
 	}
 }
 
+// TestTreeBankPickWordsMatchesPick drives two banks of one shape through the
+// same random requests, one through the vector entry point and one through
+// the word entry point, each updated with its own winner: the winners must be
+// the same at every step. Group size 1 is the degenerate tree that reads no
+// leaf word.
+func TestTreeBankPickWordsMatchesPick(t *testing.T) {
+	for _, k := range allKinds() {
+		for _, shape := range []struct{ groups, groupSize int }{{5, 1}, {64, 1}, {10, 3}, {10, 16}, {3, 64}} {
+			t.Run(fmt.Sprintf("%s/%dx%d", k, shape.groups, shape.groupSize), func(t *testing.T) {
+				const count = 3
+				byVec := NewTreeBank(k, count, shape.groups, shape.groupSize)
+				byWord := NewTreeBank(k, count, shape.groups, shape.groupSize)
+				rng := xrand.New(uint64(shape.groups*100 + shape.groupSize))
+				req := bitvec.New(shape.groups * shape.groupSize)
+				leaves := make([]uint64, shape.groups)
+				for step := 0; step < 1000; step++ {
+					req.Reset()
+					var any uint64
+					density := rng.Float64()
+					for g := range leaves {
+						// Words of groups the root cannot pick are never read.
+						leaves[g] = rng.Uint64()
+						if !rng.Bool(density) {
+							continue
+						}
+						any |= 1 << uint(g)
+						leaves[g] = 1 << uint(rng.Intn(shape.groupSize))
+						if shape.groupSize > 1 {
+							leaves[g] |= rng.Uint64() >> uint(64-shape.groupSize)
+						}
+						req.OrWordAt(g*shape.groupSize, leaves[g])
+					}
+					i := rng.Intn(count)
+					want, got := byVec.Pick(i, req), byWord.PickWords(i, any, leaves)
+					if got != want {
+						t.Fatalf("step %d tree %d: PickWords picked %d, Pick picked %d for %s", step, i, got, want, req)
+					}
+					if got >= 0 && step%3 != 0 {
+						byVec.Update(i, want)
+						byWord.Update(i, got)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTreeBankPickWordsRejectsWhatDoesNotFit: the word entry point carries at
+// most 64 groups of at most 64 inputs, and a bit beyond either width is a
+// caller bug.
+func TestTreeBankPickWordsRejectsWhatDoesNotFit(t *testing.T) {
+	for _, k := range allKinds() {
+		manyGroups, wideLeaves, small := NewTreeBank(k, 1, 65, 2), NewTreeBank(k, 1, 2, 65), NewTreeBank(k, 1, 3, 4)
+		for name, fn := range map[string]func(){
+			"65 groups":       func() { manyGroups.PickWords(0, 1, make([]uint64, 65)) },
+			"65-input leaves": func() { wideLeaves.PickWords(0, 1, []uint64{1, 0}) },
+			"group 3 of 3":    func() { small.PickWords(0, 1<<3, make([]uint64, 3)) },
+			"input 4 of 4":    func() { small.PickWords(0, 1, []uint64{1 << 4, 0, 0}) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: expected panic", k, name)
+					}
+				}()
+				fn()
+			}()
+		}
+		if got := small.PickWords(0, 0, nil); got != -1 {
+			t.Errorf("%s: empty request picked %d", k, got)
+		}
+	}
+}
+
 // TestPickWordRejectsWhatDoesNotFit: a word cannot carry a request vector
 // wider than 64, and a bit at or above the arbiter's width is a caller bug
 // that must not be arbitrated as if it were a request.

@@ -104,7 +104,7 @@ func (a *freeQueueVCAllocator) qIndex(port, class int) int { return port*a.spec.
 // reallocates; the length check enforces the invariant.
 func (a *freeQueueVCAllocator) noteFreed(reqs []VCRequest) {
 	for _, r := range reqs {
-		if !r.Active || r.Candidates == nil {
+		if !r.Active || r.Candidates == 0 {
 			continue
 		}
 		base := r.OutPort * a.v
@@ -156,7 +156,7 @@ func (a *freeQueueVCAllocator) Allocate(reqs []VCRequest) []int {
 			// excluded to preserve the one-grant-per-requester invariant.
 			a.reqVec.Reset()
 			for gi, r := range reqs {
-				if a.grants[gi] < 0 && r.Active && r.OutPort == port && r.Candidates != nil && r.Candidates.Get(vc) {
+				if a.grants[gi] < 0 && r.Active && r.OutPort == port && r.Candidates.Get(vc) {
 					a.reqVec.Set(gi)
 				}
 			}
@@ -175,7 +175,7 @@ func (a *freeQueueVCAllocator) Allocate(reqs []VCRequest) []int {
 
 func (a *freeQueueVCAllocator) anyCandidate(reqs []VCRequest, port, vc int) bool {
 	for _, r := range reqs {
-		if r.Active && r.OutPort == port && r.Candidates != nil && r.Candidates.Get(vc) {
+		if r.Active && r.OutPort == port && r.Candidates.Get(vc) {
 			return true
 		}
 	}

@@ -47,18 +47,10 @@ func TestFreeQueueFIFOOrder(t *testing.T) {
 	spec := NewVCSpec(1, 1, 3)
 	a := NewVCAllocator(freeqCfg(2, spec))
 	mk := func(free ...int) []VCRequest {
-		cand := spec.ClassMask(0, 0)
 		// The router reports only un-allocated VCs as candidates.
-		for c := 0; c < 3; c++ {
-			in := false
-			for _, f := range free {
-				if f == c {
-					in = true
-				}
-			}
-			if !in {
-				cand.Clear(c)
-			}
+		var cand VCMask
+		for _, f := range free {
+			cand |= 1 << uint(f)
 		}
 		reqs := make([]VCRequest, 2*3)
 		reqs[0] = VCRequest{Active: true, OutPort: 1, Candidates: cand}

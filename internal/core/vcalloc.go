@@ -19,9 +19,10 @@ type VCRequest struct {
 	Active bool
 	// OutPort is the output port selected by the routing function.
 	OutPort int
-	// Candidates selects the output VCs at OutPort that may be assigned.
-	// Its width is the router's V. Inactive requests may leave it nil.
-	Candidates *bitvec.Vec
+	// Candidates selects the output VCs at OutPort that may be assigned; bits
+	// at or above the router's V must be clear. An active request with no
+	// candidate asks for nothing. Inactive requests may leave it zero.
+	Candidates VCMask
 }
 
 // VCAllocator assigns output VCs to requesting input VCs, at most one output
@@ -37,13 +38,13 @@ type VCAllocator interface {
 	// (o·V+v') or -1; it is owned by the allocator and valid until the next
 	// call.
 	//
-	// Request-slice contract: reqs and the Candidates vectors it points to
-	// are read-only inputs owned by the caller, who may reuse the same
-	// backing storage — with only changed entries rewritten — on every
-	// call (the router's change-driven request cache does exactly that).
-	// Implementations must not mutate them and must not retain references
-	// past the call's return; any cross-cycle state they keep must be
-	// derived by value, as the free-queue allocator's noteFreed does.
+	// Request-slice contract: reqs is a read-only input owned by the caller,
+	// who may reuse the same backing storage — with only changed entries
+	// rewritten — on every call (the router's change-driven request cache
+	// does exactly that). Implementations must not mutate it and must not
+	// retain references past the call's return; any cross-cycle state they
+	// keep must be derived by value, as the free-queue allocator's noteFreed
+	// does.
 	Allocate(reqs []VCRequest) []int
 	// Reset restores initial arbitration state.
 	Reset()
@@ -106,10 +107,14 @@ func newVCPart(cfg VCAllocConfig) vcPart {
 	if err := cfg.Spec.Validate(); err != nil {
 		panic(err)
 	}
+	v := cfg.Spec.V()
+	if cfg.Ports > maxVCs || v > maxVCs {
+		panic(fmt.Sprintf("core: VC allocator for %d ports × %s = %d VCs: at most %d of each, "+
+			"every candidate set and every port set is one machine word", cfg.Ports, cfg.Spec, v, maxVCs))
+	}
 	if cfg.FreeQueue {
 		return newFreeQueueVCAllocator(cfg)
 	}
-	v := cfg.Spec.V()
 	a := &vcAllocator{ports: cfg.Ports, v: v}
 	if cfg.Sparse {
 		perClass := cfg.Spec.ResourceClasses * cfg.Spec.VCsPerClass
@@ -131,11 +136,14 @@ type vcAllocator struct {
 	engines  []vcEngine
 	grants   []int
 
-	// active caches which request indices carry an issuable request
-	// (Active with a candidate vector). It is resynchronized from the full
-	// slice on Allocate and from only the changed entries on AllocateMasked;
-	// the engines iterate its set bits instead of scanning all P·V entries.
-	active *bitvec.Vec
+	// active[p] caches which of input port p's VCs carry an issuable request
+	// (Active with a candidate), and busy which ports have any. They are
+	// resynchronized from the full slice on Allocate and from only the
+	// changed entries on AllocateMasked; the engines iterate their set bits
+	// instead of scanning all P·V entries, so a cycle with two requests
+	// costs two visits whatever P and V are.
+	active []uint64
+	busy   uint64
 }
 
 func (a *vcAllocator) Ports() int { return a.ports }
@@ -158,7 +166,7 @@ func (a *vcAllocator) Name() string {
 }
 
 func (a *vcAllocator) layout(s slabs) slabs {
-	a.active = s.Vec(a.ports * a.v)
+	a.active = s.Words(a.ports)
 	a.grants = s.ints.Take(a.ports * a.v)
 	for i := range a.engines {
 		a.engines[i].layout(&s)
@@ -167,6 +175,9 @@ func (a *vcAllocator) layout(s slabs) slabs {
 }
 
 func (a *vcAllocator) fill() {
+	for i := range a.grants {
+		a.grants[i] = -1
+	}
 	for i := range a.engines {
 		a.engines[i].fill()
 	}
@@ -191,47 +202,71 @@ func (a *vcAllocator) SkipIdle(idleCycles int64) {
 }
 
 func (a *vcAllocator) Allocate(reqs []VCRequest) []int {
-	if len(reqs) != a.ports*a.v {
-		panic(fmt.Sprintf("core: %d VC requests, want %d", len(reqs), a.ports*a.v))
-	}
-	for i, r := range reqs {
-		a.noteRequest(i, r)
+	a.begin(reqs)
+	a.busy = 0
+	for port := range a.active {
+		var w uint64
+		for vc, r := range reqs[port*a.v : (port+1)*a.v] {
+			if r.Active && r.Candidates != 0 {
+				w |= 1 << uint(vc)
+			}
+		}
+		a.setActive(port, w)
 	}
 	return a.run(reqs)
 }
 
 // AllocateMasked implements MaskedVCAllocator.
 func (a *vcAllocator) AllocateMasked(reqs []VCRequest, changed *bitvec.Vec) []int {
-	if len(reqs) != a.ports*a.v {
-		panic(fmt.Sprintf("core: %d VC requests, want %d", len(reqs), a.ports*a.v))
-	}
+	a.begin(reqs)
+	// Changed indices ascend, so the port they belong to only moves forward:
+	// first is the global index of the current port's VC 0.
+	port, first := 0, 0
 	for wi, w := range changed.Words() {
 		for base := wi * 64; w != 0; w &= w - 1 {
 			i := base + bits.TrailingZeros64(w)
-			a.noteRequest(i, reqs[i])
+			for i >= first+a.v {
+				port++
+				first += a.v
+			}
+			bit := uint64(1) << uint(i-first)
+			if r := &reqs[i]; r.Active && r.Candidates != 0 {
+				a.setActive(port, a.active[port]|bit)
+			} else {
+				a.setActive(port, a.active[port]&^bit)
+			}
 		}
 	}
 	return a.run(reqs)
 }
 
-func (a *vcAllocator) noteRequest(i int, r VCRequest) {
-	if r.Active && r.Candidates != nil {
-		a.active.Set(i)
-	} else {
-		a.active.Clear(i)
+// setActive replaces port's active set.
+func (a *vcAllocator) setActive(port int, vcs uint64) {
+	a.active[port] = vcs
+	a.busy &^= 1 << uint(port)
+	if vcs != 0 {
+		a.busy |= 1 << uint(port)
+	}
+}
+
+// begin checks the request slice and takes back the previous call's grants.
+// Only an input VC that was active then can hold one, so the walk is over the
+// active sets as the previous call left them, not over all P·V entries.
+func (a *vcAllocator) begin(reqs []VCRequest) {
+	if len(reqs) != a.ports*a.v {
+		panic(fmt.Sprintf("core: %d VC requests, want %d", len(reqs), a.ports*a.v))
+	}
+	for pw := a.busy; pw != 0; pw &= pw - 1 {
+		port := bits.TrailingZeros64(pw)
+		for aw := a.active[port]; aw != 0; aw &= aw - 1 {
+			a.grants[port*a.v+bits.TrailingZeros64(aw)] = -1
+		}
 	}
 }
 
 func (a *vcAllocator) run(reqs []VCRequest) []int {
-	// Scan-and-clear: grants are sparse, so skip the store for entries
-	// already at -1. The zero value is >= 0, so first use also clears.
-	for i, g := range a.grants {
-		if g >= 0 {
-			a.grants[i] = -1
-		}
-	}
 	for i := range a.engines {
-		a.engines[i].allocate(reqs, a.grants, a.active)
+		a.engines[i].allocate(reqs, a.grants, a.active, a.busy)
 	}
 	return a.grants
 }
@@ -239,6 +274,11 @@ func (a *vcAllocator) run(reqs []VCRequest) []int {
 // vcEngine performs VC allocation over the VC index range [off, off+w) at
 // every port. A dense allocator uses a single engine covering all V VCs; the
 // sparse scheme instantiates one engine per message class.
+//
+// The separable engines run on machine words: an input VC's candidates in the
+// engine's range are one word, and what an output VC sees is stored in the
+// shape of its §4.1 tree arbiter — which input ports bid, and per port which
+// of its VCs.
 type vcEngine struct {
 	cfg    VCAllocConfig
 	off, w int
@@ -253,29 +293,22 @@ type vcEngine struct {
 	inArb  arbiter.Bank     // per input VC in range, width w
 	outArb arbiter.TreeBank // per output VC in range, width P·w
 
-	// Wavefront state.
+	// Wavefront state: the (P·w)² request matrix is up to 160 wide, so it
+	// stays a bit matrix handed to the generic wavefront allocator.
 	wf    alloc.Allocator
 	wfReq bitvec.Matrix
 
-	// Index tables hoisting the divides out of the per-request allocate
-	// loops: liOf maps a global request index gi to this engine's local
-	// index p·w + (vc-off), or -1 when gi's VC falls outside the window;
-	// gIdx inverts it, mapping a local input or output index back to the
-	// global VC index (port·V + off + local%w) used by the request and
-	// grant slices.
-	liOf []int32 // ports·V wide
-	gIdx []int32 // p·w wide
+	// gIdx maps an engine-local input or output index p·w + (vc-off) back to
+	// the global VC index p·V + vc used by the request and grant slices.
+	gIdx []int32 // P·w wide
 
-	// Scratch.
-	cand    *bitvec.Vec  // w wide; sparse sub-engines only
-	bids    []bitvec.Vec // per output VC in range, P·w wide (sep_if stage 2)
-	bidsAny *bitvec.Vec  // output VCs with at least one bid (sep_if)
-	bidVC   []int        // per input VC in range: chosen local candidate (sep_if)
-	offers  []bitvec.Vec // per input VC in range, w wide (sep_of stage 2)
-	offAny  *bitvec.Vec  // input VCs with at least one offer (sep_of)
-	reqTo   []bitvec.Vec // per output VC in range, P·w wide (sep_of stage 1)
-	outAny  *bitvec.Vec  // output VCs whose reqTo vector is dirty (sep_of)
-	wfRows  *bitvec.Vec  // rows of wfReq that are dirty (wavefront)
+	// Scratch of the separable engines, all zero between calls. lo is an
+	// output VC's local index o·w + (vc-off).
+	bidPorts []uint64 // per lo: the input ports with a VC bidding for lo
+	bidLeaf  []uint64 // per lo·P + port: which of that port's VCs (local) bid
+	outSet   []uint64 // per output port: its local VCs with at least one bid
+	bidVC    []int    // per input VC in range: chosen local candidate (sep_if)
+	offer    []uint64 // per input VC in range: local output VCs offered (sep_of)
 }
 
 func newVCEngine(cfg VCAllocConfig, off, w int) vcEngine {
@@ -293,46 +326,29 @@ func newVCEngine(cfg VCAllocConfig, off, w int) vcEngine {
 func (e *vcEngine) layout(s *slabs) {
 	p, w, k := e.cfg.Ports, e.w, e.cfg.ArbKind
 	switch e.arch {
-	case alloc.SepIF:
+	case alloc.SepIF, alloc.SepOF:
 		e.inArb = s.Bank(k, p*w, w)
 		e.outArb = s.TreeBank(k, p*w, p, w)
-		e.bids = s.Vecs(p*w, p*w)
-		e.bidsAny = s.Vec(p * w)
-		e.bidVC = s.ints.Take(p * w)
-	case alloc.SepOF:
-		e.inArb = s.Bank(k, p*w, w)
-		e.outArb = s.TreeBank(k, p*w, p, w)
-		e.offers = s.Vecs(p*w, w)
-		e.offAny = s.Vec(p * w)
-		e.reqTo = s.Vecs(p*w, p*w)
-		e.outAny = s.Vec(p * w)
+		e.bidPorts = s.Words(p * w)
+		e.bidLeaf = s.Words(p * w * p)
+		e.outSet = s.Words(p)
+		if e.arch == alloc.SepIF {
+			e.bidVC = s.ints.Take(p * w)
+		} else {
+			e.offer = s.Words(p * w)
+		}
 	case alloc.Wavefront:
 		e.wfReq = s.Matrix(p*w, p*w)
-		e.wfRows = s.Vec(p * w)
 	}
-	e.liOf = s.i32.Take(p * e.cfg.Spec.V())
 	e.gIdx = s.i32.Take(p * w)
-	if !e.full() {
-		e.cand = s.Vec(w)
-	}
 }
 
 func (e *vcEngine) fill() {
 	v := e.cfg.Spec.V()
-	for gi := range e.liOf {
-		e.liOf[gi] = -1
-		if vc := gi % v; e.inRange(vc) {
-			e.liOf[gi] = int32(e.local(gi/v, vc))
-		}
-	}
 	for l := range e.gIdx {
 		e.gIdx[l] = int32((l/e.w)*v + e.off + l%e.w)
 	}
 }
-
-// full reports whether the engine covers every VC, i.e. is not a sparse
-// sub-engine.
-func (e *vcEngine) full() bool { return e.off == 0 && e.w == e.cfg.Spec.V() }
 
 func (e *vcEngine) reset() {
 	e.inArb.Reset()
@@ -342,42 +358,28 @@ func (e *vcEngine) reset() {
 	}
 }
 
-// candFor returns the engine-range candidate vector for an active request r,
-// or nil when no candidate falls in range. An engine covering the full VC
-// range reads the request's own (caller-owned, read-only) vector in place;
-// sparse sub-engines extract their window into the e.cand scratch vector.
-func (e *vcEngine) candFor(r VCRequest) *bitvec.Vec {
-	if e.full() {
-		if !r.Candidates.Any() {
-			return nil
-		}
-		return r.Candidates
-	}
-	if !e.cand.SliceFrom(r.Candidates, e.off) {
-		return nil
-	}
-	return e.cand
+// inRange is the engine's VC range as a mask over a port's V VCs.
+func (e *vcEngine) inRange() uint64 { return (1<<uint(e.w) - 1) << uint(e.off) }
+
+// window returns the candidates of request r that fall in the engine's range,
+// as local indices: bit c is output VC off+c.
+func (e *vcEngine) window(r *VCRequest) uint64 {
+	return uint64(r.Candidates) & e.inRange() >> uint(e.off)
 }
 
-// inRange reports whether global VC index vc falls in this engine's window.
-func (e *vcEngine) inRange(vc int) bool { return vc >= e.off && vc < e.off+e.w }
-
-// local index helpers: engine-local input/output VC index is p·w + (v-off).
-func (e *vcEngine) local(p, v int) int      { return p*e.w + (v - e.off) }
-func (e *vcEngine) global(l int) (p, v int) { return l / e.w, e.off + l%e.w }
-
-// allocate computes this engine's share of the matching. act marks the
-// request indices that are Active with a candidate vector; the engine visits
-// only those (ascending, the same order as a full scan), so a mostly-idle
-// request slice costs proportionally little.
-func (e *vcEngine) allocate(reqs []VCRequest, grants []int, act *bitvec.Vec) {
+// allocate computes this engine's share of the matching. active[p] marks the
+// VCs of input port p that are Active with a candidate and busy the ports
+// that have one; the engine visits only those in its range (ascending, the
+// same order as a full scan), so a mostly-idle request slice costs
+// proportionally little.
+func (e *vcEngine) allocate(reqs []VCRequest, grants []int, active []uint64, busy uint64) {
 	switch e.arch {
 	case alloc.SepIF:
-		e.allocateSepIF(reqs, grants, act)
+		e.allocateSepIF(reqs, grants, active, busy)
 	case alloc.SepOF:
-		e.allocateSepOF(reqs, grants, act)
+		e.allocateSepOF(reqs, grants, active, busy)
 	case alloc.Wavefront:
-		e.allocateWavefront(reqs, grants, act)
+		e.allocateWavefront(reqs, grants, active, busy)
 	}
 }
 
@@ -385,143 +387,135 @@ func (e *vcEngine) allocate(reqs []VCRequest, grants []int, act *bitvec.Vec) {
 // its candidate output VCs, then each output VC arbitrates among incoming
 // bids with a P·w-input tree arbiter. Input arbiters update priority only
 // when the bid wins output arbitration.
-func (e *vcEngine) allocateSepIF(reqs []VCRequest, grants []int, act *bitvec.Vec) {
-	// Clear only the bid vectors dirtied by the previous cycle.
-	for wi, bw := range e.bidsAny.Words() {
-		for base := wi * 64; bw != 0; bw &= bw - 1 {
-			e.bids[base+bits.TrailingZeros64(bw)].Reset()
-		}
-	}
-	e.bidsAny.Reset()
+func (e *vcEngine) allocateSepIF(reqs []VCRequest, grants []int, active []uint64, busy uint64) {
+	p, w, v, inRange := e.cfg.Ports, e.w, e.cfg.Spec.V(), e.inRange()
 	// Stage 1: input-side arbitration. Stage 2 reads bidVC only for input
 	// VCs that bid this cycle, so stale entries of inactive VCs are never
-	// observed and need no clearing. act is not mutated here, so the word
-	// scan reads a consistent snapshot; liOf fuses the VC-window filter
-	// and the local-index divides into one table lookup.
-	for wi, aw := range act.Words() {
-		for base := wi * 64; aw != 0; aw &= aw - 1 {
-			gi := base + bits.TrailingZeros64(aw)
-			li := int(e.liOf[gi])
-			if li < 0 {
-				continue
-			}
-			r := reqs[gi]
-			cand := e.candFor(r)
-			if cand == nil {
-				continue
-			}
-			c := e.inArb.Pick(li, cand)
+	// observed and need no clearing. outs collects the output ports bid for.
+	var outs uint64
+	for pw := busy; pw != 0; pw &= pw - 1 {
+		port := bits.TrailingZeros64(pw)
+		for aw := active[port] & inRange; aw != 0; aw &= aw - 1 {
+			vc := bits.TrailingZeros64(aw)
+			r := &reqs[port*v+vc]
+			li := port*w + vc - e.off
+			c := e.inArb.PickWord(li, e.window(r))
 			if c < 0 {
 				continue
 			}
 			e.bidVC[li] = c
-			lo := r.OutPort*e.w + c
-			e.bids[lo].Set(li)
-			e.bidsAny.Set(lo)
+			lo := r.OutPort*w + c
+			e.outSet[r.OutPort] |= 1 << uint(c)
+			outs |= 1 << uint(r.OutPort)
+			e.bidPorts[lo] |= 1 << uint(port)
+			e.bidLeaf[lo*p+port] |= 1 << uint(vc-e.off)
 		}
 	}
 	// Stage 2: output-side arbitration at the output VCs that received bids.
-	for wi, bw := range e.bidsAny.Words() {
-		for base := wi * 64; bw != 0; bw &= bw - 1 {
-			lo := base + bits.TrailingZeros64(bw)
-			winner := e.outArb.Pick(lo, &e.bids[lo])
-			if winner < 0 {
-				continue
-			}
+	for ; outs != 0; outs &= outs - 1 {
+		o := bits.TrailingZeros64(outs)
+		for ow := e.outSet[o]; ow != 0; ow &= ow - 1 {
+			lo := o*w + bits.TrailingZeros64(ow)
+			winner := e.pickBidder(lo)
 			grants[e.gIdx[winner]] = int(e.gIdx[lo])
 			e.outArb.Update(lo, winner)
 			e.inArb.Update(winner, e.bidVC[winner])
 		}
+		e.outSet[o] = 0
 	}
+}
+
+// pickBidder runs output VC lo's tree arbiter over the bids stored for it and
+// clears them. Only output VCs with a bid are asked, so there is a winner.
+func (e *vcEngine) pickBidder(lo int) int {
+	p := e.cfg.Ports
+	ports, leaves := e.bidPorts[lo], e.bidLeaf[lo*p:(lo+1)*p]
+	winner := e.outArb.PickWords(lo, ports, leaves)
+	e.bidPorts[lo] = 0
+	for ; ports != 0; ports &= ports - 1 {
+		leaves[bits.TrailingZeros64(ports)] = 0
+	}
+	return winner
 }
 
 // allocateSepOF implements Fig. 3(b): each output VC first arbitrates among
 // all requesting input VCs, then each input VC that received one or more
 // offers picks a winner. Output arbiters update priority only when their
 // offer is accepted.
-func (e *vcEngine) allocateSepOF(reqs []VCRequest, grants []int, act *bitvec.Vec) {
-	v := e.cfg.Spec.V()
-	// Clear the vectors dirtied by the previous cycle.
-	for lo := e.outAny.NextSet(0); lo >= 0; lo = e.outAny.NextSet(lo + 1) {
-		e.reqTo[lo].Reset()
-	}
-	e.outAny.Reset()
-	for li := e.offAny.NextSet(0); li >= 0; li = e.offAny.NextSet(li + 1) {
-		e.offers[li].Reset()
-	}
-	e.offAny.Reset()
-	// Gather: transpose each input VC's candidate set into per-output-VC
-	// request vectors, replacing the per-output scan over all input VCs.
-	for gi := act.NextSet(0); gi >= 0; gi = act.NextSet(gi + 1) {
-		li := int(e.liOf[gi])
-		if li < 0 {
-			continue
-		}
-		r := reqs[gi]
-		cand := e.candFor(r)
-		if cand == nil {
-			continue
-		}
-		base := r.OutPort * e.w
-		for c := cand.NextSet(0); c >= 0; c = cand.NextSet(c + 1) {
-			e.reqTo[base+c].Set(li)
-			e.outAny.Set(base + c)
+func (e *vcEngine) allocateSepOF(reqs []VCRequest, grants []int, active []uint64, busy uint64) {
+	p, w, v, inRange := e.cfg.Ports, e.w, e.cfg.Spec.V(), e.inRange()
+	// Gather: transpose each input VC's candidate set into the request tree
+	// of every output VC it names. outs collects the output ports named.
+	var outs uint64
+	for pw := busy; pw != 0; pw &= pw - 1 {
+		port := bits.TrailingZeros64(pw)
+		for aw := active[port] & inRange; aw != 0; aw &= aw - 1 {
+			vc := bits.TrailingZeros64(aw)
+			r := &reqs[port*v+vc]
+			cand := e.window(r)
+			e.outSet[r.OutPort] |= cand
+			outs |= 1 << uint(r.OutPort)
+			for base := r.OutPort * w; cand != 0; cand &= cand - 1 {
+				lo := base + bits.TrailingZeros64(cand)
+				e.bidPorts[lo] |= 1 << uint(port)
+				e.bidLeaf[lo*p+port] |= 1 << uint(vc-e.off)
+			}
 		}
 	}
 	// Stage 1: output-side arbitration at every requested output VC.
-	for lo := e.outAny.NextSet(0); lo >= 0; lo = e.outAny.NextSet(lo + 1) {
-		winner := e.outArb.Pick(lo, &e.reqTo[lo])
-		if winner < 0 {
-			continue
+	for ; outs != 0; outs &= outs - 1 {
+		o := bits.TrailingZeros64(outs)
+		for ow := e.outSet[o]; ow != 0; ow &= ow - 1 {
+			c := bits.TrailingZeros64(ow)
+			e.offer[e.pickBidder(o*w+c)] |= 1 << uint(c)
 		}
-		e.offers[winner].Set(lo % e.w)
-		e.offAny.Set(winner)
+		e.outSet[o] = 0
 	}
-	// Stage 2: input-side arbitration among offered output VCs.
-	for li := e.offAny.NextSet(0); li >= 0; li = e.offAny.NextSet(li + 1) {
-		c := e.inArb.Pick(li, &e.offers[li])
-		if c < 0 {
-			continue
+	// Stage 2: input-side arbitration among offered output VCs. Only an
+	// input VC that requested can hold an offer.
+	for pw := busy; pw != 0; pw &= pw - 1 {
+		port := bits.TrailingZeros64(pw)
+		for aw := active[port] & inRange; aw != 0; aw &= aw - 1 {
+			vc := bits.TrailingZeros64(aw)
+			li := port*w + vc - e.off
+			offers := e.offer[li]
+			if offers == 0 {
+				continue
+			}
+			e.offer[li] = 0
+			c := e.inArb.PickWord(li, offers)
+			gi := port*v + vc
+			oPort := reqs[gi].OutPort
+			grants[gi] = oPort*v + e.off + c
+			e.inArb.Update(li, c)
+			e.outArb.Update(oPort*w+c, li)
 		}
-		gi := int(e.gIdx[li])
-		oPort := reqs[gi].OutPort
-		grants[gi] = oPort*v + (e.off + c)
-		e.inArb.Update(li, c)
-		e.outArb.Update(oPort*e.w+c, li)
 	}
 }
 
 // allocateWavefront implements Fig. 3(c): a (P·w)×(P·w) wavefront allocator
 // over the full request matrix.
-func (e *vcEngine) allocateWavefront(reqs []VCRequest, grants []int, act *bitvec.Vec) {
-	// Clear only the request rows dirtied by the previous cycle.
-	for row := e.wfRows.NextSet(0); row >= 0; row = e.wfRows.NextSet(row + 1) {
-		e.wfReq.Row(row).Reset()
-	}
-	e.wfRows.Reset()
-	for gi := act.NextSet(0); gi >= 0; gi = act.NextSet(gi + 1) {
-		row := int(e.liOf[gi])
-		if row < 0 {
-			continue
-		}
-		r := reqs[gi]
-		cand := e.candFor(r)
-		if cand == nil {
-			continue
-		}
-		e.wfRows.Set(row)
-		base := r.OutPort * e.w
-		wfRow := e.wfReq.Row(row)
-		for c := cand.NextSet(0); c >= 0; c = cand.NextSet(c + 1) {
-			wfRow.Set(base + c)
+func (e *vcEngine) allocateWavefront(reqs []VCRequest, grants []int, active []uint64, busy uint64) {
+	w, v, inRange := e.w, e.cfg.Spec.V(), e.inRange()
+	for pw := busy; pw != 0; pw &= pw - 1 {
+		port := bits.TrailingZeros64(pw)
+		for aw := active[port] & inRange; aw != 0; aw &= aw - 1 {
+			vc := bits.TrailingZeros64(aw)
+			r := &reqs[port*v+vc]
+			e.wfReq.Row(port*w+vc-e.off).OrWordAt(r.OutPort*w, e.window(r))
 		}
 	}
 	g := e.wf.Allocate(&e.wfReq)
-	// Grants are a subset of requests, so only dirty rows can hold one.
-	for row := e.wfRows.NextSet(0); row >= 0; row = e.wfRows.NextSet(row + 1) {
-		gRow := g.Row(row)
-		if col := gRow.NextSet(0); col >= 0 {
-			grants[e.gIdx[row]] = int(e.gIdx[col])
+	// Grants are a subset of requests, so only the rows just filled can hold
+	// one; they are cleared on the way, leaving the matrix empty.
+	for pw := busy; pw != 0; pw &= pw - 1 {
+		port := bits.TrailingZeros64(pw)
+		for aw := active[port] & inRange; aw != 0; aw &= aw - 1 {
+			row := port*w + bits.TrailingZeros64(aw) - e.off
+			if col := g.Row(row).First(); col >= 0 {
+				grants[e.gIdx[row]] = int(e.gIdx[col])
+			}
+			e.wfReq.Row(row).Reset()
 		}
 	}
 }
@@ -551,7 +545,7 @@ func CheckVCGrants(p int, spec VCSpec, reqs []VCRequest, grants []int) error {
 		if oPort != r.OutPort {
 			return fmt.Errorf("core: input VC %d granted port %d, requested %d", gi, oPort, r.OutPort)
 		}
-		if r.Candidates == nil || !r.Candidates.Get(ovc) {
+		if !r.Candidates.Get(ovc) {
 			return fmt.Errorf("core: input VC %d granted non-candidate output VC %d", gi, ovc)
 		}
 		if g >= len(holder) {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -422,20 +425,149 @@ func TestCheckVCGrantsDetectsViolations(t *testing.T) {
 	}
 }
 
-func BenchmarkVCAllocMeshSepIF(b *testing.B) { benchVC(b, 5, NewVCSpec(2, 1, 4), alloc.SepIF, false) }
-func BenchmarkVCAllocMeshWavefront(b *testing.B) {
-	benchVC(b, 5, NewVCSpec(2, 1, 4), alloc.Wavefront, false)
-}
-func BenchmarkVCAllocFbflySepIFSparse(b *testing.B) {
-	benchVC(b, 10, NewVCSpec(2, 2, 4), alloc.SepIF, true)
+func TestVCMask(t *testing.T) {
+	m := VCMask(1<<0 | 1<<5 | 1<<63)
+	for c, want := range map[int]bool{0: true, 1: false, 5: true, 62: false, 63: true, 64: false, -1: false} {
+		if m.Get(c) != want {
+			t.Errorf("Get(%d) = %v, want %v", c, m.Get(c), want)
+		}
+	}
+	if m.Count() != 3 || VCMask(0).Count() != 0 || (^VCMask(0)).Count() != 64 {
+		t.Errorf("Count = %d / %d / %d, want 3 / 0 / 64", m.Count(), VCMask(0).Count(), (^VCMask(0)).Count())
+	}
+	var seen []int
+	m.ForEach(func(c int) { seen = append(seen, c) })
+	if len(seen) != 3 || seen[0] != 0 || seen[1] != 5 || seen[2] != 63 {
+		t.Errorf("ForEach visited %v, want [0 5 63]", seen)
+	}
+	VCMask(0).ForEach(func(int) { t.Error("ForEach on the empty set called fn") })
 }
 
-func benchVC(b *testing.B, p int, spec VCSpec, arch alloc.Arch, sparse bool) {
-	a := NewVCAllocator(VCAllocConfig{Ports: p, Spec: spec, Arch: arch, ArbKind: arbiter.RoundRobin, Sparse: sparse})
-	rng := xrand.New(1)
-	reqs := randomVCRequests(rng, p, spec, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Allocate(reqs)
+// mustPanicNaming runs fn and requires a panic whose message contains want.
+func mustPanicNaming(t *testing.T, name, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Errorf("%s: panic %v, want one naming %q", name, r, want)
+		}
+	}()
+	fn()
+}
+
+// TestVCWordLimit: a VC set is one machine word, so a router has at most 64
+// VCs per port (and the separable engines' port sets at most 64 ports).
+// Building a mask or an allocator beyond that panics naming the limit; the
+// spec itself stays valid, the cost models take any size.
+func TestVCWordLimit(t *testing.T) {
+	big := NewVCSpec(1, 1, 65)
+	if err := big.Validate(); err != nil {
+		t.Fatalf("Validate rejects a 65-VC spec: %v", err)
+	}
+	if big.MaxSuccessorsPerVC() != 65 {
+		t.Errorf("MaxSuccessorsPerVC = %d on 1x1x65, want 65", big.MaxSuccessorsPerVC())
+	}
+	mustPanicNaming(t, "ClassMask", "at most 64", func() { big.ClassMask(0, 0) })
+	mustPanicNaming(t, "SuccessorMask", "at most 64", func() { big.SuccessorMask(3) })
+	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
+		mustPanicNaming(t, "65 VCs "+arch.String(), "at most 64", func() {
+			NewVCAllocator(VCAllocConfig{Ports: 2, Spec: big, Arch: arch})
+		})
+		mustPanicNaming(t, "65 ports "+arch.String(), "at most 64", func() {
+			NewVCAllocator(VCAllocConfig{Ports: 65, Spec: NewVCSpec(1, 1, 1), Arch: arch})
+		})
+	}
+	mustPanicNaming(t, "free queue", "at most 64", func() {
+		NewVCAllocator(VCAllocConfig{Ports: 2, Spec: big, FreeQueue: true})
+	})
+	mustPanicNaming(t, "NewAllocators", "at most 64", func() {
+		NewAllocators(VCAllocConfig{Ports: 2, Spec: big}, SwitchAllocConfig{Ports: 2, VCs: 65})
+	})
+	if full := NewVCSpec(1, 1, 64).ClassMask(0, 0); full != ^VCMask(0) {
+		t.Errorf("ClassMask of 1x1x64 = %#x, want every bit", uint64(full))
+	}
+}
+
+// TestVCAllocatorWordBoundary runs the three architectures at V = 64, where
+// VC 63 is the top bit of every word and a round-robin pointer reaches 63.
+func TestVCAllocatorWordBoundary(t *testing.T) {
+	spec := NewVCSpec(1, 1, 64)
+	const p, v = 2, 64
+	for _, cfg := range vcConfigs(p, spec) {
+		a := NewVCAllocator(cfg)
+		ref := newRefVC(cfg)
+		// Input VC (0, 63) alone, asking for output VCs 62 and 63 of port 1:
+		// the separable input arbiter alternates 62, 63, 62 (its pointer
+		// passes through 63 and wraps); the wavefront's rotating diagonal
+		// reaches both.
+		reqs := make([]VCRequest, p*v)
+		reqs[63] = VCRequest{Active: true, OutPort: 1, Candidates: 1<<62 | 1<<63}
+		got := map[int]int{}
+		for cycle := 0; cycle < 2*v; cycle++ {
+			grants := a.Allocate(reqs)
+			if err := CheckVCGrants(p, spec, reqs, grants); err != nil {
+				t.Fatalf("%s cycle %d: %v", a.Name(), cycle, err)
+			}
+			if want := ref.Allocate(reqs); grants[63] != want[63] || grants[63] < 0 {
+				t.Fatalf("%s cycle %d: granted %d, reference %d", a.Name(), cycle, grants[63], want[63])
+			}
+			if cfg.Arch != alloc.Wavefront && grants[63] != v+62+cycle%2 {
+				t.Fatalf("%s cycle %d: granted output VC %d, want %d", a.Name(), cycle, grants[63]-v, 62+cycle%2)
+			}
+			got[grants[63]]++
+		}
+		if got[v+62] == 0 || got[v+63] == 0 {
+			t.Errorf("%s: grants %v never reached both VC 62 and VC 63", a.Name(), got)
+		}
+		// Every input VC after every output VC of port 1: the wavefront hands
+		// out all 64, and the engine keeps to the reference while the
+		// priorities rotate.
+		for i := range reqs {
+			reqs[i] = VCRequest{Active: true, OutPort: 1, Candidates: ^VCMask(0)}
+		}
+		for cycle := 0; cycle < 8; cycle++ {
+			grants, want := a.Allocate(reqs), ref.Allocate(reqs)
+			n := 0
+			for i, g := range grants {
+				if g != want[i] {
+					t.Fatalf("%s full cycle %d input VC %d: granted %d, reference %d", a.Name(), cycle, i, g, want[i])
+				}
+				if g >= 0 {
+					n++
+				}
+			}
+			if err := CheckVCGrants(p, spec, reqs, grants); err != nil {
+				t.Fatalf("%s full cycle %d: %v", a.Name(), cycle, err)
+			}
+			if cfg.Arch == alloc.Wavefront && n != v {
+				t.Errorf("%s full cycle %d: %d grants, want %d", a.Name(), cycle, n, v)
+			}
+		}
+	}
+}
+
+// TestVCAllocatorLayout pins what the VC allocator adds to NewAllocators: a
+// separable VC allocator of any arbiter kind, dense or sparse, lives entirely
+// on the shared slabs (the eleven blocks of TestSwitchAllocatorLayout); each
+// wavefront engine adds the generic wavefront allocator's three.
+func TestVCAllocatorLayout(t *testing.T) {
+	runtime.GC() // see TestSwitchAllocatorLayout
+	for _, size := range []struct {
+		p    int
+		spec VCSpec
+	}{{5, NewVCSpec(2, 1, 1)}, {10, NewVCSpec(2, 2, 4)}} {
+		sa := SwitchAllocConfig{Ports: size.p, VCs: size.spec.V(), Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin}
+		for _, va := range vcConfigs(size.p, size.spec) {
+			sa.ArbKind = va.ArbKind // a second arbiter kind is a twelfth block
+			want := 11.0
+			if va.Arch == alloc.Wavefront {
+				want += 3
+				if va.Sparse {
+					want += 3 * float64(size.spec.MessageClasses-1)
+				}
+			}
+			if got := testing.AllocsPerRun(5, func() { NewAllocators(va, sa) }); got > want {
+				t.Errorf("%s, %d ports × %s: %v allocations, want %v", NewVCAllocator(va).Name(), size.p, size.spec, got, want)
+			}
+		}
 	}
 }

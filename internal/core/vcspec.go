@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 )
@@ -190,36 +191,63 @@ func (s VCSpec) ClassRange(m, r int) (lo, hi int) {
 	return lo, lo + s.VCsPerClass
 }
 
-// ClassMask returns a V-wide bit vector selecting the VCs of class
-// (m, r).
-func (s VCSpec) ClassMask(m, r int) *bitvec.Vec {
-	v := bitvec.New(s.V())
-	for c, hi := s.ClassRange(m, r); c < hi; c++ {
-		v.Set(c)
+// maxVCs is the largest V a router can have: the VCs of one port are held as
+// the bits of one machine word (VCMask here, the per-port words of the two
+// allocators and of the router).
+const maxVCs = 64
+
+// VCMask is a set of VCs at one port: bit c is VC c. It is what a VC request
+// carries as its candidate output VCs and what the router keeps per output
+// port and per class.
+type VCMask uint64
+
+// Get reports whether VC c is in the set.
+func (m VCMask) Get(c int) bool { return m>>uint(c)&1 != 0 }
+
+// Count returns the number of VCs in the set.
+func (m VCMask) Count() int { return bits.OnesCount64(uint64(m)) }
+
+// ForEach calls fn for every VC in the set, in increasing index order.
+func (m VCMask) ForEach(fn func(c int)) {
+	for w := uint64(m); w != 0; w &= w - 1 {
+		fn(bits.TrailingZeros64(w))
 	}
-	return v
 }
 
-// SuccessorMask returns a V-wide bit vector of the output VCs an input VC
-// may legally transition to.
-func (s VCSpec) SuccessorMask(vc int) *bitvec.Vec {
-	m, r, _ := s.Decompose(vc)
-	v := bitvec.New(s.V())
-	for _, nr := range s.successors(r) {
-		base := s.ClassIndex(m, nr) * s.VCsPerClass
-		for c := 0; c < s.VCsPerClass; c++ {
-			v.Set(base + c)
-		}
+// rangeMask is the set of VCs [lo, hi). Validate accepts specs of any size
+// (the cost models take them); building a mask is where one must fit a word.
+func (s VCSpec) rangeMask(lo, hi int) VCMask {
+	if s.V() > maxVCs {
+		panic(fmt.Sprintf("core: VC organization %s has %d VCs per port, a VCMask holds at most %d", s, s.V(), maxVCs))
 	}
-	return v
+	return (VCMask(1)<<uint(hi) - 1) &^ (VCMask(1)<<uint(lo) - 1)
+}
+
+// ClassMask returns the VCs of class (m, r). It panics if V exceeds 64.
+func (s VCSpec) ClassMask(m, r int) VCMask { return s.rangeMask(s.ClassRange(m, r)) }
+
+// SuccessorMask returns the output VCs an input VC may legally transition
+// to. It panics if V exceeds 64.
+func (s VCSpec) SuccessorMask(vc int) VCMask {
+	m, r, _ := s.Decompose(vc)
+	var mask VCMask
+	for _, nr := range s.successors(r) {
+		mask |= s.ClassMask(m, nr)
+	}
+	return mask
 }
 
 // MaxSuccessorsPerVC returns the maximum number of legal successor VCs over
 // all input VCs; for the fbfly 2×2×4 configuration this is 8 (paper §4.2).
+// A successor list may name a class twice; it counts once.
 func (s VCSpec) MaxSuccessorsPerVC() int {
 	best := 0
-	for vc := 0; vc < s.V(); vc++ {
-		if n := s.SuccessorMask(vc).Count(); n > best {
+	for r := 0; r < s.ResourceClasses; r++ {
+		seen := make(map[int]bool)
+		for _, nr := range s.successors(r) {
+			seen[nr] = true
+		}
+		if n := len(seen) * s.VCsPerClass; n > best {
 			best = n
 		}
 	}

@@ -136,3 +136,19 @@ func TestServiceCancel(t *testing.T) {
 		t.Fatalf("canceled job reports %q", final.Status)
 	}
 }
+
+// TestServiceRefusesOversizedBody: a /curve body over sweep.MaxBodyBytes is a
+// 413 before any of it is parsed into a spec.
+func TestServiceRefusesOversizedBody(t *testing.T) {
+	ts := httptest.NewServer(NewService(newFakeEval(0.25)).Handler())
+	defer ts.Close()
+	body := append([]byte(`{"topo":"`), bytes.Repeat([]byte("x"), sweep.MaxBodyBytes)...)
+	resp, err := http.Post(ts.URL, "application/json", bytes.NewReader(append(body, `"}`...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: %s, want 413", len(body), resp.Status)
+	}
+}

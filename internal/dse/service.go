@@ -147,10 +147,7 @@ func (s *Service) Handler() http.Handler {
 		switch r.Method {
 		case http.MethodPost:
 			var spec Spec
-			dec := json.NewDecoder(r.Body)
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&spec); err != nil {
-				http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+			if !sweep.DecodeBody(w, r, &spec) {
 				return
 			}
 			id, err := s.Submit(spec)

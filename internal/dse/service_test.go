@@ -218,3 +218,19 @@ func muxFor(s *Service) http.Handler {
 	mux.Handle("/pareto", s.Handler())
 	return mux
 }
+
+// TestServiceRefusesOversizedBody: a /pareto body over sweep.MaxBodyBytes is
+// a 413 before any of it is parsed into a spec.
+func TestServiceRefusesOversizedBody(t *testing.T) {
+	ts := httptest.NewServer(muxFor(NewService(&blockingEval{started: make(chan struct{}, 1)})))
+	defer ts.Close()
+	body := `{"topos":["` + strings.Repeat("x", sweep.MaxBodyBytes) + `"]}`
+	resp, err := ts.Client().Post(ts.URL+"/pareto", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: %s, want 413", len(body), resp.Status)
+	}
+}

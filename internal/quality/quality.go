@@ -55,7 +55,7 @@ type VCWorkload struct {
 	Spec  core.VCSpec
 
 	rng        *xrand.Source
-	classMasks []*bitvec.Vec // per (m, r) class
+	classMasks []core.VCMask // per (m, r) class
 	reqs       []core.VCRequest
 }
 
@@ -115,8 +115,7 @@ func (w *VCWorkload) Matrix(reqs []core.VCRequest, m *bitvec.Matrix) {
 		if !r.Active {
 			continue
 		}
-		base := r.OutPort * v
-		r.Candidates.ForEach(func(c int) { m.Set(i, base+c) })
+		m.Row(i).OrWordAt(r.OutPort*v, uint64(r.Candidates))
 	}
 }
 

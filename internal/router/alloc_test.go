@@ -1,6 +1,7 @@
 package router
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -47,6 +48,29 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 					t.Fatalf("steady-state router cycle allocates %.2f times, want 0", avg)
 				}
 			})
+		}
+	}
+}
+
+// TestRouterNewLayout pins the router's own share of construction: beyond its
+// two allocators (core.NewAllocators, pinned by the core layout tests) a
+// router is nine blocks — the Router, five per-VC slices, the int32 column
+// slab and the vector slab's two — whatever its size. The per-port VC masks
+// live on the vector slab's word backing, not in a block of their own.
+func TestRouterNewLayout(t *testing.T) {
+	const want = 9
+	runtime.GC() // see core.TestSwitchAllocatorLayout
+	for _, size := range []struct {
+		p    int
+		spec core.VCSpec
+	}{{5, core.NewVCSpec(2, 1, 1)}, {10, core.NewVCSpec(2, 2, 4)}} {
+		cfg := testConfig(core.SpecReq)
+		cfg.Ports, cfg.Spec = size.p, size.spec
+		va, sa := cfg.VA, cfg.SA
+		va.Ports, va.Spec, sa.Ports, sa.VCs = size.p, size.spec, size.p, size.spec.V()
+		allocators := testing.AllocsPerRun(5, func() { core.NewAllocators(va, sa) })
+		if got := testing.AllocsPerRun(5, func() { New(cfg) }) - allocators; got > want {
+			t.Errorf("%d ports × %s: router.New makes %v allocations of its own, want %d", size.p, size.spec, got, want)
 		}
 	}
 }

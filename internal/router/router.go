@@ -145,20 +145,19 @@ type Router struct {
 	outPort []int32 // route: output port, valid from vcWaitVA on
 	class   []int32 // route: resource class requested at this router
 	outVC   []int32 // local VC index at outPort, valid when vcActive
-	// Output VC state (SoA). outAlloc holds one v-wide allocation mask per
-	// output port, so candidate masking is a word operation; outOwner maps
-	// an allocated output VC back to the input VC holding it (-1 when
-	// free), which is how a credit return finds the one cached switch
-	// request it can invalidate.
-	outAlloc   []bitvec.Vec // per output port, width v
-	outCredits []int32      // per output VC
-	outOwner   []int32      // per output VC: owning input VC or -1
+	// Output VC state (SoA). outAlloc holds the allocated VCs of each output
+	// port as one word (bit c = VC c), so candidate masking is one AND-NOT;
+	// outOwner maps an allocated output VC back to the input VC holding it
+	// (-1 when free), which is how a credit return finds the one cached
+	// switch request it can invalidate.
+	outAlloc   []uint64 // per output port
+	outCredits []int32  // per output VC
+	outOwner   []int32  // per output VC: owning input VC or -1
 
 	vaReqs     []core.VCRequest
 	saReqs     []core.SwitchRequest
-	candidates []bitvec.Vec // per input VC, width v
-	classMasks []bitvec.Vec // per (m,r) class, width v
-	vaGranted  []int        // per input VC: granted global out VC this cycle, -1
+	classMasks []uint64 // per (m,r) class: its VCs
+	vaGranted  []int    // per input VC: granted global out VC this cycle, -1
 
 	// dirty marks the input VCs whose cached VA/SA request entries must be
 	// rebuilt this cycle; every other entry is byte-identical to what a
@@ -167,9 +166,6 @@ type Router struct {
 	// the set whose candidate masks depend on port o's allocation state.
 	dirty   *bitvec.Vec
 	waiters []bitvec.Vec
-
-	// chkCand is Validate-mode scratch for the dense request cross-check.
-	chkCand *bitvec.Vec
 
 	speculate bool
 
@@ -244,10 +240,8 @@ func New(cfg Config) *Router {
 		r.head, r.count = cols.Take(n), cols.Take(n)
 		r.outPort, r.class, r.outVC = cols.Take(n), cols.Take(n), cols.Take(n)
 		r.outCredits, r.outOwner = cols.Take(n), cols.Take(n)
-		r.candidates = vecs.Vecs(n, v)
-		r.outAlloc = vecs.Vecs(cfg.Ports, v)
-		r.classMasks = vecs.Vecs(cfg.Spec.Classes(), v)
-		r.chkCand = vecs.Vec(v)
+		r.outAlloc = vecs.Words(cfg.Ports)
+		r.classMasks = vecs.Words(cfg.Spec.Classes())
 		r.dirty = vecs.Vec(n)
 		r.waiters = vecs.Vecs(cfg.Ports, n)
 		if pass == 0 {
@@ -261,10 +255,7 @@ func New(cfg Config) *Router {
 	}
 	for m := 0; m < cfg.Spec.MessageClasses; m++ {
 		for rc := 0; rc < cfg.Spec.ResourceClasses; rc++ {
-			mask := &r.classMasks[cfg.Spec.ClassIndex(m, rc)]
-			for c, hi := cfg.Spec.ClassRange(m, rc); c < hi; c++ {
-				mask.Set(c)
-			}
+			r.classMasks[cfg.Spec.ClassIndex(m, rc)] = uint64(cfg.Spec.ClassMask(m, rc))
 		}
 	}
 	r.skipVA, _ = r.va.(idleSkipper)
@@ -340,7 +331,7 @@ func (r *Router) OutputOccupancy(port int) int {
 func (r *Router) InputOccupancy(port, vc int) int { return int(r.count[port*r.v+vc]) }
 
 // OutputVCFree reports whether output VC (port, vc) is unallocated.
-func (r *Router) OutputVCFree(port, vc int) bool { return !r.outAlloc[port].Get(vc) }
+func (r *Router) OutputVCFree(port, vc int) bool { return r.outAlloc[port]>>uint(vc)&1 == 0 }
 
 // Stats returns the router's pipeline event counters, folding in the switch
 // allocator's masking statistics.
@@ -476,24 +467,23 @@ func (r *Router) buildRequest(i int) {
 				Packet: f.Pkt.ID, Seq: f.Seq})
 		}
 	}
-	r.vaReqs[i] = r.computeVAReq(i, &r.candidates[i])
+	r.vaReqs[i] = r.computeVAReq(i)
 	r.saReqs[i] = r.computeSAReq(i, r.vaReqs[i].Active)
 }
 
-// computeVAReq assembles input VC i's VC allocation request into cand: a
-// request is issued for a head flit awaiting an output VC, restricted to
-// free output VCs of the packet's message class and the routing function's
-// resource class.
-func (r *Router) computeVAReq(i int, cand *bitvec.Vec) core.VCRequest {
+// computeVAReq assembles input VC i's VC allocation request: a request is
+// issued for a head flit awaiting an output VC, restricted to free output VCs
+// of the packet's message class and the routing function's resource class.
+func (r *Router) computeVAReq(i int) core.VCRequest {
 	if r.state[i] != vcWaitVA {
 		return core.VCRequest{}
 	}
 	m := r.front(i).Pkt.Type.MessageClass()
-	mask := &r.classMasks[r.cfg.Spec.ClassIndex(m, int(r.class[i]))]
-	if !cand.AndNotInto(mask, &r.outAlloc[r.outPort[i]]) {
+	cand := r.classMasks[r.cfg.Spec.ClassIndex(m, int(r.class[i]))] &^ r.outAlloc[r.outPort[i]]
+	if cand == 0 {
 		return core.VCRequest{}
 	}
-	return core.VCRequest{Active: true, OutPort: int(r.outPort[i]), Candidates: cand}
+	return core.VCRequest{Active: true, OutPort: int(r.outPort[i]), Candidates: core.VCMask(cand)}
 }
 
 // computeSAReq assembles input VC i's switch request: non-speculative for an
@@ -528,10 +518,8 @@ func (r *Router) checkRequestCache() {
 		if r.state[i] == vcIdle && r.count[i] > 0 {
 			panic(fmt.Sprintf("router %d: VC %d holds flits but was never routed (missed dirty bit)", r.cfg.ID, i))
 		}
-		wantVA := r.computeVAReq(i, r.chkCand)
 		gotVA := r.vaReqs[i]
-		if wantVA.Active != gotVA.Active ||
-			(wantVA.Active && (wantVA.OutPort != gotVA.OutPort || !r.chkCand.Equal(gotVA.Candidates))) {
+		if want := r.computeVAReq(i); want != gotVA {
 			panic(fmt.Sprintf("router %d: stale cached VA request for VC %d (missed dirty bit)", r.cfg.ID, i))
 		}
 		if want := r.computeSAReq(i, gotVA.Active); want != r.saReqs[i] {
@@ -548,7 +536,7 @@ func (r *Router) checkRequestCache() {
 	}
 	for p := 0; p < r.p; p++ {
 		for c := 0; c < r.v; c++ {
-			if r.outAlloc[p].Get(c) != (r.outOwner[p*r.v+c] >= 0) {
+			if !r.OutputVCFree(p, c) != (r.outOwner[p*r.v+c] >= 0) {
 				panic(fmt.Sprintf("router %d: output VC (%d,%d) allocation/owner mismatch", r.cfg.ID, p, c))
 			}
 		}
@@ -570,10 +558,10 @@ func (r *Router) commitVA() {
 		if int32(outPort) != r.outPort[i] {
 			panic(fmt.Sprintf("router %d: VA grant port mismatch", r.cfg.ID))
 		}
-		if r.outAlloc[outPort].Get(outVC) {
+		if !r.OutputVCFree(outPort, outVC) {
 			panic(fmt.Sprintf("router %d: VA granted busy output VC", r.cfg.ID))
 		}
-		r.outAlloc[outPort].Set(outVC)
+		r.outAlloc[outPort] |= 1 << uint(outVC)
 		r.outOwner[g] = int32(i)
 		r.outVC[i] = int32(outVC)
 		r.state[i] = vcActive
@@ -653,7 +641,7 @@ func (r *Router) commitSA(grants []core.SwitchGrant) {
 				Packet: f.Pkt.ID, Seq: f.Seq, Spec: g.Spec})
 		}
 		if f.Tail {
-			r.outAlloc[op].Clear(ov)
+			r.outAlloc[op] &^= 1 << uint(ov)
 			r.outOwner[ovcIdx] = -1
 			r.state[i] = vcIdle
 			r.dirty.Or(&r.waiters[op])

@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/alloc"
@@ -303,6 +305,17 @@ func TestBadConfigPanics(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// TestTooManyVCsPanics: the router keeps the VCs of a port as one word, so a
+// 65-VC organization is refused by name rather than silently truncated.
+func TestTooManyVCsPanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "at most 64") {
+			t.Fatalf("panic %v, want one naming the 64-VC limit", r)
+		}
+	}()
+	New(Config{Ports: 4, BufDepth: 8, Spec: core.NewVCSpec(1, 1, 65), Routing: staticRoute{}})
 }
 
 func TestOccupancyTracking(t *testing.T) {

@@ -134,6 +134,10 @@ type VCAllocConfig = core.VCAllocConfig
 // VCRequest is one input VC's allocation request.
 type VCRequest = core.VCRequest
 
+// VCMask is the set of candidate output VCs a VCRequest carries (bit c = VC
+// c; VCSpec.ClassMask and SuccessorMask build them).
+type VCMask = core.VCMask
+
 // NewVCAllocator builds a VC allocator. Set c.Sparse for the §4.2 sparse
 // scheme or c.FreeQueue for the Mullins free-VC-queue scheme.
 func NewVCAllocator(c VCAllocConfig) VCAllocator { return core.NewVCAllocator(c) }
