@@ -76,22 +76,15 @@ type netPoint struct {
 	// cycles it skipped per run (zero under the reference schedule).
 	LeapEvents  int64 `json:"leap_events_per_op,omitempty"`
 	CyclesLeapt int64 `json:"cycles_leapt_per_op,omitempty"`
-}
-
-// multicoreRun is one gomaxprocs setting's shard-scaling sweep. On a 1-CPU
-// host (see env.num_cpu) the runs are timesliced, not parallel — the
-// numbers then measure scheduling overhead, not speedup; EXPERIMENTS.md
-// documents the harness for reproducing the curve on a multicore box.
-type multicoreRun struct {
-	GoMaxProcs int        `json:"gomaxprocs"`
-	Points     []netPoint `json:"points"`
+	// ConcurrentCycles averages the stepped cycles whose shards ran on
+	// separate goroutines (zero on one shard and wherever the break-even
+	// rule kept the cycles inline).
+	ConcurrentCycles int64 `json:"concurrent_cycles_per_op,omitempty"`
 }
 
 type netReport struct {
 	env
 	Points []netPoint `json:"points"`
-	// Multicore holds gomaxprocs>1 shard-scaling measurements.
-	Multicore []multicoreRun `json:"multicore,omitempty"`
 }
 
 // benchScale is the phase-length/seed baseline every network point runs
@@ -108,7 +101,7 @@ func runNetPoint(name string, pt experiments.Point, rate float64, shards int, re
 	scale.Shards, scale.Reference = shards, reference
 	scale.Workload = w
 	cfg := experiments.BuildSim(pt, rate, scale)
-	var cycles, flits, leaps, leapt int64
+	var cycles, flits, leaps, leapt, concurrent int64
 	var elapsed time.Duration
 	for i := 0; i < iters; i++ {
 		n := sim.New(cfg)
@@ -124,6 +117,7 @@ func runNetPoint(name string, pt experiments.Point, rate float64, shards int, re
 		ev, cy := n.LeapStats()
 		leaps += ev
 		leapt += cy
+		concurrent += n.ParallelStats().Concurrent
 	}
 	wname := ""
 	if w.Process != "" || w.Pattern != "" {
@@ -142,6 +136,8 @@ func runNetPoint(name string, pt experiments.Point, rate float64, shards int, re
 		FlitsDelivered: flits / int64(iters),
 		LeapEvents:     leaps / int64(iters),
 		CyclesLeapt:    leapt / int64(iters),
+
+		ConcurrentCycles: concurrent / int64(iters),
 	}
 }
 
@@ -184,34 +180,7 @@ func netBench(iters int) netReport {
 				runNetPoint(name, pt, 0.05, 1, sched == "reference", iters, wl.w))
 		}
 	}
-	rep.Multicore = multicoreBench(pt, iters)
 	return rep
-}
-
-// multicoreBench sweeps shard counts under gomaxprocs > 1 at the
-// near-saturation rate, where the sharded stepper has actual parallel work
-// per cycle. GOMAXPROCS is set process-wide for each sweep and restored
-// afterwards; on hosts with fewer physical CPUs the sweep still runs (Go
-// timeslices the workers) so the snapshot stays comparable, but only a
-// num_cpu >= gomaxprocs host measures real scaling.
-func multicoreBench(pt experiments.Point, iters int) []multicoreRun {
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	vals := []int{2, 4}
-	if n := runtime.NumCPU(); n > 4 {
-		vals = append(vals, n)
-	}
-	var runs []multicoreRun
-	for _, gmp := range vals {
-		runtime.GOMAXPROCS(gmp)
-		run := multicoreRun{GoMaxProcs: gmp}
-		for _, shards := range []int{1, 2, 4, 8, 16} {
-			name := fmt.Sprintf("mesh_2x1x1/gomaxprocs=%d/rate=0.3/default/shards=%d", gmp, shards)
-			run.Points = append(run.Points, runNetPoint(name, pt, 0.30, shards, false, iters, traffic.Workload{}))
-		}
-		runs = append(runs, run)
-	}
-	return runs
 }
 
 // allocPoint is one timed allocator microbenchmark: `Cycles` Allocate (or

@@ -75,7 +75,7 @@ func main() {
 			fmt.Printf(format, args...)
 		}
 	}
-	ctx := context.Background()
+	ctx, exec := experiments.WithExecStats(context.Background())
 	var series []experiments.NetSeries
 	switch *exp {
 	case "fig13":
@@ -117,7 +117,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *asJSON {
-		if err := experiments.NetworkReport(*exp, pt, series).WriteJSON(os.Stdout); err != nil {
+		report := experiments.NetworkReport(*exp, pt, series)
+		report.Execution = exec
+		if err := report.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

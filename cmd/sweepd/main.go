@@ -31,7 +31,11 @@
 // (-process/-pattern/-burstlen/-duty/-hotspots/-hotfrac) set server-side
 // defaults for request fields left zero; -shards/-reference pick the
 // execution path for every simulated unit (bit-identical axes, never part of
-// the cache key). Trace-replay workloads are batch-only: the
+// the cache key). -shards 0, the default, follows the idle workers: a unit
+// that has proved heavy borrows a pool worker with nothing to do as the
+// goroutine of a second shard and gives it back as soon as another unit waits
+// for it; /statz counts the loans (helpers_lent, helpers_recalled) and the
+// cycles stepped concurrently (parallel_cycles). Trace-replay workloads are batch-only: the
 // service content-addresses units by config and cannot materialize trace
 // bytes.
 package main

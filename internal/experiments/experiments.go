@@ -258,9 +258,11 @@ type SimScale struct {
 	// curve's rate points are swept (each point is an independent,
 	// deterministic simulation). Zero or one means serial execution.
 	Workers int
-	// Shards splits each individual simulation into this many concurrently
-	// stepped router groups (sim.Config.Shards); results are bit-identical
-	// for any value. Zero keeps single-threaded stepping.
+	// Shards splits each individual simulation into this many router groups
+	// (sim.Config.Shards), stepped concurrently in the cycles heavy enough to
+	// pay for it; results are bit-identical for any value. Zero is one group
+	// (and, as a sweep.Server default, one that grows a second around an idle
+	// pool worker).
 	Shards int
 	// Reference runs every simulation under the simulator's reference
 	// schedule (sim.Config.Reference): slower, bit-identical, what the golden
@@ -419,9 +421,13 @@ func runCurve(ctx context.Context, name string, rates []float64, workers int, mk
 			if ctx.Err() != nil {
 				return
 			}
-			res := sim.New(mk(rate)).RunCtx(ctx)
+			n := sim.New(mk(rate))
+			res := n.RunCtx(ctx)
 			if res.Aborted {
 				return
+			}
+			if st := execStatsOf(ctx); st != nil {
+				st.add(n)
 			}
 			s.Points[i] = NetPoint{
 				Rate: rate, Latency: res.AvgLatency, Throughput: res.Throughput,

@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"io"
+	"sync"
 
 	"repro/internal/costmodel"
 	"repro/internal/quality"
+	"repro/internal/sim"
 )
 
 // Report is the JSON-serializable container the command-line tools emit
@@ -22,6 +25,60 @@ type Report struct {
 	Quality []QualityJSON `json:"quality,omitempty"`
 	// Network carries latency/throughput curves.
 	Network []NetworkJSON `json:"network,omitempty"`
+	// Execution says how the simulations behind Network were executed. It is
+	// the one part of a report that describes the run and not its result:
+	// the cycle counts depend on -shards/-reference, and the helper counts
+	// on how the host scheduled the run.
+	Execution *ExecStats `json:"execution,omitempty"`
+}
+
+// ExecStats adds up, over the completed simulations run under a context made
+// by WithExecStats, how much of the schedule's machinery was used: cycles
+// stepped against cycles leapt over (sim.Network.LeapStats), and how the
+// stepped ones were executed (sim.Network.ParallelStats).
+type ExecStats struct {
+	mu sync.Mutex
+
+	Simulations      int64 `json:"simulations"`
+	SteppedCycles    int64 `json:"stepped_cycles"`
+	Leaps            int64 `json:"leaps"`
+	LeaptCycles      int64 `json:"leapt_cycles"`
+	ConcurrentCycles int64 `json:"concurrent_cycles"`
+	HelperParks      int64 `json:"helper_parks"`
+	HelperWakes      int64 `json:"helper_wakes"`
+	PhasesTaken      int64 `json:"phases_taken"`
+	BarrierWaitNS    int64 `json:"barrier_wait_ns"`
+}
+
+type execStatsKey struct{}
+
+// WithExecStats returns a context under which every curve function of this
+// package accounts its simulations to the returned ExecStats. Read it once
+// the functions have returned.
+func WithExecStats(ctx context.Context) (context.Context, *ExecStats) {
+	st := new(ExecStats)
+	return context.WithValue(ctx, execStatsKey{}, st), st
+}
+
+func execStatsOf(ctx context.Context) *ExecStats {
+	st, _ := ctx.Value(execStatsKey{}).(*ExecStats)
+	return st
+}
+
+func (st *ExecStats) add(n *sim.Network) {
+	leaps, leapt := n.LeapStats()
+	par := n.ParallelStats()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.Simulations++
+	st.SteppedCycles += par.Stepped
+	st.Leaps += leaps
+	st.LeaptCycles += leapt
+	st.ConcurrentCycles += par.Concurrent
+	st.HelperParks += par.Parks
+	st.HelperWakes += par.Wakes
+	st.PhasesTaken += par.Taken
+	st.BarrierWaitNS += par.Wait.Nanoseconds()
 }
 
 // CostJSON is one synthesis result row.

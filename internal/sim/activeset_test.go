@@ -26,6 +26,14 @@ import (
 // certification of that bookkeeping.
 func assertGolden(t *testing.T, name string, base Config, shards ...int) {
 	t.Helper()
+	assertGoldenPrepared(t, name, base, nil, shards...)
+}
+
+// assertGoldenPrepared is assertGolden with prep, if not nil, applied to
+// every default-schedule network before it runs (the reference is left
+// alone): how a test pins the way the cycles are executed.
+func assertGoldenPrepared(t *testing.T, name string, base Config, prep func(*Network), shards ...int) {
+	t.Helper()
 	ref := base
 	ref.Reference = true
 	want := New(ref).Run()
@@ -36,7 +44,11 @@ func assertGolden(t *testing.T, name string, base Config, shards ...int) {
 		cfg := base
 		cfg.Shards = s
 		cfg.Validate = true
-		if got := New(cfg).Run(); got != want {
+		n := New(cfg)
+		if prep != nil {
+			prep(n)
+		}
+		if got := n.Run(); got != want {
 			t.Errorf("%s shards=%d: default schedule diverged from the reference:\nreference: %+v\ndefault:   %+v",
 				name, s, want, got)
 		}
@@ -145,17 +157,34 @@ func TestFlitConservationActiveAllSpecModes(t *testing.T) {
 
 // TestSteadyStateStepAllocs verifies the recycled flit/packet path: once the
 // free lists are primed, advancing a loaded simulation allocates nothing per
-// cycle on average.
+// cycle on average — on one shard, and on two stepped inline and
+// concurrently (the barrier, the outboxes and the deferred packet IDs
+// allocate nothing either).
 func TestSteadyStateStepAllocs(t *testing.T) {
-	n := New(meshConfig(2, 0.3))
-	for i := 0; i < 3000; i++ {
-		n.stepCycle()
-	}
-	if avg := testing.AllocsPerRun(2000, func() { n.stepCycle() }); avg >= 1 {
-		t.Fatalf("steady-state stepCycle allocates %.1f objects/cycle, want amortized zero", avg)
-	}
-	if n.shards[0].flitPool.free() == 0 && n.shards[0].pktPool.free() == 0 {
-		t.Fatal("free lists never populated; recycling path is dead")
+	for _, tc := range []struct {
+		name       string
+		shards     int
+		concurrent bool
+	}{{"shards=1", 1, false}, {"shards=2 inline", 2, false}, {"shards=2 concurrent", 2, true}} {
+		cfg := meshConfig(2, 0.3)
+		cfg.Shards = tc.shards
+		n := New(cfg)
+		n.modeHook = func(int64) bool { return tc.concurrent }
+		for i := 0; i < 3000; i++ {
+			n.stepCycle()
+		}
+		avg := testing.AllocsPerRun(2000, func() { n.stepCycle() })
+		st := n.ParallelStats()
+		n.Close()
+		if avg >= 1 {
+			t.Fatalf("%s: steady-state stepCycle allocates %.1f objects/cycle, want amortized zero", tc.name, avg)
+		}
+		if n.shards[0].flitPool.free() == 0 && n.shards[0].pktPool.free() == 0 {
+			t.Fatalf("%s: free lists never populated; recycling path is dead", tc.name)
+		}
+		if want := map[bool]int64{true: st.Stepped}[tc.concurrent]; st.Concurrent != want {
+			t.Fatalf("%s: %d of %d cycles ran concurrently, want %d", tc.name, st.Concurrent, st.Stepped, want)
+		}
 	}
 }
 

@@ -1,0 +1,319 @@
+package sim
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/alloc"
+	"repro/internal/core"
+	"repro/internal/router"
+)
+
+// alwaysConcurrent pins every cycle of n to the concurrent path.
+func alwaysConcurrent(n *Network) { n.modeHook = func(int64) bool { return true } }
+
+// settleGoroutines waits for the goroutine count to come back to base: a
+// helper that Close has waited for has closed its exit channel but may not
+// have left the scheduler's books yet.
+func settleGoroutines(t *testing.T, what string, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines, %d before:\n%s", what, runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestParallelSwitchGolden is the contract of barrier.go's "one layout, two
+// ways to run a cycle": a network that is forced to change between inline and
+// concurrent cycles every k cycles — every cycle, a few, and a stretch long
+// enough for the helpers to park — reproduces the reference bit for bit on
+// both paper topologies, all three speculation modes and two shard counts.
+// Under Validate and, in CI, under -race.
+func TestParallelSwitchGolden(t *testing.T) {
+	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
+		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
+			for _, k := range []int64{1, 3, 64} {
+				base := mk(2, 0.3)
+				base.Seed = 42
+				base.SA.SpecMode = mode
+				base.Warmup, base.Measure, base.Drain = 100, 300, 3000
+				assertGoldenPrepared(t, fmt.Sprintf("%s %v k=%d", base.Topology.Name, mode, k), base, func(n *Network) {
+					n.modeHook = func(now int64) bool { return now/k%2 == 1 }
+				}, 2, 4)
+			}
+		}
+	}
+}
+
+// testLender lends a fresh goroutine every time it is asked and wants its
+// goroutines back at every recallEvery-th asking (never, if that is 0).
+type testLender struct {
+	recallEvery int
+	asked, lent int
+}
+
+func (l *testLender) Lend(fn func()) bool { l.lent++; go fn(); return true }
+
+func (l *testLender) Wanted() bool {
+	l.asked++
+	return l.recallEvery > 0 && l.asked%l.recallEvery == 0
+}
+
+// TestParallelSplitGolden covers the network that follows a lender: built
+// with one shard, it splits in two at whatever cycle it is first lent a
+// helper — wheel, wake index and free lists handed over mid-run — is recalled
+// and borrows again, and still reproduces the reference bit for bit. Validate
+// checks the handed-over wake index against the dormant/quiescent predicates
+// from the first cycle after the split, and every leap after it.
+func TestParallelSplitGolden(t *testing.T) {
+	// Wavefront allocators carry idle-variant priority state, replayed from
+	// the lastStep bookkeeping that split hands over.
+	meshWavefront := func(c int, rate float64) Config {
+		cfg := meshConfig(c, rate)
+		cfg.VA.Arch, cfg.SA.Arch = alloc.Wavefront, alloc.Wavefront
+		return cfg
+	}
+	for _, mk := range []func(int, float64) Config{meshConfig, meshWavefront, fbflyConfig} {
+		for _, rate := range []float64{0.05, 0.3} {
+			for _, at := range []int64{1, 97, 350} {
+				base := mk(2, rate)
+				base.Seed = 42
+				base.Warmup, base.Measure, base.Drain = 100, 300, 3000
+				lender := &testLender{recallEvery: 20}
+				var n *Network
+				assertGoldenPrepared(t, fmt.Sprintf("%s rate %g split at %d", base.Topology.Name, rate, at), base, func(net *Network) {
+					n = net
+					n.BorrowHelpers(lender)
+					n.modeHook = func(now int64) bool { return now >= at && now/7%2 == 0 }
+				}, 1)
+				if n.Shards() != 2 || lender.lent < 2 {
+					t.Errorf("%s rate %g: %d shards after %d loans, want a split and a second loan after the recall",
+						base.Topology.Name, rate, n.Shards(), lender.lent)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelSwitchHappens keeps TestParallelSwitchGolden honest: under its
+// hook about half of the stepped cycles run concurrently, and with k = 64 the
+// helpers park in the inline stretches and are woken for the next concurrent
+// one.
+func TestParallelSwitchHappens(t *testing.T) {
+	cfg := meshConfig(2, 0.3)
+	cfg.Shards = 2
+	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 1000, 3000
+	n := New(cfg)
+	n.modeHook = func(now int64) bool { return now/64%2 == 1 }
+	n.Run()
+	st := n.ParallelStats()
+	if st.Concurrent < st.Stepped/3 || st.Concurrent > 2*st.Stepped/3 {
+		t.Fatalf("%d of %d cycles concurrent, want about half", st.Concurrent, st.Stepped)
+	}
+	// On a single P a helper only runs when the stepping goroutine is
+	// preempted, and then never spins for long enough to park.
+	if runtime.GOMAXPROCS(0) > 1 && (st.Parks == 0 || st.Wakes == 0) || st.Wakes > st.Parks {
+		t.Fatalf("64-cycle inline stretches: %d parks, %d wakes; want some of each, no wake without a park", st.Parks, st.Wakes)
+	}
+}
+
+// TestParallelBreakEvenRule pins the measured rule itself, no hook: a knee
+// run on two shards goes concurrent, a low-load run never does — it starts no
+// goroutine — and both agree with one shard. How much of the knee run stays
+// concurrent depends on the host (a helper without a CPU of its own is given
+// back), so the share is checked with the lateness rule out of the way: the
+// load criterion alone calls nearly every knee cycle heavy.
+func TestParallelBreakEvenRule(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		rate       float64
+		concurrent bool
+	}{{0.3, true}, {0.02, false}} {
+		cfg := meshConfig(1, tc.rate)
+		want := New(cfg).Run()
+		cfg.Shards = 2
+		n := New(cfg)
+		got := n.Run()
+		st := n.ParallelStats()
+		if got != want {
+			t.Fatalf("rate %g: two shards diverged from one:\n%+v\n%+v", tc.rate, want, got)
+		}
+		if tc.concurrent != (st.Concurrent > 0) {
+			t.Fatalf("rate %g: %d of %d cycles concurrent", tc.rate, st.Concurrent, st.Stepped)
+		}
+		settleGoroutines(t, fmt.Sprintf("rate %g after Run", tc.rate), base)
+	}
+	cfg := meshConfig(1, 0.3)
+	cfg.Shards = 2
+	n := New(cfg)
+	n.modeHook = func(int64) bool { return n.heavy() }
+	n.Run()
+	if st := n.ParallelStats(); st.Concurrent < st.Stepped*9/10 {
+		t.Fatalf("knee: the load criterion calls %d of %d cycles heavy, want nearly all", st.Concurrent, st.Stepped)
+	}
+}
+
+// TestParallelLightRunStartsNoHelper checks the other half of the rule at the
+// goroutine level: stepping a low-load network by hand never has a helper.
+func TestParallelLightRunStartsNoHelper(t *testing.T) {
+	cfg := meshConfig(1, 0.02)
+	cfg.Shards = 2
+	n := New(cfg)
+	defer n.Close()
+	for i := 0; i < 3000; i++ {
+		n.stepCycle()
+		if n.helpers != nil {
+			t.Fatalf("cycle %d: a low-load network acquired helpers", i)
+		}
+	}
+}
+
+// TestShardsUnderOneProc runs four shards, every cycle concurrent, on a single
+// P: the spinning sides yield, the stepping goroutine takes the phases no
+// helper gets to, and the run finishes with the serial result.
+func TestShardsUnderOneProc(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := meshConfig(2, 0.3)
+	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 300, 3000
+	want := New(cfg).Run()
+	cfg.Shards = 4
+	n := New(cfg)
+	alwaysConcurrent(n)
+	done := make(chan Result, 1)
+	go func() { done <- n.Run() }()
+	select {
+	case got := <-done:
+		if got != want {
+			t.Fatalf("GOMAXPROCS=1 shards=4 diverged:\n%+v\n%+v", want, got)
+		}
+	case <-time.After(2 * time.Minute):
+		t.Fatal("GOMAXPROCS=1 shards=4 did not finish")
+	}
+	if st := n.ParallelStats(); st.Concurrent != st.Stepped {
+		t.Fatalf("%d of %d cycles concurrent, want all", st.Concurrent, st.Stepped)
+	}
+}
+
+// TestParallelGivesUpLateHelpers runs a knee network on two shards by the
+// rule, no hook, on a single P, where a helper is only ever scheduled when the
+// stepping goroutine is preempted: the network takes the helper's phases
+// itself, gives the helper back after lateLimit of them and steps inline
+// until it asks again, instead of paying for a helper that does not run.
+func TestParallelGivesUpLateHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := meshConfig(1, 0.3)
+	want := New(cfg).Run()
+	cfg.Shards = 2
+	n := New(cfg)
+	got := n.Run()
+	if got != want {
+		t.Fatalf("GOMAXPROCS=1 shards=2 diverged:\n%+v\n%+v", want, got)
+	}
+	st := n.ParallelStats()
+	if st.Concurrent == 0 || st.Concurrent > st.Stepped/2 || st.Taken < st.Concurrent/2 {
+		t.Fatalf("%d of %d cycles concurrent, %d phases taken over; want a few tries, mostly taken over", st.Concurrent, st.Stepped, st.Taken)
+	}
+}
+
+// TestParallelGoroutinesReleased counts goroutines: a network's helpers are
+// gone after Run, after Close on a hand-stepped network, and after a
+// cancelled RunCtx.
+func TestParallelGoroutinesReleased(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := meshConfig(2, 0.3)
+	cfg.Shards = 4
+	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 300, 3000
+
+	n := New(cfg)
+	alwaysConcurrent(n)
+	n.Run()
+	settleGoroutines(t, "after Run", base)
+
+	n = New(cfg)
+	alwaysConcurrent(n)
+	for i := 0; i < 200; i++ {
+		n.stepCycle()
+	}
+	if got := runtime.NumGoroutine(); got != base+3 {
+		t.Fatalf("hand-stepped shards=4: %d goroutines, want %d + 3 helpers", got, base)
+	}
+	n.Close()
+	n.Close() // idempotent
+	settleGoroutines(t, "after Close", base)
+	n.stepCycle() // and stepping on acquires helpers again
+	n.Close()
+	settleGoroutines(t, "after the second Close", base)
+
+	long := cfg
+	long.Measure = 50_000_000
+	n = New(long)
+	alwaysConcurrent(n)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan Result, 1)
+	go func() { done <- n.RunCtx(ctx) }()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	if res := <-done; !res.Aborted {
+		t.Fatalf("cancelled run not aborted: %+v", res)
+	}
+	settleGoroutines(t, "after an aborted RunCtx", base)
+}
+
+// TestShardWorkerPanicPropagates proves a panic inside a helper's phase
+// (Validate tripping, flow-control bugs) reaches the stepping goroutine, with
+// the helper's stack, instead of crashing the process from the helper — and
+// that the helpers are released afterwards.
+func TestShardWorkerPanicPropagates(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		// On one P the stepping goroutine takes every phase itself.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	base := runtime.NumGoroutine()
+	// The stepping goroutine claims a phase its helper is late for, and a
+	// panic in a phase it runs itself is not what this test is about: try
+	// until the helper got there first.
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); {
+		cfg := meshConfig(1, 0.2)
+		cfg.Shards = 2 // one helper: an idle P picks it up at once, whatever else is queued
+		n := New(cfg)
+		alwaysConcurrent(n)
+		for i := 0; i < 300; i++ {
+			n.stepCycle()
+		}
+		// Plant a malformed event in a helper-owned shard's wheel: delivering a
+		// flit to an out-of-range VC panics inside that shard's phase 1.
+		last := n.shards[len(n.shards)-1]
+		slot := (n.now + 1) % n.wheelSize
+		last.wheel[slot] = append(last.wheel[slot], event{
+			kind: evFlitToRouter, router: last.r0, port: 0, vc: 1 << 20,
+			flit: &router.Flit{Pkt: &router.Packet{Size: 1}, Head: true, Tail: true},
+		})
+		msg := func() (msg string) {
+			defer n.Close()
+			defer func() { msg = fmt.Sprint(recover()) }()
+			for i := 0; i < 10; i++ {
+				n.stepCycle()
+			}
+			return ""
+		}()
+		if msg == "<nil>" {
+			t.Fatal("corrupted shard did not panic on the stepping goroutine")
+		}
+		settleGoroutines(t, "after a propagated panic", base)
+		if strings.Contains(msg, "shard worker panicked") {
+			if !strings.Contains(msg, "stepGuarded") {
+				t.Fatalf("re-raised panic lacks the helper's stack:\n%s", msg)
+			}
+			return
+		}
+	}
+	t.Fatalf("no helper ever claimed the corrupted phase (GOMAXPROCS %d)", runtime.GOMAXPROCS(0))
+}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/core"
 )
 
 // Benchmarks for the simulation core: each target runs one Fig.13-style
@@ -46,34 +45,55 @@ func BenchmarkNetworkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkNetworkSharded measures the sharded stepper at the
-// near-saturation point, where intra-run parallelism is the only speedup
-// left (the default schedule skips almost nothing there). shards=1 bounds
-// the restructuring overhead of the two-phase cycle itself; higher counts
-// scale with available cores and degrade only by the per-cycle barrier cost
-// when cores are scarce. The 8- and 16-shard points exist to profile the
-// serial commit barrier (run with -blockprofile/-mutexprofile); on the Fig.13
-// mesh they oversubscribe most hosts and are expected to regress wall-clock
-// there.
+// BenchmarkNetworkSharded is the measurement behind barrier.go's breakEven
+// and the "Sharded parallel cycle stepper" tables in EXPERIMENTS.md: the
+// Fig.13 mesh from low load to the knee on one shard and on two — the two
+// stepped by the rule, and with every cycle forced inline or concurrent.
+// shards=2/inline against shards=1 is what the second shard costs when it is
+// not used; shards=2/concurrent against shards=2/inline crosses over where a
+// cycle has enough routers to pay for the barrier. Each cell reports host
+// nanoseconds per stepped cycle, the share of cycles that ran concurrently,
+// and the barrier's self-cost: the stepping goroutine's wait per concurrent
+// cycle and the helper parks (ParallelStats). Run it on an otherwise idle
+// host with at least two CPUs:
+//
+//	go test -run '^$' -bench 'NetworkSharded' -benchtime 20x -count 6 -cpu 2 ./internal/sim/
 func BenchmarkNetworkSharded(b *testing.B) {
-	for _, s := range []int{1, 2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
-			benchNetwork(b, 0.30, func(cfg *Config) { cfg.Shards = s })
-		})
+	modes := []struct {
+		name   string
+		shards int
+		hook   func(int64) bool
+	}{
+		{"shards=1", 1, nil},
+		{"shards=2", 2, nil},
+		{"shards=2/inline", 2, func(int64) bool { return false }},
+		{"shards=2/concurrent", 2, func(int64) bool { return true }},
 	}
-}
-
-// BenchmarkNetworkShardedFig14 is the same near-saturation point under the
-// conventional speculation scheme (spec_gnt, a Fig. 14 series), pinning the
-// sharded stepper's scaling on a second allocator configuration.
-func BenchmarkNetworkShardedFig14(b *testing.B) {
-	for _, s := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", s), func(b *testing.B) {
-			benchNetwork(b, 0.30, func(cfg *Config) {
-				cfg.Shards = s
-				cfg.SA.SpecMode = core.SpecGnt
+	for _, rate := range []float64{0.02, 0.05, 0.10, 0.30} {
+		for _, m := range modes {
+			b.Run(fmt.Sprintf("rate=%g/%s", rate, m.name), func(b *testing.B) {
+				var st ParallelStats
+				for i := 0; i < b.N; i++ {
+					cfg := meshConfig(1, rate)
+					cfg.Seed = 42
+					cfg.Shards = m.shards
+					n := New(cfg)
+					n.modeHook = m.hook
+					if res := n.Run(); res.FlitsDelivered == 0 {
+						b.Fatal("no traffic moved")
+					}
+					run := n.ParallelStats()
+					st.Stepped += run.Stepped
+					st.Concurrent += run.Concurrent
+					st.Parks += run.Parks
+					st.Wait += run.Wait
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Stepped), "ns/cycle")
+				b.ReportMetric(100*float64(st.Concurrent)/float64(st.Stepped), "concurrent-%")
+				b.ReportMetric(float64(st.Wait.Nanoseconds())/float64(max(st.Concurrent, 1)), "wait-ns/cycle")
+				b.ReportMetric(float64(st.Parks)/float64(b.N), "parks/run")
 			})
-		})
+		}
 	}
 }
 

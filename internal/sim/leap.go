@@ -25,9 +25,9 @@ import "fmt"
 //     the sleep queue's earliest wake cycle as the bound.
 //   - No timing-wheel event lands in the skipped span. Each shard keeps an
 //     occupancy bitmask over its wheel slots, making the earliest-pending-
-//     event query O(wheelSize/64); the leap target is the min over shards
-//     (plus, in sharded mode, a refusal to leap while any cross-shard event
-//     awaits import — those become wheel events one cycle later).
+//     event query O(wheelSize/64); the leap target is the min over shards.
+//     What a concurrent cycle left in the outboxes is imported first, so the
+//     wheels are the whole truth.
 //
 // The target is clamped to the caller's phase horizon so warmup/measure/
 // drain boundaries land on exactly the cycles per-cycle ticking would
@@ -57,9 +57,12 @@ func (n *Network) tryLeap(horizon int64) bool {
 	if live > 0 {
 		return false
 	}
+	if n.pendingImport {
+		n.flushOutboxes()
+	}
 	target := horizon
 	for _, s := range n.shards {
-		if s.active.any() || s.awake.any() || s.outboxPending() {
+		if s.active.any() || s.awake.any() {
 			return false
 		}
 		// The earliest sleeper bounds the leap (a due one forbids it): a

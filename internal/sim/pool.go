@@ -63,5 +63,12 @@ func (p *pool[T]) trim() {
 	p.low = len(p.items)
 }
 
+// part returns a fresh pool holding the i-th of k equal parts of p's objects
+// (Network.split hands a one-shard network's free lists out to its shards).
+func (p *pool[T]) part(i, k int) pool[T] {
+	items := append([]T(nil), p.items[i*len(p.items)/k:(i+1)*len(p.items)/k]...)
+	return pool[T]{items: items, low: len(items)}
+}
+
 // free returns the number of pooled objects; exposed for tests.
 func (p *pool[T]) free() int { return len(p.items) }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"runtime/debug"
 
 	"repro/internal/router"
 	"repro/internal/routing"
@@ -15,30 +14,35 @@ import (
 // router, so injection, ejection and UGAL's occupancy reads stay
 // shard-local), and every simulation cycle runs in two phases:
 //
-//  1. All shards concurrently import the cross-shard events published for
-//     them last cycle into their own timing wheels, deliver the cycle's due
-//     events, and step their terminals and routers. Events for entities
-//     owned by another shard — only inter-router channel flits and credits
-//     ever are — go to a per-destination outbox instead of a wheel.
-//  2. A single-threaded merge publishes the outboxes (a buffer swap; the
-//     copying itself happens in the destinations' next phase 1, in
-//     parallel), then commits the cycle's packet births and deliveries in
-//     destination-terminal order.
+//  1. Every shard delivers the cycle's due events and steps its terminals
+//     and routers — the shards one after another on the stepping goroutine
+//     (an inline cycle) or each on a goroutine of its own (a concurrent
+//     cycle); barrier.go chooses per cycle. In an inline cycle an event for
+//     an entity owned by another shard — only inter-router channel flits and
+//     credits ever are — is filed straight into that shard's wheel. In a
+//     concurrent cycle it goes to a per-destination outbox instead, and the
+//     destination imports it at the start of its next phase 1.
+//  2. A single-threaded merge publishes the outboxes of a concurrent cycle (a
+//     buffer swap; the copying itself happens in the destinations' next
+//     phase 1, in parallel), then commits the cycle's packet births and
+//     deliveries in destination-terminal order.
 //
 // Cross-shard events are emitted with a delay of at least 2 cycles (channel
-// traversal is 2+latency), so deferring their wheel insertion to the start
-// of the next cycle's phase 1 never misses a due slot, and each importer
-// scanning source shards in index order reproduces the (source shard,
-// emission) append order a serial merge would have used.
+// traversal is 2+latency), so neither way of filing one can touch the slot
+// being drained, and deferring the wheel insertion to the start of the next
+// cycle's phase 1 never misses a due slot.
 //
-// Phase 2 is what makes results bit-identical for any shard count: within
-// one cycle every per-router and per-terminal mutation in phase 1 is
-// commutative (each input VC, credit counter and terminal receives at most
-// one event per cycle, and each RNG stream belongs to exactly one
-// terminal), so the only order-sensitive state is the global packet ID
-// counter and the floating-point measurement accumulators — and those are
-// only touched in phase 2, in an order that is a pure function of the
-// cycle's logical event set.
+// Phase 2 is what makes results bit-identical for any shard count and any
+// interleaving of inline and concurrent cycles: within one cycle every
+// per-router and per-terminal mutation in phase 1 is commutative (each input
+// VC, credit counter and terminal receives at most one event per cycle, and
+// each RNG stream belongs to exactly one terminal), so the order of the
+// events within a wheel slot — the one thing the shard layout and the filing
+// path change — is immaterial, and the only order-sensitive state is the
+// global packet ID counter and the floating-point measurement accumulators.
+// Those are touched in terminal order only: by phase 2, and by an inline
+// cycle's phase 1, which visits the shards in index order and so the
+// terminals in id order.
 
 // shard owns a contiguous range of routers and their terminals.
 type shard struct {
@@ -59,13 +63,20 @@ type shard struct {
 	slotLow []int32
 	occ     []uint64
 
-	// outCur[d] collects events emitted this cycle for routers owned by
-	// shard d; outPrev[d] holds last cycle's batch, which shard d imports
-	// into its wheel at the start of its next phase 1. The commit phase
-	// only swaps the two buffer sets, so the actual event copying runs in
-	// the destinations' (parallel) phase 1 instead of the serial barrier.
+	// outCur[d] collects events emitted in a concurrent cycle for routers
+	// owned by shard d; outPrev[d] holds the batch of the last concurrent
+	// cycle, which shard d imports into its wheel at the start of its next
+	// phase 1 (Network.pendingImport). The commit phase only swaps the two
+	// buffer sets, so the actual event copying runs in the destinations'
+	// (parallel) phase 1 instead of the serial barrier.
 	outCur  [][]outEvent
 	outPrev [][]outEvent
+
+	// load is the number of routers the last stepped cycle visited: what the
+	// next one is expected to cost (Network.heavy). loadLow is the part of it
+	// in the lower half of the shard's routers, which is how a one-shard
+	// network that may yet split in two is judged.
+	load, loadLow int
 
 	// lastStep[r-r0] is the last cycle router r was stepped; the active-set
 	// scheduler uses it to replay skipped idle cycles into the allocators.
@@ -85,8 +96,8 @@ type shard struct {
 	pktPool  pool[*router.Packet]
 
 	// newPkts are the requests created this cycle, in terminal order,
-	// awaiting ID assignment at commit (sharded mode only; serial mode
-	// assigns inline and leaves this empty).
+	// awaiting ID assignment at commit (concurrent cycles only; an inline
+	// cycle assigns inline and leaves this empty).
 	newPkts []*router.Packet
 	// newMeasured counts this cycle's requests created inside the
 	// measurement window; committed into Network.measuredCreated/inFlight.
@@ -182,20 +193,23 @@ func (s *shard) scheduleLocal(delay int64, e event) {
 	s.enqueue(s.slotFor(delay), e)
 }
 
-// scheduleRouter inserts an event destined for an arbitrary router,
-// diverting cross-shard events to the destination's outbox.
+// scheduleRouter inserts an event destined for an arbitrary router: into the
+// owning shard's wheel, or while that shard may be running on another
+// goroutine into the outbox it imports from.
 func (s *shard) scheduleRouter(delay int64, e event) {
 	slot := s.slotFor(delay)
 	if d := s.net.shardOfRouter[e.router]; d != int32(s.id) {
-		s.outCur[d] = append(s.outCur[d], outEvent{slot: int32(slot), e: e})
-		return
+		if s.net.concurrent {
+			s.outCur[d] = append(s.outCur[d], outEvent{slot: int32(slot), e: e})
+			return
+		}
+		s = s.net.shards[d]
 	}
 	s.enqueue(slot, e)
 }
 
-// importOutboxes moves the cross-shard events published for this shard last
-// cycle into its wheel. Scanning source shards in index order reproduces
-// the append order of a serial merge; the sources' outPrev buffers are
+// importOutboxes moves the cross-shard events published for this shard by
+// the last concurrent cycle into its wheel. The sources' outPrev buffers are
 // read-only during phase 1 (each source now appends to its outCur), so
 // concurrent importers never race.
 func (s *shard) importOutboxes() {
@@ -206,15 +220,18 @@ func (s *shard) importOutboxes() {
 	}
 }
 
-// outboxPending reports whether any shard has published events this shard
-// has not yet imported; the leap gate refuses to jump over them.
-func (s *shard) outboxPending() bool {
-	for _, src := range s.net.shards {
-		if len(src.outPrev[s.id]) > 0 {
-			return true
+// flushOutboxes imports what the last concurrent cycle published into every
+// shard's wheel, here and now, so that the leap gate reads the wheels alone.
+func (n *Network) flushOutboxes() {
+	for _, s := range n.shards {
+		s.importOutboxes()
+	}
+	for _, s := range n.shards {
+		for d := range s.outPrev {
+			s.outPrev[d] = s.outPrev[d][:0]
 		}
 	}
-	return false
+	n.pendingImport = false
 }
 
 // nextEventDelta returns the number of cycles until this shard's earliest
@@ -247,11 +264,11 @@ func (s *shard) nextEventDelta() int64 {
 
 // phase1 advances this shard by one cycle: deliver due events, then step
 // terminals and routers. Safe to run concurrently with other shards'
-// phase1; it touches only shard-owned state plus the read-only topology,
-// routing and config structures.
+// phase1 in a concurrent cycle; it then touches only shard-owned state plus
+// the read-only topology, routing and config structures.
 func (s *shard) phase1() {
 	n := s.net
-	if !n.serial {
+	if n.pendingImport {
 		s.importOutboxes()
 	}
 	slot := n.nowSlot
@@ -283,6 +300,7 @@ func (s *shard) phase1() {
 		for r := s.r0; r < s.r1; r++ {
 			s.stepRouter(n.routers[r])
 		}
+		s.load, s.loadLow = s.r1-s.r0, (s.r1-s.r0)/2
 		return
 	}
 	s.wakeDue()
@@ -304,6 +322,9 @@ func (s *shard) phase1() {
 			s.termVisits++
 		}
 	}
+	// A stepped router wakes no other in the same cycle (every event has a
+	// delay), so the active set here is the set of routers visited below.
+	s.load, s.loadLow = s.active.count((s.r1 - s.r0) / 2)
 	for wi, w := range s.active {
 		for base := wi * 64; w != 0; w &= w - 1 {
 			i := base + bits.TrailingZeros64(w)
@@ -383,17 +404,18 @@ func (s *shard) allocPacket(t traffic.PacketType, src, dst int, createdAt int64)
 	return p
 }
 
-// newRequest registers a freshly created request packet. Serial mode takes
-// the next global ID immediately; sharded phase 1 defers assignment to the
-// commit, which hands out the same IDs in the same terminal-order sequence.
+// newRequest registers a freshly created request packet. An inline cycle
+// takes the next global ID immediately; a concurrent phase 1 defers
+// assignment to the commit, which hands out the same IDs in the same
+// terminal-order sequence.
 func (s *shard) newRequest(t traffic.PacketType, src, dst int, createdAt int64) *router.Packet {
 	p := s.allocPacket(t, src, dst, createdAt)
 	n := s.net
-	if n.serial {
+	if n.concurrent {
+		s.newPkts = append(s.newPkts, p)
+	} else {
 		n.nextPktID++
 		p.ID = n.nextPktID
-	} else {
-		s.newPkts = append(s.newPkts, p)
 	}
 	if createdAt >= n.measStart && createdAt < n.measEnd {
 		s.newMeasured++
@@ -424,27 +446,25 @@ func (s *shard) recycleFlit(f *router.Flit) {
 
 // mergeAndCommit is phase 2 of a cycle: single-threaded, it publishes the
 // cycle's cross-shard events and commits packet births and deliveries in a
-// canonical order, making results bit-identical for any shard count. Block
-// profiling at 8–16 shards showed the barrier's serial span dominated by
-// the old per-event outbox copy; publishing is now a buffer swap and the
-// copy runs in the destinations' next (parallel) phase 1.
+// canonical order, making results bit-identical for any shard count.
 func (n *Network) mergeAndCommit() {
-	// 1. Publish outboxes: this cycle's outCur becomes next cycle's
-	// outPrev, which destination shards import concurrently; the buffers
-	// they just drained are truncated for reuse. Serial mode never routes
-	// through outboxes (every router is shard-local), so it skips the swap.
-	if !n.serial {
+	// 1. Publish outboxes: a concurrent cycle's outCur becomes the next
+	// cycle's outPrev, which the destination shards import; the buffers they
+	// drained in this cycle are truncated for reuse. An inline cycle filed
+	// nothing, so after it the swap only retires what it imported.
+	if n.concurrent || n.pendingImport {
 		for _, s := range n.shards {
 			s.outCur, s.outPrev = s.outPrev, s.outCur
 			for i := range s.outCur {
 				s.outCur[i] = s.outCur[i][:0]
 			}
 		}
+		n.pendingImport = n.concurrent
 	}
 	// 2. IDs for this cycle's new requests, in terminal order (shards own
-	// contiguous terminal ranges and append in id order). Serial mode
-	// assigned them inline in newRequest — same order, since replies are
-	// only created below, after every request of the cycle.
+	// contiguous terminal ranges and append in id order). An inline cycle
+	// assigned them in newRequest — same order, since replies are only
+	// created below, after every request of the cycle.
 	for _, s := range n.shards {
 		for _, p := range s.newPkts {
 			n.nextPktID++
@@ -492,75 +512,4 @@ func (n *Network) commitDelivery(s *shard, d delivery) {
 	}
 	s.pktPool.put(p)
 	s.livePkts--
-}
-
-// --- worker pool ---------------------------------------------------------------
-
-// workerResult carries a phase-1 panic from a worker back to the stepping
-// goroutine, so Validate-mode violations and flow-control bugs surface as
-// ordinary panics there instead of crashing the process from a worker.
-type workerResult struct {
-	panicVal any
-	stack    []byte
-}
-
-// runShardsParallel executes phase 1 on every shard concurrently: shards
-// 1..S-1 on persistent worker goroutines, shard 0 inline on the caller.
-func (n *Network) runShardsParallel() {
-	if !n.workersUp {
-		n.startWorkers()
-	}
-	for _, ch := range n.startCh {
-		ch <- struct{}{}
-	}
-	n.shards[0].phase1()
-	var failed workerResult
-	for range n.startCh {
-		if r := <-n.doneCh; r.panicVal != nil {
-			failed = r
-		}
-	}
-	if failed.panicVal != nil {
-		panic(fmt.Sprintf("sim: shard worker panicked: %v\n%s", failed.panicVal, failed.stack))
-	}
-}
-
-func (n *Network) startWorkers() {
-	n.startCh = make([]chan struct{}, len(n.shards)-1)
-	n.doneCh = make(chan workerResult, len(n.shards)-1)
-	for i := range n.startCh {
-		n.startCh[i] = make(chan struct{}, 1)
-		go n.shardWorker(n.shards[i+1], n.startCh[i])
-	}
-	n.workersUp = true
-}
-
-func (n *Network) shardWorker(s *shard, start <-chan struct{}) {
-	for range start {
-		n.doneCh <- runShardGuarded(s)
-	}
-}
-
-func runShardGuarded(s *shard) (res workerResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = workerResult{panicVal: r, stack: debug.Stack()}
-		}
-	}()
-	s.phase1()
-	return res
-}
-
-// Close stops the shard worker goroutines. Run calls it on return; callers
-// driving stepCycle directly with Shards > 1 should defer it. Idempotent,
-// and stepping again after Close transparently restarts the workers.
-func (n *Network) Close() {
-	if !n.workersUp {
-		return
-	}
-	for _, ch := range n.startCh {
-		close(ch)
-	}
-	n.startCh = nil
-	n.workersUp = false
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/router"
 	"repro/internal/trace"
 )
 
@@ -82,49 +81,24 @@ func TestShardFlitConservation(t *testing.T) {
 	}
 }
 
-// TestShardValidateParallel runs the parallel stepper with per-cycle
+// TestShardValidateParallel runs every cycle concurrently with per-cycle
 // allocation checking in every router on both topologies; under `go test
 // -race` this doubles as the data-race certification of phase 1, and any
-// worker panic must surface on the stepping goroutine.
+// helper panic must surface on the stepping goroutine.
 func TestShardValidateParallel(t *testing.T) {
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		cfg := mk(2, 0.35)
 		cfg.Shards = 4
 		cfg.Validate = true
 		cfg.Warmup, cfg.Measure, cfg.Drain = 200, 400, 4000
-		if res := New(cfg).Run(); res.FlitsDelivered == 0 {
+		n := New(cfg)
+		alwaysConcurrent(n)
+		if res := n.Run(); res.FlitsDelivered == 0 {
 			t.Errorf("%s shards=4 validated: no flits moved", cfg.Topology.Name)
 		}
-	}
-}
-
-// TestShardWorkerPanicPropagates proves a panic inside a worker-owned
-// shard (Validate tripping, flow-control bugs) reaches the caller of Run
-// instead of crashing the process from a worker goroutine.
-func TestShardWorkerPanicPropagates(t *testing.T) {
-	cfg := meshConfig(1, 0.2)
-	cfg.Shards = 4
-	n := New(cfg)
-	defer n.Close()
-	for i := 0; i < 50; i++ {
-		n.stepCycle()
-	}
-	// Plant a malformed event in a worker-owned shard's wheel: delivering a
-	// flit to an out-of-range VC panics inside that worker's phase 1, and
-	// the pool must re-raise it here.
-	last := n.shards[len(n.shards)-1]
-	slot := (n.now + 1) % n.wheelSize
-	last.wheel[slot] = append(last.wheel[slot], event{
-		kind: evFlitToRouter, router: last.r0, port: 0, vc: 1 << 20,
-		flit: &router.Flit{Pkt: &router.Packet{Size: 1}, Head: true, Tail: true},
-	})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("corrupted shard did not panic on the stepping goroutine")
+		if st := n.ParallelStats(); st.Concurrent != st.Stepped {
+			t.Errorf("%s: %d of %d cycles concurrent, want all", cfg.Topology.Name, st.Concurrent, st.Stepped)
 		}
-	}()
-	for i := 0; i < 10; i++ {
-		n.stepCycle()
 	}
 }
 

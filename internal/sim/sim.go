@@ -18,6 +18,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/router"
@@ -71,10 +72,11 @@ type Config struct {
 	// packet is delivered.
 	Warmup, Measure, Drain int
 	// Shards partitions the routers (each with its attached terminals) into
-	// this many groups that step concurrently within each cycle; a serial
-	// end-of-cycle merge keeps results bit-identical to the serial stepper
-	// for any value. 0 or 1 selects the serial stepper; values above the
-	// router count are clamped; tracing forces serial (collectors are not
+	// this many groups. A cycle in which every group has enough routers to
+	// step runs them concurrently, one goroutine each; any other cycle steps
+	// them one after another on the caller's goroutine (barrier.go). Results
+	// are bit-identical for any value. 0 or 1 is one group; values above the
+	// router count are clamped; tracing forces one (collectors are not
 	// concurrency-safe, and same-cycle trace events need inline packet IDs).
 	Shards int
 	// Trace, when non-nil, receives pipeline and terminal events stamped
@@ -196,17 +198,35 @@ type Network struct {
 	nowSlot int64
 
 	// shards partition the routers and terminals; shardOfRouter maps a
-	// router id to its owner. The serial stepper is the one-shard case.
+	// router id to its owner.
 	shards        []*shard
 	shardOfRouter []int32
 	wheelSize     int64
-	serial        bool
 
-	// Worker pool for the sharded stepper (see shard.go); started lazily on
-	// the first parallel cycle, stopped by Close.
-	workersUp bool
-	startCh   []chan struct{}
-	doneCh    chan workerResult
+	// How the cycle being stepped runs (barrier.go). concurrent is set while
+	// the shards' phase 1 may be on separate goroutines: cross-shard events
+	// then go through the outboxes and new packets get their IDs at commit.
+	// pendingImport says the last concurrent cycle's outboxes are yet to be
+	// imported. helpers are the goroutines held for concurrent cycles, from
+	// lender or, if that is nil, started by the network; epoch numbers the
+	// concurrent cycles. wantHelpers is the current verdict of the break-even
+	// rule, streak the cycles in a row that contradicted it, askIn the cycles
+	// until a network that wants helpers and has none asks again, late the
+	// score of the helpers' lateness (scoreLate) and lastConcurrent the last
+	// cycle stepped concurrently. modeHook, set by tests only, replaces the
+	// rule.
+	concurrent     bool
+	pendingImport  bool
+	helpers        []*helper
+	lender         Lender
+	epoch          uint64
+	wantHelpers    bool
+	streak, askIn  int
+	late           int
+	lastConcurrent int64
+	modeHook       func(now int64) bool
+	par            ParallelStats
+	parks          atomic.Int64
 
 	nextPktID int64
 
@@ -303,16 +323,26 @@ func New(cfg Config) *Network {
 // per-shard terminal iteration preserves global terminal-id order — the
 // property the commit phase's ID assignment relies on).
 func (n *Network) buildShards() {
-	R := n.cfg.Topology.Routers
-	conc := n.cfg.Topology.Concentration
 	S := n.cfg.Shards
 	if S < 1 || n.cfg.Trace != nil {
 		S = 1
 	}
+	n.partition(S)
+	for _, s := range n.shards {
+		for t := s.t0; t < s.t1; t++ {
+			s.settle(t)
+		}
+	}
+}
+
+// partition replaces n.shards by S empty shards (at most one per router).
+func (n *Network) partition(S int) {
+	R := n.cfg.Topology.Routers
+	conc := n.cfg.Topology.Concentration
 	if S > R {
 		S = R
 	}
-	n.serial = S == 1
+	n.shards = make([]*shard, 0, S)
 	n.shardOfRouter = make([]int32, R)
 	for i := 0; i < S; i++ {
 		r0, r1 := i*R/S, (i+1)*R/S
@@ -336,11 +366,49 @@ func (n *Network) buildShards() {
 		for r := r0; r < r1; r++ {
 			n.shardOfRouter[r] = int32(i)
 		}
-		for t := s.t0; t < s.t1; t++ {
-			s.settle(t)
-		}
 		n.shards = append(n.shards, s)
 	}
+}
+
+// split re-partitions a one-shard network into two shards between two cycles,
+// moving everything the one shard held to the shard that now owns it: wheel
+// events by destination, the wake index entry by entry, the free lists in
+// equal parts. Which shard an object or a counter lands in changes no result
+// (shard.go); the counters, only ever summed, stay with shard 0.
+func (n *Network) split() {
+	old := n.shards[0]
+	n.partition(2)
+	conc := n.cfg.Topology.Concentration
+	for slot, evs := range old.wheel {
+		for _, e := range evs {
+			r := e.router
+			if e.kind == evFlitToTerminal || e.kind == evCreditToTerminal {
+				r = e.terminal / conc
+			}
+			n.shards[n.shardOfRouter[r]].enqueue(int64(slot), e)
+		}
+	}
+	for _, s := range n.shards {
+		copy(s.lastStep, old.lastStep[s.r0:s.r1])
+		for r := s.r0; r < s.r1; r++ {
+			if old.active.has(r) {
+				s.active.set(r - s.r0)
+			}
+		}
+		for t := s.t0; t < s.t1; t++ {
+			if old.awake.has(t) {
+				s.awake.set(t - s.t0)
+			} else if old.sleep.pos[t] >= 0 {
+				s.sleep.push(t-s.t0, old.sleep.at[t])
+			}
+		}
+		s.flitPool = old.flitPool.part(s.id, len(n.shards))
+		s.pktPool = old.pktPool.part(s.id, len(n.shards))
+	}
+	first := n.shards[0]
+	first.load, n.shards[1].load = old.loadLow, old.load-old.loadLow // the halves heavy() judged old by
+	first.created, first.delivered, first.measFlits, first.livePkts = old.created, old.delivered, old.measFlits, old.livePkts
+	first.termVisits, first.routerVisits = old.termVisits, old.routerVisits
 }
 
 // Now returns the current cycle.
@@ -349,8 +417,9 @@ func (n *Network) Now() int64 { return n.now }
 // Router returns router r (exposed for tests).
 func (n *Network) Router(r int) *router.Router { return n.routers[r] }
 
-// Shards returns the number of shards the network actually runs with
-// (after clamping), for tests and tools reporting their configuration.
+// Shards returns the number of shards the network runs with right now (after
+// clamping; a network that borrows its helpers grows from one to two), for
+// tests and tools reporting their configuration.
 func (n *Network) Shards() int { return len(n.shards) }
 
 // Occupancy implements routing.QueueEstimator for UGAL. During phase 1 it
@@ -361,9 +430,10 @@ func (n *Network) Occupancy(r, p int) int { return n.routers[r].OutputOccupancy(
 
 // stepCycle advances the simulation by one cycle in two phases: every
 // shard delivers its due events and steps its terminals and routers
-// (concurrently when Shards > 1), then a serial merge commits cross-shard
-// events, new-packet IDs and delivery statistics in a canonical order (see
-// shard.go for why that makes results bit-identical for any shard count).
+// (concurrently when the cycle is heavy enough to pay for it, barrier.go),
+// then a serial merge commits cross-shard events, new-packet IDs and
+// delivery statistics in a canonical order (see shard.go for why that makes
+// results bit-identical for any shard count).
 //
 // Within a shard the default schedule is active-set: terminals that cannot
 // make progress (no offered load, no open packet, empty source queues) and
@@ -377,12 +447,15 @@ func (n *Network) stepCycle() {
 	if n.cfg.Trace != nil {
 		n.cfg.Trace.SetCycle(n.now)
 	}
-	if n.serial {
-		n.shards[0].phase1()
+	if n.concurrent = (len(n.shards) > 1 || n.lender != nil) && n.wantConcurrent(); n.concurrent {
+		n.stepConcurrent()
 	} else {
-		n.runShardsParallel()
+		for _, s := range n.shards {
+			s.phase1()
+		}
 	}
 	n.mergeAndCommit()
+	n.par.Stepped++
 	n.now++
 	if n.nowSlot++; n.nowSlot == n.wheelSize {
 		n.nowSlot = 0

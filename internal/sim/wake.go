@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // The wake index is how a shard knows, without asking each of them, which
 // of its terminals and routers a cycle has to visit:
@@ -36,6 +39,19 @@ type bitset []uint64
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b bitset) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// count returns the number of members and how many of them are below split.
+func (b bitset) count(split int) (all, below int) {
+	for wi, w := range b {
+		all += bits.OnesCount64(w)
+		if lo := split - wi*64; lo >= 64 {
+			below += bits.OnesCount64(w)
+		} else if lo > 0 {
+			below += bits.OnesCount64(w & (1<<uint(lo) - 1))
+		}
+	}
+	return all, below
+}
 
 func (b bitset) any() bool {
 	for _, w := range b {

@@ -386,18 +386,32 @@ func (r UnitResult) NetPoint() experiments.NetPoint {
 // checked every sim.AbortCheckInterval cycles; a cancelled run returns
 // ctx.Err() and no result).
 func RunUnit(ctx context.Context, c UnitConfig, shards int, reference bool) (UnitResult, error) {
+	res, _, err := runUnit(ctx, c, shards, reference, nil)
+	return res, err
+}
+
+// runUnit is RunUnit for a caller that has goroutines to lend: with lender
+// set, the simulation takes the helpers of its shards from it while it has
+// heavy cycles to step (sim.Network.BorrowHelpers) instead of starting its
+// own. It also reports how the cycles were executed.
+func runUnit(ctx context.Context, c UnitConfig, shards int, reference bool, lender sim.Lender) (UnitResult, sim.ParallelStats, error) {
 	c = c.Normalized()
 	cfg, err := c.BuildSim(shards, reference)
 	if err != nil {
-		return UnitResult{}, err
+		return UnitResult{}, sim.ParallelStats{}, err
 	}
-	res := sim.New(cfg).RunCtx(ctx)
+	n := sim.New(cfg)
+	if lender != nil {
+		n.BorrowHelpers(lender)
+	}
+	res := n.RunCtx(ctx)
+	par := n.ParallelStats()
 	if res.Aborted {
 		err := ctx.Err()
 		if err == nil {
 			err = context.Canceled
 		}
-		return UnitResult{}, err
+		return UnitResult{}, par, err
 	}
 	return UnitResult{
 		SchemaVersion:   c.SchemaVersion,
@@ -415,7 +429,7 @@ func RunUnit(ctx context.Context, c UnitConfig, shards int, reference bool) (Uni
 		LatencyP99:      res.LatencyP99,
 		LatencyMax:      res.LatencyMax,
 		AvgHops:         res.AvgHops,
-	}, nil
+	}, par, nil
 }
 
 // ParseArch parses an allocator architecture name as rendered by

@@ -230,25 +230,29 @@ func TestBuildSimMatchesBatchPath(t *testing.T) {
 
 // BenchmarkRunUnitKnee simulates the four sim_saturation units of the
 // repository benchmark (bench/gen.go: each design point at its saturation
-// knee, phases 125/300/2500) on the default schedule. It is where the
-// router.Step profile split in EXPERIMENTS.md comes from:
+// knee, phases 125/300/2500) on the default schedule, on one shard and on
+// two. shards=1 is where the router.Step profile split in EXPERIMENTS.md
+// comes from, and the ratio of the two is the "Sharded parallel cycle
+// stepper" table there:
 //
-//	go test -run '^$' -bench RunUnitKnee -benchtime 20x -cpuprofile cpu.prof ./internal/sweep/
+//	go test -run '^$' -bench RunUnitKnee/shards=1 -benchtime 20x -cpuprofile cpu.prof ./internal/sweep/
 func BenchmarkRunUnitKnee(b *testing.B) {
-	for _, u := range []UnitConfig{
-		{Topo: "mesh", VCsPerClass: 1, Rate: 0.30, SAArch: "sep_if", SpecMode: "spec_req"},
-		{Topo: "mesh", VCsPerClass: 2, Rate: 0.34, SAArch: "wf", SpecMode: "spec_gnt"},
-		{Topo: "fbfly", VCsPerClass: 1, Rate: 0.40, SAArch: "sep_of", SpecMode: "nonspec"},
-		{Topo: "fbfly", VCsPerClass: 2, Rate: 0.45, SAArch: "wf", SpecMode: "spec_req"},
-	} {
-		u.Warmup, u.Measure, u.Drain = 125, 300, 2500
-		b.Run(fmt.Sprintf("%s_c%d_%s_%s", u.Topo, u.VCsPerClass, u.SAArch, u.SpecMode), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := RunUnit(context.Background(), u, 1, false); err != nil {
-					b.Fatal(err)
+	for _, shards := range []int{1, 2} {
+		for _, u := range []UnitConfig{
+			{Topo: "mesh", VCsPerClass: 1, Rate: 0.30, SAArch: "sep_if", SpecMode: "spec_req"},
+			{Topo: "mesh", VCsPerClass: 2, Rate: 0.34, SAArch: "wf", SpecMode: "spec_gnt"},
+			{Topo: "fbfly", VCsPerClass: 1, Rate: 0.40, SAArch: "sep_of", SpecMode: "nonspec"},
+			{Topo: "fbfly", VCsPerClass: 2, Rate: 0.45, SAArch: "wf", SpecMode: "spec_req"},
+		} {
+			u.Warmup, u.Measure, u.Drain = 125, 300, 2500
+			b.Run(fmt.Sprintf("shards=%d/%s_c%d_%s_%s", shards, u.Topo, u.VCsPerClass, u.SAArch, u.SpecMode), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := RunUnit(context.Background(), u, shards, false); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // Request is the body of POST /sweep: a base unit plus optional expansion
@@ -180,6 +181,12 @@ type Options struct {
 	// flag set); zero fields fall back to the schema defaults. Its Shards
 	// and Reference are the execution hints applied to every simulated unit
 	// (they change no result and no content key); Workers is not read.
+	// Shards 0 follows the idle workers: a unit runs on one shard until it
+	// has proved heavy and the pool has a worker with nothing to do, splits
+	// in two around that worker, and gives it back as soon as another unit
+	// waits for it (Pool, sim.Network.BorrowHelpers). Shards ≥ 1 is that
+	// many shards with goroutines of the unit's own, whatever the pool is
+	// doing.
 	Defaults experiments.SimScale
 	// Workers bounds concurrently running simulations (default
 	// 1; sweepd passes GOMAXPROCS).
@@ -216,10 +223,14 @@ type Server struct {
 	flight   *Group
 	pool     *Pool
 	unitConc int
+	// lender is the pool when units follow its idle workers
+	// (Options.Defaults.Shards 0 on more than one worker), else nil.
+	lender sim.Lender
 
-	simRuns   atomic.Int64
-	unitsDone atomic.Int64
-	requests  atomic.Int64
+	simRuns        atomic.Int64
+	unitsDone      atomic.Int64
+	requests       atomic.Int64
+	parallelCycles atomic.Int64
 }
 
 // NewServer builds a server; callers own its lifetime and should Close it.
@@ -245,14 +256,18 @@ func NewServer(opts Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	return &Server{
+	s := &Server{
 		defaults: opts.Defaults,
 		store:    NewStore(opts.MaxEntries, opts.MaxBytes),
 		disk:     disk,
 		flight:   NewGroup(),
 		pool:     NewPool(opts.Workers),
 		unitConc: opts.UnitConcurrency,
-	}, nil
+	}
+	if opts.Defaults.Shards == 0 && opts.Workers > 1 { // a lone worker never sees another one idle
+		s.lender = s.pool
+	}
+	return s, nil
 }
 
 // Close stops the worker pool (in-flight tasks drain first).
@@ -282,27 +297,34 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	poolDone, poolSkipped := s.pool.Stats()
+	_, lent, recalled := s.pool.LendStats()
 	stats := struct {
-		SchemaVersion int        `json:"schema_version"`
-		Requests      int64      `json:"requests"`
-		UnitsServed   int64      `json:"units_served"`
-		SimRuns       int64      `json:"sim_runs"`
-		InFlight      int        `json:"in_flight"`
-		PoolRunning   int64      `json:"pool_running"`
-		PoolDone      int64      `json:"pool_done"`
-		PoolSkipped   int64      `json:"pool_skipped"`
-		Store         StoreStats `json:"store"`
-		Disk          *DiskStats `json:"disk,omitempty"`
+		SchemaVersion   int        `json:"schema_version"`
+		Requests        int64      `json:"requests"`
+		UnitsServed     int64      `json:"units_served"`
+		SimRuns         int64      `json:"sim_runs"`
+		InFlight        int        `json:"in_flight"`
+		PoolRunning     int64      `json:"pool_running"`
+		PoolDone        int64      `json:"pool_done"`
+		PoolSkipped     int64      `json:"pool_skipped"`
+		HelpersLent     int64      `json:"helpers_lent"`
+		HelpersRecalled int64      `json:"helpers_recalled"`
+		ParallelCycles  int64      `json:"parallel_cycles"`
+		Store           StoreStats `json:"store"`
+		Disk            *DiskStats `json:"disk,omitempty"`
 	}{
-		SchemaVersion: SchemaVersion,
-		Requests:      s.requests.Load(),
-		UnitsServed:   s.unitsDone.Load(),
-		SimRuns:       s.simRuns.Load(),
-		InFlight:      s.flight.InFlight(),
-		PoolRunning:   s.pool.Running(),
-		PoolDone:      poolDone,
-		PoolSkipped:   poolSkipped,
-		Store:         s.store.Stats(),
+		SchemaVersion:   SchemaVersion,
+		Requests:        s.requests.Load(),
+		UnitsServed:     s.unitsDone.Load(),
+		SimRuns:         s.simRuns.Load(),
+		InFlight:        s.flight.InFlight(),
+		PoolRunning:     s.pool.Running(),
+		PoolDone:        poolDone,
+		PoolSkipped:     poolSkipped,
+		HelpersLent:     lent,
+		HelpersRecalled: recalled,
+		ParallelCycles:  s.parallelCycles.Load(),
+		Store:           s.store.Stats(),
 	}
 	if s.disk != nil {
 		ds := s.disk.Stats()
@@ -494,7 +516,9 @@ func (s *Server) serveUnit(ctx context.Context, u UnitConfig, key string, probed
 		var runErr error
 		poolErr := s.pool.Run(runCtx, func(simCtx context.Context) {
 			s.simRuns.Add(1)
-			res, runErr = RunUnit(simCtx, u, s.defaults.Shards, s.defaults.Reference)
+			var par sim.ParallelStats
+			res, par, runErr = runUnit(simCtx, u, s.defaults.Shards, s.defaults.Reference, s.lender)
+			s.parallelCycles.Add(par.Concurrent)
 		})
 		if poolErr != nil {
 			return nil, poolErr

@@ -241,8 +241,8 @@ func TestServerEviction(t *testing.T) {
 
 // TestServerShardsFromDefaults pins where the server's execution hints come
 // from: the Shards (and Reference) of the one Options.Defaults, with no second
-// copy to forget. A unit running on a Shards: 4 server has three shard workers
-// parked beside the stepping goroutine.
+// copy to forget. A heavy unit running on a Shards: 4 server has three helper
+// goroutines of its own beside the stepping one.
 func TestServerShardsFromDefaults(t *testing.T) {
 	srv, _ := newTestServer(t, Options{Workers: 1, Defaults: experiments.SimScale{Shards: 4}})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -257,10 +257,10 @@ func TestServerShardsFromDefaults(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for workers := 0; workers != 3; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d shard workers running, want 3", workers)
+			t.Fatalf("%d shard helpers running, want 3", workers)
 		}
 		time.Sleep(time.Millisecond)
-		workers = bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*Network).shardWorker("))
+		workers = bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*helper).run("))
 	}
 	cancel()
 	if err := <-done; err == nil {
