@@ -13,7 +13,7 @@
 //
 //	sweepd                         # listen on :8080
 //	sweepd -addr :9090 -workers 8  # explicit bind and pool width
-//	sweepd -selfcheck              # in-process smoke: miss, then byte-equal hit
+//	sweepd -selfcheck              # in-process smoke: miss, byte-equal hit, one /curve job
 //
 // Endpoints:
 //
@@ -22,6 +22,9 @@
 //	POST /pareto   design-space-search job (poll GET, cancel DELETE)
 //	GET  /healthz  liveness
 //	GET  /statz    cache / coalescing / pool counters
+//
+// SIGINT or SIGTERM stops accepting connections, lets requests in flight
+// finish (up to a grace period), cancels running jobs and drains the pool.
 //
 // With -cachedir, -cachemaxbytes/-cachemaxentries bound the disk tier:
 // writes that cross a budget evict least-recently-used result files (zero =
@@ -43,19 +46,24 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/signal"
 	"runtime"
+	"syscall"
 	"time"
 
 	"repro/internal/curve"
 	"repro/internal/dse"
 	"repro/internal/experiments"
+	"repro/internal/jobs"
 	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
@@ -109,36 +117,83 @@ func main() {
 		return
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal("sweepd: ", err)
+	}
 	cacheDesc := "memory-only"
 	if *cacheDir != "" {
 		cacheDesc = "disk " + srv.Disk().Dir()
 	}
 	log.Printf("sweepd: listening on %s (workers=%d, cache %d entries / %d MiB, %s, schema v%d)",
-		*addr, scale.Workers, *cacheEntries, *cacheBytes>>20, cacheDesc, sweep.SchemaVersion)
-	log.Fatal(http.ListenAndServe(*addr, handler(srv)))
+		ln.Addr(), scale.Workers, *cacheEntries, *cacheBytes>>20, cacheDesc, sweep.SchemaVersion)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	h, closeJobs := handler(srv, srv)
+	err = serve(ctx, ln, h)
+	closeJobs() // before the deferred srv.Close stops the pool under the jobs
+	if err != nil {
+		log.Fatal("sweepd: ", err)
+	}
+	log.Print("sweepd: shut down")
 }
 
-// handler mounts the sweep endpoints plus the design-space-search and
-// adaptive-curve job APIs (POST/GET/DELETE /pareto, /curve) on one mux.
-// Both job services resolve every point through the same server, so a curve
-// trace, a frontier search and a live /sweep client never run the same
-// simulation twice.
-func handler(srv *sweep.Server) http.Handler {
+// handler mounts the sweep endpoints of srv and the /pareto and /curve job
+// APIs on one mux, and returns it with a function that closes both job
+// services. The jobs resolve every point through eval — srv outside tests — so
+// a trace, a search and a /sweep client never run the same simulation twice.
+func handler(srv *sweep.Server, eval sweep.Evaluator) (http.Handler, func()) {
+	pareto, curves := dse.NewService(eval), curve.NewService(eval)
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
-	mux.Handle("/pareto", dse.NewService(srv).Handler())
-	mux.Handle("/curve", curve.NewService(srv).Handler())
-	return mux
+	mux.Handle("/pareto", pareto)
+	mux.Handle("/curve", curves)
+	return mux, func() { pareto.Close(); curves.Close() }
+}
+
+// A client has readHeaderTimeout to send its headers; an idle connection is
+// closed after idleTimeout. No write timeout: a cold /sweep streams
+// simulations for minutes. At shutdown, requests in flight get shutdownGrace
+// before their connections are cut, which cancels their simulations.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	shutdownGrace     = 10 * time.Second
+)
+
+// serve answers h on ln until ctx is canceled, then shuts the server down and
+// returns once every connection has closed. Jobs are not requests: they
+// outlive serve, and the caller closes them.
+func serve(ctx context.Context, ln net.Listener, h http.Handler) error {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	drain, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	err := hs.Shutdown(drain)
+	if err != nil {
+		hs.Close()
+	}
+	<-served
+	return err
 }
 
 // runSelfcheck exercises the full endpoint stack against a live listener:
 // one quick Fig. 13 point requested twice must simulate exactly once, with
 // the second pass served entirely from the store and byte-equal to the
-// first. With -cachedir set it additionally proves restart persistence: a
+// first, and one tiny /curve job must run its course (checkCurveJob). With
+// -cachedir set it additionally proves restart persistence: a
 // brand-new server on the same directory must serve the whole request from
 // disk without simulating. This is the CI endpoint smoke.
 func runSelfcheck(srv *sweep.Server, opts sweep.Options) error {
-	ts := httptest.NewServer(handler(srv))
+	h, closeJobs := handler(srv, srv)
+	defer closeJobs()
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 
 	req := sweep.Request{
@@ -184,6 +239,13 @@ func runSelfcheck(srv *sweep.Server, opts sweep.Options) error {
 		return results, sum, sc.Err()
 	}
 
+	// The curve job goes first, so that the sweep results are the newest
+	// files on a bounded disk tier and survive its eviction.
+	if err := checkCurveJob(ts.URL + "/curve"); err != nil {
+		return err
+	}
+	curveSims := srv.SimRuns()
+
 	start := time.Now()
 	cold, coldSum, err := post(ts.URL)
 	if err != nil {
@@ -207,7 +269,7 @@ func runSelfcheck(srv *sweep.Server, opts sweep.Options) error {
 			return fmt.Errorf("unit %d: cache hit bytes differ from the miss that populated it", i)
 		}
 	}
-	if got := srv.SimRuns(); got != 4 {
+	if got := srv.SimRuns() - curveSims; got != 4 {
 		return fmt.Errorf("two identical sweeps ran %d simulations, want 4", got)
 	}
 	fmt.Printf("cold %v, warm %v (%0.0fx), 4 units, 4 sims, 4 hits\n",
@@ -242,7 +304,7 @@ func runSelfcheck(srv *sweep.Server, opts sweep.Options) error {
 		return err
 	}
 	defer srv2.Close()
-	ts2 := httptest.NewServer(handler(srv2))
+	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	start = time.Now()
 	restart, restartSum, err := post(ts2.URL)
@@ -276,5 +338,56 @@ func runSelfcheck(srv *sweep.Server, opts sweep.Options) error {
 	fmt.Printf("restart %v, %d units, %d sims, %d hits (dir %s)\n",
 		restartElapsed.Round(time.Microsecond), restartSum.Units,
 		srv2.SimRuns(), restartSum.Hits, srv2.Disk().Dir())
+	return nil
+}
+
+// checkCurveJob drives one tiny adaptive trace through the job API at url:
+// submit (202), poll until done, resubmit (the same job, already done), and
+// poll an unknown ID (404).
+func checkCurveJob(url string) error {
+	spec, _ := json.Marshal(curve.Spec{
+		Base: sweep.UnitConfig{Topo: "mesh", Seed: 42, Warmup: 50, Measure: 100, Drain: 500},
+		Step: 0.05, MinRate: 0.05, MaxRate: 0.2, Coarse: 2, MaxPoints: 3,
+	})
+	var st jobs.Status[curve.Spec, curve.Trace]
+	call := func(resp *http.Response, err error) error {
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		want := http.StatusOK
+		if resp.Request.Method == http.MethodPost {
+			want = http.StatusAccepted
+		}
+		if resp.StatusCode != want {
+			return fmt.Errorf("%s %s: %s", resp.Request.Method, resp.Request.URL, resp.Status)
+		}
+		return json.NewDecoder(resp.Body).Decode(&st)
+	}
+	if err := call(http.Post(url, "application/json", bytes.NewReader(spec))); err != nil {
+		return err
+	}
+	id := st.Job
+	for deadline := time.Now().Add(time.Minute); st.Status == "running"; time.Sleep(5 * time.Millisecond) {
+		if err := call(http.Get(url + "?job=" + id)); err != nil || time.Now().After(deadline) {
+			return fmt.Errorf("polling curve job %s: %q, %v", id, st.Status, err)
+		}
+	}
+	if st.Status != "done" || st.Result == nil || st.Simulated != st.Result.Simulated {
+		return fmt.Errorf("curve job finished %q (%s) with progress %d", st.Status, st.Error, st.Simulated)
+	}
+	trace := *st.Result
+	if err := call(http.Post(url, "application/json", bytes.NewReader(spec))); err != nil || st.Job != id || st.Status != "done" {
+		return fmt.Errorf("resubmitted curve job: %s %q, %v; want %s done", st.Job, st.Status, err, id)
+	}
+	resp, err := http.Get(url + "?job=unknown")
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		return fmt.Errorf("unknown curve job: %s, want 404", resp.Status)
+	}
+	fmt.Printf("curve job: %d points, knee rate %g, resubmit attached, unknown job 404\n", trace.Simulated, trace.KneeRate)
 	return nil
 }

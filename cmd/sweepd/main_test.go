@@ -1,0 +1,170 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/sweep"
+)
+
+// fakeEval answers every unit at once with a synthetic unsaturated result;
+// with started set, it instead signals started and holds each evaluation
+// until its context is canceled.
+type fakeEval struct{ started chan struct{} }
+
+func (f fakeEval) EvalUnit(ctx context.Context, u sweep.UnitConfig) (sweep.UnitResult, error) {
+	if f.started == nil {
+		return sweep.UnitResult{Config: u, Rate: u.Rate, Throughput: u.Rate, Latency: 20}, nil
+	}
+	select {
+	case f.started <- struct{}{}:
+	default:
+	}
+	<-ctx.Done()
+	return sweep.UnitResult{}, ctx.Err()
+}
+
+func newServer(tb testing.TB) *sweep.Server {
+	srv, err := sweep.NewServer(sweep.Options{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
+// TestServeShutsDown: canceling serve's context while a job runs returns
+// serve, and the rest of main's shutdown — closing the job services, then the
+// sweep server — leaves as many goroutines as there were before.
+func TestServeShutsDown(t *testing.T) {
+	base := runtime.NumGoroutine()
+	srv := newServer(t)
+	eval := fakeEval{started: make(chan struct{}, 1)}
+	h, closeJobs := handler(srv, eval)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, ln, h) }()
+
+	client := &http.Client{Transport: &http.Transport{}}
+	resp, err := client.Post("http://"+ln.Addr().String()+"/curve", "application/json", strings.NewReader(`{"base":{"topo":"mesh"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	<-eval.started
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serve did not return after cancellation")
+	}
+	closeJobs()
+	srv.Close()
+	client.CloseIdleConnections()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after shutdown, %d before", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestHostileSpecRefusedFast: a 9 KB /pareto body of 1 000 topologies × 1 000
+// VC counts and a /curve spec whose max_points exceeds sweep.MaxUnits are
+// 400s, refused before any axis is walked.
+func TestHostileSpecRefusedFast(t *testing.T) {
+	srv := newServer(t)
+	defer srv.Close()
+	h, closeJobs := handler(srv, fakeEval{})
+	defer closeJobs()
+	pareto := `{"topos":[` + strings.Repeat(`"mesh",`, 999) + `"mesh"],"vcs":[` + strings.Repeat("1,", 999) + "1]}"
+	curve := fmt.Sprintf(`{"base":{"topo":"mesh"},"max_points":%d}`, sweep.MaxUnits+1)
+	for path, body := range map[string]string{"/pareto": pareto, "/curve": curve} {
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if d := time.Since(start); rec.Code != http.StatusBadRequest || d > 50*time.Millisecond {
+			t.Errorf("%s (%d-byte body): %d in %v, want 400 within 50ms", path, len(body), rec.Code, d)
+		}
+	}
+}
+
+// submitBound is how long one submission may take: validation walks at most
+// sweep.MaxUnits axis combinations, and the job itself runs in the background.
+const submitBound = 5 * time.Second
+
+// submit POSTs body to path on h and decodes the job ID and normalized spec
+// of a 202.
+func submit(t *testing.T, h http.Handler, path string, body []byte) (code int, job string, spec json.RawMessage) {
+	start := time.Now()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if d := time.Since(start); d > submitBound {
+		t.Fatalf("POST %s took %v", path, d)
+	}
+	var st struct {
+		Job  string          `json:"job"`
+		Spec json.RawMessage `json:"spec"`
+	}
+	if rec.Code == http.StatusAccepted {
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("POST %s: 202 with %v", path, err)
+		}
+	}
+	return rec.Code, st.Job, st.Spec
+}
+
+// FuzzJobSubmit posts arbitrary bytes to both job endpoints of the sweepd mux
+// (against a synthetic evaluator). Every answer is a 202, 400, 413 or 503
+// within submitBound, and an accepted spec, resubmitted in the normalized form
+// the service answered with, names the same job.
+func FuzzJobSubmit(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"topos":["mesh"],"vcs":[1],"va_archs":["wf"],"sa_archs":["sep_if"],"spec_modes":["nonspec"]}`,
+		`{"topos":["fbfly"],"vcs":[2],"patterns":["hotspot"],"processes":["mmp"],"hotspots":[3,5],"hotspot_fraction":0.3}`,
+		`{"base":{"topo":"mesh","seed":42},"step":0.02}`,
+		`{"base":{"topo":"fbfly","vcs_per_class":2,"process":"mmp"},"coarse":3,"max_points":5}`,
+		`{"base":{"topo":"mesh"},"min_rate":0.3,"max_rate":0.1}`,
+		`{"max_points":70000}`,
+		`{"topos":["ring"]}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	srv := newServer(f)
+	h, closeJobs := handler(srv, fakeEval{})
+	f.Cleanup(func() { closeJobs(); srv.Close() })
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/pareto", "/curve"} {
+			code, job, spec := submit(t, h, path, body)
+			switch code {
+			case http.StatusAccepted:
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusServiceUnavailable:
+				continue
+			default:
+				t.Fatalf("POST %s: %d", path, code)
+			}
+			if code, again, _ := submit(t, h, path, spec); code != http.StatusAccepted || again != job {
+				t.Fatalf("POST %s: normalized spec %s answered %d job %s, first submitted as job %s", path, spec, code, again, job)
+			}
+		}
+	})
+}

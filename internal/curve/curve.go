@@ -6,10 +6,10 @@
 // locating the knee to the same lattice resolution.
 //
 // Every sampled point is an ordinary, independent simulation unit at a
-// canonical lattice rate (experiments.RateLattice.Rate), resolved through an
-// Evaluator — normally *sweep.Server — so points are byte-equal to the batch
-// CLIs, hit the sweep content store, coalesce with concurrent requests, and
-// persist to the disk tier. Tracing curves for a Pareto frontier therefore
+// canonical lattice rate (experiments.RateLattice.Rate), resolved through a
+// sweep.Evaluator — normally *sweep.Server — so points are byte-equal to the
+// batch CLIs, hit the sweep content store, coalesce with concurrent requests,
+// and persist to the disk tier. Tracing curves for a Pareto frontier therefore
 // reuses every point the search already simulated, and re-tracing after a
 // restart is disk-warm.
 package curve
@@ -20,19 +20,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/experiments"
+	"repro/internal/jobs"
 	"repro/internal/sweep"
 )
-
-// Evaluator resolves one simulation unit; *sweep.Server satisfies it (the
-// same contract as dse.Evaluator), which gives a trace the server's memory
-// store, disk tier, in-flight coalescing and worker pool for free.
-type Evaluator interface {
-	EvalUnit(ctx context.Context, u sweep.UnitConfig) (sweep.UnitResult, error)
-}
 
 // SpecVersion pins the curve-spec schema; it prefixes the content hash that
 // names trace jobs, so changing the spec's fields or defaults rotates every
@@ -74,7 +69,8 @@ type Spec struct {
 	// latency ratio exceeds this factor, concentrating points on the bend
 	// (default 2; values <= 1 disable refinement).
 	SlopeFactor float64 `json:"slope_factor,omitempty"`
-	// MaxPoints bounds the total simulated points per trace (default 64).
+	// MaxPoints bounds the total simulated points per trace (default 64, at
+	// most sweep.MaxUnits).
 	MaxPoints int `json:"max_points,omitempty"`
 }
 
@@ -152,6 +148,9 @@ func (s Spec) Validate() error {
 	}
 	if s.DivergeTol < 0 || s.DivergeTol >= 1 {
 		return fmt.Errorf("curve: diverge_tol %g outside [0, 1)", s.DivergeTol)
+	}
+	if s.MaxPoints > sweep.MaxUnits {
+		return fmt.Errorf("curve: max_points %d above %d", s.MaxPoints, sweep.MaxUnits)
 	}
 	if s.MaxPoints < s.Coarse {
 		return fmt.Errorf("curve: max_points %d below coarse count %d", s.MaxPoints, s.Coarse)
@@ -255,10 +254,20 @@ type Options struct {
 	Progress func(simulated int)
 }
 
+// NewService is the /curve job API: GOMAXPROCS-wide traces over eval.
+func NewService(eval sweep.Evaluator) *jobs.Service[Spec, Trace] {
+	return jobs.New(func(ctx context.Context, spec Spec, progress func(jobs.Progress)) (Trace, error) {
+		return TraceCurve(ctx, eval, spec, Options{
+			Workers:  runtime.GOMAXPROCS(0),
+			Progress: func(simulated int) { progress(jobs.Progress{Simulated: simulated}) },
+		})
+	})
+}
+
 // tracer carries one trace's in-flight state.
 type tracer struct {
 	spec    Spec
-	eval    Evaluator
+	eval    sweep.Evaluator
 	opts    Options
 	mu      sync.Mutex
 	results map[int]sweep.UnitResult
@@ -269,7 +278,7 @@ type tracer struct {
 // latency-slope refinement. The sampled point set and knee estimate are
 // deterministic functions of the spec (worker count and evaluator caching
 // never change them).
-func TraceCurve(ctx context.Context, eval Evaluator, spec Spec, opts Options) (Trace, error) {
+func TraceCurve(ctx context.Context, eval sweep.Evaluator, spec Spec, opts Options) (Trace, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
 		return Trace{}, err

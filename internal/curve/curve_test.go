@@ -216,6 +216,10 @@ func TestSpecNormalizeValidateID(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("inverted range validated")
 	}
+	bad = Spec{Base: sweep.UnitConfig{Topo: "mesh"}, MaxPoints: sweep.MaxUnits + 1}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("max_points above sweep.MaxUnits validated")
+	}
 	bad = Spec{Base: sweep.UnitConfig{Topo: "mesh", Process: "trace"}}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("trace-process base validated (batch-only)")

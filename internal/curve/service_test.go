@@ -9,95 +9,52 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/sweep"
 )
 
-func postSpec(t *testing.T, url string, spec Spec) JobStatus {
+// jobCall sends one job-API request to h and decodes the status it answers.
+func jobCall(t *testing.T, h http.Handler, method, target string, body []byte) jobs.Status[Spec, Trace] {
 	t.Helper()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /curve: %s", resp.Status)
-	}
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+	var st jobs.Status[Spec, Trace]
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
 	}
 	return st
 }
 
-func pollJob(t *testing.T, url, id string) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(url + "?job=" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status != "running" {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still running at deadline", id)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
+// TestServiceSubmitPollIdempotent traces the synthetic curve through the
+// /curve handler: the trace finds its knee, and the job's progress ends equal
+// to the trace's point count.
 func TestServiceSubmitPollIdempotent(t *testing.T) {
 	svc := NewService(newFakeEval(0.25))
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	defer svc.Close()
 
 	spec := testSpec()
-	st := postSpec(t, ts.URL, spec)
+	body, _ := json.Marshal(spec)
+	st := jobCall(t, svc, http.MethodPost, "/curve", body)
 	if st.Job != spec.ID() {
 		t.Fatalf("job ID %s, want content address %s", st.Job, spec.ID())
 	}
-	// Resubmission attaches to the same job.
-	if again := postSpec(t, ts.URL, spec); again.Job != st.Job {
+	if again := jobCall(t, svc, http.MethodPost, "/curve", body); again.Job != st.Job {
 		t.Fatalf("resubmit created new job %s", again.Job)
 	}
-	done := pollJob(t, ts.URL, st.Job)
-	if done.Status != "done" || done.Result == nil {
-		t.Fatalf("job finished as %q (err %q)", done.Status, done.Error)
+	for deadline := time.Now().Add(30 * time.Second); st.Status == "running"; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still running at deadline", st.Job)
+		}
+		st = jobCall(t, svc, http.MethodGet, "/curve?job="+st.Job, nil)
 	}
-	if !done.Result.KneeFound || done.Result.KneeIndex != 24 {
-		t.Fatalf("knee index %d (found=%v), want 24", done.Result.KneeIndex, done.Result.KneeFound)
+	if st.Status != "done" || st.Result == nil {
+		t.Fatalf("job finished as %q (err %q)", st.Status, st.Error)
 	}
-	if done.Simulated != done.Result.Simulated {
-		t.Fatalf("progress count %d != result count %d", done.Simulated, done.Result.Simulated)
+	if !st.Result.KneeFound || st.Result.KneeIndex != 24 {
+		t.Fatalf("knee index %d (found=%v), want 24", st.Result.KneeIndex, st.Result.KneeFound)
 	}
-
-	// Unknown jobs 404.
-	resp, err := http.Get(ts.URL + "?job=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job: %s, want 404", resp.Status)
-	}
-
-	// Invalid specs are rejected at submit.
-	body, _ := json.Marshal(Spec{Base: sweep.UnitConfig{Topo: "ring"}})
-	resp, err = http.Post(ts.URL, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: %s, want 400", resp.Status)
+	if st.Simulated != st.Result.Simulated {
+		t.Fatalf("progress count %d != result count %d", st.Simulated, st.Result.Simulated)
 	}
 }
 
@@ -113,42 +70,42 @@ func (b *blockingEval) EvalUnit(ctx context.Context, u sweep.UnitConfig) (sweep.
 	return sweep.UnitResult{}, ctx.Err()
 }
 
+// TestServiceCancel: a DELETE on a running /curve job reaches the trace's
+// in-flight evaluation through its context, and the job reports "canceled".
 func TestServiceCancel(t *testing.T) {
 	eval := &blockingEval{started: make(chan struct{}, 1)}
 	svc := NewService(eval)
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
+	defer svc.Close()
 
-	st := postSpec(t, ts.URL, testSpec())
+	body, _ := json.Marshal(testSpec())
+	st := jobCall(t, svc, http.MethodPost, "/curve", body)
 	<-eval.started // the trace is in flight
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"?job="+st.Job, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/curve?job="+st.Job, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("DELETE: %d %s", rec.Code, rec.Body)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE: %s", resp.Status)
+	for deadline := time.Now().Add(30 * time.Second); st.Status == "running"; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still running at deadline", st.Job)
+		}
+		st = jobCall(t, svc, http.MethodGet, "/curve?job="+st.Job, nil)
 	}
-	final := pollJob(t, ts.URL, st.Job)
-	if final.Status != "canceled" {
-		t.Fatalf("canceled job reports %q", final.Status)
+	if st.Status != "canceled" {
+		t.Fatalf("canceled job reports %q", st.Status)
 	}
 }
 
 // TestServiceRefusesOversizedBody: a /curve body over sweep.MaxBodyBytes is a
 // 413 before any of it is parsed into a spec.
 func TestServiceRefusesOversizedBody(t *testing.T) {
-	ts := httptest.NewServer(NewService(newFakeEval(0.25)).Handler())
-	defer ts.Close()
+	svc := NewService(newFakeEval(0.25))
+	defer svc.Close()
 	body := append([]byte(`{"topo":"`), bytes.Repeat([]byte("x"), sweep.MaxBodyBytes)...)
-	resp, err := http.Post(ts.URL, "application/json", bytes.NewReader(append(body, `"}`...)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("%d-byte body: %s, want 413", len(body), resp.Status)
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/curve", bytes.NewReader(append(body, `"}`...))))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: %d, want 413", len(body), rec.Code)
 	}
 }

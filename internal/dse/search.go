@@ -3,20 +3,15 @@ package dse
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/experiments"
+	"repro/internal/jobs"
 	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
-
-// Evaluator resolves one simulation unit; *sweep.Server satisfies it, so a
-// search shares the server's memory/disk caches, in-flight coalescing and
-// worker pool with live HTTP traffic.
-type Evaluator interface {
-	EvalUnit(ctx context.Context, u sweep.UnitConfig) (sweep.UnitResult, error)
-}
 
 // SearchOptions tunes a search's execution, never its answer.
 type SearchOptions struct {
@@ -71,6 +66,16 @@ type Result struct {
 	Frontier []FrontierPoint `json:"frontier"`
 }
 
+// NewService is the /pareto job API: GOMAXPROCS-wide searches over eval.
+func NewService(eval sweep.Evaluator) *jobs.Service[Spec, Result] {
+	return jobs.New(func(ctx context.Context, spec Spec, progress func(jobs.Progress)) (Result, error) {
+		return Search(ctx, eval, spec, SearchOptions{
+			Workers:  runtime.GOMAXPROCS(0),
+			Progress: func(n, p, f int) { progress(jobs.Progress{Simulated: n, Pruned: p, Feasible: f}) },
+		})
+	})
+}
+
 // perfOf is the performance axis: sustained accepted throughput at the
 // evaluation load, capped at the offered rate. An unsaturated network (its
 // measured packets all drained, up to the sim's 2% tolerance) sustains the
@@ -100,7 +105,7 @@ func perfOf(res sweep.UnitResult, rate float64) float64 {
 // too, so removing A from the comparison set changes nothing. Hence the
 // frontier computed over the simulated subset equals the brute-force
 // frontier exactly — for every worker count and prune order.
-func Search(ctx context.Context, eval Evaluator, spec Spec, opts SearchOptions) (Result, error) {
+func Search(ctx context.Context, eval sweep.Evaluator, spec Spec, opts SearchOptions) (Result, error) {
 	spec = spec.Normalized()
 	sp, err := Enumerate(spec)
 	if err != nil {

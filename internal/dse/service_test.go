@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobs"
 	"repro/internal/sweep"
 )
 
@@ -90,86 +92,58 @@ func TestRealSimFrontierInvariance(t *testing.T) {
 	}
 }
 
-func postSpec(t *testing.T, ts *httptest.Server, spec Spec) JobStatus {
+// jobCall sends one job-API request to h and decodes the status it answers.
+func jobCall(t *testing.T, h http.Handler, method, target string, spec *Spec) (int, jobs.Status[Spec, Result]) {
 	t.Helper()
-	b, _ := json.Marshal(spec)
-	resp, err := ts.Client().Post(ts.URL+"/pareto", "application/json", strings.NewReader(string(b)))
-	if err != nil {
-		t.Fatal(err)
+	var body []byte
+	if spec != nil {
+		body, _ = json.Marshal(spec)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d", resp.StatusCode)
-	}
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-func pollJob(t *testing.T, ts *httptest.Server, id string) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := ts.Client().Get(ts.URL + "/pareto?job=" + id)
-		if err != nil {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+	var st jobs.Status[Spec, Result]
+	if rec.Code == http.StatusOK || rec.Code == http.StatusAccepted {
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
-		var st JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Status != "running" {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still running at deadline: %+v", id, st)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
+	return rec.Code, st
 }
 
-// TestServiceJobLifecycle drives submit → poll → done over HTTP with a real
-// in-process sweep server, and pins idempotent resubmission.
+// TestServiceJobLifecycle drives submit → poll → done through the /pareto
+// handler with real simulations: the job is named by the spec's content
+// address, its progress ends equal to the result's counts, and resubmitting
+// the spec attaches to the finished job.
 func TestServiceJobLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations")
 	}
-	srv := newEvalServer(t, 2, "")
-	ts := httptest.NewServer(http.StripPrefix("", muxFor(NewService(srv))))
-	defer ts.Close()
+	svc := NewService(newEvalServer(t, 2, ""))
+	defer svc.Close()
 
 	spec := tinySpec()
-	sub := postSpec(t, ts, spec)
-	if sub.Job == "" || sub.Job != spec.ID() {
-		t.Fatalf("job ID %q, want content hash %q", sub.Job, spec.ID())
+	code, st := jobCall(t, svc, http.MethodPost, "/pareto", &spec)
+	if code != http.StatusAccepted || st.Job != spec.ID() {
+		t.Fatalf("submit: %d, job %q; want 202 and the content address %q", code, st.Job, spec.ID())
 	}
-
-	done := pollJob(t, ts, sub.Job)
-	if done.Status != "done" || done.Result == nil {
-		t.Fatalf("job finished as %q (err %q)", done.Status, done.Error)
+	for deadline := time.Now().Add(30 * time.Second); st.Status == "running"; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job still running at deadline: %+v", st)
+		}
+		_, st = jobCall(t, svc, http.MethodGet, "/pareto?job="+st.Job, nil)
 	}
-	if done.Result.Simulated+done.Result.Pruned != done.Result.Feasible || len(done.Result.Frontier) == 0 {
-		t.Fatalf("degenerate result: %+v", done.Result)
+	res := st.Result
+	if st.Status != "done" || res == nil {
+		t.Fatalf("job finished as %q (err %q)", st.Status, st.Error)
 	}
-
-	// Resubmitting the identical spec attaches to the finished job.
-	again := postSpec(t, ts, spec)
-	if again.Job != sub.Job || again.Status != "done" {
-		t.Fatalf("resubmit: job %q status %q, want same finished job", again.Job, again.Status)
+	if res.Simulated+res.Pruned != res.Feasible || len(res.Frontier) == 0 {
+		t.Fatalf("degenerate result: %+v", res)
 	}
-
-	// Unknown job IDs are 404s.
-	resp, err := ts.Client().Get(ts.URL + "/pareto?job=nope")
-	if err != nil {
-		t.Fatal(err)
+	if want := (jobs.Progress{Simulated: res.Simulated, Pruned: res.Pruned, Feasible: res.Feasible}); st.Progress != want {
+		t.Fatalf("progress %+v, result counts %+v", st.Progress, want)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job status %d, want 404", resp.StatusCode)
+	if _, again := jobCall(t, svc, http.MethodPost, "/pareto", &spec); again.Job != st.Job || again.Status != "done" {
+		t.Fatalf("resubmit: job %q status %q, want the same finished job", again.Job, again.Status)
 	}
 }
 
@@ -186,51 +160,43 @@ func (b *blockingEval) EvalUnit(ctx context.Context, u sweep.UnitConfig) (sweep.
 	return sweep.UnitResult{}, ctx.Err()
 }
 
-// TestServiceCancel pins the DELETE path: canceling a running job stops its
-// evaluations and the job reports "canceled".
+// TestServiceCancel pins the DELETE path: canceling a running /pareto job
+// stops its evaluations and the job reports "canceled".
 func TestServiceCancel(t *testing.T) {
 	eval := &blockingEval{started: make(chan struct{}, 1)}
-	ts := httptest.NewServer(muxFor(NewService(eval)))
-	defer ts.Close()
+	svc := NewService(eval)
+	defer svc.Close()
 
-	sub := postSpec(t, ts, tinySpec())
+	spec := tinySpec()
+	code, st := jobCall(t, svc, http.MethodPost, "/pareto", &spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
 	<-eval.started
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/pareto?job="+sub.Job, nil)
-	resp, err := ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
+	if code, _ := jobCall(t, svc, http.MethodDelete, "/pareto?job="+st.Job, nil); code != http.StatusOK {
+		t.Fatalf("cancel status %d", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel status %d", resp.StatusCode)
+	for deadline := time.Now().Add(30 * time.Second); st.Status == "running"; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job still running at deadline: %+v", st)
+		}
+		_, st = jobCall(t, svc, http.MethodGet, "/pareto?job="+st.Job, nil)
 	}
-
-	final := pollJob(t, ts, sub.Job)
-	if final.Status != "canceled" {
-		t.Fatalf("post-cancel status %q, want canceled", final.Status)
+	if st.Status != "canceled" {
+		t.Fatalf("post-cancel status %q, want canceled", st.Status)
 	}
-}
-
-// muxFor mounts the service the way cmd/sweepd does.
-func muxFor(s *Service) http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/pareto", s.Handler())
-	return mux
 }
 
 // TestServiceRefusesOversizedBody: a /pareto body over sweep.MaxBodyBytes is
 // a 413 before any of it is parsed into a spec.
 func TestServiceRefusesOversizedBody(t *testing.T) {
-	ts := httptest.NewServer(muxFor(NewService(&blockingEval{started: make(chan struct{}, 1)})))
-	defer ts.Close()
+	svc := NewService(&blockingEval{started: make(chan struct{}, 1)})
+	defer svc.Close()
 	body := `{"topos":["` + strings.Repeat("x", sweep.MaxBodyBytes) + `"]}`
-	resp, err := ts.Client().Post(ts.URL+"/pareto", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("%d-byte body: %s, want 413", len(body), resp.Status)
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/pareto", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: %d, want 413", len(body), rec.Code)
 	}
 }

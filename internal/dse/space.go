@@ -154,9 +154,14 @@ func (s Spec) RateFor(topo string) float64 {
 }
 
 // Validate checks every axis value against the design-point and allocator
-// vocabularies.
+// vocabularies. A spec whose raw cross product exceeds sweep.MaxUnits is
+// refused first, before any axis is walked.
 func (s Spec) Validate() error {
 	s = s.Normalized()
+	if sweep.CountUnits(len(s.Topos), len(s.VCs), len(s.VAArchs), len(s.VAArbs), len(s.VASparse),
+		len(s.SAArchs), len(s.SAArbs), len(s.SpecModes), len(s.Patterns), len(s.Processes)) > sweep.MaxUnits {
+		return fmt.Errorf("dse: spec spans more than %d raw points", sweep.MaxUnits)
+	}
 	for _, topo := range s.Topos {
 		for _, v := range s.VCs {
 			if _, err := experiments.PointByName(topo, v); err != nil {

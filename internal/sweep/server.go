@@ -40,8 +40,10 @@ type Request struct {
 }
 
 // MaxBodyBytes bounds the POST bodies of /sweep, /pareto and /curve, and
-// MaxUnits what one /sweep request may expand to. Both are far above anything
-// the CLIs and the benchmark send (a 120-unit re-post is under 16 KiB).
+// MaxUnits what one /sweep request may expand to, the raw cross product of a
+// /pareto spec and the max_points of a /curve spec. Both are far above
+// anything the CLIs and the benchmark send (a 120-unit re-post is under
+// 16 KiB; the full design space is 1 296 raw points).
 const (
 	MaxBodyBytes = 1 << 20
 	MaxUnits     = 1 << 16
@@ -67,12 +69,13 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
-// unitCount is the number of units the request expands to, or MaxUnits+1 once
-// that is exceeded: six 1000-long axes multiply to 10¹⁸, so the product is
-// cut off before it can overflow and before Expand allocates it.
-func (r Request) unitCount() int {
+// CountUnits is the size of the cross product of axes of these lengths (an
+// empty axis counts once), or MaxUnits+1 once that is exceeded: six 1000-long
+// axes multiply to 10¹⁸, so the product is cut off before it can overflow and
+// before anything is built or walked from it.
+func CountUnits(axes ...int) int {
 	n := 1
-	for _, axis := range []int{len(r.SAArchs), len(r.SpecModes), len(r.Patterns), len(r.Processes), len(r.Seeds), len(r.Rates)} {
+	for _, axis := range axes {
 		if axis > MaxUnits/n {
 			return MaxUnits + 1
 		}
@@ -80,6 +83,12 @@ func (r Request) unitCount() int {
 			n *= axis
 		}
 	}
+	return n
+}
+
+// unitCount is the number of units the request expands to, cut off like CountUnits.
+func (r Request) unitCount() int {
+	n := CountUnits(len(r.SAArchs), len(r.SpecModes), len(r.Patterns), len(r.Processes), len(r.Seeds), len(r.Rates))
 	return min(n+len(r.Units), MaxUnits+1)
 }
 
@@ -564,11 +573,18 @@ func (s *Server) cacheGet(key string) ([]byte, bool) {
 	return b, ok
 }
 
+// Evaluator resolves one simulation unit. A search or a curve trace given a
+// *Server shares its caches, coalescing and worker pool with /sweep traffic.
+type Evaluator interface {
+	EvalUnit(ctx context.Context, u UnitConfig) (UnitResult, error)
+}
+
+var _ Evaluator = (*Server)(nil)
+
 // EvalUnit resolves one already-normalized unit through the full cache →
 // coalescing → pool stack and unmarshals the result. This is the embedding
-// API the design-space search uses: it shares the server's store, disk
-// tier, singleflight group and worker pool with HTTP traffic, so a search
-// and a live /sweep client never run the same simulation twice.
+// API the design-space search and the curve tracer use: a search and a live
+// /sweep client never run the same simulation twice.
 func (s *Server) EvalUnit(ctx context.Context, u UnitConfig) (UnitResult, error) {
 	u = s.applyDefaults(u).Normalized()
 	if err := u.Validate(); err != nil {
