@@ -6,10 +6,6 @@
 //     Fig. 13 mesh 2x1x1 design from a drain-dominated low rate to a
 //     near-saturation rate, under the simulator's default schedule (serial
 //     and sharded) and its reference schedule.
-//   - BENCH_alloc.json: allocator microbenchmarks — VC and switch allocator
-//     Allocate calls over synthetic workloads at low-load and saturation
-//     request rates, timing both the dense entry point (full resync every
-//     cycle) and the masked entry point (only changed requests re-noted).
 //   - BENCH_quality.json: quality-harness timings — the matching-quality
 //     sweeps behind the Fig. 5/6 reproductions, serial and parallel.
 //   - BENCH_sweepd.json: sweep-service layer timings — cold miss vs warm
@@ -22,7 +18,7 @@
 //
 // Usage:
 //
-//	benchjson                     # default iteration counts, writes all three files
+//	benchjson                     # default iteration counts, writes every file
 //	benchjson -quick -out -       # reduced counts, net JSON to stdout
 //
 // Runs are deterministic (seed 42), so the ns/op fields are the only ones
@@ -39,7 +35,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/quality"
@@ -183,208 +178,6 @@ func netBench(iters int) netReport {
 	return rep
 }
 
-// allocPoint is one timed allocator microbenchmark: `Cycles` Allocate (or
-// AllocateMasked) calls over a synthetic request stream at the given rate.
-type allocPoint struct {
-	Name        string  `json:"name"`
-	Kind        string  `json:"kind"` // "vc" or "switch"
-	Rate        float64 `json:"rate"`
-	Churn       float64 `json:"churn"`
-	Masked      bool    `json:"masked"`
-	Cycles      int     `json:"cycles"`
-	NsPerCycle  float64 `json:"ns_per_cycle"`
-	GrantsTotal int64   `json:"grants_total"`
-}
-
-type allocReport struct {
-	env
-	Ports  int          `json:"ports"`
-	VCs    int          `json:"vcs"`
-	Points []allocPoint `json:"points"`
-}
-
-// allocRates are the two tracked operating points: drain-dominated low load
-// and past-saturation dense request matrices.
-var allocRates = []float64{0.05, 0.50}
-
-// allocChurns are the per-cycle request-turnover fractions. 1.0 redraws every
-// entry each cycle (the masked path's worst case: the change set is the whole
-// matrix, so it can only lose by the diff overhead). 0.1 redraws a tenth of
-// the entries, approximating the temporal coherence of real router streams
-// where most VCs hold their request across consecutive cycles — the regime
-// the change-driven entry point exists for.
-var allocChurns = []float64{1.0, 0.1}
-
-// adopt merges a fresh request draw into cur at the churn fraction: entry i
-// is replaced on cycle c iff its deterministic slot comes up. churn 1.0
-// degenerates to a full copy.
-func adopt[T any](cur, fresh []T, c int, churn float64) {
-	if churn >= 1 {
-		copy(cur, fresh)
-		return
-	}
-	period := int(1 / churn)
-	for i := range cur {
-		if (c+i*7)%period == 0 {
-			cur[i] = fresh[i]
-		}
-	}
-}
-
-func allocBench(cycles int) allocReport {
-	const ports = 5 // mesh radix
-	spec := core.NewVCSpec(2, 1, 4)
-	v := spec.V()
-	rep := allocReport{env: newEnv(), Ports: ports, VCs: v}
-
-	vcCfgs := []struct {
-		name string
-		cfg  core.VCAllocConfig
-	}{
-		{"va/sepif_rr", core.VCAllocConfig{Ports: ports, Spec: spec, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin}},
-		{"va/sepof_rr", core.VCAllocConfig{Ports: ports, Spec: spec, Arch: alloc.SepOF, ArbKind: arbiter.RoundRobin}},
-		{"va/wavefront", core.VCAllocConfig{Ports: ports, Spec: spec, Arch: alloc.Wavefront}},
-		{"va/wavefront_sparse", core.VCAllocConfig{Ports: ports, Spec: spec, Arch: alloc.Wavefront, Sparse: true}},
-		{"va/freequeue_rr", core.VCAllocConfig{Ports: ports, Spec: spec, ArbKind: arbiter.RoundRobin, FreeQueue: true}},
-	}
-	for _, tc := range vcCfgs {
-		for _, rate := range allocRates {
-			for _, churn := range allocChurns {
-				a := core.NewVCAllocator(tc.cfg)
-				masked, canMask := a.(core.MaskedVCAllocator)
-				for _, useMask := range []bool{false, true} {
-					if useMask && !canMask {
-						continue // free-queue allocator has no masked entry point
-					}
-					w := quality.NewVCWorkload(ports, spec, 42)
-					prev := make([]core.VCRequest, ports*v)
-					cur := make([]core.VCRequest, ports*v)
-					changed := bitvec.New(ports * v)
-					a.Reset()
-					// Prime the cache: the masked contract requires one full
-					// sync before incremental updates.
-					copy(cur, w.Next(rate))
-					a.Allocate(cur)
-					copy(prev, cur)
-					var grants int64
-					start := time.Now()
-					for c := 0; c < cycles; c++ {
-						adopt(cur, w.Next(rate), c, churn)
-						var gs []int
-						if useMask {
-							changed.Reset()
-							for i := range cur {
-								if cur[i] != prev[i] {
-									changed.Set(i)
-								}
-							}
-							gs = masked.AllocateMasked(cur, changed)
-						} else {
-							gs = a.Allocate(cur)
-						}
-						for _, g := range gs {
-							if g >= 0 {
-								grants++
-							}
-						}
-						copy(prev, cur)
-					}
-					elapsed := time.Since(start)
-					rep.Points = append(rep.Points, allocPoint{
-						Name:        tc.name,
-						Kind:        "vc",
-						Rate:        rate,
-						Churn:       churn,
-						Masked:      useMask,
-						Cycles:      cycles,
-						NsPerCycle:  float64(elapsed.Nanoseconds()) / float64(cycles),
-						GrantsTotal: grants,
-					})
-				}
-			}
-		}
-	}
-
-	saCfgs := []struct {
-		name string
-		cfg  core.SwitchAllocConfig
-	}{
-		{"sa/sepif_rr_nonspec", core.SwitchAllocConfig{Ports: ports, VCs: v, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecNone}},
-		{"sa/sepif_rr_specreq", core.SwitchAllocConfig{Ports: ports, VCs: v, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq}},
-		{"sa/sepof_rr_specgnt", core.SwitchAllocConfig{Ports: ports, VCs: v, Arch: alloc.SepOF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecGnt}},
-		{"sa/wavefront_specreq", core.SwitchAllocConfig{Ports: ports, VCs: v, Arch: alloc.Wavefront, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq}},
-	}
-	for _, tc := range saCfgs {
-		for _, rate := range allocRates {
-			for _, churn := range allocChurns {
-				a := core.NewSwitchAllocator(tc.cfg)
-				masked, canMask := a.(core.MaskedSwitchAllocator)
-				for _, useMask := range []bool{false, true} {
-					if useMask && !canMask {
-						continue // the precomputed wrapper has no masked entry point
-					}
-					w := quality.NewSwitchWorkload(ports, v, 42)
-					prev := make([]core.SwitchRequest, ports*v)
-					cur := make([]core.SwitchRequest, ports*v)
-					changed := bitvec.New(ports * v)
-					a.Reset()
-					copy(cur, speculate(w.Next(rate)))
-					a.Allocate(cur)
-					copy(prev, cur)
-					var grants int64
-					start := time.Now()
-					for c := 0; c < cycles; c++ {
-						adopt(cur, speculate(w.Next(rate)), c, churn)
-						var gs []core.SwitchGrant
-						if useMask {
-							changed.Reset()
-							for i := range cur {
-								if cur[i] != prev[i] {
-									changed.Set(i)
-								}
-							}
-							gs = masked.AllocateMasked(cur, changed)
-						} else {
-							gs = a.Allocate(cur)
-						}
-						for _, g := range gs {
-							if g.VC >= 0 {
-								grants++
-							}
-						}
-						copy(prev, cur)
-					}
-					elapsed := time.Since(start)
-					rep.Points = append(rep.Points, allocPoint{
-						Name:        tc.name,
-						Kind:        "switch",
-						Rate:        rate,
-						Churn:       churn,
-						Masked:      useMask,
-						Cycles:      cycles,
-						NsPerCycle:  float64(elapsed.Nanoseconds()) / float64(cycles),
-						GrantsTotal: grants,
-					})
-				}
-			}
-		}
-	}
-	return rep
-}
-
-// speculate deterministically marks every third active request speculative so
-// the SpecGnt/SpecReq sub-allocator and masking stages see real work.
-func speculate(reqs []core.SwitchRequest) []core.SwitchRequest {
-	n := 0
-	for i := range reqs {
-		if reqs[i].Active {
-			reqs[i].Spec = n%3 == 0
-			n++
-		}
-	}
-	return reqs
-}
-
 // qualityPoint is one timed quality-harness sweep.
 type qualityPoint struct {
 	Name       string  `json:"name"`
@@ -474,11 +267,9 @@ func emit(v any, out string) {
 
 func main() {
 	out := flag.String("out", "BENCH_net.json", "network report output ('-' for stdout, '' to skip)")
-	allocOut := flag.String("allocout", "BENCH_alloc.json", "allocator report output ('-' for stdout, '' to skip)")
 	qualityOut := flag.String("qualityout", "BENCH_quality.json", "quality report output ('-' for stdout, '' to skip)")
 	quick := flag.Bool("quick", false, "reduced iteration/cycle/trial counts per point (CI smoke)")
 	iters := flag.Int("iters", 3, "iterations per network point")
-	allocCycles := flag.Int("alloccycles", 200000, "Allocate calls per allocator point")
 	trials := flag.Int("trials", 2000, "request matrices per quality rate point")
 	sweepdOut := flag.String("sweepdout", "BENCH_sweepd.json", "sweep service report output ('-' for stdout, '' to skip)")
 	hitIters := flag.Int("hititers", 200, "cache-hit serves averaged per sweepd measurement")
@@ -489,14 +280,11 @@ func main() {
 	flag.Parse()
 	benchScale = scaleOf()
 	if *quick {
-		*iters, *allocCycles, *trials, *hitIters, *setupIters = 1, 2000, 100, 50, 20
+		*iters, *trials, *hitIters, *setupIters = 1, 100, 50, 20
 	}
 
 	if *out != "" {
 		emit(netBench(*iters), *out)
-	}
-	if *allocOut != "" {
-		emit(allocBench(*allocCycles), *allocOut)
 	}
 	if *qualityOut != "" {
 		emit(qualityBench(*trials), *qualityOut)

@@ -131,17 +131,21 @@ type SwitchAllocator interface {
 	Stats() SwitchAllocStats
 }
 
-// MaskedSwitchAllocator is implemented by switch allocators that cache
-// derived request state across cycles. AllocateMasked behaves exactly like
-// Allocate, but the caller additionally passes the set of request indices
-// whose entries it rewrote since the previous call (Allocate or
-// AllocateMasked); the allocator refreshes only the cached state derived
-// from those entries. The two entry points may be mixed freely — a plain
-// Allocate call resynchronizes the cache from the full slice. Grants are
-// bit-identical either way.
-type MaskedSwitchAllocator interface {
+// PushSwitchAllocator is implemented by switch allocators that keep derived
+// request state across cycles and let the caller maintain it: whenever the
+// caller rewrites an entry of its request slice it pushes the old and the new
+// value, and Run then only allocates. Allocate derives the same state from
+// the whole slice, so the two entry points may be mixed freely; after an
+// Allocate the caller pushes only what it rewrites from then on. Grants and
+// counters are bit-identical to Allocate's on the same slice.
+type PushSwitchAllocator interface {
 	SwitchAllocator
-	AllocateMasked(reqs []SwitchRequest, changed *bitvec.Vec) []SwitchGrant
+	// Push records that input VC (port, vc)'s entry changed from old — what
+	// the allocator last saw of it, pushed or handed to Allocate — to nw.
+	// Pushing an unchanged entry (old == nw) is harmless.
+	Push(port, vc int, old, nw SwitchRequest)
+	// Run is Allocate over the pushed state.
+	Run(reqs []SwitchRequest) []SwitchGrant
 }
 
 // NewSwitchAllocator builds a switch allocator.
@@ -176,7 +180,6 @@ func newSwitchAllocator(cfg SwitchAllocConfig) *switchAllocator {
 		cfg:       cfg,
 		speculate: cfg.SpecMode != SpecNone,
 		grants:    make([]SwitchGrant, cfg.Ports),
-		prev:      make([]SwitchRequest, cfg.Ports*cfg.VCs),
 	}
 	for i := range a.grants {
 		a.grants[i] = SwitchGrant{VC: -1, OutPort: -1}
@@ -196,21 +199,10 @@ type switchAllocator struct {
 	spec      swEngine // unused unless speculate
 	grants    []SwitchGrant
 	granted   uint64 // input ports whose grants entry is not the no-grant value
-	// prev holds the last-seen value of every request entry, so an
-	// incremental resync can subtract the old entry's contribution from the
-	// engines' cached request state before adding the new one. portOf/vcOf
-	// decode a request index without the divides the hot resync path would
-	// otherwise pay once per engine.
-	prev   []SwitchRequest
-	portOf []int32
-	vcOf   []int32
-	stats  SwitchAllocStats
+	stats     SwitchAllocStats
 }
 
 func (a *switchAllocator) layout(s slabs) slabs {
-	n := a.cfg.Ports * a.cfg.VCs
-	a.portOf = s.i32.Take(n)
-	a.vcOf = s.i32.Take(n)
 	a.nonspec.layout(&s)
 	if a.speculate {
 		a.spec.layout(&s)
@@ -218,12 +210,8 @@ func (a *switchAllocator) layout(s slabs) slabs {
 	return s
 }
 
-func (a *switchAllocator) fill() {
-	for i := range a.portOf {
-		a.portOf[i] = int32(i / a.cfg.VCs)
-		a.vcOf[i] = int32(i % a.cfg.VCs)
-	}
-}
+// fill has nothing to set: the engines' storage starts empty.
+func (a *switchAllocator) fill() {}
 
 func (a *switchAllocator) Ports() int { return a.cfg.Ports }
 func (a *switchAllocator) VCs() int   { return a.cfg.VCs }
@@ -262,13 +250,10 @@ func (a *switchAllocator) SkipIdle(idleCycles int64) {
 
 func (a *switchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	p, v := a.cfg.Ports, a.cfg.VCs
-	if len(reqs) != p*v {
-		panic(fmt.Sprintf("core: %d switch requests, want %d", len(reqs), p*v))
-	}
+	a.checkLen(reqs)
 	// The dense entry point sees a fresh matrix as often as not (the quality
 	// harness always, a reference-schedule router whenever traffic moves), so
-	// it rebuilds the engines' cached request state from reqs in one pass
-	// instead of diffing every entry against prev.
+	// it rebuilds the engines' cached request state from reqs in one pass.
 	a.nonspec.clearRequests()
 	if a.speculate {
 		a.spec.clearRequests()
@@ -285,42 +270,34 @@ func (a *switchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
 			}
 		}
 	}
-	copy(a.prev, reqs)
 	return a.run(reqs)
 }
 
-// AllocateMasked implements MaskedSwitchAllocator.
-func (a *switchAllocator) AllocateMasked(reqs []SwitchRequest, changed *bitvec.Vec) []SwitchGrant {
-	p, v := a.cfg.Ports, a.cfg.VCs
-	if len(reqs) != p*v {
-		panic(fmt.Sprintf("core: %d switch requests, want %d", len(reqs), p*v))
-	}
-	for wi, w := range changed.Words() {
-		for base := wi * 64; w != 0; w &= w - 1 {
-			i := base + bits.TrailingZeros64(w)
-			a.note(i, reqs[i])
-		}
-	}
-	return a.run(reqs)
-}
-
-// note folds one (possibly unchanged) request entry into the engines'
-// cached request state.
-func (a *switchAllocator) note(i int, nw SwitchRequest) {
-	old := a.prev[i]
+// Push implements PushSwitchAllocator.
+func (a *switchAllocator) Push(port, vc int, old, nw SwitchRequest) {
 	if old == nw {
 		return
 	}
-	port, vc := int(a.portOf[i]), int(a.vcOf[i])
 	a.nonspec.noteChange(port, vc, old, nw)
 	if a.speculate {
 		a.spec.noteChange(port, vc, old, nw)
 	}
-	a.prev[i] = nw
+}
+
+// Run implements PushSwitchAllocator.
+func (a *switchAllocator) Run(reqs []SwitchRequest) []SwitchGrant {
+	a.checkLen(reqs)
+	return a.run(reqs)
+}
+
+func (a *switchAllocator) checkLen(reqs []SwitchRequest) {
+	if n := a.cfg.Ports * a.cfg.VCs; len(reqs) != n {
+		panic(fmt.Sprintf("core: %d switch requests, want %d", len(reqs), n))
+	}
 }
 
 // run performs one allocation cycle from the engines' cached request state,
-// which Allocate or note has already synchronized with reqs.
+// which Allocate or Push has already synchronized with reqs.
 func (a *switchAllocator) run(reqs []SwitchRequest) []SwitchGrant {
 	// Grants are sparse (at most one per input port, and most ports grant
 	// nothing on most cycles): restore only the entries the previous cycle

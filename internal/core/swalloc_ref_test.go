@@ -258,12 +258,14 @@ var (
 
 // FuzzSwitchAllocator drives the production switch allocator and refSwitch
 // through the same program: prog is read two bytes at a time as (operation,
-// argument) — Allocate or AllocateMasked after rewriting a random subset of
-// the reused request slice (the changed set passed to AllocateMasked is a
-// superset of the entries that really changed), SkipIdle(k), or Reset. After
-// every allocation the grants and speculation counters must be equal, the
-// grants must be a legal schedule, a wavefront's non-speculative matching
-// must be maximal, and a request with no competitor must be granted.
+// argument) — Allocate, or Push of every rewritten entry (old and new value)
+// and Run, after rewriting a random subset of the reused request slice
+// (rewrites include same-value ones, and pushes of entries the caller touched
+// without changing), so dense and pushed cycles interleave at random;
+// SkipIdle(k); or Reset. After every allocation the grants and speculation
+// counters must be equal, the grants must be a legal schedule, a wavefront's
+// non-speculative matching must be maximal, and a request with no competitor
+// must be granted.
 func FuzzSwitchAllocator(f *testing.F) {
 	// One seed per architecture × arbiter kind × speculation mode at a paper
 	// design point, plus the word-boundary sizes.
@@ -293,12 +295,11 @@ func FuzzSwitchAllocator(f *testing.F) {
 
 func runSwitchProgram(t *testing.T, cfg SwitchAllocConfig, seed uint64, prog []byte) {
 	p, v := cfg.Ports, cfg.VCs
-	eng := NewSwitchAllocator(cfg).(MaskedSwitchAllocator)
+	eng := NewSwitchAllocator(cfg).(PushSwitchAllocator)
 	skip := eng.(interface{ SkipIdle(int64) })
 	ref := newRefSwitch(cfg)
 	rng := xrand.New(seed)
 	reqs := make([]SwitchRequest, p*v)
-	changed := bitvec.New(p * v)
 	name := fmt.Sprintf("%s %dx%d", eng.Name(), p, v)
 
 	for pc := 0; pc+1 < len(prog); pc += 2 {
@@ -325,12 +326,12 @@ func runSwitchProgram(t *testing.T, cfg SwitchAllocConfig, seed uint64, prog []b
 		if churn == 0 {
 			few = 1 + arg/4%3
 		}
-		changed.Reset()
+		push := op >= 3
 		for i := range reqs {
 			if !(rng.Bool(churn) || (few > 0 && rng.Intn(p*v) < few)) {
 				continue
 			}
-			changed.Set(i) // marked entries may or may not really differ
+			old := reqs[i] // rewritten entries may or may not really differ
 			switch r := rng.Intn(10); {
 			case r < 6:
 				reqs[i] = SwitchRequest{Active: true, OutPort: rng.Intn(p), Spec: rng.Bool(0.4)}
@@ -338,15 +339,20 @@ func runSwitchProgram(t *testing.T, cfg SwitchAllocConfig, seed uint64, prog []b
 				// An inactive entry's port is never read, whatever it says.
 				reqs[i] = SwitchRequest{OutPort: []int{-1, p, 1 << 20, rng.Intn(p)}[rng.Intn(4)], Spec: rng.Bool(0.5)}
 			}
+			if push {
+				eng.Push(i/v, i%v, old, reqs[i])
+			}
 		}
 		if arg/16%2 == 1 {
-			changed.Set(rng.Intn(p * v)) // an entry the caller touched without changing
+			if i := rng.Intn(p * v); push {
+				eng.Push(i/v, i%v, reqs[i], reqs[i]) // an entry the caller touched without changing
+			}
 		}
 
 		want := ref.Allocate(reqs)
 		var got []SwitchGrant
-		if op >= 3 {
-			got = eng.AllocateMasked(reqs, changed)
+		if push {
+			got = eng.Run(reqs)
 		} else {
 			got = eng.Allocate(reqs)
 		}

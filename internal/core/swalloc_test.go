@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
-	"repro/internal/bitvec"
 	"repro/internal/xrand"
 )
 
@@ -120,18 +119,16 @@ func TestSwitchBadOutPortPanics(t *testing.T) {
 					t.Errorf("%s dense: panic %q does not say what is wrong", name, msg)
 				}
 
-				a := NewSwitchAllocator(cfg).(MaskedSwitchAllocator)
+				a := NewSwitchAllocator(cfg).(PushSwitchAllocator)
 				reqs = make([]SwitchRequest, p*v)
 				reqs[2] = SwitchRequest{Active: true, OutPort: 1}
 				a.Allocate(reqs)
-				reqs[3] = bad
-				changed := bitvec.New(p * v)
-				changed.Set(3)
-				msg = mustPanic(t, name+" masked", func() { a.AllocateMasked(reqs, changed) })
+				msg = mustPanic(t, name+" pushed", func() { a.Push(3/v, 3%v, reqs[3], bad) })
 				if !strings.Contains(msg, "output port") {
-					t.Errorf("%s masked: panic %q does not say what is wrong", name, msg)
+					t.Errorf("%s pushed: panic %q does not say what is wrong", name, msg)
 				}
 
+				reqs[3] = bad
 				reqs[3].Active = false
 				b := NewSwitchAllocator(cfg)
 				if g := b.Allocate(reqs); g[1] != (SwitchGrant{VC: 0, OutPort: 1}) {
@@ -204,7 +201,8 @@ func TestSwitchAllocatorWordBoundary(t *testing.T) {
 // TestSwitchSkipIdleEqualsEmptyAllocates: SkipIdle(k) must leave an allocator
 // exactly where k Allocate calls without a single request leave its twin, for
 // gaps shorter and longer than one rotation of the priority diagonal, with
-// both request classes in play, through both entry points and across Reset.
+// both request classes in play, through both entry points (Allocate, and
+// Push+Run) and across Reset.
 func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
 	const p, v = 5, 4
 	for _, cfg := range append(allSwConfigs(p, v), SwitchAllocConfig{Ports: p, VCs: v, Arch: alloc.Wavefront, Precomputed: true}) {
@@ -212,8 +210,7 @@ func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
 		rng := xrand.New(977)
 		empty := make([]SwitchRequest, p*v)
 		reqs := make([]SwitchRequest, p*v)
-		changed := bitvec.New(p * v)
-		changed.SetAll()
+		old := make([]SwitchRequest, p*v)
 		for round, k := range []int{1, p - 1, p, p + 3, 3*p + 2, 0, 1000*p + 1} {
 			if round == 4 {
 				stepped.Reset()
@@ -228,11 +225,15 @@ func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
 				if cfg.SpecMode == SpecNone {
 					specFrac = 0
 				}
+				copy(old, reqs)
 				copy(reqs, randomSwitchRequests(rng, p, v, 0.5, specFrac))
 				want := stepped.Allocate(reqs)
 				var got []SwitchGrant
-				if m, ok := skipped.(MaskedSwitchAllocator); ok && c%2 == 0 {
-					got = m.AllocateMasked(reqs, changed)
+				if m, ok := skipped.(PushSwitchAllocator); ok && c%2 == 0 {
+					for i := range reqs {
+						m.Push(i/v, i%v, old[i], reqs[i])
+					}
+					got = m.Run(reqs)
 				} else {
 					got = skipped.Allocate(reqs)
 				}
@@ -251,13 +252,13 @@ func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
 }
 
 // TestSwitchAllocatorLayout pins what NewAllocators costs: a router's two
-// allocators are the two allocator values, the switch allocator's grant,
-// latch and proposal slices, the VC allocator's engine slice and the five
-// slab blocks, whatever the switch allocator's architecture, arbiters,
-// speculation scheme or size. The switch datapath's words come out of the
+// allocators are the two allocator values, the switch allocator's grant and
+// proposal slices, the VC allocator's engine slice and the five slab blocks,
+// whatever the switch allocator's architecture, arbiters, speculation scheme
+// or size. The switch datapath's words come out of the
 // vector slab's word backing, not out of a block of their own.
 func TestSwitchAllocatorLayout(t *testing.T) {
-	const want = 11
+	const want = 10
 	// The process's first collection starts the collector's worker
 	// goroutines, and their stacks would be counted against whichever
 	// configuration happens to be measured at that moment.
@@ -744,44 +745,46 @@ func TestMaximumSwitchAllocatorBound(t *testing.T) {
 	}
 }
 
-// TestSwitchAllocateAndMaskedInterleave pins the two entry points against
+// TestSwitchAllocateAndPushInterleave pins the two entry points against
 // each other: one allocator is driven through a random interleaving of
 // Allocate (which rebuilds the cached request state from the slice) and
-// AllocateMasked (which patches it from a changed set), its twin through
-// Allocate only, on the same request stream — a reused backing array with a
-// random subset of entries rewritten each cycle, as the router's request
-// cache does. Grants and speculation counters must agree every cycle, for
-// every architecture, arbiter kind and speculation mode.
-func TestSwitchAllocateAndMaskedInterleave(t *testing.T) {
+// Push+Run (which patches it entry by entry as the caller rewrites them), its
+// twin through Allocate only, on the same request stream — a reused backing
+// array with a random subset of entries rewritten each cycle, as the router's
+// request cache does. Grants and speculation counters must agree every
+// cycle, for every architecture, arbiter kind and speculation mode.
+func TestSwitchAllocateAndPushInterleave(t *testing.T) {
 	const p, v, cycles = 5, 4, 600
 	for _, mode := range []SpecMode{SpecNone, SpecGnt, SpecReq} {
 		for _, cfg := range swConfigs(p, v, mode) {
-			mixed := NewSwitchAllocator(cfg).(MaskedSwitchAllocator)
+			mixed := NewSwitchAllocator(cfg).(PushSwitchAllocator)
 			dense := NewSwitchAllocator(cfg)
 			rng := xrand.New(42)
 			reqs := make([]SwitchRequest, p*v)
-			changed := bitvec.New(p * v)
-			masked := 0
+			pushed := 0
 			for c := 0; c < cycles; c++ {
 				churn := []float64{0.05, 0.5, 1}[rng.Intn(3)]
-				changed.Reset()
+				push := rng.Bool(0.5)
 				for i := range reqs {
 					if !rng.Bool(churn) {
 						continue
 					}
-					// Marked entries may or may not actually differ.
-					changed.Set(i)
+					// Rewritten entries may or may not actually differ.
+					old := reqs[i]
 					if rng.Bool(0.6) {
 						reqs[i] = SwitchRequest{Active: true, OutPort: rng.Intn(p), Spec: rng.Bool(0.4)}
 					} else if rng.Bool(0.7) {
 						reqs[i] = SwitchRequest{OutPort: rng.Intn(p)} // inactive, stale port
 					}
+					if push {
+						mixed.Push(i/v, i%v, old, reqs[i])
+					}
 				}
 				want := dense.Allocate(reqs)
 				var got []SwitchGrant
-				if rng.Bool(0.5) {
-					got = mixed.AllocateMasked(reqs, changed)
-					masked++
+				if push {
+					got = mixed.Run(reqs)
+					pushed++
 				} else {
 					got = mixed.Allocate(reqs)
 				}
@@ -795,8 +798,8 @@ func TestSwitchAllocateAndMaskedInterleave(t *testing.T) {
 					t.Fatalf("%s cycle %d: stats %+v vs %+v", dense.Name(), c, mixed.Stats(), dense.Stats())
 				}
 			}
-			if masked == 0 || masked == cycles {
-				t.Fatalf("%s: %d of %d cycles masked; no interleaving", dense.Name(), masked, cycles)
+			if pushed == 0 || pushed == cycles {
+				t.Fatalf("%s: %d of %d cycles pushed; no interleaving", dense.Name(), pushed, cycles)
 			}
 		}
 	}

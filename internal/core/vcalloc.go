@@ -53,16 +53,25 @@ type VCAllocator interface {
 	Name() string
 }
 
-// MaskedVCAllocator is implemented by VC allocators that cache derived
-// request state across cycles. AllocateMasked behaves exactly like Allocate,
-// but the caller additionally passes the set of request indices whose entries
-// it rewrote since the previous call (Allocate or AllocateMasked); the
-// allocator refreshes only the cached state derived from those entries. The
-// two entry points may be mixed freely — a plain Allocate call resynchronizes
-// the cache from the full slice. Grants are bit-identical either way.
-type MaskedVCAllocator interface {
+// PushVCAllocator is implemented by VC allocators that keep derived request
+// state across cycles and let the caller maintain it: whenever the caller
+// rewrites an entry of its request slice it pushes whether the entry is now
+// issuable — Active with at least one candidate — and Run then only
+// allocates, reading OutPort and Candidates of the issuable entries from the
+// slice. Allocate derives the same state from the whole slice, so the two
+// entry points may be mixed freely; after an Allocate the caller pushes only
+// what it rewrites from then on. Grants are bit-identical to Allocate's on
+// the same slice.
+type PushVCAllocator interface {
 	VCAllocator
-	AllocateMasked(reqs []VCRequest, changed *bitvec.Vec) []int
+	// Push records whether input VC (port, vc)'s entry is issuable. Pushing
+	// an unchanged entry again is harmless.
+	Push(port, vc int, issuable bool)
+	// Run is Allocate over the pushed state. Besides the grants it returns
+	// the input VCs holding one, a word per input port (bit vc of word
+	// port), so a caller visits only those; both are owned by the
+	// allocator and valid until the next call.
+	Run(reqs []VCRequest) (grants []int, granted []uint64)
 }
 
 // VCAllocConfig parameterizes VC allocator construction.
@@ -137,13 +146,15 @@ type vcAllocator struct {
 	grants   []int
 
 	// active[p] caches which of input port p's VCs carry an issuable request
-	// (Active with a candidate), and busy which ports have any. They are
-	// resynchronized from the full slice on Allocate and from only the
-	// changed entries on AllocateMasked; the engines iterate their set bits
-	// instead of scanning all P·V entries, so a cycle with two requests
-	// costs two visits whatever P and V are.
+	// (Active with a candidate), and busy which ports have any. Allocate
+	// rebuilds them from the full slice, Push sets one bit; the engines
+	// iterate their set bits instead of scanning all P·V entries, so a cycle
+	// with two requests costs two visits whatever P and V are.
 	active []uint64
 	busy   uint64
+	// granted[p] holds the input VCs of port p that the last call granted:
+	// the grants entries to take back before the next one.
+	granted []uint64
 }
 
 func (a *vcAllocator) Ports() int { return a.ports }
@@ -167,6 +178,7 @@ func (a *vcAllocator) Name() string {
 
 func (a *vcAllocator) layout(s slabs) slabs {
 	a.active = s.Words(a.ports)
+	a.granted = s.Words(a.ports)
 	a.grants = s.ints.Take(a.ports * a.v)
 	for i := range a.engines {
 		a.engines[i].layout(&s)
@@ -202,7 +214,7 @@ func (a *vcAllocator) SkipIdle(idleCycles int64) {
 }
 
 func (a *vcAllocator) Allocate(reqs []VCRequest) []int {
-	a.begin(reqs)
+	a.checkLen(reqs)
 	a.busy = 0
 	for port := range a.active {
 		var w uint64
@@ -216,28 +228,25 @@ func (a *vcAllocator) Allocate(reqs []VCRequest) []int {
 	return a.run(reqs)
 }
 
-// AllocateMasked implements MaskedVCAllocator.
-func (a *vcAllocator) AllocateMasked(reqs []VCRequest, changed *bitvec.Vec) []int {
-	a.begin(reqs)
-	// Changed indices ascend, so the port they belong to only moves forward:
-	// first is the global index of the current port's VC 0.
-	port, first := 0, 0
-	for wi, w := range changed.Words() {
-		for base := wi * 64; w != 0; w &= w - 1 {
-			i := base + bits.TrailingZeros64(w)
-			for i >= first+a.v {
-				port++
-				first += a.v
-			}
-			bit := uint64(1) << uint(i-first)
-			if r := &reqs[i]; r.Active && r.Candidates != 0 {
-				a.setActive(port, a.active[port]|bit)
-			} else {
-				a.setActive(port, a.active[port]&^bit)
-			}
-		}
+// Push implements PushVCAllocator.
+func (a *vcAllocator) Push(port, vc int, issuable bool) {
+	if issuable {
+		a.setActive(port, a.active[port]|1<<uint(vc))
+	} else {
+		a.setActive(port, a.active[port]&^(1<<uint(vc)))
 	}
-	return a.run(reqs)
+}
+
+// Run implements PushVCAllocator.
+func (a *vcAllocator) Run(reqs []VCRequest) ([]int, []uint64) {
+	a.checkLen(reqs)
+	return a.run(reqs), a.granted
+}
+
+func (a *vcAllocator) checkLen(reqs []VCRequest) {
+	if len(reqs) != a.ports*a.v {
+		panic(fmt.Sprintf("core: %d VC requests, want %d", len(reqs), a.ports*a.v))
+	}
 }
 
 // setActive replaces port's active set.
@@ -249,24 +258,34 @@ func (a *vcAllocator) setActive(port int, vcs uint64) {
 	}
 }
 
-// begin checks the request slice and takes back the previous call's grants.
-// Only an input VC that was active then can hold one, so the walk is over the
-// active sets as the previous call left them, not over all P·V entries.
-func (a *vcAllocator) begin(reqs []VCRequest) {
-	if len(reqs) != a.ports*a.v {
-		panic(fmt.Sprintf("core: %d VC requests, want %d", len(reqs), a.ports*a.v))
+// run takes back the previous call's grants — only the entries its granted
+// words name, not all P·V — lets every engine allocate over the active sets
+// and gathers the new granted words. Only an issuable entry can be granted,
+// so that walk is over the active sets, and it reads the active sets Run was
+// given, whatever pushes change them before the next call.
+func (a *vcAllocator) run(reqs []VCRequest) []int {
+	for port, w := range a.granted {
+		if w == 0 {
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			a.grants[port*a.v+bits.TrailingZeros64(w)] = -1
+		}
+		a.granted[port] = 0
+	}
+	for i := range a.engines {
+		a.engines[i].allocate(reqs, a.grants, a.active, a.busy)
 	}
 	for pw := a.busy; pw != 0; pw &= pw - 1 {
 		port := bits.TrailingZeros64(pw)
+		var w uint64
 		for aw := a.active[port]; aw != 0; aw &= aw - 1 {
-			a.grants[port*a.v+bits.TrailingZeros64(aw)] = -1
+			vc := bits.TrailingZeros64(aw)
+			if a.grants[port*a.v+vc] >= 0 {
+				w |= 1 << uint(vc)
+			}
 		}
-	}
-}
-
-func (a *vcAllocator) run(reqs []VCRequest) []int {
-	for i := range a.engines {
-		a.engines[i].allocate(reqs, a.grants, a.active, a.busy)
+		a.granted[port] = w
 	}
 	return a.grants
 }

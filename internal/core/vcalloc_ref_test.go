@@ -240,10 +240,12 @@ var fuzzVCArchs = []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront}
 
 // FuzzVCAllocator drives the production VC allocator and refVC through the
 // same program: prog is read two bytes at a time as (operation, argument) —
-// Allocate or AllocateMasked after rewriting a random subset of the reused
-// request slice (the changed set passed to AllocateMasked is a superset of the
-// entries that really changed), SkipIdle(k), or Reset. After every allocation
-// the grants must be equal and legal, a wavefront's matching must be maximal,
+// Allocate, or Push of every rewritten entry and Run, after rewriting a
+// random subset of the reused request slice (rewrites include same-value
+// ones, and pushes of entries the caller touched without changing), so dense
+// and pushed cycles interleave at random; SkipIdle(k); or Reset. After every
+// allocation the grants must be equal and legal, Run's granted words must
+// name exactly the granted input VCs, a wavefront's matching must be maximal,
 // and a separable allocator must grant a request that has no competitor.
 func FuzzVCAllocator(f *testing.F) {
 	// One seed per architecture × arbiter kind × dense/sparse at the paper's
@@ -278,12 +280,11 @@ func FuzzVCAllocator(f *testing.F) {
 func runVCProgram(t *testing.T, cfg VCAllocConfig, seed uint64, prog []byte) {
 	p, spec := cfg.Ports, cfg.Spec
 	v := spec.V()
-	eng := NewVCAllocator(cfg).(MaskedVCAllocator)
+	eng := NewVCAllocator(cfg).(PushVCAllocator)
 	skip := eng.(interface{ SkipIdle(int64) })
 	ref := newRefVC(cfg)
 	rng := xrand.New(seed)
 	reqs := make([]VCRequest, p*v)
-	changed := bitvec.New(p * v)
 	name := fmt.Sprintf("%s %dx%s", eng.Name(), p, spec)
 	all := ^uint64(0) >> uint(64-v)
 
@@ -308,12 +309,17 @@ func runVCProgram(t *testing.T, cfg VCAllocConfig, seed uint64, prog []byte) {
 		if churn == 0 {
 			few = 1 + arg/4%3
 		}
-		changed.Reset()
+		push := op >= 3
+		pushEntry := func(i int) {
+			if push {
+				eng.Push(i/v, i%v, reqs[i].Active && reqs[i].Candidates != 0)
+			}
+		}
 		for i := range reqs {
 			if !(rng.Bool(churn) || (few > 0 && rng.Intn(p*v) < few)) {
 				continue
 			}
-			changed.Set(i) // marked entries may or may not really differ
+			// Rewritten entries may or may not really differ.
 			switch k := rng.Intn(10); {
 			case k < 5:
 				// What the router sends: a legal successor class, less the
@@ -335,15 +341,22 @@ func runVCProgram(t *testing.T, cfg VCAllocConfig, seed uint64, prog []byte) {
 				// An inactive entry's port and candidates are never read.
 				reqs[i] = VCRequest{OutPort: []int{-1, p, 1 << 20, rng.Intn(p)}[rng.Intn(4)], Candidates: refCand(v, rng.Uint64()&all)}
 			}
+			pushEntry(i)
 		}
 		if arg/16%2 == 1 {
-			changed.Set(rng.Intn(p * v)) // an entry the caller touched without changing
+			pushEntry(rng.Intn(p * v)) // an entry the caller touched without changing
 		}
 
 		want := ref.Allocate(reqs)
 		var got []int
-		if op >= 3 {
-			got = eng.AllocateMasked(reqs, changed)
+		if push {
+			var granted []uint64
+			got, granted = eng.Run(reqs)
+			for i, g := range got {
+				if (g >= 0) != (granted[i/v]>>uint(i%v)&1 != 0) {
+					t.Fatalf("%s step %d: granted words %b disagree with the grant %d to input VC %d", name, pc/2, granted, g, i)
+				}
+			}
 		} else {
 			got = eng.Allocate(reqs)
 		}

@@ -547,7 +547,7 @@ func TestVCAllocatorWordBoundary(t *testing.T) {
 
 // TestVCAllocatorLayout pins what the VC allocator adds to NewAllocators: a
 // separable VC allocator of any arbiter kind, dense or sparse, lives entirely
-// on the shared slabs (the eleven blocks of TestSwitchAllocatorLayout); each
+// on the shared slabs (the ten blocks of TestSwitchAllocatorLayout); each
 // wavefront engine adds the generic wavefront allocator's three.
 func TestVCAllocatorLayout(t *testing.T) {
 	runtime.GC() // see TestSwitchAllocatorLayout
@@ -557,8 +557,8 @@ func TestVCAllocatorLayout(t *testing.T) {
 	}{{5, NewVCSpec(2, 1, 1)}, {10, NewVCSpec(2, 2, 4)}} {
 		sa := SwitchAllocConfig{Ports: size.p, VCs: size.spec.V(), Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin}
 		for _, va := range vcConfigs(size.p, size.spec) {
-			sa.ArbKind = va.ArbKind // a second arbiter kind is a twelfth block
-			want := 11.0
+			sa.ArbKind = va.ArbKind // a second arbiter kind is an eleventh block
+			want := 10.0
 			if va.Arch == alloc.Wavefront {
 				want += 3
 				if va.Sparse {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/quality"
 	"repro/internal/sim"
+	"repro/internal/traffic"
 )
 
 // Report is the JSON-serializable container the command-line tools emit
@@ -34,8 +35,9 @@ type Report struct {
 
 // ExecStats adds up, over the completed simulations run under a context made
 // by WithExecStats, how much of the schedule's machinery was used: cycles
-// stepped against cycles leapt over (sim.Network.LeapStats), and how the
-// stepped ones were executed (sim.Network.ParallelStats).
+// stepped against cycles leapt over (sim.Network.LeapStats), the arrival
+// gate draws behind them (sim.Network.ArrivalDraws), and how the stepped
+// cycles were executed (sim.Network.ParallelStats).
 type ExecStats struct {
 	mu sync.Mutex
 
@@ -48,6 +50,8 @@ type ExecStats struct {
 	HelperWakes      int64 `json:"helper_wakes"`
 	PhasesTaken      int64 `json:"phases_taken"`
 	BarrierWaitNS    int64 `json:"barrier_wait_ns"`
+
+	ArrivalDraws traffic.DrawStats `json:"arrival_draws"`
 }
 
 type execStatsKey struct{}
@@ -68,6 +72,7 @@ func execStatsOf(ctx context.Context) *ExecStats {
 func (st *ExecStats) add(n *sim.Network) {
 	leaps, leapt := n.LeapStats()
 	par := n.ParallelStats()
+	draws := n.ArrivalDraws()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.Simulations++
@@ -79,6 +84,7 @@ func (st *ExecStats) add(n *sim.Network) {
 	st.HelperWakes += par.Wakes
 	st.PhasesTaken += par.Taken
 	st.BarrierWaitNS += par.Wait.Nanoseconds()
+	st.ArrivalDraws.Add(draws)
 }
 
 // CostJSON is one synthesis result row.

@@ -54,11 +54,12 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 
 // TestRouterNewLayout pins the router's own share of construction: beyond its
 // two allocators (core.NewAllocators, pinned by the core layout tests) a
-// router is nine blocks — the Router, five per-VC slices, the int32 column
+// router is eight blocks — the Router, four per-VC slices, the int32 column
 // slab and the vector slab's two — whatever its size. The per-port VC masks
-// live on the vector slab's word backing, not in a block of their own.
+// and the gathered VC grant words live on the vector slab's word backing, not
+// in a block of their own.
 func TestRouterNewLayout(t *testing.T) {
-	const want = 9
+	const want = 8
 	runtime.GC() // see core.TestSwitchAllocatorLayout
 	for _, size := range []struct {
 		p    int

@@ -13,11 +13,12 @@ import (
 // Router microbenchmarks for the change-driven request schedule. Each
 // benchmark runs at two operating points — low load (a single trickling VC,
 // the regime where the dirty mask skips nearly everything) and saturation
-// (every input VC backed up behind one output port, the regime where the
-// masked allocators earn their keep) — and under both schedules, so the
-// dirty-vs-dense cost ratio is tracked directly alongside the JSON
-// snapshots. All benchmarks report allocations: the steady-state router
-// cycle must stay heap-free (see TestStepSteadyStateZeroAlloc).
+// (every input VC backed up behind one output port, the regime where pushing
+// each rewritten entry into the allocators replaces handing them the whole
+// request slice) — and under both schedules, so the dirty-vs-dense cost
+// ratio is tracked directly. All benchmarks report allocations: the
+// steady-state router cycle must stay heap-free (see
+// TestStepSteadyStateZeroAlloc).
 
 // benchFeeder recycles a fixed set of single-flit packets through the
 // router so the measured loop performs no packet construction of its own.
@@ -83,8 +84,6 @@ type spreadRoute struct{ ports, classes int }
 
 func (s spreadRoute) Name() string         { return "spread" }
 func (s spreadRoute) ResourceClasses() int { return s.classes }
-func (s spreadRoute) Inject(int, *routing.PacketRoute, routing.QueueEstimator, *xrand.Source) {
-}
 func (s spreadRoute) NextHop(_ int, pr *routing.PacketRoute) (int, int) {
 	return pr.DestTerminal % s.ports, pr.DestTerminal / s.ports % s.classes
 }
@@ -174,8 +173,10 @@ func BenchmarkStepSaturation(b *testing.B) {
 
 // benchBuildRequests isolates the request-assembly phase. Under the dirty
 // schedule the benchmark re-marks the fed VCs every iteration (the mask a
-// flit arrival would set); under DenseRequests every entry is rebuilt, which
-// is exactly what the change-driven schedule avoids.
+// flit arrival would set) and the rebuild pushes whatever entry changed into
+// the allocators, which in this steady state is none; under DenseRequests
+// every entry is rebuilt, which is exactly what the change-driven schedule
+// avoids.
 func benchBuildRequests(b *testing.B, fedPorts int, dense bool) {
 	cfg := testConfig(core.SpecReq)
 	cfg.DenseRequests = dense
@@ -204,9 +205,9 @@ func BenchmarkBuildRequestsSaturationDirty(b *testing.B) { benchBuildRequests(b,
 func BenchmarkBuildRequestsSaturationDense(b *testing.B) { benchBuildRequests(b, 4, true) }
 
 // benchCommitSA times only the switch-traversal commit: the accept, request
-// build, allocation and VA commit phases run with the timer stopped, then
-// the timer covers the commitSA call that pops winning flits, emits
-// departures and credits, and marks next-cycle dirty bits.
+// build and push, allocation and VA commit phases run with the timer
+// stopped, then the timer covers the commitSA call that pops winning flits,
+// emits departures and credits, and marks next-cycle dirty bits.
 func benchCommitSA(b *testing.B, fedPorts int) {
 	r := New(testConfig(core.SpecReq))
 	f := newBenchFeeder(r, fedPorts)
@@ -221,12 +222,12 @@ func benchCommitSA(b *testing.B, fedPorts int) {
 		r.deps = r.deps[:0]
 		r.credits = r.credits[:0]
 		r.buildRequests()
-		copy(r.vaGranted, r.vaMasked.AllocateMasked(r.vaReqs, r.dirty))
-		saGrants := r.saMasked.AllocateMasked(r.saReqs, r.dirty)
 		r.dirty.Reset()
-		r.commitVA()
+		vaGrants, vaGranted := r.vaPush.Run(r.vaReqs)
+		saGrants := r.saPush.Run(r.saReqs)
+		r.commitVA(vaGrants, vaGranted)
 		b.StartTimer()
-		r.commitSA(saGrants)
+		r.commitSA(saGrants, vaGrants)
 		b.StopTimer()
 		for _, d := range r.deps {
 			r.AcceptCredit(d.OutPort, d.OutVC)

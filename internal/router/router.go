@@ -128,12 +128,13 @@ type Router struct {
 
 	va core.VCAllocator
 	sa core.SwitchAllocator
-	// vaMasked and saMasked are the allocators seen through their incremental
-	// entry points, resolved once at construction; nil when the allocator
-	// keeps no derived request cache (free queue, precomputed) or under
-	// DenseRequests.
-	vaMasked core.MaskedVCAllocator
-	saMasked core.MaskedSwitchAllocator
+	// vaPush and saPush are the allocators seen through their push entry
+	// points, resolved once at construction: buildRequests pushes every
+	// request entry it rewrites into them, and Step only runs them. Nil when
+	// the allocator keeps no derived request state (free queue, precomputed)
+	// or under DenseRequests; Step then hands it the whole request slice.
+	vaPush core.PushVCAllocator
+	saPush core.PushSwitchAllocator
 
 	// Input VC state (SoA, indexed port*v+vc). fifo holds all input
 	// buffers back to back: VC i's ring is fifo[i*depth : (i+1)*depth],
@@ -157,7 +158,9 @@ type Router struct {
 	vaReqs     []core.VCRequest
 	saReqs     []core.SwitchRequest
 	classMasks []uint64 // per (m,r) class: its VCs
-	vaGranted  []int    // per input VC: granted global out VC this cycle, -1
+	// vaWords is where Step gathers a dense VC allocator's grants into the
+	// per-port words a push allocator returns (bit vc of word port).
+	vaWords []uint64
 
 	// dirty marks the input VCs whose cached VA/SA request entries must be
 	// rebuilt this cycle; every other entry is byte-identical to what a
@@ -228,7 +231,6 @@ func New(cfg Config) *Router {
 		state:     make([]vcState, n),
 		vaReqs:    make([]core.VCRequest, n),
 		saReqs:    make([]core.SwitchRequest, n),
-		vaGranted: make([]int, n),
 		speculate: cfg.SA.SpecMode != core.SpecNone,
 	}
 	r.va, r.sa = core.NewAllocators(cfg.VA, cfg.SA)
@@ -241,6 +243,7 @@ func New(cfg Config) *Router {
 		r.outPort, r.class, r.outVC = cols.Take(n), cols.Take(n), cols.Take(n)
 		r.outCredits, r.outOwner = cols.Take(n), cols.Take(n)
 		r.outAlloc = vecs.Words(cfg.Ports)
+		r.vaWords = vecs.Words(cfg.Ports)
 		r.classMasks = vecs.Words(cfg.Spec.Classes())
 		r.dirty = vecs.Vec(n)
 		r.waiters = vecs.Vecs(cfg.Ports, n)
@@ -261,8 +264,8 @@ func New(cfg Config) *Router {
 	r.skipVA, _ = r.va.(idleSkipper)
 	r.skipSA, _ = r.sa.(idleSkipper)
 	if !cfg.DenseRequests {
-		r.vaMasked, _ = r.va.(core.MaskedVCAllocator)
-		r.saMasked, _ = r.sa.(core.MaskedSwitchAllocator)
+		r.vaPush, _ = r.va.(core.PushVCAllocator)
+		r.saPush, _ = r.sa.(core.PushSwitchAllocator)
 	}
 	return r
 }
@@ -367,14 +370,14 @@ func (r *Router) SkipIdle(idleCycles int64) {
 // returned slices are reused across calls.
 //
 // The default schedule is change-driven: the VA and switch request entries
-// handed to the allocators are cached across cycles and only the entries of
-// input VCs marked dirty — by flit arrival, credit return, a VA or SA grant
-// commit, or an allocation-state change at their output port — are rebuilt.
-// Clean entries are byte-identical to what a full rebuild would produce, so
-// the allocators (which treat the request slice as read-only input) cannot
-// distinguish the two schedules; Config.DenseRequests selects the full
-// rebuild as a golden reference and Config.Validate cross-checks the cache
-// against it every cycle.
+// are cached across cycles and only the entries of input VCs marked dirty —
+// by flit arrival, credit return, a VA or SA grant commit, or an
+// allocation-state change at their output port — are rebuilt, each change
+// pushed into the allocators as it is made (buildRequests). Clean entries are
+// byte-identical to what a full rebuild would produce, so the allocators
+// cannot distinguish the two schedules; Config.DenseRequests selects the full
+// rebuild, handed to the allocators whole, as a golden reference and
+// Config.Validate cross-checks the cache against it every cycle.
 //
 // Concurrency contract: distinct Router instances share no mutable state,
 // so Step (and AcceptFlit/AcceptCredit/SkipIdle for the same router's
@@ -391,42 +394,58 @@ func (r *Router) Step() ([]Departure, []Credit) {
 	r.credits = r.credits[:0]
 
 	r.buildRequests()
-	// The dirty mask doubles as the allocators' changed-entry set: the
-	// entries just rebuilt are exactly the ones that may differ from what
-	// the allocator saw last cycle, so masked allocators refresh only the
-	// derived state of those entries.
+	r.dirty.Reset()
 	var vaGrants []int
-	if r.vaMasked != nil {
-		vaGrants = r.vaMasked.AllocateMasked(r.vaReqs, r.dirty)
+	var vaGranted []uint64
+	if r.vaPush != nil {
+		vaGrants, vaGranted = r.vaPush.Run(r.vaReqs)
 	} else {
 		vaGrants = r.va.Allocate(r.vaReqs)
+		vaGranted = r.grantWords(vaGrants)
 	}
-	copy(r.vaGranted, vaGrants)
 	var saGrants []core.SwitchGrant
-	if r.saMasked != nil {
-		saGrants = r.saMasked.AllocateMasked(r.saReqs, r.dirty)
+	if r.saPush != nil {
+		saGrants = r.saPush.Run(r.saReqs)
 	} else {
 		saGrants = r.sa.Allocate(r.saReqs)
 	}
-	r.dirty.Reset()
 	if r.cfg.Validate {
-		if err := core.CheckVCGrants(r.p, r.cfg.Spec, r.vaReqs, r.vaGranted); err != nil {
+		if err := core.CheckVCGrants(r.p, r.cfg.Spec, r.vaReqs, vaGrants); err != nil {
 			panic(fmt.Sprintf("router %d: %v", r.cfg.ID, err))
+		}
+		for i, g := range vaGrants {
+			if (g >= 0) != (vaGranted[i/r.v]>>uint(i%r.v)&1 != 0) {
+				panic(fmt.Sprintf("router %d: VC allocator's granted words disagree with its grant to VC %d", r.cfg.ID, i))
+			}
 		}
 		if err := core.CheckSwitchGrants(r.p, r.v, r.saReqs, saGrants); err != nil {
 			panic(fmt.Sprintf("router %d: %v", r.cfg.ID, err))
 		}
 	}
-	r.commitVA()
-	r.commitSA(saGrants)
+	r.commitVA(vaGrants, vaGranted)
+	r.commitSA(saGrants, vaGrants)
 	return r.deps, r.credits
+}
+
+// grantWords gathers a dense VC allocator's grants into vaWords.
+func (r *Router) grantWords(grants []int) []uint64 {
+	for port := range r.vaWords {
+		var w uint64
+		for vc, g := range grants[port*r.v : (port+1)*r.v] {
+			if g >= 0 {
+				w |= 1 << uint(vc)
+			}
+		}
+		r.vaWords[port] = w
+	}
+	return r.vaWords
 }
 
 // buildRequests refreshes routes and assembles this cycle's VA and switch
 // request entries: for every input VC under DenseRequests, otherwise only
-// for the dirty ones. The dirty mask survives until after the allocators
-// run — Step hands it to them as the changed-entry set — and is reset before
-// the commit phase starts marking VCs for the next cycle.
+// for the dirty ones, pushing each entry that changed into the allocators
+// that take pushes. Step then resets the dirty mask, before the commit phase
+// starts marking VCs for the next cycle.
 func (r *Router) buildRequests() {
 	if r.cfg.DenseRequests {
 		for i := range r.state {
@@ -436,10 +455,27 @@ func (r *Router) buildRequests() {
 	}
 	// Word-at-a-time scan: buildRequest never touches the dirty mask (bits
 	// are only set again during the commit phase), so iterating a snapshot
-	// of each word is safe and skips the per-bit NextSet re-entry.
+	// of each word is safe and skips the per-bit NextSet re-entry. The
+	// indices ascend, so the port they belong to only moves forward: first
+	// is the index of the current port's VC 0.
+	port, first := 0, 0
 	for wi, w := range r.dirty.Words() {
 		for base := wi * 64; w != 0; w &= w - 1 {
-			r.buildRequest(base + bits.TrailingZeros64(w))
+			i := base + bits.TrailingZeros64(w)
+			for i >= first+r.v {
+				port++
+				first += r.v
+			}
+			// computeVAReq leaves an entry without candidates inactive, so
+			// an entry is issuable exactly when it is Active.
+			wasIssuable, oldSA := r.vaReqs[i].Active, r.saReqs[i]
+			r.buildRequest(i)
+			if nw := r.vaReqs[i].Active; nw != wasIssuable && r.vaPush != nil {
+				r.vaPush.Push(port, i-first, nw)
+			}
+			if nw := r.saReqs[i]; nw != oldSA && r.saPush != nil {
+				r.saPush.Push(port, i-first, oldSA, nw)
+			}
 		}
 	}
 	if r.cfg.Validate {
@@ -543,35 +579,37 @@ func (r *Router) checkRequestCache() {
 	}
 }
 
-// commitVA applies VC allocation grants. Allocating an output VC shrinks
-// the candidate sets of every other VC waiting on that port, so the port's
-// whole waiter set is marked dirty (the grantee is in it until cleared).
-func (r *Router) commitVA() {
-	for i, g := range r.vaGranted {
-		if g < 0 {
-			continue
-		}
-		if r.state[i] != vcWaitVA {
-			panic(fmt.Sprintf("router %d: VA grant to VC %d in state %d", r.cfg.ID, i, r.state[i]))
-		}
-		outPort, outVC := g/r.v, g%r.v
-		if int32(outPort) != r.outPort[i] {
-			panic(fmt.Sprintf("router %d: VA grant port mismatch", r.cfg.ID))
-		}
-		if !r.OutputVCFree(outPort, outVC) {
-			panic(fmt.Sprintf("router %d: VA granted busy output VC", r.cfg.ID))
-		}
-		r.outAlloc[outPort] |= 1 << uint(outVC)
-		r.outOwner[g] = int32(i)
-		r.outVC[i] = int32(outVC)
-		r.state[i] = vcActive
-		r.dirty.Or(&r.waiters[outPort])
-		r.waiters[outPort].Clear(i)
-		if r.cfg.Trace != nil {
-			f := r.front(i)
-			r.cfg.Trace.Record(trace.Event{Kind: trace.VAGrant, Router: r.cfg.ID,
-				Port: i / r.v, VC: i % r.v, OutPort: outPort, OutVC: outVC,
-				Packet: f.Pkt.ID, Seq: f.Seq})
+// commitVA applies VC allocation grants, visiting only the input VCs granted
+// holds (bit vc of word port). Allocating an output VC shrinks the candidate
+// sets of every other VC waiting on that port, so the port's whole waiter set
+// is marked dirty (the grantee is in it until cleared).
+func (r *Router) commitVA(grants []int, granted []uint64) {
+	for port, w := range granted {
+		for ; w != 0; w &= w - 1 {
+			i := port*r.v + bits.TrailingZeros64(w)
+			g := grants[i]
+			if r.state[i] != vcWaitVA {
+				panic(fmt.Sprintf("router %d: VA grant to VC %d in state %d", r.cfg.ID, i, r.state[i]))
+			}
+			outPort, outVC := g/r.v, g%r.v
+			if int32(outPort) != r.outPort[i] {
+				panic(fmt.Sprintf("router %d: VA grant port mismatch", r.cfg.ID))
+			}
+			if !r.OutputVCFree(outPort, outVC) {
+				panic(fmt.Sprintf("router %d: VA granted busy output VC", r.cfg.ID))
+			}
+			r.outAlloc[outPort] |= 1 << uint(outVC)
+			r.outOwner[g] = int32(i)
+			r.outVC[i] = int32(outVC)
+			r.state[i] = vcActive
+			r.dirty.Or(&r.waiters[outPort])
+			r.waiters[outPort].Clear(i)
+			if r.cfg.Trace != nil {
+				f := r.front(i)
+				r.cfg.Trace.Record(trace.Event{Kind: trace.VAGrant, Router: r.cfg.ID,
+					Port: port, VC: i - port*r.v, OutPort: outPort, OutVC: outVC,
+					Packet: f.Pkt.ID, Seq: f.Seq})
+			}
 		}
 	}
 }
@@ -584,7 +622,7 @@ func (r *Router) commitVA() {
 // own VC (occupancy, credits and possibly state changed); a departing tail
 // frees the output VC, which re-enlarges the candidate sets of that port's
 // waiters, so they are dirtied too.
-func (r *Router) commitSA(grants []core.SwitchGrant) {
+func (r *Router) commitSA(grants []core.SwitchGrant, vaGrants []int) {
 	for port, g := range grants {
 		if g.OutPort < 0 {
 			continue
@@ -593,7 +631,7 @@ func (r *Router) commitSA(grants []core.SwitchGrant) {
 		if g.Spec {
 			// Misspeculation: the head flit failed to acquire an output VC
 			// this cycle, so the crossbar slot is wasted.
-			if r.vaGranted[i] < 0 {
+			if vaGrants[i] < 0 {
 				r.stats.Misspeculations++
 				r.traceMisspec(port, g.VC, i)
 				continue

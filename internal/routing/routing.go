@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/topology"
-	"repro/internal/xrand"
 )
 
 // PacketRoute is the per-packet routing state carried through the network.
@@ -38,21 +37,38 @@ type QueueEstimator interface {
 	Occupancy(r, p int) int
 }
 
-// Function is a routing function for a specific topology.
+// Function is a routing function for a specific topology. A packet enters
+// the network with PacketRoute{DestTerminal: dst, Intermediate: -1} (phase
+// 0); a function that decides more at injection is also an Injector.
 type Function interface {
 	// Name identifies the algorithm ("dor" or "ugal").
 	Name() string
 	// ResourceClasses returns the number of resource classes the function
 	// requires (R in the paper's V = M·R·C decomposition).
 	ResourceClasses() int
-	// Inject initializes pr for a packet entering the network at
-	// srcRouter. UGAL uses q and rng to pick between minimal and Valiant
-	// routing; q and rng may be nil for functions that ignore them.
-	Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng *xrand.Source)
 	// NextHop returns the output port at router r and the resource class
 	// the packet must acquire there. It may advance pr.Phase (e.g. when
 	// passing the intermediate router).
 	NextHop(r int, pr *PacketRoute) (outPort, resourceClass int)
+}
+
+// Injector is implemented by routing functions that decide part of a route
+// when the packet enters the network: UGAL picks between the minimal and a
+// Valiant path there. Dimension-order functions decide nothing at injection
+// and are not Injectors.
+type Injector interface {
+	// Inject sets pr for a packet entering the network at srcRouter,
+	// consulting q and drawing from rng; with either nil it routes without
+	// them.
+	Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng Rand)
+}
+
+// Rand is the randomness routing draws at injection. *xrand.Source is one; a
+// simulator terminal is another, positioning its RNG stream before each draw
+// (internal/sim), so only a draw that is actually made costs it anything.
+type Rand interface {
+	// Intn returns a uniformly distributed integer in [0, n).
+	Intn(n int) int
 }
 
 // --- Dimension-order routing (mesh) ------------------------------------------
@@ -79,11 +95,6 @@ func NewDOR(topo *topology.Topology) Function {
 
 func (d *dor) Name() string         { return "dor" }
 func (d *dor) ResourceClasses() int { return 1 }
-
-func (d *dor) Inject(srcRouter int, pr *PacketRoute, _ QueueEstimator, _ *xrand.Source) {
-	pr.Intermediate = -1
-	pr.Phase = 0
-}
 
 func (d *dor) NextHop(r int, pr *PacketRoute) (int, int) {
 	destRouter, destPort := d.topo.TerminalRouter(pr.DestTerminal)
@@ -163,7 +174,7 @@ func (u *ugal) firstHopPort(r, target int) int {
 	}
 }
 
-func (u *ugal) Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng *xrand.Source) {
+func (u *ugal) Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng Rand) {
 	destRouter, _ := u.topo.TerminalRouter(pr.DestTerminal)
 	pr.Intermediate = -1
 	pr.Phase = 1 // minimal packets use the second resource class throughout
@@ -250,11 +261,6 @@ func TorusResourceSucc() [][]int { return [][]int{{0, 1}, {0, 1}} }
 
 func (d *torusDateline) Name() string         { return "dateline" }
 func (d *torusDateline) ResourceClasses() int { return 2 }
-
-func (d *torusDateline) Inject(srcRouter int, pr *PacketRoute, _ QueueEstimator, _ *xrand.Source) {
-	pr.Intermediate = -1
-	pr.Phase = 0
-}
 
 // step returns the port for one shortest-direction hop along a ring of
 // size k from coordinate c to coordinate t (ties go positive), plus

@@ -19,8 +19,7 @@ func TestDORDeliversEveryPair(t *testing.T) {
 	}
 	for src := 0; src < 64; src++ {
 		for dst := 0; dst < 64; dst++ {
-			pr := PacketRoute{DestTerminal: dst}
-			f.Inject(src, &pr, nil, nil)
+			pr := PacketRoute{DestTerminal: dst, Intermediate: -1}
 			r := src
 			hops := 0
 			for {
@@ -63,8 +62,7 @@ func TestDORXBeforeY(t *testing.T) {
 	topo := topology.Mesh(8)
 	f := NewDOR(topo)
 	// From (0,0) to (3,3): first hops must all be +x.
-	pr := PacketRoute{DestTerminal: 3*8 + 3}
-	f.Inject(0, &pr, nil, nil)
+	pr := PacketRoute{DestTerminal: 3*8 + 3, Intermediate: -1}
 	port, _ := f.NextHop(0, &pr)
 	if port != topology.MeshPortXPlus {
 		t.Fatalf("first hop port %d, want +x", port)
@@ -96,7 +94,7 @@ func TestUGALMinimalDelivery(t *testing.T) {
 	for src := 0; src < 16; src++ {
 		for dst := 0; dst < 64; dst++ {
 			pr := PacketRoute{DestTerminal: dst}
-			f.Inject(src, &pr, nil, nil)
+			f.(Injector).Inject(src, &pr, nil, nil)
 			if pr.Phase != 1 || pr.Intermediate != -1 {
 				t.Fatal("nil estimator should give minimal route")
 			}
@@ -146,7 +144,7 @@ func TestUGALValiantDelivery(t *testing.T) {
 		}
 		u := f.(*ugal)
 		q[[2]int{src, u.firstHopPort(src, destRouter)}] = 50
-		f.Inject(src, &pr, q, rng)
+		f.(Injector).Inject(src, &pr, q, rng)
 		if pr.Intermediate < 0 {
 			continue // the random intermediate may have been degenerate
 		}
@@ -202,7 +200,7 @@ func TestUGALPrefersMinimalWhenUncongested(t *testing.T) {
 	q := fakeQueues{} // all queues empty
 	for trial := 0; trial < 500; trial++ {
 		pr := PacketRoute{DestTerminal: rng.Intn(64)}
-		f.Inject(0, &pr, q, rng)
+		f.(Injector).Inject(0, &pr, q, rng)
 		if pr.Intermediate != -1 {
 			t.Fatal("empty network must route minimally")
 		}
@@ -223,7 +221,7 @@ func TestUGALThresholdBias(t *testing.T) {
 		n := 0
 		for trial := 0; trial < 500; trial++ {
 			pr := PacketRoute{DestTerminal: 4} // router 1 (column 1), port 0
-			f.Inject(0, &pr, q, rng)
+			f.(Injector).Inject(0, &pr, q, rng)
 			if pr.Intermediate >= 0 {
 				n++
 			}
@@ -274,8 +272,7 @@ func TestDatelineDeliversAllPairsShortest(t *testing.T) {
 	}
 	for src := 0; src < 25; src++ {
 		for dst := 0; dst < 25; dst++ {
-			pr := PacketRoute{DestTerminal: dst}
-			f.Inject(src, &pr, nil, nil)
+			pr := PacketRoute{DestTerminal: dst, Intermediate: -1}
 			r := src
 			hops := 0
 			for {
@@ -320,8 +317,7 @@ func TestDatelineClassDiscipline(t *testing.T) {
 	// Route from (3,0)=3 to (1,0)=1: +x direction (distance 2 either way,
 	// tie goes positive), crossing the wrap 3->0. The wrap hop and the
 	// remainder of the X ring must use class 1.
-	pr := PacketRoute{DestTerminal: 1}
-	f.Inject(3, &pr, nil, nil)
+	pr := PacketRoute{DestTerminal: 1, Intermediate: -1}
 	port, class := f.NextHop(3, &pr)
 	if port != topology.MeshPortXPlus || class != 1 {
 		t.Fatalf("wrap hop: port %d class %d, want +x class 1", port, class)
@@ -331,8 +327,7 @@ func TestDatelineClassDiscipline(t *testing.T) {
 		t.Fatalf("post-wrap hop: port %d class %d, want +x class 1", port, class)
 	}
 	// Non-wrapping route stays in class 0: (0,0) to (1,1).
-	pr = PacketRoute{DestTerminal: 1*4 + 1}
-	f.Inject(0, &pr, nil, nil)
+	pr = PacketRoute{DestTerminal: 1*4 + 1, Intermediate: -1}
 	if _, class := f.NextHop(0, &pr); class != 0 {
 		t.Fatalf("non-wrap X hop class %d, want 0", class)
 	}
@@ -346,8 +341,7 @@ func TestDatelineClassResetsPerDimension(t *testing.T) {
 	f := NewTorusDateline(topo)
 	// (3,1)=7 to (1,2)=9: X path wraps (3->0->1, class 1), then the Y path
 	// (1->2, no wrap) restarts in class 0.
-	pr := PacketRoute{DestTerminal: 9}
-	f.Inject(7, &pr, nil, nil)
+	pr := PacketRoute{DestTerminal: 9, Intermediate: -1}
 	_, c1 := f.NextHop(7, &pr) // 3->0 wrap
 	_, c2 := f.NextHop(4, &pr) // 0->1
 	_, c3 := f.NextHop(5, &pr) // Y: 1->2, fresh dimension
@@ -366,6 +360,20 @@ func TestDatelineRequiresTorus(t *testing.T) {
 		}
 	}()
 	NewTorusDateline(topology.Mesh(4))
+}
+
+// TestOnlyUGALInjects: a simulator calls an Injector for every packet it
+// opens, and a draw the Injector makes rewinds the terminal's presampled
+// arrival, so a function that decides nothing at injection must not be one.
+func TestOnlyUGALInjects(t *testing.T) {
+	for _, f := range []Function{NewDOR(topology.Mesh(4)), NewTorusDateline(topology.Torus(4))} {
+		if _, ok := f.(Injector); ok {
+			t.Errorf("%s is an Injector", f.Name())
+		}
+	}
+	if _, ok := NewUGAL(topology.FlattenedButterfly(4, 4), 1).(Injector); !ok {
+		t.Error("ugal is not an Injector")
+	}
 }
 
 func TestTorusResourceSucc(t *testing.T) {

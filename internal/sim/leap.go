@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/traffic"
+)
 
 // Event leaping: the active-set scheduler (PR 2) skips dormant terminals and
 // quiescent routers within a cycle, but the stepper still visits every cycle
@@ -132,4 +136,15 @@ func (n *Network) validateLeap(target int64) {
 // they skipped in total; exposed for benchmarks and the JSON snapshot tools.
 func (n *Network) LeapStats() (events, cycles int64) {
 	return n.leapEvents, n.cyclesLeapt
+}
+
+// ArrivalDraws adds up the terminals' arrival gate draws: the reference
+// schedule ticks terminals × cycles of them, the default presamples them and
+// replays what a rewind (terminal.Intn, SetInjectionRate) gives back.
+func (n *Network) ArrivalDraws() traffic.DrawStats {
+	var d traffic.DrawStats
+	for _, t := range n.terminals {
+		d.Add(t.gen.Draws())
+	}
+	return d
 }

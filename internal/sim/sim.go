@@ -192,7 +192,9 @@ type Network struct {
 	cfg       Config
 	routers   []*router.Router
 	terminals []*terminal
-	now       int64
+	// injector is cfg.Routing if it decides anything at injection, else nil.
+	injector routing.Injector
+	now      int64
 	// nowSlot tracks now % wheelSize incrementally, so the per-event wheel
 	// indexing in slotFor/phase1 never pays a hardware divide.
 	nowSlot int64
@@ -287,6 +289,7 @@ func New(cfg Config) *Network {
 		wheelSize: wheelSizeFor(cfg.Topology),
 		leapOn:    !cfg.Reference && cfg.Trace == nil,
 	}
+	n.injector, _ = cfg.Routing.(routing.Injector)
 	root := xrand.New(cfg.Seed)
 	for r := 0; r < cfg.Topology.Routers; r++ {
 		rcfg := router.Config{
@@ -311,7 +314,7 @@ func New(cfg Config) *Network {
 	}
 	for t := 0; t < cfg.Topology.Terminals(); t++ {
 		rid, port := cfg.Topology.TerminalRouter(t)
-		n.terminals = append(n.terminals, newTerminal(t, rid, port, cfg, root.Split(uint64(t)+1), procs[t]))
+		n.terminals = append(n.terminals, newTerminal(n, t, rid, port, root.Split(uint64(t)+1), procs[t]))
 	}
 	n.buildShards()
 	return n

@@ -456,7 +456,7 @@ func TestTorusDatelineNoDeadlockUnderTornado(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Pattern = p
-	cfg.Warmup, cfg.Measure, cfg.Drain = 500, 1500, 0
+	cfg.Warmup, cfg.Measure, cfg.Drain = 500, 1500, 1
 	res := New(cfg).Run()
 	if res.FlitsDelivered == 0 {
 		t.Fatal("torus wedged under tornado traffic")
@@ -578,7 +578,7 @@ func TestTracedSimulationTellsPacketStory(t *testing.T) {
 func TestTraceFilterMisspecOnly(t *testing.T) {
 	collector := trace.NewCollector(10000)
 	cfg := meshConfig(1, 0.3)
-	cfg.Warmup, cfg.Measure, cfg.Drain = 200, 600, 0
+	cfg.Warmup, cfg.Measure, cfg.Drain = 200, 600, 1
 	cfg.Trace = trace.New(collector, trace.FilterKind(trace.Misspec))
 	New(cfg).Run()
 	for _, e := range collector.Events() {
@@ -601,7 +601,7 @@ func TestValidatedRunsAllArchCombos(t *testing.T) {
 				cfg.VA.Arch = va
 				cfg.SA.Arch = sa
 				cfg.Validate = true
-				cfg.Warmup, cfg.Measure, cfg.Drain = 150, 300, 0
+				cfg.Warmup, cfg.Measure, cfg.Drain = 150, 300, 1
 				if res := New(cfg).Run(); res.FlitsDelivered == 0 {
 					t.Fatalf("%s va=%v sa=%v: wedged", cfg.Topology.Name, va, sa)
 				}

@@ -40,6 +40,7 @@ type terminal struct {
 	id       int
 	routerID int
 	port     int
+	net      *Network
 	gen      *traffic.Generator
 	rng      *xrand.Source
 	spec     core.VCSpec
@@ -69,12 +70,14 @@ type terminal struct {
 	sentFlits int64
 }
 
-func newTerminal(id, routerID, port int, cfg Config, rng *xrand.Source, proc traffic.ArrivalProcess) *terminal {
+func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, proc traffic.ArrivalProcess) *terminal {
+	cfg := n.cfg
 	v := cfg.Spec.V()
 	t := &terminal{
 		id:       id,
 		routerID: routerID,
 		port:     port,
+		net:      n,
 		gen:      traffic.NewGeneratorProcess(cfg.Pattern, proc),
 		rng:      rng,
 		spec:     cfg.Spec,
@@ -106,9 +109,9 @@ const never = math.MaxInt64
 //
 // With event leaping an idle terminal that has presampled its next arrival
 // (generate) sleeps until that cycle: the per-cycle gate draws it would
-// have made were consumed in one batch at presample time, and any earlier
-// wake-up rewinds and replays them, so skipping the terminal neither skips
-// work nor desynchronizes its RNG stream.
+// have made were consumed in one batch at presample time, and a draw from
+// its stream before then rewinds and replays them first (Intn), so skipping
+// the terminal neither skips work nor desynchronizes its RNG stream.
 func (t *terminal) wakeAt(n *Network) int64 {
 	if t.cur != nil || !t.replyQ.empty() || !t.reqQ.empty() {
 		return n.now
@@ -167,8 +170,8 @@ func (t *terminal) generate(s *shard) {
 // past the end of the run at low p). A batch that ends without an arrival
 // parks the generator's presampled wake-up at the chunk boundary as a
 // checkpoint (PresampledReal false); the leap gate may jump there, and
-// sampling resumes. The rewind replay cost on an early wake-up is bounded
-// by the same constant.
+// sampling resumes. The replay cost of a rewind (Intn) is bounded by the same
+// constant.
 const presampleChunk = 1024
 
 // generateLeap is the presampling injection path (see generate).
@@ -178,11 +181,10 @@ func (t *terminal) generateLeap(s *shard) {
 	if next := g.PresampledArrival(); next >= 0 {
 		switch {
 		case n.now < next:
-			// Woken before the presampled arrival (a reply arrived this
-			// cycle): rewind and replay the gate draws through this cycle
-			// so the stream position matches per-cycle ticking before open()
-			// consumes any routing randomness.
-			g.Rewind(t.rng, n.now)
+			// Woken before the presampled arrival (a reply arrived): the
+			// presample stands. Its draws already cover this cycle's gate,
+			// and it is rewound only if something reads the stream before
+			// the arrival (Intn).
 			return
 		case g.PresampledReal():
 			// now == the presampled arrival: the gate draw was consumed at
@@ -290,8 +292,11 @@ func (t *terminal) open(s *shard) {
 		return
 	}
 	p := q.front()
-	// Routing decision at injection (UGAL consults local queue state).
-	n.cfg.Routing.Inject(t.routerID, &p.Route, n, t.rng)
+	// Routing decision at injection (UGAL consults local queue state and
+	// draws from this terminal's stream).
+	if n.injector != nil {
+		n.injector.Inject(t.routerID, &p.Route, n, t)
+	}
 	// The packet must occupy an input VC matching its message class and
 	// initial resource class: the lowest free one of that class's range.
 	vc := -1
@@ -310,6 +315,18 @@ func (t *terminal) open(s *shard) {
 	t.curSeq = 0
 	t.curVC = vc
 	t.vcBusy[vc] = true
+}
+
+// Intn implements routing.Rand: routing draws from the terminal's stream
+// after the cycle's gate draw, as per-cycle ticking has it. An outstanding
+// presample has drawn gates past this cycle, so it is rewound to this cycle
+// first. This and a rate change are the only reasons a presample is rewound:
+// a terminal whose routing draws nothing keeps its presample across any wake.
+func (t *terminal) Intn(k int) int {
+	if t.gen.PresampledArrival() >= 0 {
+		t.gen.Rewind(t.rng, t.net.now)
+	}
+	return t.rng.Intn(k)
 }
 
 // SetInjectionRate changes the offered load of every terminal; used by

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/routing"
+	"repro/internal/traffic"
 	"repro/internal/xrand"
 )
 
@@ -86,6 +88,77 @@ func TestWakeIndexVisitCounts(t *testing.T) {
 				stepped, terms, 100*float64(terms)/float64(int64(len(n.terminals))*stepped),
 				routers, 100*float64(routers)/float64(int64(len(n.routers))*stepped))
 		})
+	}
+}
+
+// earlyWakes wraps a routing function and counts the injections made while
+// the injecting terminal holds a presample: a reply woke it before its
+// presampled arrival. It passes the injection on to the wrapped function if
+// that is an Injector, and draws nothing itself.
+type earlyWakes struct {
+	routing.Function
+	n *int64
+}
+
+func (e earlyWakes) Inject(src int, pr *routing.PacketRoute, q routing.QueueEstimator, rng routing.Rand) {
+	if t := rng.(*terminal); t.gen.PresampledArrival() >= 0 {
+		*e.n++
+	}
+	if inj, ok := e.Function.(routing.Injector); ok {
+		inj.Inject(src, pr, q, rng)
+	}
+}
+
+// TestArrivalDraws pins what a run's arrival gate draws cost. The reference
+// ticks every terminal every cycle. The default schedule presamples at most a
+// chunk ahead of the clock and rewinds a presample only when routing is about
+// to draw from the terminal's stream before the arrival, so:
+//
+//   - on the mesh, whose routing never draws, a reply waking a terminal early
+//     costs nothing: no rewind, and at most the reference's draws plus one
+//     chunk per terminal;
+//   - on the flattened butterfly, whose UGAL draws at every injection, the
+//     rewinds are exactly the injections made during an early wake.
+//
+// Both runs must equal the reference.
+func TestArrivalDraws(t *testing.T) {
+	run := func(cfg Config) (Result, traffic.DrawStats, int64) {
+		var early int64
+		cfg.Routing = earlyWakes{cfg.Routing, &early}
+		n := New(cfg)
+		res := n.Run()
+		return res, n.ArrivalDraws(), early
+	}
+	for _, cfg := range []Config{meshConfig(1, 0.01), fbflyConfig(1, 0.01)} {
+		name := cfg.Topology.Name
+		cfg.Seed = 42
+		cfg.Warmup, cfg.Measure, cfg.Drain = 500, 2000, 5000
+		res, draws, early := run(cfg)
+		cfg.Reference = true
+		refRes, refDraws, _ := run(cfg)
+		if res != refRes {
+			t.Fatalf("%s: default diverged from the reference:\nreference: %+v\ndefault:   %+v", name, refRes, res)
+		}
+		terms := int64(cfg.Topology.Terminals())
+		if want := (traffic.DrawStats{Ticked: terms * res.Cycles}); refDraws != want {
+			t.Errorf("%s: reference drew %+v, want %+v", name, refDraws, want)
+		}
+		if early == 0 || draws.Presampled == 0 {
+			t.Fatalf("%s: %d early-wake injections, %d presampled draws; the test is vacuous", name, early, draws.Presampled)
+		}
+		t.Logf("%s: %d cycles × %d terminals; default drew %+v (%.2f× the reference), %d early-wake injections",
+			name, res.Cycles, terms, draws, float64(draws.Total())/float64(refDraws.Total()), early)
+		if name == "mesh" {
+			if draws.Rewinds != 0 || draws.Replayed != 0 {
+				t.Errorf("mesh: %d rewinds replayed %d draws, want none", draws.Rewinds, draws.Replayed)
+			}
+			if bound := refDraws.Total() + terms*presampleChunk; draws.Total() > bound {
+				t.Errorf("mesh: drew %d gates, want at most %d (reference %d + %d terminals × %d)",
+					draws.Total(), bound, refDraws.Total(), terms, presampleChunk)
+			}
+		} else if draws.Rewinds != early {
+			t.Errorf("%s: %d rewinds, want one per early-wake injection: %d", name, draws.Rewinds, early)
+		}
 	}
 }
 

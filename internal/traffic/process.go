@@ -29,7 +29,8 @@ import (
 //   - Snapshot/rewind: State() captures everything Tick mutates, and
 //     Restore(st) followed by the same tick sequence against a restored rng
 //     reproduces the same outcomes. The presampler snapshots before a
-//     batch and rewinds on early wake-up or rate change.
+//     batch and rewinds when something else is about to read the RNG
+//     stream, or on a rate change.
 type ArrivalProcess interface {
 	// Name identifies the process ("bernoulli", "mmp", "trace").
 	Name() string

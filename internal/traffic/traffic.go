@@ -268,10 +268,11 @@ func (h *hotspot) Dest(src int, rng *xrand.Source) int {
 // process is also a PacketSource (trace replay), which carries both halves.
 //
 // The generator also owns the event-leaping presample state: a bounded batch
-// of future gate draws (Presample), the RNG/process snapshot that lets an
-// early wake-up or rate change rewind and replay them (Rewind), and the
-// SetRate method that encapsulates the rewind-before-rate-change invariant
-// so no caller can bypass it (DESIGN.md §12).
+// of future gate draws (Presample), the RNG/process snapshot that lets a
+// caller about to read the stream, or a rate change, rewind and replay them
+// (Rewind), and the SetRate method that encapsulates the
+// rewind-before-rate-change invariant so no caller can bypass it (DESIGN.md
+// §12).
 type Generator struct {
 	// Pattern chooses destinations.
 	Pattern Pattern
@@ -284,15 +285,46 @@ type Generator struct {
 	// Presample state: next is the presampled wake-up cycle (-1 = not
 	// sampled) — the next transaction arrival when nextReal, otherwise a
 	// chunk checkpoint at which sampling resumes; snapRNG/snapProc/snapCycle
-	// record the RNG state, process state and cycle at presample time so an
-	// earlier wake-up can rewind and replay the per-cycle gate draws the
-	// dense reference would have made.
+	// record the RNG state, process state and cycle at presample time so a
+	// rewind can replay the per-cycle gate draws the dense reference would
+	// have made.
 	next      int64
 	nextReal  bool
 	snapRNG   xrand.Source
 	snapProc  ProcState
 	snapCycle int64
+
+	draws DrawStats
 }
+
+// DrawStats counts a generator's gate draws — one per simulated cycle its
+// arrival process covers, whether or not the process consumes randomness for
+// it — by how they were made, and how often a presample was rewound.
+type DrawStats struct {
+	// Presampled draws were made ahead of the clock, a batch at a time
+	// (Presample).
+	Presampled int64 `json:"presampled"`
+	// Replayed draws were made a second time by a rewind (Rewind).
+	Replayed int64 `json:"replayed"`
+	// Ticked draws were made one cycle at a time (NextRequest).
+	Ticked int64 `json:"ticked"`
+	// Rewinds counts the rewinds.
+	Rewinds int64 `json:"rewinds"`
+}
+
+// Total is the number of gate draws made, however they were made.
+func (d DrawStats) Total() int64 { return d.Presampled + d.Replayed + d.Ticked }
+
+// Add accumulates o into d.
+func (d *DrawStats) Add(o DrawStats) {
+	d.Presampled += o.Presampled
+	d.Replayed += o.Replayed
+	d.Ticked += o.Ticked
+	d.Rewinds += o.Rewinds
+}
+
+// Draws returns the generator's gate draw counts since construction.
+func (g *Generator) Draws() DrawStats { return g.draws }
 
 // NewGenerator builds a generator with the paper's defaults: Bernoulli
 // injection at the given flit rate, reads and writes equally likely.
@@ -335,6 +367,7 @@ func (g *Generator) SetRate(rng *xrand.Source, rate float64, now int64) {
 // NextRequest rolls the injection process for one terminal-cycle. It
 // returns (packetType, dest, true) when a new request transaction starts.
 func (g *Generator) NextRequest(src int, rng *xrand.Source) (PacketType, int, bool) {
+	g.draws.Ticked++
 	if !g.proc.Tick(rng) {
 		return 0, 0, false
 	}
@@ -376,8 +409,10 @@ func (g *Generator) Presample(rng *xrand.Source, now int64, chunk int) {
 	g.snapRNG, g.snapProc, g.snapCycle = rng.State(), g.proc.State(), now
 	if d := g.proc.NextArrivalDelta(rng, chunk); d < 0 {
 		g.next, g.nextReal = now+int64(chunk), false
+		g.draws.Presampled += int64(chunk)
 	} else {
 		g.next, g.nextReal = now+int64(d), true
+		g.draws.Presampled += int64(d) + 1
 	}
 }
 
@@ -411,8 +446,12 @@ func (g *Generator) ClearPresample() { g.next = -1 }
 func (g *Generator) Rewind(rng *xrand.Source, through int64) {
 	rng.Restore(g.snapRNG)
 	g.proc.Restore(g.snapProc)
-	if n := through - g.snapCycle + 1; n > 0 && g.proc.NextArrivalDelta(rng, int(n)) >= 0 {
-		panic("traffic: presample replay produced an arrival before the sampled one")
+	g.draws.Rewinds++
+	if n := through - g.snapCycle + 1; n > 0 {
+		g.draws.Replayed += n
+		if g.proc.NextArrivalDelta(rng, int(n)) >= 0 {
+			panic("traffic: presample replay produced an arrival before the sampled one")
+		}
 	}
 	g.next = -1
 }
