@@ -20,11 +20,6 @@ func main() {
 	fmt.Printf("legal VC transitions: %d of %d\n\n",
 		spec.CountLegalTransitions(), spec.V()*spec.V())
 
-	pattern, err := repro.NewTrafficPattern("tornado", topo.Terminals())
-	if err != nil {
-		panic(err)
-	}
-
 	base := repro.SimConfig{
 		Topology: topo,
 		Routing:  repro.NewTorusDateline(topo),
@@ -33,7 +28,7 @@ func main() {
 		SA: repro.SwitchAllocConfig{
 			Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq,
 		},
-		Pattern:  pattern,
+		Workload: repro.Workload{Pattern: "tornado"},
 		Seed:     5,
 		Warmup:   1000,
 		Measure:  3000,

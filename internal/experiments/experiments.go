@@ -618,18 +618,20 @@ func WorkloadCurve(ctx context.Context, pt Point, rates []float64, scale SimScal
 
 // PatternSweep runs one design point under several synthetic traffic
 // patterns at a fixed rate; the paper reports that its conclusions are
-// largely invariant to traffic pattern selection (§3.2). Patterns are
+// largely invariant to traffic pattern selection (§3.2). Each series runs
+// scale.Workload with its Pattern set to one of the names. Patterns are
 // swept with up to scale.Workers simulations in flight; each pattern is an
 // independent, deterministic simulation, so results do not depend on the
 // worker count.
 func PatternSweep(ctx context.Context, pt Point, rate float64, scale SimScale, patterns []string) ([]NetSeries, error) {
-	resolved := make([]traffic.Pattern, len(patterns))
+	topo, _ := sharedNet(pt.Topo)
+	scales := make([]SimScale, len(patterns))
 	for i, name := range patterns {
-		p, err := traffic.NewPattern(name, 64)
-		if err != nil {
+		scales[i] = scale
+		scales[i].Workload.Pattern = name
+		if err := scales[i].Workload.Validate(topo.Terminals()); err != nil {
 			return nil, err
 		}
-		resolved[i] = p
 	}
 	out := make([]NetSeries, len(patterns))
 	sem := make(chan struct{}, max(scale.Workers, 1))
@@ -642,9 +644,7 @@ func PatternSweep(ctx context.Context, pt Point, rate float64, scale SimScale, p
 			defer wg.Done()
 			defer func() { <-sem }()
 			out[i] = runCurve(ctx, patterns[i], []float64{rate}, 1, func(r float64) sim.Config {
-				cfg := BuildSim(pt, r, scale)
-				cfg.Pattern = resolved[i]
-				return cfg
+				return BuildSim(pt, r, scales[i])
 			})
 		}()
 	}

@@ -33,8 +33,7 @@ func benchNetwork(b *testing.B, rate float64, mut func(*Config)) {
 // packet is in flight in nearly every cycle and the wake index alone pays
 // (0.02, 0.05), to near saturation, which bounds the default's bookkeeping
 // overhead when almost nothing is skippable (0.30). Results are bit-identical
-// either way (TestLeapGolden, TestDenseRequestsGolden); only wall-clock
-// differs.
+// either way (TestGolden); only wall-clock differs.
 func BenchmarkNetworkSchedule(b *testing.B) {
 	for _, rate := range []float64{0.0005, 0.005, 0.02, 0.05, 0.30} {
 		for _, reference := range []bool{false, true} {

@@ -8,36 +8,40 @@ import (
 	"repro/internal/core"
 )
 
-// goldenMatrix runs assertGolden over topology × speculation mode at seed 42
-// and one rate, shards 1 and 4.
-func goldenMatrix(t *testing.T, rate float64) {
-	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
-		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
-			base := mk(2, rate)
-			base.Seed = 42
-			base.SA.SpecMode = mode
-			base.Warmup, base.Measure, base.Drain = 200, 500, 5000
-			assertGolden(t, fmt.Sprintf("%s %v rate=%g", base.Topology.Name, mode, rate), base, 1, 4)
-		}
+// goldenRates are the two load regimes every golden matrix below runs in.
+var goldenRates = []struct {
+	name string
+	rate float64
+}{
+	// Loaded: at rate 0.3 every router is busy, and the change-driven
+	// request cache — rebuilding only dirty VCs' VA/SA request entries
+	// where the reference (router.Config.DenseRequests) rebuilds them all —
+	// is the fast path doing the work.
+	{"loaded", 0.3},
+	// Drain-dominated: at rate 0.002 the network is fully idle between
+	// transactions, so this is where presampled arrivals and clock leaps
+	// actually engage. The fbfly cells further pin the presample rewind
+	// path, because UGAL draws routing randomness from the terminal's
+	// stream when a reply wakes it before its presampled arrival.
+	{"drain", 0.002},
+}
+
+// TestGolden runs assertGolden over topology × speculation mode at seed 42
+// in both load regimes, shards 1 and 4.
+func TestGolden(t *testing.T) {
+	for _, r := range goldenRates {
+		t.Run(fmt.Sprintf("%s/rate=%g", r.name, r.rate), func(t *testing.T) {
+			for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
+				for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
+					base := mk(2, r.rate)
+					base.Seed = 42
+					base.SA.SpecMode = mode
+					base.Warmup, base.Measure, base.Drain = 200, 500, 5000
+					assertGolden(t, fmt.Sprintf("%s %v rate=%g", base.Topology.Name, mode, r.rate), base, 1, 4)
+				}
+			}
+		})
 	}
-}
-
-// TestDenseRequestsGolden is the loaded half of the golden matrix: at rate
-// 0.3 every router is busy, and the change-driven request cache — rebuilding
-// only dirty VCs' VA/SA request entries where the reference
-// (router.Config.DenseRequests) rebuilds them all — is the fast path doing
-// the work.
-func TestDenseRequestsGolden(t *testing.T) {
-	goldenMatrix(t, 0.3)
-}
-
-// TestLeapGolden is the drain-dominated half: at rate 0.002 the network is
-// fully idle between transactions, so this is where presampled arrivals and
-// clock leaps actually engage. The fbfly cells further pin the presample
-// rewind path, because UGAL draws routing randomness from the terminal's
-// stream when a reply wakes it before its presampled arrival.
-func TestLeapGolden(t *testing.T) {
-	goldenMatrix(t, 0.002)
 }
 
 // TestLeapEngages guards against the golden equivalence passing vacuously:
@@ -102,17 +106,17 @@ func variantsMatrix(t *testing.T, rate float64) {
 	}
 }
 
-// TestDenseRequestsComposesWithVariants is the variants' loaded half: the
-// state above has to compose with a change-driven request rebuild.
+// TestDenseRequestsComposesWithVariants is the variants' loaded half: their
+// state has to compose with a change-driven request rebuild.
 func TestDenseRequestsComposesWithVariants(t *testing.T) {
-	variantsMatrix(t, 0.3)
+	variantsMatrix(t, goldenRates[0].rate)
 }
 
 // TestLeapComposesWithVariants is their drain-dominated half: the same state
 // has to compose with multi-thousand-cycle leaps through the lastStep
 // wake-up replay.
 func TestLeapComposesWithVariants(t *testing.T) {
-	variantsMatrix(t, 0.002)
+	variantsMatrix(t, goldenRates[1].rate)
 }
 
 // TestLeapTorusGolden extends the golden matrix to the torus dateline

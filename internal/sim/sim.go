@@ -53,10 +53,6 @@ type Config struct {
 	// flits/cycle/terminal (traffic.Workload). The zero value is the paper
 	// default (Bernoulli over uniform) at rate 0; applyDefaults normalizes it.
 	Workload traffic.Workload
-	// Pattern chooses packet destinations (default: built from
-	// Workload.Pattern; an explicitly set Pattern object wins over the
-	// workload's pattern name).
-	Pattern traffic.Pattern
 	// RecordArrivals makes every terminal record its injected request
 	// transactions; Network.ArrivalTrace returns the merged trace after a
 	// run, ready for trace-replay workloads.
@@ -112,13 +108,6 @@ func (c *Config) applyDefaults() {
 	c.Workload = c.Workload.Normalized()
 	if err := c.Workload.Validate(c.Topology.Terminals()); err != nil {
 		panic(err)
-	}
-	if c.Pattern == nil {
-		p, err := c.Workload.NewPattern(c.Topology.Terminals())
-		if err != nil {
-			panic(err)
-		}
-		c.Pattern = p
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 2000
@@ -312,9 +301,13 @@ func New(cfg Config) *Network {
 	if err != nil {
 		panic(err)
 	}
+	pattern, err := cfg.Workload.NewPattern(cfg.Topology.Terminals())
+	if err != nil {
+		panic(err)
+	}
 	for t := 0; t < cfg.Topology.Terminals(); t++ {
 		rid, port := cfg.Topology.TerminalRouter(t)
-		n.terminals = append(n.terminals, newTerminal(n, t, rid, port, root.Split(uint64(t)+1), procs[t]))
+		n.terminals = append(n.terminals, newTerminal(n, t, rid, port, root.Split(uint64(t)+1), pattern, procs[t]))
 	}
 	n.buildShards()
 	return n

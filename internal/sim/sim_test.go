@@ -282,11 +282,7 @@ func TestUGALUnderAdversarialPattern(t *testing.T) {
 	// Tornado-like traffic benefits from UGAL's non-minimal paths; the run
 	// must stay deadlock-free and drain.
 	cfg := fbflyConfig(2, 0.3)
-	p, err := traffic.NewPattern("tornado", cfg.Topology.Terminals())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pattern = p
+	cfg.Workload.Pattern = "tornado"
 	res := New(cfg).Run()
 	if res.Unfinished != 0 {
 		t.Fatalf("tornado run did not drain: %+v", res)
@@ -451,11 +447,7 @@ func TestTorusDatelineNoDeadlockUnderTornado(t *testing.T) {
 	// the network and verify flits keep moving and flow control never
 	// trips (router panics).
 	cfg := torusConfig(2, 0.9)
-	p, err := traffic.NewPattern("tornado", cfg.Topology.Terminals())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pattern = p
+	cfg.Workload.Pattern = "tornado"
 	cfg.Warmup, cfg.Measure, cfg.Drain = 500, 1500, 1
 	res := New(cfg).Run()
 	if res.FlitsDelivered == 0 {
@@ -468,11 +460,7 @@ func TestTorusDatelineNoDeadlockUnderTornado(t *testing.T) {
 
 func TestTorusDatelineDrainsUnderTornadoModerateLoad(t *testing.T) {
 	cfg := torusConfig(2, 0.25)
-	p, err := traffic.NewPattern("tornado", cfg.Topology.Terminals())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Pattern = p
+	cfg.Workload.Pattern = "tornado"
 	res := New(cfg).Run()
 	if res.Unfinished != 0 {
 		t.Fatalf("torus tornado moderate load did not drain: %+v", res)

@@ -70,7 +70,7 @@ type terminal struct {
 	sentFlits int64
 }
 
-func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, proc traffic.ArrivalProcess) *terminal {
+func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, pattern traffic.Pattern, proc traffic.ArrivalProcess) *terminal {
 	cfg := n.cfg
 	v := cfg.Spec.V()
 	t := &terminal{
@@ -78,7 +78,7 @@ func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, proc tra
 		routerID: routerID,
 		port:     port,
 		net:      n,
-		gen:      traffic.NewGeneratorProcess(cfg.Pattern, proc),
+		gen:      traffic.NewGeneratorProcess(pattern, proc),
 		rng:      rng,
 		spec:     cfg.Spec,
 		vcBusy:   make([]bool, v),

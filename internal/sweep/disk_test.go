@@ -119,6 +119,44 @@ func TestDiskStoreCorruptionTolerant(t *testing.T) {
 	}
 }
 
+// FuzzDiskStoreGet writes arbitrary bytes where the disk tier keeps a key's
+// result and loads them back: Get must never panic, may hit only on bytes
+// validDiskResult accepts (and then return exactly those bytes), and a second
+// Get must agree with the first.
+func FuzzDiskStoreGet(f *testing.F) {
+	const key = "fuzzkey"
+	valid, err := json.Marshal(UnitResult{SchemaVersion: SchemaVersion, Key: key, Latency: 12.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	foreign, _ := json.Marshal(UnitResult{SchemaVersion: SchemaVersion, Key: "otherkey"})
+	stale, _ := json.Marshal(UnitResult{SchemaVersion: SchemaVersion + 1, Key: key})
+	for _, seed := range [][]byte{valid, valid[:len(valid)/2], foreign, stale, nil,
+		[]byte("\x00\xff not json"), []byte("null"), []byte(`{"key":"fuzzkey","schema_version":1e999}`)} {
+		f.Add(seed)
+	}
+	d, err := OpenDiskStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(filepath.Join(d.Dir(), key+diskSuffix), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := d.Get(key)
+		if want := validDiskResult(key, data); ok != want {
+			t.Fatalf("Get hit = %v, validDiskResult = %v for %q", ok, want, data)
+		}
+		if ok && !bytes.Equal(got, data) {
+			t.Fatalf("Get returned %q, file holds %q", got, data)
+		}
+		again, ok2 := d.Get(key)
+		if ok2 != ok || !bytes.Equal(again, got) {
+			t.Fatalf("second Get = (%q, %v), first = (%q, %v)", again, ok2, got, ok)
+		}
+	})
+}
+
 // TestDiskStoreVersionScoped pins that a SchemaVersion bump reads from a
 // fresh directory: old-version entries are invisible, not migrated.
 func TestDiskStoreVersionScoped(t *testing.T) {

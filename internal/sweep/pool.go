@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -41,12 +42,13 @@ type Pool struct {
 	recalled atomic.Int64 // times a Run had to wait while a worker was on loan
 }
 
-// poolTask is a task (ctx, fn, done, ran) or, with lend set, a loan.
+// poolTask is a task (ctx, fn, done, ran, err) or, with lend set, a loan.
 type poolTask struct {
 	ctx  context.Context
 	fn   func(context.Context)
 	done chan struct{}
 	ran  bool
+	err  error // set when fn panicked
 
 	lend func()
 }
@@ -83,7 +85,7 @@ func (p *Pool) worker() {
 			continue
 		case t.ctx.Err() == nil:
 			p.running.Add(1)
-			t.fn(t.ctx)
+			t.exec()
 			p.running.Add(-1)
 			t.ran = true
 			p.done.Add(1)
@@ -94,12 +96,24 @@ func (p *Pool) worker() {
 	}
 }
 
-// Run blocks until a worker has executed fn (returning nil), or until ctx
-// fires first — while queued (the task is abandoned, fn never runs) or
-// while a worker was picking it up (fn may have been skipped); both return
-// ctx.Err(). fn's own handling of mid-run cancellation is fn's business:
-// Run reports only whether fn was invoked. A Run that loses the race with
-// Close returns ErrPoolClosed, fn not invoked.
+// exec runs fn, turning a panic into t.err: one bad unit fails its own Run,
+// and the worker and the process live on.
+func (t *poolTask) exec() {
+	defer func() {
+		if r := recover(); r != nil {
+			t.err = fmt.Errorf("sweep: task panicked: %v", r)
+		}
+	}()
+	t.fn(t.ctx)
+}
+
+// Run blocks until a worker has executed fn (returning nil, or an error
+// carrying the panic value if fn panicked), or until ctx fires first — while
+// queued (the task is abandoned, fn never runs) or while a worker was picking
+// it up (fn may have been skipped); both return ctx.Err(). fn's own handling
+// of mid-run cancellation is fn's business: Run reports only whether fn was
+// invoked. A Run that loses the race with Close returns ErrPoolClosed, fn not
+// invoked.
 func (p *Pool) Run(ctx context.Context, fn func(context.Context)) error {
 	if p.closed.Load() {
 		return ErrPoolClosed
@@ -116,7 +130,7 @@ func (p *Pool) Run(ctx context.Context, fn func(context.Context)) error {
 	if !t.ran {
 		return ctx.Err()
 	}
-	return nil
+	return t.err
 }
 
 // queue waits for a worker to take t, calling lent ones back meanwhile.

@@ -3,6 +3,8 @@ package sweep
 import (
 	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,5 +85,37 @@ func TestPoolClose(t *testing.T) {
 	}
 	if ran.Load() != 1 {
 		t.Fatal("task before Close did not run")
+	}
+}
+
+// TestPoolSurvivesPanickingTask pins that a task that panics fails its own
+// Run with an error carrying the panic value, while the worker that ran it
+// keeps serving later tasks and the counters still add up.
+func TestPoolSurvivesPanickingTask(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPool(1) // one worker, so the later Runs need the one that panicked
+	err := p.Run(context.Background(), func(ctx context.Context) { panic("bad unit") })
+	if err == nil || !strings.Contains(err.Error(), "bad unit") {
+		t.Fatalf("Run of a panicking task: %v, want an error carrying the panic value", err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := p.Run(context.Background(), func(ctx context.Context) {}); err != nil {
+			t.Fatalf("Run %d after the panic: %v", i, err)
+		}
+	}
+	if done, skipped := p.Stats(); done != 4 || skipped != 0 {
+		t.Fatalf("Stats = (%d, %d), want (4, 0)", done, skipped)
+	}
+	if now, lent, recalled := p.LendStats(); now != 0 || lent != 0 || recalled != 0 {
+		t.Fatalf("LendStats = (%d, %d, %d), want zeros", now, lent, recalled)
+	}
+	if n := p.Running(); n != 0 {
+		t.Fatalf("Running = %d after every Run returned", n)
+	}
+	p.Close()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the pool", runtime.NumGoroutine(), base)
+		}
 	}
 }

@@ -5,9 +5,8 @@
 // content-addressed result store, an in-flight coalescing layer, and a
 // pooled scheduler with cooperative cancellation (see server.go).
 //
-// The unit schema grew out of cmd/benchjson's private structs; it is the
-// one serializable description of a simulation the CLIs, the benchmark
-// snapshots and the service all share. Results are bit-identical to the
+// The unit schema is the one serializable description of a simulation the
+// CLIs, the repository benchmark and the service all share. Results are bit-identical to the
 // batch CLI path by construction: a unit builds its sim.Config through the
 // same experiments.BuildSim the CLIs use, so the same (config, seed)
 // produces byte-equal output whether computed by cmd/repro, a sweepd cache

@@ -246,17 +246,10 @@ func NewTorusDateline(t *Topology) RoutingFunction { return routing.NewTorusDate
 // routing requires.
 func TorusResourceSucc() [][]int { return routing.TorusResourceSucc() }
 
-// TrafficPattern maps source terminals to destinations.
-type TrafficPattern = traffic.Pattern
-
-// NewTrafficPattern constructs a pattern by name ("uniform", "transpose",
-// "bitcomp", "bitrev", "shuffle", "tornado", "neighbor").
-func NewTrafficPattern(name string, terminals int) (TrafficPattern, error) {
-	return traffic.NewPattern(name, terminals)
-}
-
 // Workload is the injection workload of a simulation: arrival process,
 // traffic pattern and the offered load Workload.Rate in flits/cycle/terminal.
+// Workload.Pattern names the pattern ("uniform", "transpose", "bitcomp",
+// "bitrev", "shuffle", "tornado", "neighbor", "hotspot").
 type Workload = traffic.Workload
 
 // --- Network simulation -------------------------------------------------------------

@@ -138,14 +138,10 @@ func TestFacadeSimulation(t *testing.T) {
 }
 
 func TestFacadeTrafficPatterns(t *testing.T) {
-	p, err := repro.NewTrafficPattern("transpose", 64)
-	if err != nil {
+	if err := (repro.Workload{Pattern: "transpose"}).Validate(64); err != nil {
 		t.Fatal(err)
 	}
-	if p.Dest(1, nil) != 8 {
-		t.Fatalf("transpose(1) = %d, want 8", p.Dest(1, nil))
-	}
-	if _, err := repro.NewTrafficPattern("bogus", 64); err == nil {
+	if err := (repro.Workload{Pattern: "bogus"}).Validate(64); err == nil {
 		t.Fatal("unknown pattern should error")
 	}
 }
