@@ -172,8 +172,9 @@ func BenchmarkStepSaturation(b *testing.B) {
 }
 
 // benchBuildRequests isolates the request-assembly phase. Under the dirty
-// schedule the benchmark re-marks the fed VCs every iteration (the mask a
-// flit arrival would set) and the rebuild pushes whatever entry changed into
+// schedule the benchmark re-marks the fed VCs every iteration, as if each
+// had been emptied and refilled since the last Step (a flit arriving behind
+// another marks nothing), and the rebuild pushes whatever entry changed into
 // the allocators, which in this steady state is none; under DenseRequests
 // every entry is rebuilt, which is exactly what the change-driven schedule
 // avoids.

@@ -37,22 +37,27 @@ type Packet struct {
 	Hops int
 }
 
-// Flit is one flow-control unit of a packet.
+// Flit is one flow-control unit of a packet: a small value that the router
+// copies into its input buffer and the simulator carries inline in its events.
 type Flit struct {
 	// Pkt is the owning packet.
 	Pkt *Packet
-	// Seq is the flit's position within the packet.
-	Seq int
+	// Seq is the flit's position within the packet, below 64.
+	Seq int32
 	// Head and Tail mark the first and last flits (both set for
 	// single-flit packets).
 	Head, Tail bool
 }
 
+// An input buffer slot is a packet pointer and a tag byte: the flit's
+// sequence number in the low six bits, its head and tail marks above them.
+const tagSeq, tagTail, tagHead = 1<<6 - 1, 1 << 6, 1 << 7
+
 // MakeFlits expands a packet into its flits.
 func MakeFlits(p *Packet) []*Flit {
 	fs := make([]*Flit, p.Size)
 	for i := range fs {
-		fs[i] = &Flit{Pkt: p, Seq: i, Head: i == 0, Tail: i == p.Size-1}
+		fs[i] = &Flit{Pkt: p, Seq: int32(i), Head: i == 0, Tail: i == p.Size-1}
 	}
 	return fs
 }
@@ -62,7 +67,7 @@ type Departure struct {
 	// OutPort and OutVC identify the output the flit leaves through.
 	OutPort, OutVC int
 	// Flit is the departing flit.
-	Flit *Flit
+	Flit Flit
 }
 
 // Credit reports a freed input buffer slot to be returned upstream.
@@ -106,7 +111,7 @@ type Config struct {
 	DenseRequests bool
 }
 
-type vcState uint8
+type vcState = uint8 // an alias: the state column shares a slab with the tags
 
 const (
 	vcIdle   vcState = iota // no packet, or body flits not yet at front
@@ -136,15 +141,16 @@ type Router struct {
 	vaPush core.PushVCAllocator
 	saPush core.PushSwitchAllocator
 
-	// Input VC state (SoA, indexed port*v+vc). fifo holds all input
-	// buffers back to back: VC i's ring is fifo[i*depth : (i+1)*depth],
+	// Input VC state (SoA, indexed port*v+vc). fifo and tags hold all input
+	// buffers back to back: VC i's ring is slots i*depth to (i+1)*depth-1,
 	// fronted by head[i] with count[i] occupied slots.
-	fifo    []*Flit
+	fifo    []*Packet
+	tags    []uint8
 	head    []int32
 	count   []int32
 	state   []vcState
 	outPort []int32 // route: output port, valid from vcWaitVA on
-	class   []int32 // route: resource class requested at this router
+	class   []int32 // route: (message, resource) class index at outPort
 	outVC   []int32 // local VC index at outPort, valid when vcActive
 	// Output VC state (SoA). outAlloc holds the allocated VCs of each output
 	// port as one word (bit c = VC c), so candidate masking is one AND-NOT;
@@ -163,8 +169,8 @@ type Router struct {
 	vaWords []uint64
 
 	// dirty marks the input VCs whose cached VA/SA request entries must be
-	// rebuilt this cycle; every other entry is byte-identical to what a
-	// dense rebuild would produce (see DESIGN.md for the event inventory).
+	// rebuilt this cycle, set only by events that can change an entry; every
+	// other entry is byte-identical to a dense rebuild (DESIGN.md §8).
 	// waiters[o] marks the input VCs in vcWaitVA routed to output port o —
 	// the set whose candidate masks depend on port o's allocation state.
 	dirty   *bitvec.Vec
@@ -227,18 +233,19 @@ func New(cfg Config) *Router {
 		p:         cfg.Ports,
 		v:         v,
 		depth:     cfg.BufDepth,
-		fifo:      make([]*Flit, n*cfg.BufDepth),
-		state:     make([]vcState, n),
+		fifo:      make([]*Packet, n*cfg.BufDepth),
 		vaReqs:    make([]core.VCRequest, n),
 		saReqs:    make([]core.SwitchRequest, n),
 		speculate: cfg.SA.SpecMode != core.SpecNone,
 	}
 	r.va, r.sa = core.NewAllocators(cfg.VA, cfg.SA)
-	// The per-VC int32 columns are runs of one block, and every bit vector
-	// the router owns comes out of one slab (see DESIGN.md §14).
+	// The int32 columns, the byte columns (state, buffer tags) and the bit
+	// vectors the router owns are one slab each (see DESIGN.md §14).
 	var cols slab.Of[int32]
+	var bytes slab.Of[uint8]
 	var vecs bitvec.Slab
 	for pass := 0; pass < 2; pass++ {
+		r.state, r.tags = bytes.Take(n), bytes.Take(n*cfg.BufDepth)
 		r.head, r.count = cols.Take(n), cols.Take(n)
 		r.outPort, r.class, r.outVC = cols.Take(n), cols.Take(n), cols.Take(n)
 		r.outCredits, r.outOwner = cols.Take(n), cols.Take(n)
@@ -249,6 +256,7 @@ func New(cfg Config) *Router {
 		r.waiters = vecs.Vecs(cfg.Ports, n)
 		if pass == 0 {
 			cols.Alloc()
+			bytes.Alloc()
 			vecs.Alloc()
 		}
 	}
@@ -280,19 +288,22 @@ func (r *Router) Ports() int { return r.p }
 func (r *Router) VCs() int { return r.v }
 
 // front returns the flit at the head of input VC i's ring buffer.
-func (r *Router) front(i int) *Flit { return r.fifo[i*r.depth+int(r.head[i])] }
+func (r *Router) front(i int) Flit {
+	s := i*r.depth + int(r.head[i])
+	t := r.tags[s]
+	return Flit{Pkt: r.fifo[s], Seq: int32(t & tagSeq), Head: t&tagHead != 0, Tail: t&tagTail != 0}
+}
 
-// AcceptFlit delivers a flit into input buffer (port, vc). The caller is
+// AcceptFlit copies *f into input buffer (port, vc). The caller is
 // responsible for honoring credits; overflow panics, as it indicates a
-// flow-control bug rather than a recoverable condition.
+// flow-control bug rather than a recoverable condition. Only an arrival at an
+// empty VC dirties it: a flit queued behind another changes no request entry.
 func (r *Router) AcceptFlit(port, vc int, f *Flit) {
 	i := port*r.v + vc
 	c := int(r.count[i])
-	if c >= r.depth {
-		panic(fmt.Sprintf("router %d: input buffer (%d,%d) overflow", r.cfg.ID, port, vc))
-	}
-	if c == 0 {
-		r.occupied++
+	if c >= r.depth || uint32(f.Seq) > tagSeq {
+		panic(fmt.Sprintf("router %d: input buffer (%d,%d) overflow, or flit sequence number %d past %d",
+			r.cfg.ID, port, vc, f.Seq, tagSeq))
 	}
 	// head < depth and c < depth, so one conditional subtract replaces the
 	// modulo's hardware divide on this per-flit path.
@@ -300,22 +311,32 @@ func (r *Router) AcceptFlit(port, vc int, f *Flit) {
 	if pos >= r.depth {
 		pos -= r.depth
 	}
-	r.fifo[i*r.depth+pos] = f
+	s := i*r.depth + pos
+	t := uint8(f.Seq)
+	if f.Head {
+		t |= tagHead
+	}
+	if f.Tail {
+		t |= tagTail
+	}
+	r.fifo[s], r.tags[s] = f.Pkt, t
 	r.count[i] = int32(c + 1)
-	r.dirty.Set(i)
+	if c == 0 {
+		r.occupied++
+		r.dirty.Set(i)
+	}
 }
 
-// AcceptCredit returns one credit for output VC (port, vc).
+// AcceptCredit returns one credit for output VC (port, vc). Only the input VC
+// holding this output VC has a cached switch request gated on its credit
+// count, and only on the count being positive: it is dirtied on 0 -> 1 alone.
 func (r *Router) AcceptCredit(port, vc int) {
 	g := port*r.v + vc
 	if int(r.outCredits[g]) >= r.depth {
 		panic(fmt.Sprintf("router %d: credit overflow at output (%d,%d)", r.cfg.ID, port, vc))
 	}
-	r.outCredits[g]++
-	// Only the input VC holding this output VC has a cached switch request
-	// gated on its credit count.
-	if o := r.outOwner[g]; o >= 0 {
-		r.dirty.Set(int(o))
+	if r.outCredits[g]++; r.outCredits[g] == 1 && r.outOwner[g] >= 0 {
+		r.dirty.Set(int(r.outOwner[g]))
 	}
 }
 
@@ -371,13 +392,15 @@ func (r *Router) SkipIdle(idleCycles int64) {
 //
 // The default schedule is change-driven: the VA and switch request entries
 // are cached across cycles and only the entries of input VCs marked dirty —
-// by flit arrival, credit return, a VA or SA grant commit, or an
-// allocation-state change at their output port — are rebuilt, each change
-// pushed into the allocators as it is made (buildRequests). Clean entries are
-// byte-identical to what a full rebuild would produce, so the allocators
-// cannot distinguish the two schedules; Config.DenseRequests selects the full
-// rebuild, handed to the allocators whole, as a golden reference and
-// Config.Validate cross-checks the cache against it every cycle.
+// by a flit arriving at an empty VC, a credit ending a zero count, a VA grant,
+// a pop that empties the VC, spends its last credit or sends a tail, or an
+// allocation-state change at their output port — are rebuilt, once however
+// many of those hit a VC between two Steps, and each change is pushed into the
+// allocators as it is made (buildRequests). Clean entries are byte-identical
+// to what a full rebuild would produce, so the allocators cannot distinguish
+// the two schedules; Config.DenseRequests selects the full rebuild, handed to
+// the allocators whole, as a golden reference and Config.Validate
+// cross-checks the cache against it every cycle.
 //
 // Concurrency contract: distinct Router instances share no mutable state,
 // so Step (and AcceptFlit/AcceptCredit/SkipIdle for the same router's
@@ -492,15 +515,15 @@ func (r *Router) buildRequest(i int) {
 		if !f.Head {
 			panic(fmt.Sprintf("router %d: body flit at front of idle VC %d", r.cfg.ID, i))
 		}
-		outPort, class := r.cfg.Routing.NextHop(r.cfg.ID, &f.Pkt.Route)
+		outPort, rc := r.cfg.Routing.NextHop(r.cfg.ID, &f.Pkt.Route)
 		r.outPort[i] = int32(outPort)
-		r.class[i] = int32(class)
+		r.class[i] = int32(r.cfg.Spec.ClassIndex(f.Pkt.Type.MessageClass(), rc))
 		r.state[i] = vcWaitVA
 		r.waiters[outPort].Set(i)
 		if r.cfg.Trace != nil {
 			r.cfg.Trace.Record(trace.Event{Kind: trace.RouteComputed, Router: r.cfg.ID,
 				Port: i / r.v, VC: i % r.v, OutPort: outPort, OutVC: -1,
-				Packet: f.Pkt.ID, Seq: f.Seq})
+				Packet: f.Pkt.ID, Seq: int(f.Seq)})
 		}
 	}
 	r.vaReqs[i] = r.computeVAReq(i)
@@ -508,14 +531,13 @@ func (r *Router) buildRequest(i int) {
 }
 
 // computeVAReq assembles input VC i's VC allocation request: a request is
-// issued for a head flit awaiting an output VC, restricted to free output VCs
-// of the packet's message class and the routing function's resource class.
+// issued for a head flit awaiting an output VC, restricted to the free output
+// VCs of the (message, resource) class buildRequest recorded for the head.
 func (r *Router) computeVAReq(i int) core.VCRequest {
 	if r.state[i] != vcWaitVA {
 		return core.VCRequest{}
 	}
-	m := r.front(i).Pkt.Type.MessageClass()
-	cand := r.classMasks[r.cfg.Spec.ClassIndex(m, int(r.class[i]))] &^ r.outAlloc[r.outPort[i]]
+	cand := r.classMasks[r.class[i]] &^ r.outAlloc[r.outPort[i]]
 	if cand == 0 {
 		return core.VCRequest{}
 	}
@@ -564,6 +586,9 @@ func (r *Router) checkRequestCache() {
 		if r.state[i] == vcWaitVA && !r.waiters[r.outPort[i]].Get(i) {
 			panic(fmt.Sprintf("router %d: waiting VC %d missing from waiter mask of port %d", r.cfg.ID, i, r.outPort[i]))
 		}
+		if r.state[i] == vcWaitVA && int(r.class[i])/r.cfg.Spec.ResourceClasses != r.front(i).Pkt.Type.MessageClass() {
+			panic(fmt.Sprintf("router %d: VC %d's class index %d is not of its packet's message class", r.cfg.ID, i, r.class[i]))
+		}
 		if r.state[i] == vcActive {
 			if g := int(r.outPort[i])*r.v + int(r.outVC[i]); int(r.outOwner[g]) != i {
 				panic(fmt.Sprintf("router %d: output VC %d owner index does not name holder %d", r.cfg.ID, g, i))
@@ -608,7 +633,7 @@ func (r *Router) commitVA(grants []int, granted []uint64) {
 				f := r.front(i)
 				r.cfg.Trace.Record(trace.Event{Kind: trace.VAGrant, Router: r.cfg.ID,
 					Port: port, VC: i - port*r.v, OutPort: outPort, OutVC: outVC,
-					Packet: f.Pkt.ID, Seq: f.Seq})
+					Packet: f.Pkt.ID, Seq: int(f.Seq)})
 			}
 		}
 	}
@@ -618,10 +643,10 @@ func (r *Router) commitVA(grants []int, granted []uint64) {
 // flits leave their input buffers, consume a downstream credit and return
 // an upstream credit. Speculative grants are validated against this cycle's
 // VC allocation outcome and downstream credit availability; failed
-// speculation simply wastes the crossbar slot (§5.2). Every pop dirties its
-// own VC (occupancy, credits and possibly state changed); a departing tail
-// frees the output VC, which re-enlarges the candidate sets of that port's
-// waiters, so they are dirtied too.
+// speculation simply wastes the crossbar slot (§5.2). A pop dirties its VC
+// only if it changes the VC's switch request: it empties the VC, spends the
+// last credit, or sends the tail, which frees the output VC and so enlarges
+// the candidate sets of that port's waiters, dirtying them too.
 func (r *Router) commitSA(grants []core.SwitchGrant, vaGrants []int) {
 	for port, g := range grants {
 		if g.OutPort < 0 {
@@ -648,16 +673,14 @@ func (r *Router) commitSA(grants []core.SwitchGrant, vaGrants []int) {
 		if r.count[i] == 0 || r.state[i] != vcActive {
 			panic(fmt.Sprintf("router %d: switch grant to empty/idle VC %d", r.cfg.ID, i))
 		}
-		base := i * r.depth
+		f := r.front(i)
 		h := int(r.head[i])
-		f := r.fifo[base+h]
-		r.fifo[base+h] = nil
+		r.fifo[i*r.depth+h] = nil
 		if h++; h == r.depth {
 			h = 0
 		}
 		r.head[i] = int32(h)
 		r.count[i]--
-		r.dirty.Set(i)
 		if r.count[i] == 0 {
 			r.occupied--
 		}
@@ -671,12 +694,15 @@ func (r *Router) commitSA(grants []core.SwitchGrant, vaGrants []int) {
 		if r.outCredits[ovcIdx] < 0 {
 			panic(fmt.Sprintf("router %d: credit underflow at output VC %d", r.cfg.ID, ovcIdx))
 		}
+		if r.count[i] == 0 || r.outCredits[ovcIdx] == 0 || f.Tail {
+			r.dirty.Set(i)
+		}
 		r.deps = append(r.deps, Departure{OutPort: op, OutVC: ov, Flit: f})
 		r.credits = append(r.credits, Credit{InPort: port, InVC: g.VC})
 		if r.cfg.Trace != nil {
 			r.cfg.Trace.Record(trace.Event{Kind: trace.SAGrant, Router: r.cfg.ID,
 				Port: port, VC: g.VC, OutPort: op, OutVC: ov,
-				Packet: f.Pkt.ID, Seq: f.Seq, Spec: g.Spec})
+				Packet: f.Pkt.ID, Seq: int(f.Seq), Spec: g.Spec})
 		}
 		if f.Tail {
 			r.outAlloc[op] &^= 1 << uint(ov)
@@ -697,7 +723,7 @@ func (r *Router) traceMisspec(port, vc, i int) {
 	if r.count[i] > 0 {
 		f := r.front(i)
 		e.Packet = f.Pkt.ID
-		e.Seq = f.Seq
+		e.Seq = int(f.Seq)
 	}
 	r.cfg.Trace.Record(e)
 }

@@ -50,7 +50,7 @@ func TestMakeFlits(t *testing.T) {
 		t.Error("last flit must be tail only")
 	}
 	for i, f := range fs {
-		if f.Seq != i || f.Pkt != p {
+		if f.Seq != int32(i) || f.Pkt != p {
 			t.Error("bad flit linkage")
 		}
 	}
@@ -69,7 +69,7 @@ func TestSpeculativeHeadDepartsInOneCycle(t *testing.T) {
 		t.Fatalf("speculative head should depart in the first cycle, got %d departures", len(deps))
 	}
 	d := deps[0]
-	if d.OutPort != 3 || d.Flit != f {
+	if d.OutPort != 3 || d.Flit != *f {
 		t.Fatalf("bad departure %+v", d)
 	}
 	// Message class 0 (request) must map to a class-0 output VC.
@@ -105,7 +105,7 @@ func TestMultiFlitPacketStreams(t *testing.T) {
 	for _, f := range fs {
 		r.AcceptFlit(0, 0, f)
 	}
-	var got []*Flit
+	var got []Flit
 	for cycle := 0; cycle < 6; cycle++ {
 		deps, _ := r.Step()
 		for _, d := range deps {
@@ -116,7 +116,7 @@ func TestMultiFlitPacketStreams(t *testing.T) {
 		t.Fatalf("delivered %d flits, want 5", len(got))
 	}
 	for i, f := range got {
-		if f.Seq != i {
+		if f.Seq != int32(i) {
 			t.Fatalf("out-of-order delivery: %d at position %d", f.Seq, i)
 		}
 	}
@@ -351,7 +351,7 @@ func TestAllArchitecturesMoveTraffic(t *testing.T) {
 				delivered := false
 				for cycle := 0; cycle < 5; cycle++ {
 					deps, _ := r.Step()
-					if len(deps) == 1 && deps[0].Flit == f {
+					if len(deps) == 1 && deps[0].Flit == *f {
 						delivered = true
 					}
 				}
@@ -415,7 +415,7 @@ func TestSpeculativeGrantNeedsCreditSameCycle(t *testing.T) {
 	// Returning a credit releases it as a non-speculative flit.
 	r.AcceptCredit(3, 0)
 	deps, _ = r.Step()
-	if len(deps) != 1 || deps[0].Flit != b[0] {
+	if len(deps) != 1 || deps[0].Flit != *b[0] {
 		t.Fatalf("flit not released after credit return: %+v", deps)
 	}
 }
@@ -480,5 +480,98 @@ func TestValidateModeCleanOnHealthyRouter(t *testing.T) {
 		for _, d := range deps {
 			r.AcceptCredit(d.OutPort, d.OutVC)
 		}
+	}
+}
+
+// TestCleanEventsDirtyNothing pins the dirty-trigger table (DESIGN.md §8):
+// an event that cannot change a VC's cached request entries sets no dirty
+// bit, and each one that can sets exactly the bit of the VC it changes.
+// Validate stays on, so a trigger narrowed too far would also fail the cache
+// check in the next Step.
+func TestCleanEventsDirtyNothing(t *testing.T) {
+	dirty := func(r *Router) []int {
+		var got []int
+		r.dirty.ForEach(func(i int) { got = append(got, i) })
+		return got
+	}
+	expect := func(r *Router, what string, want ...int) {
+		t.Helper()
+		if got := dirty(r); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: dirty VCs %v, want %v", what, got, want)
+		}
+	}
+	// settle consumes the pending bits the way the next Step would, without
+	// allocating or popping anything.
+	settle := func(r *Router) {
+		r.buildRequests()
+		r.dirty.Reset()
+	}
+
+	// One VC per class and a 4-deep buffer: the write request on input VC 0
+	// gets output VC (3, 0) with 4 credits, and four pops spend them all.
+	cfg := testConfig(core.SpecReq)
+	cfg.Spec = core.NewVCSpec(2, 1, 1)
+	cfg.BufDepth = 4
+	cfg.Validate = true
+	r := New(cfg)
+	a := MakeFlits(mkPacket(1, traffic.WriteRequest, 0))
+	r.AcceptFlit(0, 0, a[0])
+	expect(r, "a flit arriving at an empty idle VC", 0)
+	r.AcceptFlit(0, 0, a[1])
+	r.AcceptFlit(0, 0, a[2])
+	if deps, _ := r.Step(); len(deps) != 1 || deps[0].OutVC != 0 {
+		t.Fatalf("head should depart speculatively on output VC 0, got %+v", deps)
+	}
+	settle(r) // the VA grant dirtied the waiters of port 3, VC 0 among them
+
+	// VC 0 is active with two flits queued and 3 credits left.
+	r.AcceptFlit(0, 0, a[3])
+	expect(r, "a flit queued behind the front")
+	r.AcceptCredit(3, 0)
+	expect(r, "a credit taking the count from 3 to 4")
+	r.Step() // pops a[1]: two flits left, 3 credits
+	expect(r, "a pop that neither empties the VC, spends its last credit nor sends a tail")
+	r.Step() // pops a[2]: one flit left, 2 credits
+	r.Step() // pops a[3]: empties the VC, 1 credit
+	expect(r, "a pop that empties the VC", 0)
+	settle(r)
+	r.AcceptFlit(0, 0, a[4])
+	expect(r, "a flit arriving at an empty active VC", 0)
+	settle(r)
+	r.AcceptCredit(3, 0)
+	expect(r, "a credit taking the count from 1 to 2")
+	b := MakeFlits(mkPacket(2, traffic.ReadRequest, 0))
+	r.AcceptFlit(0, 0, b[0])
+	expect(r, "a head queued behind a tail")
+	r.Step() // pops the tail a[4]: a credit is left, and b[0] stays
+	expect(r, "a tail pop that neither empties the VC nor spends its last credit", 0)
+	settle(r) // routes b[0]
+	r.AcceptCredit(3, 0)
+	expect(r, "a credit to a free output VC") // no owner to dirty
+	settle(r)
+
+	// The last-credit pop and the 0->1 credit, on a VC that keeps its flits.
+	r = New(cfg)
+	c := MakeFlits(mkPacket(3, traffic.WriteRequest, 0))
+	for _, f := range c[:4] {
+		r.AcceptFlit(1, 0, f)
+	}
+	for k := 0; k < 3; k++ {
+		r.Step() // the head and two body flits leave: 1 credit, one flit left
+	}
+	settle(r)
+	r.AcceptFlit(1, 0, c[4])
+	expect(r, "the tail queued behind a body flit")
+	i := 1 * r.v // input VC (1, 0)
+	r.Step()     // pops c[3]: the tail stays, no credit left
+	expect(r, "a pop spending the last credit", i)
+	settle(r)
+	r.AcceptCredit(3, 0)
+	expect(r, "a credit taking the count from 0 to 1", i)
+	settle(r)
+	r.AcceptCredit(3, 0)
+	expect(r, "a credit taking the count from 1 to 2")
+	if deps, _ := r.Step(); len(deps) != 1 || deps[0].Flit != *c[4] {
+		t.Fatalf("tail should depart once credited, got %+v", deps)
 	}
 }

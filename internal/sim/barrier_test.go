@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -293,8 +294,8 @@ func TestShardWorkerPanicPropagates(t *testing.T) {
 		last := n.shards[len(n.shards)-1]
 		slot := (n.now + 1) % n.wheelSize
 		last.wheel[slot] = append(last.wheel[slot], event{
-			kind: evFlitToRouter, router: last.r0, port: 0, vc: 1 << 20,
-			flit: &router.Flit{Pkt: &router.Packet{Size: 1}, Head: true, Tail: true},
+			kind: evFlitToRouter, router: int32(last.r0), port: 0, vc: math.MaxInt16,
+			flit: router.Flit{Pkt: &router.Packet{Size: 1}, Head: true, Tail: true},
 		})
 		msg := func() (msg string) {
 			defer n.Close()

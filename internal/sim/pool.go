@@ -1,13 +1,13 @@
 package sim
 
 // Free-list shrink policy, mirroring the wheel-slot policy in shard.go: a
-// saturation burst can fill the recycle pools with far more flit and packet
-// objects than the steady state ever redraws, and a plain append/pop free
-// list would pin that peak for the rest of the run. Each cycle the pool
-// records its low-water mark; after poolShrinkAfter consecutive cycles in
-// which more than poolShrinkMin objects were never drawn, half of that idle
-// surplus is released to the garbage collector, stepping down geometrically
-// toward actual usage without thrashing at the boundary.
+// saturation burst can fill the recycle pool with far more packet objects
+// than the steady state ever redraws, and a plain append/pop free list would
+// pin that peak for the rest of the run. Each cycle the pool records its
+// low-water mark; after poolShrinkAfter consecutive cycles in which more than
+// poolShrinkMin objects were never drawn, half of that idle surplus is
+// released to the garbage collector, stepping down geometrically toward
+// actual usage without thrashing at the boundary.
 const (
 	poolShrinkMin   = 64
 	poolShrinkAfter = 64
@@ -64,7 +64,7 @@ func (p *pool[T]) trim() {
 }
 
 // part returns a fresh pool holding the i-th of k equal parts of p's objects
-// (Network.split hands a one-shard network's free lists out to its shards).
+// (Network.split hands a one-shard network's free list out to its shards).
 func (p *pool[T]) part(i, k int) pool[T] {
 	items := append([]T(nil), p.items[i*len(p.items)/k:(i+1)*len(p.items)/k]...)
 	return pool[T]{items: items, low: len(items)}

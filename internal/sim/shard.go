@@ -87,13 +87,12 @@ type shard struct {
 	// reference schedule visits everything and never reads it.
 	wakeIndex
 
-	// Free lists recycle flit and packet objects, with burst decay (see
-	// pool.go). A flit is drawn at its source terminal's shard and recycled
-	// at its destination's, so objects migrate between pools, but each pool
-	// is only touched by its own shard in phase 1 and by the single-threaded
-	// commit in phase 2.
-	flitPool pool[*router.Flit]
-	pktPool  pool[*router.Packet]
+	// pktPool recycles packet objects, with burst decay (see pool.go). A
+	// packet is drawn at its source terminal's shard and recycled at its
+	// destination's, so objects migrate between pools, but each pool is only
+	// touched by its own shard in phase 1 and by the single-threaded commit
+	// in phase 2. Flits are values and need no pool.
+	pktPool pool[*router.Packet]
 
 	// newPkts are the requests created this cycle, in terminal order,
 	// awaiting ID assignment at commit (concurrent cycles only; an inline
@@ -277,18 +276,17 @@ func (s *shard) phase1() {
 		e := &evs[i]
 		switch e.kind {
 		case evFlitToRouter:
-			n.routers[e.router].AcceptFlit(e.port, e.vc, e.flit)
-			s.active.set(e.router - s.r0)
+			n.routers[e.router].AcceptFlit(int(e.port), int(e.vc), &e.flit)
+			s.active.set(int(e.router) - s.r0)
 		case evCreditToRouter:
-			n.routers[e.router].AcceptCredit(e.port, e.vc)
+			n.routers[e.router].AcceptCredit(int(e.port), int(e.vc))
 		case evFlitToTerminal:
-			n.terminals[e.terminal].receive(s, e.flit)
+			n.terminals[e.terminal].receive(s, &e.flit)
 		case evCreditToTerminal:
-			n.terminals[e.terminal].credit(e.vc)
+			n.terminals[e.terminal].credit(int(e.vc))
 		}
 	}
 	s.recycleSlot(slot, len(evs))
-	s.flitPool.trim()
 	s.pktPool.trim()
 
 	if n.cfg.Reference {
@@ -350,26 +348,26 @@ func (s *shard) stepRouter(r *router.Router) {
 		if topo.IsTerminalPort(d.OutPort) {
 			term := topo.RouterTerminal(r.ID(), d.OutPort)
 			// ST (1) + ejection link (1).
-			s.scheduleLocal(2, event{kind: evFlitToTerminal, terminal: term, flit: d.Flit})
+			s.scheduleLocal(2, event{kind: evFlitToTerminal, terminal: int32(term), flit: d.Flit})
 			// Sink consumes instantly; credit returns after the round
 			// trip (ejection link + credit processing).
-			s.scheduleLocal(4, event{kind: evCreditToRouter, router: r.ID(), port: d.OutPort, vc: d.OutVC})
+			s.scheduleLocal(4, event{kind: evCreditToRouter, router: int32(r.ID()), port: int16(d.OutPort), vc: int16(d.OutVC)})
 			continue
 		}
 		ch := topo.Channels[topo.OutChannel[r.ID()][d.OutPort]]
 		s.scheduleRouter(int64(2+ch.Latency), event{
-			kind: evFlitToRouter, router: ch.Dst, port: ch.DstPort, vc: d.OutVC, flit: d.Flit,
+			kind: evFlitToRouter, router: int32(ch.Dst), port: int16(ch.DstPort), vc: int16(d.OutVC), flit: d.Flit,
 		})
 	}
 	for _, c := range credits {
 		if topo.IsTerminalPort(c.InPort) {
 			term := topo.RouterTerminal(r.ID(), c.InPort)
-			s.scheduleLocal(2, event{kind: evCreditToTerminal, terminal: term, vc: c.InVC})
+			s.scheduleLocal(2, event{kind: evCreditToTerminal, terminal: int32(term), vc: int16(c.InVC)})
 			continue
 		}
 		ch := topo.Channels[topo.InChannel[r.ID()][c.InPort]]
 		s.scheduleRouter(int64(2+ch.Latency), event{
-			kind: evCreditToRouter, router: ch.Src, port: ch.SrcPort, vc: c.InVC,
+			kind: evCreditToRouter, router: int32(ch.Src), port: int16(ch.SrcPort), vc: int16(c.InVC),
 		})
 	}
 }
@@ -421,27 +419,6 @@ func (s *shard) newRequest(t traffic.PacketType, src, dst int, createdAt int64) 
 		s.newMeasured++
 	}
 	return p
-}
-
-// makeFlits expands a packet into flits appended to buf[:0], drawing from
-// the shard's free list; it replaces router.MakeFlits on the injection path.
-func (s *shard) makeFlits(p *router.Packet, buf []*router.Flit) []*router.Flit {
-	buf = buf[:0]
-	for i := 0; i < p.Size; i++ {
-		f, ok := s.flitPool.get()
-		if !ok {
-			f = new(router.Flit)
-		}
-		f.Pkt, f.Seq, f.Head, f.Tail = p, i, i == 0, i == p.Size-1
-		buf = append(buf, f)
-	}
-	return buf
-}
-
-// recycleFlit returns an ejected flit to the shard's free list.
-func (s *shard) recycleFlit(f *router.Flit) {
-	f.Pkt = nil
-	s.flitPool.put(f)
 }
 
 // mergeAndCommit is phase 2 of a cycle: single-threaded, it publishes the

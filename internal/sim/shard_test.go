@@ -196,36 +196,34 @@ func TestWheelSlotCapacityDecay(t *testing.T) {
 }
 
 // TestPoolShrinkAfterBurst covers the free-list analogue of the wheel-slot
-// policy: a saturation burst floods the flit/packet pools with recycled
-// objects when it drains, and a sustained low-usage period afterwards must
-// release the idle surplus instead of pinning the burst peak for the rest
-// of the run.
+// policy: a saturation burst floods the packet pool with recycled objects
+// when it drains, and a sustained low-usage period afterwards must release
+// the idle surplus instead of pinning the burst peak for the rest of the run.
+// (Flits are values carried in the wheel and the router buffers, so the
+// packet pool is the only free list.)
 func TestPoolShrinkAfterBurst(t *testing.T) {
 	cfg := meshConfig(2, 0.9) // well past saturation: deep in-flight backlog
 	n := New(cfg)
 	for i := 0; i < 1500; i++ {
 		n.stepCycle()
 	}
-	poolSizes := func() (flits, pkts int) {
+	poolSize := func() (pkts int) {
 		for _, s := range n.shards {
-			flits += s.flitPool.free()
 			pkts += s.pktPool.free()
 		}
 		return
 	}
-	// Cut injection and drain: every in-flight object lands in a pool. The
+	// Cut injection and drain: every in-flight packet lands in a pool. The
 	// trim policy already fires during the drain, so the peak must be
 	// sampled along the way rather than at the end.
 	n.SetInjectionRate(0)
-	peakFlits, peakPkts := 0, 0
+	peakPkts := 0
 	for i := 0; i < 2000; i++ {
 		n.stepCycle()
-		if f, p := poolSizes(); f > peakFlits {
-			peakFlits, peakPkts = f, p
-		}
+		peakPkts = max(peakPkts, poolSize())
 	}
-	if peakFlits <= len(n.shards)*poolShrinkMin {
-		t.Fatalf("burst drain peaked at only %d pooled flits; test is vacuous", peakFlits)
+	if peakPkts <= len(n.shards)*poolShrinkMin {
+		t.Fatalf("burst drain peaked at only %d pooled packets; test is vacuous", peakPkts)
 	}
 	// Idle long enough for the hysteresis to halve the surplus repeatedly.
 	// The geometric step-down sheds half the idle surplus every
@@ -234,11 +232,8 @@ func TestPoolShrinkAfterBurst(t *testing.T) {
 	for i := 0; i < 10*poolShrinkAfter*poolShrinkAfter; i++ {
 		n.stepCycle()
 	}
-	flits, pkts := poolSizes()
+	pkts := poolSize()
 	bound := 2 * len(n.shards) * poolShrinkMin
-	if flits > bound {
-		t.Fatalf("idle flit pools retain %d objects (burst peak %d), want <= %d", flits, peakFlits, bound)
-	}
 	if pkts > bound {
 		t.Fatalf("idle packet pools retain %d objects (burst peak %d), want <= %d", pkts, peakPkts, bound)
 	}

@@ -158,16 +158,17 @@ type Result struct {
 	SpecGrantsUsed, Misspeculations, SpecMasked int64
 }
 
-// event kinds scheduled on the timing wheels.
+// event is one entry of a timing wheel. A flit event carries its flit by
+// value; the fields are narrowed so that an event is 32 bytes.
 type event struct {
+	flit     router.Flit // evFlitToRouter, evFlitToTerminal
+	router   int32       // evFlitToRouter, evCreditToRouter
+	terminal int32       // evFlitToTerminal, evCreditToTerminal
+	port, vc int16
 	kind     eventKind
-	router   int
-	port, vc int
-	terminal int
-	flit     *router.Flit
 }
 
-type eventKind int
+type eventKind uint8
 
 const (
 	evFlitToRouter eventKind = iota
@@ -368,8 +369,8 @@ func (n *Network) partition(S int) {
 
 // split re-partitions a one-shard network into two shards between two cycles,
 // moving everything the one shard held to the shard that now owns it: wheel
-// events by destination, the wake index entry by entry, the free lists in
-// equal parts. Which shard an object or a counter lands in changes no result
+// events by destination, the wake index entry by entry, the packet free list
+// in equal parts. Which shard an object or a counter lands in changes no result
 // (shard.go); the counters, only ever summed, stay with shard 0.
 func (n *Network) split() {
 	old := n.shards[0]
@@ -377,9 +378,9 @@ func (n *Network) split() {
 	conc := n.cfg.Topology.Concentration
 	for slot, evs := range old.wheel {
 		for _, e := range evs {
-			r := e.router
+			r := int(e.router)
 			if e.kind == evFlitToTerminal || e.kind == evCreditToTerminal {
-				r = e.terminal / conc
+				r = int(e.terminal) / conc
 			}
 			n.shards[n.shardOfRouter[r]].enqueue(int64(slot), e)
 		}
@@ -398,7 +399,6 @@ func (n *Network) split() {
 				s.sleep.push(t-s.t0, old.sleep.at[t])
 			}
 		}
-		s.flitPool = old.flitPool.part(s.id, len(n.shards))
 		s.pktPool = old.pktPool.part(s.id, len(n.shards))
 	}
 	first := n.shards[0]

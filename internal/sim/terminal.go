@@ -49,11 +49,10 @@ type terminal struct {
 	replyQ pktQueue
 	reqQ   pktQueue
 
-	// Open packet being streamed and its flits.
-	cur      *router.Packet
-	curFlits []*router.Flit
-	curSeq   int
-	curVC    int
+	// Open packet being streamed, the next flit to send and its VC.
+	cur    *router.Packet
+	curSeq int
+	curVC  int
 
 	// Terminal-side view of the router's terminal-port input VCs: which
 	// are occupied by one of our packets, and how many credits remain.
@@ -223,22 +222,19 @@ func (t *terminal) generateLeap(s *shard) {
 	}
 }
 
-// receive consumes an ejected flit; flits return to the shard's free list
-// and a tail records the completed packet for the end-of-cycle commit,
-// which takes the delivery statistics and generates the reply (§3.2: in
-// the next cycle, with priority over new request injections).
+// receive consumes an ejected flit; a tail records the completed packet for
+// the end-of-cycle commit, which takes the delivery statistics and generates
+// the reply (§3.2: in the next cycle, with priority over new request
+// injections).
 func (t *terminal) receive(s *shard, f *router.Flit) {
 	s.flitDelivered()
 	if tr := s.net.cfg.Trace; tr != nil {
 		tr.Record(trace.Event{Kind: trace.Eject, Router: t.routerID,
-			Port: t.port, VC: -1, OutPort: -1, OutVC: -1, Packet: f.Pkt.ID, Seq: f.Seq})
+			Port: t.port, VC: -1, OutPort: -1, OutVC: -1, Packet: f.Pkt.ID, Seq: int(f.Seq)})
 	}
-	tail, p := f.Tail, f.Pkt
-	s.recycleFlit(f)
-	if !tail {
-		return
+	if f.Tail {
+		s.deliveries = append(s.deliveries, delivery{terminal: t.id, pkt: f.Pkt})
 	}
-	s.deliveries = append(s.deliveries, delivery{terminal: t.id, pkt: p})
 }
 
 // credit restores one credit for input VC vc at the router's terminal port.
@@ -259,21 +255,21 @@ func (t *terminal) send(s *shard) {
 	if t.credits[t.curVC] <= 0 {
 		return
 	}
-	f := t.curFlits[t.curSeq]
+	p, seq := t.cur, t.curSeq
 	t.credits[t.curVC]--
 	t.sentFlits++
 	if tr := s.net.cfg.Trace; tr != nil {
 		tr.Record(trace.Event{Kind: trace.Inject, Router: t.routerID,
-			Port: t.port, VC: t.curVC, OutPort: -1, OutVC: -1, Packet: f.Pkt.ID, Seq: f.Seq})
+			Port: t.port, VC: t.curVC, OutPort: -1, OutVC: -1, Packet: p.ID, Seq: seq})
 	}
 	// Injection link: 1 cycle of terminal processing + 1 cycle of wire. The
 	// terminal's router is on its own shard by construction.
-	s.scheduleLocal(2, event{kind: evFlitToRouter, router: t.routerID, port: t.port, vc: t.curVC, flit: f})
+	s.scheduleLocal(2, event{kind: evFlitToRouter, router: int32(t.routerID), port: int16(t.port), vc: int16(t.curVC),
+		flit: router.Flit{Pkt: p, Seq: int32(seq), Head: seq == 0, Tail: seq == p.Size-1}})
 	t.curSeq++
-	if t.curSeq == len(t.curFlits) {
+	if t.curSeq == p.Size {
 		t.vcBusy[t.curVC] = false
 		t.cur, t.curSeq, t.curVC = nil, 0, -1
-		t.curFlits = t.curFlits[:0]
 	}
 }
 
@@ -311,7 +307,6 @@ func (t *terminal) open(s *shard) {
 	}
 	q.pop()
 	t.cur = p
-	t.curFlits = s.makeFlits(p, t.curFlits)
 	t.curSeq = 0
 	t.curVC = vc
 	t.vcBusy[vc] = true

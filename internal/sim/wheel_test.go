@@ -1,10 +1,23 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // creditEv builds a harmless wheel event (a terminal credit bump) for
 // scheduling machinery tests.
 func creditEv() event { return event{kind: evCreditToTerminal, terminal: 0, vc: 0} }
+
+// TestEventSize pins the wheel event at 32 bytes: the flit it carries by
+// value (a packet pointer, a 32-bit sequence number and two marks) plus the
+// narrowed destination fields. Every flit and credit of a run is copied
+// into a wheel slot and out again, and an outbox entry wraps one event.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 32 {
+		t.Fatalf("wheel event is %d bytes, want 32", got)
+	}
+}
 
 // TestNextEventDelta pins the occupancy-bitmask earliest-event query,
 // including the wrap around the circular wheel: the mesh wheel has 5 slots,

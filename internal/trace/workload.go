@@ -51,7 +51,8 @@ func ReadArrivals(r io.Reader) (*traffic.PacketTrace, error) {
 	if _, err := fmt.Sscanf(sc.Text(), ptraceMagic+" terminals=%d arrivals=%d", &terminals, &count); err != nil {
 		return nil, fmt.Errorf("trace: bad packet-trace header %q: %w", sc.Text(), err)
 	}
-	pt := &traffic.PacketTrace{Terminals: terminals, Arrivals: make([]traffic.Arrival, 0, count)}
+	// The header's count is checked against the lines below, not trusted as a size.
+	pt := &traffic.PacketTrace{Terminals: terminals, Arrivals: make([]traffic.Arrival, 0, min(max(count, 0), 1<<14))}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

@@ -99,10 +99,56 @@ func TestReadArrivalsRejects(t *testing.T) {
 		{"self traffic", "noc-ptrace/v1 terminals=4 arrivals=1\n1 2 2 read_req\n"},
 		{"out of order", "noc-ptrace/v1 terminals=4 arrivals=2\n5 0 1 read_req\n1 2 3 read_req\n"},
 		{"double inject", "noc-ptrace/v1 terminals=4 arrivals=2\n1 0 1 read_req\n1 0 2 read_req\n"},
+		{"negative count", "noc-ptrace/v1 terminals=4 arrivals=-1\n"},
+		{"huge count", "noc-ptrace/v1 terminals=4 arrivals=1000000000000\n1 0 1 read_req\n"},
 	}
 	for _, tc := range cases {
 		if _, err := ReadArrivals(strings.NewReader(tc.in)); err == nil {
 			t.Errorf("%s: parser accepted %q", tc.name, tc.in)
 		}
 	}
+}
+
+// FuzzReadArrivals feeds arbitrary bytes to the packet-trace parser. It must
+// never panic (the simulating tools' -trace flag reads whatever file it is
+// given), and a trace it accepts must survive the canonical round trip:
+// written, read back and written again it is byte-identical, and its digest
+// does not move.
+func FuzzReadArrivals(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteArrivals(&buf, sampleTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("noc-ptrace/v1 terminals=2 arrivals=0\n"))
+	f.Add([]byte("noc-ptrace/v1 terminals=3 arrivals=2\n\n  +7 0 002 write_req \n8 1 0 read_req"))
+	f.Add([]byte("noc-ptrace/v1 terminals=-1 arrivals=-5\n"))
+	f.Add([]byte("noc-ptrace/v1 terminals=1000000000 arrivals=1000000000000\n0 0 1 read_req\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pt, err := ReadArrivals(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := WriteArrivals(&first, pt); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadArrivals(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("canonical form of an accepted trace rejected: %v\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(back, pt) {
+			t.Fatalf("round trip changed the trace:\nread    %+v\nre-read %+v", pt, back)
+		}
+		var second bytes.Buffer
+		if err := WriteArrivals(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("serialization not canonical:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+		if a, b := ArrivalsDigest(pt), ArrivalsDigest(back); a != b {
+			t.Fatalf("digest moved over the round trip: %s -> %s", a, b)
+		}
+	})
 }

@@ -239,7 +239,7 @@ func (pt *PacketTrace) Validate() error {
 	if pt.Terminals < 2 {
 		return fmt.Errorf("traffic: trace needs at least 2 terminals, got %d", pt.Terminals)
 	}
-	last := make(map[int]int64, pt.Terminals)
+	last := make(map[int]int64, min(pt.Terminals, len(pt.Arrivals)))
 	for i, a := range pt.Arrivals {
 		if a.Src < 0 || a.Src >= pt.Terminals || a.Dst < 0 || a.Dst >= pt.Terminals {
 			return fmt.Errorf("traffic: trace arrival %d: endpoints %d->%d outside [0, %d)", i, a.Src, a.Dst, pt.Terminals)
