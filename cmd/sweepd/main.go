@@ -6,8 +6,7 @@
 // concurrent duplicates, and a bounded worker pool schedules true misses.
 // Results are bit-identical to the batch CLIs (cmd/repro, cmd/nocsim) for
 // the same unit — the cache key covers exactly the semantic fields, so
-// hits are correct regardless of the server's -shards/-reference execution
-// configuration.
+// hits are correct regardless of how the server executes a unit.
 //
 // Usage:
 //
@@ -32,15 +31,14 @@
 //
 // The -warmup/-measure/-drain/-seed flags and the workload flag set
 // (-process/-pattern/-burstlen/-duty/-hotspots/-hotfrac) set server-side
-// defaults for request fields left zero; -shards/-reference pick the
-// execution path for every simulated unit (bit-identical axes, never part of
-// the cache key). -shards 0, the default, follows the idle workers: a unit
-// that has proved heavy borrows a pool worker with nothing to do as the
-// goroutine of a second shard and gives it back as soon as another unit waits
-// for it; /statz counts the loans (helpers_lent, helpers_recalled) and the
-// cycles stepped concurrently (parallel_cycles). Trace-replay workloads are batch-only: the
-// service content-addresses units by config and cannot materialize trace
-// bytes.
+// defaults for request fields left zero; -reference picks the execution path
+// for every simulated unit (bit-identical, never part of the cache key). Units
+// follow the idle workers: with -workers above 1, a unit that has proved heavy
+// borrows a pool worker with nothing to do as the goroutine of a second shard
+// and gives it back as soon as another unit waits for it; /statz counts the
+// loans (helpers_lent, helpers_recalled) and the cycles stepped concurrently
+// (parallel_cycles). Trace-replay workloads are batch-only: the service
+// content-addresses units by config and cannot materialize trace bytes.
 package main
 
 import (

@@ -30,15 +30,20 @@ func tinySpec(topo, process string) Spec {
 // TestTracerPointsByteEqualBatch pins the tracer's core contract: every
 // sampled point is an ordinary simulation unit at a canonical lattice rate,
 // byte-equal to what the batch CLI path (sweep.RunUnit via
-// experiments.BuildSim) computes for the same unit — on both topologies,
-// serial and sharded stepping, bernoulli and bursty arrivals.
+// experiments.BuildSim, on one shard) computes for the same unit — on both
+// topologies, served by a one-worker server (every unit on one shard) and by
+// a four-worker one (a heavy unit borrows an idle worker and splits), for
+// bernoulli and bursty arrivals.
 func TestTracerPointsByteEqualBatch(t *testing.T) {
 	ctx := context.Background()
 	for _, topo := range []string{"mesh", "fbfly"} {
-		for _, shards := range []int{1, 4} {
+		for _, leg := range []struct {
+			name    string
+			workers int
+		}{{"shards=1", 1}, {"lent", 4}} {
 			for _, process := range []string{"bernoulli", "mmp"} {
-				t.Run(fmt.Sprintf("%s/shards=%d/%s", topo, shards, process), func(t *testing.T) {
-					srv, err := sweep.NewServer(sweep.Options{Defaults: experiments.SimScale{Shards: shards}, Workers: 4})
+				t.Run(fmt.Sprintf("%s/%s/%s", topo, leg.name, process), func(t *testing.T) {
+					srv, err := sweep.NewServer(sweep.Options{Workers: leg.workers})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -53,7 +58,7 @@ func TestTracerPointsByteEqualBatch(t *testing.T) {
 					for _, p := range tr.Points {
 						u := tr.Spec.Base
 						u.Rate = tr.Spec.Lattice().Rate(p.Index)
-						batch, err := sweep.RunUnit(ctx, u, shards, false)
+						batch, _, err := sweep.RunUnit(ctx, u, false, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -155,6 +156,22 @@ func TestSearchDeterministicRepeat(t *testing.T) {
 	jb, _ := json.Marshal(b)
 	if string(ja) != string(jb) {
 		t.Fatal("identical searches produced different results")
+	}
+}
+
+// TestSearchPreCancelled pins that cancelling a search does not wait out the
+// quadratic search ordering of a large space: over the full design space a
+// search whose context is already cancelled returns context.Canceled without
+// evaluating a single unit.
+func TestSearchPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eval := &fakeEval{}
+	if _, err := Search(ctx, eval, Spec{}, SearchOptions{Workers: 4}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled search: err %v, want context.Canceled", err)
+	}
+	if n := eval.evals.Load(); n != 0 {
+		t.Fatalf("pre-cancelled search evaluated %d units", n)
 	}
 }
 

@@ -114,7 +114,10 @@ func Search(ctx context.Context, eval sweep.Evaluator, spec Spec, opts SearchOpt
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	ordered := searchOrder(sp.Feasible)
+	ordered, err := searchOrder(ctx, sp.Feasible)
+	if err != nil {
+		return Result{}, err
+	}
 
 	var (
 		simulated []evaled

@@ -26,6 +26,7 @@
 package dse
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -380,14 +381,19 @@ func evalGroup(u sweep.UnitConfig) string {
 // searchOrder returns the feasible candidates sorted so that points likely
 // to establish prunes come first: descending count of same-evaluation-group
 // candidates they strictly cost-dominate, ties broken by content key. The
-// order affects only how much gets pruned, never the frontier.
-func searchOrder(feasible []Candidate) []Candidate {
+// order affects only how much gets pruned, never the frontier. The count is
+// quadratic in the space, so ctx is checked once per row and a cancelled
+// search stops here with ctx.Err().
+func searchOrder(ctx context.Context, feasible []Candidate) ([]Candidate, error) {
 	groups := make([]string, len(feasible))
 	for i := range feasible {
 		groups[i] = evalGroup(feasible[i].Unit)
 	}
 	domCount := make([]int, len(feasible))
 	for i := range feasible {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for j := range feasible {
 			if i != j &&
 				groups[i] == groups[j] &&
@@ -410,5 +416,5 @@ func searchOrder(feasible []Candidate) []Candidate {
 	for i, j := range idx {
 		ordered[i] = feasible[j]
 	}
-	return ordered
+	return ordered, nil
 }

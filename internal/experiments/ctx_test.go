@@ -70,7 +70,8 @@ func TestPatternSweepCtxCancelStopsEarly(t *testing.T) {
 
 // TestScaleFlags pins the shared flag surface: defaults pass through
 // untouched, every registered flag lands in the resolved SimScale, and the
-// execution mode is one flag — the switches it replaced are gone.
+// execution mode is one flag — the switches it replaced are gone, and so is
+// -shards: a simulation is one shard unless a lender splits it.
 func TestScaleFlags(t *testing.T) {
 	def := SimScale{Warmup: 100, Measure: 200, Drain: 300, Seed: 7, Workers: 2}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -86,17 +87,17 @@ func TestScaleFlags(t *testing.T) {
 	get = ScaleFlags(fs, def)
 	args := []string{
 		"-warmup", "11", "-measure", "22", "-drain", "33", "-seed", "44",
-		"-workers", "5", "-shards", "6", "-reference",
+		"-workers", "5", "-reference",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want := SimScale{Warmup: 11, Measure: 22, Drain: 33, Seed: 44, Workers: 5, Shards: 6, Reference: true}
+	want := SimScale{Warmup: 11, Measure: 22, Drain: 33, Seed: 44, Workers: 5, Reference: true}
 	if got := get(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parsed flags: got %+v want %+v", got, want)
 	}
 
-	for _, gone := range []string{"-leap", "-dense", "-denserequests"} {
+	for _, gone := range []string{"-leap", "-dense", "-denserequests", "-shards"} {
 		fs = flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		ScaleFlags(fs, def)

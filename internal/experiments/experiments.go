@@ -258,19 +258,13 @@ type SimScale struct {
 	// curve's rate points are swept (each point is an independent,
 	// deterministic simulation). Zero or one means serial execution.
 	Workers int
-	// Shards splits each individual simulation into this many router groups
-	// (sim.Config.Shards), stepped concurrently in the cycles heavy enough to
-	// pay for it; results are bit-identical for any value. Zero is one group
-	// (and, as a sweep.Server default, one that grows a second around an idle
-	// pool worker).
-	Shards int
 	// Reference runs every simulation under the simulator's reference
 	// schedule (sim.Config.Reference): slower, bit-identical, what the golden
 	// tests compare the default against.
 	Reference bool
 	// Workload selects the injection workload (arrival process, traffic
 	// pattern, parameters) applied to every simulation built through
-	// BuildSim. Unlike Workers, Shards and Reference it is semantic — it
+	// BuildSim. Unlike Workers and Reference it is semantic — it
 	// changes results — and its zero value is the paper default (Bernoulli
 	// over uniform). The offered rate stays per-point: BuildSim overwrites
 	// Workload.Rate with its rate argument.
@@ -354,7 +348,6 @@ func BuildSim(pt Point, rate float64, scale SimScale) sim.Config {
 		Warmup:    scale.Warmup,
 		Measure:   scale.Measure,
 		Drain:     scale.Drain,
-		Shards:    scale.Shards,
 		Reference: scale.Reference,
 	}
 	cfg.Topology, cfg.Routing = sharedNet(pt.Topo)

@@ -450,55 +450,33 @@ func TestReportsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShardsMatchSerialCurves(t *testing.T) {
-	// SimScale.Shards threads intra-run parallelism through to the
-	// simulator; the sharded stepper is bit-identical to serial stepping,
-	// so whole Fig. 13 curves must come out unchanged.
-	pt, _ := PointByName("mesh", 1)
-	rates := []float64{0.1, 0.3}
-	base := SimScale{Warmup: 200, Measure: 400, Drain: 1500, Seed: 42}
-	serial := Fig13(context.Background(), pt, rates, base)
-	for _, shards := range []int{2, 4} {
-		sharded := base
-		sharded.Shards = shards
-		if got := Fig13(context.Background(), pt, rates, sharded); !reflect.DeepEqual(serial, got) {
-			t.Fatalf("shards=%d: Fig13 curves diverged from serial:\nserial:  %+v\nsharded: %+v",
-				shards, serial, got)
-		}
-	}
-}
-
 // TestLeapInvarianceFig13 pins the Fig. 13/14 pipeline end to end against
 // the reference schedule, including a drain-heavy low-rate point where the
-// default leaps over most cycles, composed with intra-run sharding.
+// default leaps over most cycles.
 func TestLeapInvarianceFig13(t *testing.T) {
 	rates := []float64{0.005, 0.2}
-	base := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
+	def := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
+	ref := def
+	ref.Reference = true
 	for _, topo := range []string{"mesh", "fbfly"} {
 		pt, err := PointByName(topo, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{0, 4} {
-			def := base
-			def.Shards = shards
-			ref := def
-			ref.Reference = true
-			want := Fig13(context.Background(), pt, rates, ref)
-			if got := Fig13(context.Background(), pt, rates, def); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s shards=%d: default Fig13 series diverged from the reference\nreference: %+v\ndefault:   %+v",
-					topo, shards, want, got)
-			}
-			// The same simulations with the simulator's self-checks on: every
-			// stepped cycle compares the wake index with the dormant/quiescent
-			// predicates, every leap the skipped span with the wheel.
-			for _, rate := range rates {
-				cd, cr := BuildSim(pt, rate, def), BuildSim(pt, rate, ref)
-				cd.Validate = true
-				if rd, rr := sim.New(cd).Run(), sim.New(cr).Run(); rd != rr {
-					t.Errorf("%s shards=%d rate=%g: validated default run diverged from the reference\nreference: %+v\ndefault:   %+v",
-						topo, shards, rate, rr, rd)
-				}
+		want := Fig13(context.Background(), pt, rates, ref)
+		if got := Fig13(context.Background(), pt, rates, def); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: default Fig13 series diverged from the reference\nreference: %+v\ndefault:   %+v",
+				topo, want, got)
+		}
+		// The same simulations with the simulator's self-checks on: every
+		// stepped cycle compares the wake index with the dormant/quiescent
+		// predicates, every leap the skipped span with the wheel.
+		for _, rate := range rates {
+			cd, cr := BuildSim(pt, rate, def), BuildSim(pt, rate, ref)
+			cd.Validate = true
+			if rd, rr := sim.New(cd).Run(), sim.New(cr).Run(); rd != rr {
+				t.Errorf("%s rate=%g: validated default run diverged from the reference\nreference: %+v\ndefault:   %+v",
+					topo, rate, rr, rd)
 			}
 		}
 	}

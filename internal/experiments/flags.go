@@ -24,7 +24,6 @@ func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
 	drain := fs.Int("drain", def.Drain, "drain cycle budget")
 	seed := fs.Uint64("seed", def.Seed, "simulation seed")
 	workers := fs.Int("workers", def.Workers, "concurrent simulations per curve")
-	shards := fs.Int("shards", def.Shards, "shards within each simulation, stepped concurrently in the cycles heavy enough to pay for it; 0 is one shard, and in sweepd a second one around the pool's idle worker while a unit is heavy (results are bit-identical for any value)")
 	reference := fs.Bool("reference", def.Reference, "run the simulator's reference schedule: every router and terminal stepped and every request rebuilt every cycle, no leaping (slower, bit-identical)")
 	return func() SimScale {
 		return SimScale{
@@ -33,7 +32,6 @@ func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
 			Drain:     *drain,
 			Seed:      *seed,
 			Workers:   *workers,
-			Shards:    *shards,
 			Reference: *reference,
 			Workload:  def.Workload,
 		}

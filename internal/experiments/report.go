@@ -28,28 +28,23 @@ type Report struct {
 	Network []NetworkJSON `json:"network,omitempty"`
 	// Execution says how the simulations behind Network were executed. It is
 	// the one part of a report that describes the run and not its result:
-	// the cycle counts depend on -shards/-reference, and the helper counts
-	// on how the host scheduled the run.
+	// its counts depend on -reference.
 	Execution *ExecStats `json:"execution,omitempty"`
 }
 
 // ExecStats adds up, over the completed simulations run under a context made
 // by WithExecStats, how much of the schedule's machinery was used: cycles
-// stepped against cycles leapt over (sim.Network.LeapStats), the arrival
-// gate draws behind them (sim.Network.ArrivalDraws), and how the stepped
-// cycles were executed (sim.Network.ParallelStats).
+// stepped (sim.Network.ParallelStats) against cycles leapt over
+// (sim.Network.LeapStats), and the arrival gate draws behind them
+// (sim.Network.ArrivalDraws). These simulations borrow no helper, so every
+// cycle is stepped on the goroutine that runs it.
 type ExecStats struct {
 	mu sync.Mutex
 
-	Simulations      int64 `json:"simulations"`
-	SteppedCycles    int64 `json:"stepped_cycles"`
-	Leaps            int64 `json:"leaps"`
-	LeaptCycles      int64 `json:"leapt_cycles"`
-	ConcurrentCycles int64 `json:"concurrent_cycles"`
-	HelperParks      int64 `json:"helper_parks"`
-	HelperWakes      int64 `json:"helper_wakes"`
-	PhasesTaken      int64 `json:"phases_taken"`
-	BarrierWaitNS    int64 `json:"barrier_wait_ns"`
+	Simulations   int64 `json:"simulations"`
+	SteppedCycles int64 `json:"stepped_cycles"`
+	Leaps         int64 `json:"leaps"`
+	LeaptCycles   int64 `json:"leapt_cycles"`
 
 	ArrivalDraws traffic.DrawStats `json:"arrival_draws"`
 }
@@ -71,19 +66,14 @@ func execStatsOf(ctx context.Context) *ExecStats {
 
 func (st *ExecStats) add(n *sim.Network) {
 	leaps, leapt := n.LeapStats()
-	par := n.ParallelStats()
+	stepped := n.ParallelStats().Stepped
 	draws := n.ArrivalDraws()
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.Simulations++
-	st.SteppedCycles += par.Stepped
+	st.SteppedCycles += stepped
 	st.Leaps += leaps
 	st.LeaptCycles += leapt
-	st.ConcurrentCycles += par.Concurrent
-	st.HelperParks += par.Parks
-	st.HelperWakes += par.Wakes
-	st.PhasesTaken += par.Taken
-	st.BarrierWaitNS += par.Wait.Nanoseconds()
 	st.ArrivalDraws.Add(draws)
 }
 

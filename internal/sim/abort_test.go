@@ -41,28 +41,31 @@ func TestRunCtxPreCancelledAbortsWithinInterval(t *testing.T) {
 
 // TestRunCtxCancelStopsLongRun cancels a run that would otherwise simulate
 // tens of millions of cycles and requires it to return promptly with the
-// Aborted flag set, on both the serial and the sharded stepper.
+// Aborted flag set, on one shard and split with a lent helper.
 func TestRunCtxCancelStopsLongRun(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, split := range []bool{false, true} {
 		cfg := meshConfig(1, 0.3)
 		cfg.Measure = 50_000_000
-		cfg.Shards = shards
+		n := New(cfg)
+		if split {
+			splitLent(n)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan Result, 1)
 		start := time.Now()
-		go func() { done <- New(cfg).RunCtx(ctx) }()
+		go func() { done <- n.RunCtx(ctx) }()
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 		select {
 		case res := <-done:
 			if !res.Aborted {
-				t.Fatalf("shards=%d: cancelled run did not report Aborted: %+v", shards, res)
+				t.Fatalf("split=%v: cancelled run did not report Aborted: %+v", split, res)
 			}
 			if res.Cycles <= 0 {
-				t.Fatalf("shards=%d: run aborted before doing any work", shards)
+				t.Fatalf("split=%v: run aborted before doing any work", split)
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatalf("shards=%d: cancelled run still going after 30s (started %v ago)", shards, time.Since(start))
+			t.Fatalf("split=%v: cancelled run still going after 30s (started %v ago)", split, time.Since(start))
 		}
 	}
 }

@@ -15,24 +15,19 @@ import (
 
 // assertGolden is the golden contract of the default schedule: one run of
 // base under the reference schedule (every router and terminal stepped every
-// cycle, every request rebuilt, arrivals ticked, no leap), and for each shard
-// count a run of the default schedule that must reproduce it bit for bit —
-// same RNG draw order, same packet IDs, same floating-point latency sums.
-// The default leg runs under Validate, so a divergence is localised to a fast
-// path at the cycle it first happens: the routers check their cached requests
-// against a full rebuild, every stepped cycle checks the wake index against
-// dormant()/Quiescent(), and every leap checks the span it skips. Under `go
-// test -race` (CI does) the sharded legs double as the data-race
-// certification of that bookkeeping.
-func assertGolden(t *testing.T, name string, base Config, shards ...int) {
-	t.Helper()
-	assertGoldenPrepared(t, name, base, nil, shards...)
-}
-
-// assertGoldenPrepared is assertGolden with prep, if not nil, applied to
-// every default-schedule network before it runs (the reference is left
-// alone): how a test pins the way the cycles are executed.
-func assertGoldenPrepared(t *testing.T, name string, base Config, prep func(*Network), shards ...int) {
+// cycle, every request rebuilt, arrivals ticked, no leap), and for each leg a
+// run of the default schedule that must reproduce it bit for bit — same RNG
+// draw order, same packet IDs, same floating-point latency sums. A leg is how
+// the network executes its cycles, applied before it runs (the reference is
+// left alone): oneShard, or splitLent, the layout and goroutines a borrowing
+// network reaches, from the first cycle. The default legs run under
+// Validate, so a divergence is localised to a fast path at the cycle it first
+// happens: the routers check their cached requests against a full rebuild,
+// every stepped cycle checks the wake index against dormant()/Quiescent(),
+// and every leap checks the span it skips. Under `go test -race` (CI does)
+// the split legs double as the data-race certification of that bookkeeping.
+// It returns how each leg's cycles were executed.
+func assertGolden(t *testing.T, name string, base Config, legs ...func(*Network)) []ParallelStats {
 	t.Helper()
 	ref := base
 	ref.Reference = true
@@ -40,20 +35,24 @@ func assertGoldenPrepared(t *testing.T, name string, base Config, prep func(*Net
 	if want.MeasuredPackets == 0 || want.FlitsDelivered == 0 {
 		t.Fatalf("%s: the reference moved no measured traffic; the golden is vacuous", name)
 	}
-	for _, s := range shards {
+	var stats []ParallelStats
+	for _, leg := range legs {
 		cfg := base
-		cfg.Shards = s
 		cfg.Validate = true
 		n := New(cfg)
-		if prep != nil {
-			prep(n)
-		}
+		leg(n)
 		if got := n.Run(); got != want {
-			t.Errorf("%s shards=%d: default schedule diverged from the reference:\nreference: %+v\ndefault:   %+v",
-				name, s, want, got)
+			t.Errorf("%s on %d shard(s): default schedule diverged from the reference:\nreference: %+v\ndefault:   %+v",
+				name, n.Shards(), want, got)
 		}
+		stats = append(stats, n.ParallelStats())
 	}
+	return stats
 }
+
+// oneShard is the golden leg of a network as New builds it: one shard, every
+// cycle stepped inline.
+func oneShard(*Network) {}
 
 // TestActiveSchedulerBitExact pins the default schedule against the reference
 // across topologies, speculation modes and the allocator microarchitectures
@@ -104,7 +103,7 @@ func TestActiveSchedulerBitExact(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.cfg.Warmup, tc.cfg.Measure, tc.cfg.Drain = 300, 700, 6000
-		assertGolden(t, tc.name, tc.cfg, 1)
+		assertGolden(t, tc.name, tc.cfg, oneShard)
 	}
 }
 
@@ -118,7 +117,7 @@ func TestActiveSchedulerBitExactValidated(t *testing.T) {
 			cfg.SA.SpecMode = mode
 			cfg.Validate = true
 			cfg.Warmup, cfg.Measure, cfg.Drain = 200, 400, 4000
-			assertGolden(t, fmt.Sprintf("%s %v validated", cfg.Topology.Name, mode), cfg, 1)
+			assertGolden(t, fmt.Sprintf("%s %v validated", cfg.Topology.Name, mode), cfg, oneShard)
 		}
 	}
 }
@@ -156,19 +155,20 @@ func TestFlitConservationActiveAllSpecModes(t *testing.T) {
 }
 
 // TestSteadyStateStepAllocs verifies the recycled packet path (flits are
-// values and allocate nothing): once the free lists are primed, advancing a loaded simulation allocates nothing per
-// cycle on average — on one shard, and on two stepped inline and
-// concurrently (the barrier, the outboxes and the deferred packet IDs
-// allocate nothing either).
+// values and allocate nothing): once the free lists are primed, advancing a
+// loaded simulation allocates nothing per cycle on average — on one shard,
+// and split in two and stepped inline and concurrently (the barrier, the
+// outboxes and the deferred packet IDs allocate nothing either).
 func TestSteadyStateStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		shards     int
+		split      bool
 		concurrent bool
-	}{{"shards=1", 1, false}, {"shards=2 inline", 2, false}, {"shards=2 concurrent", 2, true}} {
-		cfg := meshConfig(2, 0.3)
-		cfg.Shards = tc.shards
-		n := New(cfg)
+	}{{"one shard", false, false}, {"split, inline", true, false}, {"split, concurrent", true, true}} {
+		n := New(meshConfig(2, 0.3))
+		if tc.split {
+			splitLent(n)
+		}
 		n.modeHook = func(int64) bool { return tc.concurrent }
 		for i := 0; i < 3000; i++ {
 			n.stepCycle()
@@ -263,7 +263,7 @@ func TestLongLatencyChannels(t *testing.T) {
 		t.Fatalf("latency %.1f implausibly low for 20-cycle channels", res.AvgLatency)
 	}
 	// The equivalence contract holds for long-latency wheels too.
-	assertGolden(t, "long-latency mesh", cfg, 1)
+	assertGolden(t, "long-latency mesh", cfg, oneShard)
 }
 
 // TestWheelSizedFromTopology pins the wheel sizing rule for the paper's two

@@ -8,45 +8,48 @@ import (
 	"time"
 )
 
-// This file decides, cycle by cycle, whether a sharded network's phase 1 runs
-// on one goroutine or on several, and implements the barrier the several
-// meet at.
+// This file decides, cycle by cycle, whether a network's phase 1 runs on one
+// goroutine or on two, and implements the barrier the two meet at.
 //
-// One layout serves both. An inline cycle steps the shards one after another
-// on the stepping goroutine and files cross-shard events straight into the
-// destination's wheel; a concurrent cycle gives every shard but the first to
-// a helper goroutine and routes cross-shard events through the outboxes
-// (shard.go). The two produce the same state — the order of events within a
-// wheel slot is the only thing that differs, and delivery is commutative in
-// it — so the choice is free at every cycle boundary.
+// A network is built as one shard and gets a second in one way only: a
+// Lender (BorrowHelpers) lends it a goroutine in a heavy cycle, and the
+// network splits in two around it (split). From then on it has two shards
+// and, while it holds the helper, steps them concurrently.
+//
+// One layout serves both ways of stepping. An inline cycle steps the shards
+// one after the other on the stepping goroutine and files cross-shard events
+// straight into the other shard's wheel; a concurrent cycle gives shard 1 to
+// the helper and routes cross-shard events through the outboxes (shard.go).
+// The two produce the same state — the order of events within a wheel slot is
+// the only thing that differs, and delivery is commutative in it — so the
+// choice is free at every cycle boundary.
 //
 // The barrier is an epoch on atomics. The stepping goroutine numbers the
-// concurrent cycles; to start one it stores the number into each helper's cmd
-// word and steps shard 0. A helper spins on its cmd word, claims its shard's
+// concurrent cycles; to start one it stores the number into the helper's cmd
+// word and steps shard 0. The helper spins on its cmd word, claims shard 1's
 // phase for that epoch with a compare-and-swap on the phase word (2e =
 // claimed, 2e+1 = done), steps the shard and stores "done". Having finished
 // its own shard, the stepping goroutine claims — with the same
-// compare-and-swap — whatever no helper has got to yet and steps it itself,
-// then spins until every phase word says done. So a helper that is late (just
-// started, parked, or its thread descheduled by the host) costs the cycle
-// nothing but its share of the work, and GOMAXPROCS=1 or more shards than
-// cores degrade to the inline order instead of to a convoy.
+// compare-and-swap — the phase if the helper has not got to it yet and steps
+// it itself, then spins until the phase word says done. So a helper that is
+// late (just lent, parked, or its thread descheduled by the host) costs the
+// cycle nothing but its share of the work, and GOMAXPROCS=1 degrades to the
+// inline order instead of to a convoy.
 //
 // Spinning yields (runtime.Gosched) every spinsPerYield loads — about once a
 // microsecond — which keeps the runtime's other goroutines and a single-P
-// process live. A helper that has
-// spun for parkAfter without a cycle to run parks on a channel; the next
-// concurrent cycle wakes it without waiting for it. Parking sooner re-creates
-// the cost of the channel barrier this replaces: two park/wake handshakes per
-// helper per cycle were all of its blocking (EXPERIMENTS.md, "Sharded
-// parallel cycle stepper"); parking after a few µs measured 75 → 85 ms per
-// round of the four knee units.
+// process live. A helper that has spun for parkAfter without a cycle to run
+// parks on a channel; the next concurrent cycle wakes it without waiting for
+// it. Parking sooner re-creates the cost of the channel barrier this
+// replaces: two park/wake handshakes per cycle were all of its blocking
+// (EXPERIMENTS.md, "Sharded parallel cycle stepper"); parking after a few µs
+// measured 75 → 85 ms per round of the four knee units.
 const (
 	spinsPerYield = 512
 	parkAfter     = 100 * time.Microsecond
 )
 
-// breakEven is the number of routers every shard must have to step for a cycle
+// breakEven is the number of routers each shard must have to step for a cycle
 // to be worth running concurrently: below it the barrier's two cache-line
 // round trips and the outbox detour cost more than the second core saves.
 // Measured with BenchmarkNetworkSharded's forced cells on the 2-CPU reference
@@ -65,22 +68,22 @@ const breakEven = 8
 // stepped the other way, so a burst that is over in a few cycles starts no
 // goroutine, touches no lender and wakes no parked helper, and a knee run
 // stays concurrent through its few light cycles. It is also the number of
-// cycles a network that found no helper waits before it asks again.
+// cycles a network that was lent no helper waits before it asks again.
 const switchAfter = 16
 
-// lateLimit and lateBackoff keep a network from paying for helpers that do
+// lateLimit and lateBackoff keep a network from paying for a helper that does
 // not run. A spinning helper claims its phase within a microsecond and never
 // idles for parkAfter between two concurrent cycles in a row. One that lets
 // the stepping goroutine take its phase, or that has to be woken from a park
 // in the middle of a concurrent stretch, is not on a CPU of its own — a host
-// that has lent the second core to another tenant, a single P, more shards
-// than cores — and its spinning and waking only steal from the core the
-// stepping goroutine runs on (measured on the reference host while its second
-// vCPU was withheld: a knee unit on two shards took 1.6× the time of one
-// shard). Every such cycle in a row adds to a score, a taken phase 1 (the
-// first few after a loan are taken while the lent goroutine wakes up), a
-// mid-stretch wake lateLimit/4; at lateLimit the network gives its helpers
-// back and does not ask again for lateBackoff cycles.
+// that has lent the second core to another tenant, a single P — and its
+// spinning and waking only steal from the core the stepping goroutine runs on
+// (measured on the reference host while its second vCPU was withheld: a knee
+// unit on two shards took 1.6× the time of one shard). Every such cycle in a
+// row adds to a score, a taken phase 1 (the first few after a loan are taken
+// while the lent goroutine wakes up), a mid-stretch wake lateLimit/4; at
+// lateLimit the network gives its helper back and does not ask again for
+// lateBackoff cycles.
 const (
 	lateLimit   = 32
 	lateBackoff = 1024
@@ -94,28 +97,34 @@ type Lender interface {
 	// whether there was one. It neither blocks nor queues fn.
 	Lend(fn func()) bool
 	// Wanted reports whether the lender has work waiting for a goroutine it
-	// lent out. A network holding helpers asks before every stepped cycle and
-	// releases them (fn returns) before it steps the next one.
+	// lent out. A network holding a helper asks before every stepped cycle
+	// and releases it (fn returns) before it steps the next one.
 	Wanted() bool
 }
 
-// BorrowHelpers makes a network take its helper goroutines from l instead of
-// starting its own. It holds them only while it has heavy cycles to step and
-// l does not want them back; without them it steps inline. A network built
-// with one shard follows the lender: it stays one shard — and costs what one
-// shard costs — until it is lent its first helper, and is two from then on.
+// BorrowHelpers makes a network follow l: it stays one shard — and costs what
+// one shard costs — until l lends it a helper in a heavy cycle, splits in two
+// around it, and is two shards from then on. It holds the helper only while
+// it has heavy cycles to step and l does not want it back; without it, it
+// steps inline. Without a lender a network never leaves its own goroutine.
+// A traced network ignores l: the tracer is not concurrency-safe, and
+// same-cycle trace events need the packet IDs an inline cycle hands out.
 // Call it before the first cycle.
-func (n *Network) BorrowHelpers(l Lender) { n.lender = l }
+func (n *Network) BorrowHelpers(l Lender) {
+	if n.cfg.Trace == nil {
+		n.lender = l
+	}
+}
 
 // ParallelStats says how a network's cycles were executed.
 type ParallelStats struct {
 	// Stepped counts the cycles stepped (leapt cycles are not), Concurrent
-	// those of them whose shards ran on separate goroutines.
+	// those of them whose two shards ran on separate goroutines.
 	Stepped, Concurrent int64
-	// Parks counts the times a helper gave up spinning and parked, Wakes the
-	// parked helpers a concurrent cycle woke, Taken the shard phases of
-	// concurrent cycles the stepping goroutine ran itself because the helper
-	// had not got to them.
+	// Parks counts the times the helper gave up spinning and parked, Wakes
+	// the concurrent cycles that woke it, Taken the concurrent cycles whose
+	// second shard the stepping goroutine stepped itself because the helper
+	// had not got to it.
 	Parks, Wakes, Taken int64
 	// Wait is the time the stepping goroutine spent at the barrier after its
 	// own share of a concurrent cycle: imbalance, the barrier's own cost, and
@@ -130,7 +139,7 @@ func (n *Network) ParallelStats() ParallelStats {
 	return st
 }
 
-// helper is one borrowed or started goroutine and the shard it steps.
+// helper is the borrowed goroutine and the shard it steps.
 type helper struct {
 	s *shard // set before the first epoch the helper can see
 
@@ -153,8 +162,8 @@ type helper struct {
 	stack    []byte
 }
 
-// wantConcurrent decides how the cycle about to be stepped runs, acquiring
-// and releasing helpers on the way.
+// wantConcurrent decides how the cycle about to be stepped runs, borrowing
+// and giving back the helper on the way.
 func (n *Network) wantConcurrent() bool {
 	want := n.wantHelpers
 	if n.modeHook != nil {
@@ -165,9 +174,9 @@ func (n *Network) wantConcurrent() bool {
 		want, n.streak = !want, 0
 	}
 	n.wantHelpers = want
-	if n.helpers != nil {
+	if n.helper != nil {
 		switch {
-		case n.lender != nil && n.lender.Wanted():
+		case n.lender.Wanted():
 			n.Close()
 			n.askIn = switchAfter
 		case n.late >= lateLimit && n.modeHook == nil:
@@ -178,12 +187,12 @@ func (n *Network) wantConcurrent() bool {
 	if !want {
 		return false
 	}
-	if n.helpers == nil {
+	if n.helper == nil {
 		if n.askIn > 0 {
 			n.askIn--
 			return false
 		}
-		if !n.acquireHelpers() {
+		if !n.acquireHelper() {
 			n.askIn = switchAfter
 			return false
 		}
@@ -191,134 +200,112 @@ func (n *Network) wantConcurrent() bool {
 	return true
 }
 
-// heavy reports whether every shard stepped at least breakEven routers in the
+// heavy reports whether each shard stepped at least breakEven routers in the
 // last cycle, which is the best cheap guess at what this one holds: the
 // active sets at a cycle's start leave out every router a flit is about to
-// wake. A borrowing network that has not split yet is judged as the two
-// halves it would split into.
+// wake. A network that has not split yet is judged as the two halves it would
+// split into.
 func (n *Network) heavy() bool {
 	if s := n.shards[0]; len(n.shards) == 1 {
 		return min(s.loadLow, s.load-s.loadLow) >= breakEven
 	}
-	for _, s := range n.shards {
-		if s.load < breakEven {
-			return false
-		}
-	}
-	return true
+	return min(n.shards[0].load, n.shards[1].load) >= breakEven
 }
 
-// acquireHelpers gets one helper per shard but the first, all or none. A
-// one-shard network (it borrows, or it would not ask) gets one helper and
-// splits in two for it, once it has it: it never pays for a second shard it
-// cannot run.
-func (n *Network) acquireHelpers() bool {
-	if n.lender != nil && n.lender.Wanted() {
+// acquireHelper borrows a helper from the lender and, the first time it gets
+// one, splits the network in two for it: a network never pays for a second
+// shard it cannot run.
+func (n *Network) acquireHelper() bool {
+	if n.lender.Wanted() {
 		return false
 	}
-	n.late = 0
-	shards := max(len(n.shards), 2)
-	hs := make([]*helper, 0, shards-1)
-	for len(hs) < shards-1 {
-		h := &helper{wake: make(chan struct{}, 1), exited: make(chan struct{}), parks: &n.parks}
-		h.cmd.Store(n.epoch)
-		h.phase.Store(2*n.epoch + 1)
-		if n.lender == nil {
-			go h.run()
-		} else if !n.lender.Lend(h.run) {
-			n.helpers = hs
-			n.Close()
-			return false
-		}
-		hs = append(hs, h)
+	h := &helper{wake: make(chan struct{}, 1), exited: make(chan struct{}), parks: &n.parks}
+	h.cmd.Store(n.epoch)
+	h.phase.Store(2*n.epoch + 1)
+	if !n.lender.Lend(h.run) {
+		return false
 	}
 	if len(n.shards) == 1 {
 		n.split()
 	}
-	// A helper reads its shard only after it has seen an epoch start, which
+	// The helper reads its shard only after it has seen an epoch start, which
 	// is after this.
-	for i, h := range hs {
-		h.s = n.shards[i+1]
-	}
-	n.helpers = hs
+	h.s = n.shards[1]
+	n.helper, n.late = h, 0
 	return true
 }
 
-// Close releases the helper goroutines and waits until they have gone (a
-// borrowed one is back with its lender when Close returns). Run calls it on
-// return; callers driving stepCycle directly with Shards > 1 should defer it.
-// Idempotent, and stepping a heavy cycle after Close acquires helpers again.
+// Close gives the helper back and waits until it has gone (it is back with
+// its lender when Close returns). Run calls it on return; callers driving
+// stepCycle directly on a network that borrows should defer it. Idempotent,
+// and stepping a heavy cycle after Close borrows again.
 func (n *Network) Close() {
-	for _, h := range n.helpers {
+	if h := n.helper; h != nil {
 		h.stop.Store(true)
 		n.unpark(h)
-	}
-	for _, h := range n.helpers {
 		<-h.exited
+		n.helper = nil
 	}
-	n.helpers = nil
 }
 
-// unpark wakes h if it is parked. It never blocks: the wake channel takes the
-// one token a won parked → running transition sends.
-func (n *Network) unpark(h *helper) {
+// unpark wakes h if it is parked and reports whether it did. It never blocks:
+// the wake channel takes the one token a won parked → running transition
+// sends.
+func (n *Network) unpark(h *helper) bool {
 	if h.parked.Load() && h.parked.CompareAndSwap(true, false) {
 		h.wake <- struct{}{}
 		n.par.Wakes++
+		return true
 	}
+	return false
 }
 
 // scoreLate updates the lateness score after a concurrent cycle that took
-// over `taken` phases and woke `woken` helpers (see lateLimit).
-func (n *Network) scoreLate(taken, woken int64) {
+// over the helper's phase or woke it (see lateLimit).
+func (n *Network) scoreLate(taken, woken bool) {
 	midStretch := n.lastConcurrent == n.now-1
 	n.lastConcurrent = n.now
 	switch {
-	case woken > 0 && midStretch:
+	case woken && midStretch:
 		n.late += lateLimit / 4
-	case taken > 0:
+	case taken:
 		n.late++
 	default:
 		n.late = 0
 	}
 }
 
-// stepConcurrent runs phase 1 of every shard for one cycle, shard 0 here and
-// the others on whoever claims them first.
+// stepConcurrent runs phase 1 of both shards for one cycle, shard 0 here and
+// shard 1 on whoever claims it first.
 func (n *Network) stepConcurrent() {
 	n.epoch++
-	e := n.epoch
-	before := n.par
-	for _, h := range n.helpers {
-		h.cmd.Store(e)
-		n.unpark(h)
-	}
+	e, h := n.epoch, n.helper
+	h.cmd.Store(e)
+	woken := n.unpark(h)
 	n.shards[0].phase1()
 	t0 := time.Now()
-	for _, h := range n.helpers {
-		for spins := 1; ; spins++ {
-			v := h.phase.Load()
-			if v == 2*e+1 {
-				break
-			}
-			if v == 2*e-1 && h.phase.CompareAndSwap(v, 2*e) {
-				n.par.Taken++
-				h.s.phase1() // a panic here is already on the stepping goroutine
-				h.phase.Store(2*e + 1)
-				break
-			}
-			if spins%spinsPerYield == 0 {
-				runtime.Gosched()
-			}
+	taken := false
+	for spins := 1; ; spins++ {
+		v := h.phase.Load()
+		if v == 2*e+1 {
+			break
+		}
+		if v == 2*e-1 && h.phase.CompareAndSwap(v, 2*e) {
+			n.par.Taken++
+			taken = true
+			h.s.phase1() // a panic here is already on the stepping goroutine
+			h.phase.Store(2*e + 1)
+			break
+		}
+		if spins%spinsPerYield == 0 {
+			runtime.Gosched()
 		}
 	}
 	n.par.Wait += time.Since(t0)
 	n.par.Concurrent++
-	n.scoreLate(n.par.Taken-before.Taken, n.par.Wakes-before.Wakes)
-	for _, h := range n.helpers {
-		if h.panicVal != nil {
-			panic(fmt.Sprintf("sim: shard worker panicked: %v\n%s", h.panicVal, h.stack))
-		}
+	n.scoreLate(taken, woken)
+	if h.panicVal != nil {
+		panic(fmt.Sprintf("sim: shard worker panicked: %v\n%s", h.panicVal, h.stack))
 	}
 }
 

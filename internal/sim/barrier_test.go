@@ -14,8 +14,35 @@ import (
 	"repro/internal/router"
 )
 
-// alwaysConcurrent pins every cycle of n to the concurrent path.
-func alwaysConcurrent(n *Network) { n.modeHook = func(int64) bool { return true } }
+// testLender lends a fresh goroutine every time it is asked and wants its
+// goroutines back at every recallEvery-th asking (never, if that is 0).
+type testLender struct {
+	recallEvery int
+	asked, lent int
+}
+
+func (l *testLender) Lend(fn func()) bool { l.lent++; go fn(); return true }
+
+func (l *testLender) Wanted() bool {
+	l.asked++
+	return l.recallEvery > 0 && l.asked%l.recallEvery == 0
+}
+
+// splitLent lays n out on two shards from its first cycle and lends it a
+// helper whenever the break-even rule asks for one, never to recall it: the
+// layout and the goroutine a borrowing network reaches once it has proved
+// heavy, in every cycle of the run. It is the second golden leg
+// (assertGolden).
+func splitLent(n *Network) {
+	n.split()
+	n.BorrowHelpers(&testLender{})
+}
+
+// alwaysConcurrent splits n and pins every cycle to the concurrent path.
+func alwaysConcurrent(n *Network) {
+	splitLent(n)
+	n.modeHook = func(int64) bool { return true }
+}
 
 // settleGoroutines waits for the goroutine count to come back to base: a
 // helper that Close has waited for has closed its exit channel but may not
@@ -33,11 +60,11 @@ func settleGoroutines(t *testing.T, what string, base int) {
 }
 
 // TestParallelSwitchGolden is the contract of barrier.go's "one layout, two
-// ways to run a cycle": a network that is forced to change between inline and
-// concurrent cycles every k cycles — every cycle, a few, and a stretch long
-// enough for the helpers to park — reproduces the reference bit for bit on
-// both paper topologies, all three speculation modes and two shard counts.
-// Under Validate and, in CI, under -race.
+// ways to run a cycle": a split network that is forced to change between
+// inline and concurrent cycles every k cycles — every cycle, a few, and a
+// stretch long enough for the helper to park — reproduces the reference bit
+// for bit on both paper topologies and all three speculation modes. Under
+// Validate and, in CI, under -race.
 func TestParallelSwitchGolden(t *testing.T) {
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
@@ -46,26 +73,13 @@ func TestParallelSwitchGolden(t *testing.T) {
 				base.Seed = 42
 				base.SA.SpecMode = mode
 				base.Warmup, base.Measure, base.Drain = 100, 300, 3000
-				assertGoldenPrepared(t, fmt.Sprintf("%s %v k=%d", base.Topology.Name, mode, k), base, func(n *Network) {
+				assertGolden(t, fmt.Sprintf("%s %v k=%d", base.Topology.Name, mode, k), base, func(n *Network) {
+					splitLent(n)
 					n.modeHook = func(now int64) bool { return now/k%2 == 1 }
-				}, 2, 4)
+				})
 			}
 		}
 	}
-}
-
-// testLender lends a fresh goroutine every time it is asked and wants its
-// goroutines back at every recallEvery-th asking (never, if that is 0).
-type testLender struct {
-	recallEvery int
-	asked, lent int
-}
-
-func (l *testLender) Lend(fn func()) bool { l.lent++; go fn(); return true }
-
-func (l *testLender) Wanted() bool {
-	l.asked++
-	return l.recallEvery > 0 && l.asked%l.recallEvery == 0
 }
 
 // TestParallelSplitGolden covers the network that follows a lender: built
@@ -90,11 +104,11 @@ func TestParallelSplitGolden(t *testing.T) {
 				base.Warmup, base.Measure, base.Drain = 100, 300, 3000
 				lender := &testLender{recallEvery: 20}
 				var n *Network
-				assertGoldenPrepared(t, fmt.Sprintf("%s rate %g split at %d", base.Topology.Name, rate, at), base, func(net *Network) {
+				assertGolden(t, fmt.Sprintf("%s rate %g split at %d", base.Topology.Name, rate, at), base, func(net *Network) {
 					n = net
 					n.BorrowHelpers(lender)
 					n.modeHook = func(now int64) bool { return now >= at && now/7%2 == 0 }
-				}, 1)
+				})
 				if n.Shards() != 2 || lender.lent < 2 {
 					t.Errorf("%s rate %g: %d shards after %d loans, want a split and a second loan after the recall",
 						base.Topology.Name, rate, n.Shards(), lender.lent)
@@ -106,13 +120,13 @@ func TestParallelSplitGolden(t *testing.T) {
 
 // TestParallelSwitchHappens keeps TestParallelSwitchGolden honest: under its
 // hook about half of the stepped cycles run concurrently, and with k = 64 the
-// helpers park in the inline stretches and are woken for the next concurrent
+// helper parks in the inline stretches and is woken for the next concurrent
 // one.
 func TestParallelSwitchHappens(t *testing.T) {
 	cfg := meshConfig(2, 0.3)
-	cfg.Shards = 2
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 1000, 3000
 	n := New(cfg)
+	splitLent(n)
 	n.modeHook = func(now int64) bool { return now/64%2 == 1 }
 	n.Run()
 	st := n.ParallelStats()
@@ -127,11 +141,13 @@ func TestParallelSwitchHappens(t *testing.T) {
 }
 
 // TestParallelBreakEvenRule pins the measured rule itself, no hook: a knee
-// run on two shards goes concurrent, a low-load run never does — it starts no
-// goroutine — and both agree with one shard. How much of the knee run stays
-// concurrent depends on the host (a helper without a CPU of its own is given
-// back), so the share is checked with the lateness rule out of the way: the
-// load criterion alone calls nearly every knee cycle heavy.
+// run that can borrow splits and goes concurrent, a low-load run never does —
+// it borrows no goroutine and stays one shard — and both agree with the
+// network that has no lender, which never leaves its own goroutine. How much
+// of the knee run stays concurrent depends on the host (a helper without a
+// CPU of its own is given back), so the share is checked with the lateness
+// rule out of the way: the load criterion alone calls nearly every knee cycle
+// heavy.
 func TestParallelBreakEvenRule(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, tc := range []struct {
@@ -139,22 +155,26 @@ func TestParallelBreakEvenRule(t *testing.T) {
 		concurrent bool
 	}{{0.3, true}, {0.02, false}} {
 		cfg := meshConfig(1, tc.rate)
-		want := New(cfg).Run()
-		cfg.Shards = 2
+		alone := New(cfg)
+		want := alone.Run()
+		if st := alone.ParallelStats(); st.Concurrent != 0 || alone.Shards() != 1 {
+			t.Fatalf("rate %g: a network with no lender ran %d cycles concurrently on %d shards", tc.rate, st.Concurrent, alone.Shards())
+		}
+		lender := &testLender{}
 		n := New(cfg)
+		n.BorrowHelpers(lender)
 		got := n.Run()
 		st := n.ParallelStats()
 		if got != want {
-			t.Fatalf("rate %g: two shards diverged from one:\n%+v\n%+v", tc.rate, want, got)
+			t.Fatalf("rate %g: the borrowing network diverged from the lone one:\n%+v\n%+v", tc.rate, want, got)
 		}
-		if tc.concurrent != (st.Concurrent > 0) {
-			t.Fatalf("rate %g: %d of %d cycles concurrent", tc.rate, st.Concurrent, st.Stepped)
+		if tc.concurrent != (st.Concurrent > 0) || tc.concurrent != (lender.lent > 0) || tc.concurrent != (n.Shards() == 2) {
+			t.Fatalf("rate %g: %d of %d cycles concurrent, %d loans, %d shards", tc.rate, st.Concurrent, st.Stepped, lender.lent, n.Shards())
 		}
 		settleGoroutines(t, fmt.Sprintf("rate %g after Run", tc.rate), base)
 	}
-	cfg := meshConfig(1, 0.3)
-	cfg.Shards = 2
-	n := New(cfg)
+	n := New(meshConfig(1, 0.3))
+	n.BorrowHelpers(&testLender{})
 	n.modeHook = func(int64) bool { return n.heavy() }
 	n.Run()
 	if st := n.ParallelStats(); st.Concurrent < st.Stepped*9/10 {
@@ -163,29 +183,29 @@ func TestParallelBreakEvenRule(t *testing.T) {
 }
 
 // TestParallelLightRunStartsNoHelper checks the other half of the rule at the
-// goroutine level: stepping a low-load network by hand never has a helper.
+// goroutine level: stepping a low-load network that could borrow by hand
+// never asks its lender for a helper.
 func TestParallelLightRunStartsNoHelper(t *testing.T) {
-	cfg := meshConfig(1, 0.02)
-	cfg.Shards = 2
-	n := New(cfg)
+	lender := &testLender{}
+	n := New(meshConfig(1, 0.02))
+	n.BorrowHelpers(lender)
 	defer n.Close()
 	for i := 0; i < 3000; i++ {
 		n.stepCycle()
-		if n.helpers != nil {
-			t.Fatalf("cycle %d: a low-load network acquired helpers", i)
+		if n.helper != nil || lender.lent != 0 || n.Shards() != 1 {
+			t.Fatalf("cycle %d: a low-load network borrowed a helper (%d loans, %d shards)", i, lender.lent, n.Shards())
 		}
 	}
 }
 
-// TestShardsUnderOneProc runs four shards, every cycle concurrent, on a single
-// P: the spinning sides yield, the stepping goroutine takes the phases no
-// helper gets to, and the run finishes with the serial result.
+// TestShardsUnderOneProc runs two shards, every cycle concurrent, on a single
+// P: the spinning sides yield, the stepping goroutine takes the phase the
+// helper does not get to, and the run finishes with the serial result.
 func TestShardsUnderOneProc(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := meshConfig(2, 0.3)
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 300, 3000
 	want := New(cfg).Run()
-	cfg.Shards = 4
 	n := New(cfg)
 	alwaysConcurrent(n)
 	done := make(chan Result, 1)
@@ -193,17 +213,17 @@ func TestShardsUnderOneProc(t *testing.T) {
 	select {
 	case got := <-done:
 		if got != want {
-			t.Fatalf("GOMAXPROCS=1 shards=4 diverged:\n%+v\n%+v", want, got)
+			t.Fatalf("GOMAXPROCS=1, split and concurrent, diverged:\n%+v\n%+v", want, got)
 		}
 	case <-time.After(2 * time.Minute):
-		t.Fatal("GOMAXPROCS=1 shards=4 did not finish")
+		t.Fatal("GOMAXPROCS=1, split and concurrent, did not finish")
 	}
 	if st := n.ParallelStats(); st.Concurrent != st.Stepped {
 		t.Fatalf("%d of %d cycles concurrent, want all", st.Concurrent, st.Stepped)
 	}
 }
 
-// TestParallelGivesUpLateHelpers runs a knee network on two shards by the
+// TestParallelGivesUpLateHelpers runs a knee network that borrows by the
 // rule, no hook, on a single P, where a helper is only ever scheduled when the
 // stepping goroutine is preempted: the network takes the helper's phases
 // itself, gives the helper back after lateLimit of them and steps inline
@@ -212,11 +232,11 @@ func TestParallelGivesUpLateHelpers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := meshConfig(1, 0.3)
 	want := New(cfg).Run()
-	cfg.Shards = 2
 	n := New(cfg)
+	n.BorrowHelpers(&testLender{})
 	got := n.Run()
 	if got != want {
-		t.Fatalf("GOMAXPROCS=1 shards=2 diverged:\n%+v\n%+v", want, got)
+		t.Fatalf("GOMAXPROCS=1, borrowing, diverged:\n%+v\n%+v", want, got)
 	}
 	st := n.ParallelStats()
 	if st.Concurrent == 0 || st.Concurrent > st.Stepped/2 || st.Taken < st.Concurrent/2 {
@@ -224,13 +244,12 @@ func TestParallelGivesUpLateHelpers(t *testing.T) {
 	}
 }
 
-// TestParallelGoroutinesReleased counts goroutines: a network's helpers are
+// TestParallelGoroutinesReleased counts goroutines: a network's helper is
 // gone after Run, after Close on a hand-stepped network, and after a
 // cancelled RunCtx.
 func TestParallelGoroutinesReleased(t *testing.T) {
 	base := runtime.NumGoroutine()
 	cfg := meshConfig(2, 0.3)
-	cfg.Shards = 4
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 300, 3000
 
 	n := New(cfg)
@@ -243,13 +262,13 @@ func TestParallelGoroutinesReleased(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		n.stepCycle()
 	}
-	if got := runtime.NumGoroutine(); got != base+3 {
-		t.Fatalf("hand-stepped shards=4: %d goroutines, want %d + 3 helpers", got, base)
+	if got := runtime.NumGoroutine(); got != base+1 {
+		t.Fatalf("hand-stepped, split and concurrent: %d goroutines, want %d + 1 helper", got, base)
 	}
 	n.Close()
 	n.Close() // idempotent
 	settleGoroutines(t, "after Close", base)
-	n.stepCycle() // and stepping on acquires helpers again
+	n.stepCycle() // and stepping on borrows again
 	n.Close()
 	settleGoroutines(t, "after the second Close", base)
 
@@ -268,10 +287,10 @@ func TestParallelGoroutinesReleased(t *testing.T) {
 	settleGoroutines(t, "after an aborted RunCtx", base)
 }
 
-// TestShardWorkerPanicPropagates proves a panic inside a helper's phase
+// TestShardWorkerPanicPropagates proves a panic inside the helper's phase
 // (Validate tripping, flow-control bugs) reaches the stepping goroutine, with
 // the helper's stack, instead of crashing the process from the helper — and
-// that the helpers are released afterwards.
+// that the helper is released afterwards.
 func TestShardWorkerPanicPropagates(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		// On one P the stepping goroutine takes every phase itself.
@@ -282,16 +301,15 @@ func TestShardWorkerPanicPropagates(t *testing.T) {
 	// panic in a phase it runs itself is not what this test is about: try
 	// until the helper got there first.
 	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); {
-		cfg := meshConfig(1, 0.2)
-		cfg.Shards = 2 // one helper: an idle P picks it up at once, whatever else is queued
-		n := New(cfg)
+		// One helper: an idle P picks it up at once, whatever else is queued.
+		n := New(meshConfig(1, 0.2))
 		alwaysConcurrent(n)
 		for i := 0; i < 300; i++ {
 			n.stepCycle()
 		}
-		// Plant a malformed event in a helper-owned shard's wheel: delivering a
+		// Plant a malformed event in the helper's shard's wheel: delivering a
 		// flit to an out-of-range VC panics inside that shard's phase 1.
-		last := n.shards[len(n.shards)-1]
+		last := n.shards[1]
 		slot := (n.now + 1) % n.wheelSize
 		last.wheel[slot] = append(last.wheel[slot], event{
 			kind: evFlitToRouter, router: int32(last.r0), port: 0, vc: math.MaxInt16,

@@ -46,27 +46,33 @@ func BenchmarkNetworkSchedule(b *testing.B) {
 
 // BenchmarkNetworkSharded is the measurement behind barrier.go's breakEven
 // and the "Sharded parallel cycle stepper" tables in EXPERIMENTS.md: the
-// Fig.13 mesh from low load to the knee on one shard and on two — the two
-// stepped by the rule, and with every cycle forced inline or concurrent.
-// shards=2/inline against shards=1 is what the second shard costs when it is
-// not used; shards=2/concurrent against shards=2/inline crosses over where a
-// cycle has enough routers to pay for the barrier. Each cell reports host
-// nanoseconds per stepped cycle, the share of cycles that ran concurrently,
-// and the barrier's self-cost: the stepping goroutine's wait per concurrent
-// cycle and the helper parks (ParallelStats). Run it on an otherwise idle
-// host with at least two CPUs:
+// Fig.13 mesh from low load to the knee alone, borrowing by the rule (lent:
+// one shard until it proves heavy, two from then on), and split from the
+// first cycle with every cycle forced inline or concurrent. split/inline
+// against alone is what the second shard costs when it is not used;
+// split/concurrent against split/inline crosses over where a cycle has
+// enough routers to pay for the barrier. Each cell reports host nanoseconds
+// per stepped cycle, the share of cycles that ran concurrently, and the
+// barrier's self-cost: the stepping goroutine's wait per concurrent cycle and
+// the helper parks (ParallelStats). Run it on an otherwise idle host with at
+// least two CPUs:
 //
 //	go test -run '^$' -bench 'NetworkSharded' -benchtime 20x -count 6 -cpu 2 ./internal/sim/
 func BenchmarkNetworkSharded(b *testing.B) {
+	hook := func(concurrent bool) func(*Network) {
+		return func(n *Network) {
+			splitLent(n)
+			n.modeHook = func(int64) bool { return concurrent }
+		}
+	}
 	modes := []struct {
-		name   string
-		shards int
-		hook   func(int64) bool
+		name string
+		prep func(*Network)
 	}{
-		{"shards=1", 1, nil},
-		{"shards=2", 2, nil},
-		{"shards=2/inline", 2, func(int64) bool { return false }},
-		{"shards=2/concurrent", 2, func(int64) bool { return true }},
+		{"alone", oneShard},
+		{"lent", func(n *Network) { n.BorrowHelpers(&testLender{}) }},
+		{"split/inline", hook(false)},
+		{"split/concurrent", hook(true)},
 	}
 	for _, rate := range []float64{0.02, 0.05, 0.10, 0.30} {
 		for _, m := range modes {
@@ -75,9 +81,8 @@ func BenchmarkNetworkSharded(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					cfg := meshConfig(1, rate)
 					cfg.Seed = 42
-					cfg.Shards = m.shards
 					n := New(cfg)
-					n.modeHook = m.hook
+					m.prep(n)
 					if res := n.Run(); res.FlitsDelivered == 0 {
 						b.Fatal("no traffic moved")
 					}

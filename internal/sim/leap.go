@@ -48,7 +48,7 @@ func (n *Network) tryLeap(horizon int64) bool {
 	if !n.leapOn {
 		return false
 	}
-	// O(shards) pre-gate: any live packet means some terminal queue, router
+	// Cheap pre-gate: any live packet means some terminal queue, router
 	// VC or in-flight flit is non-idle, so the full scan below would fail.
 	// Ruling that out first keeps the gate's cost negligible on busy cycles
 	// (the common case anywhere near saturation). The only leaps this

@@ -27,7 +27,9 @@ var goldenRates = []struct {
 }
 
 // TestGolden runs assertGolden over topology × speculation mode at seed 42
-// in both load regimes, shards 1 and 4.
+// in both load regimes, on one shard and split in two with a lent helper. At
+// the loaded rate the split leg must actually have stepped cycles
+// concurrently.
 func TestGolden(t *testing.T) {
 	for _, r := range goldenRates {
 		t.Run(fmt.Sprintf("%s/rate=%g", r.name, r.rate), func(t *testing.T) {
@@ -37,7 +39,11 @@ func TestGolden(t *testing.T) {
 					base.Seed = 42
 					base.SA.SpecMode = mode
 					base.Warmup, base.Measure, base.Drain = 200, 500, 5000
-					assertGolden(t, fmt.Sprintf("%s %v rate=%g", base.Topology.Name, mode, r.rate), base, 1, 4)
+					name := fmt.Sprintf("%s %v rate=%g", base.Topology.Name, mode, r.rate)
+					st := assertGolden(t, name, base, oneShard, splitLent)
+					if r.name == "loaded" && st[1].Concurrent == 0 {
+						t.Errorf("%s: the split leg stepped none of its %d cycles concurrently", name, st[1].Stepped)
+					}
 				}
 			}
 		})
@@ -101,7 +107,7 @@ func variantsMatrix(t *testing.T, rate float64) {
 			base.Seed = 42
 			base.Warmup, base.Measure, base.Drain = 200, 400, 4000
 			v.set(&base)
-			assertGolden(t, fmt.Sprintf("%s rate=%g", v.name, rate), base, 1)
+			assertGolden(t, fmt.Sprintf("%s rate=%g", v.name, rate), base, oneShard)
 		})
 	}
 }
@@ -125,7 +131,7 @@ func TestLeapTorusGolden(t *testing.T) {
 	base := torusConfig(2, 0.002)
 	base.Seed = 42
 	base.Warmup, base.Measure, base.Drain = 200, 500, 5000
-	assertGolden(t, "torus", base, 1, 4)
+	assertGolden(t, "torus", base, oneShard, splitLent)
 }
 
 // TestLeapRateChangeRewind pins the presample invalidation on

@@ -9,19 +9,20 @@ import (
 	"repro/internal/traffic"
 )
 
-// This file implements the sharded cycle stepper. Routers and terminals are
-// partitioned into contiguous shards (a terminal always lives with its
-// router, so injection, ejection and UGAL's occupancy reads stay
-// shard-local), and every simulation cycle runs in two phases:
+// This file implements the sharded cycle stepper. A network is one shard, or
+// two after it has split around a borrowed helper (barrier.go): the routers
+// in two contiguous halves, each taking its terminals along (a terminal always
+// lives with its router, so injection, ejection and UGAL's occupancy reads
+// stay shard-local). Every simulation cycle runs in two phases:
 //
 //  1. Every shard delivers the cycle's due events and steps its terminals
-//     and routers — the shards one after another on the stepping goroutine
+//     and routers — the shards one after the other on the stepping goroutine
 //     (an inline cycle) or each on a goroutine of its own (a concurrent
 //     cycle); barrier.go chooses per cycle. In an inline cycle an event for
-//     an entity owned by another shard — only inter-router channel flits and
-//     credits ever are — is filed straight into that shard's wheel. In a
-//     concurrent cycle it goes to a per-destination outbox instead, and the
-//     destination imports it at the start of its next phase 1.
+//     an entity owned by the other shard — only inter-router channel flits
+//     and credits ever are — is filed straight into that shard's wheel. In a
+//     concurrent cycle it goes to the shard's outbox instead, and the other
+//     shard imports it at the start of its next phase 1.
 //  2. A single-threaded merge publishes the outboxes of a concurrent cycle (a
 //     buffer swap; the copying itself happens in the destinations' next
 //     phase 1, in parallel), then commits the cycle's packet births and
@@ -32,7 +33,7 @@ import (
 // being drained, and deferring the wheel insertion to the start of the next
 // cycle's phase 1 never misses a due slot.
 //
-// Phase 2 is what makes results bit-identical for any shard count and any
+// Phase 2 is what makes results bit-identical on one shard or two and for any
 // interleaving of inline and concurrent cycles: within one cycle every
 // per-router and per-terminal mutation in phase 1 is commutative (each input
 // VC, credit counter and terminal receives at most one event per cycle, and
@@ -44,7 +45,8 @@ import (
 // cycle's phase 1, which visits the shards in index order and so the
 // terminals in id order.
 
-// shard owns a contiguous range of routers and their terminals.
+// shard owns a contiguous range of routers and their terminals: all of them,
+// or one half.
 type shard struct {
 	id  int
 	net *Network
@@ -63,19 +65,19 @@ type shard struct {
 	slotLow []int32
 	occ     []uint64
 
-	// outCur[d] collects events emitted in a concurrent cycle for routers
-	// owned by shard d; outPrev[d] holds the batch of the last concurrent
-	// cycle, which shard d imports into its wheel at the start of its next
-	// phase 1 (Network.pendingImport). The commit phase only swaps the two
-	// buffer sets, so the actual event copying runs in the destinations'
-	// (parallel) phase 1 instead of the serial barrier.
-	outCur  [][]outEvent
-	outPrev [][]outEvent
+	// outCur collects the events emitted in a concurrent cycle for routers
+	// owned by the other shard; outPrev holds the batch of the last
+	// concurrent cycle, which the other shard imports into its wheel at the
+	// start of its next phase 1 (Network.pendingImport). The commit phase only
+	// swaps the two buffers, so the actual event copying runs in the
+	// destination's (parallel) phase 1 instead of the serial barrier.
+	outCur  []outEvent
+	outPrev []outEvent
 
 	// load is the number of routers the last stepped cycle visited: what the
 	// next one is expected to cost (Network.heavy). loadLow is the part of it
 	// in the lower half of the shard's routers, which is how a one-shard
-	// network that may yet split in two is judged.
+	// network, which may yet split in two, is judged.
 	load, loadLow int
 
 	// lastStep[r-r0] is the last cycle router r was stepped; the active-set
@@ -114,13 +116,12 @@ type shard struct {
 	// retired here). A packet allocates at its source shard and retires at
 	// its destination's, so one shard's balance can go negative; the sum
 	// over shards is the number of packets anywhere in the network —
-	// queued, streaming, or in flight — and is the leap gate's O(shards)
+	// queued, streaming, or in flight — and is the leap gate's first, cheap
 	// busy check (tryLeap).
 	livePkts int
 }
 
-// outEvent is a cross-shard event awaiting import by its destination shard
-// (the destination is the outCur/outPrev index it is filed under).
+// outEvent is a cross-shard event awaiting import by the other shard.
 type outEvent struct {
 	slot int32
 	e    event
@@ -197,38 +198,34 @@ func (s *shard) scheduleLocal(delay int64, e event) {
 // goroutine into the outbox it imports from.
 func (s *shard) scheduleRouter(delay int64, e event) {
 	slot := s.slotFor(delay)
-	if d := s.net.shardOfRouter[e.router]; d != int32(s.id) {
+	if d := s.net.shardOf(e.router); d != s {
 		if s.net.concurrent {
-			s.outCur[d] = append(s.outCur[d], outEvent{slot: int32(slot), e: e})
+			s.outCur = append(s.outCur, outEvent{slot: int32(slot), e: e})
 			return
 		}
-		s = s.net.shards[d]
+		s = d
 	}
 	s.enqueue(slot, e)
 }
 
-// importOutboxes moves the cross-shard events published for this shard by
-// the last concurrent cycle into its wheel. The sources' outPrev buffers are
-// read-only during phase 1 (each source now appends to its outCur), so
-// concurrent importers never race.
-func (s *shard) importOutboxes() {
-	for _, src := range s.net.shards {
-		for _, oe := range src.outPrev[s.id] {
-			s.enqueue(int64(oe.slot), oe.e)
-		}
+// importOutbox moves the cross-shard events the other shard published in the
+// last concurrent cycle into this shard's wheel. The other shard's outPrev is
+// read-only during phase 1 (it now appends to its outCur), so the two
+// importers never race.
+func (s *shard) importOutbox() {
+	for _, oe := range s.net.shards[1-s.id].outPrev {
+		s.enqueue(int64(oe.slot), oe.e)
 	}
 }
 
-// flushOutboxes imports what the last concurrent cycle published into every
-// shard's wheel, here and now, so that the leap gate reads the wheels alone.
+// flushOutboxes imports what the last concurrent cycle published into both
+// shards' wheels, here and now, so that the leap gate reads the wheels alone.
 func (n *Network) flushOutboxes() {
 	for _, s := range n.shards {
-		s.importOutboxes()
+		s.importOutbox()
 	}
 	for _, s := range n.shards {
-		for d := range s.outPrev {
-			s.outPrev[d] = s.outPrev[d][:0]
-		}
+		s.outPrev = s.outPrev[:0]
 	}
 	n.pendingImport = false
 }
@@ -268,7 +265,7 @@ func (s *shard) nextEventDelta() int64 {
 func (s *shard) phase1() {
 	n := s.net
 	if n.pendingImport {
-		s.importOutboxes()
+		s.importOutbox()
 	}
 	slot := n.nowSlot
 	evs := s.wheel[slot]
@@ -423,18 +420,15 @@ func (s *shard) newRequest(t traffic.PacketType, src, dst int, createdAt int64) 
 
 // mergeAndCommit is phase 2 of a cycle: single-threaded, it publishes the
 // cycle's cross-shard events and commits packet births and deliveries in a
-// canonical order, making results bit-identical for any shard count.
+// canonical order, making results bit-identical on one shard or two.
 func (n *Network) mergeAndCommit() {
 	// 1. Publish outboxes: a concurrent cycle's outCur becomes the next
-	// cycle's outPrev, which the destination shards import; the buffers they
-	// drained in this cycle are truncated for reuse. An inline cycle filed
-	// nothing, so after it the swap only retires what it imported.
+	// cycle's outPrev, which the other shard imports; the buffer it drained
+	// in this cycle is truncated for reuse. An inline cycle filed nothing, so
+	// after it the swap only retires what it imported.
 	if n.concurrent || n.pendingImport {
 		for _, s := range n.shards {
-			s.outCur, s.outPrev = s.outPrev, s.outCur
-			for i := range s.outCur {
-				s.outCur[i] = s.outCur[i][:0]
-			}
+			s.outCur, s.outPrev = s.outPrev[:0], s.outCur
 		}
 		n.pendingImport = n.concurrent
 	}

@@ -1,41 +1,43 @@
 package sim
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/trace"
 )
 
-// TestShardInvarianceGolden is the core contract of the sharded stepper:
-// for any shard count the two-phase schedule must reproduce the serial
-// stepper bit for bit — same RNG draw order, same packet IDs, same
-// floating-point latency sums — at seed 42 on both paper topologies and
-// all three speculation modes.
+// TestShardInvarianceGolden is the core contract of the sharded stepper on
+// the path production takes: a network that borrows from a lender, with no
+// hook and no split forced on it, splits when it proves heavy, gives its
+// helper back whenever the lender wants it (or the host does not run it) and
+// borrows again — and reproduces the network with no lender bit for bit:
+// same RNG draw order, same packet IDs, same floating-point latency sums, at
+// seed 42 on both paper topologies and all three speculation modes.
 func TestShardInvarianceGolden(t *testing.T) {
-	counts := []int{2, 4, runtime.NumCPU()}
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
-			base := mk(2, 0.3)
-			base.Seed = 42
-			base.SA.SpecMode = mode
-			base.Warmup, base.Measure, base.Drain = 200, 500, 5000
-			serial := New(base).Run()
-			for _, s := range counts {
-				cfg := base
-				cfg.Shards = s
-				if got := New(cfg).Run(); got != serial {
-					t.Errorf("%s %v shards=%d diverged from serial:\nserial:  %+v\nsharded: %+v",
-						base.Topology.Name, mode, s, serial, got)
-				}
+			cfg := mk(2, 0.3)
+			cfg.Seed = 42
+			cfg.SA.SpecMode = mode
+			cfg.Warmup, cfg.Measure, cfg.Drain = 200, 500, 5000
+			serial := New(cfg).Run()
+			lender := &testLender{recallEvery: 20}
+			n := New(cfg)
+			n.BorrowHelpers(lender)
+			if got := n.Run(); got != serial {
+				t.Errorf("%s %v: the borrowing network diverged from the lone one:\nserial:  %+v\nsharded: %+v",
+					cfg.Topology.Name, mode, serial, got)
+			}
+			if n.Shards() != 2 {
+				t.Errorf("%s %v: %d shards after %d loans, want a split", cfg.Topology.Name, mode, n.Shards(), lender.lent)
 			}
 		}
 	}
 }
 
 // TestShardInvarianceComposesWithDense checks the sharded stepper under the
-// reference schedule too: sharding and the schedule are independent axes,
+// reference schedule too: the layout and the schedule are independent axes,
 // and all four combinations must agree.
 func TestShardInvarianceComposesWithDense(t *testing.T) {
 	base := meshConfig(2, 0.3)
@@ -43,24 +45,26 @@ func TestShardInvarianceComposesWithDense(t *testing.T) {
 	base.Warmup, base.Measure, base.Drain = 200, 500, 5000
 	want := New(base).Run()
 	for _, reference := range []bool{false, true} {
-		for _, s := range []int{1, 4} {
+		for _, split := range []bool{false, true} {
 			cfg := base
 			cfg.Reference = reference
-			cfg.Shards = s
-			if got := New(cfg).Run(); got != want {
-				t.Errorf("reference=%v shards=%d diverged:\nwant: %+v\ngot:  %+v", reference, s, want, got)
+			n := New(cfg)
+			if split {
+				splitLent(n)
+			}
+			if got := n.Run(); got != want {
+				t.Errorf("reference=%v split=%v diverged:\nwant: %+v\ngot:  %+v", reference, split, want, got)
 			}
 		}
 	}
 }
 
-// TestShardFlitConservation drains a loaded network stepped with an uneven
-// shard split (64 routers over 3 shards): every flit handed to a router
-// must still reach a terminal, and Close must shut the workers down.
+// TestShardFlitConservation drains a loaded network stepped on the split
+// layout: every flit handed to a router must still reach a terminal, across
+// the halves as within them, and Close must give the helper back.
 func TestShardFlitConservation(t *testing.T) {
-	cfg := meshConfig(2, 0.3)
-	cfg.Shards = 3
-	n := New(cfg)
+	n := New(meshConfig(2, 0.3))
+	splitLent(n)
 	defer n.Close()
 	for i := 0; i < 2500; i++ {
 		n.stepCycle()
@@ -74,7 +78,7 @@ func TestShardFlitConservation(t *testing.T) {
 	}
 	sent, delivered := n.SentFlits(), n.deliveredFlits()
 	if sent != delivered {
-		t.Fatalf("shards=3: flit conservation violated: sent %d, delivered %d", sent, delivered)
+		t.Fatalf("split: flit conservation violated: sent %d, delivered %d", sent, delivered)
 	}
 	if sent == 0 {
 		t.Fatal("no traffic moved")
@@ -88,13 +92,12 @@ func TestShardFlitConservation(t *testing.T) {
 func TestShardValidateParallel(t *testing.T) {
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		cfg := mk(2, 0.35)
-		cfg.Shards = 4
 		cfg.Validate = true
 		cfg.Warmup, cfg.Measure, cfg.Drain = 200, 400, 4000
 		n := New(cfg)
 		alwaysConcurrent(n)
 		if res := n.Run(); res.FlitsDelivered == 0 {
-			t.Errorf("%s shards=4 validated: no flits moved", cfg.Topology.Name)
+			t.Errorf("%s split and validated: no flits moved", cfg.Topology.Name)
 		}
 		if st := n.ParallelStats(); st.Concurrent != st.Stepped {
 			t.Errorf("%s: %d of %d cycles concurrent, want all", cfg.Topology.Name, st.Concurrent, st.Stepped)
@@ -102,59 +105,64 @@ func TestShardValidateParallel(t *testing.T) {
 	}
 }
 
-// TestShardTraceForcesSerial pins the documented clamp: tracing collectors
-// are not concurrency-safe and same-cycle trace events need inline packet
-// IDs, so a traced run must fall back to one shard and still drain.
+// TestShardTraceForcesSerial pins the one rule that keeps a traced network on
+// its own goroutine (BorrowHelpers): tracing collectors are not
+// concurrency-safe and same-cycle trace events need inline packet IDs, so a
+// traced knee network offered a helper in every cycle borrows none, stays one
+// shard and still drains.
 func TestShardTraceForcesSerial(t *testing.T) {
 	collector := trace.NewCollector(100000)
-	cfg := meshConfig(1, 0.05)
-	cfg.Shards = 4
+	cfg := meshConfig(1, 0.3)
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 200, 2000
 	cfg.Trace = trace.New(collector, nil)
+	lender := &testLender{}
 	n := New(cfg)
-	if n.Shards() != 1 {
-		t.Fatalf("traced network runs %d shards, want 1", n.Shards())
+	n.BorrowHelpers(lender)
+	res := n.Run()
+	if st := n.ParallelStats(); n.Shards() != 1 || st.Concurrent != 0 || lender.lent != 0 {
+		t.Fatalf("traced knee network: %d shards, %d concurrent cycles, %d loans; want 1, 0, 0", n.Shards(), st.Concurrent, lender.lent)
 	}
-	if res := n.Run(); res.Unfinished != 0 || collector.Total() == 0 {
-		t.Fatalf("traced sharded-config run broken: %+v, %d events", n.Run(), collector.Total())
+	if res.FlitsDelivered == 0 || collector.Total() == 0 {
+		t.Fatalf("traced run broken: %+v, %d events", res, collector.Total())
 	}
 }
 
-// TestShardPartition checks the router/terminal partition: contiguous,
-// balanced within one router, covering, terminals co-resident with their
-// routers, and shard counts clamped to the router count.
+// TestShardPartition checks both layouts: New builds one shard owning every
+// router and terminal, and split lays it out on two contiguous halves,
+// terminals co-resident with their routers, covering the network, with
+// shardOf naming each router's owner.
 func TestShardPartition(t *testing.T) {
 	cfg := meshConfig(1, 0)
-	cfg.Shards = 3
 	n := New(cfg)
-	conc := cfg.Topology.Concentration
+	R, conc := cfg.Topology.Routers, cfg.Topology.Concentration
+	if s := n.shards[0]; n.Shards() != 1 || s.r0 != 0 || s.r1 != R || s.t0 != 0 || s.t1 != cfg.Topology.Terminals() {
+		t.Fatalf("New: %d shards, the first owning routers [%d,%d) and terminals [%d,%d)", n.Shards(), s.r0, s.r1, s.t0, s.t1)
+	}
+	n.split()
+	if n.Shards() != 2 {
+		t.Fatalf("split: %d shards, want 2", n.Shards())
+	}
 	prevR, prevT := 0, 0
 	for i, s := range n.shards {
-		if s.r0 != prevR || s.t0 != prevT {
-			t.Fatalf("shard %d not contiguous: r0=%d t0=%d, want %d/%d", i, s.r0, s.t0, prevR, prevT)
+		if s.id != i || s.r0 != prevR || s.t0 != prevT {
+			t.Fatalf("shard %d not contiguous: id=%d r0=%d t0=%d, want %d/%d", i, s.id, s.r0, s.t0, prevR, prevT)
 		}
 		if s.t1 != s.r1*conc {
 			t.Fatalf("shard %d terminals [%d,%d) not aligned to routers [%d,%d)", i, s.t0, s.t1, s.r0, s.r1)
 		}
-		if size := s.r1 - s.r0; size < cfg.Topology.Routers/3 || size > cfg.Topology.Routers/3+1 {
+		if size := s.r1 - s.r0; size != R/2 {
 			t.Fatalf("shard %d unbalanced: %d routers", i, size)
 		}
 		for r := s.r0; r < s.r1; r++ {
-			if n.shardOfRouter[r] != int32(i) {
-				t.Fatalf("shardOfRouter[%d] = %d, want %d", r, n.shardOfRouter[r], i)
+			if n.shardOf(int32(r)) != s {
+				t.Fatalf("shardOf(%d) is not shard %d", r, i)
 			}
 		}
 		prevR, prevT = s.r1, s.t1
 	}
-	if prevR != cfg.Topology.Routers || prevT != cfg.Topology.Terminals() {
+	if prevR != R || prevT != cfg.Topology.Terminals() {
 		t.Fatalf("partition covers %d routers / %d terminals, want %d / %d",
-			prevR, prevT, cfg.Topology.Routers, cfg.Topology.Terminals())
-	}
-
-	over := meshConfig(1, 0)
-	over.Shards = 10000
-	if got := New(over).Shards(); got != over.Topology.Routers {
-		t.Fatalf("oversized shard count clamped to %d, want %d", got, over.Topology.Routers)
+			prevR, prevT, R, cfg.Topology.Terminals())
 	}
 }
 

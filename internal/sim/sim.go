@@ -67,16 +67,9 @@ type Config struct {
 	// is spelled Drain: 1. The drain phase ends early once every measured
 	// packet is delivered.
 	Warmup, Measure, Drain int
-	// Shards partitions the routers (each with its attached terminals) into
-	// this many groups. A cycle in which every group has enough routers to
-	// step runs them concurrently, one goroutine each; any other cycle steps
-	// them one after another on the caller's goroutine (barrier.go). Results
-	// are bit-identical for any value. 0 or 1 is one group; values above the
-	// router count are clamped; tracing forces one (collectors are not
-	// concurrency-safe, and same-cycle trace events need inline packet IDs).
-	Shards int
 	// Trace, when non-nil, receives pipeline and terminal events stamped
-	// with the simulation cycle.
+	// with the simulation cycle. A traced network steps every cycle on the
+	// caller's goroutine (BorrowHelpers).
 	Trace *trace.Tracer
 	// Validate enables per-cycle allocation checking in every router, the
 	// routers' check of their cached requests against a full rebuild, the
@@ -189,27 +182,25 @@ type Network struct {
 	// indexing in slotFor/phase1 never pays a hardware divide.
 	nowSlot int64
 
-	// shards partition the routers and terminals; shardOfRouter maps a
-	// router id to its owner.
-	shards        []*shard
-	shardOfRouter []int32
-	wheelSize     int64
+	// shards partition the routers and terminals: one shard, or two after a
+	// split (shardOf says which owns a router).
+	shards    []*shard
+	wheelSize int64
 
 	// How the cycle being stepped runs (barrier.go). concurrent is set while
 	// the shards' phase 1 may be on separate goroutines: cross-shard events
 	// then go through the outboxes and new packets get their IDs at commit.
 	// pendingImport says the last concurrent cycle's outboxes are yet to be
-	// imported. helpers are the goroutines held for concurrent cycles, from
-	// lender or, if that is nil, started by the network; epoch numbers the
-	// concurrent cycles. wantHelpers is the current verdict of the break-even
-	// rule, streak the cycles in a row that contradicted it, askIn the cycles
-	// until a network that wants helpers and has none asks again, late the
-	// score of the helpers' lateness (scoreLate) and lastConcurrent the last
-	// cycle stepped concurrently. modeHook, set by tests only, replaces the
-	// rule.
+	// imported. helper is the goroutine borrowed from lender for concurrent
+	// cycles, nil while the network holds none; epoch numbers the concurrent
+	// cycles. wantHelpers is the current verdict of the break-even rule,
+	// streak the cycles in a row that contradicted it, askIn the cycles until
+	// a network that wants a helper and has none asks again, late the score
+	// of the helper's lateness (scoreLate) and lastConcurrent the last cycle
+	// stepped concurrently. modeHook, set by tests only, replaces the rule.
 	concurrent     bool
 	pendingImport  bool
-	helpers        []*helper
+	helper         *helper
 	lender         Lender
 	epoch          uint64
 	wantHelpers    bool
@@ -310,79 +301,64 @@ func New(cfg Config) *Network {
 		rid, port := cfg.Topology.TerminalRouter(t)
 		n.terminals = append(n.terminals, newTerminal(n, t, rid, port, root.Split(uint64(t)+1), pattern, procs[t]))
 	}
-	n.buildShards()
+	n.shards = []*shard{n.newShard(0, 0, cfg.Topology.Routers)}
+	for t := range n.terminals {
+		n.shards[0].settle(t)
+	}
 	return n
 }
 
-// buildShards partitions the routers into contiguous balanced ranges, each
-// taking its attached terminals along (terminal t lives on router t/conc,
-// so terminal ranges are contiguous too and shard-order concatenation of
-// per-shard terminal iteration preserves global terminal-id order — the
-// property the commit phase's ID assignment relies on).
-func (n *Network) buildShards() {
-	S := n.cfg.Shards
-	if S < 1 || n.cfg.Trace != nil {
-		S = 1
-	}
-	n.partition(S)
-	for _, s := range n.shards {
-		for t := s.t0; t < s.t1; t++ {
-			s.settle(t)
-		}
-	}
-}
-
-// partition replaces n.shards by S empty shards (at most one per router).
-func (n *Network) partition(S int) {
-	R := n.cfg.Topology.Routers
+// newShard returns an empty shard owning routers [r0, r1) and their
+// terminals (terminal t lives on router t/conc, so a shard's terminals are
+// contiguous too, and visiting the shards in index order visits the
+// terminals in id order — the property the commit phase's ID assignment
+// relies on).
+func (n *Network) newShard(id, r0, r1 int) *shard {
 	conc := n.cfg.Topology.Concentration
-	if S > R {
-		S = R
-	}
-	n.shards = make([]*shard, 0, S)
-	n.shardOfRouter = make([]int32, R)
-	for i := 0; i < S; i++ {
-		r0, r1 := i*R/S, (i+1)*R/S
-		s := &shard{
-			id:  i,
-			net: n,
-			r0:  r0, r1: r1,
-			t0: r0 * conc, t1: r1 * conc,
-			wheel:    make([][]event, n.wheelSize),
-			slotLow:  make([]int32, n.wheelSize),
-			occ:      make([]uint64, (n.wheelSize+63)/64),
-			outCur:   make([][]outEvent, S),
-			outPrev:  make([][]outEvent, S),
-			lastStep: make([]int64, r1-r0),
+	s := &shard{
+		id:  id,
+		net: n,
+		r0:  r0, r1: r1,
+		t0: r0 * conc, t1: r1 * conc,
+		wheel:    make([][]event, n.wheelSize),
+		slotLow:  make([]int32, n.wheelSize),
+		occ:      make([]uint64, (n.wheelSize+63)/64),
+		lastStep: make([]int64, r1-r0),
 
-			wakeIndex: newWakeIndex((r1-r0)*conc, r1-r0),
-		}
-		for j := range s.lastStep {
-			s.lastStep[j] = -1
-		}
-		for r := r0; r < r1; r++ {
-			n.shardOfRouter[r] = int32(i)
-		}
-		n.shards = append(n.shards, s)
+		wakeIndex: newWakeIndex((r1-r0)*conc, r1-r0),
 	}
+	for j := range s.lastStep {
+		s.lastStep[j] = -1
+	}
+	return s
 }
 
-// split re-partitions a one-shard network into two shards between two cycles,
-// moving everything the one shard held to the shard that now owns it: wheel
-// events by destination, the wake index entry by entry, the packet free list
-// in equal parts. Which shard an object or a counter lands in changes no result
-// (shard.go); the counters, only ever summed, stay with shard 0.
+// shardOf returns the shard that owns router r.
+func (n *Network) shardOf(r int32) *shard {
+	if s := n.shards[0]; int(r) < s.r1 {
+		return s
+	}
+	return n.shards[1]
+}
+
+// split lays a one-shard network out on two between two cycles, each half of
+// the routers a shard, moving everything the one shard held to the shard that
+// now owns it: wheel events by destination, the wake index entry by entry,
+// the packet free list in equal parts. Which shard an object or a counter
+// lands in changes no result (shard.go); the counters, only ever summed, stay
+// with shard 0.
 func (n *Network) split() {
 	old := n.shards[0]
-	n.partition(2)
+	mid := old.r1 / 2
+	n.shards = []*shard{n.newShard(0, 0, mid), n.newShard(1, mid, old.r1)}
 	conc := n.cfg.Topology.Concentration
 	for slot, evs := range old.wheel {
 		for _, e := range evs {
-			r := int(e.router)
+			r := e.router
 			if e.kind == evFlitToTerminal || e.kind == evCreditToTerminal {
-				r = int(e.terminal) / conc
+				r = e.terminal / int32(conc)
 			}
-			n.shards[n.shardOfRouter[r]].enqueue(int64(slot), e)
+			n.shardOf(r).enqueue(int64(slot), e)
 		}
 	}
 	for _, s := range n.shards {
@@ -399,7 +375,7 @@ func (n *Network) split() {
 				s.sleep.push(t-s.t0, old.sleep.at[t])
 			}
 		}
-		s.pktPool = old.pktPool.part(s.id, len(n.shards))
+		s.pktPool = old.pktPool.part(s.id, 2)
 	}
 	first := n.shards[0]
 	first.load, n.shards[1].load = old.loadLow, old.load-old.loadLow // the halves heavy() judged old by
@@ -413,9 +389,8 @@ func (n *Network) Now() int64 { return n.now }
 // Router returns router r (exposed for tests).
 func (n *Network) Router(r int) *router.Router { return n.routers[r] }
 
-// Shards returns the number of shards the network runs with right now (after
-// clamping; a network that borrows its helpers grows from one to two), for
-// tests and tools reporting their configuration.
+// Shards returns the number of shards the network runs with right now: one,
+// or two once it has split around a borrowed helper.
 func (n *Network) Shards() int { return len(n.shards) }
 
 // Occupancy implements routing.QueueEstimator for UGAL. During phase 1 it
@@ -429,7 +404,7 @@ func (n *Network) Occupancy(r, p int) int { return n.routers[r].OutputOccupancy(
 // (concurrently when the cycle is heavy enough to pay for it, barrier.go),
 // then a serial merge commits cross-shard events, new-packet IDs and
 // delivery statistics in a canonical order (see shard.go for why that makes
-// results bit-identical for any shard count).
+// results bit-identical on one shard or two).
 //
 // Within a shard the default schedule is active-set: terminals that cannot
 // make progress (no offered load, no open packet, empty source queues) and
@@ -443,7 +418,7 @@ func (n *Network) stepCycle() {
 	if n.cfg.Trace != nil {
 		n.cfg.Trace.SetCycle(n.now)
 	}
-	if n.concurrent = (len(n.shards) > 1 || n.lender != nil) && n.wantConcurrent(); n.concurrent {
+	if n.concurrent = n.lender != nil && n.wantConcurrent(); n.concurrent {
 		n.stepConcurrent()
 	} else {
 		for _, s := range n.shards {
@@ -479,7 +454,7 @@ func (n *Network) Run() Result {
 // and an empty select in the steady state, so the zero-alloc hot loop and
 // bit-identical goldens are unaffected), and a cancelled run returns early
 // with Result.Aborted set. Abort never lands mid-cycle — the check sits
-// between cycles, when no shard worker is running — so a partial run is
+// between cycles, when the helper is not stepping — so a partial run is
 // internally consistent, just incomplete.
 func (n *Network) RunCtx(ctx context.Context) Result {
 	defer n.Close()

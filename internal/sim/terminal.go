@@ -62,7 +62,7 @@ type terminal struct {
 	// recorded accumulates this terminal's injected request transactions
 	// when Config.RecordArrivals is set (nil otherwise); the per-terminal
 	// buffers are merged into one canonical trace by Network.ArrivalTrace,
-	// which keeps recording deterministic for any shard count.
+	// which keeps recording deterministic on one shard or two.
 	recorded []traffic.Arrival
 	record   bool
 
@@ -344,7 +344,7 @@ func (n *Network) SetInjectionRate(rate float64) {
 // Config.RecordArrivals): the per-terminal buffers merged into canonical
 // (cycle, src) order. Each terminal appends its own arrivals during its
 // shard's phase, so recording is race-free and the merged trace is
-// bit-identical for any shard count and scheduler.
+// bit-identical on one shard or two and for either schedule.
 func (n *Network) ArrivalTrace() *traffic.PacketTrace {
 	if !n.cfg.RecordArrivals {
 		panic("sim: ArrivalTrace requires Config.RecordArrivals")

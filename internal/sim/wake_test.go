@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/routing"
@@ -19,12 +18,15 @@ import (
 // terminal in twenty.
 func TestWakeIndexVisitCounts(t *testing.T) {
 	const cycles = 10000
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, leg := range []struct {
+		name string
+		prep func(*Network)
+	}{{"shards=1", oneShard}, {"split", splitLent}} {
+		t.Run(leg.name, func(t *testing.T) {
 			cfg := meshConfig(1, 0.001)
 			cfg.Seed = 42
-			cfg.Shards = shards
 			n := New(cfg)
+			leg.prep(n)
 			defer n.Close()
 			var stepped, wantTerms, wantRouters int64
 			needsStep := make([]bool, len(n.routers))
@@ -47,11 +49,9 @@ func TestWakeIndexVisitCounts(t *testing.T) {
 						}
 					}
 					// Cross-shard flits due now are still in the outboxes.
-					for _, src := range n.shards {
-						for _, oe := range src.outPrev[s.id] {
-							if oe.e.kind == evFlitToRouter && int64(oe.slot) == n.nowSlot {
-								needsStep[oe.e.router] = true
-							}
+					for _, oe := range s.outPrev {
+						if oe.e.kind == evFlitToRouter && int64(oe.slot) == n.nowSlot {
+							needsStep[oe.e.router] = true
 						}
 					}
 				}

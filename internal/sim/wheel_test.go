@@ -76,13 +76,12 @@ func occConsistent(t *testing.T, n *Network, when string) {
 	}
 }
 
-// TestWheelOccupancyTracksSlots drives a loaded sharded simulation and
+// TestWheelOccupancyTracksSlots drives a loaded split simulation and
 // cross-checks the occupancy bitmask against the raw wheel every cycle —
 // covering local schedules, cross-shard imports and slot drains.
 func TestWheelOccupancyTracksSlots(t *testing.T) {
-	cfg := meshConfig(2, 0.3)
-	cfg.Shards = 4
-	n := New(cfg)
+	n := New(meshConfig(2, 0.3))
+	splitLent(n)
 	defer n.Close()
 	for i := 0; i < 400; i++ {
 		n.stepCycle()

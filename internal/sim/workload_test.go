@@ -20,10 +20,10 @@ func workloadConfig(mk func(int, float64) Config, rate float64, w traffic.Worklo
 }
 
 // TestWorkloadGoldenMMP pins the default schedule against the reference
-// (assertGolden, shards 1 and 4) for the bursty MMP arrival process on both
-// paper topologies. The fbfly leg also
-// exercises the presample rewind under UGAL's terminal-stream routing
-// draws, now with phase state in the process snapshot.
+// (assertGolden, one shard and split) for the bursty MMP arrival process on
+// both paper topologies. The fbfly leg also exercises the presample rewind
+// under UGAL's terminal-stream routing draws, now with phase state in the
+// process snapshot.
 func TestWorkloadGoldenMMP(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -33,7 +33,7 @@ func TestWorkloadGoldenMMP(t *testing.T) {
 		{"fbfly", fbflyConfig},
 	} {
 		w := traffic.Workload{Process: "mmp", BurstLen: 16, Duty: 0.25}
-		assertGolden(t, tc.name+"/mmp", workloadConfig(tc.mk, 0.1, w), 1, 4)
+		assertGolden(t, tc.name+"/mmp", workloadConfig(tc.mk, 0.1, w), oneShard, splitLent)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestWorkloadGoldenHotspot(t *testing.T) {
 		{"fbfly", fbflyConfig},
 	} {
 		w := traffic.Workload{Pattern: "hotspot", Hotspots: []int{0, 9}, HotspotFraction: 0.2}
-		assertGolden(t, tc.name+"/hotspot", workloadConfig(tc.mk, 0.1, w), 1, 4)
+		assertGolden(t, tc.name+"/hotspot", workloadConfig(tc.mk, 0.1, w), oneShard, splitLent)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestWorkloadGoldenReplay(t *testing.T) {
 		{"fbfly", fbflyConfig},
 	} {
 		pt := recordedTrace(t, tc.mk, 0.1)
-		assertGolden(t, tc.name+"/replay", workloadConfig(tc.mk, 0, traffic.Workload{Trace: pt}), 1, 4)
+		assertGolden(t, tc.name+"/replay", workloadConfig(tc.mk, 0, traffic.Workload{Trace: pt}), oneShard, splitLent)
 	}
 }
 

@@ -192,7 +192,7 @@ func TestDiskStoreVersionScoped(t *testing.T) {
 func TestServerDiskRestartWarm(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
-		Defaults: goldenScale(1),
+		Defaults: goldenScale(),
 		Workers:  2,
 		CacheDir: root,
 	}
@@ -245,7 +245,7 @@ func TestServerDiskRestartWarm(t *testing.T) {
 	if _, ok := statz["disk"]; !ok {
 		t.Fatalf("statz missing disk section: %s", b)
 	}
-	_, tsMem := newTestServer(t, Options{Defaults: goldenScale(1), Workers: 1})
+	_, tsMem := newTestServer(t, Options{Defaults: goldenScale(), Workers: 1})
 	resp, err = tsMem.Client().Get(tsMem.URL + "/statz")
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +263,7 @@ func TestServerDiskRestartWarm(t *testing.T) {
 func TestServerDiskCorruptionFallsBackToSim(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
-		Defaults: goldenScale(1),
+		Defaults: goldenScale(),
 		Workers:  1,
 		CacheDir: root,
 	}
@@ -338,7 +338,7 @@ func TestServerHealsStaleV2Cache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := Options{Defaults: goldenScale(1), Workers: 1, CacheDir: root}
+	opts := Options{Defaults: goldenScale(), Workers: 1, CacheDir: root}
 	s, ts := newTestServer(t, opts)
 	res := postSweep(t, ts.Client(), ts.URL, req)
 	if res.Summary.Misses != 1 || s.SimRuns() != 1 {
@@ -511,7 +511,7 @@ func TestDiskStoreEvictionNeverDeletesKeepOrStrays(t *testing.T) {
 func TestServerRestartAfterEvictionHeals(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
-		Defaults:       goldenScale(1),
+		Defaults:       goldenScale(),
 		Workers:        2,
 		CacheDir:       root,
 		DiskMaxEntries: 2,

@@ -109,8 +109,8 @@ func TestPoolLentWorkerIsNoTask(t *testing.T) {
 	}
 }
 
-// TestServerRecallsLentWorker runs a knee unit on a two-worker server that
-// follows the idle workers (Shards 0): the unit borrows the second worker; a
+// TestServerRecallsLentWorker runs a knee unit on a two-worker server, whose
+// units follow the idle workers: the unit borrows the second worker; a
 // task that then arrives gets that worker within the bound Pool documents;
 // the unit borrows it again once the task is done; and cancelling the unit
 // returns it.

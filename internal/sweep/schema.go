@@ -53,11 +53,11 @@ import (
 const SchemaVersion = 3
 
 // UnitConfig is one (config, seed) simulation unit: the semantic
-// description of a run, and nothing else. Execution hints — shard count,
-// worker placement, the simulator's reference schedule — are deliberately
-// excluded: the simulator is bit-identical across all of them (the golden
-// suite pins this), so they must not influence the content key. A server
-// takes them from its Options.Defaults.
+// description of a run, and nothing else. Execution hints — worker
+// placement, a borrowed helper, the simulator's reference schedule — are
+// deliberately excluded: the simulator is bit-identical across all of them
+// (the golden suite pins this), so they must not influence the content key.
+// A server takes them from its Options.
 //
 // Zero values mean "default" and are filled by Normalized before hashing,
 // so a default-filled and an explicitly-spelled config produce the same
@@ -318,10 +318,9 @@ func (c UnitConfig) Key() string {
 
 // BuildSim assembles the unit's sim.Config through the same
 // experiments.BuildSim path the batch CLIs use, then applies the unit's
-// allocator/pattern/workload overrides. shards and reference are the
-// execution hints (sim.Config.Shards / Reference): they change no result and
-// are no part of the unit.
-func (c UnitConfig) BuildSim(shards int, reference bool) (sim.Config, error) {
+// allocator/pattern/workload overrides. reference is an execution hint
+// (sim.Config.Reference): it changes no result and is no part of the unit.
+func (c UnitConfig) BuildSim(reference bool) (sim.Config, error) {
 	c = c.Normalized()
 	if err := c.Validate(); err != nil {
 		return sim.Config{}, err
@@ -332,8 +331,8 @@ func (c UnitConfig) BuildSim(shards int, reference bool) (sim.Config, error) {
 	}
 	scale := experiments.SimScale{
 		Warmup: c.Warmup, Measure: c.Measure, Drain: c.Drain, Seed: c.Seed,
-		Shards: shards, Reference: reference,
-		Workload: c.workload(),
+		Reference: reference,
+		Workload:  c.workload(),
 	}
 	cfg := experiments.BuildSim(pt, c.Rate, scale)
 	cfg.VA.Arch, _ = ParseArch(c.VAArch)
@@ -383,19 +382,13 @@ func (r UnitResult) NetPoint() experiments.NetPoint {
 
 // RunUnit simulates one unit to completion (or until ctx is cancelled,
 // checked every sim.AbortCheckInterval cycles; a cancelled run returns
-// ctx.Err() and no result).
-func RunUnit(ctx context.Context, c UnitConfig, shards int, reference bool) (UnitResult, error) {
-	res, _, err := runUnit(ctx, c, shards, reference, nil)
-	return res, err
-}
-
-// runUnit is RunUnit for a caller that has goroutines to lend: with lender
-// set, the simulation takes the helpers of its shards from it while it has
-// heavy cycles to step (sim.Network.BorrowHelpers) instead of starting its
-// own. It also reports how the cycles were executed.
-func runUnit(ctx context.Context, c UnitConfig, shards int, reference bool, lender sim.Lender) (UnitResult, sim.ParallelStats, error) {
+// ctx.Err() and no result) and reports how its cycles were executed. With
+// lender set, the simulation borrows a helper from it while it has heavy
+// cycles to step (sim.Network.BorrowHelpers); with nil it runs on the
+// caller's goroutine alone.
+func RunUnit(ctx context.Context, c UnitConfig, reference bool, lender sim.Lender) (UnitResult, sim.ParallelStats, error) {
 	c = c.Normalized()
-	cfg, err := c.BuildSim(shards, reference)
+	cfg, err := c.BuildSim(reference)
 	if err != nil {
 		return UnitResult{}, sim.ParallelStats{}, err
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // TestKeyDefaultsVsExplicit pins canonicalization rule #1: a sparse config
@@ -213,11 +215,11 @@ func TestKeyWorkloadCollapse(t *testing.T) {
 // the batch CLI path builds for the same design point and scale.
 func TestBuildSimMatchesBatchPath(t *testing.T) {
 	u := UnitConfig{Topo: "mesh", VCsPerClass: 2, Rate: 0.25, Seed: 42, Warmup: 500, Measure: 1000, Drain: 4000}
-	cfg, err := u.BuildSim(4, true)
+	cfg, err := u.BuildSim(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workload.Rate != 0.25 || cfg.Seed != 42 || cfg.Shards != 4 || !cfg.Reference {
+	if cfg.Workload.Rate != 0.25 || cfg.Seed != 42 || !cfg.Reference {
 		t.Fatalf("BuildSim dropped fields: %+v", cfg)
 	}
 	if cfg.Spec.VCsPerClass != 2 || cfg.Topology == nil || cfg.Routing == nil {
@@ -230,14 +232,21 @@ func TestBuildSimMatchesBatchPath(t *testing.T) {
 
 // BenchmarkRunUnitKnee simulates the four sim_saturation units of the
 // repository benchmark (bench/gen.go: each design point at its saturation
-// knee, phases 125/300/2500) on the default schedule, on one shard and on
-// two. shards=1 is where the router.Step profile split in EXPERIMENTS.md
-// comes from, and the ratio of the two is the "Sharded parallel cycle
-// stepper" table there:
+// knee, phases 125/300/2500) on the default schedule, alone and lent: the
+// second borrows from an otherwise idle two-worker Pool, which is what a
+// sweepd unit does on a two-worker server, splitting in two once it has
+// proved heavy. alone is where the router.Step profile split in
+// EXPERIMENTS.md comes from, and the ratio of the two is the "Sharded
+// parallel cycle stepper" table there:
 //
-//	go test -run '^$' -bench RunUnitKnee/shards=1 -benchtime 20x -cpuprofile cpu.prof ./internal/sweep/
+//	go test -run '^$' -bench RunUnitKnee/alone -benchtime 20x -cpuprofile cpu.prof ./internal/sweep/
 func BenchmarkRunUnitKnee(b *testing.B) {
-	for _, shards := range []int{1, 2} {
+	pool := NewPool(2)
+	defer pool.Close()
+	for _, leg := range []struct {
+		name   string
+		lender sim.Lender
+	}{{"alone", nil}, {"lent", pool}} {
 		for _, u := range []UnitConfig{
 			{Topo: "mesh", VCsPerClass: 1, Rate: 0.30, SAArch: "sep_if", SpecMode: "spec_req"},
 			{Topo: "mesh", VCsPerClass: 2, Rate: 0.34, SAArch: "wf", SpecMode: "spec_gnt"},
@@ -245,10 +254,10 @@ func BenchmarkRunUnitKnee(b *testing.B) {
 			{Topo: "fbfly", VCsPerClass: 2, Rate: 0.45, SAArch: "wf", SpecMode: "spec_req"},
 		} {
 			u.Warmup, u.Measure, u.Drain = 125, 300, 2500
-			b.Run(fmt.Sprintf("shards=%d/%s_c%d_%s_%s", shards, u.Topo, u.VCsPerClass, u.SAArch, u.SpecMode), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s_c%d_%s_%s", leg.name, u.Topo, u.VCsPerClass, u.SAArch, u.SpecMode), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := RunUnit(context.Background(), u, shards, false); err != nil {
+					if _, _, err := RunUnit(context.Background(), u, false, leg.lender); err != nil {
 						b.Fatal(err)
 					}
 				}

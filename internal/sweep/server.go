@@ -187,18 +187,16 @@ type SweepSummary struct {
 type Options struct {
 	// Defaults fills a request's zero phase lengths, seed and workload
 	// fields before normalization (a sweepd -warmup/-measure/-drain/-seed
-	// flag set); zero fields fall back to the schema defaults. Its Shards
-	// and Reference are the execution hints applied to every simulated unit
-	// (they change no result and no content key); Workers is not read.
-	// Shards 0 follows the idle workers: a unit runs on one shard until it
-	// has proved heavy and the pool has a worker with nothing to do, splits
-	// in two around that worker, and gives it back as soon as another unit
-	// waits for it (Pool, sim.Network.BorrowHelpers). Shards ≥ 1 is that
-	// many shards with goroutines of the unit's own, whatever the pool is
-	// doing.
+	// flag set); zero fields fall back to the schema defaults. Its Reference
+	// is the execution hint applied to every simulated unit (it changes no
+	// result and no content key); Workers is not read.
 	Defaults experiments.SimScale
 	// Workers bounds concurrently running simulations (default
-	// 1; sweepd passes GOMAXPROCS).
+	// 1; sweepd passes GOMAXPROCS). With more than one, units follow the
+	// idle workers: a unit runs on one shard until it has proved heavy and
+	// the pool has a worker with nothing to do, splits in two around that
+	// worker, and gives it back as soon as another unit waits for it (Pool,
+	// sim.Network.BorrowHelpers).
 	Workers int
 	// MaxEntries / MaxBytes bound the result store (defaults 4096 entries,
 	// 64 MiB).
@@ -232,8 +230,8 @@ type Server struct {
 	flight   *Group
 	pool     *Pool
 	unitConc int
-	// lender is the pool when units follow its idle workers
-	// (Options.Defaults.Shards 0 on more than one worker), else nil.
+	// lender is the pool when units follow its idle workers (more than one
+	// worker), else nil.
 	lender sim.Lender
 
 	simRuns        atomic.Int64
@@ -273,7 +271,7 @@ func NewServer(opts Options) (*Server, error) {
 		pool:     NewPool(opts.Workers),
 		unitConc: opts.UnitConcurrency,
 	}
-	if opts.Defaults.Shards == 0 && opts.Workers > 1 { // a lone worker never sees another one idle
+	if opts.Workers > 1 { // a lone worker never sees another one idle
 		s.lender = s.pool
 	}
 	return s, nil
@@ -526,7 +524,7 @@ func (s *Server) serveUnit(ctx context.Context, u UnitConfig, key string, probed
 		poolErr := s.pool.Run(runCtx, func(simCtx context.Context) {
 			s.simRuns.Add(1)
 			var par sim.ParallelStats
-			res, par, runErr = runUnit(simCtx, u, s.defaults.Shards, s.defaults.Reference, s.lender)
+			res, par, runErr = RunUnit(simCtx, u, s.defaults.Reference, s.lender)
 			s.parallelCycles.Add(par.Concurrent)
 		})
 		if poolErr != nil {

@@ -87,36 +87,39 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 }
 
 // goldenScale is the test-sized batch scale the golden comparisons use.
-func goldenScale(shards int) experiments.SimScale {
-	return experiments.SimScale{Warmup: 200, Measure: 400, Drain: 2000, Seed: 42, Workers: 2, Shards: shards}
+func goldenScale() experiments.SimScale {
+	return experiments.SimScale{Warmup: 200, Measure: 400, Drain: 2000, Seed: 42, Workers: 2}
 }
 
 // TestServerGoldenBitIdentical is the acceptance golden: for both paper
-// topologies and shard counts 1 and 4, a sweepd-served Fig. 13 curve —
-// assembled from the service's per-unit results — must be byte-equal to the
-// batch path (experiments.Fig13, the code behind cmd/repro) for the same
-// (config, seed), on a cold cache miss AND again on a warm cache hit.
+// topologies, a sweepd-served Fig. 13 curve — assembled from the service's
+// per-unit results — must be byte-equal to the batch path
+// (experiments.Fig13, the code behind cmd/repro) for the same (config, seed),
+// on a cold cache miss AND again on a warm cache hit. The batch path runs
+// every unit on one shard; the server does too on one worker (shards=1), and
+// on two lends each heavy unit the idle worker (lent: the units run one at a
+// time, so there is one to borrow).
 func TestServerGoldenBitIdentical(t *testing.T) {
 	rates := []float64{0.05, 0.2}
 	archs := []string{"sep_if", "sep_of", "wf"}
 	for _, topo := range []string{"mesh", "fbfly"} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", topo, shards), func(t *testing.T) {
+		for _, leg := range []struct {
+			name string
+			opts Options
+		}{{"shards=1", Options{Workers: 1}}, {"lent", Options{Workers: 2, UnitConcurrency: 1}}} {
+			t.Run(fmt.Sprintf("%s/%s", topo, leg.name), func(t *testing.T) {
 				pt, err := experiments.PointByName(topo, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scale := goldenScale(shards)
+				scale := goldenScale()
 				batch := experiments.Fig13(context.Background(), pt, rates, scale)
 				batchJSON, err := json.Marshal(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
 
-				srv, ts := newTestServer(t, Options{
-					Workers:  2,
-					Defaults: experiments.SimScale{Shards: shards},
-				})
+				srv, ts := newTestServer(t, leg.opts)
 				req := Request{
 					Base: UnitConfig{
 						Topo: topo, VCsPerClass: 1, Seed: 42,
@@ -172,6 +175,9 @@ func TestServerGoldenBitIdentical(t *testing.T) {
 				}
 				if runs := srv.SimRuns(); runs != int64(len(archs)*len(rates)) {
 					t.Fatalf("server ran %d sims for %d distinct units", runs, len(archs)*len(rates))
+				}
+				if _, lent, _ := srv.pool.LendStats(); (leg.opts.Workers > 1) != (lent > 0) {
+					t.Fatalf("%d workers: %d loans", leg.opts.Workers, lent)
 				}
 			})
 		}
@@ -239,32 +245,30 @@ func TestServerEviction(t *testing.T) {
 	}
 }
 
-// TestServerShardsFromDefaults pins where the server's execution hints come
-// from: the Shards (and Reference) of the one Options.Defaults, with no second
-// copy to forget. A heavy unit running on a Shards: 4 server has three helper
-// goroutines of its own beside the stepping one.
+// TestServerShardsFromDefaults pins the server's one remaining input to how a
+// unit is sharded: its worker count. A heavy unit on a one-worker server
+// never has a helper goroutine (there is no other worker to lend), and on a
+// two-worker server whose other worker is idle it has exactly one.
 func TestServerShardsFromDefaults(t *testing.T) {
-	srv, _ := newTestServer(t, Options{Workers: 1, Defaults: experiments.SimScale{Shards: 4}})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		// ~50M cycles: it runs until cancelled.
-		_, err := srv.EvalUnit(ctx, UnitConfig{Topo: "mesh", Rate: 0.3, Seed: 42, Warmup: 500, Measure: 50_000_000, Drain: 1000})
-		done <- err
-	}()
 	buf := make([]byte, 1<<20)
-	deadline := time.Now().Add(10 * time.Second)
-	for workers := 0; workers != 3; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d shard helpers running, want 3", workers)
+	helpers := func() int { return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*helper).run(")) }
+	for _, workers := range []int{1, 2} {
+		srv, _ := newTestServer(t, Options{Workers: workers})
+		cancel, done := startUnit(srv, kneeForever)
+		waitFor(t, "the unit to run", func() bool { return srv.pool.Running() == 1 })
+		if workers == 2 {
+			waitFor(t, "the unit to borrow the idle worker", func() bool { return helpers() == 1 })
 		}
-		time.Sleep(time.Millisecond)
-		workers = bytes.Count(buf[:runtime.Stack(buf, true)], []byte("sim.(*helper).run("))
-	}
-	cancel()
-	if err := <-done; err == nil {
-		t.Fatal("cancelled unit returned a result")
+		// Long past the switchAfter cycles a heavy unit waits before it asks.
+		for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+			if n := helpers(); n > workers-1 {
+				t.Fatalf("%d workers: %d helper goroutines, want at most %d", workers, n, workers-1)
+			}
+		}
+		cancel()
+		if err := <-done; err == nil {
+			t.Fatal("cancelled unit returned a result")
+		}
 	}
 }
 
