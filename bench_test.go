@@ -403,29 +403,6 @@ func BenchmarkAblationPrecomputedSwitch(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIncrementalSteps measures the incremental maximum-size
-// allocator at different per-cycle step budgets against one-shot maximum.
-func BenchmarkAblationIncrementalSteps(b *testing.B) {
-	req := randomMatrix(16, 16, 0.3, 13)
-	for _, steps := range []int{1, 4, 16} {
-		steps := steps
-		b.Run(fmt.Sprintf("steps=%d", steps), func(b *testing.B) {
-			b.ReportAllocs()
-			a := repro.NewIncrementalAllocator(16, 16, steps)
-			for i := 0; i < b.N; i++ {
-				a.Allocate(req)
-			}
-		})
-	}
-	b.Run("oneshot", func(b *testing.B) {
-		b.ReportAllocs()
-		a := repro.NewAllocator(repro.AllocConfig{Arch: repro.Maximum, Rows: 16, Cols: 16})
-		for i := 0; i < b.N; i++ {
-			a.Allocate(req)
-		}
-	})
-}
-
 // BenchmarkTorusDatelineNetwork exercises the torus extension end to end.
 func BenchmarkTorusDatelineNetwork(b *testing.B) {
 	b.ReportAllocs()

@@ -34,12 +34,6 @@ type freeQueueVCAllocator struct {
 	reqVec *bitvec.Vec
 }
 
-// NewFreeQueueVCAllocator builds the free-VC-queue allocator.
-func NewFreeQueueVCAllocator(cfg VCAllocConfig) VCAllocator {
-	cfg.FreeQueue = true
-	return NewVCAllocator(cfg)
-}
-
 func newFreeQueueVCAllocator(cfg VCAllocConfig) *freeQueueVCAllocator {
 	v := cfg.Spec.V()
 	return &freeQueueVCAllocator{
@@ -97,10 +91,9 @@ func (a *freeQueueVCAllocator) qIndex(port, class int) int { return port*a.spec.
 // noteFreed re-enqueues VCs the router reports as candidates but which the
 // allocator had handed out earlier: their packets released them.
 //
-// Unlike the simulator's flit/packet pools, these free lists need no trim
-// policy: the inQ dedup bit admits each VC to its queue at most once, so a
-// queue holds at most the VCsPerClass ids it was built with and never grows
-// past its initial backing array. The append below therefore never
+// These free lists are bounded: the inQ dedup bit admits each VC to its
+// queue at most once, so a queue holds at most the VCsPerClass ids it was
+// built with and never grows past its initial backing array. The append below therefore never
 // reallocates; the length check enforces the invariant.
 func (a *freeQueueVCAllocator) noteFreed(reqs []VCRequest) {
 	for _, r := range reqs {

@@ -50,18 +50,6 @@ func Points() []Point {
 	}
 }
 
-// PointsFor returns the design points of one topology in VC order (the
-// design-space search enumerates VC organizations per topology).
-func PointsFor(topo string) []Point {
-	var pts []Point
-	for _, p := range Points() {
-		if p.Topo == topo {
-			pts = append(pts, p)
-		}
-	}
-	return pts
-}
-
 // PointByName returns the design point labeled "<topo> MxRxC".
 func PointByName(topo string, c int) (Point, error) {
 	for _, p := range Points() {

@@ -179,7 +179,7 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 		if avg >= 1 {
 			t.Fatalf("%s: steady-state stepCycle allocates %.1f objects/cycle, want amortized zero", tc.name, avg)
 		}
-		if n.shards[0].pktPool.free() == 0 {
+		if len(n.shards[0].freePkts) == 0 {
 			t.Fatalf("%s: free lists never populated; recycling path is dead", tc.name)
 		}
 		if want := map[bool]int64{true: st.Stepped}[tc.concurrent]; st.Concurrent != want {

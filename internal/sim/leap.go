@@ -43,9 +43,9 @@ import (
 // tryLeap advances the clock to the earliest cycle (at most horizon) in
 // which any work is pending, if the network is provably idle until then.
 // It reports whether it moved the clock. Called between cycles only, when
-// no shard worker is running.
+// no shard worker is running. The reference schedule never leaps.
 func (n *Network) tryLeap(horizon int64) bool {
-	if !n.leapOn {
+	if n.cfg.Reference {
 		return false
 	}
 	// Cheap pre-gate: any live packet means some terminal queue, router

@@ -56,14 +56,13 @@ type shard struct {
 
 	// wheel is the shard-local timing wheel; slot (now+delay)%wheelSize
 	// holds the events due at cycle now+delay for entities owned by this
-	// shard. slotLow counts consecutive drains that used far less than a
-	// slot's capacity, backing the shrink policy in recycleSlot. occ is a
-	// bitmask over slots (bit set iff the slot holds events), giving the
-	// event-leaping gate an O(wheelSize/64) earliest-pending-event query
+	// shard. A slot keeps the largest capacity it ever needed: a run is short
+	// and its network dropped afterwards, so there is nothing to give back.
+	// occ is a bitmask over slots (bit set iff the slot holds events), giving
+	// the event-leaping gate an O(wheelSize/64) earliest-pending-event query
 	// (nextEventDelta).
-	wheel   [][]event
-	slotLow []int32
-	occ     []uint64
+	wheel [][]event
+	occ   []uint64
 
 	// outCur collects the events emitted in a concurrent cycle for routers
 	// owned by the other shard; outPrev holds the batch of the last
@@ -89,12 +88,13 @@ type shard struct {
 	// reference schedule visits everything and never reads it.
 	wakeIndex
 
-	// pktPool recycles packet objects, with burst decay (see pool.go). A
-	// packet is drawn at its source terminal's shard and recycled at its
-	// destination's, so objects migrate between pools, but each pool is only
-	// touched by its own shard in phase 1 and by the single-threaded commit
-	// in phase 2. Flits are values and need no pool.
-	pktPool pool[*router.Packet]
+	// freePkts is a LIFO free list of recycled packet objects. It never
+	// shrinks: a run's peak is reached long before it ends. A packet is drawn
+	// at its source terminal's shard and recycled at its destination's, so
+	// objects migrate between lists, but each list is only touched by its own
+	// shard in phase 1 and by the single-threaded commit in phase 2. Flits
+	// are values and need no free list.
+	freePkts []*router.Packet
 
 	// newPkts are the requests created this cycle, in terminal order,
 	// awaiting ID assignment at commit (concurrent cycles only; an inline
@@ -136,34 +136,13 @@ type delivery struct {
 	pkt      *router.Packet
 }
 
-// Wheel slot shrink policy: a saturation burst can grow a slot's backing
-// array far beyond steady-state needs, and plain slot[:0] recycling would
-// pin that peak capacity for the rest of the run. After slotShrinkAfter
-// consecutive drains each using less than a quarter of a capacity above
-// slotShrinkMin, the slot is reallocated at half capacity, stepping down
-// geometrically toward actual usage without thrashing at the boundary.
-const (
-	slotShrinkMin   = 64
-	slotShrinkAfter = 64
-)
-
-// recycleSlot empties a drained wheel slot, shrinking persistently
-// oversized backing arrays. The slot's occupancy bit clears here and
-// nowhere else: slotFor rejects zero delays, so nothing can re-enter the
-// slot being drained within the same cycle.
-func (s *shard) recycleSlot(slot int64, used int) {
+// recycleSlot empties a drained wheel slot, keeping its backing array. The
+// slot's occupancy bit clears here and nowhere else: slotFor rejects zero
+// delays, so nothing can re-enter the slot being drained within the same
+// cycle.
+func (s *shard) recycleSlot(slot int64) {
 	s.occ[slot>>6] &^= 1 << (uint(slot) & 63)
-	w := s.wheel[slot]
-	if c := cap(w); c > slotShrinkMin && used*4 < c {
-		if s.slotLow[slot]++; s.slotLow[slot] >= slotShrinkAfter {
-			s.wheel[slot] = make([]event, 0, c/2)
-			s.slotLow[slot] = 0
-			return
-		}
-	} else {
-		s.slotLow[slot] = 0
-	}
-	s.wheel[slot] = w[:0]
+	s.wheel[slot] = s.wheel[slot][:0]
 }
 
 func (s *shard) slotFor(delay int64) int64 {
@@ -283,8 +262,7 @@ func (s *shard) phase1() {
 			n.terminals[e.terminal].credit(int(e.vc))
 		}
 	}
-	s.recycleSlot(slot, len(evs))
-	s.pktPool.trim()
+	s.recycleSlot(slot)
 
 	if n.cfg.Reference {
 		for t := s.t0; t < s.t1; t++ {
@@ -382,8 +360,10 @@ func (s *shard) flitDelivered() {
 // initializes its fields. ID assignment and measurement accounting are the
 // caller's responsibility.
 func (s *shard) allocPacket(t traffic.PacketType, src, dst int, createdAt int64) *router.Packet {
-	p, ok := s.pktPool.get()
-	if !ok {
+	var p *router.Packet
+	if k := len(s.freePkts) - 1; k >= 0 {
+		p, s.freePkts = s.freePkts[k], s.freePkts[:k]
+	} else {
 		p = new(router.Packet)
 	}
 	*p = router.Packet{
@@ -481,6 +461,6 @@ func (n *Network) commitDelivery(s *shard, d delivery) {
 		n.terminals[d.terminal].replyQ.push(reply)
 		s.settle(d.terminal)
 	}
-	s.pktPool.put(p)
+	s.freePkts = append(s.freePkts, p)
 	s.livePkts--
 }

@@ -165,84 +165,3 @@ func TestShardPartition(t *testing.T) {
 			prevR, prevT, R, cfg.Topology.Terminals())
 	}
 }
-
-// TestWheelSlotCapacityDecay covers the slot-retention fix: a saturation
-// burst balloons the wheel slots' backing arrays, and sustained
-// low-occupancy cycles afterwards must shrink them back down instead of
-// pinning the peak capacity for the rest of the run.
-func TestWheelSlotCapacityDecay(t *testing.T) {
-	cfg := meshConfig(2, 0.9) // well past saturation: slots fill up
-	n := New(cfg)
-	for i := 0; i < 1500; i++ {
-		n.stepCycle()
-	}
-	maxCap := func() int {
-		m := 0
-		for _, s := range n.shards {
-			for _, w := range s.wheel {
-				if cap(w) > m {
-					m = cap(w)
-				}
-			}
-		}
-		return m
-	}
-	peak := maxCap()
-	if peak <= slotShrinkMin {
-		t.Fatalf("saturation burst never grew a slot past %d (peak %d); test is vacuous", slotShrinkMin, peak)
-	}
-	// Cut injection, drain, then idle long enough for the hysteresis to
-	// halve the slots repeatedly.
-	n.SetInjectionRate(0)
-	for i := 0; i < 12000; i++ {
-		n.stepCycle()
-	}
-	if got := maxCap(); got > 2*slotShrinkMin {
-		t.Fatalf("idle wheel slots retain capacity %d (burst peak %d), want <= %d",
-			got, peak, 2*slotShrinkMin)
-	}
-}
-
-// TestPoolShrinkAfterBurst covers the free-list analogue of the wheel-slot
-// policy: a saturation burst floods the packet pool with recycled objects
-// when it drains, and a sustained low-usage period afterwards must release
-// the idle surplus instead of pinning the burst peak for the rest of the run.
-// (Flits are values carried in the wheel and the router buffers, so the
-// packet pool is the only free list.)
-func TestPoolShrinkAfterBurst(t *testing.T) {
-	cfg := meshConfig(2, 0.9) // well past saturation: deep in-flight backlog
-	n := New(cfg)
-	for i := 0; i < 1500; i++ {
-		n.stepCycle()
-	}
-	poolSize := func() (pkts int) {
-		for _, s := range n.shards {
-			pkts += s.pktPool.free()
-		}
-		return
-	}
-	// Cut injection and drain: every in-flight packet lands in a pool. The
-	// trim policy already fires during the drain, so the peak must be
-	// sampled along the way rather than at the end.
-	n.SetInjectionRate(0)
-	peakPkts := 0
-	for i := 0; i < 2000; i++ {
-		n.stepCycle()
-		peakPkts = max(peakPkts, poolSize())
-	}
-	if peakPkts <= len(n.shards)*poolShrinkMin {
-		t.Fatalf("burst drain peaked at only %d pooled packets; test is vacuous", peakPkts)
-	}
-	// Idle long enough for the hysteresis to halve the surplus repeatedly.
-	// The geometric step-down sheds half the idle surplus every
-	// poolShrinkAfter cycles, so the surplus above the vacuity floor decays
-	// by ~2^-10 over 10 windows.
-	for i := 0; i < 10*poolShrinkAfter*poolShrinkAfter; i++ {
-		n.stepCycle()
-	}
-	pkts := poolSize()
-	bound := 2 * len(n.shards) * poolShrinkMin
-	if pkts > bound {
-		t.Fatalf("idle packet pools retain %d objects (burst peak %d), want <= %d", pkts, peakPkts, bound)
-	}
-}

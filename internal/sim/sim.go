@@ -68,8 +68,10 @@ type Config struct {
 	// packet is delivered.
 	Warmup, Measure, Drain int
 	// Trace, when non-nil, receives pipeline and terminal events stamped
-	// with the simulation cycle. A traced network steps every cycle on the
-	// caller's goroutine (BorrowHelpers).
+	// with the simulation cycle. Tracing does not change the schedule: a
+	// leap skips only cycles in which nothing would be recorded, so either
+	// schedule records the same events. A traced network runs on the
+	// caller's goroutine alone (BorrowHelpers).
 	Trace *trace.Tracer
 	// Validate enables per-cycle allocation checking in every router, the
 	// routers' check of their cached requests against a full rebuild, the
@@ -77,16 +79,17 @@ type Config struct {
 	// and the leap gate's check of every skipped span (panics on any
 	// invariant violation); used by tests.
 	Validate bool
-	// Reference selects the reference schedule: every router and terminal
-	// is stepped every cycle, every router rebuilds all of its VA/SA
-	// requests from scratch each cycle (router.Config.DenseRequests), the
-	// arrival processes are ticked one cycle at a time and the clock never
-	// leaps. The default schedule visits only what the wake index names
-	// (wake.go), rebuilds only the requests that changed, presamples
-	// arrivals and jumps the clock over provably idle stretches (leap.go).
-	// Results are bit-identical either way; the reference is kept as what
-	// the golden tests compare the default against, and Validate is what
-	// localises a divergence to one of the default's fast paths.
+	// Reference selects the reference schedule, and is the only input that
+	// decides how a network is stepped: every router and terminal is stepped
+	// every cycle, every router rebuilds all of its VA/SA requests from
+	// scratch each cycle (router.Config.DenseRequests), the arrival
+	// processes are ticked one cycle at a time and the clock never leaps.
+	// The default schedule visits only what the wake index names (wake.go),
+	// rebuilds only the requests that changed, presamples arrivals and
+	// jumps the clock over provably idle stretches (leap.go). Results and
+	// trace events are bit-identical either way; the reference is kept as
+	// what the golden tests compare the default against, and Validate is
+	// what localises a divergence to one of the default's fast paths.
 	Reference bool
 }
 
@@ -213,10 +216,7 @@ type Network struct {
 
 	nextPktID int64
 
-	// Event-leaping state (leap.go): leapOn is the default schedule without
-	// a tracer (traces record per-cycle state, so a traced run ticks); the
-	// counters feed LeapStats.
-	leapOn      bool
+	// Event-leaping counters (leap.go), reported by LeapStats.
 	leapEvents  int64
 	cyclesLeapt int64
 
@@ -268,7 +268,6 @@ func New(cfg Config) *Network {
 		routers:   make([]*router.Router, 0, cfg.Topology.Routers),
 		terminals: make([]*terminal, 0, cfg.Topology.Terminals()),
 		wheelSize: wheelSizeFor(cfg.Topology),
-		leapOn:    !cfg.Reference && cfg.Trace == nil,
 	}
 	n.injector, _ = cfg.Routing.(routing.Injector)
 	root := xrand.New(cfg.Seed)
@@ -321,7 +320,6 @@ func (n *Network) newShard(id, r0, r1 int) *shard {
 		r0:  r0, r1: r1,
 		t0: r0 * conc, t1: r1 * conc,
 		wheel:    make([][]event, n.wheelSize),
-		slotLow:  make([]int32, n.wheelSize),
 		occ:      make([]uint64, (n.wheelSize+63)/64),
 		lastStep: make([]int64, r1-r0),
 
@@ -344,7 +342,7 @@ func (n *Network) shardOf(r int32) *shard {
 // split lays a one-shard network out on two between two cycles, each half of
 // the routers a shard, moving everything the one shard held to the shard that
 // now owns it: wheel events by destination, the wake index entry by entry,
-// the packet free list in equal parts. Which shard an object or a counter
+// half of the packet free list each. Which shard an object or a counter
 // lands in changes no result (shard.go); the counters, only ever summed, stay
 // with shard 0.
 func (n *Network) split() {
@@ -375,8 +373,10 @@ func (n *Network) split() {
 				s.sleep.push(t-s.t0, old.sleep.at[t])
 			}
 		}
-		s.pktPool = old.pktPool.part(s.id, 2)
 	}
+	// The capacity limit keeps shard 0's appends out of shard 1's half.
+	half := len(old.freePkts) / 2
+	n.shards[0].freePkts, n.shards[1].freePkts = old.freePkts[:half:half], old.freePkts[half:]
 	first := n.shards[0]
 	first.load, n.shards[1].load = old.loadLow, old.load-old.loadLow // the halves heavy() judged old by
 	first.created, first.delivered, first.measFlits, first.livePkts = old.created, old.delivered, old.measFlits, old.livePkts

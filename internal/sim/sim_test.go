@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -511,44 +513,86 @@ func TestPrecomputedSwitchAllocatorInNetwork(t *testing.T) {
 }
 
 func TestTracedSimulationTellsPacketStory(t *testing.T) {
-	// A traced run must show, for some packet, the full lifecycle in
-	// order: inject, route, VA grant, switch grants, eject.
-	collector := trace.NewCollector(200000)
-	cfg := meshConfig(1, 0.05)
-	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 200, 2000
-	cfg.Trace = trace.New(collector, nil)
-	res := New(cfg).Run()
-	if res.Unfinished != 0 {
-		t.Fatalf("traced run did not drain: %+v", res)
+	// Tracing does not change the schedule: a traced default network (under
+	// Validate) and a traced reference network must agree on the Result and
+	// on every event, in order, on both topologies at a drain-dominated and a
+	// loaded rate; the drain-dominated default must leap all the same. And a
+	// trace must show, for some packet, the full lifecycle in order: inject,
+	// route, VA grant, switch grants, eject.
+	traced := func(cfg Config) (*Network, Result, []trace.Event) {
+		collector := trace.NewCollector(1 << 20)
+		cfg.Trace = trace.New(collector, nil)
+		n := New(cfg)
+		res := n.Run()
+		evs := collector.Events()
+		if int64(len(evs)) != collector.Total() {
+			t.Fatalf("%s: collector kept %d of %d events", cfg.Topology.Name, len(evs), collector.Total())
+		}
+		return n, res, evs
 	}
-	if collector.Total() == 0 {
-		t.Fatal("no events recorded")
+	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
+		for _, rate := range []float64{0.001, 0.3} {
+			cfg := mk(1, rate)
+			if rate > 0.01 {
+				cfg.Warmup, cfg.Measure, cfg.Drain = 100, 200, 2000
+			}
+			name := fmt.Sprintf("%s@%g", cfg.Topology.Name, rate)
+			ref := cfg
+			ref.Reference = true
+			_, want, wantEvs := traced(ref)
+			cfg.Validate = true
+			n, res, evs := traced(cfg)
+			if res != want {
+				t.Fatalf("%s: traced default diverged from the traced reference:\nreference: %+v\ndefault:   %+v", name, want, res)
+			}
+			if len(evs) == 0 {
+				t.Fatalf("%s: no events recorded", name)
+			}
+			if !slices.Equal(evs, wantEvs) {
+				i := 0
+				for i < min(len(evs), len(wantEvs)) && evs[i] == wantEvs[i] {
+					i++
+				}
+				t.Fatalf("%s: %d traced events, reference %d; first difference at event %d", name, len(evs), len(wantEvs), i)
+			}
+			_, cycles := n.LeapStats()
+			t.Logf("%s: %d events, %d cycles leapt", name, len(evs), cycles)
+			if rate < 0.01 && cycles == 0 {
+				t.Fatalf("%s: traced default never leapt", name)
+			}
+			if rate < 0.01 && res.Unfinished != 0 {
+				t.Fatalf("%s: traced run did not drain: %+v", name, res)
+			}
+			checkPacketStory(t, name, evs)
+		}
 	}
-	// A tracer keeps the default schedule's wake index but ticks arrivals and
-	// never leaps; that combination runs nowhere else and must reproduce the
-	// untraced reference all the same.
-	ref := cfg
-	ref.Trace, ref.Reference = nil, true
-	if want := New(ref).Run(); res != want {
-		t.Fatalf("traced run diverged from the reference:\nreference: %+v\ntraced:    %+v", want, res)
-	}
-	// Find a packet with a complete retained story.
+}
+
+// checkPacketStory finds a packet among the first 200 whose trace runs from
+// inject to eject and checks that its events are in cycle order and include
+// a VA grant and a switch grant.
+func checkPacketStory(t *testing.T, name string, evs []trace.Event) {
+	t.Helper()
 	var story []trace.Event
-	for pkt := int64(1); pkt < 200; pkt++ {
-		evs := collector.PacketEvents(pkt)
-		if len(evs) >= 4 && evs[0].Kind == trace.Inject && evs[len(evs)-1].Kind == trace.Eject {
-			story = append(story, evs...)
-			break
+	for pkt := int64(1); pkt < 200 && len(story) == 0; pkt++ {
+		var pe []trace.Event
+		for _, e := range evs {
+			if e.Packet == pkt {
+				pe = append(pe, e)
+			}
+		}
+		if len(pe) >= 4 && pe[0].Kind == trace.Inject && pe[len(pe)-1].Kind == trace.Eject {
+			story = pe
 		}
 	}
 	if len(story) == 0 {
-		t.Fatal("no complete packet story in trace")
+		t.Fatalf("%s: no complete packet story in trace", name)
 	}
 	sawVA, sawSA := false, false
 	lastCycle := int64(-1)
 	for _, e := range story {
 		if e.Cycle < lastCycle {
-			t.Fatalf("events out of order: %v", story)
+			t.Fatalf("%s: events out of order: %v", name, story)
 		}
 		lastCycle = e.Cycle
 		switch e.Kind {
@@ -559,7 +603,7 @@ func TestTracedSimulationTellsPacketStory(t *testing.T) {
 		}
 	}
 	if !sawVA || !sawSA {
-		t.Fatalf("story missing pipeline events: %v", story)
+		t.Fatalf("%s: story missing pipeline events: %v", name, story)
 	}
 }
 

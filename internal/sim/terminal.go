@@ -106,16 +106,18 @@ const never = math.MaxInt64
 // next cycle on; that is exactly when the reply first becomes sendable (its
 // CreatedAt is the following cycle).
 //
-// With event leaping an idle terminal that has presampled its next arrival
-// (generate) sleeps until that cycle: the per-cycle gate draws it would
-// have made were consumed in one batch at presample time, and a draw from
-// its stream before then rewinds and replays them first (Intn), so skipping
-// the terminal neither skips work nor desynchronizes its RNG stream.
+// An idle terminal that has presampled its next arrival (generate) sleeps
+// until that cycle: the per-cycle gate draws it would have made were
+// consumed in one batch at presample time, and a draw from its stream
+// before then rewinds and replays them first (Intn), so skipping the
+// terminal neither skips work nor desynchronizes its RNG stream. The
+// reference schedule presamples nothing, so there a terminal with offered
+// load is always awake; it visits every terminal anyway.
 func (t *terminal) wakeAt(n *Network) int64 {
 	if t.cur != nil || !t.replyQ.empty() || !t.reqQ.empty() {
 		return n.now
 	}
-	if n.leapOn && t.gen.PendingArrival() {
+	if t.gen.PendingArrival() {
 		// A presampled arrival is still owed even if the process has gone
 		// quiet since it was drawn — a trace replay's rate drops to 0 the
 		// moment its last arrival is presampled — so the terminal sleeps
@@ -125,10 +127,7 @@ func (t *terminal) wakeAt(n *Network) int64 {
 	if t.gen.Rate() <= 0 {
 		return never
 	}
-	if n.leapOn {
-		return t.gen.PresampledArrival() // -1, so awake, until presampled
-	}
-	return n.now
+	return t.gen.PresampledArrival() // -1, so awake, until presampled
 }
 
 // dormant reports whether the terminal can be skipped this cycle. The
@@ -145,14 +144,15 @@ func (t *terminal) inject(s *shard, typ traffic.PacketType, dst int) {
 	t.reqQ.push(s.newRequest(typ, t.id, dst, s.net.now))
 }
 
-// generate rolls the injection process for this cycle. With event leaping
-// an idle terminal consumes the whole run of per-cycle Bernoulli failures
-// up to the next success in one batch, exposing the arrival cycle to the
-// leap gate; the batch is the exact same draw sequence the reference schedule
-// consumes one cycle at a time.
+// generate rolls the injection process for this cycle. Under the default
+// schedule, traced or not, an idle terminal consumes the whole run of
+// per-cycle Bernoulli failures up to the next success in one batch,
+// exposing the arrival cycle to the wake index and the leap gate; the batch
+// is the exact same draw sequence the reference schedule consumes one cycle
+// at a time.
 func (t *terminal) generate(s *shard) {
 	n := s.net
-	if n.leapOn && (t.gen.Rate() > 0 || t.gen.PendingArrival()) {
+	if !n.cfg.Reference && (t.gen.Rate() > 0 || t.gen.PendingArrival()) {
 		t.generateLeap(s)
 		return
 	}

@@ -88,31 +88,3 @@ func TestWheelOccupancyTracksSlots(t *testing.T) {
 		occConsistent(t, n, "cycle")
 	}
 }
-
-// TestNextEventSlotShrinkInteraction pins the occupancy bits across the
-// slot-shrink policy (slotShrinkMin/After): a saturation burst balloons the
-// slots, the idle period afterwards reallocates them at smaller capacity
-// via recycleSlot, and the bitmask must stay consistent throughout — ending
-// all-clear on a fully drained wheel and still accepting new events into
-// the shrunk slots.
-func TestNextEventSlotShrinkInteraction(t *testing.T) {
-	cfg := meshConfig(2, 0.9) // well past saturation: slots fill up
-	n := New(cfg)
-	for i := 0; i < 1500; i++ {
-		n.stepCycle()
-	}
-	n.SetInjectionRate(0)
-	for i := 0; i < 12000; i++ {
-		n.stepCycle()
-	}
-	occConsistent(t, n, "after shrink")
-	s := n.shards[0]
-	if d := s.nextEventDelta(); d != -1 {
-		t.Fatalf("drained wheel: nextEventDelta = %d, want -1", d)
-	}
-	s.scheduleLocal(2, creditEv())
-	if d := s.nextEventDelta(); d != 2 {
-		t.Fatalf("event in shrunk slot: nextEventDelta = %d, want 2", d)
-	}
-	occConsistent(t, n, "after reschedule")
-}

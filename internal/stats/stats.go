@@ -19,22 +19,14 @@ type Running struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add records one sample.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
+	if r.n == 1 || x > r.max {
+		r.max = x
 	}
 	d := x - r.mean
 	r.mean += d / float64(r.n)
@@ -55,13 +47,7 @@ func (r *Running) Variance() float64 {
 	return r.m2 / float64(r.n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min and Max return the observed extrema (0 with no samples).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observed sample.
+// Max returns the largest observed sample (0 with no samples).
 func (r *Running) Max() float64 { return r.max }
 
 // Hist is a sparse histogram over non-negative integers, supporting exact
@@ -144,20 +130,6 @@ func (h *Hist) Max() int {
 		}
 	}
 	return max
-}
-
-// Merge folds o into h.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.counts == nil {
-		return
-	}
-	if h.counts == nil {
-		h.counts = make(map[int]int64)
-	}
-	for v, c := range o.counts {
-		h.counts[v] += c
-		h.total += c
-	}
 }
 
 // SaturationEstimate locates the saturation throughput from a monotone

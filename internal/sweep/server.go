@@ -202,10 +202,6 @@ type Options struct {
 	// 64 MiB).
 	MaxEntries int
 	MaxBytes   int64
-	// UnitConcurrency bounds per-request unit fan-out (hits and
-	// coalesced units are nearly free, so this is higher than Workers;
-	// default 4×Workers).
-	UnitConcurrency int
 	// CacheDir, when non-empty, adds a disk persistence tier under the
 	// memory store: results are written through to content-addressed files
 	// in a SchemaVersion-scoped subdirectory, so a restarted server (or a
@@ -253,9 +249,6 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.MaxBytes == 0 {
 		opts.MaxBytes = 64 << 20
 	}
-	if opts.UnitConcurrency < 1 {
-		opts.UnitConcurrency = 4 * opts.Workers
-	}
 	var disk *DiskStore
 	if opts.CacheDir != "" {
 		var err error
@@ -269,7 +262,9 @@ func NewServer(opts Options) (*Server, error) {
 		disk:     disk,
 		flight:   NewGroup(),
 		pool:     NewPool(opts.Workers),
-		unitConc: opts.UnitConcurrency,
+		// Per-request unit fan-out: hits and coalesced units are nearly
+		// free, so it runs ahead of the pool.
+		unitConc: 4 * opts.Workers,
 	}
 	if opts.Workers > 1 { // a lone worker never sees another one idle
 		s.lender = s.pool

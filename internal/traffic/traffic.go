@@ -344,14 +344,6 @@ func (g *Generator) Process() ArrivalProcess { return g.proc }
 // Rate returns the process's offered load in flits/cycle/terminal.
 func (g *Generator) Rate() float64 { return g.proc.Rate() }
 
-// TransactionRate returns the mean per-terminal probability of starting a
-// new transaction in a cycle. Every transaction eventually injects
-// FlitsPerTransaction flits network-wide (request at the source, reply at
-// the destination), so the transaction rate is the flit rate divided by six.
-func (g *Generator) TransactionRate() float64 {
-	return g.proc.Rate() / FlitsPerTransaction
-}
-
 // SetRate changes the offered load as of cycle now, owning the presample
 // invariant: a presampled arrival was drawn at the old rate, so it is
 // rewound — replaying the already-elapsed cycles through now-1 at that old

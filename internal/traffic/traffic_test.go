@@ -151,10 +151,7 @@ func TestPatternErrors(t *testing.T) {
 
 func TestGeneratorRates(t *testing.T) {
 	p, _ := NewPattern("uniform", 64)
-	g := NewGenerator(p, 0.3)
-	if math.Abs(g.TransactionRate()-0.05) > 1e-12 {
-		t.Fatalf("transaction rate %f, want 0.05", g.TransactionRate())
-	}
+	g := NewGenerator(p, 0.3) // 0.3 flits / FlitsPerTransaction = 0.05
 	rng := xrand.New(3)
 	const iters = 200000
 	n, reads := 0, 0
@@ -212,7 +209,7 @@ func TestNextArrivalDeltaMatchesBernoulli(t *testing.T) {
 		for trial := 0; trial < 2000; trial++ {
 			// Reference: per-cycle gate draws until a transaction starts.
 			ticked := 0
-			for !a.Bool(g.TransactionRate()) {
+			for !a.Bool(rate / FlitsPerTransaction) {
 				ticked++
 			}
 			leaped := g.NextArrivalDelta(b, 1<<30)
@@ -241,7 +238,8 @@ func TestNextArrivalDeltaStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGenerator(p, 0.12) // transaction rate 0.02
+	const rate = 0.12 // transaction rate 0.02
+	g := NewGenerator(p, rate)
 	rng := xrand.New(7)
 	const n = 200000
 	var sum float64
@@ -249,7 +247,7 @@ func TestNextArrivalDeltaStatistics(t *testing.T) {
 		sum += float64(g.NextArrivalDelta(rng, 1<<30))
 	}
 	mean := sum / n
-	want := 1/g.TransactionRate() - 1
+	want := FlitsPerTransaction/rate - 1
 	if math.Abs(mean-want) > 0.05*want {
 		t.Errorf("mean arrival delta = %.2f, want ≈ %.2f", mean, want)
 	}

@@ -153,28 +153,6 @@ func (s *Source) FirstBelow(thresh uint64, max int) int {
 	return k
 }
 
-// Geometric returns a sample from the geometric distribution with success
-// probability p: the number of Bernoulli(p) trials up to and including the
-// first success. Returns math.MaxInt for degenerate p <= 0.
-func (s *Source) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		return math.MaxInt
-	}
-	// Inversion: ceil(ln(U) / ln(1-p)) with U in (0,1].
-	u := 1 - s.Float64() // (0,1]
-	k := math.Ceil(math.Log(u) / math.Log1p(-p))
-	if k < 1 {
-		k = 1
-	}
-	if k > float64(math.MaxInt32) {
-		return math.MaxInt32
-	}
-	return int(k)
-}
-
 // Perm fills p with a uniformly random permutation of [0, len(p)).
 func (s *Source) Perm(p []int) {
 	for i := range p {

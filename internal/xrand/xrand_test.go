@@ -136,40 +136,6 @@ func TestBoolRate(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	s := New(17)
-	const p, iters = 0.25, 50000
-	sum := 0
-	for i := 0; i < iters; i++ {
-		sum += s.Geometric(p)
-	}
-	mean := float64(sum) / iters
-	if math.Abs(mean-1/p) > 0.1*(1/p) {
-		t.Fatalf("Geometric(%f) mean %f, want ~%f", p, mean, 1/p)
-	}
-}
-
-func TestGeometricEdges(t *testing.T) {
-	s := New(1)
-	if got := s.Geometric(1); got != 1 {
-		t.Fatalf("Geometric(1) = %d, want 1", got)
-	}
-	if got := s.Geometric(1.5); got != 1 {
-		t.Fatalf("Geometric(>1) = %d, want 1", got)
-	}
-	if got := s.Geometric(0); got != math.MaxInt {
-		t.Fatalf("Geometric(0) = %d, want MaxInt", got)
-	}
-	if got := s.Geometric(-1); got != math.MaxInt {
-		t.Fatalf("Geometric(<0) = %d, want MaxInt", got)
-	}
-	for i := 0; i < 1000; i++ {
-		if s.Geometric(0.9) < 1 {
-			t.Fatal("Geometric must be >= 1")
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(23)
 	p := make([]int, 50)

@@ -98,13 +98,6 @@ const (
 // NewAllocator builds a generic allocator.
 func NewAllocator(c AllocConfig) Allocator { return alloc.New(c) }
 
-// NewIncrementalAllocator builds the Hoare-style incremental maximum-size
-// allocator (§2.3, [8]): it carries the previous cycle's matching and
-// performs at most stepsPerCycle augmenting-path searches per call.
-func NewIncrementalAllocator(rows, cols, stepsPerCycle int) Allocator {
-	return alloc.NewIncremental(rows, cols, stepsPerCycle)
-}
-
 // ValidateMatching reports an error when gnt is not a valid matching for req.
 func ValidateMatching(req, gnt *Matrix) error { return alloc.Validate(req, gnt) }
 

@@ -180,18 +180,6 @@ func TestFacadeRand(t *testing.T) {
 }
 
 func TestFacadeExtensions(t *testing.T) {
-	// Incremental allocator.
-	inc := repro.NewIncrementalAllocator(4, 4, 2)
-	req := repro.NewMatrix(4, 4)
-	req.Set(0, 0)
-	req.Set(1, 1)
-	for cycle := 0; cycle < 4; cycle++ {
-		inc.Allocate(req)
-	}
-	if inc.Allocate(req).Count() != 2 {
-		t.Fatal("incremental allocator did not converge")
-	}
-
 	// Free-queue VC allocator via config flag.
 	spec := repro.NewVCSpec(2, 1, 2)
 	fq := repro.NewVCAllocator(repro.VCAllocConfig{Ports: 4, Spec: spec,
