@@ -2,17 +2,23 @@
 // (VC allocators) and 12 (switch allocators) of Becker & Dally (SC '09):
 // open-loop simulation with pseudo-random request matrices, normalized
 // against a maximum-size allocator (§3.1; the paper uses 10000 matrices per
-// point).
+// point). The maximum is sized straight from each request set, one word per
+// row, without building the matrix (internal/quality/matchsize.go); the
+// tables are those alloc.Maximum gives on the materialised matrices.
 //
 // Usage:
 //
-//	matchquality -unit vc -topo mesh -c 4 [-trials 10000]
+//	matchquality -unit vc -topo mesh -c 4 [-trials 10000] [-seed 1] [-workers N] [-json]
 //	matchquality -unit sw -topo fbfly -c 2
+//
+// -trials must be at least 1; a smaller value is a usage error (exit 2).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -21,27 +27,45 @@ import (
 	"repro/internal/quality"
 )
 
-func main() {
-	unit := flag.String("unit", "vc", "allocator unit: vc or sw")
-	topo := flag.String("topo", "mesh", "design point topology: mesh or fbfly")
-	c := flag.Int("c", 1, "VCs per class (1, 2 or 4)")
-	trials := flag.Int("trials", 10000, "request matrices per rate point")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	workers := flag.Int("workers", runtime.NumCPU(), "concurrently swept rate points (results are identical for any value)")
-	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	blockprofile := flag.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
-	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the tables (or JSON) to
+// stdout and diagnostics to stderr, and returns the exit status — 2 for a
+// usage error, 1 for any other.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("matchquality", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	unit := fs.String("unit", "vc", "allocator unit: vc or sw")
+	topo := fs.String("topo", "mesh", "design point topology: mesh or fbfly")
+	c := fs.Int("c", 1, "VCs per class (1, 2 or 4)")
+	trials := fs.Int("trials", 10000, "request matrices per rate point (at least 1)")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	workers := fs.Int("workers", runtime.NumCPU(), "concurrently swept rate points (results are identical for any value)")
+	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	blockprofile := fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
+	mutexprofile := fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// No trials normalise nothing: every quality would print as 1.
+	if *trials < 1 {
+		fmt.Fprintf(stderr, "matchquality: -trials must be at least 1, got %d\n", *trials)
+		fs.Usage()
+		return 2
+	}
 
 	stop := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile})
 	defer stop()
 
 	pt, err := experiments.PointByName(*topo, *c)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	rates := quality.DefaultRates()
 	var series []quality.Series
@@ -50,25 +74,26 @@ func main() {
 	case "vc":
 		figure = "fig7"
 		if !*asJSON {
-			fmt.Printf("VC allocator matching quality (Fig. 7), %s, %d trials/point\n", pt, *trials)
+			fmt.Fprintf(stdout, "VC allocator matching quality (Fig. 7), %s, %d trials/point\n", pt, *trials)
 		}
 		series = experiments.VCQuality(pt, rates, *trials, *seed, *workers)
 	case "sw":
 		figure = "fig12"
 		if !*asJSON {
-			fmt.Printf("switch allocator matching quality (Fig. 12), %s, %d trials/point\n", pt, *trials)
+			fmt.Fprintf(stdout, "switch allocator matching quality (Fig. 12), %s, %d trials/point\n", pt, *trials)
 		}
 		series = experiments.SwitchQuality(pt, rates, *trials, *seed, *workers)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown unit %q (want vc or sw)\n", *unit)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unknown unit %q (want vc or sw)\n", *unit)
+		return 1
 	}
 	if *asJSON {
-		if err := experiments.QualityReport(figure, pt, series).WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := experiments.QualityReport(figure, pt, series).WriteJSON(stdout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
-	fmt.Print(quality.FormatSeries(series))
+	fmt.Fprint(stdout, quality.FormatSeries(series))
+	return 0
 }

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/alloc"
-	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/xrand"
 )
@@ -54,9 +52,10 @@ type VCWorkload struct {
 	Ports int
 	Spec  core.VCSpec
 
-	rng        *xrand.Source
-	classMasks []core.VCMask // per (m, r) class
-	reqs       []core.VCRequest
+	rng    *xrand.Source
+	succ   [][]core.VCMask // per VC: the candidate set of each legal successor class
+	reqs   []core.VCRequest
+	active []int // the entries of reqs the last Next made active
 }
 
 // NewVCWorkload builds a workload generator seeded deterministically.
@@ -71,52 +70,49 @@ func NewVCWorkload(ports int, spec core.VCSpec, seed uint64) *VCWorkload {
 		Ports: ports,
 		Spec:  spec,
 		rng:   xrand.New(seed),
+		succ:  make([][]core.VCMask, spec.V()),
 		reqs:  make([]core.VCRequest, ports*spec.V()),
 	}
-	for m := 0; m < spec.MessageClasses; m++ {
-		for r := 0; r < spec.ResourceClasses; r++ {
-			w.classMasks = append(w.classMasks, spec.ClassMask(m, r))
+	for vc := range w.succ {
+		m, r, _ := spec.Decompose(vc)
+		for _, nr := range spec.ResourceSucc[r] {
+			w.succ[vc] = append(w.succ[vc], spec.ClassMask(m, nr))
 		}
 	}
 	return w
 }
 
 // Next generates the next request set at the given rate. The returned slice
-// is reused across calls.
+// is reused across calls and must not be modified.
+//
+// Each input VC requests with one Bool(rate) draw, in index order, and an
+// active one then draws its successor class and its output port. FirstBelow
+// makes the Bool draws of a whole run of idle VCs in one call and consumes
+// exactly the draws they would, so the stream is the per-VC one; only the
+// entries that were or become active are written.
 func (w *VCWorkload) Next(rate float64) []core.VCRequest {
-	v := w.Spec.V()
-	for port := 0; port < w.Ports; port++ {
-		for vc := 0; vc < v; vc++ {
-			i := port*v + vc
-			if !w.rng.Bool(rate) {
-				w.reqs[i] = core.VCRequest{}
-				continue
-			}
-			m, r, _ := w.Spec.Decompose(vc)
-			succ := w.Spec.ResourceSucc[r]
-			nr := succ[w.rng.Intn(len(succ))]
-			w.reqs[i] = core.VCRequest{
-				Active:     true,
-				OutPort:    w.rng.Intn(w.Ports),
-				Candidates: w.classMasks[w.Spec.ClassIndex(m, nr)],
-			}
-		}
+	for _, i := range w.active {
+		w.reqs[i] = core.VCRequest{}
+	}
+	w.active = w.active[:0]
+	v, th, n := w.Spec.V(), xrand.Threshold(rate), len(w.reqs)
+	for i := nextActive(w.rng, th, 0, n); i >= 0; i = nextActive(w.rng, th, i+1, n) {
+		succ := w.succ[i%v]
+		cand := succ[w.rng.Intn(len(succ))]
+		w.reqs[i] = core.VCRequest{Active: true, OutPort: w.rng.Intn(w.Ports), Candidates: cand}
+		w.active = append(w.active, i)
 	}
 	return w.reqs
 }
 
-// Matrix writes the bipartite request matrix equivalent of reqs into m
-// (rows: input VCs, cols: output VCs across all ports) for maximum-size
-// normalization.
-func (w *VCWorkload) Matrix(reqs []core.VCRequest, m *bitvec.Matrix) {
-	v := w.Spec.V()
-	m.Reset()
-	for i, r := range reqs {
-		if !r.Active {
-			continue
-		}
-		m.Row(i).OrWordAt(r.OutPort*v, uint64(r.Candidates))
+// nextActive returns the first of entries i..n-1 whose Bool draw against
+// thresh = xrand.Threshold(rate) succeeds, or -1, having consumed exactly the
+// draws those per-entry Bool(rate) calls would.
+func nextActive(rng *xrand.Source, thresh uint64, i, n int) int {
+	if k := rng.FirstBelow(thresh, n-i); k >= 0 {
+		return i + k
 	}
+	return -1
 }
 
 // VCSeries measures the matching quality of the VC allocator configuration
@@ -169,8 +165,7 @@ func VCSeriesMulti(cfgs []core.VCAllocConfig, rates []float64, trials int, seed 
 			for k, cfg := range cfgs {
 				allocs[k] = core.NewVCAllocator(cfg)
 			}
-			max := alloc.NewMaximum(p*v, p*v)
-			reqMat := bitvec.NewMatrix(p*v, p*v)
+			rows, blocks := make([]uint64, p*v), make([]wordBlock, p)
 			w := NewVCWorkload(p, cfgs[0].Spec, seed)
 			grants := make([]int, len(cfgs))
 			maxGrants := 0
@@ -183,8 +178,7 @@ func VCSeriesMulti(cfgs []core.VCAllocConfig, rates []float64, trials int, seed 
 						}
 					}
 				}
-				w.Matrix(reqs, reqMat)
-				maxGrants += max.Allocate(reqMat).Count()
+				maxGrants += vcMatchSize(reqs, rows, blocks)
 			}
 			for k := range cfgs {
 				out[k].Points[ri] = Point{Rate: rate, Quality: quality(grants[k], maxGrants),
@@ -202,6 +196,7 @@ type SwitchWorkload struct {
 	Ports, VCs int
 	rng        *xrand.Source
 	reqs       []core.SwitchRequest
+	active     []int // the entries of reqs the last Next made active
 }
 
 // NewSwitchWorkload builds a workload generator seeded deterministically.
@@ -214,29 +209,20 @@ func NewSwitchWorkload(ports, vcs int, seed uint64) *SwitchWorkload {
 	}
 }
 
-// Next generates the next request set at the given rate. The returned slice
-// is reused across calls.
+// Next generates the next request set at the given rate, drawing as
+// VCWorkload.Next does. The returned slice is reused across calls and must
+// not be modified.
 func (w *SwitchWorkload) Next(rate float64) []core.SwitchRequest {
-	for i := range w.reqs {
-		if w.rng.Bool(rate) {
-			w.reqs[i] = core.SwitchRequest{Active: true, OutPort: w.rng.Intn(w.Ports)}
-		} else {
-			w.reqs[i] = core.SwitchRequest{}
-		}
+	for _, i := range w.active {
+		w.reqs[i] = core.SwitchRequest{}
+	}
+	w.active = w.active[:0]
+	th, n := xrand.Threshold(rate), len(w.reqs)
+	for i := nextActive(w.rng, th, 0, n); i >= 0; i = nextActive(w.rng, th, i+1, n) {
+		w.reqs[i] = core.SwitchRequest{Active: true, OutPort: w.rng.Intn(w.Ports)}
+		w.active = append(w.active, i)
 	}
 	return w.reqs
-}
-
-// Matrix writes the port-level request matrix (rows: input ports, cols:
-// output ports) for maximum-size normalization. Switch allocation grants at
-// most one flit per input port, so the reference is a P×P matching.
-func (w *SwitchWorkload) Matrix(reqs []core.SwitchRequest, m *bitvec.Matrix) {
-	m.Reset()
-	for i, r := range reqs {
-		if r.Active {
-			m.Set(i/w.VCs, r.OutPort)
-		}
-	}
 }
 
 // SwitchSeries measures the matching quality of the switch allocator
@@ -284,8 +270,8 @@ func SwitchSeriesMulti(cfgs []core.SwitchAllocConfig, rates []float64, trials in
 			for k := range cfgs {
 				allocs[k] = core.NewSwitchAllocator(cfgs[k])
 			}
-			max := alloc.NewMaximum(p, p)
-			reqMat := bitvec.NewMatrix(p, p)
+			rows := make([]uint64, p)
+			var block wordBlock
 			w := NewSwitchWorkload(p, v, seed)
 			grants := make([]int, len(cfgs))
 			maxGrants := 0
@@ -298,8 +284,7 @@ func SwitchSeriesMulti(cfgs []core.SwitchAllocConfig, rates []float64, trials in
 						}
 					}
 				}
-				w.Matrix(reqs, reqMat)
-				maxGrants += max.Allocate(reqMat).Count()
+				maxGrants += switchMatchSize(reqs, v, rows, &block)
 			}
 			for k := range cfgs {
 				out[k].Points[ri] = Point{Rate: rate, Quality: quality(grants[k], maxGrants),

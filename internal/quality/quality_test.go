@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
-	"repro/internal/bitvec"
 	"repro/internal/core"
 )
 
@@ -90,27 +89,6 @@ func TestVCWorkloadDeterministic(t *testing.T) {
 			if ra[i].Active != rb[i].Active || ra[i].OutPort != rb[i].OutPort {
 				t.Fatal("same seed must give same workload")
 			}
-		}
-	}
-}
-
-func TestVCMatrixMatchesRequests(t *testing.T) {
-	spec := core.NewVCSpec(2, 1, 2)
-	w := NewVCWorkload(5, spec, 13)
-	v := spec.V()
-	m := bitvec.NewMatrix(5*v, 5*v)
-	reqs := w.Next(0.5)
-	w.Matrix(reqs, m)
-	for i, r := range reqs {
-		rowCount := m.Row(i).Count()
-		if !r.Active {
-			if rowCount != 0 {
-				t.Fatalf("inactive input %d has matrix entries", i)
-			}
-			continue
-		}
-		if rowCount != r.Candidates.Count() {
-			t.Fatalf("input %d: matrix row %d entries, want %d", i, rowCount, r.Candidates.Count())
 		}
 	}
 }

@@ -126,6 +126,9 @@ type ParallelStats struct {
 	// second shard the stepping goroutine stepped itself because the helper
 	// had not got to it.
 	Parks, Wakes, Taken int64
+	// LateReturns counts the times the network gave its helper back for
+	// lateness (lateLimit) and stopped asking for lateBackoff cycles.
+	LateReturns int64
 	// Wait is the time the stepping goroutine spent at the barrier after its
 	// own share of a concurrent cycle: imbalance, the barrier's own cost, and
 	// the phases it took over.
@@ -182,6 +185,7 @@ func (n *Network) wantConcurrent() bool {
 		case n.late >= lateLimit && n.modeHook == nil:
 			n.Close()
 			n.askIn = lateBackoff
+			n.par.LateReturns++
 		}
 	}
 	if !want {

@@ -228,12 +228,14 @@ func TestShardsUnderOneProc(t *testing.T) {
 // stepping goroutine is preempted: the network takes the helper's phases
 // itself, gives the helper back after lateLimit of them and steps inline
 // until it asks again, instead of paying for a helper that does not run.
+// Every such return is counted, and each one is a loan that ended.
 func TestParallelGivesUpLateHelpers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := meshConfig(1, 0.3)
 	want := New(cfg).Run()
 	n := New(cfg)
-	n.BorrowHelpers(&testLender{})
+	l := &testLender{}
+	n.BorrowHelpers(l)
 	got := n.Run()
 	if got != want {
 		t.Fatalf("GOMAXPROCS=1, borrowing, diverged:\n%+v\n%+v", want, got)
@@ -241,6 +243,9 @@ func TestParallelGivesUpLateHelpers(t *testing.T) {
 	st := n.ParallelStats()
 	if st.Concurrent == 0 || st.Concurrent > st.Stepped/2 || st.Taken < st.Concurrent/2 {
 		t.Fatalf("%d of %d cycles concurrent, %d phases taken over; want a few tries, mostly taken over", st.Concurrent, st.Stepped, st.Taken)
+	}
+	if st.LateReturns == 0 || st.LateReturns > int64(l.lent) {
+		t.Fatalf("%d helpers given back late out of %d lent; want at least one, at most one per loan", st.LateReturns, l.lent)
 	}
 }
 

@@ -234,6 +234,7 @@ type Server struct {
 	unitsDone      atomic.Int64
 	requests       atomic.Int64
 	parallelCycles atomic.Int64
+	lateReturns    atomic.Int64
 }
 
 // NewServer builds a server; callers own its lifetime and should Close it.
@@ -311,6 +312,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		PoolSkipped     int64      `json:"pool_skipped"`
 		HelpersLent     int64      `json:"helpers_lent"`
 		HelpersRecalled int64      `json:"helpers_recalled"`
+		HelpersLate     int64      `json:"helpers_late"` // loans a network ended because its helper ran late
 		ParallelCycles  int64      `json:"parallel_cycles"`
 		Store           StoreStats `json:"store"`
 		Disk            *DiskStats `json:"disk,omitempty"`
@@ -325,6 +327,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		PoolSkipped:     poolSkipped,
 		HelpersLent:     lent,
 		HelpersRecalled: recalled,
+		HelpersLate:     s.lateReturns.Load(),
 		ParallelCycles:  s.parallelCycles.Load(),
 		Store:           s.store.Stats(),
 	}
@@ -521,6 +524,7 @@ func (s *Server) serveUnit(ctx context.Context, u UnitConfig, key string, probed
 			var par sim.ParallelStats
 			res, par, runErr = RunUnit(simCtx, u, s.defaults.Reference, s.lender)
 			s.parallelCycles.Add(par.Concurrent)
+			s.lateReturns.Add(par.LateReturns)
 		})
 		if poolErr != nil {
 			return nil, poolErr
