@@ -149,10 +149,6 @@ func (a *MatrixArbiter) init(vs []bitvec.Vec) {
 // Size implements Arbiter.
 func (a *MatrixArbiter) Size() int { return a.n }
 
-// Beats reports the priority state bit "input i beats input j"; meaningful
-// only for i != j. Exposed for invariant tests.
-func (a *MatrixArbiter) Beats(i, j int) bool { return a.beats[i].Get(j) }
-
 // Pick implements Arbiter.
 func (a *MatrixArbiter) Pick(req *bitvec.Vec) int {
 	if req.Len() != a.n {

@@ -432,7 +432,7 @@ func TestQuickMatrixTournamentInvariant(t *testing.T) {
 				if i == j {
 					continue
 				}
-				if a.Beats(i, j) == a.Beats(j, i) {
+				if a.beats[i].Get(j) == a.beats[j].Get(i) {
 					t.Fatalf("tournament violated at (%d,%d)", i, j)
 				}
 			}
@@ -469,7 +469,7 @@ func TestQuickMatrixWinnerUnique(t *testing.T) {
 		r.ForEach(func(i int) {
 			ok := true
 			r.ForEach(func(j int) {
-				if i != j && !a.Beats(i, j) {
+				if i != j && !a.beats[i].Get(j) {
 					ok = false
 				}
 			})

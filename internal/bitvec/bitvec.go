@@ -107,17 +107,6 @@ func NewSlab(count, n int) []Vec {
 	return s.Vecs(count, n)
 }
 
-// FromBools builds a vector from a bool slice.
-func FromBools(b []bool) *Vec {
-	v := New(len(b))
-	for i, x := range b {
-		if x {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vec) Len() int { return v.n }
 

@@ -114,9 +114,20 @@ func TestVecForEachOrder(t *testing.T) {
 	}
 }
 
+// fromBools builds a vector from a bool slice.
+func fromBools(b []bool) *Vec {
+	v := New(len(b))
+	for i, x := range b {
+		if x {
+			v.Set(i)
+		}
+	}
+	return v
+}
+
 func TestVecBoolOps(t *testing.T) {
-	a := FromBools([]bool{true, false, true, false})
-	b := FromBools([]bool{true, true, false, false})
+	a := fromBools([]bool{true, false, true, false})
+	b := fromBools([]bool{true, true, false, false})
 
 	or := a.Clone()
 	or.Or(b)
@@ -260,7 +271,7 @@ func TestVecString(t *testing.T) {
 // reported index is Get-true.
 func TestQuickCountForEachConsistency(t *testing.T) {
 	f := func(raw []bool) bool {
-		v := FromBools(raw)
+		v := fromBools(raw)
 		n := 0
 		ok := true
 		v.ForEach(func(i int) {
@@ -280,7 +291,7 @@ func TestQuickCountForEachConsistency(t *testing.T) {
 // non-empty, and the bit returned is the nearest set bit in cyclic order.
 func TestQuickNextFromCyclicNearest(t *testing.T) {
 	f := func(raw []bool, start uint8) bool {
-		v := FromBools(raw)
+		v := fromBools(raw)
 		if v.Len() == 0 {
 			return v.NextFrom(int(start)) == -1
 		}

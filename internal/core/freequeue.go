@@ -30,8 +30,9 @@ type freeQueueVCAllocator struct {
 	arbs   arbiter.Bank // width ports*v
 	inQ    []bool       // per (port, local vc): tracked as free
 
-	grants []int
-	reqVec *bitvec.Vec
+	grants  []int
+	granted []uint64 // per input port: its VCs the last Allocate granted
+	reqVec  *bitvec.Vec
 }
 
 func newFreeQueueVCAllocator(cfg VCAllocConfig) *freeQueueVCAllocator {
@@ -51,6 +52,7 @@ func (a *freeQueueVCAllocator) layout(s slabs) slabs {
 	n := a.ports * a.v
 	a.arbs = s.Bank(a.kind, len(a.queues), n)
 	a.grants = s.ints.Take(n)
+	a.granted = s.Words(a.ports)
 	a.reqVec = s.Vec(n)
 	// A queue never holds more than the VCsPerClass ids of its class (see
 	// noteFreed), which is exactly the capacity its slab slice is cut to.
@@ -122,6 +124,7 @@ func (a *freeQueueVCAllocator) Allocate(reqs []VCRequest) []int {
 	for i := range a.grants {
 		a.grants[i] = -1
 	}
+	clear(a.granted)
 	a.noteFreed(reqs)
 	classes := a.spec.Classes()
 	for port := 0; port < a.ports; port++ {
@@ -158,6 +161,7 @@ func (a *freeQueueVCAllocator) Allocate(reqs []VCRequest) []int {
 				continue
 			}
 			a.grants[winner] = port*a.v + vc
+			a.granted[winner/a.v] |= 1 << uint(winner%a.v)
 			a.arbs.Update(qi, winner)
 			a.queues[qi] = append(q[:head], q[head+1:]...)
 			a.inQ[port*a.v+vc] = false
@@ -165,6 +169,17 @@ func (a *freeQueueVCAllocator) Allocate(reqs []VCRequest) []int {
 	}
 	return a.grants
 }
+
+// Push does nothing: Allocate rescans every request for its queues.
+func (a *freeQueueVCAllocator) Push(port, vc int, issuable bool) {}
+
+// Run is Allocate, with the granted words Allocate keeps.
+func (a *freeQueueVCAllocator) Run(reqs []VCRequest) ([]int, []uint64) {
+	return a.Allocate(reqs), a.granted
+}
+
+// SkipIdle does nothing: an idle cycle changes no queue and no arbiter.
+func (a *freeQueueVCAllocator) SkipIdle(idleCycles int64) {}
 
 func (a *freeQueueVCAllocator) anyCandidate(reqs []VCRequest, port, vc int) bool {
 	for _, r := range reqs {

@@ -23,13 +23,6 @@ type precomputedSwitch struct {
 	issued  int64
 }
 
-// NewPrecomputedSwitchAllocator wraps the configured base switch allocator
-// with request pre-computation. cfg.SpecMode must be SpecNone.
-func NewPrecomputedSwitchAllocator(cfg SwitchAllocConfig) SwitchAllocator {
-	cfg.Precomputed = true
-	return NewSwitchAllocator(cfg)
-}
-
 func newPrecomputedSwitch(cfg SwitchAllocConfig) *precomputedSwitch {
 	if cfg.SpecMode != SpecNone {
 		panic("core: precomputed switch allocation cannot be combined with speculation")
@@ -106,6 +99,12 @@ func (a *precomputedSwitch) SkipIdle(idleCycles int64) {
 		a.inner.SkipIdle(idleCycles)
 	}
 }
+
+// Push does nothing: the inner allocator runs on the latch Allocate rebuilds.
+func (a *precomputedSwitch) Push(port, vc int, old, nw SwitchRequest) {}
+
+// Run is Allocate.
+func (a *precomputedSwitch) Run(reqs []SwitchRequest) []SwitchGrant { return a.Allocate(reqs) }
 
 func (a *precomputedSwitch) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	if len(reqs) != len(a.prev) {

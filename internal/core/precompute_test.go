@@ -10,11 +10,11 @@ import (
 
 func precompCfg() SwitchAllocConfig {
 	return SwitchAllocConfig{Ports: 4, VCs: 2, Arch: alloc.SepIF,
-		ArbKind: arbiter.RoundRobin, SpecMode: SpecNone}
+		ArbKind: arbiter.RoundRobin, SpecMode: SpecNone, Precomputed: true}
 }
 
 func TestPrecomputedBasics(t *testing.T) {
-	a := NewPrecomputedSwitchAllocator(precompCfg())
+	a := NewSwitchAllocator(precompCfg())
 	if a.Name() != "sep_if/rr+nonspec+precomp" {
 		t.Fatalf("Name = %q", a.Name())
 	}
@@ -36,7 +36,7 @@ func TestPrecomputedBasics(t *testing.T) {
 }
 
 func TestPrecomputedAbortsStaleGrants(t *testing.T) {
-	a := NewPrecomputedSwitchAllocator(precompCfg()).(*precomputedSwitch)
+	a := NewSwitchAllocator(precompCfg()).(*precomputedSwitch)
 	reqs := make([]SwitchRequest, 8)
 	reqs[0] = SwitchRequest{Active: true, OutPort: 2}
 	a.Allocate(reqs)
@@ -63,7 +63,7 @@ func TestPrecomputedAbortsStaleGrants(t *testing.T) {
 func TestPrecomputedSustainsStreaming(t *testing.T) {
 	// Persistent requests (a long packet streaming through) reach full
 	// rate after the one-cycle fill.
-	a := NewPrecomputedSwitchAllocator(precompCfg())
+	a := NewSwitchAllocator(precompCfg())
 	reqs := make([]SwitchRequest, 8)
 	reqs[0*2+0] = SwitchRequest{Active: true, OutPort: 2}
 	reqs[1*2+1] = SwitchRequest{Active: true, OutPort: 3}
@@ -81,8 +81,8 @@ func TestPrecomputedSustainsStreaming(t *testing.T) {
 }
 
 func TestPrecomputedValidity(t *testing.T) {
-	a := NewPrecomputedSwitchAllocator(SwitchAllocConfig{Ports: 5, VCs: 4,
-		Arch: alloc.Wavefront, ArbKind: arbiter.RoundRobin, SpecMode: SpecNone})
+	a := NewSwitchAllocator(SwitchAllocConfig{Ports: 5, VCs: 4,
+		Arch: alloc.Wavefront, ArbKind: arbiter.RoundRobin, SpecMode: SpecNone, Precomputed: true})
 	rng := xrand.New(601)
 	for trial := 0; trial < 400; trial++ {
 		reqs := randomSwitchRequests(rng, 5, 4, 0.5, 0)
@@ -94,7 +94,7 @@ func TestPrecomputedValidity(t *testing.T) {
 
 func TestPrecomputedAbortRateGrowsWithVolatility(t *testing.T) {
 	run := func(rate float64) float64 {
-		a := NewPrecomputedSwitchAllocator(precompCfg()).(*precomputedSwitch)
+		a := NewSwitchAllocator(precompCfg()).(*precomputedSwitch)
 		rng := xrand.New(607)
 		for trial := 0; trial < 3000; trial++ {
 			a.Allocate(randomSwitchRequests(rng, 4, 2, rate, 0))
@@ -120,11 +120,11 @@ func TestPrecomputedRejectsSpeculation(t *testing.T) {
 	}()
 	cfg := precompCfg()
 	cfg.SpecMode = SpecReq
-	NewPrecomputedSwitchAllocator(cfg)
+	NewSwitchAllocator(cfg)
 }
 
 func TestPrecomputedReset(t *testing.T) {
-	a := NewPrecomputedSwitchAllocator(precompCfg())
+	a := NewSwitchAllocator(precompCfg())
 	reqs := make([]SwitchRequest, 8)
 	reqs[0] = SwitchRequest{Active: true, OutPort: 1}
 	a.Allocate(reqs)

@@ -105,6 +105,13 @@ type SwitchAllocStats struct {
 // SwitchAllocator schedules buffered flits onto crossbar time slots subject
 // to the switch allocation constraints: at most one VC per input port and at
 // most one input port per output port receive grants (paper §5).
+//
+// Like VCAllocator it has two entry points over one request slice: Allocate
+// derives its request state from the whole slice, while Push+Run let the
+// caller push the old and the new value of every entry it rewrites, and Run
+// then only allocates. The two may be mixed freely; after an Allocate the
+// caller pushes only what it rewrites from then on. Grants and counters are
+// bit-identical to Allocate's on the same slice.
 type SwitchAllocator interface {
 	// Ports returns the router port count P.
 	Ports() int
@@ -123,29 +130,21 @@ type SwitchAllocator interface {
 	// must be copied by value, as the precomputed allocator's request
 	// latch does.
 	Allocate(reqs []SwitchRequest) []SwitchGrant
-	// Reset restores initial arbitration state and clears Stats.
-	Reset()
-	// Name returns the paper-style identifier, e.g. "sep_if/rr+spec_req".
-	Name() string
-	// Stats reports speculation outcome counters.
-	Stats() SwitchAllocStats
-}
-
-// PushSwitchAllocator is implemented by switch allocators that keep derived
-// request state across cycles and let the caller maintain it: whenever the
-// caller rewrites an entry of its request slice it pushes the old and the new
-// value, and Run then only allocates. Allocate derives the same state from
-// the whole slice, so the two entry points may be mixed freely; after an
-// Allocate the caller pushes only what it rewrites from then on. Grants and
-// counters are bit-identical to Allocate's on the same slice.
-type PushSwitchAllocator interface {
-	SwitchAllocator
 	// Push records that input VC (port, vc)'s entry changed from old — what
 	// the allocator last saw of it, pushed or handed to Allocate — to nw.
 	// Pushing an unchanged entry (old == nw) is harmless.
 	Push(port, vc int, old, nw SwitchRequest)
 	// Run is Allocate over the pushed state.
 	Run(reqs []SwitchRequest) []SwitchGrant
+	// SkipIdle advances the allocator as idleCycles calls without a single
+	// active request would.
+	SkipIdle(idleCycles int64)
+	// Reset restores initial arbitration state and clears Stats.
+	Reset()
+	// Name returns the paper-style identifier, e.g. "sep_if/rr+spec_req".
+	Name() string
+	// Stats reports speculation outcome counters.
+	Stats() SwitchAllocStats
 }
 
 // NewSwitchAllocator builds a switch allocator.
@@ -273,7 +272,6 @@ func (a *switchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	return a.run(reqs)
 }
 
-// Push implements PushSwitchAllocator.
 func (a *switchAllocator) Push(port, vc int, old, nw SwitchRequest) {
 	if old == nw {
 		return
@@ -284,7 +282,6 @@ func (a *switchAllocator) Push(port, vc int, old, nw SwitchRequest) {
 	}
 }
 
-// Run implements PushSwitchAllocator.
 func (a *switchAllocator) Run(reqs []SwitchRequest) []SwitchGrant {
 	a.checkLen(reqs)
 	return a.run(reqs)

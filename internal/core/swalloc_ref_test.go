@@ -295,8 +295,7 @@ func FuzzSwitchAllocator(f *testing.F) {
 
 func runSwitchProgram(t *testing.T, cfg SwitchAllocConfig, seed uint64, prog []byte) {
 	p, v := cfg.Ports, cfg.VCs
-	eng := NewSwitchAllocator(cfg).(PushSwitchAllocator)
-	skip := eng.(interface{ SkipIdle(int64) })
+	eng := NewSwitchAllocator(cfg)
 	ref := newRefSwitch(cfg)
 	rng := xrand.New(seed)
 	reqs := make([]SwitchRequest, p*v)
@@ -308,7 +307,7 @@ func runSwitchProgram(t *testing.T, cfg SwitchAllocConfig, seed uint64, prog []b
 		case 6:
 			// Idle gaps shorter and longer than one priority rotation.
 			k := arg%4*p + arg/4%7
-			skip.SkipIdle(int64(k))
+			eng.SkipIdle(int64(k))
 			ref.SkipIdle(k)
 			continue
 		case 7:

@@ -119,7 +119,7 @@ func TestSwitchBadOutPortPanics(t *testing.T) {
 					t.Errorf("%s dense: panic %q does not say what is wrong", name, msg)
 				}
 
-				a := NewSwitchAllocator(cfg).(PushSwitchAllocator)
+				a := NewSwitchAllocator(cfg)
 				reqs = make([]SwitchRequest, p*v)
 				reqs[2] = SwitchRequest{Active: true, OutPort: 1}
 				a.Allocate(reqs)
@@ -219,7 +219,7 @@ func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
 			for c := 0; c < k; c++ {
 				stepped.Allocate(empty)
 			}
-			skipped.(interface{ SkipIdle(int64) }).SkipIdle(int64(k))
+			skipped.SkipIdle(int64(k))
 			for c := 0; c < 2*p; c++ {
 				specFrac := 0.4
 				if cfg.SpecMode == SpecNone {
@@ -229,11 +229,11 @@ func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
 				copy(reqs, randomSwitchRequests(rng, p, v, 0.5, specFrac))
 				want := stepped.Allocate(reqs)
 				var got []SwitchGrant
-				if m, ok := skipped.(PushSwitchAllocator); ok && c%2 == 0 {
+				if c%2 == 0 {
 					for i := range reqs {
-						m.Push(i/v, i%v, old[i], reqs[i])
+						skipped.Push(i/v, i%v, old[i], reqs[i])
 					}
-					got = m.Run(reqs)
+					got = skipped.Run(reqs)
 				} else {
 					got = skipped.Allocate(reqs)
 				}
@@ -752,12 +752,17 @@ func TestMaximumSwitchAllocatorBound(t *testing.T) {
 // twin through Allocate only, on the same request stream — a reused backing
 // array with a random subset of entries rewritten each cycle, as the router's
 // request cache does. Grants and speculation counters must agree every
-// cycle, for every architecture, arbiter kind and speculation mode.
+// cycle, for every architecture, arbiter kind and speculation mode, and for
+// the precomputed wrapper, which takes no speculation.
 func TestSwitchAllocateAndPushInterleave(t *testing.T) {
 	const p, v, cycles = 5, 4, 600
 	for _, mode := range []SpecMode{SpecNone, SpecGnt, SpecReq} {
-		for _, cfg := range swConfigs(p, v, mode) {
-			mixed := NewSwitchAllocator(cfg).(PushSwitchAllocator)
+		cfgs := swConfigs(p, v, mode)
+		if mode == SpecNone {
+			cfgs = append(cfgs, SwitchAllocConfig{Ports: p, VCs: v, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, Precomputed: true})
+		}
+		for _, cfg := range cfgs {
+			mixed := NewSwitchAllocator(cfg)
 			dense := NewSwitchAllocator(cfg)
 			rng := xrand.New(42)
 			reqs := make([]SwitchRequest, p*v)

@@ -27,6 +27,15 @@ type VCRequest struct {
 
 // VCAllocator assigns output VCs to requesting input VCs, at most one output
 // VC per input VC and at most one input VC per output VC (paper §4).
+//
+// It has two entry points over one request slice. Allocate derives its
+// request state from the whole slice. Push+Run let the caller maintain that
+// state: whenever the caller rewrites an entry it pushes whether the entry is
+// now issuable — Active with at least one candidate — and Run then only
+// allocates, reading OutPort and Candidates of the issuable entries from the
+// slice. The two may be mixed freely; after an Allocate the caller pushes
+// only what it rewrites from then on. Grants are bit-identical to Allocate's
+// on the same slice.
 type VCAllocator interface {
 	// Ports returns the router port count P.
 	Ports() int
@@ -46,24 +55,6 @@ type VCAllocator interface {
 	// keep must be derived by value, as the free-queue allocator's noteFreed
 	// does.
 	Allocate(reqs []VCRequest) []int
-	// Reset restores initial arbitration state.
-	Reset()
-	// Name returns the paper-style identifier, e.g. "sep_if/rr" or
-	// "wf/rr (sparse)".
-	Name() string
-}
-
-// PushVCAllocator is implemented by VC allocators that keep derived request
-// state across cycles and let the caller maintain it: whenever the caller
-// rewrites an entry of its request slice it pushes whether the entry is now
-// issuable — Active with at least one candidate — and Run then only
-// allocates, reading OutPort and Candidates of the issuable entries from the
-// slice. Allocate derives the same state from the whole slice, so the two
-// entry points may be mixed freely; after an Allocate the caller pushes only
-// what it rewrites from then on. Grants are bit-identical to Allocate's on
-// the same slice.
-type PushVCAllocator interface {
-	VCAllocator
 	// Push records whether input VC (port, vc)'s entry is issuable. Pushing
 	// an unchanged entry again is harmless.
 	Push(port, vc int, issuable bool)
@@ -72,6 +63,14 @@ type PushVCAllocator interface {
 	// port), so a caller visits only those; both are owned by the
 	// allocator and valid until the next call.
 	Run(reqs []VCRequest) (grants []int, granted []uint64)
+	// SkipIdle advances the allocator as idleCycles calls without a single
+	// issuable request would.
+	SkipIdle(idleCycles int64)
+	// Reset restores initial arbitration state.
+	Reset()
+	// Name returns the paper-style identifier, e.g. "sep_if/rr" or
+	// "wf/rr (sparse)".
+	Name() string
 }
 
 // VCAllocConfig parameterizes VC allocator construction.
@@ -228,7 +227,6 @@ func (a *vcAllocator) Allocate(reqs []VCRequest) []int {
 	return a.run(reqs)
 }
 
-// Push implements PushVCAllocator.
 func (a *vcAllocator) Push(port, vc int, issuable bool) {
 	if issuable {
 		a.setActive(port, a.active[port]|1<<uint(vc))
@@ -237,7 +235,6 @@ func (a *vcAllocator) Push(port, vc int, issuable bool) {
 	}
 }
 
-// Run implements PushVCAllocator.
 func (a *vcAllocator) Run(reqs []VCRequest) ([]int, []uint64) {
 	a.checkLen(reqs)
 	return a.run(reqs), a.granted

@@ -280,8 +280,7 @@ func FuzzVCAllocator(f *testing.F) {
 func runVCProgram(t *testing.T, cfg VCAllocConfig, seed uint64, prog []byte) {
 	p, spec := cfg.Ports, cfg.Spec
 	v := spec.V()
-	eng := NewVCAllocator(cfg).(PushVCAllocator)
-	skip := eng.(interface{ SkipIdle(int64) })
+	eng := NewVCAllocator(cfg)
 	ref := newRefVC(cfg)
 	rng := xrand.New(seed)
 	reqs := make([]VCRequest, p*v)
@@ -294,7 +293,7 @@ func runVCProgram(t *testing.T, cfg VCAllocConfig, seed uint64, prog []byte) {
 		case 6:
 			// Idle gaps shorter and longer than one priority rotation.
 			k := arg%4*p + arg/4%7
-			skip.SkipIdle(int64(k))
+			eng.SkipIdle(int64(k))
 			ref.SkipIdle(k)
 			continue
 		case 7:

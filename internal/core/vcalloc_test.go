@@ -571,3 +571,66 @@ func TestVCAllocatorLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestVCAllocateAndPushInterleave is TestSwitchAllocateAndPushInterleave for
+// the VC allocators, the free queue included: one allocator is driven through
+// a random interleaving of Allocate and Push+Run, its twin through Allocate
+// only, on one reused request slice with a random subset of entries rewritten
+// each cycle. Grants must agree every cycle, and Run's granted words must name
+// exactly the input VCs that hold a grant.
+func TestVCAllocateAndPushInterleave(t *testing.T) {
+	const p, cycles = 5, 600
+	spec := NewVCSpec(2, 2, 2)
+	v := spec.V()
+	cfgs := append(vcConfigs(p, spec), VCAllocConfig{Ports: p, Spec: spec, ArbKind: arbiter.RoundRobin, FreeQueue: true})
+	for _, cfg := range cfgs {
+		mixed, dense := NewVCAllocator(cfg), NewVCAllocator(cfg)
+		rng := xrand.New(42)
+		reqs := make([]VCRequest, p*v)
+		pushed := 0
+		for c := 0; c < cycles; c++ {
+			churn := []float64{0.05, 0.5, 1}[rng.Intn(3)]
+			push := rng.Bool(0.5)
+			for i := range reqs {
+				if !rng.Bool(churn) {
+					continue
+				}
+				// Rewritten entries may or may not actually differ, and a
+				// thinned candidate set may be empty.
+				if rng.Bool(0.6) {
+					m, rc, _ := spec.Decompose(i % v)
+					succ := spec.ResourceSucc[rc]
+					reqs[i] = VCRequest{Active: true, OutPort: rng.Intn(p),
+						Candidates: spec.ClassMask(m, succ[rng.Intn(len(succ))]) & VCMask(rng.Uint64())}
+				} else if rng.Bool(0.7) {
+					reqs[i] = VCRequest{OutPort: rng.Intn(p)} // inactive, stale port
+				}
+				if push {
+					mixed.Push(i/v, i%v, reqs[i].Active && reqs[i].Candidates != 0)
+				}
+			}
+			want := dense.Allocate(reqs)
+			var got []int
+			if push {
+				var granted []uint64
+				got, granted = mixed.Run(reqs)
+				pushed++
+				for i, g := range got {
+					if (g >= 0) != (granted[i/v]>>uint(i%v)&1 != 0) {
+						t.Fatalf("%s cycle %d: granted words %b disagree with the grant %d to input VC %d", dense.Name(), c, granted, g, i)
+					}
+				}
+			} else {
+				got = mixed.Allocate(reqs)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s cycle %d input VC %d: interleaved grant %d, dense-only %d", dense.Name(), c, i, got[i], want[i])
+				}
+			}
+		}
+		if pushed == 0 || pushed == cycles {
+			t.Fatalf("%s: %d of %d cycles pushed; no interleaving", dense.Name(), pushed, cycles)
+		}
+	}
+}

@@ -28,16 +28,3 @@ func (l RateLattice) Index(r float64) int { return int(math.Round(r / l.Step)) }
 
 // Snap returns the canonical rate nearest r: Rate(Index(r)).
 func (l RateLattice) Snap(r float64) float64 { return l.Rate(l.Index(r)) }
-
-// Grid returns the rates of every lattice index in [lo, hi] with the given
-// index stride — the fixed grid an adaptive trace is compared against.
-func (l RateLattice) Grid(lo, hi, stride int) []float64 {
-	if stride < 1 {
-		stride = 1
-	}
-	var rates []float64
-	for i := lo; i <= hi; i += stride {
-		rates = append(rates, l.Rate(i))
-	}
-	return rates
-}

@@ -39,20 +39,6 @@ func TestRateLatticeCanonicalRates(t *testing.T) {
 	}
 }
 
-func TestRateLatticeGrid(t *testing.T) {
-	lat := RateLattice{Step: 0.05}
-	got := lat.Grid(1, 9, 2) // indices 1,3,5,7,9
-	want := []float64{lat.Rate(1), lat.Rate(3), lat.Rate(5), lat.Rate(7), lat.Rate(9)}
-	if len(got) != len(want) {
-		t.Fatalf("grid %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("grid[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestFormatNetSeriesNonUniformGrids pins the union-of-rates rendering: two
 // series sampled on different grids (an adaptive trace next to a fixed
 // sweep) produce one table whose rate column is the sorted union, with "-"

@@ -56,8 +56,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 // two allocators (core.NewAllocators, pinned by the core layout tests) a
 // router is eight blocks — the Router, four per-VC slices, the int32 column
 // slab and the vector slab's two — whatever its size. The per-port VC masks
-// and the gathered VC grant words live on the vector slab's word backing, not
-// in a block of their own.
+// live on the vector slab's word backing, not in a block of their own.
 func TestRouterNewLayout(t *testing.T) {
 	const want = 8
 	runtime.GC() // see core.TestSwitchAllocatorLayout

@@ -224,8 +224,8 @@ func benchCommitSA(b *testing.B, fedPorts int) {
 		r.credits = r.credits[:0]
 		r.buildRequests()
 		r.dirty.Reset()
-		vaGrants, vaGranted := r.vaPush.Run(r.vaReqs)
-		saGrants := r.saPush.Run(r.saReqs)
+		vaGrants, vaGranted := r.va.Run(r.vaReqs)
+		saGrants := r.sa.Run(r.saReqs)
 		r.commitVA(vaGrants, vaGranted)
 		b.StartTimer()
 		r.commitSA(saGrants, vaGrants)

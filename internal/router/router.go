@@ -131,15 +131,12 @@ type Router struct {
 	p, v  int
 	depth int
 
-	va core.VCAllocator
-	sa core.SwitchAllocator
-	// vaPush and saPush are the allocators seen through their push entry
-	// points, resolved once at construction: buildRequests pushes every
-	// request entry it rewrites into them, and Step only runs them. Nil when
-	// the allocator keeps no derived request state (free queue, precomputed)
-	// or under DenseRequests; Step then hands it the whole request slice.
-	vaPush core.PushVCAllocator
-	saPush core.PushSwitchAllocator
+	// va and sa are the allocators: buildRequests pushes every request entry
+	// it changes into them, and Step only runs them. Under Validate, twinVA
+	// and twinSA are a second pair that Step hands the whole request slices
+	// every cycle, to hold Run's grants to Allocate's (nil otherwise).
+	va, twinVA core.VCAllocator
+	sa, twinSA core.SwitchAllocator
 
 	// Input VC state (SoA, indexed port*v+vc). fifo and tags hold all input
 	// buffers back to back: VC i's ring is slots i*depth to (i+1)*depth-1,
@@ -164,9 +161,6 @@ type Router struct {
 	vaReqs     []core.VCRequest
 	saReqs     []core.SwitchRequest
 	classMasks []uint64 // per (m,r) class: its VCs
-	// vaWords is where Step gathers a dense VC allocator's grants into the
-	// per-port words a push allocator returns (bit vc of word port).
-	vaWords []uint64
 
 	// dirty marks the input VCs whose cached VA/SA request entries must be
 	// rebuilt this cycle, set only by events that can change an entry; every
@@ -185,15 +179,6 @@ type Router struct {
 	// occupied counts input VCs currently holding at least one flit; it is
 	// maintained by AcceptFlit and commitSA and backs Quiescent.
 	occupied int
-	// skipVA and skipSA are the allocators seen through their idle catch-up
-	// hook, resolved once at construction (nil when the allocator is
-	// idle-invariant).
-	skipVA, skipSA idleSkipper
-}
-
-// idleSkipper mirrors alloc.IdleSkipper structurally; see Router.SkipIdle.
-type idleSkipper interface {
-	SkipIdle(idleCycles int64)
 }
 
 // Stats counts per-router pipeline events since construction.
@@ -239,6 +224,9 @@ func New(cfg Config) *Router {
 		speculate: cfg.SA.SpecMode != core.SpecNone,
 	}
 	r.va, r.sa = core.NewAllocators(cfg.VA, cfg.SA)
+	if cfg.Validate {
+		r.twinVA, r.twinSA = core.NewAllocators(cfg.VA, cfg.SA)
+	}
 	// The int32 columns, the byte columns (state, buffer tags) and the bit
 	// vectors the router owns are one slab each (see DESIGN.md §14).
 	var cols slab.Of[int32]
@@ -250,7 +238,6 @@ func New(cfg Config) *Router {
 		r.outPort, r.class, r.outVC = cols.Take(n), cols.Take(n), cols.Take(n)
 		r.outCredits, r.outOwner = cols.Take(n), cols.Take(n)
 		r.outAlloc = vecs.Words(cfg.Ports)
-		r.vaWords = vecs.Words(cfg.Ports)
 		r.classMasks = vecs.Words(cfg.Spec.Classes())
 		r.dirty = vecs.Vec(n)
 		r.waiters = vecs.Vecs(cfg.Ports, n)
@@ -268,12 +255,6 @@ func New(cfg Config) *Router {
 		for rc := 0; rc < cfg.Spec.ResourceClasses; rc++ {
 			r.classMasks[cfg.Spec.ClassIndex(m, rc)] = uint64(cfg.Spec.ClassMask(m, rc))
 		}
-	}
-	r.skipVA, _ = r.va.(idleSkipper)
-	r.skipSA, _ = r.sa.(idleSkipper)
-	if !cfg.DenseRequests {
-		r.vaPush, _ = r.va.(core.PushVCAllocator)
-		r.saPush, _ = r.sa.(core.PushSwitchAllocator)
 	}
 	return r
 }
@@ -378,11 +359,11 @@ func (r *Router) Quiescent() bool { return r.occupied == 0 }
 // quiescent cycles that the caller elided, keeping an event-driven schedule
 // bit-exact with stepping the router every cycle.
 func (r *Router) SkipIdle(idleCycles int64) {
-	if r.skipVA != nil {
-		r.skipVA.SkipIdle(idleCycles)
-	}
-	if r.skipSA != nil {
-		r.skipSA.SkipIdle(idleCycles)
+	r.va.SkipIdle(idleCycles)
+	r.sa.SkipIdle(idleCycles)
+	if r.cfg.Validate {
+		r.twinVA.SkipIdle(idleCycles)
+		r.twinSA.SkipIdle(idleCycles)
 	}
 }
 
@@ -395,12 +376,14 @@ func (r *Router) SkipIdle(idleCycles int64) {
 // by a flit arriving at an empty VC, a credit ending a zero count, a VA grant,
 // a pop that empties the VC, spends its last credit or sends a tail, or an
 // allocation-state change at their output port — are rebuilt, once however
-// many of those hit a VC between two Steps, and each change is pushed into the
-// allocators as it is made (buildRequests). Clean entries are byte-identical
+// many of those hit a VC between two Steps. Clean entries are byte-identical
 // to what a full rebuild would produce, so the allocators cannot distinguish
-// the two schedules; Config.DenseRequests selects the full rebuild, handed to
-// the allocators whole, as a golden reference and Config.Validate
-// cross-checks the cache against it every cycle.
+// the two schedules; Config.DenseRequests selects the full rebuild as a golden
+// reference and Config.Validate cross-checks the cache against it every
+// cycle. Either way each changed entry is pushed into the allocators as it is
+// made (buildRequests), and Step runs them; Config.Validate also holds their
+// grants to a twin pair's Allocate on the same slices, so a missed push fails
+// at the cycle it is missed.
 //
 // Concurrency contract: distinct Router instances share no mutable state,
 // so Step (and AcceptFlit/AcceptCredit/SkipIdle for the same router's
@@ -418,65 +401,56 @@ func (r *Router) Step() ([]Departure, []Credit) {
 
 	r.buildRequests()
 	r.dirty.Reset()
-	var vaGrants []int
-	var vaGranted []uint64
-	if r.vaPush != nil {
-		vaGrants, vaGranted = r.vaPush.Run(r.vaReqs)
-	} else {
-		vaGrants = r.va.Allocate(r.vaReqs)
-		vaGranted = r.grantWords(vaGrants)
-	}
-	var saGrants []core.SwitchGrant
-	if r.saPush != nil {
-		saGrants = r.saPush.Run(r.saReqs)
-	} else {
-		saGrants = r.sa.Allocate(r.saReqs)
-	}
+	vaGrants, vaGranted := r.va.Run(r.vaReqs)
+	saGrants := r.sa.Run(r.saReqs)
 	if r.cfg.Validate {
-		if err := core.CheckVCGrants(r.p, r.cfg.Spec, r.vaReqs, vaGrants); err != nil {
-			panic(fmt.Sprintf("router %d: %v", r.cfg.ID, err))
-		}
-		for i, g := range vaGrants {
-			if (g >= 0) != (vaGranted[i/r.v]>>uint(i%r.v)&1 != 0) {
-				panic(fmt.Sprintf("router %d: VC allocator's granted words disagree with its grant to VC %d", r.cfg.ID, i))
-			}
-		}
-		if err := core.CheckSwitchGrants(r.p, r.v, r.saReqs, saGrants); err != nil {
-			panic(fmt.Sprintf("router %d: %v", r.cfg.ID, err))
-		}
+		r.checkGrants(vaGrants, vaGranted, saGrants)
 	}
 	r.commitVA(vaGrants, vaGranted)
 	r.commitSA(saGrants, vaGrants)
 	return r.deps, r.credits
 }
 
-// grantWords gathers a dense VC allocator's grants into vaWords.
-func (r *Router) grantWords(grants []int) []uint64 {
-	for port := range r.vaWords {
-		var w uint64
-		for vc, g := range grants[port*r.v : (port+1)*r.v] {
-			if g >= 0 {
-				w |= 1 << uint(vc)
-			}
+// checkGrants panics unless Run's grants equal the twin allocators' Allocate
+// on the same request slices — checked first, so a missed push is named as
+// such — and are legal, with granted words naming exactly the granted VCs.
+func (r *Router) checkGrants(vaGrants []int, vaGranted []uint64, saGrants []core.SwitchGrant) {
+	for i, g := range r.twinVA.Allocate(r.vaReqs) {
+		if g != vaGrants[i] {
+			panic(fmt.Sprintf("router %d: VC allocator's Run grants VC %d output VC %d, Allocate on the same requests %d (missed push)", r.cfg.ID, i, vaGrants[i], g))
 		}
-		r.vaWords[port] = w
+		if (vaGrants[i] >= 0) != (vaGranted[i/r.v]>>uint(i%r.v)&1 != 0) {
+			panic(fmt.Sprintf("router %d: VC allocator's granted words disagree with its grant to VC %d", r.cfg.ID, i))
+		}
 	}
-	return r.vaWords
+	for port, g := range r.twinSA.Allocate(r.saReqs) {
+		if g != saGrants[port] {
+			panic(fmt.Sprintf("router %d: switch allocator's Run grants port %d %+v, Allocate on the same requests %+v (missed push)", r.cfg.ID, port, saGrants[port], g))
+		}
+	}
+	if a, b := r.sa.Stats(), r.twinSA.Stats(); a != b {
+		panic(fmt.Sprintf("router %d: switch allocator's Run counts %+v, Allocate on the same requests %+v (missed push)", r.cfg.ID, a, b))
+	}
+	if err := core.CheckVCGrants(r.p, r.cfg.Spec, r.vaReqs, vaGrants); err != nil {
+		panic(fmt.Sprintf("router %d: %v", r.cfg.ID, err))
+	}
+	if err := core.CheckSwitchGrants(r.p, r.v, r.saReqs, saGrants); err != nil {
+		panic(fmt.Sprintf("router %d: %v", r.cfg.ID, err))
+	}
 }
 
 // buildRequests refreshes routes and assembles this cycle's VA and switch
 // request entries: for every input VC under DenseRequests, otherwise only
-// for the dirty ones, pushing each entry that changed into the allocators
-// that take pushes. Step then resets the dirty mask, before the commit phase
-// starts marking VCs for the next cycle.
+// for the dirty ones. Step then resets the dirty mask, before the commit
+// phase starts marking VCs for the next cycle.
 func (r *Router) buildRequests() {
 	if r.cfg.DenseRequests {
 		for i := range r.state {
-			r.buildRequest(i)
+			r.rebuild(i, i/r.v, i%r.v)
 		}
 		return
 	}
-	// Word-at-a-time scan: buildRequest never touches the dirty mask (bits
+	// Word-at-a-time scan: rebuild never touches the dirty mask (bits
 	// are only set again during the commit phase), so iterating a snapshot
 	// of each word is safe and skips the per-bit NextSet re-entry. The
 	// indices ascend, so the port they belong to only moves forward: first
@@ -489,16 +463,7 @@ func (r *Router) buildRequests() {
 				port++
 				first += r.v
 			}
-			// computeVAReq leaves an entry without candidates inactive, so
-			// an entry is issuable exactly when it is Active.
-			wasIssuable, oldSA := r.vaReqs[i].Active, r.saReqs[i]
-			r.buildRequest(i)
-			if nw := r.vaReqs[i].Active; nw != wasIssuable && r.vaPush != nil {
-				r.vaPush.Push(port, i-first, nw)
-			}
-			if nw := r.saReqs[i]; nw != oldSA && r.saPush != nil {
-				r.saPush.Push(port, i-first, oldSA, nw)
-			}
+			r.rebuild(i, port, i-first)
 		}
 	}
 	if r.cfg.Validate {
@@ -506,10 +471,11 @@ func (r *Router) buildRequests() {
 	}
 }
 
-// buildRequest recomputes input VC i's route (lookahead routing: an idle VC
-// whose front flit is a head computes its output port and resource class
-// immediately) and its VA and switch request entries.
-func (r *Router) buildRequest(i int) {
+// rebuild recomputes input VC i = (port, vc)'s route (lookahead routing: an
+// idle VC whose front flit is a head computes its output port and resource
+// class immediately) and its VA and switch request entries, and pushes each
+// entry that changed into its allocator.
+func (r *Router) rebuild(i, port, vc int) {
 	if r.state[i] == vcIdle && r.count[i] > 0 {
 		f := r.front(i)
 		if !f.Head {
@@ -522,17 +488,26 @@ func (r *Router) buildRequest(i int) {
 		r.waiters[outPort].Set(i)
 		if r.cfg.Trace != nil {
 			r.cfg.Trace.Record(trace.Event{Kind: trace.RouteComputed, Router: r.cfg.ID,
-				Port: i / r.v, VC: i % r.v, OutPort: outPort, OutVC: -1,
+				Port: port, VC: vc, OutPort: outPort, OutVC: -1,
 				Packet: f.Pkt.ID, Seq: int(f.Seq)})
 		}
 	}
-	r.vaReqs[i] = r.computeVAReq(i)
-	r.saReqs[i] = r.computeSAReq(i, r.vaReqs[i].Active)
+	// computeVAReq leaves an entry without candidates inactive, so an entry
+	// is issuable exactly when it is Active.
+	va := r.computeVAReq(i)
+	sa := r.computeSAReq(i, va.Active)
+	if va.Active != r.vaReqs[i].Active {
+		r.va.Push(port, vc, va.Active)
+	}
+	if sa != r.saReqs[i] {
+		r.sa.Push(port, vc, r.saReqs[i], sa)
+	}
+	r.vaReqs[i], r.saReqs[i] = va, sa
 }
 
 // computeVAReq assembles input VC i's VC allocation request: a request is
 // issued for a head flit awaiting an output VC, restricted to the free output
-// VCs of the (message, resource) class buildRequest recorded for the head.
+// VCs of the (message, resource) class rebuild recorded for the head.
 func (r *Router) computeVAReq(i int) core.VCRequest {
 	if r.state[i] != vcWaitVA {
 		return core.VCRequest{}

@@ -611,7 +611,7 @@ func TestTraceFilterMisspecOnly(t *testing.T) {
 	collector := trace.NewCollector(10000)
 	cfg := meshConfig(1, 0.3)
 	cfg.Warmup, cfg.Measure, cfg.Drain = 200, 600, 1
-	cfg.Trace = trace.New(collector, trace.FilterKind(trace.Misspec))
+	cfg.Trace = trace.New(collector, func(e trace.Event) bool { return e.Kind == trace.Misspec })
 	New(cfg).Run()
 	for _, e := range collector.Events() {
 		if e.Kind != trace.Misspec {

@@ -1,5 +1,5 @@
 // Package stats provides the streaming statistics used by the network
-// simulator: running mean/variance (Welford), exact order statistics over
+// simulator: a running mean, exact order statistics over
 // bounded integer domains (cycle-count histograms), and simple saturation
 // detection helpers.
 //
@@ -14,41 +14,20 @@ import (
 	"sort"
 )
 
-// Running accumulates mean and variance online (Welford's algorithm).
+// Running accumulates a mean online.
 type Running struct {
 	n    int64
 	mean float64
-	m2   float64
-	max  float64
 }
 
 // Add records one sample.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 || x > r.max {
-		r.max = x
-	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
-
-// Count returns the number of samples.
-func (r *Running) Count() int64 { return r.n }
 
 // Mean returns the sample mean (0 with no samples).
 func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the unbiased sample variance (0 with <2 samples).
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Max returns the largest observed sample (0 with no samples).
-func (r *Running) Max() float64 { return r.max }
 
 // Hist is a sparse histogram over non-negative integers, supporting exact
 // quantiles. The zero value is ready to use.

@@ -10,56 +10,39 @@ import (
 
 func TestRunningBasics(t *testing.T) {
 	var r Running
-	if r.Count() != 0 || r.Mean() != 0 || r.Variance() != 0 {
+	if r.Mean() != 0 {
 		t.Fatal("zero value should be empty")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Add(x)
 	}
-	if r.Count() != 8 {
-		t.Fatalf("Count = %d", r.Count())
-	}
 	if math.Abs(r.Mean()-5) > 1e-12 {
 		t.Fatalf("Mean = %f, want 5", r.Mean())
-	}
-	// Population variance is 4; unbiased sample variance = 32/7.
-	if math.Abs(r.Variance()-32.0/7) > 1e-12 {
-		t.Fatalf("Variance = %f, want %f", r.Variance(), 32.0/7)
-	}
-	if r.Max() != 9 {
-		t.Fatalf("Max = %f, want 9", r.Max())
 	}
 }
 
 func TestRunningSingleSample(t *testing.T) {
 	var r Running
 	r.Add(3)
-	if r.Mean() != 3 || r.Variance() != 0 || r.Max() != 3 {
-		t.Fatal("single-sample stats wrong")
+	if r.Mean() != 3 {
+		t.Fatal("single-sample mean wrong")
 	}
 }
 
-// Property: Welford matches the two-pass formula.
+// Property: the online mean matches the two-pass one (sum, then divide).
 func TestQuickRunningMatchesTwoPass(t *testing.T) {
 	f := func(raw []uint16) bool {
-		if len(raw) < 2 {
-			return true
-		}
 		var r Running
 		var sum float64
 		for _, v := range raw {
 			r.Add(float64(v))
 			sum += float64(v)
 		}
-		mean := sum / float64(len(raw))
-		var m2 float64
-		for _, v := range raw {
-			d := float64(v) - mean
-			m2 += d * d
+		mean := 0.0
+		if len(raw) > 0 {
+			mean = sum / float64(len(raw))
 		}
-		wantVar := m2 / float64(len(raw)-1)
-		return math.Abs(r.Mean()-mean) < 1e-6*(1+math.Abs(mean)) &&
-			math.Abs(r.Variance()-wantVar) < 1e-6*(1+wantVar)
+		return math.Abs(r.Mean()-mean) < 1e-6*(1+math.Abs(mean))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -98,8 +98,9 @@ type UnitConfig struct {
 	// (defaults {0} and traffic.DefaultHotspotFraction).
 	Hotspots        []int   `json:"hotspots,omitempty"`
 	HotspotFraction float64 `json:"hotspot_fraction,omitempty"`
-	// TraceDigest is trace.ArrivalsDigest of the replayed packet trace when
-	// Process is "trace"; cleared otherwise.
+	// TraceDigest is the hex SHA-256 of the replayed packet trace's canonical
+	// serialization (trace.WriteArrivals) when Process is "trace"; cleared
+	// otherwise.
 	TraceDigest string `json:"trace_digest,omitempty"`
 	// Rate is the offered load in flits/cycle/terminal.
 	Rate float64 `json:"rate"`

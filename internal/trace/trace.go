@@ -170,23 +170,3 @@ type Writer struct {
 func (w Writer) Record(e Event) {
 	fmt.Fprintln(w.W, e.String())
 }
-
-// FilterPacket returns a filter matching a single packet id plus all
-// terminal events for it.
-func FilterPacket(pkt int64) func(Event) bool {
-	return func(e Event) bool { return e.Packet == pkt }
-}
-
-// FilterRouter returns a filter matching events at one router.
-func FilterRouter(r int) func(Event) bool {
-	return func(e Event) bool { return e.Router == r }
-}
-
-// FilterKind returns a filter matching a set of event kinds.
-func FilterKind(kinds ...Kind) func(Event) bool {
-	set := map[Kind]bool{}
-	for _, k := range kinds {
-		set[k] = true
-	}
-	return func(e Event) bool { return set[e.Kind] }
-}

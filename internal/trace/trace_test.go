@@ -31,7 +31,7 @@ func TestTracerStampsCycle(t *testing.T) {
 
 func TestTracerFilter(t *testing.T) {
 	c := NewCollector(8)
-	tr := New(c, FilterKind(Misspec))
+	tr := New(c, func(e Event) bool { return e.Kind == Misspec })
 	tr.Record(Event{Kind: VAGrant})
 	tr.Record(Event{Kind: Misspec})
 	tr.Record(Event{Kind: SAGrant})
@@ -79,15 +79,6 @@ func TestWriterRendersLines(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("line %q missing %q", out, want)
 		}
-	}
-}
-
-func TestFilters(t *testing.T) {
-	if !FilterPacket(5)(Event{Packet: 5}) || FilterPacket(5)(Event{Packet: 6}) {
-		t.Error("FilterPacket wrong")
-	}
-	if !FilterRouter(2)(Event{Router: 2}) || FilterRouter(2)(Event{Router: 3}) {
-		t.Error("FilterRouter wrong")
 	}
 }
 

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"strconv"
@@ -90,17 +88,6 @@ func ReadArrivals(r io.Reader) (*traffic.PacketTrace, error) {
 		return nil, err
 	}
 	return pt, nil
-}
-
-// ArrivalsDigest returns the trace's content address: the hex SHA-256 of
-// its canonical serialization. Two traces digest equal iff they replay the
-// same workload.
-func ArrivalsDigest(pt *traffic.PacketTrace) string {
-	h := sha256.New()
-	if err := WriteArrivals(h, pt); err != nil {
-		panic(err) // hash.Hash never errors on Write
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // parsePacketType inverts traffic.PacketType.String for request types.

@@ -2,12 +2,24 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/traffic"
 )
+
+// digest is a trace's content address, the one the sweep schema's
+// TraceDigest names: the hex SHA-256 of its canonical serialization.
+func digest(pt *traffic.PacketTrace) string {
+	h := sha256.New()
+	if err := WriteArrivals(h, pt); err != nil {
+		panic(err) // hash.Hash never errors on Write
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 func sampleTrace() *traffic.PacketTrace {
 	return &traffic.PacketTrace{Terminals: 4, Arrivals: []traffic.Arrival{
@@ -42,7 +54,7 @@ func TestArrivalsRoundTrip(t *testing.T) {
 	if buf2.String() != first {
 		t.Fatal("re-serialization is not byte-identical")
 	}
-	if ArrivalsDigest(pt) != ArrivalsDigest(got) {
+	if digest(pt) != digest(got) {
 		t.Fatal("digest changed across a round trip")
 	}
 }
@@ -67,7 +79,7 @@ func TestArrivalsFormat(t *testing.T) {
 // TestDigestSensitivity pins that the digest moves with the workload: any
 // change to an arrival or the terminal count produces a different address.
 func TestDigestSensitivity(t *testing.T) {
-	base := ArrivalsDigest(sampleTrace())
+	base := digest(sampleTrace())
 	mutants := []func(*traffic.PacketTrace){
 		func(pt *traffic.PacketTrace) { pt.Terminals = 8 },
 		func(pt *traffic.PacketTrace) { pt.Arrivals[1].Cycle = 4 },
@@ -78,7 +90,7 @@ func TestDigestSensitivity(t *testing.T) {
 	for i, mutate := range mutants {
 		pt := sampleTrace()
 		mutate(pt)
-		if ArrivalsDigest(pt) == base {
+		if digest(pt) == base {
 			t.Errorf("mutation %d left the digest unchanged", i)
 		}
 	}
@@ -147,7 +159,7 @@ func FuzzReadArrivals(f *testing.F) {
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("serialization not canonical:\n%q\n%q", first.Bytes(), second.Bytes())
 		}
-		if a, b := ArrivalsDigest(pt), ArrivalsDigest(back); a != b {
+		if a, b := digest(pt), digest(back); a != b {
 			t.Fatalf("digest moved over the round trip: %s -> %s", a, b)
 		}
 	})

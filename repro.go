@@ -309,8 +309,8 @@ type Tracer = trace.Tracer
 // TraceCollector retains the most recent events in memory.
 type TraceCollector = trace.Collector
 
-// NewTracer builds a tracer over a sink with an optional filter; see
-// trace.FilterPacket / FilterRouter / FilterKind for stock filters.
+// NewTracer builds a tracer over a sink. A non-nil filter keeps only the
+// events it returns true for, e.g. func(e TraceEvent) bool { return e.Packet == id }.
 func NewTracer(sink trace.Recorder, filter func(TraceEvent) bool) *Tracer {
 	return trace.New(sink, filter)
 }
