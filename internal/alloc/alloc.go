@@ -37,25 +37,6 @@ type Allocator interface {
 	Name() string
 }
 
-// IdleSkipper is implemented by allocators whose priority state advances
-// even on Allocate calls with an empty request matrix. An event-driven
-// simulator that skips such calls outright must invoke SkipIdle with the
-// number of skipped cycles to reproduce the dense stepper bit for bit.
-// Allocators without the method are state-no-ops on empty input and may be
-// skipped unconditionally.
-//
-// SkipIdle composes with the router's cached request vectors: while a
-// router is quiescent its cache may still hold entries that went stale on
-// the final stepped cycle (the pop that drained the last VC), but SkipIdle
-// reads no request state — it only replays the request-independent priority
-// rotation — and the events that staled those entries also set their dirty
-// bits, which persist across the skipped gap. The first Step after wake-up
-// rebuilds every stale entry before any allocator reads the slice, so the
-// allocators observe exactly the request sequence of the dense schedule.
-type IdleSkipper interface {
-	SkipIdle(idleCycles int64)
-}
-
 // Arch names an allocator architecture.
 type Arch int
 
@@ -358,39 +339,154 @@ func (a *sepOF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	return &a.gnt
 }
 
-// wavefront implements the wavefront allocator of Tamir & Chi as used in the
-// paper: requests are granted diagonal by diagonal starting from a rotating
-// priority diagonal; a granted request blocks its entire row and column for
-// later diagonals. The result is always a maximal matching. Weak fairness
-// comes from advancing the starting diagonal after every allocation.
+// Wave is the diagonal sweep of an n×n wavefront block (paper Fig. 2), one
+// implementation for two feeders: NewWavefront's allocator hands it the rows
+// of a request matrix, the VC allocator's wavefront engines (internal/core)
+// their request words. Requests are granted diagonal by diagonal starting
+// from a rotating priority diagonal; a granted request blocks its entire row
+// and column for later diagonals. The result is always a maximal matching.
+// Weak fairness comes from advancing the starting diagonal after every sweep.
+//
+// Cell (i, j) lies on diagonal class (i + j) mod n, and a row meets each
+// class once, so j is recoverable from (class, i). Request buckets cells by
+// class as they arrive; Sweep visits only the classes that hold one and
+// leaves every bucket empty. Sets of rows, columns and classes are raw words,
+// rw per set: bucketing sets one bit per request, which a call per bit would
+// dominate.
+type Wave struct {
+	n, rw   int
+	prio    int
+	classes []uint64 // diagonal classes holding a request
+	rows    []uint64 // per class d, at d*rw: the rows requesting on it
+	rowBusy []uint64 // rows granted by the latest sweep
+	colBusy []uint64 // columns granted by the latest sweep
+}
+
+// Layout carves an n×n block's storage out of s. Like all slab layout code it
+// runs once to measure and once to carve.
+func (w *Wave) Layout(s *bitvec.Slab, n int) {
+	w.n, w.rw = n, (n+63)/64
+	w.classes = s.Words(w.rw)
+	w.rows = s.Words(n * w.rw)
+	w.rowBusy = s.Words(w.rw)
+	w.colBusy = s.Words(w.rw)
+}
+
+// Request adds the cells (row, col+b) for every set bit b of cols. All of them
+// must lie inside the block: a cell outside would wrap onto a diagonal of the
+// block and be granted a column it never asked for.
+func (w *Wave) Request(row, col int, cols uint64) {
+	if uint(row) >= uint(w.n) || col < 0 || col+bits.Len64(cols) > w.n {
+		panic(fmt.Sprintf("alloc: wavefront cells (%d, %d+%#x) outside a %d×%d block", row, col, cols, w.n, w.n))
+	}
+	// The classes the cells lie on are cols moved to position row+col, mod n.
+	// Both are below n, so one conditional subtraction reduces the sum, and
+	// the classes pass n-1 at most once: what does wraps to class 0.
+	pos, low := row+col, cols
+	if pos >= w.n {
+		pos -= w.n
+	} else if k := uint(w.n - pos); k < 64 && cols>>k != 0 {
+		w.markClasses(0, cols>>k)
+		low = cols & (1<<k - 1)
+	}
+	w.markClasses(pos, low)
+	iw, ibit := row/64, uint64(1)<<(uint(row)%64)
+	for base := row + col; cols != 0; cols &= cols - 1 {
+		d := base + bits.TrailingZeros64(cols)
+		if d >= w.n {
+			d -= w.n
+		}
+		w.rows[d*w.rw+iw] |= ibit
+	}
+}
+
+// markClasses ORs word into the class set with its bit 0 on class pos; no set
+// bit lands at or above n.
+func (w *Wave) markClasses(pos int, word uint64) {
+	wi, shift := uint(pos)/64, uint(pos)%64
+	w.classes[wi] |= word << shift
+	if hi := word >> 1 >> (63 - shift); hi != 0 {
+		w.classes[wi+1] |= hi
+	}
+}
+
+// Sweep grants the requested cells class by class, from the priority diagonal
+// round to the one before it, calling grant for each; it empties the buckets
+// and turns the priority diagonal, requests or not.
+func (w *Wave) Sweep(grant func(row, col int)) {
+	clear(w.rowBusy)
+	clear(w.colBusy)
+	w.visit(w.prio, w.n, grant)
+	w.visit(0, w.prio, grant)
+	if w.prio++; w.prio == w.n {
+		w.prio = 0
+	}
+}
+
+// SkipIdle turns the priority diagonal as k sweeps without a request would.
+func (w *Wave) SkipIdle(k int64) { w.prio = int((int64(w.prio) + k) % int64(w.n)) }
+
+// Reset restores the initial priority diagonal.
+func (w *Wave) Reset() { w.prio = 0 }
+
+// visit sweeps the classes in [lo, hi) that hold a request, in order.
+func (w *Wave) visit(lo, hi int, grant func(row, col int)) {
+	for wi := lo / 64; wi*64 < hi; wi++ {
+		word := w.classes[wi]
+		if wi == lo/64 {
+			word &^= 1<<(uint(lo)%64) - 1
+		}
+		if rem := hi - wi*64; rem < 64 {
+			word &= 1<<uint(rem) - 1
+		}
+		w.classes[wi] &^= word
+		for ; word != 0; word &= word - 1 {
+			w.sweepClass(wi*64+bits.TrailingZeros64(word), grant)
+		}
+	}
+}
+
+// sweepClass grants every request on diagonal class d whose row and column
+// are still free, and empties the class. A row meets a diagonal once, so a
+// grant made here cannot take the row of a later request of the same class.
+func (w *Wave) sweepClass(d int, grant func(row, col int)) {
+	rows := w.rows[d*w.rw : (d+1)*w.rw]
+	for wi, word := range rows {
+		if word == 0 {
+			continue
+		}
+		rows[wi] = 0
+		for word &^= w.rowBusy[wi]; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := wi*64 + b
+			j := d - i
+			if j < 0 {
+				j += w.n
+			}
+			if cw, cb := &w.colBusy[j/64], uint64(1)<<(uint(j)%64); *cw&cb == 0 {
+				*cw |= cb
+				w.rowBusy[wi] |= 1 << uint(b)
+				grant(i, j)
+			}
+		}
+	}
+}
+
+// wavefront is the wavefront allocator of Tamir & Chi as used in the paper:
+// one Wave over max(rows, cols) diagonal classes, fed from the request matrix.
 type wavefront struct {
 	rows, cols int
-	n          int // number of diagonal classes = max(rows, cols)
-	prio       int
+	wave       Wave
 	gnt        bitvec.Matrix
-	colFree    *bitvec.Vec
-	diagAny    *bitvec.Vec // diagonal classes whose diagRows set is dirty
-	// Sets of rows as raw words, rw words each: the bucketing loop sets one
-	// bit per request, which a call per bit would dominate.
-	rw       int
-	rowBusy  []uint64 // rows granted by the latest Allocate: the non-zero rows of gnt
-	diagRows []uint64 // per diagonal class d, at d*rw: rows requesting on it
 }
 
 // NewWavefront returns a rows×cols wavefront allocator.
 func NewWavefront(rows, cols int) Allocator {
-	n := rows
-	if cols > n {
-		n = cols
-	}
-	a := &wavefront{rows: rows, cols: cols, n: n, rw: (rows + 63) / 64}
+	a := &wavefront{rows: rows, cols: cols}
 	var s bitvec.Slab
 	for pass := 0; pass < 2; pass++ {
 		a.gnt = s.Matrix(rows, cols)
-		a.colFree = s.Vec(cols)
-		a.diagAny = s.Vec(n)
-		a.rowBusy = s.Words(a.rw)
-		a.diagRows = s.Words(n * a.rw)
+		a.wave.Layout(&s, max(rows, cols))
 		if pass == 0 {
 			s.Alloc()
 		}
@@ -400,94 +496,25 @@ func NewWavefront(rows, cols int) Allocator {
 
 func (a *wavefront) Shape() (int, int) { return a.rows, a.cols }
 func (a *wavefront) Name() string      { return "wf" }
-func (a *wavefront) Reset()            { a.prio = 0 }
-
-// SkipIdle implements IdleSkipper: an Allocate call with an empty request
-// matrix grants nothing but still rotates the priority diagonal, so skipping
-// idle cycles must advance prio by the same amount to stay bit-exact.
-func (a *wavefront) SkipIdle(idleCycles int64) {
-	a.prio = int((int64(a.prio) + idleCycles) % int64(a.n))
-}
+func (a *wavefront) Reset()            { a.wave.Reset() }
 
 func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	checkShape(req, a.rows, a.cols)
-	// Only the rows the previous call granted hold a bit.
-	for wi, w := range a.rowBusy {
+	// Only the rows the previous sweep granted hold a bit.
+	for wi, w := range a.wave.rowBusy {
 		for base := wi * 64; w != 0; w &= w - 1 {
 			a.gnt.Row(base + bits.TrailingZeros64(w)).Reset()
 		}
-		a.rowBusy[wi] = 0
 	}
-	// Bucket requests by diagonal class. Since n >= cols, each row has at
-	// most one column on any diagonal: (i, j) lies on class (i + j) mod n,
-	// and j is recoverable from (class, i). Both are below n, so one
-	// conditional subtraction (or addition, going back) reduces mod n.
-	for d := a.diagAny.NextSet(0); d >= 0; d = a.diagAny.NextSet(d + 1) {
-		clear(a.diagRows[d*a.rw : (d+1)*a.rw])
-	}
-	a.diagAny.Reset()
 	for i := 0; i < a.rows; i++ {
-		iw, ibit := i/64, uint64(1)<<(uint(i)%64)
 		for wi, w := range req.Row(i).Words() {
-			if w == 0 {
-				continue
-			}
-			// Column wi*64+b is on class i+wi*64+b mod n: the row word, moved
-			// to that position, is the set of classes it touches. It passes
-			// class n-1 at most once; what does wraps to class 0.
-			pos, low := i+wi*64, w
-			if pos >= a.n {
-				pos -= a.n
-			} else if k := uint(a.n - pos); k < 64 && w>>k != 0 {
-				a.diagAny.OrWordAt(0, w>>k)
-				low = w & (1<<k - 1)
-			}
-			a.diagAny.OrWordAt(pos, low)
-			for base := i + wi*64; w != 0; w &= w - 1 {
-				d := base + bits.TrailingZeros64(w)
-				if d >= a.n {
-					d -= a.n
-				}
-				a.diagRows[d*a.rw+iw] |= ibit
+			if w != 0 {
+				a.wave.Request(i, wi*64, w)
 			}
 		}
 	}
-	// Visit the classes that hold a request, from the priority diagonal
-	// round to the one before it.
-	if first := a.diagAny.NextFrom(a.prio); first >= 0 {
-		a.colFree.SetAll()
-		for d := first; ; {
-			a.sweep(d)
-			if d = a.diagAny.NextFrom(d + 1); d == first {
-				break
-			}
-		}
-	}
-	if a.prio++; a.prio == a.n {
-		a.prio = 0
-	}
+	a.wave.Sweep(func(i, j int) { a.gnt.Set(i, j) })
 	return &a.gnt
-}
-
-// sweep grants every request on diagonal class d whose row and column are
-// still free. A row meets a diagonal once, so a grant made here cannot take
-// the row of a later request of the same sweep.
-func (a *wavefront) sweep(d int) {
-	for wi, busy := range a.rowBusy {
-		for w := a.diagRows[d*a.rw+wi] &^ busy; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			i := wi*64 + b
-			j := d - i
-			if j < 0 {
-				j += a.n
-			}
-			if a.colFree.Get(j) {
-				a.gnt.Set(i, j)
-				a.rowBusy[wi] |= 1 << uint(b)
-				a.colFree.Clear(j)
-			}
-		}
-	}
 }
 
 // maximum is a maximum-size allocator based on Hopcroft–Karp style repeated

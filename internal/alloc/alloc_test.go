@@ -188,8 +188,8 @@ func TestWavefrontMaximalRectangular(t *testing.T) {
 // from the priority diagonal on, every row of each tried in turn, all index
 // arithmetic by %, a fresh grant matrix per call. Square, wide and tall
 // shapes (one past a word boundary), request matrices from empty to full so
-// that stale grant rows and request-free calls occur, SkipIdle and Reset in
-// between.
+// that stale grant rows and request-free calls occur, runs of empty calls and
+// Reset in between.
 func TestWavefrontMatchesCellByCell(t *testing.T) {
 	// The last four are wider than a word in both dimensions: a row word's
 	// diagonal classes then pass n-1 and wrap mid-word (64 and 128 wrap on a
@@ -199,13 +199,20 @@ func TestWavefrontMatchesCellByCell(t *testing.T) {
 		rows, cols := shape[0], shape[1]
 		n := max(rows, cols)
 		a := NewWavefront(rows, cols)
+		empty := bitvec.NewMatrix(rows, cols)
 		rng := xrand.New(uint64(113 + rows*100 + cols))
 		prio := 0
 		for trial := 0; trial < 400; trial++ {
 			switch rng.Intn(12) {
 			case 0:
+				// An empty matrix grants nothing and still turns the
+				// priority diagonal.
 				k := rng.Intn(3 * n)
-				a.(IdleSkipper).SkipIdle(int64(k))
+				for c := 0; c < k; c++ {
+					if a.Allocate(empty).Any() {
+						t.Fatalf("%dx%d: an empty request matrix was granted", rows, cols)
+					}
+				}
 				prio = (prio + k) % n
 			case 1:
 				a.Reset()

@@ -2,6 +2,7 @@ package arbiter
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/bitvec"
@@ -177,7 +178,9 @@ func TestTreeBankPickWordsMatchesPick(t *testing.T) {
 						if shape.groupSize > 1 {
 							leaves[g] |= rng.Uint64() >> uint(64-shape.groupSize)
 						}
-						req.OrWordAt(g*shape.groupSize, leaves[g])
+						for w := leaves[g]; w != 0; w &= w - 1 {
+							req.Set(g*shape.groupSize + bits.TrailingZeros64(w))
+						}
 					}
 					i := rng.Intn(count)
 					want, got := byVec.Pick(i, req), byWord.PickWords(i, any, leaves)

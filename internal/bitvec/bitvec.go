@@ -365,24 +365,6 @@ func (v *Vec) SliceFrom(src *Vec, off int) bool {
 	return acc != 0
 }
 
-// OrWordAt ORs word into v with word's bit 0 landing on bit pos: a set of up
-// to 64 consecutive positions written with one or two word ORs instead of one
-// Set per member. It is the inverse of SliceFrom for sets that fit a machine
-// word. Panics if a set bit of word would land outside [0, Len()).
-func (v *Vec) OrWordAt(pos int, word uint64) {
-	if pos < 0 || pos+bits.Len64(word) > v.n {
-		panic(fmt.Sprintf("bitvec: word %#x at %d out of range [0,%d)", word, pos, v.n))
-	}
-	if word == 0 {
-		return
-	}
-	wi, shift := uint(pos)/wordBits, uint(pos)%wordBits
-	v.words[wi] |= word << shift
-	if hi := word >> 1 >> (wordBits - 1 - shift); hi != 0 {
-		v.words[wi+1] |= hi
-	}
-}
-
 // Equal reports whether v and o have identical length and contents.
 func (v *Vec) Equal(o *Vec) bool {
 	if v.n != o.n {

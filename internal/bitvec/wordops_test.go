@@ -134,47 +134,6 @@ func TestVecSliceFrom(t *testing.T) {
 	}
 }
 
-func TestVecOrWordAt(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const n = 194 // three full words and a tail: offsets 0...130 cover both word boundaries
-	for pos := 0; pos <= 130; pos++ {
-		for _, word := range []uint64{0, 1, 1 << 63, ^uint64(0), rng.Uint64(), rng.Uint64() >> uint(rng.Intn(64))} {
-			got, want := New(n), New(n)
-			got.Set(pos) // OrWordAt adds to what is there
-			want.Set(pos)
-			got.OrWordAt(pos, word)
-			for k := 0; k < 64; k++ {
-				if word>>uint(k)&1 != 0 {
-					want.Set(pos + k)
-				}
-			}
-			if !got.Equal(want) {
-				t.Fatalf("OrWordAt(%d, %#x) = %s, want %s", pos, word, got, want)
-			}
-		}
-	}
-	// A word may hang over the end as long as its set bits do not.
-	v := New(70)
-	v.OrWordAt(60, 0x3ff)
-	if v.Count() != 10 || !v.Get(69) {
-		t.Fatalf("OrWordAt at the tail = %s", v)
-	}
-	v.OrWordAt(70, 0)
-	for _, c := range []struct {
-		pos  int
-		word uint64
-	}{{60, 0x7ff}, {-1, 1}, {70, 1}, {7, 1 << 63}, {64, ^uint64(0)}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("OrWordAt(%d, %#x) on 70 bits did not panic", c.pos, c.word)
-				}
-			}()
-			New(70).OrWordAt(c.pos, c.word)
-		}()
-	}
-}
-
 // FuzzWordOps differentially checks every word-parallel operation against a
 // naive per-bit reference model. The fuzzer chooses the vector length, the
 // bit patterns (drawn cyclically from raw byte strings), and the offsets fed
@@ -316,23 +275,6 @@ func FuzzWordOps(f *testing.F) {
 		if sliceAny != wantSliceAny || dst.Count() > w {
 			t.Fatalf("n=%d off=%d: SliceFrom any/Count = %v/%d, want any=%v within width %d",
 				n, off, sliceAny, dst.Count(), wantSliceAny, w)
-		}
-
-		// Windowed insertion at the same offset: a word of pattern b, cut to
-		// what fits, ORed in at once against one Set per bit.
-		var word uint64
-		for k := 0; k < 64 && off+k < n; k++ {
-			if bitAt(bBytes, k) {
-				word |= 1 << uint(k)
-			}
-		}
-		ored := a.Clone()
-		ored.OrWordAt(off, word)
-		for i := 0; i < n; i++ {
-			want := refA[i] || (i >= off && i < off+64 && word>>uint(i-off)&1 != 0)
-			if ored.Get(i) != want {
-				t.Fatalf("n=%d off=%d: OrWordAt(%#x) bit %d = %v, want %v", n, off, word, i, ored.Get(i), want)
-			}
 		}
 
 		// Tail masking: SetAll must not leak bits past Len into reductions.

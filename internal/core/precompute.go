@@ -60,7 +60,7 @@ func (a *precomputedSwitch) Stats() SwitchAllocStats { return a.inner.Stats() }
 // total grants the inner allocator produced).
 func (a *precomputedSwitch) Aborted() (aborted, issued int64) { return a.aborted, a.issued }
 
-// SkipIdle implements alloc.IdleSkipper. The wrapper latches each cycle's
+// SkipIdle replays idle cycles. The wrapper latches each cycle's
 // requests for the next, so the first idle cycle after activity still issues
 // grants from the stale latch (all aborted against the empty live request
 // set) and advances the inner allocator's state accordingly; that cycle is

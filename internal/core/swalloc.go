@@ -236,7 +236,7 @@ func (a *switchAllocator) Reset() {
 
 func (a *switchAllocator) Stats() SwitchAllocStats { return a.stats }
 
-// SkipIdle implements alloc.IdleSkipper: on a request-free cycle the only
+// SkipIdle replays idle cycles: on a request-free cycle the only
 // state change in Allocate is the rotation of the wavefront blocks' priority
 // diagonal (arbiters commit only on accepted proposals), so replay exactly
 // that. The separable datapaths never read the diagonal.

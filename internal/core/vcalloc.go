@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
-	"repro/internal/bitvec"
 )
 
 // VCRequest is one input VC's request to the VC allocator for a given cycle.
@@ -200,14 +199,13 @@ func (a *vcAllocator) Reset() {
 	}
 }
 
-// SkipIdle implements alloc.IdleSkipper: wavefront engines rotate their
-// priority diagonal on every Allocate call, including request-free cycles,
-// so skipped idle cycles must be replayed into them. Separable engines only
-// update arbiter priority on grants and need no catch-up.
+// SkipIdle replays idle cycles into the wavefront engines, whose priority
+// diagonal turns on every call, request-free ones included. Separable engines
+// only update arbiter priority on grants and need no catch-up.
 func (a *vcAllocator) SkipIdle(idleCycles int64) {
 	for i := range a.engines {
-		if s, ok := a.engines[i].wf.(alloc.IdleSkipper); ok {
-			s.SkipIdle(idleCycles)
+		if e := &a.engines[i]; e.arch == alloc.Wavefront {
+			e.wave.SkipIdle(idleCycles)
 		}
 	}
 }
@@ -309,10 +307,9 @@ type vcEngine struct {
 	inArb  arbiter.Bank     // per input VC in range, width w
 	outArb arbiter.TreeBank // per output VC in range, width P·w
 
-	// Wavefront state: the (P·w)² request matrix is up to 160 wide, so it
-	// stays a bit matrix handed to the generic wavefront allocator.
-	wf    alloc.Allocator
-	wfReq bitvec.Matrix
+	// Wavefront state: the diagonal sweep of one (P·w)×(P·w) block, fed
+	// straight from the active sets and the candidate words.
+	wave alloc.Wave
 
 	// gIdx maps an engine-local input or output index p·w + (vc-off) back to
 	// the global VC index p·V + vc used by the request and grant slices.
@@ -328,15 +325,12 @@ type vcEngine struct {
 }
 
 func newVCEngine(cfg VCAllocConfig, off, w int) vcEngine {
-	e := vcEngine{cfg: cfg, off: off, w: w, arch: cfg.Arch}
 	switch cfg.Arch {
-	case alloc.SepIF, alloc.SepOF:
-	case alloc.Wavefront:
-		e.wf = alloc.NewWavefront(cfg.Ports*w, cfg.Ports*w)
+	case alloc.SepIF, alloc.SepOF, alloc.Wavefront:
 	default:
 		panic(fmt.Sprintf("core: unsupported VC allocator arch %v", cfg.Arch))
 	}
-	return e
+	return vcEngine{cfg: cfg, off: off, w: w, arch: cfg.Arch}
 }
 
 func (e *vcEngine) layout(s *slabs) {
@@ -354,7 +348,7 @@ func (e *vcEngine) layout(s *slabs) {
 			e.offer = s.Words(p * w)
 		}
 	case alloc.Wavefront:
-		e.wfReq = s.Matrix(p*w, p*w)
+		e.wave.Layout(&s.Slab.Slab, p*w)
 	}
 	e.gIdx = s.i32.Take(p * w)
 }
@@ -369,9 +363,7 @@ func (e *vcEngine) fill() {
 func (e *vcEngine) reset() {
 	e.inArb.Reset()
 	e.outArb.Reset()
-	if e.wf != nil {
-		e.wf.Reset()
-	}
+	e.wave.Reset()
 }
 
 // inRange is the engine's VC range as a mask over a port's V VCs.
@@ -509,8 +501,10 @@ func (e *vcEngine) allocateSepOF(reqs []VCRequest, grants []int, active []uint64
 	}
 }
 
-// allocateWavefront implements Fig. 3(c): a (P·w)×(P·w) wavefront allocator
-// over the full request matrix.
+// allocateWavefront implements Fig. 3(c): one (P·w)×(P·w) wavefront block.
+// Each issuable input VC's candidate word goes straight into the sweep's
+// diagonal buckets, at its output port's columns, and the sweep writes each
+// grant straight into grants: there is no request or grant matrix.
 func (e *vcEngine) allocateWavefront(reqs []VCRequest, grants []int, active []uint64, busy uint64) {
 	w, v, inRange := e.w, e.cfg.Spec.V(), e.inRange()
 	for pw := busy; pw != 0; pw &= pw - 1 {
@@ -518,22 +512,10 @@ func (e *vcEngine) allocateWavefront(reqs []VCRequest, grants []int, active []ui
 		for aw := active[port] & inRange; aw != 0; aw &= aw - 1 {
 			vc := bits.TrailingZeros64(aw)
 			r := &reqs[port*v+vc]
-			e.wfReq.Row(port*w+vc-e.off).OrWordAt(r.OutPort*w, e.window(r))
+			e.wave.Request(port*w+vc-e.off, r.OutPort*w, e.window(r))
 		}
 	}
-	g := e.wf.Allocate(&e.wfReq)
-	// Grants are a subset of requests, so only the rows just filled can hold
-	// one; they are cleared on the way, leaving the matrix empty.
-	for pw := busy; pw != 0; pw &= pw - 1 {
-		port := bits.TrailingZeros64(pw)
-		for aw := active[port] & inRange; aw != 0; aw &= aw - 1 {
-			row := port*w + bits.TrailingZeros64(aw) - e.off
-			if col := g.Row(row).First(); col >= 0 {
-				grants[e.gIdx[row]] = int(e.gIdx[col])
-			}
-			e.wfReq.Row(row).Reset()
-		}
-	}
+	e.wave.Sweep(func(row, col int) { grants[e.gIdx[row]] = int(e.gIdx[col]) })
 }
 
 // CheckVCGrants validates a VC allocation result against its requests:

@@ -185,8 +185,9 @@ func (r *refVC) sepOF(b *refVCBlock, reqs []VCRequest, grants []int) {
 }
 
 // wavefront is Fig. 3(c): one (P·w)×(P·w) wavefront block over the full
-// request matrix. The block is built anew every pass and turned to the
-// priority diagonal this pass starts from.
+// request matrix, swept cell by cell: diagonal by diagonal from the one this
+// pass starts from, a requested cell is granted when its row and its column
+// are both still free.
 func (r *refVC) wavefront(b *refVCBlock, reqs []VCRequest, grants []int) {
 	v, n := r.spec.V(), r.p*b.w
 	m := bitvec.NewMatrix(n, n)
@@ -197,13 +198,17 @@ func (r *refVC) wavefront(b *refVCBlock, reqs []VCRequest, grants []int) {
 			}
 		}
 	}
-	wf := alloc.NewWavefront(n, n)
-	wf.(alloc.IdleSkipper).SkipIdle(int64(b.passes % n))
+	prio := b.passes % n
 	b.passes++
-	g := wf.Allocate(m)
-	for row := 0; row < n; row++ {
-		if col := g.Row(row).First(); col >= 0 {
-			grants[r.vcAt(b, row)] = r.vcAt(b, col)
+	rowUsed, colUsed := make([]bool, n), make([]bool, n)
+	for k := 0; k < n; k++ {
+		d := (prio + k) % n
+		for row := 0; row < n; row++ {
+			col := (d - row + n) % n
+			if m.Get(row, col) && !rowUsed[row] && !colUsed[col] {
+				rowUsed[row], colUsed[col] = true, true
+				grants[r.vcAt(b, row)] = r.vcAt(b, col)
+			}
 		}
 	}
 }

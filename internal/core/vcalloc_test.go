@@ -545,10 +545,10 @@ func TestVCAllocatorWordBoundary(t *testing.T) {
 	}
 }
 
-// TestVCAllocatorLayout pins what the VC allocator adds to NewAllocators: a
-// separable VC allocator of any arbiter kind, dense or sparse, lives entirely
-// on the shared slabs (the ten blocks of TestSwitchAllocatorLayout); each
-// wavefront engine adds the generic wavefront allocator's three.
+// TestVCAllocatorLayout pins what the VC allocator adds to NewAllocators:
+// nothing. Every architecture, the wavefront's diagonal sweep included, of
+// either arbiter kind, dense or sparse, lives entirely on the shared slabs
+// (the ten blocks of TestSwitchAllocatorLayout).
 func TestVCAllocatorLayout(t *testing.T) {
 	runtime.GC() // see TestSwitchAllocatorLayout
 	for _, size := range []struct {
@@ -558,16 +558,34 @@ func TestVCAllocatorLayout(t *testing.T) {
 		sa := SwitchAllocConfig{Ports: size.p, VCs: size.spec.V(), Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin}
 		for _, va := range vcConfigs(size.p, size.spec) {
 			sa.ArbKind = va.ArbKind // a second arbiter kind is an eleventh block
-			want := 10.0
-			if va.Arch == alloc.Wavefront {
-				want += 3
-				if va.Sparse {
-					want += 3 * float64(size.spec.MessageClasses-1)
-				}
+			if got := testing.AllocsPerRun(5, func() { NewAllocators(va, sa) }); got > 10 {
+				t.Errorf("%s, %d ports × %s: %v allocations, want 10", NewVCAllocator(va).Name(), size.p, size.spec, got)
 			}
-			if got := testing.AllocsPerRun(5, func() { NewAllocators(va, sa) }); got > want {
-				t.Errorf("%s, %d ports × %s: %v allocations, want %v", NewVCAllocator(va).Name(), size.p, size.spec, got, want)
-			}
+		}
+	}
+}
+
+// TestVCBadOutPortPanics: an issuable request naming an output port outside
+// [0, P) is a caller bug that every architecture refuses instead of filing it
+// under another port's VCs. The separable engines index by port and trip
+// over it; the wavefront's diagonal classes wrap, so its sweep checks the
+// cells it is handed (Wave.Request).
+func TestVCBadOutPortPanics(t *testing.T) {
+	const p = 3
+	spec := NewVCSpec(2, 1, 2)
+	for _, cfg := range vcConfigs(p, spec) {
+		for _, port := range []int{-1, p} {
+			reqs := make([]VCRequest, p*spec.V())
+			reqs[spec.V()+1] = VCRequest{Active: true, OutPort: port, Candidates: spec.ClassMask(0, 0)}
+			a := NewVCAllocator(cfg)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: a request for output port %d did not panic", a.Name(), port)
+					}
+				}()
+				a.Allocate(reqs)
+			}()
 		}
 	}
 }

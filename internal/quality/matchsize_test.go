@@ -49,7 +49,7 @@ func vcMatrix(m *bitvec.Matrix, reqs []core.VCRequest, vcs int) *bitvec.Matrix {
 	m.Reset()
 	for i, r := range reqs {
 		if r.Active {
-			m.Row(i).OrWordAt(r.OutPort*vcs, uint64(r.Candidates))
+			r.Candidates.ForEach(func(c int) { m.Set(i, r.OutPort*vcs+c) })
 		}
 	}
 	return m
