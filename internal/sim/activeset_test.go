@@ -51,7 +51,7 @@ func assertGolden(t *testing.T, name string, base Config, legs ...func(*Network)
 }
 
 // oneShard is the golden leg of a network as New builds it: one shard, every
-// cycle stepped inline.
+// cycle stepped on the caller's goroutine.
 func oneShard(*Network) {}
 
 // TestActiveSchedulerBitExact pins the default schedule against the reference
@@ -157,19 +157,17 @@ func TestFlitConservationActiveAllSpecModes(t *testing.T) {
 // TestSteadyStateStepAllocs verifies the recycled packet path (flits are
 // values and allocate nothing): once the free lists are primed, advancing a
 // loaded simulation allocates nothing per cycle on average — on one shard,
-// and split in two and stepped inline and concurrently (the barrier, the
-// outboxes and the deferred packet IDs allocate nothing either).
+// and split in two around a lent helper (the barrier, the outboxes and the
+// deferred packet IDs allocate nothing either).
 func TestSteadyStateStepAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		split      bool
-		concurrent bool
-	}{{"one shard", false, false}, {"split, inline", true, false}, {"split, concurrent", true, true}} {
+		name  string
+		split bool
+	}{{"one shard", false}, {"split", true}} {
 		n := New(meshConfig(2, 0.3))
 		if tc.split {
 			splitLent(n)
 		}
-		n.modeHook = func(int64) bool { return tc.concurrent }
 		for i := 0; i < 3000; i++ {
 			n.stepCycle()
 		}
@@ -182,7 +180,7 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 		if len(n.shards[0].freePkts) == 0 {
 			t.Fatalf("%s: free lists never populated; recycling path is dead", tc.name)
 		}
-		if want := map[bool]int64{true: st.Stepped}[tc.concurrent]; st.Concurrent != want {
+		if want := map[bool]int64{true: st.Stepped}[tc.split]; st.Concurrent != want {
 			t.Fatalf("%s: %d of %d cycles ran concurrently, want %d", tc.name, st.Concurrent, st.Stepped, want)
 		}
 	}

@@ -8,21 +8,16 @@ import (
 	"time"
 )
 
-// This file decides, cycle by cycle, whether a network's phase 1 runs on one
-// goroutine or on two, and implements the barrier the two meet at.
+// This file decides, cycle by cycle, whether a network holds a helper
+// goroutine, and implements the barrier the two goroutines meet at.
 //
 // A network is built as one shard and gets a second in one way only: a
 // Lender (BorrowHelpers) lends it a goroutine in a heavy cycle, and the
-// network splits in two around it (split). From then on it has two shards
-// and, while it holds the helper, steps them concurrently.
-//
-// One layout serves both ways of stepping. An inline cycle steps the shards
-// one after the other on the stepping goroutine and files cross-shard events
-// straight into the other shard's wheel; a concurrent cycle gives shard 1 to
-// the helper and routes cross-shard events through the outboxes (shard.go).
-// The two produce the same state — the order of events within a wheel slot is
-// the only thing that differs, and delivery is commutative in it — so the
-// choice is free at every cycle boundary.
+// network splits in two around it (split). It steps the two shards
+// concurrently, shard 1 on the helper, for as long as it holds the helper,
+// and merges back to one shard (merge) when it gives the helper back. So
+// between cycles a network has two shards exactly when it holds a helper,
+// and a cycle is stepped either on one shard or on two goroutines.
 //
 // The barrier is an epoch on atomics. The stepping goroutine numbers the
 // concurrent cycles; to start one it stores the number into the helper's cmd
@@ -33,42 +28,42 @@ import (
 // compare-and-swap — the phase if the helper has not got to it yet and steps
 // it itself, then spins until the phase word says done. So a helper that is
 // late (just lent, parked, or its thread descheduled by the host) costs the
-// cycle nothing but its share of the work, and GOMAXPROCS=1 degrades to the
-// inline order instead of to a convoy.
+// cycle nothing but its share of the work, and GOMAXPROCS=1 degrades to both
+// shards stepped on one goroutine instead of to a convoy.
 //
 // Spinning yields (runtime.Gosched) every spinsPerYield loads — about once a
 // microsecond — which keeps the runtime's other goroutines and a single-P
 // process live. A helper that has spun for parkAfter without a cycle to run
-// parks on a channel; the next concurrent cycle wakes it without waiting for
-// it. Parking sooner re-creates the cost of the channel barrier this
-// replaces: two park/wake handshakes per cycle were all of its blocking
-// (EXPERIMENTS.md, "Sharded parallel cycle stepper"); parking after a few µs
-// measured 75 → 85 ms per round of the four knee units.
+// (a leap, or a pause between hand-stepped cycles) parks on a channel; the
+// next cycle wakes it without waiting for it. Parking sooner re-creates the
+// cost of the channel barrier this replaces: two park/wake handshakes per
+// cycle were all of its blocking (EXPERIMENTS.md, "Sharded parallel cycle
+// stepper"); parking after a few µs measured 75 → 85 ms per round of the four
+// knee units.
 const (
 	spinsPerYield = 512
 	parkAfter     = 100 * time.Microsecond
 )
 
 // breakEven is the number of routers each shard must have to step for a cycle
-// to be worth running concurrently: below it the barrier's two cache-line
-// round trips and the outbox detour cost more than the second core saves.
-// Measured with BenchmarkNetworkSharded's forced cells on the 2-CPU reference
-// host (EXPERIMENTS.md, "Break-even"): a concurrent cycle costs 0.9 µs more
-// than an inline one at 2 routers per shard (+27 %) and is 9 % cheaper at 7,
-// a third cheaper at the knee. The constant sits above the crossover because
-// of what it has to keep inline: the busiest low-load units of the repository
-// benchmark reach switchAfter cycles in a row at ≥ 6 routers per shard a few
-// dozen times in 200 000 cycles, at ≥ 8 never, while a knee run is above 8
-// in nearly every cycle even on the 4×4 flattened butterfly's eight routers
-// per shard.
+// to be worth a helper: below it the barrier's two cache-line round trips and
+// the outbox detour cost more than the second core saves. Measured on the
+// 2-CPU reference host (EXPERIMENTS.md, "Break-even"): a concurrent cycle
+// costs 0.9 µs more than stepping both shards on one goroutine at 2 routers
+// per shard (+27 %) and is 9 % cheaper at 7, a third cheaper at the knee. The
+// constant sits above the crossover because of what it has to keep on one
+// shard: the busiest low-load units of the repository benchmark reach
+// switchAfter cycles in a row at ≥ 6 routers per shard a few dozen times in
+// 200 000 cycles, at ≥ 8 never, while a knee run is above 8 in nearly every
+// cycle even on the 4×4 flattened butterfly's eight routers per shard.
 const breakEven = 8
 
-// switchAfter is the hysteresis on that rule: the network changes the way it
-// steps after this many consecutive cycles that would rather have been
-// stepped the other way, so a burst that is over in a few cycles starts no
-// goroutine, touches no lender and wakes no parked helper, and a knee run
-// stays concurrent through its few light cycles. It is also the number of
-// cycles a network that was lent no helper waits before it asks again.
+// switchAfter is the hysteresis on that rule: a network borrows a helper, or
+// gives it back, after this many consecutive cycles that contradict what it
+// holds, so a burst that is over in a few cycles touches no lender and splits
+// nothing, and a knee run keeps its helper through its few light cycles. It is
+// also the number of cycles a network that was lent no helper, or had to give
+// one back to a lender that wanted it, waits before it asks again.
 const switchAfter = 16
 
 // lateLimit and lateBackoff keep a network from paying for a helper that does
@@ -82,8 +77,8 @@ const switchAfter = 16
 // unit on two shards took 1.6× the time of one shard). Every such cycle in a
 // row adds to a score, a taken phase 1 (the first few after a loan are taken
 // while the lent goroutine wakes up), a mid-stretch wake lateLimit/4; at
-// lateLimit the network gives its helper back and does not ask again for
-// lateBackoff cycles.
+// lateLimit the network gives its helper back, merges, and does not ask again
+// for lateBackoff cycles.
 const (
 	lateLimit   = 32
 	lateBackoff = 1024
@@ -104,12 +99,13 @@ type Lender interface {
 
 // BorrowHelpers makes a network follow l: it stays one shard — and costs what
 // one shard costs — until l lends it a helper in a heavy cycle, splits in two
-// around it, and is two shards from then on. It holds the helper only while
-// it has heavy cycles to step and l does not want it back; without it, it
-// steps inline. Without a lender a network never leaves its own goroutine.
-// A traced network ignores l: the tracer is not concurrency-safe, and
-// same-cycle trace events need the packet IDs an inline cycle hands out.
-// Call it before the first cycle.
+// around it, and steps the halves on two goroutines. It holds the helper only
+// while it has heavy cycles to step, the helper runs and l does not want it
+// back, and it merges back to one shard when it gives the helper back.
+// Without a lender a network never leaves its own goroutine. A traced network
+// ignores l: the tracer is not concurrency-safe, and same-cycle trace events
+// need the packet IDs a one-shard cycle hands out. Call it before the first
+// cycle.
 func (n *Network) BorrowHelpers(l Lender) {
 	if n.cfg.Trace == nil {
 		n.lender = l
@@ -121,13 +117,16 @@ type ParallelStats struct {
 	// Stepped counts the cycles stepped (leapt cycles are not), Concurrent
 	// those of them whose two shards ran on separate goroutines.
 	Stepped, Concurrent int64
+	// Loans counts the helpers acquired: each loan is one split, and its
+	// return (Run returns the last one) one merge.
+	Loans int64
 	// Parks counts the times the helper gave up spinning and parked, Wakes
 	// the concurrent cycles that woke it, Taken the concurrent cycles whose
 	// second shard the stepping goroutine stepped itself because the helper
 	// had not got to it.
 	Parks, Wakes, Taken int64
-	// LateReturns counts the times the network gave its helper back for
-	// lateness (lateLimit) and stopped asking for lateBackoff cycles.
+	// LateReturns counts the loans ended for lateness (lateLimit), after
+	// which the network stopped asking for lateBackoff cycles.
 	LateReturns int64
 	// Wait is the time the stepping goroutine spent at the barrier after its
 	// own share of a concurrent cycle: imbalance, the barrier's own cost, and
@@ -165,9 +164,9 @@ type helper struct {
 	stack    []byte
 }
 
-// wantConcurrent decides how the cycle about to be stepped runs, borrowing
-// and giving back the helper on the way.
-func (n *Network) wantConcurrent() bool {
+// follow decides whether the cycle about to be stepped has a helper, and
+// borrows one (splitting) or gives it back (merging) on the way.
+func (n *Network) follow() {
 	want := n.wantHelpers
 	if n.modeHook != nil {
 		want = n.modeHook(n.now)
@@ -177,31 +176,25 @@ func (n *Network) wantConcurrent() bool {
 		want, n.streak = !want, 0
 	}
 	n.wantHelpers = want
-	if n.helper != nil {
-		switch {
-		case n.lender.Wanted():
-			n.Close()
-			n.askIn = switchAfter
-		case n.late >= lateLimit && n.modeHook == nil:
-			n.Close()
-			n.askIn = lateBackoff
-			n.par.LateReturns++
-		}
-	}
-	if !want {
-		return false
-	}
 	if n.helper == nil {
-		if n.askIn > 0 {
+		if want && n.askIn > 0 {
 			n.askIn--
-			return false
-		}
-		if !n.acquireHelper() {
+		} else if want && !n.acquireHelper() {
 			n.askIn = switchAfter
-			return false
 		}
+		return
 	}
-	return true
+	switch {
+	case !want:
+		n.Close()
+	case n.lender.Wanted():
+		n.Close()
+		n.askIn = switchAfter
+	case n.late >= lateLimit && n.modeHook == nil:
+		n.Close()
+		n.askIn = lateBackoff
+		n.par.LateReturns++
+	}
 }
 
 // heavy reports whether each shard stepped at least breakEven routers in the
@@ -216,9 +209,8 @@ func (n *Network) heavy() bool {
 	return min(n.shards[0].load, n.shards[1].load) >= breakEven
 }
 
-// acquireHelper borrows a helper from the lender and, the first time it gets
-// one, splits the network in two for it: a network never pays for a second
-// shard it cannot run.
+// acquireHelper borrows a helper from the lender and splits the network in
+// two for it: a network never pays for a second shard it cannot run.
 func (n *Network) acquireHelper() bool {
 	if n.lender.Wanted() {
 		return false
@@ -229,26 +221,27 @@ func (n *Network) acquireHelper() bool {
 	if !n.lender.Lend(h.run) {
 		return false
 	}
-	if len(n.shards) == 1 {
-		n.split()
-	}
+	n.split()
 	// The helper reads its shard only after it has seen an epoch start, which
 	// is after this.
 	h.s = n.shards[1]
 	n.helper, n.late = h, 0
+	n.par.Loans++
 	return true
 }
 
-// Close gives the helper back and waits until it has gone (it is back with
-// its lender when Close returns). Run calls it on return; callers driving
-// stepCycle directly on a network that borrows should defer it. Idempotent,
-// and stepping a heavy cycle after Close borrows again.
+// Close gives the helper back, waits until it has gone (it is back with its
+// lender when Close returns) and merges the network back to one shard. Run
+// calls it on return; callers driving stepCycle directly on a network that
+// borrows should defer it. Idempotent, and stepping a heavy cycle after Close
+// borrows again.
 func (n *Network) Close() {
 	if h := n.helper; h != nil {
 		h.stop.Store(true)
 		n.unpark(h)
 		<-h.exited
 		n.helper = nil
+		n.merge()
 	}
 }
 

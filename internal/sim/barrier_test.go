@@ -28,20 +28,22 @@ func (l *testLender) Wanted() bool {
 	return l.recallEvery > 0 && l.asked%l.recallEvery == 0
 }
 
-// splitLent lays n out on two shards from its first cycle and lends it a
-// helper whenever the break-even rule asks for one, never to recall it: the
-// layout and the goroutine a borrowing network reaches once it has proved
-// heavy, in every cycle of the run. It is the second golden leg
-// (assertGolden).
+// splitLent lends n a helper in its first cycle and never takes it back, so
+// n is split in two and steps its halves on two goroutines in every cycle of
+// the run: the layout and the goroutine a borrowing network reaches once it
+// has proved heavy. It is the second golden leg (assertGolden).
 func splitLent(n *Network) {
-	n.split()
 	n.BorrowHelpers(&testLender{})
+	n.modeHook = func(int64) bool { return true }
 }
 
-// alwaysConcurrent splits n and pins every cycle to the concurrent path.
-func alwaysConcurrent(n *Network) {
-	splitLent(n)
-	n.modeHook = func(int64) bool { return true }
+// splitMergeEvery lends n a helper and takes it back every k cycles, so n
+// splits and merges every k cycles.
+func splitMergeEvery(k int64) func(*Network) {
+	return func(n *Network) {
+		n.BorrowHelpers(&testLender{})
+		n.modeHook = func(now int64) bool { return now/k%2 == 1 }
+	}
 }
 
 // settleGoroutines waits for the goroutine count to come back to base: a
@@ -59,12 +61,11 @@ func settleGoroutines(t *testing.T, what string, base int) {
 	}
 }
 
-// TestParallelSwitchGolden is the contract of barrier.go's "one layout, two
-// ways to run a cycle": a split network that is forced to change between
-// inline and concurrent cycles every k cycles — every cycle, a few, and a
-// stretch long enough for the helper to park — reproduces the reference bit
-// for bit on both paper topologies and all three speculation modes. Under
-// Validate and, in CI, under -race.
+// TestParallelSwitchGolden is the contract of split and merge (sim.go): a
+// network that is lent a helper and has it taken back every k cycles —
+// splitting and merging every cycle, every few, and after stretches of 64 —
+// reproduces the reference bit for bit on both paper topologies and all
+// three speculation modes. Under Validate, in CI under -race, and on one P.
 func TestParallelSwitchGolden(t *testing.T) {
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
@@ -73,10 +74,11 @@ func TestParallelSwitchGolden(t *testing.T) {
 				base.Seed = 42
 				base.SA.SpecMode = mode
 				base.Warmup, base.Measure, base.Drain = 100, 300, 3000
-				assertGolden(t, fmt.Sprintf("%s %v k=%d", base.Topology.Name, mode, k), base, func(n *Network) {
-					splitLent(n)
-					n.modeHook = func(now int64) bool { return now/k%2 == 1 }
-				})
+				name := fmt.Sprintf("%s %v k=%d", base.Topology.Name, mode, k)
+				st := assertGolden(t, name, base, splitMergeEvery(k))
+				if st[0].Loans < st[0].Stepped/(4*k) {
+					t.Errorf("%s: %d loans in %d stepped cycles, want a split every %d", name, st[0].Loans, st[0].Stepped, 2*k)
+				}
 			}
 		}
 	}
@@ -84,10 +86,11 @@ func TestParallelSwitchGolden(t *testing.T) {
 
 // TestParallelSplitGolden covers the network that follows a lender: built
 // with one shard, it splits in two at whatever cycle it is first lent a
-// helper — wheel, wake index and free lists handed over mid-run — is recalled
-// and borrows again, and still reproduces the reference bit for bit. Validate
-// checks the handed-over wake index against the dormant/quiescent predicates
-// from the first cycle after the split, and every leap after it.
+// helper — wheel, wake index and free lists handed over mid-run — is recalled,
+// merges, borrows again, and still reproduces the reference bit for bit.
+// Validate checks the handed-over wake index against the dormant/quiescent
+// predicates from the first cycle after each split and merge, and every leap
+// after them.
 func TestParallelSplitGolden(t *testing.T) {
 	// Wavefront allocators carry idle-variant priority state, replayed from
 	// the lastStep bookkeeping that split hands over.
@@ -104,14 +107,14 @@ func TestParallelSplitGolden(t *testing.T) {
 				base.Warmup, base.Measure, base.Drain = 100, 300, 3000
 				lender := &testLender{recallEvery: 20}
 				var n *Network
-				assertGolden(t, fmt.Sprintf("%s rate %g split at %d", base.Topology.Name, rate, at), base, func(net *Network) {
+				st := assertGolden(t, fmt.Sprintf("%s rate %g split at %d", base.Topology.Name, rate, at), base, func(net *Network) {
 					n = net
 					n.BorrowHelpers(lender)
 					n.modeHook = func(now int64) bool { return now >= at && now/7%2 == 0 }
 				})
-				if n.Shards() != 2 || lender.lent < 2 {
-					t.Errorf("%s rate %g: %d shards after %d loans, want a split and a second loan after the recall",
-						base.Topology.Name, rate, n.Shards(), lender.lent)
+				if st[0].Loans < 2 || st[0].Loans != int64(lender.lent) || n.Shards() != 1 {
+					t.Errorf("%s rate %g: %d loans (%d lent), %d shards after Run; want a second loan after the recall, merged",
+						base.Topology.Name, rate, st[0].Loans, lender.lent, n.Shards())
 				}
 			}
 		}
@@ -119,31 +122,57 @@ func TestParallelSplitGolden(t *testing.T) {
 }
 
 // TestParallelSwitchHappens keeps TestParallelSwitchGolden honest: under its
-// hook about half of the stepped cycles run concurrently, and with k = 64 the
-// helper parks in the inline stretches and is woken for the next concurrent
-// one.
+// k = 64 hook the network splits and merges every 64 cycles, so about half of
+// the stepped cycles run on two goroutines, and it ends the run merged.
 func TestParallelSwitchHappens(t *testing.T) {
 	cfg := meshConfig(2, 0.3)
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 1000, 3000
 	n := New(cfg)
-	splitLent(n)
-	n.modeHook = func(now int64) bool { return now/64%2 == 1 }
+	splitMergeEvery(64)(n)
 	n.Run()
 	st := n.ParallelStats()
 	if st.Concurrent < st.Stepped/3 || st.Concurrent > 2*st.Stepped/3 {
 		t.Fatalf("%d of %d cycles concurrent, want about half", st.Concurrent, st.Stepped)
 	}
-	// On a single P a helper only runs when the stepping goroutine is
-	// preempted, and then never spins for long enough to park.
-	if runtime.GOMAXPROCS(0) > 1 && (st.Parks == 0 || st.Wakes == 0) || st.Wakes > st.Parks {
-		t.Fatalf("64-cycle inline stretches: %d parks, %d wakes; want some of each, no wake without a park", st.Parks, st.Wakes)
+	if st.Loans < st.Stepped/256 || n.Shards() != 1 {
+		t.Fatalf("%d loans in %d stepped cycles, %d shards after Run; want a split every 128 cycles, merged", st.Loans, st.Stepped, n.Shards())
+	}
+}
+
+// TestParallelHelperParksAndWakes keeps the park/wake path tested: a
+// hand-stepped network that holds its helper and pauses for longer than
+// parkAfter between two cycles in a row finds the helper parked, wakes it for
+// the next cycle, and scores that as a mid-stretch wake (scoreLate).
+func TestParallelHelperParksAndWakes(t *testing.T) {
+	n := New(meshConfig(2, 0.3))
+	splitLent(n)
+	defer n.Close()
+	for i := 0; i < 50; i++ {
+		n.stepCycle()
+	}
+	h, parks := n.helper, n.parks.Load()
+	// The helper counts a park after its last look at cmd and stop.
+	for deadline := time.Now().Add(10 * time.Second); n.parks.Load() == parks; time.Sleep(parkAfter) {
+		if time.Now().After(deadline) {
+			t.Fatal("a helper with no cycle to run for 10 s never parked")
+		}
+	}
+	before := n.late
+	n.stepCycle()
+	st := n.ParallelStats()
+	if st.Parks < 1 || st.Wakes < 1 || st.Wakes > st.Parks {
+		t.Fatalf("%d parks, %d wakes; want at least one of each, no wake without a park", st.Parks, st.Wakes)
+	}
+	if n.late != before+lateLimit/4 || n.helper != h {
+		t.Fatalf("lateness score %d → %d after a mid-stretch wake, want +%d with the helper kept", before, n.late, lateLimit/4)
 	}
 }
 
 // TestParallelBreakEvenRule pins the measured rule itself, no hook: a knee
 // run that can borrow splits and goes concurrent, a low-load run never does —
 // it borrows no goroutine and stays one shard — and both agree with the
-// network that has no lender, which never leaves its own goroutine. How much
+// network that has no lender, which never leaves its own goroutine. Both end
+// the run on one shard: every loan's split has its merge. How much
 // of the knee run stays concurrent depends on the host (a helper without a
 // CPU of its own is given back), so the share is checked with the lateness
 // rule out of the way: the load criterion alone calls nearly every knee cycle
@@ -168,8 +197,9 @@ func TestParallelBreakEvenRule(t *testing.T) {
 		if got != want {
 			t.Fatalf("rate %g: the borrowing network diverged from the lone one:\n%+v\n%+v", tc.rate, want, got)
 		}
-		if tc.concurrent != (st.Concurrent > 0) || tc.concurrent != (lender.lent > 0) || tc.concurrent != (n.Shards() == 2) {
-			t.Fatalf("rate %g: %d of %d cycles concurrent, %d loans, %d shards", tc.rate, st.Concurrent, st.Stepped, lender.lent, n.Shards())
+		if tc.concurrent != (st.Concurrent > 0) || tc.concurrent != (st.Loans > 0) || st.Loans != int64(lender.lent) || n.Shards() != 1 {
+			t.Fatalf("rate %g: %d of %d cycles concurrent, %d loans (%d lent), %d shards after Run",
+				tc.rate, st.Concurrent, st.Stepped, st.Loans, lender.lent, n.Shards())
 		}
 		settleGoroutines(t, fmt.Sprintf("rate %g after Run", tc.rate), base)
 	}
@@ -207,7 +237,7 @@ func TestShardsUnderOneProc(t *testing.T) {
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 300, 3000
 	want := New(cfg).Run()
 	n := New(cfg)
-	alwaysConcurrent(n)
+	splitLent(n)
 	done := make(chan Result, 1)
 	go func() { done <- n.Run() }()
 	select {
@@ -226,7 +256,7 @@ func TestShardsUnderOneProc(t *testing.T) {
 // TestParallelGivesUpLateHelpers runs a knee network that borrows by the
 // rule, no hook, on a single P, where a helper is only ever scheduled when the
 // stepping goroutine is preempted: the network takes the helper's phases
-// itself, gives the helper back after lateLimit of them and steps inline
+// itself, gives the helper back after lateLimit of them and steps one shard
 // until it asks again, instead of paying for a helper that does not run.
 // Every such return is counted, and each one is a loan that ended.
 func TestParallelGivesUpLateHelpers(t *testing.T) {
@@ -244,8 +274,8 @@ func TestParallelGivesUpLateHelpers(t *testing.T) {
 	if st.Concurrent == 0 || st.Concurrent > st.Stepped/2 || st.Taken < st.Concurrent/2 {
 		t.Fatalf("%d of %d cycles concurrent, %d phases taken over; want a few tries, mostly taken over", st.Concurrent, st.Stepped, st.Taken)
 	}
-	if st.LateReturns == 0 || st.LateReturns > int64(l.lent) {
-		t.Fatalf("%d helpers given back late out of %d lent; want at least one, at most one per loan", st.LateReturns, l.lent)
+	if st.LateReturns == 0 || st.LateReturns > st.Loans || st.Loans != int64(l.lent) {
+		t.Fatalf("%d helpers given back late out of %d loans (%d lent); want at least one, at most one per loan", st.LateReturns, st.Loans, l.lent)
 	}
 }
 
@@ -258,12 +288,12 @@ func TestParallelGoroutinesReleased(t *testing.T) {
 	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 300, 3000
 
 	n := New(cfg)
-	alwaysConcurrent(n)
+	splitLent(n)
 	n.Run()
 	settleGoroutines(t, "after Run", base)
 
 	n = New(cfg)
-	alwaysConcurrent(n)
+	splitLent(n)
 	for i := 0; i < 200; i++ {
 		n.stepCycle()
 	}
@@ -273,14 +303,20 @@ func TestParallelGoroutinesReleased(t *testing.T) {
 	n.Close()
 	n.Close() // idempotent
 	settleGoroutines(t, "after Close", base)
+	if n.Shards() != 1 {
+		t.Fatalf("after Close: %d shards, want the network merged", n.Shards())
+	}
 	n.stepCycle() // and stepping on borrows again
+	if n.Shards() != 2 || n.ParallelStats().Loans != 2 {
+		t.Fatalf("stepped after Close: %d shards after %d loans, want a second split", n.Shards(), n.ParallelStats().Loans)
+	}
 	n.Close()
 	settleGoroutines(t, "after the second Close", base)
 
 	long := cfg
 	long.Measure = 50_000_000
 	n = New(long)
-	alwaysConcurrent(n)
+	splitLent(n)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan Result, 1)
 	go func() { done <- n.RunCtx(ctx) }()
@@ -308,7 +344,7 @@ func TestShardWorkerPanicPropagates(t *testing.T) {
 	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); {
 		// One helper: an idle P picks it up at once, whatever else is queued.
 		n := New(meshConfig(1, 0.2))
-		alwaysConcurrent(n)
+		splitLent(n)
 		for i := 0; i < 300; i++ {
 			n.stepCycle()
 		}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/alloc"
 )
@@ -47,11 +48,10 @@ func BenchmarkNetworkSchedule(b *testing.B) {
 // BenchmarkNetworkSharded is the measurement behind barrier.go's breakEven
 // and the "Sharded parallel cycle stepper" tables in EXPERIMENTS.md: the
 // Fig.13 mesh from low load to the knee alone, borrowing by the rule (lent:
-// one shard until it proves heavy, two from then on), and split from the
-// first cycle with every cycle forced inline or concurrent. split/inline
-// against alone is what the second shard costs when it is not used;
-// split/concurrent against split/inline crosses over where a cycle has
-// enough routers to pay for the barrier. Each cell reports host nanoseconds
+// one shard until it proves heavy, two goroutines while it holds the helper),
+// and lent a helper from the first cycle to the last (split). split against
+// alone crosses over where a cycle has enough routers to pay for the
+// barrier. Each cell reports host nanoseconds
 // per stepped cycle, the share of cycles that ran concurrently, and the
 // barrier's self-cost: the stepping goroutine's wait per concurrent cycle and
 // the helper parks (ParallelStats). Run it on an otherwise idle host with at
@@ -59,20 +59,13 @@ func BenchmarkNetworkSchedule(b *testing.B) {
 //
 //	go test -run '^$' -bench 'NetworkSharded' -benchtime 20x -count 6 -cpu 2 ./internal/sim/
 func BenchmarkNetworkSharded(b *testing.B) {
-	hook := func(concurrent bool) func(*Network) {
-		return func(n *Network) {
-			splitLent(n)
-			n.modeHook = func(int64) bool { return concurrent }
-		}
-	}
 	modes := []struct {
 		name string
 		prep func(*Network)
 	}{
 		{"alone", oneShard},
 		{"lent", func(n *Network) { n.BorrowHelpers(&testLender{}) }},
-		{"split/inline", hook(false)},
-		{"split/concurrent", hook(true)},
+		{"split", splitLent},
 	}
 	for _, rate := range []float64{0.02, 0.05, 0.10, 0.30} {
 		for _, m := range modes {
@@ -98,6 +91,43 @@ func BenchmarkNetworkSharded(b *testing.B) {
 				b.ReportMetric(float64(st.Parks)/float64(b.N), "parks/run")
 			})
 		}
+	}
+}
+
+// BenchmarkSplitMerge is what one loan costs in layout work: a knee network
+// (the mesh and the flattened butterfly at rates of the repository
+// benchmark's sim_saturation units) laid out on two shards and back on one,
+// against one cycle of the same network stepped on one shard. ns/op is one
+// split plus one merge; knee-cycles is that cost in cycles.
+//
+//	go test -run '^$' -bench SplitMerge -benchtime 2000x -count 6 ./internal/sim/
+func BenchmarkSplitMerge(b *testing.B) {
+	for _, tc := range []struct {
+		mk   func(int, float64) Config
+		rate float64
+	}{{meshConfig, 0.30}, {fbflyConfig, 0.40}} {
+		cfg := tc.mk(1, tc.rate)
+		cfg.Seed = 42
+		cfg.Warmup, cfg.Measure, cfg.Drain = 125, 300, 2500
+		b.Run(cfg.Topology.Name, func(b *testing.B) {
+			n := New(cfg)
+			for n.now < int64(cfg.Warmup) {
+				n.stepCycle()
+			}
+			const cycles = 200
+			t0 := time.Now()
+			for i := 0; i < cycles; i++ {
+				n.stepCycle()
+			}
+			cycle := float64(time.Since(t0).Nanoseconds()) / cycles
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.split()
+				n.merge()
+			}
+			b.ReportMetric(cycle, "ns/knee-cycle")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cycle, "knee-cycles")
+		})
 	}
 }
 

@@ -30,8 +30,8 @@ import (
 //   - No timing-wheel event lands in the skipped span. Each shard keeps an
 //     occupancy bitmask over its wheel slots, making the earliest-pending-
 //     event query O(wheelSize/64); the leap target is the min over shards.
-//     What a concurrent cycle left in the outboxes is imported first, so the
-//     wheels are the whole truth.
+//     What the last cycle of a two-shard network left in the outboxes is
+//     imported first, so the wheels are the whole truth.
 //
 // The target is clamped to the caller's phase horizon so warmup/measure/
 // drain boundaries land on exactly the cycles per-cycle ticking would
@@ -61,7 +61,7 @@ func (n *Network) tryLeap(horizon int64) bool {
 	if live > 0 {
 		return false
 	}
-	if n.pendingImport {
+	if len(n.shards) == 2 {
 		n.flushOutboxes()
 	}
 	target := horizon

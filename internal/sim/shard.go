@@ -10,40 +10,35 @@ import (
 )
 
 // This file implements the sharded cycle stepper. A network is one shard, or
-// two after it has split around a borrowed helper (barrier.go): the routers
-// in two contiguous halves, each taking its terminals along (a terminal always
-// lives with its router, so injection, ejection and UGAL's occupancy reads
-// stay shard-local). Every simulation cycle runs in two phases:
+// two while it holds a borrowed helper (barrier.go): the routers in two
+// contiguous halves, each taking its terminals along (a terminal always lives
+// with its router, so injection, ejection and UGAL's occupancy reads stay
+// shard-local). Every simulation cycle runs in two phases:
 //
 //  1. Every shard delivers the cycle's due events and steps its terminals
-//     and routers — the shards one after the other on the stepping goroutine
-//     (an inline cycle) or each on a goroutine of its own (a concurrent
-//     cycle); barrier.go chooses per cycle. In an inline cycle an event for
-//     an entity owned by the other shard — only inter-router channel flits
-//     and credits ever are — is filed straight into that shard's wheel. In a
-//     concurrent cycle it goes to the shard's outbox instead, and the other
-//     shard imports it at the start of its next phase 1.
-//  2. A single-threaded merge publishes the outboxes of a concurrent cycle (a
-//     buffer swap; the copying itself happens in the destinations' next
-//     phase 1, in parallel), then commits the cycle's packet births and
-//     deliveries in destination-terminal order.
+//     and routers, two shards each on a goroutine of its own. An event for an
+//     entity owned by the other shard — only inter-router channel flits and
+//     credits ever are — goes to the shard's outbox, and the other shard
+//     imports it at the start of its next phase 1.
+//  2. A single-threaded merge publishes the outboxes (a buffer swap; the
+//     copying itself happens in the destinations' next phase 1, in
+//     parallel), then commits the cycle's packet births and deliveries in
+//     destination-terminal order.
 //
 // Cross-shard events are emitted with a delay of at least 2 cycles (channel
-// traversal is 2+latency), so neither way of filing one can touch the slot
-// being drained, and deferring the wheel insertion to the start of the next
-// cycle's phase 1 never misses a due slot.
+// traversal is 2+latency), so deferring the wheel insertion to the start of
+// the next cycle's phase 1 never misses a due slot.
 //
-// Phase 2 is what makes results bit-identical on one shard or two and for any
-// interleaving of inline and concurrent cycles: within one cycle every
+// Phase 2 is what makes results bit-identical on one shard or two, and for
+// any cycles at which a network splits and merges: within one cycle every
 // per-router and per-terminal mutation in phase 1 is commutative (each input
 // VC, credit counter and terminal receives at most one event per cycle, and
 // each RNG stream belongs to exactly one terminal), so the order of the
-// events within a wheel slot — the one thing the shard layout and the filing
-// path change — is immaterial, and the only order-sensitive state is the
-// global packet ID counter and the floating-point measurement accumulators.
-// Those are touched in terminal order only: by phase 2, and by an inline
-// cycle's phase 1, which visits the shards in index order and so the
-// terminals in id order.
+// events within a wheel slot — the one thing the shard layout changes, and
+// what split and merge reorder — is immaterial, and the only order-sensitive
+// state is the global packet ID counter and the floating-point measurement
+// accumulators. Those are touched in terminal order only: by phase 2, and by
+// a one-shard cycle's phase 1, which visits the terminals in id order.
 
 // shard owns a contiguous range of routers and their terminals: all of them,
 // or one half.
@@ -64,12 +59,12 @@ type shard struct {
 	wheel [][]event
 	occ   []uint64
 
-	// outCur collects the events emitted in a concurrent cycle for routers
-	// owned by the other shard; outPrev holds the batch of the last
-	// concurrent cycle, which the other shard imports into its wheel at the
-	// start of its next phase 1 (Network.pendingImport). The commit phase only
-	// swaps the two buffers, so the actual event copying runs in the
-	// destination's (parallel) phase 1 instead of the serial barrier.
+	// outCur collects the events emitted this cycle for routers owned by the
+	// other shard; outPrev holds the last cycle's batch, which the other
+	// shard imports into its wheel at the start of its next phase 1. The
+	// commit phase only swaps the two buffers, so the actual event copying
+	// runs in the destination's (parallel) phase 1 instead of the serial
+	// barrier.
 	outCur  []outEvent
 	outPrev []outEvent
 
@@ -97,8 +92,8 @@ type shard struct {
 	freePkts []*router.Packet
 
 	// newPkts are the requests created this cycle, in terminal order,
-	// awaiting ID assignment at commit (concurrent cycles only; an inline
-	// cycle assigns inline and leaves this empty).
+	// awaiting ID assignment at commit (two shards only; one shard assigns
+	// them on the spot and leaves this empty).
 	newPkts []*router.Packet
 	// newMeasured counts this cycle's requests created inside the
 	// measurement window; committed into Network.measuredCreated/inFlight.
@@ -172,23 +167,20 @@ func (s *shard) scheduleLocal(delay int64, e event) {
 	s.enqueue(s.slotFor(delay), e)
 }
 
-// scheduleRouter inserts an event destined for an arbitrary router: into the
-// owning shard's wheel, or while that shard may be running on another
-// goroutine into the outbox it imports from.
+// scheduleRouter inserts an event destined for an arbitrary router: into this
+// shard's wheel, or, for a router the other shard owns, into the outbox that
+// shard imports from.
 func (s *shard) scheduleRouter(delay int64, e event) {
 	slot := s.slotFor(delay)
-	if d := s.net.shardOf(e.router); d != s {
-		if s.net.concurrent {
-			s.outCur = append(s.outCur, outEvent{slot: int32(slot), e: e})
-			return
-		}
-		s = d
+	if s.net.shardOf(e.router) != s {
+		s.outCur = append(s.outCur, outEvent{slot: int32(slot), e: e})
+		return
 	}
 	s.enqueue(slot, e)
 }
 
 // importOutbox moves the cross-shard events the other shard published in the
-// last concurrent cycle into this shard's wheel. The other shard's outPrev is
+// last cycle into this shard's wheel. The other shard's outPrev is
 // read-only during phase 1 (it now appends to its outCur), so the two
 // importers never race.
 func (s *shard) importOutbox() {
@@ -197,8 +189,8 @@ func (s *shard) importOutbox() {
 	}
 }
 
-// flushOutboxes imports what the last concurrent cycle published into both
-// shards' wheels, here and now, so that the leap gate reads the wheels alone.
+// flushOutboxes imports what the last cycle published into both shards' wheels
+// here and now, so that the leap gate and merge read the wheels alone.
 func (n *Network) flushOutboxes() {
 	for _, s := range n.shards {
 		s.importOutbox()
@@ -206,7 +198,6 @@ func (n *Network) flushOutboxes() {
 	for _, s := range n.shards {
 		s.outPrev = s.outPrev[:0]
 	}
-	n.pendingImport = false
 }
 
 // nextEventDelta returns the number of cycles until this shard's earliest
@@ -238,12 +229,12 @@ func (s *shard) nextEventDelta() int64 {
 }
 
 // phase1 advances this shard by one cycle: deliver due events, then step
-// terminals and routers. Safe to run concurrently with other shards'
-// phase1 in a concurrent cycle; it then touches only shard-owned state plus
-// the read-only topology, routing and config structures.
+// terminals and routers. Safe to run concurrently with the other shard's
+// phase1; it touches only shard-owned state plus the read-only topology,
+// routing and config structures.
 func (s *shard) phase1() {
 	n := s.net
-	if n.pendingImport {
+	if len(n.shards) == 2 {
 		s.importOutbox()
 	}
 	slot := n.nowSlot
@@ -379,14 +370,13 @@ func (s *shard) allocPacket(t traffic.PacketType, src, dst int, createdAt int64)
 	return p
 }
 
-// newRequest registers a freshly created request packet. An inline cycle
-// takes the next global ID immediately; a concurrent phase 1 defers
-// assignment to the commit, which hands out the same IDs in the same
-// terminal-order sequence.
+// newRequest registers a freshly created request packet. One shard takes the
+// next global ID immediately; two defer assignment to the commit, which hands
+// out the same IDs in the same terminal-order sequence.
 func (s *shard) newRequest(t traffic.PacketType, src, dst int, createdAt int64) *router.Packet {
 	p := s.allocPacket(t, src, dst, createdAt)
 	n := s.net
-	if n.concurrent {
+	if len(n.shards) == 2 {
 		s.newPkts = append(s.newPkts, p)
 	} else {
 		n.nextPktID++
@@ -402,20 +392,18 @@ func (s *shard) newRequest(t traffic.PacketType, src, dst int, createdAt int64) 
 // cycle's cross-shard events and commits packet births and deliveries in a
 // canonical order, making results bit-identical on one shard or two.
 func (n *Network) mergeAndCommit() {
-	// 1. Publish outboxes: a concurrent cycle's outCur becomes the next
-	// cycle's outPrev, which the other shard imports; the buffer it drained
-	// in this cycle is truncated for reuse. An inline cycle filed nothing, so
-	// after it the swap only retires what it imported.
-	if n.concurrent || n.pendingImport {
+	// 1. Publish outboxes: this cycle's outCur becomes the next cycle's
+	// outPrev, which the other shard imports; the buffer it drained in this
+	// cycle is truncated for reuse.
+	if len(n.shards) == 2 {
 		for _, s := range n.shards {
 			s.outCur, s.outPrev = s.outPrev[:0], s.outCur
 		}
-		n.pendingImport = n.concurrent
 	}
 	// 2. IDs for this cycle's new requests, in terminal order (shards own
-	// contiguous terminal ranges and append in id order). An inline cycle
-	// assigned them in newRequest — same order, since replies are only
-	// created below, after every request of the cycle.
+	// contiguous terminal ranges and append in id order). One shard assigned
+	// them in newRequest — same order, since replies are only created below,
+	// after every request of the cycle.
 	for _, s := range n.shards {
 		for _, p := range s.newPkts {
 			n.nextPktID++

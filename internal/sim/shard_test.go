@@ -10,8 +10,8 @@ import (
 // TestShardInvarianceGolden is the core contract of the sharded stepper on
 // the path production takes: a network that borrows from a lender, with no
 // hook and no split forced on it, splits when it proves heavy, gives its
-// helper back whenever the lender wants it (or the host does not run it) and
-// borrows again — and reproduces the network with no lender bit for bit:
+// helper back and merges whenever the lender wants it (or the host does not
+// run it) and borrows again — and reproduces the network with no lender bit for bit:
 // same RNG draw order, same packet IDs, same floating-point latency sums, at
 // seed 42 on both paper topologies and all three speculation modes.
 func TestShardInvarianceGolden(t *testing.T) {
@@ -29,8 +29,8 @@ func TestShardInvarianceGolden(t *testing.T) {
 				t.Errorf("%s %v: the borrowing network diverged from the lone one:\nserial:  %+v\nsharded: %+v",
 					cfg.Topology.Name, mode, serial, got)
 			}
-			if n.Shards() != 2 {
-				t.Errorf("%s %v: %d shards after %d loans, want a split", cfg.Topology.Name, mode, n.Shards(), lender.lent)
+			if st := n.ParallelStats(); st.Loans == 0 || n.Shards() != 1 {
+				t.Errorf("%s %v: %d loans, %d shards after Run; want a split, merged", cfg.Topology.Name, mode, st.Loans, n.Shards())
 			}
 		}
 	}
@@ -95,7 +95,7 @@ func TestShardValidateParallel(t *testing.T) {
 		cfg.Validate = true
 		cfg.Warmup, cfg.Measure, cfg.Drain = 200, 400, 4000
 		n := New(cfg)
-		alwaysConcurrent(n)
+		splitLent(n)
 		if res := n.Run(); res.FlitsDelivered == 0 {
 			t.Errorf("%s split and validated: no flits moved", cfg.Topology.Name)
 		}
@@ -107,9 +107,9 @@ func TestShardValidateParallel(t *testing.T) {
 
 // TestShardTraceForcesSerial pins the one rule that keeps a traced network on
 // its own goroutine (BorrowHelpers): tracing collectors are not
-// concurrency-safe and same-cycle trace events need inline packet IDs, so a
-// traced knee network offered a helper in every cycle borrows none, stays one
-// shard and still drains.
+// concurrency-safe and same-cycle trace events need packet IDs handed out on
+// the spot, so a traced knee network offered a helper in every cycle borrows
+// none, stays one shard and still drains.
 func TestShardTraceForcesSerial(t *testing.T) {
 	collector := trace.NewCollector(100000)
 	cfg := meshConfig(1, 0.3)
@@ -128,9 +128,9 @@ func TestShardTraceForcesSerial(t *testing.T) {
 }
 
 // TestShardPartition checks both layouts: New builds one shard owning every
-// router and terminal, and split lays it out on two contiguous halves,
-// terminals co-resident with their routers, covering the network, with
-// shardOf naming each router's owner.
+// router and terminal, split lays it out on two contiguous halves, terminals
+// co-resident with their routers, covering the network, with shardOf naming
+// each router's owner, and merge lays it out on one shard again.
 func TestShardPartition(t *testing.T) {
 	cfg := meshConfig(1, 0)
 	n := New(cfg)
@@ -163,5 +163,9 @@ func TestShardPartition(t *testing.T) {
 	if prevR != R || prevT != cfg.Topology.Terminals() {
 		t.Fatalf("partition covers %d routers / %d terminals, want %d / %d",
 			prevR, prevT, R, cfg.Topology.Terminals())
+	}
+	n.merge()
+	if s := n.shards[0]; n.Shards() != 1 || s.r0 != 0 || s.r1 != R || s.t0 != 0 || s.t1 != cfg.Topology.Terminals() {
+		t.Fatalf("merge: %d shards, the first owning routers [%d,%d) and terminals [%d,%d)", n.Shards(), s.r0, s.r1, s.t0, s.t1)
 	}
 }

@@ -185,24 +185,19 @@ type Network struct {
 	// indexing in slotFor/phase1 never pays a hardware divide.
 	nowSlot int64
 
-	// shards partition the routers and terminals: one shard, or two after a
-	// split (shardOf says which owns a router).
+	// shards partition the routers and terminals: one shard, or two while
+	// the network holds a helper (shardOf says which owns a router).
 	shards    []*shard
 	wheelSize int64
 
-	// How the cycle being stepped runs (barrier.go). concurrent is set while
-	// the shards' phase 1 may be on separate goroutines: cross-shard events
-	// then go through the outboxes and new packets get their IDs at commit.
-	// pendingImport says the last concurrent cycle's outboxes are yet to be
-	// imported. helper is the goroutine borrowed from lender for concurrent
-	// cycles, nil while the network holds none; epoch numbers the concurrent
+	// The helper and the rule that borrows it (barrier.go). helper is the
+	// goroutine borrowed from lender that steps shard 1, nil while the
+	// network holds none (and is one shard); epoch numbers the concurrent
 	// cycles. wantHelpers is the current verdict of the break-even rule,
 	// streak the cycles in a row that contradicted it, askIn the cycles until
 	// a network that wants a helper and has none asks again, late the score
 	// of the helper's lateness (scoreLate) and lastConcurrent the last cycle
 	// stepped concurrently. modeHook, set by tests only, replaces the rule.
-	concurrent     bool
-	pendingImport  bool
 	helper         *helper
 	lender         Lender
 	epoch          uint64
@@ -340,47 +335,67 @@ func (n *Network) shardOf(r int32) *shard {
 }
 
 // split lays a one-shard network out on two between two cycles, each half of
-// the routers a shard, moving everything the one shard held to the shard that
-// now owns it: wheel events by destination, the wake index entry by entry,
-// half of the packet free list each. Which shard an object or a counter
-// lands in changes no result (shard.go); the counters, only ever summed, stay
-// with shard 0.
+// the routers a shard, and gives each half of the packet free list. Which
+// shard an object or a counter lands in changes no result (shard.go).
 func (n *Network) split() {
 	old := n.shards[0]
 	mid := old.r1 / 2
-	n.shards = []*shard{n.newShard(0, 0, mid), n.newShard(1, mid, old.r1)}
-	conc := n.cfg.Topology.Concentration
-	for slot, evs := range old.wheel {
-		for _, e := range evs {
-			r := e.router
-			if e.kind == evFlitToTerminal || e.kind == evCreditToTerminal {
-				r = e.terminal / int32(conc)
-			}
-			n.shardOf(r).enqueue(int64(slot), e)
-		}
-	}
-	for _, s := range n.shards {
-		copy(s.lastStep, old.lastStep[s.r0:s.r1])
-		for r := s.r0; r < s.r1; r++ {
-			if old.active.has(r) {
-				s.active.set(r - s.r0)
-			}
-		}
-		for t := s.t0; t < s.t1; t++ {
-			if old.awake.has(t) {
-				s.awake.set(t - s.t0)
-			} else if old.sleep.pos[t] >= 0 {
-				s.sleep.push(t-s.t0, old.sleep.at[t])
-			}
-		}
-	}
+	n.relayout(n.newShard(0, 0, mid), n.newShard(1, mid, old.r1))
 	// The capacity limit keeps shard 0's appends out of shard 1's half.
 	half := len(old.freePkts) / 2
 	n.shards[0].freePkts, n.shards[1].freePkts = old.freePkts[:half:half], old.freePkts[half:]
-	first := n.shards[0]
-	first.load, n.shards[1].load = old.loadLow, old.load-old.loadLow // the halves heavy() judged old by
-	first.created, first.delivered, first.measFlits, first.livePkts = old.created, old.delivered, old.measFlits, old.livePkts
-	first.termVisits, first.routerVisits = old.termVisits, old.routerVisits
+	n.shards[0].load, n.shards[1].load = old.loadLow, old.load-old.loadLow // the halves heavy() judged old by
+}
+
+// merge is split's inverse: it lays a two-shard network out on one between
+// two cycles, after importing what the last cycle left in the outboxes.
+func (n *Network) merge() {
+	lo, hi := n.shards[0], n.shards[1]
+	n.flushOutboxes()
+	n.relayout(n.newShard(0, 0, hi.r1))
+	n.shards[0].freePkts = append(lo.freePkts, hi.freePkts...)
+	n.shards[0].load, n.shards[0].loadLow = lo.load+hi.load, lo.load
+}
+
+// relayout replaces the shards with fresh ones over the same routers, moving
+// everything the old ones held to the shard that now owns it: wheel events by
+// destination, the wake index and the lastStep bookkeeping entry by entry.
+// The counters, only ever summed, go to shard 0.
+func (n *Network) relayout(fresh ...*shard) {
+	old, first, conc := n.shards, fresh[0], int32(n.cfg.Topology.Concentration)
+	n.shards = fresh
+	for _, o := range old {
+		for slot, evs := range o.wheel {
+			for _, e := range evs {
+				r := e.router
+				if e.kind == evFlitToTerminal || e.kind == evCreditToTerminal {
+					r = e.terminal / conc
+				}
+				n.shardOf(r).enqueue(int64(slot), e)
+			}
+		}
+		for r := o.r0; r < o.r1; r++ {
+			s := n.shardOf(int32(r))
+			s.lastStep[r-s.r0] = o.lastStep[r-o.r0]
+			if o.active.has(r - o.r0) {
+				s.active.set(r - s.r0)
+			}
+		}
+		for t := o.t0; t < o.t1; t++ {
+			s, i := n.shardOf(int32(t)/conc), t-o.t0
+			if o.awake.has(i) {
+				s.awake.set(t - s.t0)
+			} else if o.sleep.pos[i] >= 0 {
+				s.sleep.push(t-s.t0, o.sleep.at[i])
+			}
+		}
+		first.created += o.created
+		first.delivered += o.delivered
+		first.measFlits += o.measFlits
+		first.livePkts += o.livePkts
+		first.termVisits += o.termVisits
+		first.routerVisits += o.routerVisits
+	}
 }
 
 // Now returns the current cycle.
@@ -390,7 +405,7 @@ func (n *Network) Now() int64 { return n.now }
 func (n *Network) Router(r int) *router.Router { return n.routers[r] }
 
 // Shards returns the number of shards the network runs with right now: one,
-// or two once it has split around a borrowed helper.
+// or two while it holds a borrowed helper.
 func (n *Network) Shards() int { return len(n.shards) }
 
 // Occupancy implements routing.QueueEstimator for UGAL. During phase 1 it
@@ -400,8 +415,8 @@ func (n *Network) Shards() int { return len(n.shards) }
 func (n *Network) Occupancy(r, p int) int { return n.routers[r].OutputOccupancy(p) }
 
 // stepCycle advances the simulation by one cycle in two phases: every
-// shard delivers its due events and steps its terminals and routers
-// (concurrently when the cycle is heavy enough to pay for it, barrier.go),
+// shard delivers its due events and steps its terminals and routers (two
+// shards on two goroutines while the network holds a helper, barrier.go),
 // then a serial merge commits cross-shard events, new-packet IDs and
 // delivery statistics in a canonical order (see shard.go for why that makes
 // results bit-identical on one shard or two).
@@ -418,12 +433,16 @@ func (n *Network) stepCycle() {
 	if n.cfg.Trace != nil {
 		n.cfg.Trace.SetCycle(n.now)
 	}
-	if n.concurrent = n.lender != nil && n.wantConcurrent(); n.concurrent {
+	if n.lender != nil {
+		n.follow()
+	}
+	if n.cfg.Validate && (len(n.shards) == 2) != (n.helper != nil) {
+		panic(fmt.Sprintf("sim: cycle %d: %d shards, helper held %v", n.now, len(n.shards), n.helper != nil))
+	}
+	if n.helper != nil {
 		n.stepConcurrent()
 	} else {
-		for _, s := range n.shards {
-			s.phase1()
-		}
+		n.shards[0].phase1()
 	}
 	n.mergeAndCommit()
 	n.par.Stepped++
