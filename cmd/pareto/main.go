@@ -115,7 +115,6 @@ func main() {
 	}
 
 	srv, err := sweep.NewServer(sweep.Options{
-		Defaults: scale,
 		Workers:  scale.Workers,
 		CacheDir: *cacheDir,
 	})

@@ -29,10 +29,9 @@
 // writes that cross a budget evict least-recently-used result files (zero =
 // unbounded). /statz reports eviction counters.
 //
-// The -warmup/-measure/-drain/-seed flags and the workload flag set
-// (-process/-pattern/-burstlen/-duty/-hotspots/-hotfrac) set server-side
-// defaults for request fields left zero; -reference picks the execution path
-// for every simulated unit (bit-identical, never part of the cache key). Units
+// Those, -addr, -workers, -cache-entries, -cache-bytes and -selfcheck are all
+// of its flags, and none of them changes a result: a unit is exactly what its
+// request says, with the schema defaults for the fields it leaves zero. Units
 // follow the idle workers: with -workers above 1, a unit that has proved heavy
 // borrows a pool worker with nothing to do as the goroutine of a second shard
 // and gives it back as soon as another unit waits for it; /statz counts the
@@ -61,53 +60,23 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/dse"
-	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/sweep"
-	"repro/internal/traffic"
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	cacheEntries := flag.Int("cache-entries", 4096, "result store entry bound (0 = unbounded)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result store byte bound (0 = unbounded)")
-	cacheDir := flag.String("cachedir", "", "disk cache directory (empty = memory-only); results persist across restarts in a schema-versioned subdirectory")
-	cacheMaxBytes := flag.Int64("cachemaxbytes", 0, "disk cache byte budget (0 = unbounded); LRU result files are evicted when a write crosses it")
-	cacheMaxEntries := flag.Int64("cachemaxentries", 0, "disk cache entry budget (0 = unbounded); LRU result files are evicted when a write crosses it")
-	selfcheck := flag.Bool("selfcheck", false, "run an in-process smoke test (cold miss, then byte-equal cache hit; with -cachedir, also a restart warm hit) and exit")
-	scaleOf := experiments.ScaleFlags(flag.CommandLine,
-		experiments.SimScale{Workers: runtime.GOMAXPROCS(0)})
-	workloadOf := experiments.WorkloadFlags(flag.CommandLine, traffic.Workload{})
-	flag.Parse()
-	scale := scaleOf()
-	workload, err := workloadOf()
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal("sweepd: ", err)
 	}
-	if workload.Process == "trace" {
-		// The service content-addresses units by config alone; it has no
-		// channel to materialize trace bytes, so replay stays batch-only.
-		log.Fatal("sweepd: trace workloads are batch-only (use cmd/nocsim -trace)")
-	}
-	scale.Workload = workload
-
-	opts := sweep.Options{
-		Defaults:   scale,
-		Workers:    scale.Workers,
-		MaxEntries: *cacheEntries,
-		MaxBytes:   *cacheBytes,
-		CacheDir:   *cacheDir,
-
-		DiskMaxBytes:   *cacheMaxBytes,
-		DiskMaxEntries: *cacheMaxEntries,
-	}
+	opts := cfg.opts
 	srv, err := sweep.NewServer(opts)
 	if err != nil {
 		log.Fatal("sweepd: ", err)
 	}
 	defer srv.Close()
 
-	if *selfcheck {
+	if cfg.selfcheck {
 		if err := runSelfcheck(srv, opts); err != nil {
 			fmt.Fprintln(os.Stderr, "sweepd selfcheck: FAIL:", err)
 			os.Exit(1)
@@ -116,16 +85,16 @@ func main() {
 		return
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Fatal("sweepd: ", err)
 	}
 	cacheDesc := "memory-only"
-	if *cacheDir != "" {
+	if opts.CacheDir != "" {
 		cacheDesc = "disk " + srv.Disk().Dir()
 	}
 	log.Printf("sweepd: listening on %s (workers=%d, cache %d entries / %d MiB, %s, schema v%d)",
-		ln.Addr(), scale.Workers, *cacheEntries, *cacheBytes>>20, cacheDesc, sweep.SchemaVersion)
+		ln.Addr(), opts.Workers, opts.MaxEntries, opts.MaxBytes>>20, cacheDesc, sweep.SchemaVersion)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	h, closeJobs := handler(srv, srv)
@@ -135,6 +104,30 @@ func main() {
 		log.Fatal("sweepd: ", err)
 	}
 	log.Print("sweepd: shut down")
+}
+
+// config is what sweepd's command line sets.
+type config struct {
+	addr      string
+	selfcheck bool
+	opts      sweep.Options
+}
+
+// parseFlags registers sweepd's flags on fs and parses args: the listen
+// address, the worker pool width, the memory and disk cache bounds, and
+// -selfcheck.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var c config
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.opts.Workers, "workers", runtime.GOMAXPROCS(0), "worker pool width: simulations run at once across all requests (an idle worker is lent to a heavy unit as its second shard)")
+	fs.IntVar(&c.opts.MaxEntries, "cache-entries", 4096, "result store entry bound (negative = unbounded)")
+	fs.Int64Var(&c.opts.MaxBytes, "cache-bytes", 64<<20, "result store byte bound (negative = unbounded)")
+	fs.StringVar(&c.opts.CacheDir, "cachedir", "", "disk cache directory (empty = memory-only); results persist across restarts in a schema-versioned subdirectory")
+	fs.Int64Var(&c.opts.DiskMaxBytes, "cachemaxbytes", 0, "disk cache byte budget (0 = unbounded); LRU result files are evicted when a write crosses it")
+	fs.Int64Var(&c.opts.DiskMaxEntries, "cachemaxentries", 0, "disk cache entry budget (0 = unbounded); LRU result files are evicted when a write crosses it")
+	fs.BoolVar(&c.selfcheck, "selfcheck", false, "run an in-process smoke test (cold miss, then byte-equal cache hit; with -cachedir, also a restart warm hit) and exit")
+	err := fs.Parse(args)
+	return c, err
 }
 
 // handler mounts the sweep endpoints of srv and the /pareto and /curve job

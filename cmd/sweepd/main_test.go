@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -39,6 +41,52 @@ func newServer(tb testing.TB) *sweep.Server {
 		tb.Fatal(err)
 	}
 	return srv
+}
+
+// TestFlags pins sweepd's command line: eight flags, each landing in the
+// listen address, the self-check switch or one sweep.Options field, and none
+// of the simulation-scale or workload flags the batch tools share — a unit is
+// what its request says, so no server flag may add to it.
+func TestFlags(t *testing.T) {
+	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	c, err := parseFlags(fs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := config{addr: ":8080", opts: sweep.Options{Workers: runtime.GOMAXPROCS(0), MaxEntries: 4096, MaxBytes: 64 << 20}}
+	if c != want {
+		t.Fatalf("defaults: got %+v want %+v", c, want)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 8 {
+		t.Fatalf("%d flags registered, want 8", n)
+	}
+
+	c, err = parseFlags(flag.NewFlagSet("sweepd", flag.ContinueOnError), []string{
+		"-addr", "127.0.0.1:9", "-workers", "3", "-cache-entries", "5", "-cache-bytes", "6",
+		"-cachedir", "d", "-cachemaxbytes", "7", "-cachemaxentries", "8", "-selfcheck",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = config{addr: "127.0.0.1:9", selfcheck: true, opts: sweep.Options{
+		Workers: 3, MaxEntries: 5, MaxBytes: 6, CacheDir: "d", DiskMaxBytes: 7, DiskMaxEntries: 8,
+	}}
+	if c != want {
+		t.Fatalf("parsed: got %+v want %+v", c, want)
+	}
+
+	for _, gone := range []string{
+		"warmup", "measure", "drain", "seed", "reference",
+		"process", "pattern", "rate", "burstlen", "duty", "hotspots", "hotfrac", "trace",
+	} {
+		fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		if _, err := parseFlags(fs, []string{"-" + gone + "=1"}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("-%s: %v; want it rejected as an unknown flag", gone, err)
+		}
+	}
 }
 
 // TestServeShutsDown: canceling serve's context while a job runs returns

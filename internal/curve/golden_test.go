@@ -58,7 +58,7 @@ func TestTracerPointsByteEqualBatch(t *testing.T) {
 					for _, p := range tr.Points {
 						u := tr.Spec.Base
 						u.Rate = tr.Spec.Lattice().Rate(p.Index)
-						batch, _, err := sweep.RunUnit(ctx, u, false, nil)
+						batch, _, err := sweep.RunUnit(ctx, u, nil)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -69,9 +69,9 @@ func TestPatternSweepCtxCancelStopsEarly(t *testing.T) {
 }
 
 // TestScaleFlags pins the shared flag surface: defaults pass through
-// untouched, every registered flag lands in the resolved SimScale, and the
-// execution mode is one flag — the switches it replaced are gone, and so is
-// -shards: a simulation is one shard unless a lender splits it.
+// untouched, every registered flag lands in the resolved SimScale, and no
+// flag picks how a simulation is executed — the mode switches are gone, and
+// so is -shards: a simulation is one shard unless a lender splits it.
 func TestScaleFlags(t *testing.T) {
 	def := SimScale{Warmup: 100, Measure: 200, Drain: 300, Seed: 7, Workers: 2}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -87,17 +87,17 @@ func TestScaleFlags(t *testing.T) {
 	get = ScaleFlags(fs, def)
 	args := []string{
 		"-warmup", "11", "-measure", "22", "-drain", "33", "-seed", "44",
-		"-workers", "5", "-reference",
+		"-workers", "5",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want := SimScale{Warmup: 11, Measure: 22, Drain: 33, Seed: 44, Workers: 5, Reference: true}
+	want := SimScale{Warmup: 11, Measure: 22, Drain: 33, Seed: 44, Workers: 5}
 	if got := get(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parsed flags: got %+v want %+v", got, want)
 	}
 
-	for _, gone := range []string{"-leap", "-dense", "-denserequests", "-shards"} {
+	for _, gone := range []string{"-leap", "-dense", "-denserequests", "-shards", "-reference"} {
 		fs = flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		ScaleFlags(fs, def)

@@ -246,16 +246,12 @@ type SimScale struct {
 	// curve's rate points are swept (each point is an independent,
 	// deterministic simulation). Zero or one means serial execution.
 	Workers int
-	// Reference runs every simulation under the simulator's reference
-	// schedule (sim.Config.Reference): slower, bit-identical, what the golden
-	// tests compare the default against.
-	Reference bool
 	// Workload selects the injection workload (arrival process, traffic
 	// pattern, parameters) applied to every simulation built through
-	// BuildSim. Unlike Workers and Reference it is semantic — it
-	// changes results — and its zero value is the paper default (Bernoulli
-	// over uniform). The offered rate stays per-point: BuildSim overwrites
-	// Workload.Rate with its rate argument.
+	// BuildSim. Unlike Workers it is semantic — it changes results — and its
+	// zero value is the paper default (Bernoulli over uniform). The offered
+	// rate stays per-point: BuildSim overwrites Workload.Rate with its rate
+	// argument.
 	Workload traffic.Workload
 }
 
@@ -328,15 +324,14 @@ func BuildSim(pt Point, rate float64, scale SimScale) sim.Config {
 		w.Rate = rate
 	}
 	cfg := sim.Config{
-		Spec:      pt.Spec,
-		VA:        core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
-		SA:        core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
-		Workload:  w,
-		Seed:      scale.Seed,
-		Warmup:    scale.Warmup,
-		Measure:   scale.Measure,
-		Drain:     scale.Drain,
-		Reference: scale.Reference,
+		Spec:     pt.Spec,
+		VA:       core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
+		SA:       core.SwitchAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: core.SpecReq},
+		Workload: w,
+		Seed:     scale.Seed,
+		Warmup:   scale.Warmup,
+		Measure:  scale.Measure,
+		Drain:    scale.Drain,
 	}
 	cfg.Topology, cfg.Routing = sharedNet(pt.Topo)
 	return cfg
@@ -376,24 +371,17 @@ func sharedNet(topo string) (*topology.Topology, routing.Function) {
 	panic("experiments: unknown topology " + topo)
 }
 
-// runCurve sweeps the rate points with up to `workers` simulations in
-// flight. Every point is an independent simulation with its own seed, so
-// results are bit-identical regardless of parallelism. Cancelling ctx
-// aborts in-flight simulations (sim.RunCtx polls it every
+// runCurve simulates one point per rate, the i-th built by mk(i), with up to
+// `workers` simulations in flight. Every point is an independent simulation
+// with its own seed, so results are bit-identical regardless of parallelism.
+// Cancelling ctx aborts in-flight simulations (sim.RunCtx polls it every
 // sim.AbortCheckInterval cycles) and skips unstarted points; aborted points
 // are left zero-valued, so callers that care must check ctx.Err().
-func runCurve(ctx context.Context, name string, rates []float64, workers int, mk func(rate float64) sim.Config) NetSeries {
-	s := NetSeries{Name: name, Points: make([]NetPoint, len(rates))}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(rates) {
-		workers = len(rates)
-	}
-	sem := make(chan struct{}, workers)
+func runCurve(ctx context.Context, rates []float64, workers int, mk func(i int) sim.Config) []NetPoint {
+	points := make([]NetPoint, len(rates))
+	sem := make(chan struct{}, max(min(workers, len(rates)), 1))
 	var wg sync.WaitGroup
 	for i, rate := range rates {
-		i, rate := i, rate
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
@@ -402,7 +390,7 @@ func runCurve(ctx context.Context, name string, rates []float64, workers int, mk
 			if ctx.Err() != nil {
 				return
 			}
-			n := sim.New(mk(rate))
+			n := sim.New(mk(i))
 			res := n.RunCtx(ctx)
 			if res.Aborted {
 				return
@@ -410,14 +398,67 @@ func runCurve(ctx context.Context, name string, rates []float64, workers int, mk
 			if st := execStatsOf(ctx); st != nil {
 				st.add(n)
 			}
-			s.Points[i] = NetPoint{
+			points[i] = NetPoint{
 				Rate: rate, Latency: res.AvgLatency, Throughput: res.Throughput,
 				Saturated: res.Saturated, Cycles: res.Cycles,
 			}
 		}()
 	}
 	wg.Wait()
-	return s
+	return points
+}
+
+// A variant is one series of a network figure: its name, and what it changes
+// in the baseline config BuildSim assembles.
+type variant struct {
+	name string
+	set  func(*sim.Config)
+}
+
+// fig13Variants are Fig. 13's series: the three switch allocator
+// architectures.
+func fig13Variants() []variant {
+	var vs []variant
+	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
+		vs = append(vs, variant{arch.String(), func(c *sim.Config) { c.SA.Arch = arch }})
+	}
+	return vs
+}
+
+// fig14Variants are Fig. 14's series: the three speculation schemes.
+func fig14Variants() []variant {
+	var vs []variant
+	for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
+		vs = append(vs, variant{mode.String(), func(c *sim.Config) { c.SA.SpecMode = mode }})
+	}
+	return vs
+}
+
+// vaVariants are the §4.3.3 series: the three VC allocator architectures,
+// and the separable input-first one on sparse VC requests.
+func vaVariants() []variant {
+	va := func(arch alloc.Arch, sparse bool) func(*sim.Config) {
+		return func(c *sim.Config) { c.VA.Arch, c.VA.Sparse = arch, sparse }
+	}
+	return []variant{
+		{"va=sep_if", va(alloc.SepIF, false)},
+		{"va=sep_of", va(alloc.SepOF, false)},
+		{"va=wf", va(alloc.Wavefront, false)},
+		{"va=sep_if(sparse)", va(alloc.SepIF, true)},
+	}
+}
+
+// runVariants sweeps the rates once per variant, one series each.
+func runVariants(ctx context.Context, pt Point, rates []float64, scale SimScale, vs []variant) []NetSeries {
+	out := make([]NetSeries, len(vs))
+	for i, v := range vs {
+		out[i] = NetSeries{Name: v.name, Points: runCurve(ctx, rates, scale.Workers, func(j int) sim.Config {
+			cfg := BuildSim(pt, rates[j], scale)
+			v.set(&cfg)
+			return cfg
+		})}
+	}
+	return out
 }
 
 // Fig13 regenerates one subfigure of Fig. 13: average packet latency vs
@@ -426,59 +467,20 @@ func runCurve(ctx context.Context, name string, rates []float64, workers int, mk
 // Cancelling ctx aborts in-flight simulations and skips unstarted rate
 // points, here and in every curve function below.
 func Fig13(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
-	var out []NetSeries
-	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
-		arch := arch
-		out = append(out, runCurve(ctx, arch.String(), rates, scale.Workers, func(rate float64) sim.Config {
-			cfg := BuildSim(pt, rate, scale)
-			cfg.SA.Arch = arch
-			return cfg
-		}))
-	}
-	return out
+	return runVariants(ctx, pt, rates, scale, fig13Variants())
 }
 
 // Fig14 regenerates one subfigure of Fig. 14: the three speculation schemes
 // on a separable input-first switch allocator.
 func Fig14(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
-	var out []NetSeries
-	for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
-		mode := mode
-		out = append(out, runCurve(ctx, mode.String(), rates, scale.Workers, func(rate float64) sim.Config {
-			cfg := BuildSim(pt, rate, scale)
-			cfg.SA.SpecMode = mode
-			return cfg
-		}))
-	}
-	return out
+	return runVariants(ctx, pt, rates, scale, fig14Variants())
 }
 
 // VASweep regenerates the §4.3.3 experiment the paper describes but omits
 // for space: latency curves for different VC allocator architectures,
 // demonstrating the network's insensitivity to the choice.
 func VASweep(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
-	type va struct {
-		arch   alloc.Arch
-		sparse bool
-		name   string
-	}
-	vas := []va{
-		{alloc.SepIF, false, "va=sep_if"},
-		{alloc.SepOF, false, "va=sep_of"},
-		{alloc.Wavefront, false, "va=wf"},
-		{alloc.SepIF, true, "va=sep_if(sparse)"},
-	}
-	var out []NetSeries
-	for _, v := range vas {
-		v := v
-		out = append(out, runCurve(ctx, v.name, rates, scale.Workers, func(rate float64) sim.Config {
-			cfg := BuildSim(pt, rate, scale)
-			cfg.VA.Arch = v.arch
-			cfg.VA.Sparse = v.sparse
-			return cfg
-		}))
-	}
-	return out
+	return runVariants(ctx, pt, rates, scale, vaVariants())
 }
 
 // FormatNetSeries renders latency curves as a tab-separated table. Rows are
@@ -591,10 +593,9 @@ func WorkloadName(w traffic.Workload) string {
 // trace replay the offered load is data, not a parameter, so callers pass a
 // single placeholder rate.
 func WorkloadCurve(ctx context.Context, pt Point, rates []float64, scale SimScale) []NetSeries {
-	name := WorkloadName(scale.Workload)
-	return []NetSeries{runCurve(ctx, name, rates, scale.Workers, func(rate float64) sim.Config {
-		return BuildSim(pt, rate, scale)
-	})}
+	return []NetSeries{{Name: WorkloadName(scale.Workload), Points: runCurve(ctx, rates, scale.Workers, func(i int) sim.Config {
+		return BuildSim(pt, rates[i], scale)
+	})}}
 }
 
 // PatternSweep runs one design point under several synthetic traffic
@@ -606,29 +607,22 @@ func WorkloadCurve(ctx context.Context, pt Point, rates []float64, scale SimScal
 // worker count.
 func PatternSweep(ctx context.Context, pt Point, rate float64, scale SimScale, patterns []string) ([]NetSeries, error) {
 	topo, _ := sharedNet(pt.Topo)
+	rates := make([]float64, len(patterns))
 	scales := make([]SimScale, len(patterns))
 	for i, name := range patterns {
+		rates[i] = rate
 		scales[i] = scale
 		scales[i].Workload.Pattern = name
 		if err := scales[i].Workload.Validate(topo.Terminals()); err != nil {
 			return nil, err
 		}
 	}
+	points := runCurve(ctx, rates, scale.Workers, func(i int) sim.Config {
+		return BuildSim(pt, rate, scales[i])
+	})
 	out := make([]NetSeries, len(patterns))
-	sem := make(chan struct{}, max(scale.Workers, 1))
-	var wg sync.WaitGroup
-	for i := range patterns {
-		i := i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i] = runCurve(ctx, patterns[i], []float64{rate}, 1, func(r float64) sim.Config {
-				return BuildSim(pt, r, scales[i])
-			})
-		}()
+	for i, name := range patterns {
+		out[i] = NetSeries{Name: name, Points: points[i : i+1]}
 	}
-	wg.Wait()
 	return out, nil
 }

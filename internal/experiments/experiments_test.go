@@ -301,19 +301,18 @@ func TestGoldenActiveMatchesDense(t *testing.T) {
 	// both paper topologies.
 	rates := []float64{0.05, 0.2, 0.35}
 	def := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
-	ref := def
-	ref.Reference = true
 	for _, topo := range []string{"mesh", "fbfly"} {
 		pt, err := PointByName(topo, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, fig := range []struct {
-			name string
-			run  func(context.Context, Point, []float64, SimScale) []NetSeries
-		}{{"fig13", Fig13}, {"fig14", Fig14}} {
+			name     string
+			run      func(context.Context, Point, []float64, SimScale) []NetSeries
+			variants []variant
+		}{{"fig13", Fig13, fig13Variants()}, {"fig14", Fig14, fig14Variants()}} {
 			d := fig.run(context.Background(), pt, rates, def)
-			r := fig.run(context.Background(), pt, rates, ref)
+			r := referenceSeries(pt, rates, def, fig.variants)
 			if !reflect.DeepEqual(d, r) {
 				t.Errorf("%s %s: default series diverged from the reference schedule\ndefault:   %+v\nreference: %+v",
 					topo, fig.name, d, r)
@@ -450,20 +449,33 @@ func TestReportsRoundTrip(t *testing.T) {
 	}
 }
 
+// referenceSeries runs the variants over the rates as runVariants does, with
+// every simulation under the simulator's reference schedule.
+func referenceSeries(pt Point, rates []float64, scale SimScale, vs []variant) []NetSeries {
+	out := make([]NetSeries, len(vs))
+	for i, v := range vs {
+		out[i] = NetSeries{Name: v.name, Points: runCurve(context.Background(), rates, scale.Workers, func(j int) sim.Config {
+			cfg := BuildSim(pt, rates[j], scale)
+			v.set(&cfg)
+			cfg.Reference = true
+			return cfg
+		})}
+	}
+	return out
+}
+
 // TestLeapInvarianceFig13 pins the Fig. 13/14 pipeline end to end against
 // the reference schedule, including a drain-heavy low-rate point where the
 // default leaps over most cycles.
 func TestLeapInvarianceFig13(t *testing.T) {
 	rates := []float64{0.005, 0.2}
 	def := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
-	ref := def
-	ref.Reference = true
 	for _, topo := range []string{"mesh", "fbfly"} {
 		pt, err := PointByName(topo, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := Fig13(context.Background(), pt, rates, ref)
+		want := referenceSeries(pt, rates, def, fig13Variants())
 		if got := Fig13(context.Background(), pt, rates, def); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: default Fig13 series diverged from the reference\nreference: %+v\ndefault:   %+v",
 				topo, want, got)
@@ -472,7 +484,9 @@ func TestLeapInvarianceFig13(t *testing.T) {
 		// stepped cycle compares the wake index with the dormant/quiescent
 		// predicates, every leap the skipped span with the wheel.
 		for _, rate := range rates {
-			cd, cr := BuildSim(pt, rate, def), BuildSim(pt, rate, ref)
+			cd := BuildSim(pt, rate, def)
+			cr := cd
+			cr.Reference = true
 			cd.Validate = true
 			if rd, rr := sim.New(cd).Run(), sim.New(cr).Run(); rd != rr {
 				t.Errorf("%s rate=%g: validated default run diverged from the reference\nreference: %+v\ndefault:   %+v",

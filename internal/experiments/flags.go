@@ -12,28 +12,25 @@ import (
 )
 
 // ScaleFlags registers the standard simulation-scale flag set — phase
-// lengths, seed, parallelism and the reference-schedule switch — on fs with
-// the given defaults, and returns a function that resolves the final
-// SimScale after fs.Parse. Every command-line tool (and the sweep service)
-// shares this one definition, so the scale surface cannot drift between
-// entry points; tools with extra conventions (-quick presets) adjust the
-// returned value.
+// lengths, seed and parallelism — on fs with the given defaults, and returns
+// a function that resolves the final SimScale after fs.Parse. Every batch
+// tool that simulates shares this one definition, so the scale surface
+// cannot drift between entry points; tools with extra conventions (-quick
+// presets) adjust the returned value.
 func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
 	warmup := fs.Int("warmup", def.Warmup, "warmup cycles")
 	measure := fs.Int("measure", def.Measure, "measurement cycles")
 	drain := fs.Int("drain", def.Drain, "drain cycle budget")
 	seed := fs.Uint64("seed", def.Seed, "simulation seed")
 	workers := fs.Int("workers", def.Workers, "concurrent simulations per curve")
-	reference := fs.Bool("reference", def.Reference, "run the simulator's reference schedule: every router and terminal stepped and every request rebuilt every cycle, no leaping (slower, bit-identical)")
 	return func() SimScale {
 		return SimScale{
-			Warmup:    *warmup,
-			Measure:   *measure,
-			Drain:     *drain,
-			Seed:      *seed,
-			Workers:   *workers,
-			Reference: *reference,
-			Workload:  def.Workload,
+			Warmup:   *warmup,
+			Measure:  *measure,
+			Drain:    *drain,
+			Seed:     *seed,
+			Workers:  *workers,
+			Workload: def.Workload,
 		}
 	}
 }

@@ -28,7 +28,8 @@ type Report struct {
 	Network []NetworkJSON `json:"network,omitempty"`
 	// Execution says how the simulations behind Network were executed. It is
 	// the one part of a report that describes the run and not its result:
-	// its counts depend on -reference.
+	// its counts move when the simulator's schedule changes, the results do
+	// not.
 	Execution *ExecStats `json:"execution,omitempty"`
 }
 

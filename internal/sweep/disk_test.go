@@ -192,12 +192,11 @@ func TestDiskStoreVersionScoped(t *testing.T) {
 func TestServerDiskRestartWarm(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
-		Defaults: goldenScale(),
 		Workers:  2,
 		CacheDir: root,
 	}
 	req := Request{
-		Base:  UnitConfig{Topo: "mesh", Rate: 0.2, Seed: 42},
+		Base:  UnitConfig{Topo: "mesh", Rate: 0.2, Seed: 42, Warmup: 200, Measure: 400, Drain: 2000},
 		Rates: []float64{0.05, 0.2},
 	}
 
@@ -245,7 +244,7 @@ func TestServerDiskRestartWarm(t *testing.T) {
 	if _, ok := statz["disk"]; !ok {
 		t.Fatalf("statz missing disk section: %s", b)
 	}
-	_, tsMem := newTestServer(t, Options{Defaults: goldenScale(), Workers: 1})
+	_, tsMem := newTestServer(t, Options{Workers: 1})
 	resp, err = tsMem.Client().Get(tsMem.URL + "/statz")
 	if err != nil {
 		t.Fatal(err)
@@ -263,11 +262,10 @@ func TestServerDiskRestartWarm(t *testing.T) {
 func TestServerDiskCorruptionFallsBackToSim(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
-		Defaults: goldenScale(),
 		Workers:  1,
 		CacheDir: root,
 	}
-	req := Request{Base: UnitConfig{Topo: "mesh", Rate: 0.2, Seed: 42}}
+	req := Request{Base: UnitConfig{Topo: "mesh", Rate: 0.2, Seed: 42, Warmup: 200, Measure: 400, Drain: 2000}}
 
 	s1, ts1 := newTestServer(t, opts)
 	cold := postSweep(t, ts1.Client(), ts1.URL, req)
@@ -311,8 +309,6 @@ func TestServerDiskCorruptionFallsBackToSim(t *testing.T) {
 // touched.
 func TestServerHealsStaleV2Cache(t *testing.T) {
 	root := t.TempDir()
-	// Phase lengths are spelled explicitly so the precomputed key matches
-	// the unit after the server applies its defaults.
 	req := Request{Base: UnitConfig{Topo: "mesh", Rate: 0.2, Seed: 42, Warmup: 200, Measure: 400, Drain: 2000}}
 	key := req.Base.Normalized().Key()
 
@@ -338,7 +334,7 @@ func TestServerHealsStaleV2Cache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := Options{Defaults: goldenScale(), Workers: 1, CacheDir: root}
+	opts := Options{Workers: 1, CacheDir: root}
 	s, ts := newTestServer(t, opts)
 	res := postSweep(t, ts.Client(), ts.URL, req)
 	if res.Summary.Misses != 1 || s.SimRuns() != 1 {
@@ -511,13 +507,12 @@ func TestDiskStoreEvictionNeverDeletesKeepOrStrays(t *testing.T) {
 func TestServerRestartAfterEvictionHeals(t *testing.T) {
 	root := t.TempDir()
 	opts := Options{
-		Defaults:       goldenScale(),
 		Workers:        2,
 		CacheDir:       root,
 		DiskMaxEntries: 2,
 	}
 	req := Request{
-		Base:  UnitConfig{Topo: "mesh", Seed: 42},
+		Base:  UnitConfig{Topo: "mesh", Seed: 42, Warmup: 200, Measure: 400, Drain: 2000},
 		Rates: []float64{0.05, 0.1, 0.15, 0.2},
 	}
 

@@ -53,15 +53,15 @@ import (
 const SchemaVersion = 3
 
 // UnitConfig is one (config, seed) simulation unit: the semantic
-// description of a run, and nothing else. Execution hints — worker
-// placement, a borrowed helper, the simulator's reference schedule — are
-// deliberately excluded: the simulator is bit-identical across all of them
-// (the golden suite pins this), so they must not influence the content key.
-// A server takes them from its Options.
+// description of a run, and nothing else. A unit is exactly what its request
+// says: no server setting adds to it. How a server executes it — on which
+// worker, with a borrowed helper or without — is no part of it: the
+// simulator is bit-identical either way (the golden suite pins this), so it
+// must not influence the content key.
 //
-// Zero values mean "default" and are filled by Normalized before hashing,
-// so a default-filled and an explicitly-spelled config produce the same
-// key.
+// Zero values mean "default" and are filled by Normalized, from the schema
+// defaults alone, before hashing, so a default-filled and an
+// explicitly-spelled config produce the same key.
 type UnitConfig struct {
 	// SchemaVersion pins the schema this config was written against;
 	// 0 means "current".
@@ -319,9 +319,8 @@ func (c UnitConfig) Key() string {
 
 // BuildSim assembles the unit's sim.Config through the same
 // experiments.BuildSim path the batch CLIs use, then applies the unit's
-// allocator/pattern/workload overrides. reference is an execution hint
-// (sim.Config.Reference): it changes no result and is no part of the unit.
-func (c UnitConfig) BuildSim(reference bool) (sim.Config, error) {
+// allocator/pattern/workload overrides.
+func (c UnitConfig) BuildSim() (sim.Config, error) {
 	c = c.Normalized()
 	if err := c.Validate(); err != nil {
 		return sim.Config{}, err
@@ -332,8 +331,7 @@ func (c UnitConfig) BuildSim(reference bool) (sim.Config, error) {
 	}
 	scale := experiments.SimScale{
 		Warmup: c.Warmup, Measure: c.Measure, Drain: c.Drain, Seed: c.Seed,
-		Reference: reference,
-		Workload:  c.workload(),
+		Workload: c.workload(),
 	}
 	cfg := experiments.BuildSim(pt, c.Rate, scale)
 	cfg.VA.Arch, _ = ParseArch(c.VAArch)
@@ -387,9 +385,9 @@ func (r UnitResult) NetPoint() experiments.NetPoint {
 // lender set, the simulation borrows a helper from it while it has heavy
 // cycles to step (sim.Network.BorrowHelpers); with nil it runs on the
 // caller's goroutine alone.
-func RunUnit(ctx context.Context, c UnitConfig, reference bool, lender sim.Lender) (UnitResult, sim.ParallelStats, error) {
+func RunUnit(ctx context.Context, c UnitConfig, lender sim.Lender) (UnitResult, sim.ParallelStats, error) {
 	c = c.Normalized()
-	cfg, err := c.BuildSim(reference)
+	cfg, err := c.BuildSim()
 	if err != nil {
 		return UnitResult{}, sim.ParallelStats{}, err
 	}

@@ -215,11 +215,11 @@ func TestKeyWorkloadCollapse(t *testing.T) {
 // the batch CLI path builds for the same design point and scale.
 func TestBuildSimMatchesBatchPath(t *testing.T) {
 	u := UnitConfig{Topo: "mesh", VCsPerClass: 2, Rate: 0.25, Seed: 42, Warmup: 500, Measure: 1000, Drain: 4000}
-	cfg, err := u.BuildSim(true)
+	cfg, err := u.BuildSim()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workload.Rate != 0.25 || cfg.Seed != 42 || !cfg.Reference {
+	if cfg.Workload.Rate != 0.25 || cfg.Seed != 42 {
 		t.Fatalf("BuildSim dropped fields: %+v", cfg)
 	}
 	if cfg.Spec.VCsPerClass != 2 || cfg.Topology == nil || cfg.Routing == nil {
@@ -257,7 +257,7 @@ func BenchmarkRunUnitKnee(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s_c%d_%s_%s", leg.name, u.Topo, u.VCsPerClass, u.SAArch, u.SpecMode), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := RunUnit(context.Background(), u, false, leg.lender); err != nil {
+					if _, _, err := RunUnit(context.Background(), u, leg.lender); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -6,13 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/sim"
 )
 
@@ -50,15 +50,20 @@ const (
 )
 
 // DecodeBody decodes the JSON body of a service POST into v, refusing unknown
-// fields and reading at most MaxBodyBytes. On failure it has written the
-// response — 413 for an oversized body, 400 for a malformed one — and
-// returns false.
+// fields, anything but whitespace after the one JSON value, and reading at
+// most MaxBodyBytes. On failure it has written the response — 413 for an
+// oversized body, 400 for a malformed one — and returns false.
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
 	}
 	code := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
@@ -185,12 +190,6 @@ type SweepSummary struct {
 
 // Options configures a Server.
 type Options struct {
-	// Defaults fills a request's zero phase lengths, seed and workload
-	// fields before normalization (a sweepd -warmup/-measure/-drain/-seed
-	// flag set); zero fields fall back to the schema defaults. Its Reference
-	// is the execution hint applied to every simulated unit (it changes no
-	// result and no content key); Workers is not read.
-	Defaults experiments.SimScale
 	// Workers bounds concurrently running simulations (default
 	// 1; sweepd passes GOMAXPROCS). With more than one, units follow the
 	// idle workers: a unit runs on one shard until it has proved heavy and
@@ -220,7 +219,6 @@ type Options struct {
 // results through the store → coalescing → pool stack; GET /healthz and
 // GET /statz report liveness and counters.
 type Server struct {
-	defaults experiments.SimScale
 	store    *Store
 	disk     *DiskStore // nil when CacheDir is empty
 	flight   *Group
@@ -258,11 +256,10 @@ func NewServer(opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		defaults: opts.Defaults,
-		store:    NewStore(opts.MaxEntries, opts.MaxBytes),
-		disk:     disk,
-		flight:   NewGroup(),
-		pool:     NewPool(opts.Workers),
+		store:  NewStore(opts.MaxEntries, opts.MaxBytes),
+		disk:   disk,
+		flight: NewGroup(),
+		pool:   NewPool(opts.Workers),
 		// Per-request unit fan-out: hits and coalesced units are nearly
 		// free, so it runs ahead of the pool.
 		unitConc: 4 * opts.Workers,
@@ -341,46 +338,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(stats)
 }
 
-// applyDefaults fills a unit's zero phase/seed fields from the server's
-// configured defaults (flag-level defaults sit below schema-level ones).
-func (s *Server) applyDefaults(u UnitConfig) UnitConfig {
-	if u.Warmup == 0 {
-		u.Warmup = s.defaults.Warmup
-	}
-	if u.Measure == 0 {
-		u.Measure = s.defaults.Measure
-	}
-	if u.Drain == 0 {
-		u.Drain = s.defaults.Drain
-	}
-	if u.Seed == 0 && s.defaults.Seed != 0 {
-		u.Seed = s.defaults.Seed
-	}
-	// Workload defaults (a sweepd -process/-pattern/-burstlen/... flag set)
-	// fill zero fields the same way; Normalized later clears whatever is
-	// irrelevant to the finally selected process/pattern.
-	d := s.defaults.Workload
-	if u.Process == "" {
-		u.Process = d.Process
-	}
-	if u.Pattern == "" {
-		u.Pattern = d.Pattern
-	}
-	if u.BurstLen == 0 {
-		u.BurstLen = d.BurstLen
-	}
-	if u.Duty == 0 {
-		u.Duty = d.Duty
-	}
-	if len(u.Hotspots) == 0 {
-		u.Hotspots = d.Hotspots
-	}
-	if u.HotspotFraction == 0 {
-		u.HotspotFraction = d.HotspotFraction
-	}
-	return u
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -390,10 +347,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if !DecodeBody(w, r, &req) {
 		return
-	}
-	req.Base = s.applyDefaults(req.Base)
-	for i := range req.Units {
-		req.Units[i] = s.applyDefaults(req.Units[i])
 	}
 	units, err := req.Expand()
 	if err != nil {
@@ -522,7 +475,7 @@ func (s *Server) serveUnit(ctx context.Context, u UnitConfig, key string, probed
 		poolErr := s.pool.Run(runCtx, func(simCtx context.Context) {
 			s.simRuns.Add(1)
 			var par sim.ParallelStats
-			res, par, runErr = RunUnit(simCtx, u, s.defaults.Reference, s.lender)
+			res, par, runErr = RunUnit(simCtx, u, s.lender)
 			s.parallelCycles.Add(par.Concurrent)
 			s.lateReturns.Add(par.LateReturns)
 		})
@@ -578,12 +531,13 @@ type Evaluator interface {
 
 var _ Evaluator = (*Server)(nil)
 
-// EvalUnit resolves one already-normalized unit through the full cache →
-// coalescing → pool stack and unmarshals the result. This is the embedding
+// EvalUnit normalizes one unit from its own fields and the schema defaults,
+// resolves it through the full cache → coalescing → pool stack and
+// unmarshals the result. This is the embedding
 // API the design-space search and the curve tracer use: a search and a live
 // /sweep client never run the same simulation twice.
 func (s *Server) EvalUnit(ctx context.Context, u UnitConfig) (UnitResult, error) {
-	u = s.applyDefaults(u).Normalized()
+	u = u.Normalized()
 	if err := u.Validate(); err != nil {
 		return UnitResult{}, err
 	}
