@@ -27,12 +27,17 @@ import (
 	"repro/internal/quality"
 )
 
+// default.pgo, the profile go build compiles this program with, comes from
+// this recipe (DESIGN.md §18).
+//
+//go:generate sh ../../internal/prof/genpgo.sh matchquality
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it parses args, writes the tables (or JSON) to
 // stdout and diagnostics to stderr, and returns the exit status — 2 for a
 // usage error, 1 for any other.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("matchquality", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	unit := fs.String("unit", "vc", "allocator unit: vc or sw")
@@ -59,8 +64,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	stop := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile})
-	defer stop()
+	stop, err := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile})
+	if err != nil {
+		fmt.Fprintln(stderr, "matchquality:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(stderr, "matchquality:", err)
+			code = 1
+		}
+	}()
 
 	pt, err := experiments.PointByName(*topo, *c)
 	if err != nil {

@@ -74,8 +74,15 @@ func main() {
 			Workers: runtime.GOMAXPROCS(0)})
 	flag.Parse()
 	scale := scaleOf()
-	stop := prof.Start(*cpuprofile, *memprofile)
-	defer stop()
+	stop, err := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile})
+	if err != nil {
+		log.Fatal("pareto: ", err)
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			log.Fatal("pareto: ", err)
+		}
+	}()
 
 	if *curves {
 		// Snap the evaluation loads onto the curve lattice: the search then

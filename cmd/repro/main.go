@@ -40,8 +40,17 @@ func main() {
 	mutexprofile := flag.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
 	flag.Parse()
 
-	stop := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile})
-	defer stop()
+	stop, err := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "repro:", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			os.Exit(1)
+		}
+	}()
 
 	trials := 10000
 	scale := scaleOf()

@@ -5,6 +5,7 @@ package prof
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -13,42 +14,39 @@ import (
 // Profiles names the output files for each supported profile; empty paths
 // disable that profile.
 type Profiles struct {
-	// CPU receives a CPU profile covering Start..stop.
+	// CPU receives a CPU profile covering StartAll..stop.
 	CPU string
 	// Mem receives a heap profile written at stop (after a GC, so it
 	// reflects live data).
 	Mem string
 	// Block receives a goroutine-blocking profile (channel waits, barrier
-	// stalls) sampled at full rate between Start and stop.
+	// stalls) sampled at full rate between StartAll and stop.
 	Block string
 	// Mutex receives a mutex-contention profile sampled at full rate
-	// between Start and stop.
+	// between StartAll and stop.
 	Mutex string
 }
 
-// Start begins CPU profiling when cpuPath is non-empty. The returned stop
-// function finishes the CPU profile and, when memPath is non-empty, writes a
-// heap profile. Callers must invoke stop before exiting; both paths may be
-// empty, making Start a no-op. See StartAll for the full profile set.
-func Start(cpuPath, memPath string) (stop func()) {
-	return StartAll(Profiles{CPU: cpuPath, Mem: memPath})
-}
-
 // StartAll enables every profile with a non-empty path and returns the stop
-// function that writes them out. Block and mutex profiling sample at full
-// rate while active (runtime.SetBlockProfileRate(1) /
-// SetMutexProfileFraction(1)) — measurable overhead, acceptable for the
-// diagnostic runs these flags exist for — and are switched off again by
-// stop.
-func StartAll(p Profiles) (stop func()) {
+// function that writes them out; all paths may be empty, making it a no-op.
+// It returns an error, and starts nothing, when the CPU profile cannot be
+// created or started. Callers must invoke stop before exiting: it writes
+// every remaining profile even after one fails and returns the first error,
+// so a profile that did not reach the disk in full is never reported as
+// written. Block and mutex profiling sample at full rate while active
+// (runtime.SetBlockProfileRate(1) / SetMutexProfileFraction(1)) —
+// measurable overhead, acceptable for the diagnostic runs these flags exist
+// for — and are switched off again by stop.
+func StartAll(p Profiles) (stop func() error, err error) {
 	var cpuFile *os.File
 	if p.CPU != "" {
 		f, err := os.Create(p.CPU)
 		if err != nil {
-			fatal(err)
+			return nil, fmt.Errorf("prof: %w", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return nil, fmt.Errorf("prof: cpu profile: %w", err)
 		}
 		cpuFile = f
 	}
@@ -58,46 +56,48 @@ func StartAll(p Profiles) (stop func()) {
 	if p.Mutex != "" {
 		runtime.SetMutexProfileFraction(1)
 	}
-	return func() {
+	return func() error {
+		var first error
+		keep := func(err error) {
+			if first == nil && err != nil {
+				first = fmt.Errorf("prof: %w", err)
+			}
+		}
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
-			cpuFile.Close()
+			keep(cpuFile.Close())
 		}
 		if p.Mem != "" {
-			f, err := os.Create(p.Mem)
-			if err != nil {
-				fatal(err)
-			}
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
+			keep(writeFile(p.Mem, pprof.WriteHeapProfile))
 		}
 		if p.Block != "" {
-			writeLookup("block", p.Block)
+			keep(writeFile(p.Block, lookup("block")))
 			runtime.SetBlockProfileRate(0)
 		}
 		if p.Mutex != "" {
-			writeLookup("mutex", p.Mutex)
+			keep(writeFile(p.Mutex, lookup("mutex")))
 			runtime.SetMutexProfileFraction(0)
 		}
-	}
+		return first
+	}, nil
 }
 
-// writeLookup dumps one of the runtime's named profiles to path.
-func writeLookup(name, path string) {
+// lookup returns a writer for one of the runtime's named profiles.
+func lookup(name string) func(io.Writer) error {
+	return func(w io.Writer) error { return pprof.Lookup(name).WriteTo(w, 0) }
+}
+
+// writeFile creates path, fills it with write and closes it, returning the
+// first error.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fatal(err)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "prof:", err)
-	os.Exit(1)
+	return err
 }

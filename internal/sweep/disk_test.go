@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -253,6 +254,44 @@ func TestServerDiskRestartWarm(t *testing.T) {
 	resp.Body.Close()
 	if bytes.Contains(b, []byte(`"disk"`)) {
 		t.Fatalf("memory-only statz reports a disk section: %s", b)
+	}
+}
+
+// BenchmarkEvalUnitDiskWarm is the warm pass of the repository benchmark's
+// search_jobs workload (bench/workloads.go): a server restarted on a filled
+// cache directory answers every unit of a mesh latency curve (phases
+// 200/400/2000, rates 0.02 to 0.36) through EvalUnit from disk, promoting
+// each into memory, without simulating. One op is one restart and the whole
+// curve.
+func BenchmarkEvalUnitDiskWarm(b *testing.B) {
+	root := b.TempDir()
+	var units []UnitConfig
+	for i := 1; i <= 18; i++ {
+		units = append(units, UnitConfig{Topo: "mesh", Rate: float64(i) / 50, Seed: 42, Warmup: 200, Measure: 400, Drain: 2000})
+	}
+	ctx := context.Background()
+	// pass starts a server on root, evaluates every unit and reports how
+	// many it simulated and how many the disk tier answered.
+	pass := func() (sims, diskHits int64) {
+		srv, err := NewServer(Options{Workers: 1, CacheDir: root})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		for _, u := range units {
+			if _, err := srv.EvalUnit(ctx, u); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return srv.SimRuns(), srv.Disk().Stats().Hits
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sims, hits := pass(); sims != 0 || hits != int64(len(units)) {
+			b.Fatalf("warm pass: %d simulations, %d disk hits; want every one of %d units from disk", sims, hits, len(units))
+		}
 	}
 }
 

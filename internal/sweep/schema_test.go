@@ -265,3 +265,36 @@ func BenchmarkRunUnitKnee(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunUnitLowload simulates the six sim_lowload units of the
+// repository benchmark (bench/gen.go: phases 500/1500/8000, loads far below
+// saturation) on the default schedule. Set-up, terminals, arrival processes,
+// the timing wheel and leaping do the work; the allocators see almost no
+// requests, and no unit is heavy enough to borrow a helper.
+func BenchmarkRunUnitLowload(b *testing.B) {
+	for _, u := range []UnitConfig{
+		{Topo: "mesh", VCsPerClass: 1, Rate: 0.001},
+		{Topo: "fbfly", VCsPerClass: 1, Rate: 0.002},
+		{Topo: "mesh", VCsPerClass: 1, Rate: 0.005, Process: "mmp"},
+		{Topo: "fbfly", VCsPerClass: 2, Rate: 0.01},
+		{Topo: "mesh", VCsPerClass: 2, Rate: 0.02, Pattern: "hotspot"},
+		{Topo: "mesh", VCsPerClass: 1, Rate: 0.02},
+	} {
+		u.Warmup, u.Measure, u.Drain = 500, 1500, 8000
+		name := fmt.Sprintf("%s_c%d_%g", u.Topo, u.VCsPerClass, u.Rate)
+		if u.Process != "" {
+			name += "_" + u.Process
+		}
+		if u.Pattern != "" {
+			name += "_" + u.Pattern
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := RunUnit(context.Background(), u, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
