@@ -12,6 +12,10 @@
 //	matchquality -unit sw -topo fbfly -c 2
 //
 // -trials must be at least 1; a smaller value is a usage error (exit 2).
+//
+// go build compiles the program with default.pgo, a CPU profile of the
+// benchmark's quality classes; sh internal/prof/genpgo.sh regenerates it
+// (DESIGN.md §18).
 package main
 
 import (
@@ -26,11 +30,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/quality"
 )
-
-// default.pgo, the profile go build compiles this program with, comes from
-// this recipe (DESIGN.md §18).
-//
-//go:generate sh ../../internal/prof/genpgo.sh matchquality
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 

@@ -64,11 +64,6 @@ import (
 	"repro/internal/sweep"
 )
 
-// default.pgo, the profile go build compiles this program with, comes from
-// this recipe (DESIGN.md §18).
-//
-//go:generate sh ../../internal/prof/genpgo.sh sweepd
-
 func main() {
 	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {

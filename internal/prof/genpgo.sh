@@ -1,61 +1,35 @@
 #!/bin/sh
-# genpgo.sh PROGRAM writes cmd/PROGRAM/default.pgo, the CPU profile that
-# `go build` applies to that program (Go's default -pgo=auto; DESIGN.md §18).
-# PROGRAM is matchquality or sweepd. The profile records the hot paths the
-# repository benchmark times (bench/gen.go, bench/workloads.go):
+# genpgo.sh writes cmd/matchquality/default.pgo, the CPU profile that
+# `go build` applies to matchquality (Go's default -pgo=auto; DESIGN.md §18).
+# It records what the repository benchmark's quality_openloop workload runs
+# (bench/gen.go): the four quality classes at 20x their trials, one worker
+# each, under ten workload seeds (a single pass holds only about a hundred
+# samples), merged into one profile with the runtime's frames left out.
 #
-#   matchquality  the four quality_openloop classes at 20x their trials,
-#                 one worker each, under ten workload seeds (a single pass
-#                 holds only about a hundred samples), merged into one
-#                 profile;
-#   sweepd        the sim_saturation units (alone and lent), the sim_lowload
-#                 units, the memory-hit request path in process and over
-#                 loopback, and the disk-warm EvalUnit path search_jobs'
-#                 warm pass runs: the internal/sweep benchmarks of those
-#                 names, one second each.
+# Run it by hand from anywhere in the checkout (under half a minute) after
+# a change that moves the hot code, and commit the profile with it:
 #
-# Both leave the runtime's frames out of the profile.
+#   sh internal/prof/genpgo.sh
 #
-# Run it through go generate after a change that moves the hot code:
-#
-#   go generate ./cmd/sweepd ./cmd/matchquality
-#
-# CPU profiles are not deterministic, so two runs write different files. A
-# profile only steers inlining and devirtualization; it never changes a
-# result, and a stale one only loses speed.
+# No go:generate line calls it, so `go generate ./...` never rewrites the
+# profile. CPU profiles are not deterministic, so two runs write different
+# files. A profile only steers inlining; it never changes a result, and a
+# stale one only loses speed.
 set -eu
 
-prog=${1:?usage: genpgo.sh matchquality|sweepd}
 root=$(cd "$(dirname "$0")/../.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 cd "$root"
 
-case $prog in
-matchquality)
-	# Profile a plain build, so the recipe does not depend on the profile it
-	# replaces.
-	go build -pgo=off -o "$tmp/matchquality" ./cmd/matchquality
-	for seed in 1 2 3 4 5 6 7 8 9 10; do
-		for class in "vc fbfly 2 1200" "sw fbfly 2 3000" "vc mesh 4 2500" "sw mesh 1 15000"; do
-			set -- $class
-			"$tmp/matchquality" -unit "$1" -topo "$2" -c "$3" -trials "$4" -workers 1 \
-				-seed "$seed" -cpuprofile "$tmp/$1-$2-c$3-seed$seed.prof" >/dev/null
-		done
+# Profile a plain build, so the recipe does not depend on the profile it
+# replaces.
+go build -pgo=off -o "$tmp/matchquality" ./cmd/matchquality
+for seed in 1 2 3 4 5 6 7 8 9 10; do
+	for class in "vc fbfly 2 1200" "sw fbfly 2 3000" "vc mesh 4 2500" "sw mesh 1 15000"; do
+		set -- $class
+		"$tmp/matchquality" -unit "$1" -topo "$2" -c "$3" -trials "$4" -workers 1 \
+			-seed "$seed" -cpuprofile "$tmp/$1-$2-c$3-seed$seed.prof" >/dev/null
 	done
-	;;
-sweepd)
-	go test -c -o "$tmp/sweep.test" ./internal/sweep
-	(cd internal/sweep && "$tmp/sweep.test" -test.run '^$' \
-		-test.bench 'RunUnitKnee|RunUnitLowload|HandlerHit|LoopbackHit|EvalUnitDiskWarm' \
-		-test.benchtime 1s -test.cpuprofile "$tmp/sweep.prof" >/dev/null)
-	;;
-*)
-	echo "genpgo.sh: unknown program $prog (want matchquality or sweepd)" >&2
-	exit 2
-	;;
-esac
-# Leave the runtime out: it is shared by every path, and tuned to a profile
-# the simulations dominate it made sweepd's memory-hit requests about 4 %
-# slower (EXPERIMENTS.md, "Profile-guided builds").
-go tool pprof -proto -hide '^(runtime|internal/runtime)[./]' "$tmp"/*.prof >"cmd/$prog/default.pgo"
+done
+go tool pprof -proto -hide '^(runtime|internal/runtime)[./]' "$tmp"/*.prof >cmd/matchquality/default.pgo
