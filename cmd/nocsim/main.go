@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/alloc"
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/sim"
@@ -31,7 +30,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "fig13", "experiment: fig13, fig14, vasweep, patterns, workload or saturation")
+	exp := flag.String("exp", "fig13", "experiment: fig13, fig14, vasweep, patterns or workload")
 	topo := flag.String("topo", "mesh", "design point topology: mesh or fbfly")
 	c := flag.Int("c", 1, "VCs per class (1, 2 or 4)")
 	scaleOf := experiments.ScaleFlags(flag.CommandLine,
@@ -114,13 +113,6 @@ func main() {
 			wrates = []float64{0}
 		}
 		series = experiments.WorkloadCurve(ctx, pt, wrates, scale)
-	case "saturation":
-		fmt.Printf("saturation throughput summary (paper conclusions), %s\n", pt)
-		for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
-			sat := experiments.SaturationThroughput(pt, arch, scale)
-			fmt.Printf("  %-8s %.3f flits/cycle/terminal\n", arch, sat)
-		}
-		return
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(1)

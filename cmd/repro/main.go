@@ -8,22 +8,25 @@
 //	repro                   # everything
 //	repro -quick            # reduced trials/cycles for a fast sanity pass
 //	repro -only fig13       # one experiment family
-//	repro -only saturation  # saturation throughput per switch allocator
+//	repro -only saturation  # saturation throughput (knee) per switch allocator
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"text/tabwriter"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/curve"
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/quality"
+	"repro/internal/sweep"
 	"repro/internal/traffic"
 )
 
@@ -165,18 +168,9 @@ func main() {
 
 	if want("saturation") {
 		section("Conclusions: saturation throughput per switch allocator")
-		archs := []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront}
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "design point\tsep_if\tsep_of\twf\twf vs sep_if")
-		for _, pt := range experiments.Points() {
-			sats := map[alloc.Arch]float64{}
-			for _, arch := range archs {
-				sats[arch] = experiments.SaturationThroughput(pt, arch, scale)
-			}
-			fmt.Fprintf(w, "%s\t%.3f\t%.3f\t%.3f\t%+.1f%%\n",
-				pt, sats[alloc.SepIF], sats[alloc.SepOF], sats[alloc.Wavefront],
-				100*(sats[alloc.Wavefront]/sats[alloc.SepIF]-1))
-			w.Flush()
+		if _, err := saturationTable(ctx, os.Stdout, experiments.Points(), scale); err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			os.Exit(1)
 		}
 		fmt.Println("\npaper conclusions: wf ≈ sep_if on the mesh with few VCs; +15% at")
 		fmt.Println("fbfly 2x2x2 and +21% at fbfly 2x2x4 (this model reproduces the")
@@ -191,6 +185,60 @@ func main() {
 		s, row := experiments.PessimisticDelaySaving(tech)
 		fmt.Printf("pessimistic speculation delay saving: %.0f%% at %s (paper: up to 23%%)\n", s*100, row)
 	}
+}
+
+// saturationTable prints the conclusions table for pts to w: per design point
+// and switch allocator (sep_if, sep_of, wf), the saturation throughput — the
+// accepted throughput at the knee (experiments.Saturated) that
+// curve.TraceCurve bisects through an in-process sweep server — and returns
+// those throughputs. A trace-replay workload is an error: the sweep service
+// cannot replay one.
+func saturationTable(ctx context.Context, w io.Writer, pts []experiments.Point, scale experiments.SimScale) ([][3]float64, error) {
+	srv, err := sweep.NewServer(sweep.Options{Workers: scale.Workers})
+	if err != nil {
+		return nil, err
+	}
+	defer srv.Close()
+	wl := scale.Workload.Normalized()
+	base := sweep.UnitConfig{
+		Pattern: wl.Pattern, Process: wl.Process, BurstLen: wl.BurstLen, Duty: wl.Duty,
+		Hotspots: wl.Hotspots, HotspotFraction: wl.HotspotFraction,
+		Warmup: scale.Warmup, Measure: scale.Measure, Drain: scale.Drain, Seed: scale.Seed,
+	}
+	fmt.Fprintf(w, "%-12s %7s %7s %7s  %s\n", "design point", "sep_if", "sep_of", "wf", "wf vs sep_if")
+	var rows [][3]float64
+	for _, pt := range pts {
+		base.Topo, base.VCsPerClass = pt.Topo, pt.Spec.VCsPerClass
+		var thr [3]float64
+		var cells [3]string
+		for i, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
+			base.SAArch = arch.String()
+			// Refinement runs after bisection and never moves the knee.
+			tr, err := curve.TraceCurve(ctx, srv, curve.Spec{Base: base, SlopeFactor: 1}, curve.Options{Workers: scale.Workers})
+			if err != nil {
+				return nil, err
+			}
+			thr[i], cells[i] = knee(tr)
+		}
+		fmt.Fprintf(w, "%-12s %7s %7s %7s  %+.1f%%\n", pt, cells[0], cells[1], cells[2], 100*(thr[2]/thr[0]-1))
+		rows = append(rows, thr)
+	}
+	return rows, nil
+}
+
+// knee returns the accepted throughput of tr's knee point and its table
+// cell, marked '>' when the curve never saturated below the scan's top rate
+// and '<' when it was saturated at the bottom one.
+func knee(tr curve.Trace) (float64, string) {
+	k := slices.IndexFunc(tr.Points, func(p curve.Point) bool { return p.Index == tr.KneeIndex })
+	thr, mark := tr.Points[k].Result.Throughput, ""
+	if !tr.KneeFound {
+		mark = ">"
+		if tr.KneeUpper == tr.KneeIndex {
+			mark = "<"
+		}
+	}
+	return thr, fmt.Sprintf("%s%.3f", mark, thr)
 }
 
 func section(title string) {

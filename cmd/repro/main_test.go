@@ -1,0 +1,46 @@
+package main
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/traffic"
+)
+
+// TestSaturationThroughputOrdering: the conclusions table's fbfly 2x2x4 row
+// reads the paper's ordering off the traced knees — wf's saturation
+// throughput above sep_if's with 16 VCs.
+func TestSaturationThroughputOrdering(t *testing.T) {
+	if testing.Short() {
+		t.Skip("knee traces are slow")
+	}
+	pt, _ := experiments.PointByName("fbfly", 4)
+	scale := experiments.SimScale{Warmup: 500, Measure: 1200, Drain: 1500, Seed: 9, Workers: 2}
+	var out strings.Builder
+	rows, err := saturationTable(context.Background(), &out, []experiments.Point{pt}, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sif, wf := rows[0][0], rows[0][2]
+	t.Logf("fbfly 2x2x4 knee throughput: wf %.3f vs sep_if %.3f (%+.0f%%; paper: +21%%)\n%s",
+		wf, sif, 100*(wf/sif-1), out.String())
+	// Both knees bracketed: the row carries no '<' or '>' mark.
+	if row := strings.SplitN(out.String(), "\n", 3)[1]; !strings.HasPrefix(row, "fbfly 2x2x4 ") || strings.ContainsAny(row, "<>") {
+		t.Fatalf("want a bracketed fbfly 2x2x4 row, got %q", row)
+	}
+	if wf <= sif {
+		t.Fatalf("wf knee throughput %.3f should exceed sep_if %.3f", wf, sif)
+	}
+}
+
+// TestSaturationTableRejectsTrace: the knees are traced through the sweep
+// service, which cannot replay a packet trace.
+func TestSaturationTableRejectsTrace(t *testing.T) {
+	pt, _ := experiments.PointByName("mesh", 1)
+	scale := experiments.SimScale{Warmup: 10, Measure: 20, Drain: 50, Workload: traffic.Workload{Process: "trace"}}
+	if _, err := saturationTable(context.Background(), &strings.Builder{}, []experiments.Point{pt}, scale); err == nil {
+		t.Fatal("trace workload accepted")
+	}
+}

@@ -57,13 +57,6 @@ type Spec struct {
 	// (default 1): bisection stops when the unsaturated/saturated bracket
 	// is at most this many indices wide.
 	KneeResolution int `json:"knee_resolution,omitempty"`
-	// DivergeTol is the accepted-throughput divergence criterion: a point
-	// whose throughput falls below rate*(1-DivergeTol) by more than half a
-	// lattice step counts as saturated even if the simulator's drain-based
-	// flag did not trip (default 0.05). The half-step absolute slack keeps
-	// sampling noise at low rates — where short measurement windows see few
-	// packets — from registering as divergence.
-	DivergeTol float64 `json:"diverge_tol,omitempty"`
 	// SlopeFactor drives the latency-slope refinement pass: after the knee
 	// is bracketed, midpoints are inserted between adjacent samples whose
 	// latency ratio exceeds this factor, concentrating points on the bend
@@ -108,9 +101,6 @@ func (s Spec) Normalized() Spec {
 	if s.KneeResolution == 0 {
 		s.KneeResolution = 1
 	}
-	if s.DivergeTol == 0 {
-		s.DivergeTol = 0.05
-	}
 	if s.SlopeFactor == 0 {
 		s.SlopeFactor = 2
 	}
@@ -146,9 +136,6 @@ func (s Spec) Validate() error {
 	if s.KneeResolution < 1 {
 		return fmt.Errorf("curve: knee_resolution %d < 1", s.KneeResolution)
 	}
-	if s.DivergeTol < 0 || s.DivergeTol >= 1 {
-		return fmt.Errorf("curve: diverge_tol %g outside [0, 1)", s.DivergeTol)
-	}
 	if s.MaxPoints > sweep.MaxUnits {
 		return fmt.Errorf("curve: max_points %d above %d", s.MaxPoints, sweep.MaxUnits)
 	}
@@ -177,20 +164,6 @@ func (s Spec) unitAt(i int) sweep.UnitConfig {
 	return u.Normalized()
 }
 
-// saturatedAt applies the tracer's knee criterion to one measured point:
-// the simulator's drain-based saturation flag, or accepted throughput
-// diverging from the offered rate by more than DivergeTol relative plus
-// half a lattice step absolute. The absolute slack matters at low rates:
-// a short measurement window sees few packets there, so the relative
-// error of the throughput estimate is large, and divergence smaller than
-// the lattice's own resolution carries no knee information.
-func (s Spec) saturatedAt(r sweep.UnitResult) bool {
-	if r.Saturated {
-		return true
-	}
-	return r.Rate > 0 && r.Throughput < r.Rate*(1-s.DivergeTol)-s.Step/2
-}
-
 // Point is one sampled curve point.
 type Point struct {
 	// Index is the lattice index; Result.Rate == Step * Index exactly.
@@ -198,8 +171,8 @@ type Point struct {
 	// Stage records which tracer phase sampled the point: "coarse",
 	// "bisect" or "refine".
 	Stage string `json:"stage"`
-	// Saturated is the tracer's knee criterion applied to the point (the
-	// raw simulator flag is Result.Saturated).
+	// Saturated is the knee criterion (experiments.Saturated) applied to
+	// the point (the raw simulator flag is Result.Saturated).
 	Saturated bool `json:"saturated"`
 	// Result is the full simulation unit result, byte-equal to what the
 	// batch CLIs compute for the same unit.
@@ -310,7 +283,7 @@ func TraceCurve(ctx context.Context, eval sweep.Evaluator, spec Spec, opts Optio
 	// the first saturated one, hi = that saturated index.
 	lo, hi := -1, -1
 	for k, i := range coarse {
-		if spec.saturatedAt(tr.results[i]) {
+		if experiments.Saturated(tr.results[i].NetPoint(), spec.Step) {
 			hi = i
 			if k > 0 {
 				lo = coarse[k-1]
@@ -340,7 +313,7 @@ func TraceCurve(ctx context.Context, eval sweep.Evaluator, spec Spec, opts Optio
 			if err := tr.evalAll(ctx, []int{mid}, "bisect"); err != nil {
 				return Trace{}, err
 			}
-			if spec.saturatedAt(tr.results[mid]) {
+			if experiments.Saturated(tr.results[mid].NetPoint(), spec.Step) {
 				hi = mid
 			} else {
 				lo = mid
@@ -382,7 +355,7 @@ func TraceCurve(ctx context.Context, eval sweep.Evaluator, spec Spec, opts Optio
 	for _, i := range tr.sortedIndices() {
 		r := tr.results[i]
 		out.Points = append(out.Points, Point{
-			Index: i, Stage: tr.stages[i], Saturated: spec.saturatedAt(r), Result: r,
+			Index: i, Stage: tr.stages[i], Saturated: experiments.Saturated(r.NetPoint(), spec.Step), Result: r,
 		})
 	}
 	out.KneeRate = lat.Rate(out.KneeIndex)

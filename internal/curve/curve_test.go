@@ -159,26 +159,6 @@ func TestTracerRespectsMaxPoints(t *testing.T) {
 	}
 }
 
-func TestThroughputDivergenceCriterion(t *testing.T) {
-	// A point whose drain-based flag did not trip still counts as saturated
-	// when accepted throughput diverges from the offered rate by more than
-	// the relative tolerance plus the half-lattice-step slack.
-	s := Spec{}.Normalized() // DivergeTol 0.05, Step 0.01 → threshold 0.4*0.95 - 0.005
-	r := sweep.UnitResult{Rate: 0.4, Throughput: 0.37}
-	if !s.saturatedAt(r) {
-		t.Fatal("diverged throughput not flagged saturated")
-	}
-	r.Throughput = 0.4
-	if s.saturatedAt(r) {
-		t.Fatal("tracking throughput flagged saturated")
-	}
-	// Divergence inside the half-step slack is sampling noise, not a knee.
-	r.Throughput = 0.4*(1-s.DivergeTol) - 0.004
-	if s.saturatedAt(r) {
-		t.Fatal("sub-lattice-resolution divergence flagged saturated")
-	}
-}
-
 func TestSpecNormalizeValidateID(t *testing.T) {
 	s := Spec{Base: sweep.UnitConfig{Topo: "fbfly", VCsPerClass: 2, Seed: 42, Rate: 0.33}}
 	n := s.Normalized()

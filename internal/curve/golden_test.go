@@ -98,10 +98,11 @@ func TestAdaptiveKneeMatchesFixedGrid(t *testing.T) {
 				t.Fatalf("no knee found below %g", tr.Spec.MaxRate)
 			}
 			// Fixed-grid reference: every lattice index in range (the points
-			// the trace already sampled come back as cache hits).
+			// the trace already sampled come back as cache hits), its knee
+			// read by NetSeries under the same criterion the tracer applies.
 			lat := tr.Spec.Lattice()
 			iMin, iMax := lat.Index(tr.Spec.MinRate), lat.Index(tr.Spec.MaxRate)
-			fixedKnee := iMax
+			var grid experiments.NetSeries
 			for i := iMin; i <= iMax; i++ {
 				u := tr.Spec.Base
 				u.Rate = lat.Rate(i)
@@ -109,11 +110,9 @@ func TestAdaptiveKneeMatchesFixedGrid(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tr.Spec.saturatedAt(res) {
-					fixedKnee = i - 1
-					break
-				}
+				grid.Points = append(grid.Points, res.NetPoint())
 			}
+			fixedKnee := iMin + grid.Knee(tr.Spec.Step)
 			if d := tr.KneeIndex - fixedKnee; d < -tr.Spec.KneeResolution || d > tr.Spec.KneeResolution {
 				t.Fatalf("adaptive knee index %d vs fixed-grid %d: outside one lattice step", tr.KneeIndex, fixedKnee)
 			}

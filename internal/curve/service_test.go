@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,5 +108,19 @@ func TestServiceRefusesOversizedBody(t *testing.T) {
 	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/curve", bytes.NewReader(append(body, `"}`...))))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("%d-byte body: %d, want 413", len(body), rec.Code)
+	}
+}
+
+// TestServiceRejectsDivergeTol: the knee criterion has one tolerance
+// (experiments.Saturated), so a /curve body still carrying the removed
+// per-request "diverge_tol" is an unknown field, a 400.
+func TestServiceRejectsDivergeTol(t *testing.T) {
+	svc := NewService(newFakeEval(0.25))
+	defer svc.Close()
+	rec := httptest.NewRecorder()
+	body := `{"base":{"topo":"mesh","seed":42},"step":0.01,"diverge_tol":0.05}`
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/curve", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("diverge_tol body: %d %s, want 400", rec.Code, rec.Body)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/quality"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -277,16 +276,51 @@ type NetSeries struct {
 	Points []NetPoint
 }
 
-// SaturationRate estimates the series' saturation throughput: the highest
-// observed accepted rate.
-func (s NetSeries) SaturationRate() float64 {
-	best := 0.0
-	for _, p := range s.Points {
-		if p.Throughput > best {
-			best = p.Throughput
+// gridStep is the spacing of the paper's fixed injection-rate grid
+// (InjectionRates).
+const gridStep = 0.05
+
+// divergeTol is the knee criterion's relative throughput tolerance.
+const divergeTol = 0.05
+
+// Saturated is the repository's one saturation definition: the knee
+// criterion behind every "saturation throughput" it reports, the paper's
+// term for its headline (§6: wf +15 % / +21 % over sep_if on the fbfly with
+// 8 / 16 VCs). A point on a rate grid of spacing step is saturated when the
+// network did not drain or accepted throughput no longer tracks offered load:
+//
+//	p.Saturated  ||  (p.Rate > 0 && p.Throughput < p.Rate·(1−0.05) − step/2)
+//
+// p.Saturated is sim.Result.Saturated (over 2 % of measured packets
+// undrained), a measurement feeding this criterion, not a definition of
+// its own. The half-step slack keeps low-rate sampling noise, where a short
+// window sees few packets, from registering as divergence.
+func Saturated(p NetPoint, step float64) bool {
+	if p.Saturated {
+		return true
+	}
+	return p.Rate > 0 && p.Throughput < p.Rate*(1-divergeTol)-step/2
+}
+
+// Knee returns the index of the series' knee on a rate grid of spacing step:
+// the last point, in ascending rate order, before the first Saturated one
+// (-1 if that is the first point; the last point if none is).
+func (s NetSeries) Knee(step float64) int {
+	for i, p := range s.Points {
+		if Saturated(p, step) {
+			return i - 1
 		}
 	}
-	return best
+	return len(s.Points) - 1
+}
+
+// SaturationRate is the accepted throughput of the series' knee point on
+// the paper's grid (Knee(gridStep)), or 0 if the first point is saturated.
+func (s NetSeries) SaturationRate() float64 {
+	if k := s.Knee(gridStep); k >= 0 {
+		return s.Points[k].Throughput
+	}
+	return 0
 }
 
 // InjectionRates returns the paper's x-axis sweep for a design point
@@ -309,7 +343,7 @@ func InjectionRates(pt Point) []float64 {
 		max = 0.70
 	}
 	var rates []float64
-	for r := 0.05; r <= max+1e-9; r += 0.05 {
+	for r := gridStep; r <= max+1e-9; r += gridStep {
 		rates = append(rates, r)
 	}
 	return rates
@@ -543,30 +577,6 @@ func FormatNetSeries(series []NetSeries) string {
 		out += "\n"
 	}
 	return out
-}
-
-// SaturationThroughput estimates the saturation throughput of a design
-// point under a given switch allocator architecture by sweeping the offered
-// load and taking the highest accepted rate (paper conclusions: wf beats
-// sep_if by 15% / 21% on the fbfly with 8 / 16 VCs).
-func SaturationThroughput(pt Point, swArch alloc.Arch, scale SimScale) float64 {
-	offered := InjectionRates(pt)
-	accepted := make([]float64, len(offered))
-	for i, rate := range offered {
-		cfg := BuildSim(pt, rate, scale)
-		cfg.SA.Arch = swArch
-		res := sim.New(cfg).Run()
-		accepted[i] = res.Throughput
-		// Once two consecutive points stop tracking offered load the
-		// plateau is established; stop early to bound runtime.
-		if i >= 1 && accepted[i] < offered[i]*0.9 && accepted[i-1] < offered[i-1]*0.95 {
-			accepted = accepted[:i+1]
-			offered = offered[:i+1]
-			break
-		}
-	}
-	best, _ := stats.SaturationEstimate(offered, accepted, 0.05)
-	return best
 }
 
 // WorkloadName renders the series label for a workload: the arrival process

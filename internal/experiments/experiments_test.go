@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/alloc"
 	"repro/internal/costmodel"
 	"repro/internal/quality"
 	"repro/internal/sim"
@@ -240,9 +239,63 @@ func TestVASweepSmallRun(t *testing.T) {
 }
 
 func TestSaturationRateHelper(t *testing.T) {
-	s := NetSeries{Points: []NetPoint{{Throughput: 0.2}, {Throughput: 0.5}, {Throughput: 0.45}}}
-	if s.SaturationRate() != 0.5 {
-		t.Fatalf("SaturationRate = %f", s.SaturationRate())
+	// The highest accepted throughput lies past the knee: 0.4 diverges
+	// (0.31 < 0.4·0.95 − 0.025) and 0.5 did not drain, yet accepts more
+	// than the knee point 0.3 does. The saturation throughput is the knee's.
+	s := NetSeries{Points: []NetPoint{
+		{Rate: 0.1, Throughput: 0.1},
+		{Rate: 0.2, Throughput: 0.2},
+		{Rate: 0.3, Throughput: 0.29},
+		{Rate: 0.4, Throughput: 0.31},
+		{Rate: 0.5, Throughput: 0.33, Saturated: true},
+	}}
+	if k := s.Knee(gridStep); k != 2 {
+		t.Fatalf("Knee = %d, want 2", k)
+	}
+	if got := s.SaturationRate(); got != 0.29 {
+		t.Fatalf("SaturationRate = %g, want the knee point's 0.29", got)
+	}
+	// Never saturated: the knee is the last point.
+	if got := (NetSeries{Points: s.Points[:3]}).SaturationRate(); got != 0.29 {
+		t.Fatalf("unsaturated series: SaturationRate = %g, want 0.29", got)
+	}
+	// Saturated from the first point: no knee on the grid.
+	if got := (NetSeries{Points: s.Points[4:]}).SaturationRate(); got != 0 {
+		t.Fatalf("saturated series: SaturationRate = %g, want 0", got)
+	}
+}
+
+func TestThroughputDivergenceCriterion(t *testing.T) {
+	// A point whose drain-based flag did not trip still counts as saturated
+	// when accepted throughput diverges from the offered rate by more than
+	// the relative tolerance plus the half-step slack.
+	const step = 0.01 // threshold 0.4·0.95 − 0.005 = 0.375
+	p := NetPoint{Rate: 0.4, Throughput: 0.37}
+	if !Saturated(p, step) {
+		t.Fatal("diverged throughput not flagged saturated")
+	}
+	p.Throughput = 0.4
+	if Saturated(p, step) {
+		t.Fatal("tracking throughput flagged saturated")
+	}
+	// Divergence inside the half-step slack is sampling noise, not a knee.
+	p.Throughput = 0.4*(1-divergeTol) - 0.004
+	if Saturated(p, step) {
+		t.Fatal("sub-lattice-resolution divergence flagged saturated")
+	}
+	// On the paper's grid the slack is 0.025: threshold 0.355.
+	if p := (NetPoint{Rate: 0.4, Throughput: 0.37}); Saturated(p, gridStep) {
+		t.Fatal("divergence inside the grid's half step flagged saturated")
+	}
+	if p := (NetPoint{Rate: 0.4, Throughput: 0.35}); !Saturated(p, gridStep) {
+		t.Fatal("divergence past the grid's half step not flagged saturated")
+	}
+	// The drain flag alone saturates; at rate 0 (trace replay) only it can.
+	if !Saturated(NetPoint{Rate: 0.4, Throughput: 0.4, Saturated: true}, step) {
+		t.Fatal("undrained point not saturated")
+	}
+	if Saturated(NetPoint{}, step) {
+		t.Fatal("rate-0 point saturated without the drain flag")
 	}
 }
 
@@ -253,23 +306,6 @@ func TestBuildSimUnknownTopoPanics(t *testing.T) {
 		}
 	}()
 	BuildSim(Point{Topo: "ring", Ports: 3, Spec: Points()[0].Spec}, 0.1, DefaultScale())
-}
-
-func TestSaturationThroughputOrdering(t *testing.T) {
-	// Conclusions: wf achieves higher saturation throughput than sep_if on
-	// the flattened butterfly with 16 VCs.
-	if testing.Short() {
-		t.Skip("saturation sweep is slow")
-	}
-	pt, _ := PointByName("fbfly", 4)
-	scale := SimScale{Warmup: 500, Measure: 1200, Drain: 1500, Seed: 9}
-	wf := SaturationThroughput(pt, alloc.Wavefront, scale)
-	sif := SaturationThroughput(pt, alloc.SepIF, scale)
-	t.Logf("fbfly 2x2x4 saturation: wf %.3f vs sep_if %.3f (+%.0f%%; paper: +21%%)",
-		wf, sif, 100*(wf/sif-1))
-	if wf <= sif {
-		t.Fatalf("wf saturation %.3f should exceed sep_if %.3f", wf, sif)
-	}
 }
 
 func TestPatternSweepInvariance(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package stats provides the streaming statistics used by the network
-// simulator: a running mean, exact order statistics over
-// bounded integer domains (cycle-count histograms), and simple saturation
-// detection helpers.
+// simulator: a running mean and exact order statistics over bounded
+// integer domains (cycle-count histograms).
 //
 // Packet latencies in a cycle-accurate simulation are small non-negative
 // integers, so quantiles are computed exactly from a sparse histogram
@@ -109,27 +108,4 @@ func (h *Hist) Max() int {
 		}
 	}
 	return max
-}
-
-// SaturationEstimate locates the saturation throughput from a monotone
-// offered-load sweep: the highest accepted throughput observed before (or
-// at) the point where accepted throughput stops tracking offered load
-// within tolerance. The inputs are parallel slices of offered and accepted
-// rates; it returns the estimate and the index of the last tracking point
-// (-1 if none track).
-func SaturationEstimate(offered, accepted []float64, tolerance float64) (float64, int) {
-	if len(offered) != len(accepted) {
-		panic("stats: slice length mismatch")
-	}
-	best := 0.0
-	lastTracking := -1
-	for i := range offered {
-		if accepted[i] > best {
-			best = accepted[i]
-		}
-		if offered[i] > 0 && accepted[i] >= offered[i]*(1-tolerance) {
-			lastTracking = i
-		}
-	}
-	return best, lastTracking
 }

@@ -124,34 +124,3 @@ func TestQuickHistQuantileExact(t *testing.T) {
 		}
 	}
 }
-
-func TestSaturationEstimate(t *testing.T) {
-	offered := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	accepted := []float64{0.1, 0.2, 0.3, 0.34, 0.33}
-	sat, last := SaturationEstimate(offered, accepted, 0.05)
-	if sat != 0.34 {
-		t.Fatalf("saturation = %f, want 0.34", sat)
-	}
-	if last != 2 {
-		t.Fatalf("last tracking index = %d, want 2", last)
-	}
-	// Fully tracking sweep.
-	sat, last = SaturationEstimate(offered, offered, 0.01)
-	if sat != 0.5 || last != 4 {
-		t.Fatalf("tracking sweep gave (%f, %d)", sat, last)
-	}
-	// Nothing tracks.
-	_, last = SaturationEstimate([]float64{0.5}, []float64{0.1}, 0.05)
-	if last != -1 {
-		t.Fatalf("last = %d, want -1", last)
-	}
-}
-
-func TestSaturationEstimateMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	SaturationEstimate([]float64{1}, nil, 0.1)
-}
