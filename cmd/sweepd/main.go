@@ -333,16 +333,24 @@ func runSelfcheck(srv *sweep.Server, opts sweep.Options) error {
 	return nil
 }
 
+// minJobWait is how long a job request must at least hold before it may
+// answer "running": the service's one-second wait, less slack for timers. The
+// check is one-sided, so a slow runner cannot fail it.
+const minJobWait = 900 * time.Millisecond
+
 // checkCurveJob drives one tiny adaptive trace through the job API at url:
 // submit (202), poll until done, resubmit (the same job, already done), and
-// poll an unknown ID (404).
+// poll an unknown ID (404). A submit or poll that answers "running" sooner
+// than minJobWait fails.
 func checkCurveJob(url string) error {
 	spec, _ := json.Marshal(curve.Spec{
 		Base: sweep.UnitConfig{Topo: "mesh", Seed: 42, Warmup: 50, Measure: 100, Drain: 500},
 		Step: 0.05, MinRate: 0.05, MaxRate: 0.2, Coarse: 2, MaxPoints: 3,
 	})
 	var st jobs.Status[curve.Spec, curve.Trace]
-	call := func(resp *http.Response, err error) error {
+	call := func(send func() (*http.Response, error)) error {
+		start := time.Now()
+		resp, err := send()
 		if err != nil {
 			return err
 		}
@@ -354,14 +362,22 @@ func checkCurveJob(url string) error {
 		if resp.StatusCode != want {
 			return fmt.Errorf("%s %s: %s", resp.Request.Method, resp.Request.URL, resp.Status)
 		}
-		return json.NewDecoder(resp.Body).Decode(&st)
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			return err
+		}
+		if took := time.Since(start); st.Status == "running" && took < minJobWait {
+			return fmt.Errorf("%s %s answered running after %v, want a wait of %v", resp.Request.Method, resp.Request.URL, took, minJobWait)
+		}
+		return nil
 	}
-	if err := call(http.Post(url, "application/json", bytes.NewReader(spec))); err != nil {
+	submit := func() (*http.Response, error) { return http.Post(url, "application/json", bytes.NewReader(spec)) }
+	if err := call(submit); err != nil {
 		return err
 	}
 	id := st.Job
-	for deadline := time.Now().Add(time.Minute); st.Status == "running"; time.Sleep(5 * time.Millisecond) {
-		if err := call(http.Get(url + "?job=" + id)); err != nil || time.Now().After(deadline) {
+	poll := func() (*http.Response, error) { return http.Get(url + "?job=" + id) }
+	for deadline := time.Now().Add(time.Minute); st.Status == "running"; {
+		if err := call(poll); err != nil || time.Now().After(deadline) {
 			return fmt.Errorf("polling curve job %s: %q, %v", id, st.Status, err)
 		}
 	}
@@ -369,7 +385,7 @@ func checkCurveJob(url string) error {
 		return fmt.Errorf("curve job finished %q (%s) with progress %d", st.Status, st.Error, st.Simulated)
 	}
 	trace := *st.Result
-	if err := call(http.Post(url, "application/json", bytes.NewReader(spec))); err != nil || st.Job != id || st.Status != "done" {
+	if err := call(submit); err != nil || st.Job != id || st.Status != "done" {
 		return fmt.Errorf("resubmitted curve job: %s %q, %v; want %s done", st.Job, st.Status, err, id)
 	}
 	resp, err := http.Get(url + "?job=unknown")

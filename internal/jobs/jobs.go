@@ -1,5 +1,8 @@
 // Package jobs is the batch face of the sweep service: a client POSTs a spec
-// and polls the job it names instead of holding a request open for minutes.
+// and gets the job it names instead of holding a request open for minutes.
+// A submit or poll of a running job answers when the job finishes, or with
+// its progress after at most a second, so a client that repeats the poll
+// until done sends one request a second, not one per sleep of its own.
 // The job ID is the normalized spec's hash, so a resubmit attaches to its job.
 // sweepd mounts two services, /pareto (dse.Search) and /curve (TraceCurve).
 package jobs
@@ -9,7 +12,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/sweep"
 )
@@ -52,6 +57,10 @@ const MaxFinished = 256
 // past the cap is refused with 503 and Retry-After.
 const MaxRunning = 64
 
+// maxWait bounds how long a submit or poll holds its request for a running
+// job before it answers with the job's progress.
+const maxWait = time.Second
+
 // ErrBusy refuses a new job while MaxRunning jobs run, or after Close.
 var ErrBusy = errors.New("jobs: too many running jobs")
 
@@ -70,6 +79,7 @@ type Service[S Spec[S], R any] struct {
 type job[S, R any] struct {
 	st     Status[S, R]
 	cancel context.CancelFunc
+	done   chan struct{} // closed once st is final
 }
 
 // New returns a job service that computes each job with run, which reports
@@ -79,28 +89,41 @@ func New[S Spec[S], R any](run func(ctx context.Context, spec S, progress func(P
 }
 
 // Submit starts the job for spec on a background context, or attaches to the
-// job with its ID, and returns its status; a new job may be ErrBusy.
+// job with its ID, and returns its status; a new job may be ErrBusy. A
+// canceled job is started afresh.
 func (s *Service[S, R]) Submit(spec S) (Status[S, R], error) {
+	j, err := s.submit(spec)
+	if err != nil {
+		return Status[S, R]{}, err
+	}
+	return s.snapshot(j), nil
+}
+
+func (s *Service[S, R]) submit(spec S) (*job[S, R], error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
-		return Status[S, R]{}, err
+		return nil, err
 	}
 	id := spec.ID()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		return j.st, nil
+	j, ok := s.jobs[id]
+	if ok && j.st.Status != "canceled" {
+		return j, nil
 	}
 	if s.closed || s.running >= MaxRunning {
-		return Status[S, R]{}, ErrBusy
+		return nil, ErrBusy
+	}
+	if ok { // the restarted job must not be evicted as the canceled one
+		s.finished = slices.DeleteFunc(s.finished, func(f string) bool { return f == id })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job[S, R]{st: Status[S, R]{Job: id, Status: "running", Spec: spec}, cancel: cancel}
+	j = &job[S, R]{st: Status[S, R]{Job: id, Status: "running", Spec: spec}, cancel: cancel, done: make(chan struct{})}
 	s.jobs[id] = j
 	s.running++
 	s.wg.Add(1)
 	go s.runJob(ctx, j, spec)
-	return j.st, nil
+	return j, nil
 }
 
 func (s *Service[S, R]) runJob(ctx context.Context, j *job[S, R], spec S) {
@@ -123,6 +146,7 @@ func (s *Service[S, R]) runJob(ctx context.Context, j *job[S, R], spec S) {
 		j.st.Status, j.st.Result = "done", &res
 	}
 	j.cancel()
+	close(j.done)
 	s.running--
 	s.finished = append(s.finished, j.st.Job)
 	if len(s.finished) > MaxFinished {
@@ -133,12 +157,40 @@ func (s *Service[S, R]) runJob(ctx context.Context, j *job[S, R], spec S) {
 
 // Status returns a job's view, or false if its ID is unknown or forgotten.
 func (s *Service[S, R]) Status(id string) (Status[S, R], bool) {
+	j, ok := s.lookup(id)
+	if !ok {
+		return Status[S, R]{}, false
+	}
+	return s.snapshot(j), true
+}
+
+func (s *Service[S, R]) lookup(id string) (*job[S, R], bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		return j.st, true
+	j, ok := s.jobs[id]
+	return j, ok
+}
+
+func (s *Service[S, R]) snapshot(j *job[S, R]) Status[S, R] {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.st
+}
+
+// await returns j's status once j finishes, ctx ends or maxWait passes.
+func (s *Service[S, R]) await(ctx context.Context, j *job[S, R]) Status[S, R] {
+	select {
+	case <-j.done:
+	default:
+		t := time.NewTimer(maxWait)
+		defer t.Stop()
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+		case <-t.C:
+		}
 	}
-	return Status[S, R]{}, false
+	return s.snapshot(j)
 }
 
 // Cancel aborts a running job (its in-flight simulations stop at their next
@@ -164,9 +216,10 @@ func (s *Service[S, R]) Close() {
 }
 
 // ServeHTTP serves the job API on one route: POST {spec} submits (202),
-// GET ?job=<id> polls (200), DELETE ?job=<id> cancels (200). An unknown or
-// forgotten ID is a 404; a malformed or invalid spec a 400, a body over
-// sweep.MaxBodyBytes a 413, a new job past MaxRunning a 503.
+// GET ?job=<id> polls (200), DELETE ?job=<id> cancels (200). POST and GET
+// answer when the job finishes, the request ends or maxWait passes, whichever
+// is first. An unknown or forgotten ID is a 404; a malformed or invalid spec
+// a 400, a body over sweep.MaxBodyBytes a 413, a new job past MaxRunning a 503.
 func (s *Service[S, R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	id := r.URL.Query().Get("job")
@@ -176,7 +229,7 @@ func (s *Service[S, R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if !sweep.DecodeBody(w, r, &spec) {
 			return
 		}
-		st, err := s.Submit(spec)
+		j, err := s.submit(spec)
 		switch {
 		case errors.Is(err, ErrBusy):
 			w.Header().Set("Retry-After", "1")
@@ -184,15 +237,15 @@ func (s *Service[S, R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			http.Error(w, err.Error(), http.StatusBadRequest)
 		default:
-			writeJSON(w, http.StatusAccepted, st)
+			writeJSON(w, http.StatusAccepted, s.await(r.Context(), j))
 		}
 	case http.MethodGet, http.MethodDelete:
-		st, ok := s.Status(id)
+		j, ok := s.lookup(id)
 		switch {
 		case !ok:
 			http.Error(w, "unknown job", http.StatusNotFound)
 		case r.Method == http.MethodGet:
-			writeJSON(w, http.StatusOK, st)
+			writeJSON(w, http.StatusOK, s.await(r.Context(), j))
 		default:
 			s.Cancel(id)
 			writeJSON(w, http.StatusOK, map[string]bool{"canceled": true})

@@ -71,8 +71,26 @@ func openGate() chan struct{} {
 // call sends one request to h and decodes the status it answers, if any.
 func call(t *testing.T, h http.Handler, method, target, body string) (int, Status[spec, result]) {
 	t.Helper()
+	return callCtx(t, context.Background(), h, method, target, body)
+}
+
+// brief is the deadline of a request that wants a running job's status now,
+// not after maxWait.
+const brief = 10 * time.Millisecond
+
+// callBrief is call with a request that ends after brief.
+func callBrief(t *testing.T, h http.Handler, method, target, body string) (int, Status[spec, result]) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), brief)
+	defer cancel()
+	return callCtx(t, ctx, h, method, target, body)
+}
+
+// callCtx is call with a request that ends with ctx.
+func callCtx(t *testing.T, ctx context.Context, h http.Handler, method, target, body string) (int, Status[spec, result]) {
+	t.Helper()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)).WithContext(ctx))
 	var st Status[spec, result]
 	if rec.Code == http.StatusOK || rec.Code == http.StatusAccepted {
 		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
@@ -101,12 +119,12 @@ func TestLifecycle(t *testing.T) {
 	defer s.Close()
 
 	id := spec{Name: "a"}.ID()
-	code, st := call(t, s, http.MethodPost, "/j", `{"name":"a"}`)
+	code, st := callBrief(t, s, http.MethodPost, "/j", `{"name":"a"}`)
 	if code != http.StatusAccepted || st.Job != id || st.Status != "running" || st.Spec.N != 3 {
 		t.Fatalf("submit: %d %+v, want 202, job %s running with the normalized spec", code, st, id)
 	}
 	// Resubmitting while it runs — spelled in full this time — attaches.
-	if code, again := call(t, s, http.MethodPost, "/j", `{"name":"a","n":3}`); code != http.StatusAccepted || again.Job != id || again.Status != "running" {
+	if code, again := callBrief(t, s, http.MethodPost, "/j", `{"name":"a","n":3}`); code != http.StatusAccepted || again.Job != id || again.Status != "running" {
 		t.Fatalf("resubmit while running: %d %+v", code, again)
 	}
 	close(gate)
@@ -131,7 +149,7 @@ func TestLifecycle(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := newService(make(chan struct{}))
 	defer s.Close()
-	_, st := call(t, s, http.MethodPost, "/j", `{"name":"c"}`)
+	_, st := callBrief(t, s, http.MethodPost, "/j", `{"name":"c"}`)
 	if code, _ := call(t, s, http.MethodDelete, "/j?job="+st.Job, ""); code != http.StatusOK {
 		t.Fatalf("cancel: %d", code)
 	}
@@ -204,7 +222,7 @@ func TestRunningCap(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("submit past the cap: %d, Retry-After %q; want 503 with Retry-After", rec.Code, rec.Header().Get("Retry-After"))
 	}
-	if code, st := call(t, s, http.MethodPost, "/j", `{"name":"0"}`); code != http.StatusAccepted || st.Status != "running" {
+	if code, st := callBrief(t, s, http.MethodPost, "/j", `{"name":"0"}`); code != http.StatusAccepted || st.Status != "running" {
 		t.Fatalf("resubmit at the cap: %d %+v", code, st)
 	}
 	s.Cancel(spec{Name: "0"}.ID())
@@ -214,15 +232,21 @@ func TestRunningCap(t *testing.T) {
 	}
 }
 
-// TestCloseWaits: Close cancels running jobs, refuses new ones and leaves no
-// goroutine behind.
+// TestCloseWaits: Close cancels running jobs, refuses new ones, answers the
+// requests waiting on them, and leaves no goroutine behind.
 func TestCloseWaits(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := newService(make(chan struct{}))
+	answers := make(chan string)
 	for i := 0; i < 8; i++ {
-		if _, err := s.Submit(spec{Name: strconv.Itoa(i)}); err != nil {
+		st, err := s.Submit(spec{Name: strconv.Itoa(i)})
+		if err != nil {
 			t.Fatal(err)
 		}
+		go func() {
+			_, st := call(t, s, http.MethodGet, "/j?job="+st.Job, "")
+			answers <- st.Status
+		}()
 	}
 	s.Close()
 	if st, _ := s.Status(spec{Name: "0"}.ID()); st.Status != "canceled" {
@@ -231,9 +255,136 @@ func TestCloseWaits(t *testing.T) {
 	if _, err := s.Submit(spec{Name: "late"}); !errors.Is(err, ErrBusy) {
 		t.Fatalf("submit after Close: %v, want ErrBusy", err)
 	}
+	for i := 0; i < 8; i++ {
+		select {
+		case got := <-answers:
+			if got != "canceled" {
+				t.Fatalf("request waiting at Close answered %q, want canceled", got)
+			}
+		case <-time.After(maxWait / 2):
+			t.Fatal("a request waiting at Close is still waiting")
+		}
+	}
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Close, %d before the service", runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// TestSubmitAnswersDone: a job that finishes inside the wait costs one
+// request, answered like the resubmit of a finished job.
+func TestSubmitAnswersDone(t *testing.T) {
+	s := newService(openGate())
+	defer s.Close()
+	code, st := call(t, s, http.MethodPost, "/j", `{"name":"quick"}`)
+	if code != http.StatusAccepted || st.Status != "done" || st.Result == nil || st.Result.Units != 3 || st.Simulated != 3 {
+		t.Fatalf("submit: %d %+v, want 202 done with 3 units", code, st)
+	}
+}
+
+// asyncGet starts a GET of job id and delivers the status it answers.
+func asyncGet(t *testing.T, s *Service[spec, result], id string) <-chan Status[spec, result] {
+	answer := make(chan Status[spec, result], 1)
+	go func() {
+		_, st := call(t, s, http.MethodGet, "/j?job="+id, "")
+		answer <- st
+	}()
+	return answer
+}
+
+// TestPollAnswersWhenDone: a GET on a running job is held until the job
+// finishes, and answers then, well before maxWait.
+func TestPollAnswersWhenDone(t *testing.T) {
+	gate := make(chan struct{})
+	s := newService(gate)
+	defer s.Close()
+	st, err := s.Submit(spec{Name: "held"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	answer := asyncGet(t, s, st.Job)
+	time.Sleep(brief)
+	select {
+	case st := <-answer:
+		t.Fatalf("GET on a held job answered %q at once", st.Status)
+	default:
+	}
+	close(gate)
+	select {
+	case st = <-answer:
+	case <-time.After(maxWait):
+		t.Fatal("GET not answered by maxWait after the job finished")
+	}
+	if took := time.Since(start); st.Status != "done" || st.Result == nil || took >= maxWait/2 {
+		t.Fatalf("GET answered %+v after %v, want done well before %v", st, took, maxWait)
+	}
+}
+
+// TestPollContextEnds: a request that ends answers the running status at once.
+func TestPollContextEnds(t *testing.T) {
+	s := newService(make(chan struct{}))
+	defer s.Close()
+	st, err := s.Submit(spec{Name: "held"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	code, st := callCtx(t, ctx, s, http.MethodGet, "/j?job="+st.Job, "")
+	if took := time.Since(start); code != http.StatusOK || st.Status != "running" || took >= maxWait/2 {
+		t.Fatalf("GET with an ended request: %d %q after %v, want running at once", code, st.Status, took)
+	}
+}
+
+// TestCancelAnswersWaitingPoll: a DELETE while a GET waits makes the GET
+// answer canceled.
+func TestCancelAnswersWaitingPoll(t *testing.T) {
+	s := newService(make(chan struct{}))
+	defer s.Close()
+	st, err := s.Submit(spec{Name: "held"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := asyncGet(t, s, st.Job)
+	time.Sleep(brief)
+	if code, _ := call(t, s, http.MethodDelete, "/j?job="+st.Job, ""); code != http.StatusOK {
+		t.Fatalf("cancel: %d", code)
+	}
+	select {
+	case st = <-answer:
+	case <-time.After(maxWait / 2):
+		t.Fatal("GET still waiting after the job was canceled")
+	}
+	if st.Status != "canceled" {
+		t.Fatalf("waiting GET answered %q, want canceled", st.Status)
+	}
+}
+
+// TestResubmitCanceled: a canceled job is started afresh by a resubmit, and
+// its ID is no longer queued for eviction as a finished job.
+func TestResubmitCanceled(t *testing.T) {
+	gate := make(chan struct{})
+	s := newService(gate)
+	defer s.Close()
+	id := spec{Name: "again"}.ID()
+	callBrief(t, s, http.MethodPost, "/j", `{"name":"again"}`)
+	s.Cancel(id)
+	if st := wait(t, s, id); st.Status != "canceled" {
+		t.Fatalf("canceled job reports %q", st.Status)
+	}
+	if code, st := callBrief(t, s, http.MethodPost, "/j", `{"name":"again"}`); code != http.StatusAccepted || st.Status != "running" {
+		t.Fatalf("resubmit of a canceled job: %d %+v, want 202 running", code, st)
+	}
+	close(gate)
+	if st := wait(t, s, id); st.Status != "done" || st.Result == nil {
+		t.Fatalf("restarted job finished %+v, want done", st)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.finished) != 1 {
+		t.Fatalf("finished queue %v, want the restarted job once", s.finished)
 	}
 }

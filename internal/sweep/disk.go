@@ -69,6 +69,14 @@ type DiskStore struct {
 // the directory is ignored by accounting and never read.
 const diskSuffix = ".json"
 
+// tempPrefix names Put's temp files. One older than staleTempAge was left by
+// a process killed between write and rename (a live Put holds its temp file
+// for microseconds), and the next open deletes it.
+const (
+	tempPrefix   = ".tmp-"
+	staleTempAge = time.Hour
+)
+
 // OpenDiskStore opens (creating if needed) the unbounded disk tier rooted
 // at root, scoped to the current SchemaVersion.
 func OpenDiskStore(root string) (*DiskStore, error) {
@@ -99,12 +107,19 @@ func openDiskStoreVersion(root string, version int) (*DiskStore, error) {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
 	d := &DiskStore{dir: dir}
-	// Seed the size accounting from what a previous process left behind.
+	// Seed the size accounting from what a previous process left behind, and
+	// reclaim the temp files it was killed before renaming.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
 	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tempPrefix) && !e.IsDir() {
+			if info, err := e.Info(); err == nil && time.Since(info.ModTime()) > staleTempAge {
+				os.Remove(filepath.Join(dir, e.Name()))
+				continue
+			}
+		}
 		if e.IsDir() || !strings.HasSuffix(e.Name(), diskSuffix) {
 			continue
 		}
@@ -176,7 +191,7 @@ func (d *DiskStore) Put(key string, val []byte) {
 		d.writeErrors++
 		d.mu.Unlock()
 	}
-	tmp, err := os.CreateTemp(d.dir, ".tmp-*")
+	tmp, err := os.CreateTemp(d.dir, tempPrefix+"*")
 	if err != nil {
 		fail()
 		return

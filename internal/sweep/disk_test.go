@@ -429,6 +429,47 @@ func TestDiskStoreIgnoresStrayFiles(t *testing.T) {
 	}
 }
 
+// TestDiskStoreReclaimsStaleTemps: opening the store deletes the temp files a
+// killed process left behind, once they are older than staleTempAge, and
+// leaves a fresh temp file (a live Put's) and every result in place.
+func TestDiskStoreReclaimsStaleTemps(t *testing.T) {
+	root := t.TempDir()
+	d1, err := OpenDiskStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1.Put("kept", diskVal(t, "kept"))
+	stale := filepath.Join(d1.Dir(), tempPrefix+"stale")
+	fresh := filepath.Join(d1.Dir(), tempPrefix+"fresh")
+	for _, f := range []string{stale, fresh} {
+		if err := os.WriteFile(f, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	for _, f := range []string{stale, d1.path("kept")} { // an old result stays
+		if err := os.Chtimes(f, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d2, err := OpenDiskStore(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived open: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatalf("fresh temp file removed: %v", err)
+	}
+	if _, ok := d2.Get("kept"); !ok {
+		t.Fatal("result lost at open")
+	}
+	if st, st1 := d2.Stats(), d1.Stats(); st.Files != 1 || st.Bytes != st1.Bytes {
+		t.Fatalf("accounting after open %+v, want the one result of %+v", st, st1)
+	}
+}
+
 // agedPut writes key and backdates its mtime so LRU eviction order is
 // deterministic regardless of filesystem timestamp resolution.
 func agedPut(t *testing.T, d *DiskStore, key string, age time.Duration) {
