@@ -46,10 +46,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "concurrently swept rate points (results are identical for any value)")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
-	blockprofile := fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
-	mutexprofile := fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
+	profiles := prof.Flags(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -63,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	stop, err := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile, Block: *blockprofile, Mutex: *mutexprofile})
+	stop, err := prof.StartAll(profiles())
 	if err != nil {
 		fmt.Fprintln(stderr, "matchquality:", err)
 		return 1

@@ -33,9 +33,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -49,38 +50,63 @@ import (
 	"repro/internal/sweep"
 )
 
-func main() {
-	out := flag.String("out", "", "write the full search result as JSON to this file ('-' = stdout)")
-	cacheDir := flag.String("cachedir", "", "disk cache directory shared with sweepd (empty = memory-only)")
-	topos := flag.String("topos", "", "comma-separated topologies to search (default mesh,fbfly)")
-	vcs := flag.String("vcs", "", "comma-separated VCs-per-class values (default 1,2,4)")
-	meshRate := flag.Float64("meshrate", 0, "mesh evaluation load (default 0.44)")
-	fbflyRate := flag.Float64("fbflyrate", 0, "fbfly evaluation load (default 0.60)")
-	patterns := flag.String("patterns", "", "comma-separated traffic patterns to search (default uniform)")
-	processes := flag.String("processes", "", "comma-separated arrival processes to search (default bernoulli; trace is batch-only)")
-	burstLen := flag.Float64("burstlen", 0, "mmp mean burst length when the processes axis includes mmp (default 32)")
-	duty := flag.Float64("duty", 0, "mmp duty cycle when the processes axis includes mmp (default 0.25)")
-	hotspots := flag.String("hotspots", "", "comma-separated hotspot terminals when the patterns axis includes hotspot (default 0)")
-	hotFrac := flag.Float64("hotfrac", 0, "fraction of traffic aimed at the hotspot set (default 0.2)")
-	curves := flag.Bool("curves", false, "after the search, trace an adaptive latency-throughput curve for every frontier point (each curve reuses the search's cached evaluation point)")
-	curveStep := flag.Float64("curvestep", experiments.DefaultLatticeStep, "rate-lattice step for -curves; every sampled rate is an exact multiple")
-	curvePoints := flag.Int("curvepoints", 0, "simulated-point budget per curve for -curves (default 64)")
-	noPrune := flag.Bool("noprune", false, "disable dominance pruning (simulate every feasible point; frontier is identical)")
-	smoke := flag.Bool("smoke", false, "reduced space at a tiny scale (CI smoke)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	scaleOf := experiments.ScaleFlags(flag.CommandLine,
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the tables (and -out -
+// JSON) to stdout and progress and diagnostics to stderr, and returns the
+// exit status — 2 for a usage error, 1 for any other.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("pareto", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	out := fs.String("out", "", "write the full search result as JSON to this file ('-' = stdout)")
+	cacheDir := fs.String("cachedir", "", "disk cache directory shared with sweepd (empty = memory-only)")
+	topos := fs.String("topos", "", "comma-separated topologies to search (default mesh,fbfly)")
+	vcs := fs.String("vcs", "", "comma-separated VCs-per-class values (default 1,2,4)")
+	meshRate := fs.Float64("meshrate", 0, "mesh evaluation load (default 0.44)")
+	fbflyRate := fs.Float64("fbflyrate", 0, "fbfly evaluation load (default 0.60)")
+	patterns := fs.String("patterns", "", "comma-separated traffic patterns to search (default uniform)")
+	processes := fs.String("processes", "", "comma-separated arrival processes to search (default bernoulli; trace is batch-only)")
+	burstLen := fs.Float64("burstlen", 0, "mmp mean burst length when the processes axis includes mmp (default 32)")
+	duty := fs.Float64("duty", 0, "mmp duty cycle when the processes axis includes mmp (default 0.25)")
+	hotspots := fs.String("hotspots", "", "comma-separated hotspot terminals when the patterns axis includes hotspot (default 0)")
+	hotFrac := fs.Float64("hotfrac", 0, "fraction of traffic aimed at the hotspot set (default 0.2)")
+	curves := fs.Bool("curves", false, "after the search, trace an adaptive latency-throughput curve for every frontier point (each curve reuses the search's cached evaluation point)")
+	curveStep := fs.Float64("curvestep", experiments.DefaultLatticeStep, "rate-lattice step for -curves; every sampled rate is an exact multiple")
+	curvePoints := fs.Int("curvepoints", 0, "simulated-point budget per curve for -curves (default 64)")
+	noPrune := fs.Bool("noprune", false, "disable dominance pruning (simulate every feasible point; frontier is identical)")
+	smoke := fs.Bool("smoke", false, "reduced space at a tiny scale (CI smoke)")
+	profiles := prof.Flags(fs)
+	scaleOf := experiments.ScaleFlags(fs,
 		experiments.SimScale{Warmup: 500, Measure: 1000, Drain: 4000, Seed: 42,
 			Workers: runtime.GOMAXPROCS(0)})
-	flag.Parse()
-	scale := scaleOf()
-	stop, err := prof.StartAll(prof.Profiles{CPU: *cpuprofile, Mem: *memprofile})
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	vcList, err := splitInts(*vcs)
 	if err != nil {
-		log.Fatal("pareto: ", err)
+		fmt.Fprintln(stderr, "pareto: -vcs:", err)
+		fs.Usage()
+		return 2
+	}
+	hotList, err := splitInts(*hotspots)
+	if err != nil {
+		fmt.Fprintln(stderr, "pareto: -hotspots:", err)
+		fs.Usage()
+		return 2
+	}
+	scale := scaleOf()
+	stop, err := prof.StartAll(profiles())
+	if err != nil {
+		fmt.Fprintln(stderr, "pareto:", err)
+		return 1
 	}
 	defer func() {
 		if err := stop(); err != nil {
-			log.Fatal("pareto: ", err)
+			fmt.Fprintln(stderr, "pareto:", err)
+			code = 1
 		}
 	}()
 
@@ -102,13 +128,13 @@ func main() {
 
 	spec := dse.Spec{
 		Topos:     splitCSV(*topos),
-		VCs:       splitInts("-vcs", *vcs),
+		VCs:       vcList,
 		MeshRate:  *meshRate,
 		FbflyRate: *fbflyRate,
 		Patterns:  splitCSV(*patterns),
 		Processes: splitCSV(*processes),
 		BurstLen:  *burstLen, Duty: *duty,
-		Hotspots: splitInts("-hotspots", *hotspots), HotspotFraction: *hotFrac,
+		Hotspots: hotList, HotspotFraction: *hotFrac,
 		Warmup: scale.Warmup, Measure: scale.Measure, Drain: scale.Drain,
 		Seed:    scale.Seed,
 		NoPrune: *noPrune,
@@ -126,7 +152,8 @@ func main() {
 		CacheDir: *cacheDir,
 	})
 	if err != nil {
-		log.Fatal("pareto: ", err)
+		fmt.Fprintln(stderr, "pareto:", err)
+		return 1
 	}
 	defer srv.Close()
 
@@ -134,34 +161,36 @@ func main() {
 	res, err := dse.Search(context.Background(), srv, spec, dse.SearchOptions{
 		Workers: scale.Workers,
 		Progress: func(simulated, pruned, feasible int) {
-			fmt.Fprintf(os.Stderr, "\rpareto: %d simulated, %d pruned / %d feasible", simulated, pruned, feasible)
+			fmt.Fprintf(stderr, "\rpareto: %d simulated, %d pruned / %d feasible", simulated, pruned, feasible)
 		},
 	})
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(stderr)
 	if err != nil {
-		log.Fatal("pareto: ", err)
+		fmt.Fprintln(stderr, "pareto:", err)
+		return 1
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("design space: %d enumerated → %d distinct (%d dup spellings), %d infeasible, %d feasible\n",
+	fmt.Fprintf(stdout, "design space: %d enumerated → %d distinct (%d dup spellings), %d infeasible, %d feasible\n",
 		res.Enumerated, res.Distinct, res.Enumerated-res.Distinct, res.Infeasible, res.Feasible)
-	fmt.Printf("search: %d simulated, %d pruned (%.0f%% of feasible skipped), %v",
+	fmt.Fprintf(stdout, "search: %d simulated, %d pruned (%.0f%% of feasible skipped), %v",
 		res.Simulated, res.Pruned, 100*float64(res.Pruned)/float64(max(res.Feasible, 1)), elapsed.Round(time.Millisecond))
 	if d := srv.Disk(); d != nil {
 		ds := d.Stats()
-		fmt.Printf(" — disk cache %s: %d hits, %d writes", ds.Dir, ds.Hits, ds.Writes)
+		fmt.Fprintf(stdout, " — disk cache %s: %d hits, %d writes", ds.Dir, ds.Hits, ds.Writes)
 	}
-	fmt.Printf("\n\nPareto frontier (%d points):\n", len(res.Frontier))
-	fmt.Printf("%-52s %9s %12s %9s %8s %8s\n", "design point", "delay ns", "area µm²", "power mW", "perf", "latency")
+	fmt.Fprintf(stdout, "\n\nPareto frontier (%d points):\n", len(res.Frontier))
+	fmt.Fprintf(stdout, "%-52s %9s %12s %9s %8s %8s\n", "design point", "delay ns", "area µm²", "power mW", "perf", "latency")
 	for _, p := range res.Frontier {
-		fmt.Printf("%-52s %9.3f %12.0f %9.2f %8.4f %8.1f\n",
+		fmt.Fprintf(stdout, "%-52s %9.3f %12.0f %9.2f %8.4f %8.1f\n",
 			p.Label, p.DelayNS, p.AreaUM2, p.PowerMW, p.Perf, p.Latency)
 	}
 
 	var traced []namedTrace
 	if *curves {
-		if traced, err = traceFrontier(srv, res.Frontier, *curveStep, *curvePoints, scale.Workers); err != nil {
-			log.Fatal("pareto: ", err)
+		if traced, err = traceFrontier(stdout, stderr, srv, res.Frontier, *curveStep, *curvePoints, scale.Workers); err != nil {
+			fmt.Fprintln(stderr, "pareto:", err)
+			return 1
 		}
 	}
 
@@ -175,15 +204,21 @@ func main() {
 		}
 		b, err := json.MarshalIndent(v, "", "  ")
 		if err != nil {
-			log.Fatal("pareto: ", err)
+			fmt.Fprintln(stderr, "pareto:", err)
+			return 1
 		}
 		b = append(b, '\n')
 		if *out == "-" {
-			os.Stdout.Write(b)
-		} else if err := os.WriteFile(*out, b, 0o644); err != nil {
-			log.Fatal("pareto: ", err)
+			_, err = stdout.Write(b)
+		} else {
+			err = os.WriteFile(*out, b, 0o644)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "pareto:", err)
+			return 1
 		}
 	}
+	return 0
 }
 
 // namedTrace pairs a frontier point's label with its adaptive trace in the
@@ -197,17 +232,17 @@ type namedTrace struct {
 // point through the same server the search ran on — the evaluation points
 // the search already simulated come back as cache hits — and prints one
 // union-grid table per topology plus a knee summary per curve.
-func traceFrontier(srv *sweep.Server, frontier []dse.FrontierPoint, step float64, maxPoints, workers int) ([]namedTrace, error) {
+func traceFrontier(stdout, stderr io.Writer, srv *sweep.Server, frontier []dse.FrontierPoint, step float64, maxPoints, workers int) ([]namedTrace, error) {
 	var traced []namedTrace
 	byTopo := map[string][]experiments.NetSeries{}
 	var topoOrder []string
 	start := time.Now()
 	for i, p := range frontier {
 		spec := curve.Spec{Base: p.Unit, Step: step, MaxPoints: maxPoints}
-		fmt.Fprintf(os.Stderr, "\rpareto: tracing curve %d/%d (%s)", i+1, len(frontier), p.Label)
+		fmt.Fprintf(stderr, "\rpareto: tracing curve %d/%d (%s)", i+1, len(frontier), p.Label)
 		tr, err := curve.TraceCurve(context.Background(), srv, spec, curve.Options{Workers: workers})
 		if err != nil {
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintln(stderr)
 			return nil, err
 		}
 		traced = append(traced, namedTrace{Label: p.Label, Trace: tr})
@@ -216,19 +251,19 @@ func traceFrontier(srv *sweep.Server, frontier []dse.FrontierPoint, step float64
 		}
 		byTopo[p.Unit.Topo] = append(byTopo[p.Unit.Topo], tr.Series(p.Label))
 	}
-	fmt.Fprintln(os.Stderr)
+	fmt.Fprintln(stderr)
 
-	fmt.Printf("\nadaptive curves (%d traced, %v):\n", len(traced), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("%-52s %9s %10s %12s\n", "design point", "knee", "simulated", "fixed grid")
+	fmt.Fprintf(stdout, "\nadaptive curves (%d traced, %v):\n", len(traced), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "%-52s %9s %10s %12s\n", "design point", "knee", "simulated", "fixed grid")
 	for _, nt := range traced {
 		knee := fmt.Sprintf("%.*f", 2, nt.Trace.KneeRate)
 		if !nt.Trace.KneeFound {
 			knee = ">" + knee
 		}
-		fmt.Printf("%-52s %9s %10d %12d\n", nt.Label, knee, nt.Trace.Simulated, nt.Trace.FixedGridPoints)
+		fmt.Fprintf(stdout, "%-52s %9s %10d %12d\n", nt.Label, knee, nt.Trace.Simulated, nt.Trace.FixedGridPoints)
 	}
 	for _, topo := range topoOrder {
-		fmt.Printf("\n%s curves:\n%s", topo, experiments.FormatNetSeries(byTopo[topo]))
+		fmt.Fprintf(stdout, "\n%s curves:\n%s", topo, experiments.FormatNetSeries(byTopo[topo]))
 	}
 	return traced, nil
 }
@@ -244,14 +279,14 @@ func splitCSV(s string) []string {
 	return parts
 }
 
-func splitInts(flagName, s string) []int {
+func splitInts(s string) ([]int, error) {
 	var out []int
 	for _, p := range splitCSV(s) {
 		n, err := strconv.Atoi(p)
 		if err != nil {
-			log.Fatalf("pareto: %s: %v", flagName, err)
+			return nil, err
 		}
 		out = append(out, n)
 	}
-	return out
+	return out, nil
 }

@@ -1,0 +1,51 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/dse"
+)
+
+// TestBadListIsUsageError: a -vcs or -hotspots entry that is not an integer
+// is a usage error, reported before any search starts.
+func TestBadListIsUsageError(t *testing.T) {
+	for _, args := range [][]string{{"-vcs", "1,x"}, {"-hotspots", "0,y"}} {
+		var out, errOut bytes.Buffer
+		code := run(args, &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "pareto: "+args[0]+":") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, no output and the flag named", args, code, out.String(), errOut.String())
+		}
+	}
+}
+
+// TestSmokeJSON: -smoke -out - prints the table and then the full result as
+// JSON, and the JSON's frontier has as many points as the table says.
+func TestSmokeJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a pruned search")
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-smoke", "-out", "-", "-workers", "2"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut.String())
+	}
+	table, body, ok := strings.Cut(out.String(), "\n{\n")
+	if !ok {
+		t.Fatalf("no JSON after the table:\n%s", out.String())
+	}
+	var res dse.Result
+	if err := json.Unmarshal([]byte("{\n"+body), &res); err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`\nPareto frontier \(([0-9]+) points\):\n`).FindStringSubmatch(table)
+	if m == nil {
+		t.Fatalf("no frontier count in the table:\n%s", table)
+	}
+	if n, _ := strconv.Atoi(m[1]); n == 0 || n != len(res.Frontier) {
+		t.Fatalf("table says %s frontier points, JSON has %d", m[1], len(res.Frontier))
+	}
+}

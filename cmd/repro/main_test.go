@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -42,5 +43,15 @@ func TestSaturationTableRejectsTrace(t *testing.T) {
 	scale := experiments.SimScale{Warmup: 10, Measure: 20, Drain: 50, Workload: traffic.Workload{Process: "trace"}}
 	if _, err := saturationTable(context.Background(), &strings.Builder{}, []experiments.Point{pt}, scale); err == nil {
 		t.Fatal("trace workload accepted")
+	}
+}
+
+// TestUnknownSectionIsUsageError: an -only name that selects no section is a
+// usage error that lists the valid names, not a run that prints nothing.
+func TestUnknownSectionIsUsageError(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-only", "bogus"}, &out, &errOut)
+	if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), strings.Join(sections, ", ")) {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2, no output and the valid sections", code, out.String(), errOut.String())
 	}
 }

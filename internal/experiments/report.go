@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/costmodel"
 	"repro/internal/quality"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -16,12 +15,10 @@ import (
 // with their -json flag, so downstream plotting scripts can consume
 // experiment data without screen-scraping tables.
 type Report struct {
-	// Experiment names the figure/table ("fig5", "fig13", ...).
+	// Experiment names the figure ("fig7", "fig13", ...).
 	Experiment string `json:"experiment"`
 	// Point labels the design point ("mesh 2x1x4"), if applicable.
 	Point string `json:"point,omitempty"`
-	// Cost carries synthesis rows for the cost figures.
-	Cost []CostJSON `json:"cost,omitempty"`
 	// Quality carries matching-quality curves.
 	Quality []QualityJSON `json:"quality,omitempty"`
 	// Network carries latency/throughput curves.
@@ -78,17 +75,6 @@ func (st *ExecStats) add(n *sim.Network) {
 	st.ArrivalDraws.Add(draws)
 }
 
-// CostJSON is one synthesis result row.
-type CostJSON struct {
-	Point       string  `json:"point"`
-	Variant     string  `json:"variant"`
-	Scheme      string  `json:"scheme"` // "dense"/"sparse" or speculation mode
-	Synthesized bool    `json:"synthesized"`
-	DelayNS     float64 `json:"delay_ns,omitempty"`
-	AreaUM2     float64 `json:"area_um2,omitempty"`
-	PowerMW     float64 `json:"power_mw,omitempty"`
-}
-
 // QualityJSON is one matching-quality curve.
 type QualityJSON struct {
 	Name    string    `json:"name"`
@@ -103,38 +89,6 @@ type NetworkJSON struct {
 	Latency    []float64 `json:"latency"`
 	Throughput []float64 `json:"throughput"`
 	Saturated  []bool    `json:"saturated"`
-}
-
-func costJSON(point, variant, scheme string, e costmodel.Estimate) CostJSON {
-	c := CostJSON{Point: point, Variant: variant, Scheme: scheme, Synthesized: e.Synthesized}
-	if e.Synthesized {
-		c.DelayNS = e.DelayNS
-		c.AreaUM2 = e.AreaUM2
-		c.PowerMW = e.PowerMW
-	}
-	return c
-}
-
-// VCCostReport packages the Fig. 5/6 data as a Report.
-func VCCostReport(tech costmodel.Tech) Report {
-	r := Report{Experiment: "fig5-6"}
-	for _, row := range VCCost(tech) {
-		scheme := "dense"
-		if row.Sparse {
-			scheme = "sparse"
-		}
-		r.Cost = append(r.Cost, costJSON(row.Point.String(), row.Variant.String(), scheme, row.Est))
-	}
-	return r
-}
-
-// SwitchCostReport packages the Fig. 10/11 data as a Report.
-func SwitchCostReport(tech costmodel.Tech) Report {
-	r := Report{Experiment: "fig10-11"}
-	for _, row := range SwitchCost(tech) {
-		r.Cost = append(r.Cost, costJSON(row.Point.String(), row.Variant.String(), row.Mode.String(), row.Est))
-	}
-	return r
 }
 
 // QualityReport packages quality curves as a Report.

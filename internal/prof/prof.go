@@ -4,6 +4,7 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -25,6 +26,18 @@ type Profiles struct {
 	// Mutex receives a mutex-contention profile sampled at full rate
 	// between StartAll and stop.
 	Mutex string
+}
+
+// Flags registers the four profile flags — -cpuprofile, -memprofile,
+// -blockprofile and -mutexprofile — on fs, and returns a function that
+// resolves them into Profiles after fs.Parse. It mirrors
+// experiments.ScaleFlags: every command shares this one definition.
+func Flags(fs *flag.FlagSet) func() Profiles {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	mem := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	block := fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
+	mutex := fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
+	return func() Profiles { return Profiles{CPU: *cpu, Mem: *mem, Block: *block, Mutex: *mutex} }
 }
 
 // StartAll enables every profile with a non-empty path and returns the stop
