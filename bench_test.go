@@ -6,7 +6,6 @@ package repro_test
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -192,35 +191,15 @@ func BenchmarkVASweepNetwork(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) -------------------------------------------------------
 
-// BenchmarkAblationPriorityUpdate compares separable allocation with the
-// paper's conditional (iSLIP-style) priority updates against the number of
-// grants a naive unconditional-update policy would produce; the functional
-// difference is exercised by tests, here we measure the allocator's speed.
+// BenchmarkAblationPriorityUpdate measures separable allocation with the
+// paper's conditional (iSLIP-style) priority updates; the rule's effect on
+// grants is exercised by tests, here we measure the allocator's speed.
 func BenchmarkAblationPriorityUpdate(b *testing.B) {
 	a := repro.NewAllocator(repro.AllocConfig{Arch: repro.SepIF, Rows: 16, Cols: 16, ArbKind: repro.RoundRobin})
 	req := randomMatrix(16, 16, 0.4, 7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a.Allocate(req)
-	}
-}
-
-// BenchmarkAblationSeparableIterations measures the cost of multi-iteration
-// separable allocation (§2.1 notes tight delay budgets rule it out in
-// hardware; in simulation it trades time for matching quality).
-func BenchmarkAblationSeparableIterations(b *testing.B) {
-	for _, iters := range []int{1, 2, 4} {
-		iters := iters
-		b.Run(fmt.Sprintf("iters=%d", iters), func(b *testing.B) {
-			b.ReportAllocs()
-			a := repro.NewAllocator(repro.AllocConfig{
-				Arch: repro.SepIF, Rows: 16, Cols: 16, ArbKind: repro.RoundRobin, Iterations: iters,
-			})
-			req := randomMatrix(16, 16, 0.4, 11)
-			for i := 0; i < b.N; i++ {
-				a.Allocate(req)
-			}
-		})
 	}
 }
 
@@ -339,68 +318,6 @@ func randomMatrix(rows, cols int, p float64, seed uint64) *repro.Matrix {
 		}
 	}
 	return m
-}
-
-// BenchmarkAblationFreeQueueVsMatching compares the Mullins free-VC-queue
-// scheme's software cycle cost against the matching VC allocators.
-func BenchmarkAblationFreeQueueVsMatching(b *testing.B) {
-	spec := repro.NewVCSpec(2, 2, 4)
-	rng := repro.NewRand(7)
-	reqs := make([]repro.VCRequest, 10*spec.V())
-	for i := range reqs {
-		if rng.Bool(0.4) {
-			m, r, _ := spec.Decompose(i % spec.V())
-			succ := spec.ResourceSucc[r]
-			reqs[i] = repro.VCRequest{
-				Active:     true,
-				OutPort:    rng.Intn(10),
-				Candidates: spec.ClassMask(m, succ[rng.Intn(len(succ))]),
-			}
-		}
-	}
-	for _, cfg := range []struct {
-		name string
-		c    repro.VCAllocConfig
-	}{
-		{"freeq", repro.VCAllocConfig{Ports: 10, Spec: spec, ArbKind: repro.RoundRobin, FreeQueue: true}},
-		{"sep_if", repro.VCAllocConfig{Ports: 10, Spec: spec, Arch: repro.SepIF, ArbKind: repro.RoundRobin, Sparse: true}},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			a := repro.NewVCAllocator(cfg.c)
-			for i := 0; i < b.N; i++ {
-				a.Allocate(reqs)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPrecomputedSwitch measures the pre-computation wrapper's
-// overhead relative to the plain allocator.
-func BenchmarkAblationPrecomputedSwitch(b *testing.B) {
-	rng := repro.NewRand(9)
-	reqs := make([]repro.SwitchRequest, 10*8)
-	for i := range reqs {
-		if rng.Bool(0.4) {
-			reqs[i] = repro.SwitchRequest{Active: true, OutPort: rng.Intn(10)}
-		}
-	}
-	for _, pre := range []bool{false, true} {
-		pre := pre
-		name := "plain"
-		if pre {
-			name = "precomputed"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			a := repro.NewSwitchAllocator(repro.SwitchAllocConfig{Ports: 10, VCs: 8,
-				Arch: repro.SepIF, ArbKind: repro.RoundRobin, Precomputed: pre})
-			for i := 0; i < b.N; i++ {
-				a.Allocate(reqs)
-			}
-		})
-	}
 }
 
 // BenchmarkTorusDatelineNetwork exercises the torus extension end to end.

@@ -78,24 +78,6 @@ type Config struct {
 	// ArbKind selects the arbiter implementation for separable
 	// architectures (ignored by Wavefront and Maximum).
 	ArbKind arbiter.Kind
-	// Iterations is the number of separable iterations to run (>= 1).
-	// The paper considers single-iteration allocation only (§2.1); values
-	// above 1 are provided for the ablation study. Zero means 1.
-	Iterations int
-	// UnconditionalUpdate makes the first-stage arbiters advance their
-	// priority whenever they produce a grant, even if it fails the second
-	// arbitration stage. This is the naive policy the paper's fairness rule
-	// (§2.1, [13]) exists to avoid: it synchronizes arbiter pointers and
-	// causes pattern-dependent starvation and throughput loss. Provided for
-	// the ablation study only.
-	UnconditionalUpdate bool
-}
-
-func (c Config) iterations() int {
-	if c.Iterations <= 0 {
-		return 1
-	}
-	return c.Iterations
 }
 
 // New builds an allocator from the configuration.
@@ -120,30 +102,20 @@ func New(c Config) Allocator {
 // sepIF is a separable input-first allocator: each row first picks one of
 // its requested columns, then each column arbitrates among the forwarded
 // requests. Input arbiters update priority only when their pick also wins
-// output arbitration (iSLIP rule); output arbiters' grants are final, so
-// they update whenever they grant.
+// output arbitration (iSLIP rule, §2.1); output arbiters' grants are final,
+// so they update whenever they grant. One pass, as in the paper: a row whose
+// pick loses stays unmatched this cycle.
 type sepIF struct {
 	rows, cols int
-	iters      int
-	uncond     bool
 	name       string
 	inArb      arbiter.Bank // per row, cols wide
 	outArb     arbiter.Bank // per col, rows wide
 	fwd        []bitvec.Vec // per col, rows wide: forwarded requests
 	gnt        bitvec.Matrix
-	rowFree    *bitvec.Vec
-	colFree    *bitvec.Vec
-	rowReq     *bitvec.Vec
 }
 
 func newSepIF(c Config) *sepIF {
-	a := &sepIF{
-		rows:   c.Rows,
-		cols:   c.Cols,
-		iters:  c.iterations(),
-		uncond: c.UnconditionalUpdate,
-		name:   "sep_if/" + c.ArbKind.String(),
-	}
+	a := &sepIF{rows: c.Rows, cols: c.Cols, name: "sep_if/" + c.ArbKind.String()}
 	// Two passes over one slab (see package slab): measure, then carve.
 	var s arbiter.Slab
 	for pass := 0; pass < 2; pass++ {
@@ -151,9 +123,6 @@ func newSepIF(c Config) *sepIF {
 		a.outArb = s.Bank(c.ArbKind, c.Cols, c.Rows)
 		a.fwd = s.Vecs(c.Cols, c.Rows)
 		a.gnt = s.Matrix(c.Rows, c.Cols)
-		a.rowFree = s.Vec(c.Rows)
-		a.colFree = s.Vec(c.Cols)
-		a.rowReq = s.Vec(c.Cols)
 		if pass == 0 {
 			s.Alloc()
 		}
@@ -172,50 +141,23 @@ func (a *sepIF) Reset() {
 func (a *sepIF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	checkShape(req, a.rows, a.cols)
 	a.gnt.Reset()
-	a.rowFree.SetAll()
-	a.colFree.SetAll()
-	for it := 0; it < a.iters; it++ {
-		// Input stage: each unmatched row picks one requested free column.
-		picked := false
-		for j := 0; j < a.cols; j++ {
-			a.fwd[j].Reset()
-		}
-		for i := a.rowFree.NextSet(0); i >= 0; i = a.rowFree.NextSet(i + 1) {
-			if !a.rowReq.AndInto(req.Row(i), a.colFree) {
-				continue
-			}
-			c := a.inArb.Pick(i, a.rowReq)
-			if c < 0 {
-				continue
-			}
-			if a.uncond {
-				// Ablation: naive policy updates on every first-stage grant.
-				a.inArb.Update(i, c)
-			}
+	for j := range a.fwd {
+		a.fwd[j].Reset()
+	}
+	// Input stage: each row picks one of its requested columns.
+	for i := 0; i < a.rows; i++ {
+		if c := a.inArb.Pick(i, req.Row(i)); c >= 0 {
 			a.fwd[c].Set(i)
-			picked = true
 		}
-		if !picked {
-			break
-		}
-		// Output stage: each free column arbitrates among forwarded requests.
-		for j := a.colFree.NextSet(0); j >= 0; j = a.colFree.NextSet(j + 1) {
-			if !a.fwd[j].Any() {
-				continue
-			}
-			w := a.outArb.Pick(j, &a.fwd[j])
-			if w < 0 {
-				continue
-			}
+	}
+	// Output stage: each column arbitrates among the rows that picked it.
+	// The output grant is final: update the output arbiter, and the input
+	// arbiter whose pick succeeded end to end.
+	for j := range a.fwd {
+		if w := a.outArb.Pick(j, &a.fwd[j]); w >= 0 {
 			a.gnt.Set(w, j)
-			a.rowFree.Clear(w)
-			a.colFree.Clear(j)
-			// The output grant is final: update the output arbiter, and the
-			// input arbiter whose pick succeeded end to end.
 			a.outArb.Update(j, w)
-			if !a.uncond {
-				a.inArb.Update(w, j)
-			}
+			a.inArb.Update(w, j)
 		}
 	}
 	return &a.gnt
@@ -227,37 +169,23 @@ func (a *sepIF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 // row-side arbitration; row arbiters' grants are final.
 type sepOF struct {
 	rows, cols int
-	iters      int
-	uncond     bool
 	name       string
 	outArb     arbiter.Bank // per col, rows wide (first stage)
 	inArb      arbiter.Bank // per row, cols wide (second stage)
+	colReq     []bitvec.Vec // per col, rows wide: the requesting rows
 	offered    []bitvec.Vec // per row, cols wide: columns offered to row
 	gnt        bitvec.Matrix
-	rowFree    *bitvec.Vec
-	colFree    *bitvec.Vec
-	colReq     []bitvec.Vec // per col, rows wide: requesting free rows
-	colAny     *bitvec.Vec  // cols whose colReq vector is dirty
 }
 
 func newSepOF(c Config) *sepOF {
-	a := &sepOF{
-		rows:   c.Rows,
-		cols:   c.Cols,
-		iters:  c.iterations(),
-		uncond: c.UnconditionalUpdate,
-		name:   "sep_of/" + c.ArbKind.String(),
-	}
+	a := &sepOF{rows: c.Rows, cols: c.Cols, name: "sep_of/" + c.ArbKind.String()}
 	var s arbiter.Slab
 	for pass := 0; pass < 2; pass++ {
 		a.outArb = s.Bank(c.ArbKind, c.Cols, c.Rows)
 		a.inArb = s.Bank(c.ArbKind, c.Rows, c.Cols)
+		a.colReq = s.Vecs(c.Cols, c.Rows)
 		a.offered = s.Vecs(c.Rows, c.Cols)
 		a.gnt = s.Matrix(c.Rows, c.Cols)
-		a.rowFree = s.Vec(c.Rows)
-		a.colFree = s.Vec(c.Cols)
-		a.colReq = s.Vecs(c.Cols, c.Rows)
-		a.colAny = s.Vec(c.Cols)
 		if pass == 0 {
 			s.Alloc()
 		}
@@ -276,64 +204,31 @@ func (a *sepOF) Reset() {
 func (a *sepOF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	checkShape(req, a.rows, a.cols)
 	a.gnt.Reset()
-	a.rowFree.SetAll()
-	a.colFree.SetAll()
-	for it := 0; it < a.iters; it++ {
-		// Clear the per-column request vectors dirtied by the previous
-		// iteration (or the previous Allocate call).
-		for j := a.colAny.NextSet(0); j >= 0; j = a.colAny.NextSet(j + 1) {
-			a.colReq[j].Reset()
+	// Transpose the requests into per-column vectors.
+	for j := range a.colReq {
+		a.colReq[j].Reset()
+	}
+	for i := 0; i < a.rows; i++ {
+		a.offered[i].Reset()
+		row := req.Row(i)
+		for j := row.NextSet(0); j >= 0; j = row.NextSet(j + 1) {
+			a.colReq[j].Set(i)
 		}
-		a.colAny.Reset()
-		// Transpose the requests of free rows into per-column vectors.
-		// The output stage consumes no rows or columns, so building them
-		// all up front is equivalent to the per-column scan.
-		for i := a.rowFree.NextSet(0); i >= 0; i = a.rowFree.NextSet(i + 1) {
-			a.offered[i].Reset()
-			row := req.Row(i)
-			for j := row.NextSet(0); j >= 0; j = row.NextSet(j + 1) {
-				if a.colFree.Get(j) {
-					a.colReq[j].Set(i)
-					a.colAny.Set(j)
-				}
-			}
-		}
-		if !a.colAny.Any() {
-			break
-		}
-		// Output stage: each free column picks one requesting free row.
-		picked := false
-		for j := a.colAny.NextSet(0); j >= 0; j = a.colAny.NextSet(j + 1) {
-			w := a.outArb.Pick(j, &a.colReq[j])
-			if w < 0 {
-				continue
-			}
-			if a.uncond {
-				// Ablation: naive policy updates on every first-stage grant.
-				a.outArb.Update(j, w)
-			}
+	}
+	// Output stage: each column picks one of the rows requesting it.
+	for j := range a.colReq {
+		if w := a.outArb.Pick(j, &a.colReq[j]); w >= 0 {
 			a.offered[w].Set(j)
-			picked = true
 		}
-		if !picked {
-			break
-		}
-		// Input stage: each free row picks among the columns offered to it.
-		for i := a.rowFree.NextSet(0); i >= 0; i = a.rowFree.NextSet(i + 1) {
-			if !a.offered[i].Any() {
-				continue
-			}
-			c := a.inArb.Pick(i, &a.offered[i])
-			if c < 0 {
-				continue
-			}
+	}
+	// Input stage: each row picks among the columns offered to it. The row
+	// grant is final: update the row arbiter, and the column arbiter whose
+	// offer was taken.
+	for i := range a.offered {
+		if c := a.inArb.Pick(i, &a.offered[i]); c >= 0 {
 			a.gnt.Set(i, c)
-			a.rowFree.Clear(i)
-			a.colFree.Clear(c)
 			a.inArb.Update(i, c)
-			if !a.uncond {
-				a.outArb.Update(c, i)
-			}
+			a.outArb.Update(c, i)
 		}
 	}
 	return &a.gnt

@@ -45,9 +45,6 @@ func TestQuickVCAllocatorsAlwaysValid(t *testing.T) {
 			}))
 		}
 	}
-	allocators = append(allocators, NewVCAllocator(VCAllocConfig{
-		Ports: 4, Spec: spec, ArbKind: arbiter.RoundRobin, FreeQueue: true,
-	}))
 	f := func(raw []byte) bool {
 		reqs := quickVCRequests(spec, raw)
 		for _, a := range allocators {
@@ -73,9 +70,6 @@ func TestQuickSwitchAllocatorsAlwaysValid(t *testing.T) {
 			}))
 		}
 	}
-	allocators = append(allocators, NewSwitchAllocator(SwitchAllocConfig{
-		Ports: p, VCs: v, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, Precomputed: true,
-	}))
 	f := func(raw []byte) bool {
 		reqs := make([]SwitchRequest, p*v)
 		for i := range reqs {
@@ -128,7 +122,7 @@ func TestQuickSoleRequesterAlwaysGranted(t *testing.T) {
 }
 
 // Property: repeated allocation with a fixed request set never starves any
-// requester across the separable and free-queue VC allocators.
+// requester across the separable VC allocators.
 func TestQuickVCNoStarvationUnderPersistentRequests(t *testing.T) {
 	spec := NewVCSpec(1, 1, 2)
 	const p = 3
@@ -148,7 +142,6 @@ func TestQuickVCNoStarvationUnderPersistentRequests(t *testing.T) {
 		for _, cfg := range []VCAllocConfig{
 			{Ports: p, Spec: spec, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
 			{Ports: p, Spec: spec, Arch: alloc.SepOF, ArbKind: arbiter.RoundRobin},
-			{Ports: p, Spec: spec, ArbKind: arbiter.RoundRobin, FreeQueue: true},
 		} {
 			a := NewVCAllocator(cfg)
 			served := map[int]bool{}

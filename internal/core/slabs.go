@@ -57,7 +57,7 @@ func build(parts ...part) {
 // NewSwitchAllocator, but share one set of slabs, which is what keeps router
 // construction to a few dozen allocations.
 func NewAllocators(va VCAllocConfig, sa SwitchAllocConfig) (VCAllocator, SwitchAllocator) {
-	v, w := newVCPart(va), newSwitchPart(sa)
+	v, w := newVCPart(va), newSwitchAllocator(sa)
 	build(v, w)
 	return v, w
 }

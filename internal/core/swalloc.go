@@ -82,10 +82,6 @@ type SwitchAllocConfig struct {
 	ArbKind arbiter.Kind
 	// SpecMode selects the speculation scheme.
 	SpecMode SpecMode
-	// Precomputed wraps the allocator with the arbitration pre-computation
-	// of Mullins et al. [15]: grants derive from the previous cycle's
-	// requests and stale grants are aborted. Requires SpecNone.
-	Precomputed bool
 }
 
 // SwitchAllocStats counts speculation outcomes since construction or the
@@ -126,9 +122,7 @@ type SwitchAllocator interface {
 	// caller, who may reuse the same backing array — with only changed
 	// entries rewritten — on every call (the router's change-driven
 	// request cache does exactly that). Implementations must not mutate it
-	// and must not retain it past the call's return; cross-cycle state
-	// must be copied by value, as the precomputed allocator's request
-	// latch does.
+	// and must not retain it past the call's return.
 	Allocate(reqs []SwitchRequest) []SwitchGrant
 	// Push records that input VC (port, vc)'s entry changed from old — what
 	// the allocator last saw of it, pushed or handed to Allocate — to nw.
@@ -149,24 +143,13 @@ type SwitchAllocator interface {
 
 // NewSwitchAllocator builds a switch allocator.
 func NewSwitchAllocator(cfg SwitchAllocConfig) SwitchAllocator {
-	a := newSwitchPart(cfg)
+	a := newSwitchAllocator(cfg)
 	build(a)
 	return a
 }
 
-// switchPart is a switch allocator before its storage is laid out.
-type switchPart interface {
-	SwitchAllocator
-	part
-}
-
-func newSwitchPart(cfg SwitchAllocConfig) switchPart {
-	if cfg.Precomputed {
-		return newPrecomputedSwitch(cfg)
-	}
-	return newSwitchAllocator(cfg)
-}
-
+// newSwitchAllocator returns a switch allocator before its storage is laid
+// out.
 func newSwitchAllocator(cfg SwitchAllocConfig) *switchAllocator {
 	if cfg.Ports <= 0 || cfg.VCs <= 0 {
 		panic("core: Ports and VCs must be positive")

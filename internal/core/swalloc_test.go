@@ -89,9 +89,8 @@ func TestSwitchAllocatorBadConfigPanics(t *testing.T) {
 	// Port and VC sets are single words; one more than fits must be refused
 	// at construction, by a message that says what the limit is.
 	for name, cfg := range map[string]SwitchAllocConfig{
-		"65 ports":                             {Ports: 65, VCs: 2, Arch: alloc.SepIF},
-		"65 VCs":                               {Ports: 5, VCs: 65, Arch: alloc.Wavefront},
-		"65 ports built with the VC allocator": {Ports: 65, VCs: 1, Arch: alloc.SepOF, Precomputed: true},
+		"65 ports": {Ports: 65, VCs: 2, Arch: alloc.SepIF},
+		"65 VCs":   {Ports: 5, VCs: 65, Arch: alloc.Wavefront},
 	} {
 		if msg := mustPanic(t, name, func() { NewSwitchAllocator(cfg) }); !strings.Contains(msg, "at most 64") {
 			t.Errorf("%s: panic %q does not name the limit", name, msg)
@@ -205,7 +204,7 @@ func TestSwitchAllocatorWordBoundary(t *testing.T) {
 // Push+Run) and across Reset.
 func TestSwitchSkipIdleEqualsEmptyAllocates(t *testing.T) {
 	const p, v = 5, 4
-	for _, cfg := range append(allSwConfigs(p, v), SwitchAllocConfig{Ports: p, VCs: v, Arch: alloc.Wavefront, Precomputed: true}) {
+	for _, cfg := range allSwConfigs(p, v) {
 		stepped, skipped := NewSwitchAllocator(cfg), NewSwitchAllocator(cfg)
 		rng := xrand.New(977)
 		empty := make([]SwitchRequest, p*v)
@@ -752,16 +751,11 @@ func TestMaximumSwitchAllocatorBound(t *testing.T) {
 // twin through Allocate only, on the same request stream — a reused backing
 // array with a random subset of entries rewritten each cycle, as the router's
 // request cache does. Grants and speculation counters must agree every
-// cycle, for every architecture, arbiter kind and speculation mode, and for
-// the precomputed wrapper, which takes no speculation.
+// cycle, for every architecture, arbiter kind and speculation mode.
 func TestSwitchAllocateAndPushInterleave(t *testing.T) {
 	const p, v, cycles = 5, 4, 600
 	for _, mode := range []SpecMode{SpecNone, SpecGnt, SpecReq} {
-		cfgs := swConfigs(p, v, mode)
-		if mode == SpecNone {
-			cfgs = append(cfgs, SwitchAllocConfig{Ports: p, VCs: v, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, Precomputed: true})
-		}
-		for _, cfg := range cfgs {
+		for _, cfg := range swConfigs(p, v, mode) {
 			mixed := NewSwitchAllocator(cfg)
 			dense := NewSwitchAllocator(cfg)
 			rng := xrand.New(42)

@@ -50,9 +50,7 @@ type VCAllocator interface {
 	// who may reuse the same backing storage — with only changed entries
 	// rewritten — on every call (the router's change-driven request cache
 	// does exactly that). Implementations must not mutate it and must not
-	// retain references past the call's return; any cross-cycle state they
-	// keep must be derived by value, as the free-queue allocator's noteFreed
-	// does.
+	// retain references past the call's return.
 	Allocate(reqs []VCRequest) []int
 	// Push records whether input VC (port, vc)'s entry is issuable. Pushing
 	// an unchanged entry again is harmless.
@@ -87,11 +85,6 @@ type VCAllocConfig struct {
 	// Sparse enables the sparse VC allocation scheme of §4.2: the allocator
 	// is partitioned into one independent sub-allocator per message class.
 	Sparse bool
-	// FreeQueue selects the free-VC-queue scheme of Mullins et al. [15]
-	// instead of a matching allocator: one FIFO of free VCs per
-	// (port, class), a single arbitration per queue per cycle. Arch and
-	// Sparse are ignored when set.
-	FreeQueue bool
 }
 
 // NewVCAllocator builds a VC allocator.
@@ -101,13 +94,8 @@ func NewVCAllocator(cfg VCAllocConfig) VCAllocator {
 	return a
 }
 
-// vcPart is a VC allocator before its storage is laid out.
-type vcPart interface {
-	VCAllocator
-	part
-}
-
-func newVCPart(cfg VCAllocConfig) vcPart {
+// newVCPart returns a VC allocator before its storage is laid out.
+func newVCPart(cfg VCAllocConfig) *vcAllocator {
 	if cfg.Ports <= 0 {
 		panic("core: Ports must be positive")
 	}
@@ -118,9 +106,6 @@ func newVCPart(cfg VCAllocConfig) vcPart {
 	if cfg.Ports > maxVCs || v > maxVCs {
 		panic(fmt.Sprintf("core: VC allocator for %d ports × %s = %d VCs: at most %d of each, "+
 			"every candidate set and every port set is one machine word", cfg.Ports, cfg.Spec, v, maxVCs))
-	}
-	if cfg.FreeQueue {
-		return newFreeQueueVCAllocator(cfg)
 	}
 	a := &vcAllocator{ports: cfg.Ports, v: v}
 	if cfg.Sparse {

@@ -476,9 +476,6 @@ func TestVCWordLimit(t *testing.T) {
 			NewVCAllocator(VCAllocConfig{Ports: 65, Spec: NewVCSpec(1, 1, 1), Arch: arch})
 		})
 	}
-	mustPanicNaming(t, "free queue", "at most 64", func() {
-		NewVCAllocator(VCAllocConfig{Ports: 2, Spec: big, FreeQueue: true})
-	})
 	mustPanicNaming(t, "NewAllocators", "at most 64", func() {
 		NewAllocators(VCAllocConfig{Ports: 2, Spec: big}, SwitchAllocConfig{Ports: 2, VCs: 65})
 	})
@@ -591,7 +588,7 @@ func TestVCBadOutPortPanics(t *testing.T) {
 }
 
 // TestVCAllocateAndPushInterleave is TestSwitchAllocateAndPushInterleave for
-// the VC allocators, the free queue included: one allocator is driven through
+// the VC allocators: one allocator is driven through
 // a random interleaving of Allocate and Push+Run, its twin through Allocate
 // only, on one reused request slice with a random subset of entries rewritten
 // each cycle. Grants must agree every cycle, and Run's granted words must name
@@ -600,8 +597,7 @@ func TestVCAllocateAndPushInterleave(t *testing.T) {
 	const p, cycles = 5, 600
 	spec := NewVCSpec(2, 2, 2)
 	v := spec.V()
-	cfgs := append(vcConfigs(p, spec), VCAllocConfig{Ports: p, Spec: spec, ArbKind: arbiter.RoundRobin, FreeQueue: true})
-	for _, cfg := range cfgs {
+	for _, cfg := range vcConfigs(p, spec) {
 		mixed, dense := NewVCAllocator(cfg), NewVCAllocator(cfg)
 		rng := xrand.New(42)
 		reqs := make([]VCRequest, p*v)

@@ -125,9 +125,6 @@ func (s VCSpec) Decompose(vc int) (m, r, c int) {
 	return
 }
 
-// ClassOf returns the (message, resource) class index of vc, in [0, M·R).
-func (s VCSpec) ClassOf(vc int) int { return vc / s.VCsPerClass }
-
 // ClassIndex returns the class index for message class m and resource class r.
 func (s VCSpec) ClassIndex(m, r int) int {
 	if m < 0 || m >= s.MessageClasses || r < 0 || r >= s.ResourceClasses {

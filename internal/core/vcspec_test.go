@@ -33,8 +33,8 @@ func TestVCSpecIndexRoundTrip(t *testing.T) {
 				if gm != m || gr != r || gc != c {
 					t.Fatalf("Decompose(%d) = (%d,%d,%d), want (%d,%d,%d)", idx, gm, gr, gc, m, r, c)
 				}
-				if s.ClassOf(idx) != s.ClassIndex(m, r) {
-					t.Fatalf("ClassOf(%d) mismatch", idx)
+				if idx/s.VCsPerClass != s.ClassIndex(m, r) {
+					t.Fatalf("VC %d lies in class %d, ClassIndex(%d,%d) = %d", idx, idx/s.VCsPerClass, m, r, s.ClassIndex(m, r))
 				}
 			}
 		}

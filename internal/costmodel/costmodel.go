@@ -305,9 +305,6 @@ func VCAllocCost(t Tech, cfg core.VCAllocConfig) Estimate {
 	if err := cfg.Spec.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.FreeQueue {
-		return freeQueueCost(t, cfg)
-	}
 	p := cfg.Ports
 	g := vcGeom(cfg)
 	what := fmt.Sprintf("VC allocator %v P=%d V=%s sparse=%v", cfg.Arch, p, cfg.Spec, cfg.Sparse)
@@ -371,28 +368,6 @@ func VCAllocCost(t Tech, cfg core.VCAllocConfig) Estimate {
 	default:
 		panic(fmt.Sprintf("costmodel: unsupported VC allocator arch %v", cfg.Arch))
 	}
-}
-
-// freeQueueCost estimates the free-VC-queue scheme of Mullins et al. [15]:
-// one (P·V)-input tree arbiter and one small FIFO per (port, class), and no
-// input-side arbitration stage at all — the delay win that motivates the
-// scheme, paid for with the one-grant-per-class quality limit.
-func freeQueueCost(t Tech, cfg core.VCAllocConfig) Estimate {
-	s := cfg.Spec
-	p, v := cfg.Ports, s.V()
-	classes := s.Classes()
-	what := fmt.Sprintf("free-queue VC allocator P=%d V=%s", p, s)
-
-	perQueue := t.TreeArbiterGE(cfg.ArbKind, p, v) + // requester arbitration
-		float64(s.VCsPerClass)*8 + // VC-id FIFO registers
-		float64(s.VCsPerClass) // head mux
-	glueGE := float64(p*v) * 2 // request decode / grant fanin
-	ge := float64(p*classes)*perQueue + glueGE
-
-	delay := t.TreeArbiterDelay(cfg.ArbKind, p, v) +
-		t.LevelDelayNS + // queue-head select
-		log2ceil(p*v)*t.FanoutDelayNS
-	return t.finish(ge, delay, what)
 }
 
 // --- Switch allocators (Figs. 8 and 9, §5) ----------------------------------
@@ -498,20 +473,4 @@ func Combine(parts ...Estimate) Estimate {
 		}
 	}
 	return out
-}
-
-// PrecomputedValidationDelay returns the critical-path delay of a
-// pre-computed switch allocator's in-cycle logic (Mullins et al. [15]): the
-// allocator itself runs a cycle ahead, leaving only the per-grant request
-// validation (compare + AND) on the path.
-func (t Tech) PrecomputedValidationDelay(p, v int) float64 {
-	return (log2ceil(v) + 2) * t.LevelDelayNS
-}
-
-// PrecomputedExtraGE returns the additional area of pre-computation: a
-// register stage holding the previous cycle's P·V requests plus the
-// validation comparators.
-func (t Tech) PrecomputedExtraGE(p, v int) float64 {
-	pv := float64(p * v)
-	return pv*6 /* request registers */ + float64(p)*4 /* validators */
 }

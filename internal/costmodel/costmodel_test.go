@@ -419,47 +419,6 @@ func TestWavefrontUnrolledTradeoff(t *testing.T) {
 	}
 }
 
-func TestFreeQueueDelayBeatsSeparable(t *testing.T) {
-	// Mullins et al.'s motivation: dropping the input arbitration stage
-	// cuts VC allocation delay below the separable implementations at the
-	// same design point.
-	for _, pt := range []struct {
-		p    int
-		spec core.VCSpec
-	}{{5, meshPoints[1]}, {5, meshPoints[2]}, {10, fbPoints[1]}} {
-		fq := VCAllocCost(tech, core.VCAllocConfig{Ports: pt.p, Spec: pt.spec,
-			ArbKind: arbiter.RoundRobin, FreeQueue: true})
-		sif := vcCost(pt.p, pt.spec, alloc.SepIF, arbiter.RoundRobin, false)
-		if !fq.Synthesized {
-			t.Fatalf("%s: free queue failed synthesis", pt.spec)
-		}
-		if fq.DelayNS >= sif.DelayNS {
-			t.Errorf("%s: free-queue delay %.3f should beat dense sep_if %.3f",
-				pt.spec, fq.DelayNS, sif.DelayNS)
-		}
-		if fq.AreaUM2 >= sif.AreaUM2 {
-			t.Errorf("%s: free-queue area %.0f should undercut dense sep_if %.0f",
-				pt.spec, fq.AreaUM2, sif.AreaUM2)
-		}
-	}
-}
-
-func TestPrecomputedValidationBeatsAnyAllocator(t *testing.T) {
-	// The point of pre-computation: the residual in-cycle delay undercuts
-	// every single-cycle allocator at the same design point.
-	for _, pt := range []struct{ p, v int }{{5, 2}, {10, 16}} {
-		val := tech.PrecomputedValidationDelay(pt.p, pt.v)
-		base := swCost(pt.p, pt.v, alloc.SepIF, arbiter.Matrix, core.SpecNone)
-		if val >= base.DelayNS {
-			t.Errorf("P=%d V=%d: validation delay %.3f should undercut sep_if/m %.3f",
-				pt.p, pt.v, val, base.DelayNS)
-		}
-	}
-	if tech.PrecomputedExtraGE(10, 16) <= 0 {
-		t.Error("precomputation must cost area")
-	}
-}
-
 func TestComponentBreakdownSumsToTotal(t *testing.T) {
 	for _, pt := range []struct {
 		p    int

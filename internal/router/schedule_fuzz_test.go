@@ -28,9 +28,7 @@ var (
 //
 // cfgSel picks the switch allocator architecture, the speculation scheme, the
 // VC allocator architecture, dense or sparse VC allocation and the arbiter
-// kind, and from 108 on one of the wrappers of Mullins et al.: the free-queue
-// VC allocator, or from 216 on the precomputed switch allocator, which takes
-// no speculation. Validate holds a wrapper's Run to its Allocate too.
+// kind; the 108 combinations repeat from 108 on.
 // shapeSel picks the radix (a 5-port mesh router with 2x1xC VCs or a 10-port
 // flattened-butterfly router with 2x2xC), C and the buffer depth.
 // seed draws the packets, and each byte of prog is one cycle's offered load,
@@ -50,10 +48,6 @@ func FuzzRouterSchedules(f *testing.F) {
 			vaSel := (2*sel + shape) % 12
 			f.Add(uint8(sel+9*vaSel), uint8(shape+2*(sel%3)+6*(sel%2)), uint64(2*sel+shape), prog)
 		}
-	}
-	// The wrapper legs, free queue then precomputed, on both radices.
-	for k, sel := range []int{108 + 5, 108 + 49, 216 + 1, 216 + 38} {
-		f.Add(uint8(sel), uint8(k%2+2*k), uint64(100+k), prog)
 	}
 	f.Fuzz(func(t *testing.T, cfgSel, shapeSel uint8, seed uint64, prog []byte) {
 		if len(prog) > 256 {
@@ -95,12 +89,6 @@ func runSchedules(t *testing.T, cfgSel, shapeSel uint8, seed uint64, prog []byte
 		SA: core.SwitchAllocConfig{Arch: schedArchs[sel%3], ArbKind: kind,
 			SpecMode: schedModes[sel/3%3]},
 		Validate: true,
-	}
-	switch sel / 108 {
-	case 1:
-		cfg.VA.FreeQueue = true
-	case 2:
-		cfg.SA.Precomputed, cfg.SA.SpecMode = true, core.SpecNone
 	}
 	dense := cfg
 	dense.DenseRequests = true

@@ -56,8 +56,8 @@ func oneShard(*Network) {}
 
 // TestActiveSchedulerBitExact pins the default schedule against the reference
 // across topologies, speculation modes and the allocator microarchitectures
-// with idle-variant state (wavefront priority diagonals, precomputed request
-// latches), which skipping quiescent routers has to replay on wake-up.
+// with idle-variant state (wavefront priority diagonals), which skipping
+// quiescent routers has to replay on wake-up.
 func TestActiveSchedulerBitExact(t *testing.T) {
 	cases := []struct {
 		name string
@@ -77,24 +77,6 @@ func TestActiveSchedulerBitExact(t *testing.T) {
 			c := meshConfig(2, 0.3)
 			c.VA.Arch = alloc.Wavefront
 			c.VA.Sparse = true
-			return c
-		}()},
-		{"mesh/precomputed-sa", func() Config {
-			c := meshConfig(2, 0.2)
-			c.SA.SpecMode = core.SpecNone
-			c.SA.Precomputed = true
-			return c
-		}()},
-		{"mesh/precomputed-wf-sa", func() Config {
-			c := meshConfig(2, 0.2)
-			c.SA.Arch = alloc.Wavefront
-			c.SA.SpecMode = core.SpecNone
-			c.SA.Precomputed = true
-			return c
-		}()},
-		{"mesh/freequeue-va", func() Config {
-			c := meshConfig(2, 0.2)
-			c.VA = core.VCAllocConfig{ArbKind: arbiter.RoundRobin, FreeQueue: true}
 			return c
 		}()},
 		{"fbfly/spec_req", fbflyConfig(2, 0.3)},

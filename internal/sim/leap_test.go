@@ -81,35 +81,18 @@ func TestLeapEngages(t *testing.T) {
 	}
 }
 
-// variantsMatrix runs assertGolden at one rate over the allocator variants
+// variantsMatrix runs assertGolden at one rate over the allocator variant
 // with cross-cycle state: wavefront's SkipIdle is a modular priority advance
-// and its engines keep dirty-row scratch between calls, the free-queue VC
-// allocator re-infers freed VCs from the candidate vectors it is shown, and
-// the precomputed switch allocator latches a full request snapshot.
+// and its engines keep dirty-row scratch between calls.
 func variantsMatrix(t *testing.T, rate float64) {
-	variants := []struct {
-		name string
-		set  func(*Config)
-	}{
-		{"freequeue", func(c *Config) { c.VA.FreeQueue = true }},
-		{"precomputed", func(c *Config) {
-			c.SA.Precomputed = true
-			c.SA.SpecMode = core.SpecNone
-		}},
-		{"wavefront", func(c *Config) {
-			c.VA.Arch = alloc.Wavefront
-			c.SA.Arch = alloc.Wavefront
-		}},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			base := meshConfig(2, rate)
-			base.Seed = 42
-			base.Warmup, base.Measure, base.Drain = 200, 400, 4000
-			v.set(&base)
-			assertGolden(t, fmt.Sprintf("%s rate=%g", v.name, rate), base, oneShard)
-		})
-	}
+	t.Run("wavefront", func(t *testing.T) {
+		base := meshConfig(2, rate)
+		base.Seed = 42
+		base.Warmup, base.Measure, base.Drain = 200, 400, 4000
+		base.VA.Arch = alloc.Wavefront
+		base.SA.Arch = alloc.Wavefront
+		assertGolden(t, fmt.Sprintf("wavefront rate=%g", rate), base, oneShard)
+	})
 }
 
 // TestDenseRequestsComposesWithVariants is the variants' loaded half: their

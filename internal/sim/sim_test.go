@@ -469,49 +469,6 @@ func TestTorusDatelineDrainsUnderTornadoModerateLoad(t *testing.T) {
 	}
 }
 
-func TestFreeQueueVCAllocatorInNetwork(t *testing.T) {
-	// §4.3.3's insensitivity extends to the free-VC-queue scheme at
-	// moderate load: VC allocation happens once per packet, so the
-	// one-grant-per-class limit rarely binds.
-	cfg := meshConfig(2, 0.2)
-	cfg.VA = core.VCAllocConfig{ArbKind: arbiter.RoundRobin, FreeQueue: true}
-	res := New(cfg).Run()
-	if res.Saturated || res.Unfinished != 0 {
-		t.Fatalf("free-queue VA run did not drain: %+v", res)
-	}
-	base := New(meshConfig(2, 0.2)).Run()
-	diff := (res.AvgLatency - base.AvgLatency) / base.AvgLatency
-	if diff < -0.06 || diff > 0.06 {
-		t.Fatalf("free-queue VA latency %.1f deviates from sep_if %.1f by %.3f",
-			res.AvgLatency, base.AvgLatency, diff)
-	}
-}
-
-func TestPrecomputedSwitchAllocatorInNetwork(t *testing.T) {
-	// Mullins-style precomputation trades one cycle of request age per
-	// allocation for cycle time: in cycle-level simulation the zero-load
-	// latency is therefore a little above the plain nonspec baseline and
-	// the network must still drain cleanly.
-	cfg := meshConfig(2, 0.15)
-	cfg.SA.SpecMode = core.SpecNone
-	cfg.SA.Precomputed = true
-	res := New(cfg).Run()
-	if res.Saturated || res.Unfinished != 0 {
-		t.Fatalf("precomputed run did not drain: %+v", res)
-	}
-	base := meshConfig(2, 0.15)
-	base.SA.SpecMode = core.SpecNone
-	baseRes := New(base).Run()
-	if res.AvgLatency <= baseRes.AvgLatency {
-		t.Fatalf("precomputed latency %.1f should exceed nonspec %.1f (request-age penalty)",
-			res.AvgLatency, baseRes.AvgLatency)
-	}
-	if res.AvgLatency > baseRes.AvgLatency*1.5 {
-		t.Fatalf("precomputed latency %.1f implausibly above nonspec %.1f",
-			res.AvgLatency, baseRes.AvgLatency)
-	}
-}
-
 func TestTracedSimulationTellsPacketStory(t *testing.T) {
 	// Tracing does not change the schedule: a traced default network (under
 	// Validate) and a traced reference network must agree on the Result and

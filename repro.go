@@ -132,7 +132,7 @@ type VCRequest = core.VCRequest
 type VCMask = core.VCMask
 
 // NewVCAllocator builds a VC allocator. Set c.Sparse for the §4.2 sparse
-// scheme or c.FreeQueue for the Mullins free-VC-queue scheme.
+// scheme.
 func NewVCAllocator(c VCAllocConfig) VCAllocator { return core.NewVCAllocator(c) }
 
 // SwitchAllocator schedules flits onto crossbar slots (Fig. 8).
@@ -159,8 +159,8 @@ const (
 	SpecReq  = core.SpecReq  // pessimistic: mask on non-speculative requests
 )
 
-// NewSwitchAllocator builds a switch allocator. Set c.Precomputed for the
-// Mullins arbitration pre-computation wrapper (requires SpecNone).
+// NewSwitchAllocator builds a switch allocator. Set c.SpecMode for one of
+// the §5.2 speculation schemes.
 func NewSwitchAllocator(c SwitchAllocConfig) SwitchAllocator { return core.NewSwitchAllocator(c) }
 
 // SwitchAllocStats counts speculation outcomes (§5.2).

@@ -180,24 +180,6 @@ func TestFacadeRand(t *testing.T) {
 }
 
 func TestFacadeExtensions(t *testing.T) {
-	// Free-queue VC allocator via config flag.
-	spec := repro.NewVCSpec(2, 1, 2)
-	fq := repro.NewVCAllocator(repro.VCAllocConfig{Ports: 4, Spec: spec,
-		ArbKind: repro.RoundRobin, FreeQueue: true})
-	if fq.Name() != "freeq/rr" {
-		t.Fatalf("free-queue name %q", fq.Name())
-	}
-
-	// Precomputed switch allocator via config flag.
-	pc := repro.NewSwitchAllocator(repro.SwitchAllocConfig{Ports: 4, VCs: 2,
-		Arch: repro.SepIF, ArbKind: repro.RoundRobin, Precomputed: true})
-	reqs := make([]repro.SwitchRequest, 8)
-	reqs[0] = repro.SwitchRequest{Active: true, OutPort: 1}
-	pc.Allocate(reqs)
-	if g := pc.Allocate(reqs); g[0].OutPort != 1 {
-		t.Fatalf("precomputed grant missing: %+v", g[0])
-	}
-
 	// Torus + dateline end to end.
 	topo := repro.Torus(4)
 	tspec := repro.NewVCSpec(2, 2, 1)
