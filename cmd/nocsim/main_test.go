@@ -73,3 +73,21 @@ func TestErrorKeepsProfile(t *testing.T) {
 		t.Fatalf("profile body: %d bytes, %v", len(b), err)
 	}
 }
+
+// TestNegativeScaleIsUsageError: a negative phase length or offered load is
+// refused with a usage error, a non-zero exit and nothing on stdout, instead
+// of a table of empty measurements or a run at the mid-sweep rate.
+func TestNegativeScaleIsUsageError(t *testing.T) {
+	for _, args := range []string{
+		"-exp fig13 -topo mesh -c 1 -warmup -5 -measure 100 -drain 200",
+		"-exp fig13 -topo mesh -c 1 -warmup 10 -measure -1 -drain 200",
+		"-exp fig13 -topo mesh -c 1 -warmup 10 -measure 100 -drain -200",
+		"-exp story -rate -1 -warmup 10 -measure 20 -drain 50",
+	} {
+		var out, errOut bytes.Buffer
+		code := run(strings.Fields(args), &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "must not be negative") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", args, code, out.String(), errOut.String())
+		}
+	}
+}

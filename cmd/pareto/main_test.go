@@ -49,3 +49,15 @@ func TestSmokeJSON(t *testing.T) {
 		t.Fatalf("table says %s frontier points, JSON has %d", m[1], len(res.Frontier))
 	}
 }
+
+// TestNegativePhaseIsUsageError: a negative phase length is a usage error,
+// reported before any search starts.
+func TestNegativePhaseIsUsageError(t *testing.T) {
+	for _, flag := range []string{"-warmup", "-measure", "-drain"} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-smoke", flag, "-3"}, &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), flag+": must not be negative") {
+			t.Errorf("%s -3: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", flag, code, out.String(), errOut.String())
+		}
+	}
+}

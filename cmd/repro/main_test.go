@@ -55,3 +55,15 @@ func TestUnknownSectionIsUsageError(t *testing.T) {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2, no output and the valid sections", code, out.String(), errOut.String())
 	}
 }
+
+// TestNegativePhaseIsUsageError: a negative phase length is a usage error,
+// not a run that measures nothing.
+func TestNegativePhaseIsUsageError(t *testing.T) {
+	for _, flag := range []string{"-warmup", "-measure", "-drain"} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-only", "saturation", "-quick", flag, "-3"}, &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), flag+": must not be negative") {
+			t.Errorf("%s -3: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", flag, code, out.String(), errOut.String())
+		}
+	}
+}

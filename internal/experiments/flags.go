@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,18 +17,20 @@ import (
 // a function that resolves the final SimScale after fs.Parse. Every batch
 // tool that simulates shares this one definition, so the scale surface
 // cannot drift between entry points; tools with extra conventions (-quick
-// presets) adjust the returned value.
+// presets) adjust the returned value. A negative phase length fails
+// fs.Parse, which every command reports as a usage error.
 func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
-	warmup := fs.Int("warmup", def.Warmup, "warmup cycles")
-	measure := fs.Int("measure", def.Measure, "measurement cycles")
-	drain := fs.Int("drain", def.Drain, "drain cycle budget")
+	warmup, measure, drain := nonNegInt(def.Warmup), nonNegInt(def.Measure), nonNegInt(def.Drain)
+	fs.Var(&warmup, "warmup", "warmup `cycles`")
+	fs.Var(&measure, "measure", "measurement `cycles`")
+	fs.Var(&drain, "drain", "drain budget in `cycles`")
 	seed := fs.Uint64("seed", def.Seed, "simulation seed")
 	workers := fs.Int("workers", def.Workers, "concurrent simulations per curve")
 	return func() SimScale {
 		return SimScale{
-			Warmup:   *warmup,
-			Measure:  *measure,
-			Drain:    *drain,
+			Warmup:   int(warmup),
+			Measure:  int(measure),
+			Drain:    int(drain),
 			Seed:     *seed,
 			Workers:  *workers,
 			Workload: def.Workload,
@@ -41,11 +44,13 @@ func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
 // traffic.Workload after fs.Parse (loading the -trace file when one is
 // named). It mirrors ScaleFlags: every command-line tool shares this one
 // definition, so the workload surface cannot drift between entry points.
+// A negative -rate fails fs.Parse, like a negative phase in ScaleFlags.
 func WorkloadFlags(fs *flag.FlagSet, def traffic.Workload) func() (traffic.Workload, error) {
 	def = def.Normalized()
 	process := fs.String("process", def.Process, "arrival process: bernoulli, mmp (bursty on/off), or trace (replay -trace)")
 	pattern := fs.String("pattern", def.Pattern, "traffic pattern: uniform, transpose, bitcomp, bitrev, shuffle, tornado, neighbor, hotspot")
-	rate := fs.Float64("rate", def.Rate, "offered load in flits/cycle/terminal (tools that sweep the x-axis ignore it)")
+	rate := nonNegFloat(def.Rate)
+	fs.Var(&rate, "rate", "offered `load` in flits/cycle/terminal (tools that sweep the x-axis ignore it)")
 	burstLen := fs.Float64("burstlen", def.BurstLen, "mmp mean ON-burst length in cycles (0 = default 32)")
 	duty := fs.Float64("duty", def.Duty, "mmp long-run ON fraction in (0, 1] (0 = default 0.25)")
 	hotspots := fs.String("hotspots", intsCSV(def.Hotspots), "hotspot pattern: comma-separated hot terminal ids (empty = terminal 0)")
@@ -54,7 +59,7 @@ func WorkloadFlags(fs *flag.FlagSet, def traffic.Workload) func() (traffic.Workl
 	return func() (traffic.Workload, error) {
 		w := traffic.Workload{
 			Process:         *process,
-			Rate:            *rate,
+			Rate:            float64(rate),
 			Pattern:         *pattern,
 			BurstLen:        *burstLen,
 			Duty:            *duty,
@@ -88,6 +93,44 @@ func WorkloadFlags(fs *flag.FlagSet, def traffic.Workload) func() (traffic.Workl
 		}
 		return w, nil
 	}
+}
+
+// nonNegInt and nonNegFloat are int and float64 flag values that refuse a
+// negative number while parsing, so a command reports it as a usage error
+// instead of simulating with it.
+type (
+	nonNegInt   int
+	nonNegFloat float64
+)
+
+var errNegative = errors.New("must not be negative")
+
+func (v *nonNegInt) String() string { return strconv.Itoa(int(*v)) }
+
+func (v *nonNegInt) Set(s string) error {
+	n, err := strconv.ParseInt(s, 0, strconv.IntSize)
+	if err != nil {
+		return errors.Unwrap(err)
+	}
+	if n < 0 {
+		return errNegative
+	}
+	*v = nonNegInt(n)
+	return nil
+}
+
+func (v *nonNegFloat) String() string { return strconv.FormatFloat(float64(*v), 'g', -1, 64) }
+
+func (v *nonNegFloat) Set(s string) error {
+	x, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return errors.Unwrap(err)
+	}
+	if !(x >= 0) {
+		return errNegative
+	}
+	*v = nonNegFloat(x)
+	return nil
 }
 
 // intsCSV renders an int slice as the comma-separated flag default.
