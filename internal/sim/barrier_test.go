@@ -150,9 +150,11 @@ func TestParallelHelperParksAndWakes(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		n.stepCycle()
 	}
-	h, parks := n.helper, n.parks.Load()
-	// The helper counts a park after its last look at cmd and stop.
-	for deadline := time.Now().Add(10 * time.Second); n.parks.Load() == parks; time.Sleep(parkAfter) {
+	h := n.helper
+	// The helper may park before the count could be read here, so wait on
+	// its flag: with no new cycle coming, a helper that has set it goes on
+	// to count the park and block, before the next cycle can be stepped.
+	for deadline := time.Now().Add(10 * time.Second); !h.parked.Load(); time.Sleep(parkAfter) {
 		if time.Now().After(deadline) {
 			t.Fatal("a helper with no cycle to run for 10 s never parked")
 		}
