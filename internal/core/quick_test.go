@@ -37,7 +37,7 @@ func quickVCRequests(spec VCSpec, raw []byte) []VCRequest {
 
 func TestQuickVCAllocatorsAlwaysValid(t *testing.T) {
 	spec := NewVCSpec(2, 2, 2)
-	allocators := []VCAllocator{}
+	allocators := []*VCAllocator{}
 	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
 		for _, sparse := range []bool{false, true} {
 			allocators = append(allocators, NewVCAllocator(VCAllocConfig{
@@ -62,7 +62,7 @@ func TestQuickVCAllocatorsAlwaysValid(t *testing.T) {
 
 func TestQuickSwitchAllocatorsAlwaysValid(t *testing.T) {
 	const p, v = 4, 4
-	allocators := []SwitchAllocator{}
+	allocators := []*SwitchAllocator{}
 	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront, alloc.Maximum} {
 		for _, mode := range []SpecMode{SpecNone, SpecGnt, SpecReq} {
 			allocators = append(allocators, NewSwitchAllocator(SwitchAllocConfig{

@@ -56,8 +56,8 @@ func build(parts ...part) {
 // router. They behave exactly like the results of NewVCAllocator and
 // NewSwitchAllocator, but share one set of slabs, which is what keeps router
 // construction to a few dozen allocations.
-func NewAllocators(va VCAllocConfig, sa SwitchAllocConfig) (VCAllocator, SwitchAllocator) {
-	v, w := newVCPart(va), newSwitchAllocator(sa)
+func NewAllocators(va VCAllocConfig, sa SwitchAllocConfig) (*VCAllocator, *SwitchAllocator) {
+	v, w := newVCAllocator(va), newSwitchAllocator(sa)
 	build(v, w)
 	return v, w
 }

@@ -98,51 +98,8 @@ type SwitchAllocStats struct {
 	SpecGranted int64
 }
 
-// SwitchAllocator schedules buffered flits onto crossbar time slots subject
-// to the switch allocation constraints: at most one VC per input port and at
-// most one input port per output port receive grants (paper §5).
-//
-// Like VCAllocator it has two entry points over one request slice: Allocate
-// derives its request state from the whole slice, while Push+Run let the
-// caller push the old and the new value of every entry it rewrites, and Run
-// then only allocates. The two may be mixed freely; after an Allocate the
-// caller pushes only what it rewrites from then on. Grants and counters are
-// bit-identical to Allocate's on the same slice.
-type SwitchAllocator interface {
-	// Ports returns the router port count P.
-	Ports() int
-	// VCs returns the per-port VC count V.
-	VCs() int
-	// Allocate computes the crossbar schedule for one cycle. reqs is
-	// indexed by global input VC p·V+v and must have length P·V. The
-	// result, indexed by input port, is owned by the allocator and valid
-	// until the next call.
-	//
-	// Request-slice contract: reqs is a read-only input owned by the
-	// caller, who may reuse the same backing array — with only changed
-	// entries rewritten — on every call (the router's change-driven
-	// request cache does exactly that). Implementations must not mutate it
-	// and must not retain it past the call's return.
-	Allocate(reqs []SwitchRequest) []SwitchGrant
-	// Push records that input VC (port, vc)'s entry changed from old — what
-	// the allocator last saw of it, pushed or handed to Allocate — to nw.
-	// Pushing an unchanged entry (old == nw) is harmless.
-	Push(port, vc int, old, nw SwitchRequest)
-	// Run is Allocate over the pushed state.
-	Run(reqs []SwitchRequest) []SwitchGrant
-	// SkipIdle advances the allocator as idleCycles calls without a single
-	// active request would.
-	SkipIdle(idleCycles int64)
-	// Reset restores initial arbitration state and clears Stats.
-	Reset()
-	// Name returns the paper-style identifier, e.g. "sep_if/rr+spec_req".
-	Name() string
-	// Stats reports speculation outcome counters.
-	Stats() SwitchAllocStats
-}
-
 // NewSwitchAllocator builds a switch allocator.
-func NewSwitchAllocator(cfg SwitchAllocConfig) SwitchAllocator {
+func NewSwitchAllocator(cfg SwitchAllocConfig) *SwitchAllocator {
 	a := newSwitchAllocator(cfg)
 	build(a)
 	return a
@@ -150,7 +107,7 @@ func NewSwitchAllocator(cfg SwitchAllocConfig) SwitchAllocator {
 
 // newSwitchAllocator returns a switch allocator before its storage is laid
 // out.
-func newSwitchAllocator(cfg SwitchAllocConfig) *switchAllocator {
+func newSwitchAllocator(cfg SwitchAllocConfig) *SwitchAllocator {
 	if cfg.Ports <= 0 || cfg.VCs <= 0 {
 		panic("core: Ports and VCs must be positive")
 	}
@@ -158,7 +115,7 @@ func newSwitchAllocator(cfg SwitchAllocConfig) *switchAllocator {
 		panic(fmt.Sprintf("core: switch allocator with %d ports and %d VCs per port: "+
 			"at most 64 of each, every port set and VC set is one machine word", cfg.Ports, cfg.VCs))
 	}
-	a := &switchAllocator{
+	a := &SwitchAllocator{
 		cfg:       cfg,
 		speculate: cfg.SpecMode != SpecNone,
 		grants:    make([]SwitchGrant, cfg.Ports),
@@ -174,7 +131,23 @@ func newSwitchAllocator(cfg SwitchAllocConfig) *switchAllocator {
 	return a
 }
 
-type switchAllocator struct {
+// SwitchAllocator schedules buffered flits onto crossbar time slots subject
+// to the switch allocation constraints: at most one VC per input port and at
+// most one input port per output port receive grants (paper §5).
+//
+// Like VCAllocator it has two entry points over one request slice, indexed by
+// global input VC p·V+v and of length P·V: Allocate derives its request state
+// from the whole slice, while Push+Run let the caller push the old and the
+// new value of every entry it rewrites, and Run then only allocates. The two
+// may be mixed freely; after an Allocate the caller pushes only what it
+// rewrites from then on. Grants and counters are bit-identical to Allocate's
+// on the same slice.
+//
+// The request slice is a read-only input owned by the caller, who may reuse
+// the same backing array — with only changed entries rewritten — on every
+// call (the router's change-driven request cache does exactly that). The
+// allocator never mutates it and keeps no reference past the call's return.
+type SwitchAllocator struct {
 	cfg       SwitchAllocConfig
 	speculate bool
 	nonspec   swEngine
@@ -184,7 +157,7 @@ type switchAllocator struct {
 	stats     SwitchAllocStats
 }
 
-func (a *switchAllocator) layout(s slabs) slabs {
+func (a *SwitchAllocator) layout(s slabs) slabs {
 	a.nonspec.layout(&s)
 	if a.speculate {
 		a.spec.layout(&s)
@@ -193,13 +166,11 @@ func (a *switchAllocator) layout(s slabs) slabs {
 }
 
 // fill has nothing to set: the engines' storage starts empty.
-func (a *switchAllocator) fill() {}
+func (a *SwitchAllocator) fill() {}
 
-func (a *switchAllocator) Ports() int { return a.cfg.Ports }
-func (a *switchAllocator) VCs() int   { return a.cfg.VCs }
-
-// Name is assembled on demand (see vcAllocator.Name).
-func (a *switchAllocator) Name() string {
+// Name returns the paper-style identifier, e.g. "sep_if/rr+spec_req",
+// assembled on demand (see VCAllocator.Name).
+func (a *SwitchAllocator) Name() string {
 	name := a.cfg.Arch.String()
 	if a.cfg.Arch != alloc.Wavefront {
 		name += "/" + a.cfg.ArbKind.String()
@@ -209,7 +180,8 @@ func (a *switchAllocator) Name() string {
 	return name + "+" + a.cfg.SpecMode.String()
 }
 
-func (a *switchAllocator) Reset() {
+// Reset restores initial arbitration state and clears Stats.
+func (a *SwitchAllocator) Reset() {
 	a.nonspec.reset()
 	if a.speculate {
 		a.spec.reset()
@@ -217,20 +189,24 @@ func (a *switchAllocator) Reset() {
 	a.stats = SwitchAllocStats{}
 }
 
-func (a *switchAllocator) Stats() SwitchAllocStats { return a.stats }
+// Stats reports speculation outcome counters.
+func (a *SwitchAllocator) Stats() SwitchAllocStats { return a.stats }
 
-// SkipIdle replays idle cycles: on a request-free cycle the only
-// state change in Allocate is the rotation of the wavefront blocks' priority
-// diagonal (arbiters commit only on accepted proposals), so replay exactly
-// that. The separable datapaths never read the diagonal.
-func (a *switchAllocator) SkipIdle(idleCycles int64) {
+// SkipIdle advances the allocator as idleCycles calls without a single
+// active request would. On a request-free cycle the only state change in
+// Allocate is the rotation of the wavefront blocks' priority diagonal
+// (arbiters commit only on accepted proposals), so replay exactly that. The
+// separable datapaths never read the diagonal.
+func (a *SwitchAllocator) SkipIdle(idleCycles int64) {
 	a.nonspec.rotate(idleCycles)
 	if a.speculate {
 		a.spec.rotate(idleCycles)
 	}
 }
 
-func (a *switchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
+// Allocate computes the crossbar schedule for one cycle. The result, indexed
+// by input port, is owned by the allocator and valid until the next call.
+func (a *SwitchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	p, v := a.cfg.Ports, a.cfg.VCs
 	a.checkLen(reqs)
 	// The dense entry point sees a fresh matrix as often as not (the quality
@@ -255,7 +231,10 @@ func (a *switchAllocator) Allocate(reqs []SwitchRequest) []SwitchGrant {
 	return a.run(reqs)
 }
 
-func (a *switchAllocator) Push(port, vc int, old, nw SwitchRequest) {
+// Push records that input VC (port, vc)'s entry changed from old — what the
+// allocator last saw of it, pushed or handed to Allocate — to nw. Pushing an
+// unchanged entry (old == nw) is harmless.
+func (a *SwitchAllocator) Push(port, vc int, old, nw SwitchRequest) {
 	if old == nw {
 		return
 	}
@@ -265,12 +244,13 @@ func (a *switchAllocator) Push(port, vc int, old, nw SwitchRequest) {
 	}
 }
 
-func (a *switchAllocator) Run(reqs []SwitchRequest) []SwitchGrant {
+// Run is Allocate over the pushed state.
+func (a *SwitchAllocator) Run(reqs []SwitchRequest) []SwitchGrant {
 	a.checkLen(reqs)
 	return a.run(reqs)
 }
 
-func (a *switchAllocator) checkLen(reqs []SwitchRequest) {
+func (a *SwitchAllocator) checkLen(reqs []SwitchRequest) {
 	if n := a.cfg.Ports * a.cfg.VCs; len(reqs) != n {
 		panic(fmt.Sprintf("core: %d switch requests, want %d", len(reqs), n))
 	}
@@ -278,7 +258,7 @@ func (a *switchAllocator) checkLen(reqs []SwitchRequest) {
 
 // run performs one allocation cycle from the engines' cached request state,
 // which Allocate or Push has already synchronized with reqs.
-func (a *switchAllocator) run(reqs []SwitchRequest) []SwitchGrant {
+func (a *SwitchAllocator) run(reqs []SwitchRequest) []SwitchGrant {
 	// Grants are sparse (at most one per input port, and most ports grant
 	// nothing on most cycles): restore only the entries the previous cycle
 	// wrote.

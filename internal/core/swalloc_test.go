@@ -434,7 +434,7 @@ func TestPessimisticMasksOnRequests(t *testing.T) {
 	// If port 0's nonspec request loses to port 2, then under spec_gnt the
 	// spec VC may still win output 1, but under spec_req the mere presence
 	// of the nonspec request at port 0 kills it.
-	mk := func(mode SpecMode) (SwitchAllocator, []SwitchRequest) {
+	mk := func(mode SpecMode) (*SwitchAllocator, []SwitchRequest) {
 		a := NewSwitchAllocator(SwitchAllocConfig{Ports: 4, VCs: 2, Arch: alloc.SepIF,
 			ArbKind: arbiter.RoundRobin, SpecMode: mode})
 		reqs := make([]SwitchRequest, 8)

@@ -24,52 +24,6 @@ type VCRequest struct {
 	Candidates VCMask
 }
 
-// VCAllocator assigns output VCs to requesting input VCs, at most one output
-// VC per input VC and at most one input VC per output VC (paper §4).
-//
-// It has two entry points over one request slice. Allocate derives its
-// request state from the whole slice. Push+Run let the caller maintain that
-// state: whenever the caller rewrites an entry it pushes whether the entry is
-// now issuable — Active with at least one candidate — and Run then only
-// allocates, reading OutPort and Candidates of the issuable entries from the
-// slice. The two may be mixed freely; after an Allocate the caller pushes
-// only what it rewrites from then on. Grants are bit-identical to Allocate's
-// on the same slice.
-type VCAllocator interface {
-	// Ports returns the router port count P.
-	Ports() int
-	// VCs returns the per-port VC count V.
-	VCs() int
-	// Allocate computes a VC assignment for one cycle. reqs is indexed by
-	// global input VC p·V+v and must have length P·V. The returned slice,
-	// also indexed by global input VC, holds the granted global output VC
-	// (o·V+v') or -1; it is owned by the allocator and valid until the next
-	// call.
-	//
-	// Request-slice contract: reqs is a read-only input owned by the caller,
-	// who may reuse the same backing storage — with only changed entries
-	// rewritten — on every call (the router's change-driven request cache
-	// does exactly that). Implementations must not mutate it and must not
-	// retain references past the call's return.
-	Allocate(reqs []VCRequest) []int
-	// Push records whether input VC (port, vc)'s entry is issuable. Pushing
-	// an unchanged entry again is harmless.
-	Push(port, vc int, issuable bool)
-	// Run is Allocate over the pushed state. Besides the grants it returns
-	// the input VCs holding one, a word per input port (bit vc of word
-	// port), so a caller visits only those; both are owned by the
-	// allocator and valid until the next call.
-	Run(reqs []VCRequest) (grants []int, granted []uint64)
-	// SkipIdle advances the allocator as idleCycles calls without a single
-	// issuable request would.
-	SkipIdle(idleCycles int64)
-	// Reset restores initial arbitration state.
-	Reset()
-	// Name returns the paper-style identifier, e.g. "sep_if/rr" or
-	// "wf/rr (sparse)".
-	Name() string
-}
-
 // VCAllocConfig parameterizes VC allocator construction.
 type VCAllocConfig struct {
 	// Ports is the router radix P.
@@ -88,14 +42,14 @@ type VCAllocConfig struct {
 }
 
 // NewVCAllocator builds a VC allocator.
-func NewVCAllocator(cfg VCAllocConfig) VCAllocator {
-	a := newVCPart(cfg)
+func NewVCAllocator(cfg VCAllocConfig) *VCAllocator {
+	a := newVCAllocator(cfg)
 	build(a)
 	return a
 }
 
-// newVCPart returns a VC allocator before its storage is laid out.
-func newVCPart(cfg VCAllocConfig) *vcAllocator {
+// newVCAllocator returns a VC allocator before its storage is laid out.
+func newVCAllocator(cfg VCAllocConfig) *VCAllocator {
 	if cfg.Ports <= 0 {
 		panic("core: Ports must be positive")
 	}
@@ -107,7 +61,7 @@ func newVCPart(cfg VCAllocConfig) *vcAllocator {
 		panic(fmt.Sprintf("core: VC allocator for %d ports × %s = %d VCs: at most %d of each, "+
 			"every candidate set and every port set is one machine word", cfg.Ports, cfg.Spec, v, maxVCs))
 	}
-	a := &vcAllocator{ports: cfg.Ports, v: v}
+	a := &VCAllocator{ports: cfg.Ports, v: v}
 	if cfg.Sparse {
 		perClass := cfg.Spec.ResourceClasses * cfg.Spec.VCsPerClass
 		a.engines = make([]vcEngine, cfg.Spec.MessageClasses)
@@ -120,10 +74,26 @@ func newVCPart(cfg VCAllocConfig) *vcAllocator {
 	return a
 }
 
-// vcAllocator dispatches requests to one engine (dense) or one engine per
-// message class (sparse). Because packets never change message class, the
-// sparse decomposition loses no matching opportunities (paper §4.2).
-type vcAllocator struct {
+// VCAllocator assigns output VCs to requesting input VCs, at most one output
+// VC per input VC and at most one input VC per output VC (paper §4). It
+// dispatches requests to one engine (dense) or one engine per message class
+// (sparse). Because packets never change message class, the sparse
+// decomposition loses no matching opportunities (paper §4.2).
+//
+// It has two entry points over one request slice, indexed by global input VC
+// p·V+v and of length P·V. Allocate derives its request state from the whole
+// slice. Push+Run let the caller maintain that state: whenever the caller
+// rewrites an entry it pushes whether the entry is now issuable — Active with
+// at least one candidate — and Run then only allocates, reading OutPort and
+// Candidates of the issuable entries from the slice. The two may be mixed
+// freely; after an Allocate the caller pushes only what it rewrites from then
+// on. Grants are bit-identical to Allocate's on the same slice.
+//
+// The request slice is a read-only input owned by the caller, who may reuse
+// the same backing storage — with only changed entries rewritten — on every
+// call (the router's change-driven request cache does exactly that). The
+// allocator never mutates it and keeps no reference past the call's return.
+type VCAllocator struct {
 	ports, v int
 	engines  []vcEngine
 	grants   []int
@@ -140,12 +110,11 @@ type vcAllocator struct {
 	granted []uint64
 }
 
-func (a *vcAllocator) Ports() int { return a.ports }
-func (a *vcAllocator) VCs() int   { return a.v }
-
-// Name is assembled on demand: reports ask for it a handful of times, and
-// building the string per constructed allocator was two heap objects each.
-func (a *vcAllocator) Name() string {
+// Name returns the paper-style identifier, e.g. "sep_if/rr" or
+// "wf/rr (sparse)". It is assembled on demand: reports ask for it a handful
+// of times, and building the string per constructed allocator was two heap
+// objects each.
+func (a *VCAllocator) Name() string {
 	cfg := a.engines[0].cfg
 	name := cfg.Arch.String()
 	if cfg.Arch != alloc.Wavefront {
@@ -159,7 +128,7 @@ func (a *vcAllocator) Name() string {
 	return name
 }
 
-func (a *vcAllocator) layout(s slabs) slabs {
+func (a *VCAllocator) layout(s slabs) slabs {
 	a.active = s.Words(a.ports)
 	a.granted = s.Words(a.ports)
 	a.grants = s.ints.Take(a.ports * a.v)
@@ -169,7 +138,7 @@ func (a *vcAllocator) layout(s slabs) slabs {
 	return s
 }
 
-func (a *vcAllocator) fill() {
+func (a *VCAllocator) fill() {
 	for i := range a.grants {
 		a.grants[i] = -1
 	}
@@ -178,16 +147,19 @@ func (a *vcAllocator) fill() {
 	}
 }
 
-func (a *vcAllocator) Reset() {
+// Reset restores initial arbitration state.
+func (a *VCAllocator) Reset() {
 	for i := range a.engines {
 		a.engines[i].reset()
 	}
 }
 
-// SkipIdle replays idle cycles into the wavefront engines, whose priority
-// diagonal turns on every call, request-free ones included. Separable engines
-// only update arbiter priority on grants and need no catch-up.
-func (a *vcAllocator) SkipIdle(idleCycles int64) {
+// SkipIdle advances the allocator as idleCycles calls without a single
+// issuable request would: it replays them into the wavefront engines, whose
+// priority diagonal turns on every call, request-free ones included.
+// Separable engines only update arbiter priority on grants and need no
+// catch-up.
+func (a *VCAllocator) SkipIdle(idleCycles int64) {
 	for i := range a.engines {
 		if e := &a.engines[i]; e.arch == alloc.Wavefront {
 			e.wave.SkipIdle(idleCycles)
@@ -195,7 +167,10 @@ func (a *vcAllocator) SkipIdle(idleCycles int64) {
 	}
 }
 
-func (a *vcAllocator) Allocate(reqs []VCRequest) []int {
+// Allocate computes a VC assignment for one cycle. The returned slice,
+// indexed by global input VC, holds the granted global output VC (o·V+v') or
+// -1; it is owned by the allocator and valid until the next call.
+func (a *VCAllocator) Allocate(reqs []VCRequest) []int {
 	a.checkLen(reqs)
 	a.busy = 0
 	for port := range a.active {
@@ -210,7 +185,9 @@ func (a *vcAllocator) Allocate(reqs []VCRequest) []int {
 	return a.run(reqs)
 }
 
-func (a *vcAllocator) Push(port, vc int, issuable bool) {
+// Push records whether input VC (port, vc)'s entry is issuable. Pushing an
+// unchanged entry again is harmless.
+func (a *VCAllocator) Push(port, vc int, issuable bool) {
 	if issuable {
 		a.setActive(port, a.active[port]|1<<uint(vc))
 	} else {
@@ -218,19 +195,23 @@ func (a *vcAllocator) Push(port, vc int, issuable bool) {
 	}
 }
 
-func (a *vcAllocator) Run(reqs []VCRequest) ([]int, []uint64) {
+// Run is Allocate over the pushed state. Besides the grants it returns the
+// input VCs holding one, a word per input port (bit vc of word port), so a
+// caller visits only those; both are owned by the allocator and valid until
+// the next call.
+func (a *VCAllocator) Run(reqs []VCRequest) (grants []int, granted []uint64) {
 	a.checkLen(reqs)
 	return a.run(reqs), a.granted
 }
 
-func (a *vcAllocator) checkLen(reqs []VCRequest) {
+func (a *VCAllocator) checkLen(reqs []VCRequest) {
 	if len(reqs) != a.ports*a.v {
 		panic(fmt.Sprintf("core: %d VC requests, want %d", len(reqs), a.ports*a.v))
 	}
 }
 
 // setActive replaces port's active set.
-func (a *vcAllocator) setActive(port int, vcs uint64) {
+func (a *VCAllocator) setActive(port int, vcs uint64) {
 	a.active[port] = vcs
 	a.busy &^= 1 << uint(port)
 	if vcs != 0 {
@@ -243,7 +224,7 @@ func (a *vcAllocator) setActive(port int, vcs uint64) {
 // and gathers the new granted words. Only an issuable entry can be granted,
 // so that walk is over the active sets, and it reads the active sets Run was
 // given, whatever pushes change them before the next call.
-func (a *vcAllocator) run(reqs []VCRequest) []int {
+func (a *VCAllocator) run(reqs []VCRequest) []int {
 	for port, w := range a.granted {
 		if w == 0 {
 			continue

@@ -65,9 +65,9 @@ func TestVCAllocatorNames(t *testing.T) {
 		if !want[a.Name()] {
 			t.Errorf("unexpected name %q", a.Name())
 		}
-		if a.Ports() != 5 || a.VCs() != 4 {
-			t.Errorf("%s: wrong dims %d/%d", a.Name(), a.Ports(), a.VCs())
-		}
+		// The dimensions are P·V = 5·4 request entries, no more, no fewer.
+		a.Allocate(make([]VCRequest, 5*4))
+		mustPanicNaming(t, a.Name(), "want 20", func() { a.Allocate(make([]VCRequest, 5*4+1)) })
 	}
 }
 

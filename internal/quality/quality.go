@@ -161,7 +161,7 @@ func VCSeriesMulti(cfgs []core.VCAllocConfig, rates []float64, trials int, seed 
 			defer func() { <-sem }()
 			// Fresh per-task instances: allocator construction is equivalent
 			// to the per-rate Reset of the sequential code.
-			allocs := make([]core.VCAllocator, len(cfgs))
+			allocs := make([]*core.VCAllocator, len(cfgs))
 			for k, cfg := range cfgs {
 				allocs[k] = core.NewVCAllocator(cfg)
 			}
@@ -266,7 +266,7 @@ func SwitchSeriesMulti(cfgs []core.SwitchAllocConfig, rates []float64, trials in
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			allocs := make([]core.SwitchAllocator, len(cfgs))
+			allocs := make([]*core.SwitchAllocator, len(cfgs))
 			for k := range cfgs {
 				allocs[k] = core.NewSwitchAllocator(cfgs[k])
 			}

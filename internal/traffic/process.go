@@ -289,20 +289,15 @@ func (pt *PacketTrace) BySource(n int) [][]Arrival {
 	return out
 }
 
-// PacketSource is the optional ArrivalProcess extension for processes that
-// carry the spatial half of the workload too: after a tick (or batched
-// sample) signals an arrival, PacketAt returns that arrival's recorded
-// packet type and destination, and the Generator uses them instead of
-// drawing from ReadFraction and the Pattern.
-type PacketSource interface {
-	PacketAt() (PacketType, int)
-}
-
-// Replay drives one terminal from its slice of a recorded PacketTrace. It
-// consumes no randomness at all: a tick advances an internal cycle counter
-// and fires exactly at the recorded arrival cycles, so the snapshot/rewind
-// contract reduces to saving and restoring (cycle, cursor). Once the slice
-// is exhausted Rate() reports 0 and the terminal goes quiet.
+// Replay drives one terminal from its slice of a recorded PacketTrace. It is
+// the one process that carries the spatial half of the workload too: after
+// an arrival fires, PacketAt returns its recorded packet type and
+// destination, and the Generator uses them instead of drawing from
+// ReadFraction and the Pattern. It consumes no randomness at all: a tick
+// advances an internal cycle counter and fires exactly at the recorded
+// arrival cycles, so the snapshot/rewind contract reduces to saving and
+// restoring (cycle, cursor). Once the slice is exhausted Rate() reports 0
+// and the terminal goes quiet.
 type Replay struct {
 	arrivals []Arrival
 	cycle    int64 // next tick advances this simulated cycle
@@ -378,7 +373,7 @@ func (r *Replay) NextArrivalDelta(_ *xrand.Source, max int) int {
 }
 
 // PacketAt returns the type and destination of the most recently fired
-// arrival (PacketSource).
+// arrival.
 func (r *Replay) PacketAt() (PacketType, int) {
 	a := r.arrivals[r.idx-1]
 	return a.Type, a.Dst

@@ -265,7 +265,7 @@ func (h *hotspot) Dest(src int, rng *xrand.Source) int {
 // Generator produces the per-terminal injection workload: an ArrivalProcess
 // decides *when* transactions start (temporal), the Pattern and ReadFraction
 // decide *where* they go and what kind they are (spatial) — unless the
-// process is also a PacketSource (trace replay), which carries both halves.
+// process is a trace Replay, which carries both halves.
 //
 // The generator also owns the event-leaping presample state: a bounded batch
 // of future gate draws (Presample), the RNG/process snapshot that lets a
@@ -369,11 +369,11 @@ func (g *Generator) NextRequest(src int, rng *xrand.Source) (PacketType, int, bo
 
 // RequestAt draws the type and destination of a transaction whose arrival
 // tick was already consumed — the second half of NextRequest, split out for
-// the presampling path. A PacketSource process (trace replay) supplies both
-// directly, consuming no randomness.
+// the presampling path. A trace Replay supplies both directly, consuming no
+// randomness.
 func (g *Generator) RequestAt(src int, rng *xrand.Source) (PacketType, int) {
-	if ps, ok := g.proc.(PacketSource); ok {
-		return ps.PacketAt()
+	if r, ok := g.proc.(*Replay); ok {
+		return r.PacketAt()
 	}
 	t := WriteRequest
 	if rng.Bool(g.ReadFraction) {

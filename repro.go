@@ -133,7 +133,7 @@ type VCMask = core.VCMask
 
 // NewVCAllocator builds a VC allocator. Set c.Sparse for the §4.2 sparse
 // scheme.
-func NewVCAllocator(c VCAllocConfig) VCAllocator { return core.NewVCAllocator(c) }
+func NewVCAllocator(c VCAllocConfig) *VCAllocator { return core.NewVCAllocator(c) }
 
 // SwitchAllocator schedules flits onto crossbar slots (Fig. 8).
 type SwitchAllocator = core.SwitchAllocator
@@ -161,7 +161,7 @@ const (
 
 // NewSwitchAllocator builds a switch allocator. Set c.SpecMode for one of
 // the §5.2 speculation schemes.
-func NewSwitchAllocator(c SwitchAllocConfig) SwitchAllocator { return core.NewSwitchAllocator(c) }
+func NewSwitchAllocator(c SwitchAllocConfig) *SwitchAllocator { return core.NewSwitchAllocator(c) }
 
 // SwitchAllocStats counts speculation outcomes (§5.2).
 type SwitchAllocStats = core.SwitchAllocStats
