@@ -11,7 +11,8 @@
 //	matchquality -unit vc -topo mesh -c 4 [-trials 10000] [-seed 1] [-workers N] [-json]
 //	matchquality -unit sw -topo fbfly -c 2
 //
-// -trials must be at least 1; a smaller value is a usage error (exit 2).
+// -trials below 1, an unknown -unit or design point, or any positional
+// argument is a usage error (exit 2).
 //
 // go build compiles the program with default.pgo, a CPU profile of the
 // benchmark's quality classes; sh internal/prof/genpgo.sh regenerates it
@@ -19,7 +20,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,17 +47,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	workers := fs.Int("workers", runtime.NumCPU(), "concurrently swept rate points (results are identical for any value)")
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
 	profiles := prof.Flags(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := experiments.ParseArgs(fs, args); !ok {
+		return code
 	}
 	// No trials normalise nothing: every quality would print as 1.
 	if *trials < 1 {
-		fmt.Fprintf(stderr, "matchquality: -trials must be at least 1, got %d\n", *trials)
-		fs.Usage()
-		return 2
+		return experiments.UsageError(fs, "-trials must be at least 1, got %d", *trials)
+	}
+	if *unit != "vc" && *unit != "sw" {
+		return experiments.UsageError(fs, "unknown -unit %q; want vc or sw", *unit)
+	}
+	pt, err := experiments.PointByName(*topo, *c)
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 
 	stop, err := prof.StartAll(profiles())
@@ -72,30 +74,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	pt, err := experiments.PointByName(*topo, *c)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
 	rates := quality.DefaultRates()
 	var series []quality.Series
 	var figure string
-	switch *unit {
-	case "vc":
+	if *unit == "vc" {
 		figure = "fig7"
 		if !*asJSON {
 			fmt.Fprintf(stdout, "VC allocator matching quality (Fig. 7), %s, %d trials/point\n", pt, *trials)
 		}
 		series = experiments.VCQuality(pt, rates, *trials, *seed, *workers)
-	case "sw":
+	} else {
 		figure = "fig12"
 		if !*asJSON {
 			fmt.Fprintf(stdout, "switch allocator matching quality (Fig. 12), %s, %d trials/point\n", pt, *trials)
 		}
 		series = experiments.SwitchQuality(pt, rates, *trials, *seed, *workers)
-	default:
-		fmt.Fprintf(stderr, "unknown unit %q (want vc or sw)\n", *unit)
-		return 1
 	}
 	if *asJSON {
 		if err := experiments.QualityReport(figure, pt, series).WriteJSON(stdout); err != nil {

@@ -65,3 +65,21 @@ func TestProfileWritten(t *testing.T) {
 		t.Fatalf("profiling changed the output:\n%s\nvs\n%s", plain.String(), profiled.String())
 	}
 }
+
+// TestUsageErrors: a positional argument, an unknown unit and a design point
+// that does not exist are usage errors that name what is wrong, reported
+// before anything runs.
+func TestUsageErrors(t *testing.T) {
+	for _, g := range []struct{ args, want string }{
+		{"-unit sw -topo mesh -c 1 -trials 1 extra", `matchquality: unexpected argument "extra"`},
+		{"-unit bogus", `matchquality: unknown -unit "bogus"`},
+		{"-unit vc -topo ring", "no design point ring C=1"},
+		{"-unit sw -topo fbfly -c 3", "no design point fbfly C=3"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(strings.Fields(g.args), &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), g.want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no output and %q", g.args, code, out.String(), errOut.String(), g.want)
+		}
+	}
+}

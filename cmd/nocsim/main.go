@@ -17,17 +17,21 @@
 // A -rate of 0 (the default) means the middle of the design point's sweep,
 // for -record and -exp story, the two runs at one rate.
 //
+// An unknown -exp or design point, or any positional argument, is a usage
+// error (exit 2).
+//
 // Latency entries marked with '*' did not drain within the drain budget
 // (the offered load exceeds saturation throughput).
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/prof"
@@ -35,6 +39,9 @@ import (
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
+
+// exps are the experiments -exp accepts.
+var exps = []string{"fig13", "fig14", "vasweep", "patterns", "workload", "story"}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -44,7 +51,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "fig13", "experiment: fig13, fig14, vasweep, patterns, workload or story")
+	exp := fs.String("exp", "fig13", "experiment: "+strings.Join(exps, ", "))
 	topo := fs.String("topo", "mesh", "design point topology: mesh or fbfly")
 	c := fs.Int("c", 1, "VCs per class (1, 2 or 4)")
 	scaleOf := experiments.ScaleFlags(fs,
@@ -54,11 +61,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	asJSON := fs.Bool("json", false, "emit machine-readable JSON instead of tables")
 	pkt := fs.Int64("packet", 0, "-exp story: packet id to trace (0 = first fully traced packet)")
 	profiles := prof.Flags(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	if code, ok := experiments.ParseArgs(fs, args); !ok {
+		return code
+	}
+	if !slices.Contains(exps, *exp) {
+		return experiments.UsageError(fs, "unknown -exp %q; want one of %s", *exp, strings.Join(exps, ", "))
+	}
+	pt, err := experiments.PointByName(*topo, *c)
+	if err != nil {
+		return experiments.UsageError(fs, "%v", err)
 	}
 
 	stop, err := prof.StartAll(profiles())
@@ -73,11 +84,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	pt, err := experiments.PointByName(*topo, *c)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
 	scale := scaleOf()
 	workload, err := workloadOf()
 	if err != nil {
@@ -137,9 +143,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			wrates = []float64{0}
 		}
 		series = experiments.WorkloadCurve(ctx, pt, wrates, scale)
-	default:
-		fmt.Fprintf(stderr, "unknown experiment %q\n", *exp)
-		return 1
 	}
 	if *asJSON {
 		report := experiments.NetworkReport(*exp, pt, series)

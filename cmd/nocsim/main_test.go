@@ -51,13 +51,15 @@ func TestStoryAtDefaultScale(t *testing.T) {
 	}
 }
 
-// TestErrorKeepsProfile: a run that fails after profiling started still
-// writes its CPU profile, because the error is returned through run's
-// deferred stop instead of ending the process.
+// TestErrorKeepsProfile: a run that fails after profiling started (here on a
+// -trace file that does not exist) still writes its CPU profile, because the
+// error is returned through run's deferred stop instead of ending the
+// process.
 func TestErrorKeepsProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cpu.prof")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cpu.prof")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-exp", "bogus", "-cpuprofile", path}, &out, &errOut); code != 1 {
+	if code := run([]string{"-trace", filepath.Join(dir, "missing.txt"), "-cpuprofile", path}, &out, &errOut); code != 1 {
 		t.Fatalf("exit %d, stderr %q; want 1", code, errOut.String())
 	}
 	f, err := os.Open(path)
@@ -88,6 +90,24 @@ func TestNegativeScaleIsUsageError(t *testing.T) {
 		code := run(strings.Fields(args), &out, &errOut)
 		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "must not be negative") {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", args, code, out.String(), errOut.String())
+		}
+	}
+}
+
+// TestUsageErrors: a positional argument, an unknown experiment and a design
+// point that does not exist are usage errors that name what is wrong, reported
+// before anything runs.
+func TestUsageErrors(t *testing.T) {
+	for _, g := range []struct{ args, want string }{
+		{"-exp fig13 extra", `nocsim: unexpected argument "extra"`},
+		{"-exp bogus", `nocsim: unknown -exp "bogus"`},
+		{"-exp fig13 -topo ring", "no design point ring C=1"},
+		{"-exp story -topo mesh -c 3", "no design point mesh C=3"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(strings.Fields(g.args), &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), g.want) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no output and %q", g.args, code, out.String(), errOut.String(), g.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,5 +60,45 @@ func TestNegativePhaseIsUsageError(t *testing.T) {
 		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), flag+": must not be negative") {
 			t.Errorf("%s -3: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", flag, code, out.String(), errOut.String())
 		}
+	}
+}
+
+// TestPositionalArgIsUsageError: pareto takes no positional argument.
+func TestPositionalArgIsUsageError(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-smoke", "extra"}, &out, &errOut)
+	if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), `pareto: unexpected argument "extra"`) {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2, no output and the argument named", code, out.String(), errOut.String())
+	}
+}
+
+// TestSmokeKeepsExplicitFlags: the -smoke preset fills only the flags the
+// command line leaves unset. An explicit -vcs 3 reaches the search, which
+// refuses it as it does without -smoke, and explicit -vcs and -warmup are
+// the ones searched.
+func TestSmokeKeepsExplicitFlags(t *testing.T) {
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-smoke", "-vcs", "3"}, &out, &errOut); code == 0 || !strings.Contains(errOut.String(), "no design point mesh C=3") {
+		t.Errorf("-smoke -vcs 3: exit %d, stderr %q; want the search to refuse mesh C=3", code, errOut.String())
+	}
+	if testing.Short() {
+		t.Skip("runs a pruned search")
+	}
+	out.Reset()
+	errOut.Reset()
+	if code := run([]string{"-smoke", "-vcs", "1", "-warmup", "150", "-out", "-", "-workers", "2"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, errOut.String())
+	}
+	_, body, ok := strings.Cut(out.String(), "\n{\n")
+	if !ok {
+		t.Fatalf("no JSON after the table:\n%s", out.String())
+	}
+	var res dse.Result
+	if err := json.Unmarshal([]byte("{\n"+body), &res); err != nil {
+		t.Fatal(err)
+	}
+	s := res.Spec
+	if !slices.Equal(s.Topos, []string{"mesh"}) || !slices.Equal(s.VCs, []int{1}) || s.Warmup != 150 || s.Measure != 400 || s.Drain != 2000 {
+		t.Fatalf("searched topos %v, VCs %v, phases %d/%d/%d; want mesh, [1], 150/400/2000", s.Topos, s.VCs, s.Warmup, s.Measure, s.Drain)
 	}
 }

@@ -67,3 +67,14 @@ func TestNegativePhaseIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionalArgIsUsageError: repro takes no positional argument, so
+// "-only fig4 fig5" is a usage error naming fig5, not a run that prints Fig. 4
+// alone.
+func TestPositionalArgIsUsageError(t *testing.T) {
+	var out, errOut bytes.Buffer
+	code := run([]string{"-only", "fig4", "fig5"}, &out, &errOut)
+	if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), `repro: unexpected argument "fig5"`) {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2, no output and the argument named", code, out.String(), errOut.String())
+	}
+}

@@ -216,3 +216,12 @@ func FuzzJobSubmit(f *testing.F) {
 		}
 	})
 }
+
+// TestPositionalArgRefused: sweepd takes no positional argument, so
+// "-selfcheck extra" is an error naming the argument, not a selfcheck.
+func TestPositionalArgRefused(t *testing.T) {
+	fs := flag.NewFlagSet("sweepd", flag.ContinueOnError)
+	if _, err := parseFlags(fs, []string{"-selfcheck", "extra"}); err == nil || !strings.Contains(err.Error(), `unexpected argument "extra"`) {
+		t.Fatalf("got %v; want the argument named", err)
+	}
+}
