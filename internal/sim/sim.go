@@ -30,6 +30,18 @@ import (
 	"repro/internal/xrand"
 )
 
+// The values a zero Config field stands for. They are the only spelling of
+// the simulation defaults: the sweep service's unit schema fills its zero
+// fields from them too, so a default-filled unit is the run a batch command
+// makes.
+const (
+	DefaultBufDepth     = 8 // flits per VC, as in the paper
+	DefaultReadFraction = 0.5
+	DefaultWarmup       = 2000
+	DefaultMeasure      = 5000
+	DefaultDrain        = 20000
+)
+
 // Config describes one simulation run.
 type Config struct {
 	// Topology is the network graph.
@@ -40,7 +52,8 @@ type Config struct {
 	// Routing.ResourceClasses() and Spec.MessageClasses must be 2 for the
 	// request/reply protocol.
 	Spec core.VCSpec
-	// BufDepth is the per-VC buffer depth in flits (paper: 8).
+	// BufDepth is the per-VC buffer depth in flits; zero selects
+	// DefaultBufDepth.
 	BufDepth int
 	// VA selects the VC allocator microarchitecture (Arch, ArbKind,
 	// Sparse); Ports/Spec are filled in per router.
@@ -58,13 +71,14 @@ type Config struct {
 	// run, ready for trace-replay workloads.
 	RecordArrivals bool
 	// ReadFraction is the probability a transaction is a read. Nil selects
-	// the paper's default of 0.5; point at 0 for an all-write workload.
+	// DefaultReadFraction, the paper's; point at 0 for an all-write
+	// workload.
 	ReadFraction *float64
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Warmup, Measure and Drain are the phase lengths in cycles. Zero selects
-	// the default (2000 / 5000 / 20000) — Drain included, so "do not drain"
-	// is spelled Drain: 1. The drain phase ends early once every measured
+	// DefaultWarmup, DefaultMeasure or DefaultDrain — Drain included, so "do
+	// not drain" is spelled Drain: 1. The drain phase ends early once every measured
 	// packet is delivered.
 	Warmup, Measure, Drain int
 	// Trace, when non-nil, receives pipeline and terminal events stamped
@@ -95,10 +109,10 @@ type Config struct {
 
 func (c *Config) applyDefaults() {
 	if c.BufDepth == 0 {
-		c.BufDepth = 8
+		c.BufDepth = DefaultBufDepth
 	}
 	if c.ReadFraction == nil {
-		rf := 0.5
+		rf := DefaultReadFraction
 		c.ReadFraction = &rf
 	}
 	c.Workload = c.Workload.Normalized()
@@ -106,13 +120,13 @@ func (c *Config) applyDefaults() {
 		panic(err)
 	}
 	if c.Warmup == 0 {
-		c.Warmup = 2000
+		c.Warmup = DefaultWarmup
 	}
 	if c.Measure == 0 {
-		c.Measure = 5000
+		c.Measure = DefaultMeasure
 	}
 	if c.Drain == 0 {
-		c.Drain = 20000
+		c.Drain = DefaultDrain
 	}
 }
 

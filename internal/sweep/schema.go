@@ -105,13 +105,14 @@ type UnitConfig struct {
 	// Rate is the offered load in flits/cycle/terminal.
 	Rate float64 `json:"rate"`
 	// ReadFraction is the probability a transaction is a read; nil means
-	// the paper default 0.5, explicit 0 means all-write (mirrors
+	// sim.DefaultReadFraction, explicit 0 means all-write (as in
 	// sim.Config.ReadFraction).
 	ReadFraction *float64 `json:"read_fraction,omitempty"`
-	// BufDepth is the per-VC buffer depth in flits (default 8).
+	// BufDepth is the per-VC buffer depth in flits (default
+	// sim.DefaultBufDepth).
 	BufDepth int `json:"buf_depth,omitempty"`
 	// Warmup, Measure and Drain are the phase lengths in cycles (defaults
-	// mirror sim.Config: 2000/5000/20000).
+	// sim.DefaultWarmup, sim.DefaultMeasure and sim.DefaultDrain).
 	Warmup  int `json:"warmup,omitempty"`
 	Measure int `json:"measure,omitempty"`
 	Drain   int `json:"drain,omitempty"`
@@ -163,20 +164,20 @@ func (c UnitConfig) Normalized() UnitConfig {
 		c.TraceDigest = ""
 	}
 	if c.ReadFraction == nil {
-		rf := 0.5
+		rf := sim.DefaultReadFraction
 		c.ReadFraction = &rf
 	}
 	if c.BufDepth == 0 {
-		c.BufDepth = 8
+		c.BufDepth = sim.DefaultBufDepth
 	}
 	if c.Warmup == 0 {
-		c.Warmup = 2000
+		c.Warmup = sim.DefaultWarmup
 	}
 	if c.Measure == 0 {
-		c.Measure = 5000
+		c.Measure = sim.DefaultMeasure
 	}
 	if c.Drain == 0 {
-		c.Drain = 20000
+		c.Drain = sim.DefaultDrain
 	}
 	return c
 }
