@@ -94,18 +94,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return experiments.UsageError(fs, "-hotspots: %v", err)
 	}
 	scale := scaleOf()
-	stop, err := prof.StartAll(profiles())
-	if err != nil {
-		fmt.Fprintln(stderr, "pareto:", err)
-		return 1
-	}
-	defer func() {
-		if err := stop(); err != nil {
-			fmt.Fprintln(stderr, "pareto:", err)
-			code = 1
-		}
-	}()
-
 	if *curves {
 		// Snap the evaluation loads onto the curve lattice: the search then
 		// simulates its frontier points at canonical lattice rates, so every
@@ -139,6 +127,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		spec.VAArbs = []string{"rr"}
 		spec.SAArbs = []string{"rr"}
 	}
+	if err := spec.Validate(); err != nil {
+		return experiments.UsageError(fs, "%v", err)
+	}
+
+	stop, err := prof.StartAll(profiles())
+	if err != nil {
+		fmt.Fprintln(stderr, "pareto:", err)
+		return 1
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(stderr, "pareto:", err)
+			code = 1
+		}
+	}()
 
 	srv, err := sweep.NewServer(sweep.Options{
 		Workers:  scale.Workers,

@@ -73,13 +73,13 @@ func TestPositionalArgIsUsageError(t *testing.T) {
 }
 
 // TestSmokeKeepsExplicitFlags: the -smoke preset fills only the flags the
-// command line leaves unset. An explicit -vcs 3 reaches the search, which
-// refuses it as it does without -smoke, and explicit -vcs and -warmup are
-// the ones searched.
+// command line leaves unset. An explicit -vcs 3 is kept and refused as a
+// usage error before anything runs, as it is without -smoke, and explicit
+// -vcs and -warmup are the ones searched.
 func TestSmokeKeepsExplicitFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-smoke", "-vcs", "3"}, &out, &errOut); code == 0 || !strings.Contains(errOut.String(), "no design point mesh C=3") {
-		t.Errorf("-smoke -vcs 3: exit %d, stderr %q; want the search to refuse mesh C=3", code, errOut.String())
+	if code := run([]string{"-smoke", "-vcs", "3"}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "no design point mesh C=3") {
+		t.Errorf("-smoke -vcs 3: exit %d, stderr %q; want a usage error (exit 2) refusing mesh C=3", code, errOut.String())
 	}
 	if testing.Short() {
 		t.Skip("runs a pruned search")

@@ -63,7 +63,7 @@ func TestQuickVCAllocatorsAlwaysValid(t *testing.T) {
 func TestQuickSwitchAllocatorsAlwaysValid(t *testing.T) {
 	const p, v = 4, 4
 	allocators := []*SwitchAllocator{}
-	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront, alloc.Maximum} {
+	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
 		for _, mode := range []SpecMode{SpecNone, SpecGnt, SpecReq} {
 			allocators = append(allocators, NewSwitchAllocator(SwitchAllocConfig{
 				Ports: p, VCs: v, Arch: arch, ArbKind: arbiter.RoundRobin, SpecMode: mode,

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
-	"repro/internal/bitvec"
 )
 
 // SwitchRequest is one input VC's crossbar request for a given cycle.
@@ -344,24 +343,15 @@ type swEngine struct {
 	// props[port] is meaningful for the ports in the set propose returned.
 	props []swProposal
 	stage []uint64 // per port: what a separable pass's first stage hands its second
-
-	// Arch: alloc.Maximum only (§2.3): a maximum-size port matching in
-	// place of the wavefront block. Not realizable as single-cycle hardware;
-	// used to bound achievable performance.
-	max    alloc.Allocator
-	maxReq bitvec.Matrix // P×P port requests, refilled from colReq every cycle
 }
 
 func newSwEngine(cfg SwitchAllocConfig, spec bool, props []swProposal) swEngine {
-	e := swEngine{cfg: cfg, spec: spec, props: props}
 	switch cfg.Arch {
 	case alloc.SepIF, alloc.SepOF, alloc.Wavefront:
-	case alloc.Maximum:
-		e.max = alloc.NewMaximum(cfg.Ports, cfg.Ports)
 	default:
 		panic(fmt.Sprintf("core: unsupported switch allocator arch %v", cfg.Arch))
 	}
-	return e
+	return swEngine{cfg: cfg, spec: spec, props: props}
 }
 
 func (e *swEngine) layout(s *slabs) {
@@ -376,8 +366,6 @@ func (e *swEngine) layout(s *slabs) {
 		e.stage = s.Words(p)
 	case alloc.Wavefront:
 		e.diag = s.Words(p)
-	case alloc.Maximum:
-		e.maxReq = s.Matrix(p, p)
 	}
 }
 
@@ -477,10 +465,8 @@ func (e *swEngine) propose(reqs []SwitchRequest) uint64 {
 		return e.proposeSepIF(reqs)
 	case alloc.SepOF:
 		return e.proposeSepOF(reqs)
-	case alloc.Wavefront:
-		return e.proposeWavefront()
 	default:
-		return e.proposeMaximum()
+		return e.proposeWavefront()
 	}
 }
 
@@ -589,33 +575,6 @@ func (e *swEngine) proposeWavefront() uint64 {
 		e.prio = 0
 	}
 	return e.portAny &^ rowFree
-}
-
-// proposeMaximum is proposeWavefront with the maximum-size matcher as the
-// port block.
-func (e *swEngine) proposeMaximum() uint64 {
-	p := e.cfg.Ports
-	e.maxReq.Reset()
-	for ow := e.outAny; ow != 0; ow &= ow - 1 {
-		out := bits.TrailingZeros64(ow)
-		for w := e.colReq[out]; w != 0; w &= w - 1 {
-			e.maxReq.Set(bits.TrailingZeros64(w), out)
-		}
-	}
-	g := e.max.Allocate(&e.maxReq)
-	var winners uint64
-	for w := e.portAny; w != 0; w &= w - 1 {
-		in := bits.TrailingZeros64(w)
-		out := g.Row(in).First()
-		if out < 0 {
-			continue
-		}
-		if vc := e.vcArb.PickWord(in, e.vcs[in*p+out]); vc >= 0 {
-			e.props[in] = swProposal{vc: vc, outPort: out}
-			winners |= 1 << uint(in)
-		}
-	}
-	return winners
 }
 
 // commit advances priority state for the input ports whose proposals were

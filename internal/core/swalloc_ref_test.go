@@ -32,7 +32,7 @@ type refPass struct {
 	spec   bool
 	vcArb  []arbiter.Arbiter // per input port, V wide
 	outArb []arbiter.Arbiter // per output port, P wide (separable only)
-	ports  alloc.Allocator   // P×P block (wavefront, maximum)
+	ports  alloc.Allocator   // P×P block (wavefront)
 }
 
 // refProposal is a tentative grant of one input port.
@@ -62,8 +62,6 @@ func (r *refSwitch) Reset() {
 			}
 		case alloc.Wavefront:
 			ps.ports = alloc.NewWavefront(r.p, r.p)
-		case alloc.Maximum:
-			ps.ports = alloc.NewMaximum(r.p, r.p)
 		}
 		r.passes = append(r.passes, ps)
 	}
@@ -251,7 +249,7 @@ func fuzzDims(pSel, vSel uint8) (p, v int) {
 }
 
 var (
-	fuzzArchs = []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront, alloc.Maximum}
+	fuzzArchs = []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront}
 	fuzzKinds = []arbiter.Kind{arbiter.RoundRobin, arbiter.Matrix}
 	fuzzModes = []SpecMode{SpecNone, SpecGnt, SpecReq}
 )
@@ -268,7 +266,7 @@ var (
 // must be granted.
 func FuzzSwitchAllocator(f *testing.F) {
 	// One seed per architecture × arbiter kind × speculation mode at a paper
-	// design point, plus the word-boundary sizes.
+	// design point, plus the word-boundary sizes: 64 ports or VCs, and one.
 	prog := []byte{0, 3, 3, 2, 1, 1, 6, 13, 4, 0, 0, 2, 7, 0, 5, 3, 6, 200, 2, 2, 3, 1, 0, 0}
 	for sel := 0; sel < len(fuzzArchs)*len(fuzzKinds)*len(fuzzModes); sel++ {
 		f.Add(uint8(sel), uint8(5+5*(sel%2)), uint8(2<<(sel%4)), uint64(sel), prog)
@@ -277,6 +275,12 @@ func FuzzSwitchAllocator(f *testing.F) {
 	f.Add(uint8(0*6+3+1), uint8(0), uint8(3), uint64(65), prog) // sep_if m spec_gnt, 64×3
 	f.Add(uint8(1*6+0+2), uint8(3), uint8(0), uint64(66), prog) // sep_of rr spec_req, 3×64
 	f.Add(uint8(2*6+0), uint8(1), uint8(1), uint64(67), prog)   // wf 1×1
+	f.Add(uint8(0*6+0+0), uint8(0), uint8(0), uint64(68), prog) // sep_if rr nonspec, 64×64
+	f.Add(uint8(1*6+3+1), uint8(0), uint8(0), uint64(69), prog) // sep_of m spec_gnt, 64×64
+	f.Add(uint8(0*6+0+2), uint8(1), uint8(1), uint64(70), prog) // sep_if rr spec_req 1×1
+	f.Add(uint8(1*6+3+0), uint8(1), uint8(0), uint64(71), prog) // sep_of m nonspec, 1×64
+	f.Add(uint8(2*6+3+1), uint8(0), uint8(1), uint64(72), prog) // wf m spec_gnt, 64×1
+	f.Add(uint8(2*6+3+0), uint8(3), uint8(0), uint64(73), prog) // wf m nonspec, 3×64
 	f.Fuzz(func(t *testing.T, cfgSel, pSel, vSel uint8, seed uint64, prog []byte) {
 		p, v := fuzzDims(pSel, vSel)
 		sel := int(cfgSel) % (len(fuzzArchs) * len(fuzzKinds) * len(fuzzModes))

@@ -86,6 +86,13 @@ func TestSwitchAllocatorBadConfigPanics(t *testing.T) {
 	} {
 		mustPanic(t, name, fn)
 	}
+	// The maximum-size matcher bounds matching quality (alloc.Maximum); it is
+	// not a switch allocator architecture the paper evaluates.
+	if msg := mustPanic(t, "maximum arch", func() {
+		NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 1, Arch: alloc.Maximum})
+	}); !strings.Contains(msg, "unsupported switch allocator arch max") {
+		t.Errorf("maximum arch: panic %q does not name the architecture", msg)
+	}
 	// Port and VC sets are single words; one more than fits must be refused
 	// at construction, by a message that says what the limit is.
 	for name, cfg := range map[string]SwitchAllocConfig{
@@ -159,7 +166,7 @@ func allSwConfigs(p, v int) []SwitchAllocConfig {
 // alternating across a round-robin pointer that wraps from 63 to 0.
 func TestSwitchAllocatorWordBoundary(t *testing.T) {
 	const n = 64
-	for _, cfg := range append(allSwConfigs(n, n), SwitchAllocConfig{Ports: n, VCs: n, Arch: alloc.Maximum, SpecMode: SpecGnt}) {
+	for _, cfg := range allSwConfigs(n, n) {
 		a := NewSwitchAllocator(cfg)
 		for _, spec := range []bool{false, cfg.SpecMode != SpecNone} {
 			a.Reset()
@@ -710,37 +717,6 @@ func TestNonspecAllocatorHasNoSpecStats(t *testing.T) {
 	}
 	if a.Stats() != (SwitchAllocStats{}) {
 		t.Fatalf("nonspec allocator recorded spec stats: %+v", a.Stats())
-	}
-}
-
-func TestMaximumSwitchAllocatorBound(t *testing.T) {
-	// The maximum-size configuration (§2.3) bounds every practical
-	// allocator's grant count on identical request streams.
-	p, v := 5, 4
-	count := func(arch alloc.Arch) int {
-		a := NewSwitchAllocator(SwitchAllocConfig{Ports: p, VCs: v, Arch: arch,
-			ArbKind: arbiter.RoundRobin, SpecMode: SpecNone})
-		rng := xrand.New(701)
-		total := 0
-		for trial := 0; trial < 1500; trial++ {
-			reqs := randomSwitchRequests(rng, p, v, 0.7, 0)
-			grants := a.Allocate(reqs)
-			if err := CheckSwitchGrants(p, v, reqs, grants); err != nil {
-				t.Fatalf("%v: %v", arch, err)
-			}
-			for _, g := range grants {
-				if g.OutPort >= 0 {
-					total++
-				}
-			}
-		}
-		return total
-	}
-	max := count(alloc.Maximum)
-	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
-		if got := count(arch); got > max {
-			t.Errorf("%v granted %d > maximum bound %d", arch, got, max)
-		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/sweep"
-	"repro/internal/traffic"
 )
 
 // SearchOptions tunes a search's execution, never its answer.
@@ -291,17 +290,7 @@ func labelOf(u sweep.UnitConfig) string {
 	}
 	s := fmt.Sprintf("%s v%d va=%s sa=%s/%s/%s", u.Topo, u.VCsPerClass, va, u.SAArch, u.SAArb, u.SpecMode)
 	if u.Process != "bernoulli" || u.Pattern != "uniform" {
-		s += " wl=" + experiments.WorkloadName(workloadOf(u))
+		s += " wl=" + experiments.WorkloadName(u.Workload())
 	}
 	return s
-}
-
-// workloadOf rebuilds the traffic.Workload a unit's workload fields spell
-// (mirrors sweep.UnitConfig's own unexported helper).
-func workloadOf(u sweep.UnitConfig) traffic.Workload {
-	return traffic.Workload{
-		Process: u.Process, Rate: u.Rate, Pattern: u.Pattern,
-		BurstLen: u.BurstLen, Duty: u.Duty,
-		Hotspots: u.Hotspots, HotspotFraction: u.HotspotFraction,
-	}
 }

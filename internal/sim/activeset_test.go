@@ -107,23 +107,14 @@ func TestActiveSchedulerBitExactValidated(t *testing.T) {
 // TestFlitConservationActiveAllSpecModes drains a loaded network under the
 // default schedule for every speculation mode on both topologies: every
 // flit handed to a router must eventually reach a terminal, exercising the
-// dormant-terminal path once injection is cut to zero.
+// dormant-terminal path once the replayed load runs out.
 func TestFlitConservationActiveAllSpecModes(t *testing.T) {
 	for _, mk := range []func(int, float64) Config{meshConfig, fbflyConfig} {
 		for _, mode := range []core.SpecMode{core.SpecNone, core.SpecGnt, core.SpecReq} {
 			cfg := mk(2, 0.3)
 			cfg.SA.SpecMode = mode
-			n := New(cfg)
-			for i := 0; i < 2500; i++ {
-				n.stepCycle()
-			}
-			n.SetInjectionRate(0)
-			for i := 0; i < 10000; i++ {
-				n.stepCycle()
-				if sent, delivered := n.SentFlits(), n.deliveredFlits(); sent == delivered && i > 100 {
-					break
-				}
-			}
+			n := New(loadThenDrain(cfg, 2500))
+			stepUntilDrained(n, 2500)
 			sent, delivered := n.SentFlits(), n.deliveredFlits()
 			if sent != delivered {
 				t.Errorf("%s %v: flit conservation violated: sent %d, delivered %d",

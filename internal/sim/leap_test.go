@@ -116,41 +116,3 @@ func TestLeapTorusGolden(t *testing.T) {
 	base.Warmup, base.Measure, base.Drain = 200, 500, 5000
 	assertGolden(t, "torus", base, oneShard, splitLent)
 }
-
-// TestLeapRateChangeRewind pins the presample invalidation on
-// SetInjectionRate: the already-elapsed cycles must be replayed at the old
-// rate and the new rate take effect at the current cycle, exactly as
-// per-cycle ticking (the reference) has it. The two networks are stepped
-// manually (no leaping), so this isolates the presample/rewind bookkeeping
-// itself.
-func TestLeapRateChangeRewind(t *testing.T) {
-	mk := func(reference bool) *Network {
-		cfg := meshConfig(2, 0.05)
-		cfg.Seed = 42
-		cfg.Reference = reference
-		return New(cfg)
-	}
-	a, b := mk(false), mk(true)
-	step := func(n *Network, cycles int) {
-		for i := 0; i < cycles; i++ {
-			n.stepCycle()
-		}
-	}
-	for phase, rate := range []float64{0.2, 0, 0.1} {
-		step(a, 150)
-		step(b, 150)
-		a.SetInjectionRate(rate)
-		b.SetInjectionRate(rate)
-		if as, bs := a.SentFlits(), b.SentFlits(); as != bs {
-			t.Fatalf("phase %d: presampling run sent %d flits, per-cycle run %d", phase, as, bs)
-		}
-	}
-	step(a, 300)
-	step(b, 300)
-	ac, ad := a.Conservation()
-	bc, bd := b.Conservation()
-	if ac != bc || ad != bd {
-		t.Errorf("after rate changes: presampling (created %d delivered %d) != per-cycle (created %d delivered %d)",
-			ac, ad, bc, bd)
-	}
-}

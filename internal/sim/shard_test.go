@@ -63,19 +63,10 @@ func TestShardInvarianceComposesWithDense(t *testing.T) {
 // layout: every flit handed to a router must still reach a terminal, across
 // the halves as within them, and Close must give the helper back.
 func TestShardFlitConservation(t *testing.T) {
-	n := New(meshConfig(2, 0.3))
+	n := New(loadThenDrain(meshConfig(2, 0.3), 2500))
 	splitLent(n)
 	defer n.Close()
-	for i := 0; i < 2500; i++ {
-		n.stepCycle()
-	}
-	n.SetInjectionRate(0)
-	for i := 0; i < 10000; i++ {
-		n.stepCycle()
-		if sent, delivered := n.SentFlits(), n.deliveredFlits(); sent == delivered && i > 100 {
-			break
-		}
-	}
+	stepUntilDrained(n, 2500)
 	sent, delivered := n.SentFlits(), n.deliveredFlits()
 	if sent != delivered {
 		t.Fatalf("split: flit conservation violated: sent %d, delivered %d", sent, delivered)

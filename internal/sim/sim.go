@@ -497,40 +497,26 @@ func (n *Network) RunCtx(ctx context.Context) Result {
 	cfg := n.cfg
 	n.measStart = int64(cfg.Warmup)
 	n.measEnd = int64(cfg.Warmup + cfg.Measure)
-	for n.now < n.measEnd {
-		if checkIn--; checkIn <= 0 {
-			checkIn = AbortCheckInterval
-			select {
-			case <-done:
-				aborted = true
-			default:
+	// Warmup and measurement run to measEnd; the drain runs on to its own
+	// horizon, stopping early once every measured packet is delivered.
+	for _, ph := range [...]struct {
+		end   int64
+		drain bool
+	}{{n.measEnd, false}, {n.measEnd + int64(cfg.Drain), true}} {
+		for !aborted && n.now < ph.end && (!ph.drain || n.inFlight > 0) {
+			if checkIn--; checkIn <= 0 {
+				checkIn = AbortCheckInterval
+				select {
+				case <-done:
+					aborted = true
+					continue
+				default:
+				}
 			}
-			if aborted {
-				break
-			}
-		}
-		if n.tryLeap(n.measEnd) {
-			continue
-		}
-		n.stepCycle()
-	}
-	drainEnd := n.measEnd + int64(cfg.Drain)
-	for !aborted && n.now < drainEnd && n.inFlight > 0 {
-		if checkIn--; checkIn <= 0 {
-			checkIn = AbortCheckInterval
-			select {
-			case <-done:
-				aborted = true
-			default:
-			}
-			if aborted {
-				break
+			if !n.tryLeap(ph.end) {
+				n.stepCycle()
 			}
 		}
-		if n.tryLeap(drainEnd) {
-			continue
-		}
-		n.stepCycle()
 	}
 	var measFlits int64
 	for _, s := range n.shards {

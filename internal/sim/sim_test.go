@@ -89,20 +89,10 @@ func TestThroughputTracksOfferedLoad(t *testing.T) {
 }
 
 func TestFlitConservation(t *testing.T) {
-	// Run under load, then cut injection and drain: every flit handed to a
-	// router must eventually be delivered to a terminal.
-	cfg := meshConfig(2, 0.3)
-	n := New(cfg)
-	for i := 0; i < 3000; i++ {
-		n.stepCycle()
-	}
-	n.SetInjectionRate(0)
-	for i := 0; i < 10000; i++ {
-		n.stepCycle()
-		if sent, delivered := n.SentFlits(), n.deliveredFlits(); sent == delivered && i > 100 {
-			break
-		}
-	}
+	// Run under load, then let injection stop and drain: every flit handed
+	// to a router must eventually be delivered to a terminal.
+	n := New(loadThenDrain(meshConfig(2, 0.3), 3000))
+	stepUntilDrained(n, 3000)
 	sent, delivered := n.SentFlits(), n.deliveredFlits()
 	if sent != delivered {
 		t.Fatalf("flit conservation violated: sent %d, delivered %d", sent, delivered)

@@ -77,7 +77,7 @@ func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, pattern 
 		routerID: routerID,
 		port:     port,
 		net:      n,
-		gen:      traffic.NewGeneratorProcess(pattern, proc),
+		gen:      traffic.NewGeneratorProcess(pattern, proc, *cfg.ReadFraction),
 		rng:      rng,
 		spec:     cfg.Spec,
 		vcBusy:   make([]bool, v),
@@ -85,7 +85,6 @@ func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, pattern 
 		curVC:    -1,
 		record:   cfg.RecordArrivals,
 	}
-	t.gen.ReadFraction = *cfg.ReadFraction
 	for i := range t.credits {
 		t.credits[i] = cfg.BufDepth
 	}
@@ -93,7 +92,7 @@ func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, pattern 
 }
 
 // never is the wake cycle of a terminal nothing but an outside event — a
-// delivered request's reply or a rate change — can wake.
+// delivered request's reply — can wake.
 const never = math.MaxInt64
 
 // wakeAt returns the first cycle in which the terminal has to be visited
@@ -315,29 +314,13 @@ func (t *terminal) open(s *shard) {
 // Intn implements routing.Rand: routing draws from the terminal's stream
 // after the cycle's gate draw, as per-cycle ticking has it. An outstanding
 // presample has drawn gates past this cycle, so it is rewound to this cycle
-// first. This and a rate change are the only reasons a presample is rewound:
-// a terminal whose routing draws nothing keeps its presample across any wake.
+// first. This is the only reason a presample is rewound: a terminal whose
+// routing draws nothing keeps its presample across any wake.
 func (t *terminal) Intn(k int) int {
 	if t.gen.PresampledArrival() >= 0 {
 		t.gen.Rewind(t.rng, t.net.now)
 	}
 	return t.rng.Intn(k)
-}
-
-// SetInjectionRate changes the offered load of every terminal; used by
-// drain-style tests. The presample-rewind invariant lives in
-// traffic.Generator.SetRate: a presampled arrival was drawn at the old
-// rate, so it is rewound — replaying the already-elapsed cycles at that old
-// rate — before the new rate takes effect at the current cycle, exactly as
-// per-cycle ticking would have it.
-func (n *Network) SetInjectionRate(rate float64) {
-	for _, s := range n.shards {
-		for i := s.t0; i < s.t1; i++ {
-			t := n.terminals[i]
-			t.gen.SetRate(t.rng, rate, n.now)
-			s.settle(i)
-		}
-	}
 }
 
 // ArrivalTrace returns the run's recorded injection workload (requires

@@ -16,9 +16,9 @@ import (
 //   - active holds the routers that are not Quiescent.
 //
 // A terminal in neither terminal set sleeps until something outside wakes
-// it. The index changes in four places only: after a terminal's own visit,
-// when the commit phase queues a reply at it, when SetInjectionRate changes
-// its process (all three through settle), and for routers when a flit is
+// it. Once New has filed every terminal, the index changes in three places
+// only: after a terminal's own visit and when the commit phase queues a
+// reply at it (both through settle), and for routers when a flit is
 // delivered or Step drains the last one. Validate mode checks it against
 // the dormant and Quiescent predicates every stepped cycle.
 type wakeIndex struct {

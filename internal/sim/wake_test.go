@@ -210,36 +210,63 @@ func TestSleepQueue(t *testing.T) {
 }
 
 // TestRandomRateChangesMatchReference is a randomized property of the wake
-// index and the leap gate under SetInjectionRate: random rate sequences, zero
-// and back included, with random phase lengths, for Bernoulli and MMP
-// arrivals on both topologies. The default schedule runs under Validate, so
-// validateWakeIndex holds the index to the dormant/quiescent predicates every
-// stepped cycle and the leap gate checks every span it skips, and it may leap
-// within a phase. After every phase its SentFlits and Conservation must equal
-// the reference schedule's, and so must the Result of the run both finish.
+// index and the leap gate under a load that changes over time: random rate
+// sequences, zero and back included, with random phase lengths, for
+// Bernoulli and MMP arrivals on both topologies. The arrivals are
+// synthesized from those processes phase by phase and replayed as a trace,
+// so the load changes at the phase boundaries without a mid-run knob. The
+// default schedule runs under Validate, so validateWakeIndex holds the
+// index to the dormant/quiescent predicates every stepped cycle and the
+// leap gate checks every span it skips, and it may leap within a phase.
+// After every phase its SentFlits and Conservation must equal the reference
+// schedule's, and so must the Result of the run both finish.
 func TestRandomRateChangesMatchReference(t *testing.T) {
 	rates := []float64{0, 0.001, 0.01, 0.05, 0.2}
-	mmp := traffic.Workload{Process: "mmp", BurstLen: 16, Duty: 0.25}
+	mmp := func(rate float64) traffic.ArrivalProcess {
+		m, err := traffic.NewMMP(rate, 16, 0.25)
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
 	for seed, tc := range []struct {
 		name string
 		mk   func(int, float64) Config
-		w    traffic.Workload
+		proc func(float64) traffic.ArrivalProcess
 	}{
-		{"mesh/bernoulli", meshConfig, traffic.Workload{}},
+		{"mesh/bernoulli", meshConfig, bernoulliAt},
 		{"mesh/mmp", meshConfig, mmp},
-		{"fbfly/bernoulli", fbflyConfig, traffic.Workload{}},
+		{"fbfly/bernoulli", fbflyConfig, bernoulliAt},
 		{"fbfly/mmp", fbflyConfig, mmp},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := workloadConfig(tc.mk, 0.05, tc.w)
+			cfg := workloadConfig(tc.mk, 0, traffic.Workload{})
 			cfg.Warmup, cfg.Measure, cfg.Drain = 2500, 500, 3000
 			cfg.Validate = true
+			warmup := int64(cfg.Warmup)
+			rng := xrand.New(uint64(seed) + 1)
+			var segs []segment
+			var ends []int64
+			rate := 0.05
+			for phase, at := 0, int64(0); at < warmup; phase++ {
+				end := min(at+1+int64(rng.Intn(400)), warmup)
+				segs = append(segs, segment{end - at, rate})
+				ends = append(ends, end)
+				rate = rates[rng.Intn(len(rates))]
+				switch phase {
+				case 0:
+					rate = 0 // every run stops injecting once, long enough to drain and leap,
+				case 1, 2:
+					rate = 0.2 // and comes back
+				}
+				at = end
+			}
+			segs = append(segs, segment{int64(cfg.Measure), 0.1}) // the measurement window sees traffic
+			cfg.Workload = traffic.Workload{Trace: synthTrace(cfg.Topology.Terminals(), cfg.Seed, tc.proc, segs...)}
 			ref := cfg
 			ref.Reference = true
 			a, b := New(cfg), New(ref)
-			rng := xrand.New(uint64(seed) + 1)
-			for phase := 0; a.now < int64(cfg.Warmup); phase++ {
-				end := min(a.now+1+int64(rng.Intn(400)), int64(cfg.Warmup))
+			for phase, end := range ends {
 				for a.now < end {
 					if !a.tryLeap(end) {
 						a.stepCycle()
@@ -257,21 +284,10 @@ func TestRandomRateChangesMatchReference(t *testing.T) {
 					t.Fatalf("phase %d (to cycle %d): created %d delivered %d, reference created %d delivered %d",
 						phase, end, ac, ad, bc, bd)
 				}
-				rate := rates[rng.Intn(len(rates))]
-				switch phase {
-				case 1:
-					rate = 0 // every run stops injecting once, long enough to drain and leap,
-				case 2, 3:
-					rate = 0.2 // and comes back
-				}
-				a.SetInjectionRate(rate)
-				b.SetInjectionRate(rate)
 			}
 			if _, leapt := a.LeapStats(); leapt == 0 {
 				t.Fatal("the default schedule never leapt; the test is vacuous")
 			}
-			a.SetInjectionRate(0.1) // the measurement window sees traffic
-			b.SetInjectionRate(0.1)
 			ra, rb := a.Run(), b.Run()
 			if ra != rb {
 				t.Fatalf("final result diverged from the reference:\nreference: %+v\ndefault:   %+v", rb, ra)

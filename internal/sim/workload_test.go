@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/trace"
 	"repro/internal/traffic"
+	"repro/internal/xrand"
 )
 
 // workloadConfig builds a paper-style config at seed 42 with fast phases
@@ -66,6 +67,68 @@ func recordedTrace(t *testing.T, mk func(int, float64) Config, rate float64) *tr
 		t.Fatal("recording pass produced an empty trace")
 	}
 	return pt
+}
+
+// segment is one stretch of a synthesized workload: cycles cycles of
+// arrivals at rate (0 is silence).
+type segment struct {
+	cycles int64
+	rate   float64
+}
+
+// synthTrace runs one generator per terminal over n terminals through the
+// segments back to back, building each segment's arrival process fresh at
+// its rate with mk, and returns the arrivals as a trace. A trace is finite,
+// so a run replaying it loads the network as the segments say and then
+// drains: a load that stops and comes back is data, not a mid-run knob.
+func synthTrace(n int, seed uint64, mk func(rate float64) traffic.ArrivalProcess, segs ...segment) *traffic.PacketTrace {
+	pattern, err := traffic.NewPattern("uniform", n)
+	if err != nil {
+		panic(err)
+	}
+	root := xrand.New(seed)
+	rngs := make([]*xrand.Source, n)
+	for i := range rngs {
+		rngs[i] = root.Split(uint64(i) + 1)
+	}
+	pt := &traffic.PacketTrace{Terminals: n}
+	gens := make([]*traffic.Generator, n)
+	var start int64
+	for _, sg := range segs {
+		for i := range gens {
+			gens[i] = traffic.NewGeneratorProcess(pattern, mk(sg.rate), DefaultReadFraction)
+		}
+		for c := start; c < start+sg.cycles; c++ {
+			for src, g := range gens {
+				if typ, dst, ok := g.NextRequest(src, rngs[src]); ok {
+					pt.Arrivals = append(pt.Arrivals, traffic.Arrival{Cycle: c, Src: src, Dst: dst, Type: typ})
+				}
+			}
+		}
+		start += sg.cycles
+	}
+	return pt
+}
+
+func bernoulliAt(rate float64) traffic.ArrivalProcess { return traffic.NewBernoulli(rate) }
+
+// loadThenDrain replaces cfg's workload with a replay of its own Bernoulli
+// arrivals over the first load cycles and silence after them.
+func loadThenDrain(cfg Config, load int64) Config {
+	rate := cfg.Workload.Rate
+	cfg.Workload = traffic.Workload{Trace: synthTrace(cfg.Topology.Terminals(), cfg.Seed, bernoulliAt, segment{load, rate})}
+	return cfg
+}
+
+// stepUntilDrained steps n past cycle load until every flit handed to a
+// router has reached a terminal, for at most 10000 cycles more.
+func stepUntilDrained(n *Network, load int64) {
+	for n.now < load+10000 {
+		n.stepCycle()
+		if sent, delivered := n.SentFlits(), n.deliveredFlits(); sent == delivered && n.now > load+100 {
+			return
+		}
+	}
 }
 
 // TestWorkloadGoldenReplay pins the matrix for trace replay on both
@@ -137,41 +200,5 @@ func TestLeapEngagesDuringBurstOFF(t *testing.T) {
 	}
 	if res.MeasuredPackets == 0 {
 		t.Error("no measured packets; the run exercised nothing")
-	}
-}
-
-// TestMMPRateChangeRewind extends the SetInjectionRate presample-rewind
-// invariant to the stateful MMP process: the already-elapsed cycles replay
-// at the old rate in the old phase, and the new rate takes effect at the
-// current cycle, exactly as per-cycle ticking has it.
-func TestMMPRateChangeRewind(t *testing.T) {
-	mk := func(reference bool) *Network {
-		cfg := workloadConfig(meshConfig, 0.05, traffic.Workload{Process: "mmp", BurstLen: 16, Duty: 0.25})
-		cfg.Reference = reference
-		cfg.Validate = true // SetInjectionRate re-files every terminal in the wake index
-		return New(cfg)
-	}
-	a, b := mk(false), mk(true)
-	step := func(n *Network, cycles int) {
-		for i := 0; i < cycles; i++ {
-			n.stepCycle()
-		}
-	}
-	for phase, rate := range []float64{0.2, 0, 0.1} {
-		step(a, 150)
-		step(b, 150)
-		a.SetInjectionRate(rate)
-		b.SetInjectionRate(rate)
-		if as, bs := a.SentFlits(), b.SentFlits(); as != bs {
-			t.Fatalf("phase %d: presampling run sent %d flits, per-cycle run %d", phase, as, bs)
-		}
-	}
-	step(a, 300)
-	step(b, 300)
-	ac, ad := a.Conservation()
-	bc, bd := b.Conservation()
-	if ac != bc || ad != bd {
-		t.Errorf("after rate changes: presampling (created %d delivered %d) != per-cycle (created %d delivered %d)",
-			ac, ad, bc, bd)
 	}
 }

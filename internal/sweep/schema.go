@@ -154,7 +154,7 @@ func (c UnitConfig) Normalized() UnitConfig {
 	// Workload axes canonicalize exactly as traffic.Workload.Normalized
 	// does (defaults filled, irrelevant parameters cleared), so two
 	// spellings of one workload share one content key.
-	w := c.workload().Normalized()
+	w := c.Workload().Normalized()
 	c.Pattern = w.Pattern
 	c.Process = w.Process
 	c.Rate = w.Rate
@@ -182,9 +182,9 @@ func (c UnitConfig) Normalized() UnitConfig {
 	return c
 }
 
-// workload assembles the unit's traffic.Workload view (trace bytes are
+// Workload assembles the unit's traffic.Workload view (trace bytes are
 // never attached; the service content-addresses them by TraceDigest only).
-func (c UnitConfig) workload() traffic.Workload {
+func (c UnitConfig) Workload() traffic.Workload {
 	return traffic.Workload{
 		Process:         c.Process,
 		Rate:            c.Rate,
@@ -230,7 +230,7 @@ func (c UnitConfig) Validate() error {
 	// The workload axes (process, pattern, burst and hotspot parameters) are
 	// validated over the design point's terminal count (both paper networks
 	// concentrate to 64 terminals).
-	if err := c.workload().Validate(terminalsFor(pt)); err != nil {
+	if err := c.Workload().Validate(terminalsFor(pt)); err != nil {
 		return err
 	}
 	if c.Rate < 0 || c.Rate > 1 {
@@ -332,7 +332,7 @@ func (c UnitConfig) BuildSim() (sim.Config, error) {
 	}
 	scale := experiments.SimScale{
 		Warmup: c.Warmup, Measure: c.Measure, Drain: c.Drain, Seed: c.Seed,
-		Workload: c.workload(),
+		Workload: c.Workload(),
 	}
 	cfg := experiments.BuildSim(pt, c.Rate, scale)
 	cfg.VA.Arch, _ = ParseArch(c.VAArch)

@@ -94,12 +94,6 @@ func checkBatchedEqualsTicked(t *testing.T, proc ArrivalProcess, ref tickedProc,
 			c += want + 1
 		}
 	}
-	// Tick is the same kernel with a batch of one.
-	for c := 0; c < 200; c++ {
-		if got, want := proc.Tick(b), ref.tick(a); got != want || *a != *b {
-			t.Fatalf("Tick %d: batched %v, ticked %v, generator states equal: %v", c, got, want, *a == *b)
-		}
-	}
 }
 
 // FuzzBatchedEqualsTicked is the "arrival process batched ≡ ticked" clause
@@ -121,13 +115,13 @@ func FuzzBatchedEqualsTicked(f *testing.F) {
 		}
 		for _, chunk := range []int{1, 7, 1024} {
 			checkBatchedEqualsTicked(t, NewBernoulli(rate), &tickedBernoulli{rate}, nil, seed, chunk)
-			// NewMMP rejects rates past 6·duty; SetRate does not, and the
-			// kernel must still match Bool's draw-nothing-at-p>=1 there.
-			m, err := NewMMP(0, burstLen, duty)
+			// NewMMP rejects rates past 6·duty; at exactly 6·duty the ON
+			// gate is p = 1, where the kernel must match Bool's
+			// draw-nothing-at-p>=1.
+			m, err := NewMMP(rate, burstLen, duty)
 			if err != nil {
 				continue
 			}
-			m.SetRate(rate)
 			ref := newTickedMMP(rate, burstLen, duty)
 			checkBatchedEqualsTicked(t, m, ref, func() bool { return ref.on }, seed, chunk)
 		}
@@ -143,7 +137,7 @@ func TestRewindPanicsOnReplayedArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGenerator(p, 0.6)
+	g := NewGeneratorProcess(p, NewBernoulli(0.6), 0.5)
 	rng := xrand.New(42)
 	g.Presample(rng, 100, 1024)
 	if !g.PresampledReal() {
@@ -160,36 +154,40 @@ func TestRewindPanicsOnReplayedArrival(t *testing.T) {
 
 // TestRewindReplaysExactly pins the other side: a rewind to any cycle before
 // the arrival leaves the generator exactly where per-cycle ticking from the
-// snapshot would, including a rewind to the cycle before the snapshot
-// (SetRate in the presampling cycle), which replays nothing.
+// snapshot would, including one through the cycle before the snapshot,
+// which replays nothing.
 func TestRewindReplaysExactly(t *testing.T) {
 	p, err := NewPattern("uniform", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const snap = 100
-	for _, mk := range []func() ArrivalProcess{
-		func() ArrivalProcess { return NewBernoulli(0.01) },
-		func() ArrivalProcess { m, _ := NewMMP(0.01, 8, 0.25); return m },
+	for _, tc := range []struct {
+		name string
+		mk   func() ArrivalProcess
+	}{
+		{"bernoulli", func() ArrivalProcess { return NewBernoulli(0.01) }},
+		{"mmp", func() ArrivalProcess { m, _ := NewMMP(0.01, 8, 0.25); return m }},
 	} {
-		probe := NewGeneratorProcess(p, mk())
+		probe := NewGeneratorProcess(p, tc.mk(), 0.5)
 		probe.Presample(xrand.New(9), snap, 1024)
 		arrival := probe.PresampledArrival()
 		if !probe.PresampledReal() || arrival < snap+3 {
-			t.Fatalf("%s: presampled arrival at %d; pick another seed", probe.Process().Name(), arrival)
+			t.Fatalf("%s: presampled arrival at %d; pick another seed", tc.name, arrival)
 		}
 		for _, through := range []int64{snap - 1, snap, arrival - 2, arrival - 1} {
-			g, ref := NewGeneratorProcess(p, mk()), mk()
+			proc, ref := tc.mk(), tc.mk()
+			g := NewGeneratorProcess(p, proc, 0.5)
 			rng, refRNG := xrand.New(9), xrand.New(9)
 			g.Presample(rng, snap, 1024)
 			g.Rewind(rng, through)
 			for c := int64(snap); c <= through; c++ {
-				if ref.Tick(refRNG) {
-					t.Fatalf("%s: reference arrival at %d, before the presampled %d", ref.Name(), c, arrival)
+				if tick(ref, refRNG) {
+					t.Fatalf("%s: reference arrival at %d, before the presampled %d", tc.name, c, arrival)
 				}
 			}
-			if *rng != *refRNG || g.Process().State() != ref.State() || g.PresampledArrival() != -1 {
-				t.Errorf("%s: rewind through %d left generator or process off the ticked stream", ref.Name(), through)
+			if *rng != *refRNG || proc.State() != ref.State() || g.PresampledArrival() != -1 {
+				t.Errorf("%s: rewind through %d left generator or process off the ticked stream", tc.name, through)
 			}
 		}
 	}

@@ -8,41 +8,32 @@ import (
 )
 
 // ArrivalProcess is the per-terminal injection process: the temporal half of
-// a workload (the spatial half is Pattern). The simulator ticks it exactly
-// once per simulated cycle; a tick reports whether a new request transaction
-// arrives in that cycle.
+// a workload (the spatial half is Pattern). The simulator consumes one gate
+// draw per simulated cycle; a cycle's draw reports whether a new request
+// transaction arrives in it. A tick is NextArrivalDelta(rng, 1) == 0.
 //
 // Contract (DESIGN.md §12) — every implementation must satisfy all of:
 //
 //   - Determinism: the draw sequence a tick consumes from rng is a function
 //     of the process state alone, never of network state, so replaying
 //     ticks from a snapshot reproduces the stream exactly.
-//   - Quiet at zero rate: when Rate() <= 0 a tick consumes no randomness
-//     and returns false. This is what lets the active-set scheduler skip a
-//     zero-rate terminal entirely while the dense reference still ticks it
-//     every cycle — both consume nothing, so the schedules stay
+//   - Quiet at zero rate: when Rate() <= 0 NextArrivalDelta consumes no
+//     randomness and returns -1. This is what lets the active-set scheduler
+//     skip a zero-rate terminal entirely while the dense reference still
+//     ticks it every cycle — both consume nothing, so the schedules stay
 //     bit-identical.
 //   - Batched sampling: NextArrivalDelta consumes exactly the draws of k+1
 //     ticks when it returns k >= 0 (the (k+1)th tick being the arrival) and
 //     exactly max ticks when it returns -1. The event-leaping presampler
 //     relies on this to consume per-cycle gate draws in one batch.
-//   - Snapshot/rewind: State() captures everything Tick mutates, and
+//   - Snapshot/rewind: State() captures everything a tick mutates, and
 //     Restore(st) followed by the same tick sequence against a restored rng
 //     reproduces the same outcomes. The presampler snapshots before a
-//     batch and rewinds when something else is about to read the RNG
-//     stream, or on a rate change.
+//     batch and rewinds when routing is about to read the RNG stream.
 type ArrivalProcess interface {
-	// Name identifies the process ("bernoulli", "mmp", "trace").
-	Name() string
 	// Rate is the process's mean offered load in flits/cycle/terminal
 	// (0 when the process can emit nothing more).
 	Rate() float64
-	// SetRate changes the offered load going forward. Implementations with
-	// no rate knob (trace replay) treat rate <= 0 as "stop emitting" and
-	// ignore other values.
-	SetRate(rate float64)
-	// Tick advances the process by one cycle and reports an arrival.
-	Tick(rng *xrand.Source) bool
 	// NextArrivalDelta batch-samples up to max ticks: it returns the offset
 	// in cycles to the next arrival (0 = the current cycle) or -1 when none
 	// of the max ticks arrived (or Rate() <= 0, consuming nothing).
@@ -74,26 +65,15 @@ type Bernoulli struct {
 
 // NewBernoulli builds the memoryless process at the given flit rate.
 func NewBernoulli(rate float64) *Bernoulli {
-	b := &Bernoulli{}
-	b.SetRate(rate)
-	return b
+	return &Bernoulli{rate: rate, gate: xrand.Threshold(rate / FlitsPerTransaction)}
 }
 
-func (b *Bernoulli) Name() string        { return "bernoulli" }
 func (b *Bernoulli) Rate() float64       { return b.rate }
 func (b *Bernoulli) State() ProcState    { return ProcState{} }
 func (b *Bernoulli) Restore(_ ProcState) {}
 
-func (b *Bernoulli) SetRate(r float64) {
-	b.rate = r
-	b.gate = xrand.Threshold(r / FlitsPerTransaction)
-}
-
-// Tick draws the per-cycle gate: a batch of one.
-func (b *Bernoulli) Tick(rng *xrand.Source) bool { return rng.FirstBelow(b.gate, 1) == 0 }
-
 // NextArrivalDelta consumes per-cycle gate draws until the first success —
-// the exact stream Tick would consume one cycle at a time, which is what
+// the exact stream ticking would consume one cycle at a time, which is what
 // keeps event-leaped runs bit-identical to per-cycle ticking; a zero gate
 // draws nothing, which is the quiet-at-zero-rate guarantee. A closed-form
 // inversion sampler deliberately is not used here because it consumes a
@@ -122,10 +102,8 @@ func (b *Bernoulli) NextArrivalDelta(rng *xrand.Source, max int) int {
 // Every terminal starts ON deterministically; the synchronized initial
 // burst is absorbed by warmup like any other cold-start transient.
 type MMP struct {
-	rate     float64
-	burstLen float64
-	duty     float64
-	on       bool
+	rate float64
+	on   bool
 	// xrand.Threshold of the three per-cycle gates: ON->OFF, OFF->ON and,
 	// while ON, the arrival.
 	gOnOff, gOffOn, gArr uint64
@@ -147,33 +125,18 @@ func NewMMP(rate, burstLen, duty float64) (*MMP, error) {
 	if rate/FlitsPerTransaction/duty > 1 {
 		return nil, fmt.Errorf("traffic: mmp rate %g exceeds duty-limited capacity %g", rate, FlitsPerTransaction*duty)
 	}
-	m := &MMP{burstLen: burstLen, duty: duty, on: true}
+	m := &MMP{rate: rate, on: true, gArr: xrand.Threshold(rate / FlitsPerTransaction / duty)}
 	if duty < 1 {
 		pOnOff := 1 / burstLen
 		m.gOnOff = xrand.Threshold(pOnOff)
 		m.gOffOn = xrand.Threshold(duty / (1 - duty) * pOnOff)
 	}
-	m.SetRate(rate)
 	return m, nil
 }
 
-func (m *MMP) Name() string  { return "mmp" }
-func (m *MMP) Rate() float64 { return m.rate }
-
-// SetRate rescales the ON-phase arrival gate; the burst structure (phase and
-// transition rates) is unchanged, so a drain-style rate change keeps the
-// process in its current phase.
-func (m *MMP) SetRate(r float64) {
-	m.rate = r
-	m.gArr = xrand.Threshold(r / FlitsPerTransaction / m.duty)
-}
-
+func (m *MMP) Rate() float64        { return m.rate }
 func (m *MMP) State() ProcState     { return ProcState{on: m.on} }
 func (m *MMP) Restore(st ProcState) { m.on = st.on }
-
-// Tick draws the phase transition, then the arrival gate if the phase is ON:
-// a batch of one.
-func (m *MMP) Tick(rng *xrand.Source) bool { return m.NextArrivalDelta(rng, 1) == 0 }
 
 // NextArrivalDelta runs up to max cycles of the chain. A cycle that starts
 // OFF draws the OFF->ON gate and, only if that fires, the arrival gate; one
@@ -303,7 +266,6 @@ type Replay struct {
 	cycle    int64 // next tick advances this simulated cycle
 	idx      int   // next arrival not yet fired
 	meanRate float64
-	stopped  bool
 }
 
 // NewReplay builds a replay process over one source's arrivals (cycles
@@ -317,47 +279,25 @@ func NewReplay(arrivals []Arrival) *Replay {
 	return r
 }
 
-func (r *Replay) Name() string { return "trace" }
-
 // Rate reports the trace segment's mean flit rate while arrivals remain and
-// 0 once the replay is exhausted (or stopped), which is what lets the
-// scheduler treat a finished trace terminal as quiet.
+// 0 once the replay is exhausted, which is what lets the scheduler treat a
+// finished trace terminal as quiet.
 func (r *Replay) Rate() float64 {
-	if r.stopped || r.idx >= len(r.arrivals) {
+	if r.idx >= len(r.arrivals) {
 		return 0
 	}
 	return r.meanRate
-}
-
-// SetRate has no rate knob to turn — the trace is data — but honors the
-// drain convention: a non-positive rate stops the replay, anything else is
-// ignored.
-func (r *Replay) SetRate(rate float64) {
-	if rate <= 0 {
-		r.stopped = true
-	}
 }
 
 func (r *Replay) State() ProcState { return ProcState{cycle: r.cycle, idx: r.idx} }
 
 func (r *Replay) Restore(st ProcState) { r.cycle, r.idx = st.cycle, st.idx }
 
-// Tick advances one cycle and fires iff that cycle is the next recorded
-// arrival.
-func (r *Replay) Tick(_ *xrand.Source) bool {
-	c := r.cycle
-	r.cycle++
-	if r.stopped || r.idx >= len(r.arrivals) || r.arrivals[r.idx].Cycle != c {
-		return false
-	}
-	r.idx++
-	return true
-}
-
 // NextArrivalDelta jumps the internal clock straight to the next recorded
-// arrival (or by max cycles), consuming no randomness; the accounting —
-// k+1 ticks on arrival at offset k, max ticks on -1 — matches the
-// per-cycle contract exactly.
+// arrival (or by max cycles), consuming no randomness: a tick advances one
+// cycle and fires iff that cycle is the next recorded arrival, and the
+// accounting — k+1 ticks on arrival at offset k, max ticks on -1 — matches
+// the per-cycle contract exactly.
 func (r *Replay) NextArrivalDelta(_ *xrand.Source, max int) int {
 	if r.Rate() <= 0 {
 		return -1

@@ -7,12 +7,15 @@ import (
 	"repro/internal/xrand"
 )
 
-// collectTicked runs proc one Tick per cycle for n cycles and returns the
+// tick advances p by one cycle and reports an arrival: a batch of one.
+func tick(p ArrivalProcess, rng *xrand.Source) bool { return p.NextArrivalDelta(rng, 1) == 0 }
+
+// collectTicked runs proc one tick per cycle for n cycles and returns the
 // arrival cycles.
 func collectTicked(p ArrivalProcess, rng *xrand.Source, n int) []int64 {
 	var out []int64
 	for c := int64(0); c < int64(n); c++ {
-		if p.Tick(rng) {
+		if tick(p, rng) {
 			out = append(out, c)
 		}
 	}
@@ -117,16 +120,14 @@ func TestMMPSnapshotRewind(t *testing.T) {
 // no arrivals, phase frozen — the active-set scheduler skips the terminal
 // while the dense schedule keeps ticking it, and both must agree.
 func TestMMPQuietAtZeroRate(t *testing.T) {
-	m, err := NewMMP(0.3, 8, 0.25)
+	m, err := NewMMP(0, 8, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := xrand.New(42)
-	collectTicked(m, rng, 50)
-	m.SetRate(0)
-	before := rng.State()
+	before, phase := rng.State(), m.State()
 	for i := 0; i < 100; i++ {
-		if m.Tick(rng) {
+		if tick(m, rng) {
 			t.Fatal("zero-rate MMP produced an arrival")
 		}
 	}
@@ -136,27 +137,8 @@ func TestMMPQuietAtZeroRate(t *testing.T) {
 	if *rng != before {
 		t.Fatal("zero-rate ticks consumed randomness")
 	}
-}
-
-// TestMMPSetRateKeepsPhase pins that SetRate rescales only the arrival
-// gate: after a rate change the phase sequence (given the same draws) is
-// unchanged, which is what makes a drain-style rate drop equivalent to the
-// per-cycle reference.
-func TestMMPSetRateKeepsPhase(t *testing.T) {
-	m, err := NewMMP(0.3, 8, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rate() != 0.3 {
-		t.Fatalf("rate = %g, want 0.3", m.Rate())
-	}
-	st := m.State()
-	m.SetRate(0.1)
-	if m.Rate() != 0.1 {
-		t.Fatalf("rate after SetRate = %g, want 0.1", m.Rate())
-	}
-	if m.State() != st {
-		t.Fatal("SetRate moved the phase state")
+	if m.State() != phase {
+		t.Fatal("zero-rate ticks moved the phase")
 	}
 }
 
@@ -173,7 +155,7 @@ func TestMMPStatistics(t *testing.T) {
 	rng := xrand.New(42)
 	arrivals, onCycles := 0, 0
 	for c := 0; c < cycles; c++ {
-		if m.Tick(rng) {
+		if tick(m, rng) {
 			arrivals++
 		}
 		if m.State().on {
@@ -236,7 +218,7 @@ func TestReplayFiresAtRecordedCycles(t *testing.T) {
 	before := rng.State()
 	var got []Arrival
 	for c := int64(0); c < 50; c++ {
-		if r.Tick(rng) {
+		if tick(r, rng) {
 			typ, dst := r.PacketAt()
 			got = append(got, Arrival{Cycle: c, Src: 1, Dst: dst, Type: typ})
 		}
@@ -250,7 +232,7 @@ func TestReplayFiresAtRecordedCycles(t *testing.T) {
 	if r.Rate() != 0 {
 		t.Fatalf("exhausted replay rate = %g, want 0", r.Rate())
 	}
-	if r.Tick(rng) {
+	if tick(r, rng) {
 		t.Fatal("exhausted replay produced an arrival")
 	}
 }
@@ -282,23 +264,6 @@ func TestReplaySnapshotRewind(t *testing.T) {
 	second := collectTicked(r, rng, 60)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("restored replay diverged: %v vs %v", first, second)
-	}
-}
-
-// TestReplaySetRateStops pins the drain convention: a non-positive SetRate
-// silences the replay permanently; other values are ignored.
-func TestReplaySetRateStops(t *testing.T) {
-	r := NewReplay(testTrace())
-	r.SetRate(0.9) // no rate knob: ignored
-	if r.Rate() <= 0 {
-		t.Fatal("positive SetRate silenced the replay")
-	}
-	r.SetRate(0)
-	if r.Rate() != 0 {
-		t.Fatal("SetRate(0) did not silence the replay")
-	}
-	if r.Tick(xrand.New(1)) {
-		t.Fatal("stopped replay produced an arrival")
 	}
 }
 
@@ -353,12 +318,8 @@ func TestHotspotValidation(t *testing.T) {
 	if _, err := NewHotspot(1, nil, 0); err == nil {
 		t.Error("single-terminal network accepted")
 	}
-	p, err := NewHotspot(8, nil, 0)
-	if err != nil {
+	if _, err := NewHotspot(8, nil, 0); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
-	}
-	if p.Name() != "hotspot" {
-		t.Errorf("name = %q", p.Name())
 	}
 }
 
@@ -430,8 +391,8 @@ func TestWorkloadProcesses(t *testing.T) {
 		t.Fatalf("got %d processes, want 4", len(procs))
 	}
 	for _, p := range procs {
-		if p.Name() != "mmp" {
-			t.Fatalf("process %q, want mmp", p.Name())
+		if _, ok := p.(*MMP); !ok {
+			t.Fatalf("process %T, want *MMP", p)
 		}
 	}
 
@@ -448,7 +409,7 @@ func TestWorkloadProcesses(t *testing.T) {
 	counts := make([]int, 4)
 	for i, p := range procs {
 		for c := 0; c < 10; c++ {
-			if p.Tick(rng) {
+			if tick(p, rng) {
 				counts[i]++
 			}
 		}

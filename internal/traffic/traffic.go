@@ -89,8 +89,6 @@ const FlitsPerTransaction = 6
 
 // Pattern maps source terminals to destination terminals.
 type Pattern interface {
-	// Name identifies the pattern.
-	Name() string
 	// Dest returns the destination terminal for a packet injected at src.
 	// rng is consulted only by randomized patterns.
 	Dest(src int, rng *xrand.Source) int
@@ -131,8 +129,6 @@ func NewPattern(name string, n int) (Pattern, error) {
 
 type uniform struct{ n int }
 
-func (u uniform) Name() string { return "uniform" }
-
 // Dest draws a destination uniformly among all other terminals.
 func (u uniform) Dest(src int, rng *xrand.Source) int {
 	d := rng.Intn(u.n - 1)
@@ -146,8 +142,6 @@ type bitPattern struct {
 	name string
 	n, b int
 }
-
-func (p bitPattern) Name() string { return p.name }
 
 func (p bitPattern) Dest(src int, _ *xrand.Source) int {
 	s := uint(src)
@@ -175,16 +169,12 @@ func (p bitPattern) Dest(src int, _ *xrand.Source) int {
 
 type tornado struct{ n int }
 
-func (t tornado) Name() string { return "tornado" }
-
 // Dest sends halfway around the terminal ring.
 func (t tornado) Dest(src int, _ *xrand.Source) int {
 	return (src + t.n/2) % t.n
 }
 
 type neighbor struct{ n int }
-
-func (nb neighbor) Name() string { return "neighbor" }
 
 func (nb neighbor) Dest(src int, _ *xrand.Source) int { return (src + 1) % nb.n }
 
@@ -245,8 +235,6 @@ func NewHotspot(n int, hot []int, frac float64) (Pattern, error) {
 	return p, nil
 }
 
-func (h *hotspot) Name() string { return "hotspot" }
-
 // Dest draws the hot-vs-background gate, then a destination uniformly within
 // the chosen set (excluding src). A hot terminal whose hot set holds only
 // itself falls back to the background draw without consuming the set draw,
@@ -268,16 +256,13 @@ func (h *hotspot) Dest(src int, rng *xrand.Source) int {
 // process is a trace Replay, which carries both halves.
 //
 // The generator also owns the event-leaping presample state: a bounded batch
-// of future gate draws (Presample), the RNG/process snapshot that lets a
-// caller about to read the stream, or a rate change, rewind and replay them
-// (Rewind), and the SetRate method that encapsulates the
-// rewind-before-rate-change invariant so no caller can bypass it (DESIGN.md
+// of future gate draws (Presample) and the RNG/process snapshot that lets a
+// caller about to read the stream rewind and replay them (Rewind; DESIGN.md
 // §12).
 type Generator struct {
 	// Pattern chooses destinations.
 	Pattern Pattern
-	// ReadFraction is the probability a transaction is a read (default 0.5
-	// when constructed via NewGenerator).
+	// ReadFraction is the probability a transaction is a read.
 	ReadFraction float64
 
 	proc ArrivalProcess
@@ -326,41 +311,21 @@ func (d *DrawStats) Add(o DrawStats) {
 // Draws returns the generator's gate draw counts since construction.
 func (g *Generator) Draws() DrawStats { return g.draws }
 
-// NewGenerator builds a generator with the paper's defaults: Bernoulli
-// injection at the given flit rate, reads and writes equally likely.
-func NewGenerator(p Pattern, injectionRate float64) *Generator {
-	return NewGeneratorProcess(p, NewBernoulli(injectionRate))
+// NewGeneratorProcess builds a generator around an arrival process, with
+// reads making up readFraction of the transactions.
+func NewGeneratorProcess(p Pattern, proc ArrivalProcess, readFraction float64) *Generator {
+	return &Generator{Pattern: p, ReadFraction: readFraction, proc: proc, next: -1}
 }
-
-// NewGeneratorProcess builds a generator around an explicit arrival process.
-func NewGeneratorProcess(p Pattern, proc ArrivalProcess) *Generator {
-	return &Generator{Pattern: p, ReadFraction: 0.5, proc: proc, next: -1}
-}
-
-// Process exposes the arrival process (read-only use; rate changes must go
-// through SetRate).
-func (g *Generator) Process() ArrivalProcess { return g.proc }
 
 // Rate returns the process's offered load in flits/cycle/terminal.
 func (g *Generator) Rate() float64 { return g.proc.Rate() }
 
-// SetRate changes the offered load as of cycle now, owning the presample
-// invariant: a presampled arrival was drawn at the old rate, so it is
-// rewound — replaying the already-elapsed cycles through now-1 at that old
-// rate — before the new rate takes effect at the current cycle, exactly as
-// per-cycle ticking would have it.
-func (g *Generator) SetRate(rng *xrand.Source, rate float64, now int64) {
-	if g.next >= 0 {
-		g.Rewind(rng, now-1)
-	}
-	g.proc.SetRate(rate)
-}
-
-// NextRequest rolls the injection process for one terminal-cycle. It
-// returns (packetType, dest, true) when a new request transaction starts.
+// NextRequest rolls the injection process for one terminal-cycle — a batch
+// of one gate draw. It returns (packetType, dest, true) when a new request
+// transaction starts.
 func (g *Generator) NextRequest(src int, rng *xrand.Source) (PacketType, int, bool) {
 	g.draws.Ticked++
-	if !g.proc.Tick(rng) {
+	if g.proc.NextArrivalDelta(rng, 1) != 0 {
 		return 0, 0, false
 	}
 	t, d := g.RequestAt(src, rng)
@@ -380,16 +345,6 @@ func (g *Generator) RequestAt(src int, rng *xrand.Source) (PacketType, int) {
 		t = ReadRequest
 	}
 	return t, g.Pattern.Dest(src, rng)
-}
-
-// NextArrivalDelta batch-samples the process (see
-// ArrivalProcess.NextArrivalDelta): it returns the offset in cycles to the
-// next transaction arrival (0 = this cycle), or -1 after exactly max ticks
-// with no arrival (or at zero rate, consuming nothing). The draws consumed
-// are exactly those NextRequest's gate would consume one cycle at a time,
-// which is what keeps event-leaped runs bit-identical to per-cycle ticking.
-func (g *Generator) NextArrivalDelta(rng *xrand.Source, max int) int {
-	return g.proc.NextArrivalDelta(rng, max)
 }
 
 // Presample snapshots the RNG and process state at cycle now, then

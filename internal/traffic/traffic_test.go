@@ -105,9 +105,6 @@ func TestPermutationPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("%s: Name() = %q", name, p.Name())
-		}
 		for src, want := range pairs {
 			if got := p.Dest(src, nil); got != want {
 				t.Errorf("%s.Dest(%d) = %d, want %d", name, src, got, want)
@@ -151,7 +148,7 @@ func TestPatternErrors(t *testing.T) {
 
 func TestGeneratorRates(t *testing.T) {
 	p, _ := NewPattern("uniform", 64)
-	g := NewGenerator(p, 0.3) // 0.3 flits / FlitsPerTransaction = 0.05
+	g := NewGeneratorProcess(p, NewBernoulli(0.3), 0.5) // 0.3 flits / FlitsPerTransaction = 0.05
 	rng := xrand.New(3)
 	const iters = 200000
 	n, reads := 0, 0
@@ -182,7 +179,7 @@ func TestGeneratorRates(t *testing.T) {
 
 func TestGeneratorZeroRate(t *testing.T) {
 	p, _ := NewPattern("uniform", 8)
-	g := NewGenerator(p, 0)
+	g := NewGeneratorProcess(p, NewBernoulli(0), 0.5)
 	rng := xrand.New(1)
 	for i := 0; i < 1000; i++ {
 		if _, _, ok := g.NextRequest(0, rng); ok {
@@ -203,7 +200,8 @@ func TestNextArrivalDeltaMatchesBernoulli(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rate := range []float64{0.001, 0.05, 0.3, 1.2} {
-		g := NewGenerator(p, rate)
+		proc := NewBernoulli(rate)
+		g := NewGeneratorProcess(p, proc, 0.5)
 		a := xrand.New(42)
 		b := xrand.New(42)
 		for trial := 0; trial < 2000; trial++ {
@@ -212,7 +210,7 @@ func TestNextArrivalDeltaMatchesBernoulli(t *testing.T) {
 			for !a.Bool(rate / FlitsPerTransaction) {
 				ticked++
 			}
-			leaped := g.NextArrivalDelta(b, 1<<30)
+			leaped := proc.NextArrivalDelta(b, 1<<30)
 			if leaped != ticked {
 				t.Fatalf("rate %g trial %d: NextArrivalDelta = %d, per-cycle gate = %d", rate, trial, leaped, ticked)
 			}
@@ -234,12 +232,8 @@ func TestNextArrivalDeltaMatchesBernoulli(t *testing.T) {
 // the mean inter-arrival gap must track the geometric mean 1/p - 1 failures
 // before a success.
 func TestNextArrivalDeltaStatistics(t *testing.T) {
-	p, err := NewPattern("uniform", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const rate = 0.12 // transaction rate 0.02
-	g := NewGenerator(p, rate)
+	g := NewBernoulli(rate)
 	rng := xrand.New(7)
 	const n = 200000
 	var sum float64
@@ -257,8 +251,7 @@ func TestNextArrivalDeltaStatistics(t *testing.T) {
 // gate never succeeds at p <= 0, so the sampler must refuse rather than
 // spin).
 func TestNextArrivalDeltaDegenerate(t *testing.T) {
-	p, _ := NewPattern("uniform", 64)
-	g := NewGenerator(p, 0)
+	g := NewBernoulli(0)
 	rng := xrand.New(1)
 	before := rng.State()
 	if d := g.NextArrivalDelta(rng, 1<<30); d != -1 {
@@ -276,11 +269,7 @@ func TestNextArrivalDeltaDegenerate(t *testing.T) {
 // what lets the simulator presample in fixed chunks without ever diverging
 // from the dense per-cycle stream.
 func TestNextArrivalDeltaChunked(t *testing.T) {
-	p, err := NewPattern("uniform", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGenerator(p, 0.003) // transaction rate 0.0005: arrivals well past small chunks
+	g := NewBernoulli(0.003) // transaction rate 0.0005: arrivals well past small chunks
 	const chunk = 128
 	a := xrand.New(99)
 	b := xrand.New(99)
