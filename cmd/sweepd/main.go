@@ -35,9 +35,10 @@
 // follow the idle workers: with -workers above 1, a unit that has proved heavy
 // borrows a pool worker with nothing to do as the goroutine of a second shard
 // and gives it back as soon as another unit waits for it; /statz counts the
-// loans (helpers_lent, helpers_recalled, and helpers_late for the loans a
-// unit ended because its helper ran late) and the cycles stepped concurrently
-// (parallel_cycles). Trace-replay workloads are batch-only: the service
+// loans (helpers_lent, helpers_recalled, helpers_late for the loans a unit
+// ended because its helper ran late, and helpers_unstarted for those given
+// back before the helper claimed a single phase) and the cycles stepped
+// concurrently (parallel_cycles). Trace-replay workloads are batch-only: the service
 // content-addresses units by config and cannot materialize trace bytes.
 package main
 

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -36,27 +37,60 @@ type Point struct {
 // String renders the paper's subfigure label, e.g. "mesh 2x1x4".
 func (p Point) String() string { return fmt.Sprintf("%s %s", p.Topo, p.Spec) }
 
+// network is one of the paper's two networks (§3): its radix and the M×R of
+// its VC organization. Each is evaluated with every count in designVCs, so
+// the six design points are designNets × designVCs.
+type network struct {
+	topo        string
+	ports, m, r int
+}
+
+var (
+	designNets = []network{{"mesh", 5, 2, 1}, {"fbfly", 10, 2, 2}}
+	designVCs  = []int{1, 2, 4}
+)
+
+func (n network) point(c int) Point {
+	return Point{Topo: n.topo, Ports: n.ports, Spec: core.NewVCSpec(n.m, n.r, c)}
+}
+
 // Points returns the six design points in the paper's figure order
 // (mesh 2×1×{1,2,4}, fbfly 2×2×{1,2,4}).
 func Points() []Point {
-	return []Point{
-		{Topo: "mesh", Ports: 5, Spec: core.NewVCSpec(2, 1, 1)},
-		{Topo: "mesh", Ports: 5, Spec: core.NewVCSpec(2, 1, 2)},
-		{Topo: "mesh", Ports: 5, Spec: core.NewVCSpec(2, 1, 4)},
-		{Topo: "fbfly", Ports: 10, Spec: core.NewVCSpec(2, 2, 1)},
-		{Topo: "fbfly", Ports: 10, Spec: core.NewVCSpec(2, 2, 2)},
-		{Topo: "fbfly", Ports: 10, Spec: core.NewVCSpec(2, 2, 4)},
+	pts := make([]Point, 0, len(designNets)*len(designVCs))
+	for _, n := range designNets {
+		for _, c := range designVCs {
+			pts = append(pts, n.point(c))
+		}
 	}
+	return pts
+}
+
+// CheckPoint reports whether "<topo> C=c" names one of the six design
+// points, without building any of them (a VCSpec allocates its successor
+// relation).
+func CheckPoint(topo string, c int) error {
+	_, err := designNet(topo, c)
+	return err
 }
 
 // PointByName returns the design point labeled "<topo> MxRxC".
 func PointByName(topo string, c int) (Point, error) {
-	for _, p := range Points() {
-		if p.Topo == topo && p.Spec.VCsPerClass == c {
-			return p, nil
+	n, err := designNet(topo, c)
+	if err != nil {
+		return Point{}, err
+	}
+	return n.point(c), nil
+}
+
+// designNet returns the network of the design point "<topo> C=c".
+func designNet(topo string, c int) (network, error) {
+	for _, n := range designNets {
+		if n.topo == topo && slices.Contains(designVCs, c) {
+			return n, nil
 		}
 	}
-	return Point{}, fmt.Errorf("experiments: no design point %s C=%d", topo, c)
+	return network{}, fmt.Errorf("experiments: no design point %s C=%d", topo, c)
 }
 
 // Variant is one allocator implementation from the figure legends.

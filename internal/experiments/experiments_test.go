@@ -45,6 +45,15 @@ func TestPointByName(t *testing.T) {
 	if _, err := PointByName("mesh", 3); err == nil {
 		t.Fatal("unknown VC count should error")
 	}
+	// CheckPoint accepts exactly the names PointByName builds.
+	for _, topo := range []string{"mesh", "fbfly", "torus", ""} {
+		for c := -1; c <= 8; c++ {
+			_, built := PointByName(topo, c)
+			if checked := CheckPoint(topo, c); (checked == nil) != (built == nil) {
+				t.Errorf("%s C=%d: CheckPoint %v, PointByName %v", topo, c, checked, built)
+			}
+		}
+	}
 }
 
 func TestVariants(t *testing.T) {

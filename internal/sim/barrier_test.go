@@ -281,6 +281,45 @@ func TestParallelGivesUpLateHelpers(t *testing.T) {
 	}
 }
 
+// gateLender lends a helper that starts only once the lender wants it back,
+// at the recallAt-th asking: the helper of such a loan never claims a phase.
+type gateLender struct {
+	recallAt, asked int
+	gate            chan struct{}
+}
+
+func (l *gateLender) Lend(fn func()) bool {
+	go func() { <-l.gate; fn() }()
+	return true
+}
+
+func (l *gateLender) Wanted() bool {
+	if l.asked++; l.asked == l.recallAt {
+		close(l.gate)
+		return true
+	}
+	return false
+}
+
+// TestParallelCountsUnstartedHelpers: a loan that ends before its helper
+// claims a phase counts in Unstarted, and the stepping goroutine took every
+// concurrent cycle of it; the run still matches one shard.
+func TestParallelCountsUnstartedHelpers(t *testing.T) {
+	cfg := meshConfig(2, 0.3)
+	cfg.Warmup, cfg.Measure, cfg.Drain = 100, 300, 3000
+	want := New(cfg).Run()
+	n := New(cfg)
+	n.BorrowHelpers(&gateLender{recallAt: 6, gate: make(chan struct{})})
+	n.modeHook = func(now int64) bool { return now < 8 }
+	if got := n.Run(); got != want {
+		t.Fatalf("diverged from one shard:\n%+v\n%+v", want, got)
+	}
+	st := n.ParallelStats()
+	if st.Loans != 1 || st.Unstarted != 1 || st.Concurrent == 0 || st.Taken != st.Concurrent {
+		t.Fatalf("%d loans, %d unstarted, %d of %d concurrent cycles taken over; want one loan, unstarted, all taken", st.Loans, st.Unstarted, st.Taken, st.Concurrent)
+	}
+}
+
 // TestParallelGoroutinesReleased counts goroutines: a network's helper is
 // gone after Run, after Close on a hand-stepped network, and after a
 // cancelled RunCtx.

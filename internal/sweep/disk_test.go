@@ -122,7 +122,8 @@ func TestDiskStoreCorruptionTolerant(t *testing.T) {
 
 // FuzzDiskStoreGet writes arbitrary bytes where the disk tier keeps a key's
 // result and loads them back: Get must never panic, may hit only on bytes
-// validDiskResult accepts (and then return exactly those bytes), and a second
+// loadDiskResult accepts, and then returns exactly what json.Encoder writes
+// for them as a json.RawMessage (the bytes of a hit on the wire); a second
 // Get must agree with the first.
 func FuzzDiskStoreGet(f *testing.F) {
 	const key = "fuzzkey"
@@ -130,10 +131,13 @@ func FuzzDiskStoreGet(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	var indented bytes.Buffer
+	json.Indent(&indented, valid, " ", "  ")
 	foreign, _ := json.Marshal(UnitResult{SchemaVersion: SchemaVersion, Key: "otherkey"})
 	stale, _ := json.Marshal(UnitResult{SchemaVersion: SchemaVersion + 1, Key: key})
 	for _, seed := range [][]byte{valid, valid[:len(valid)/2], foreign, stale, nil,
-		[]byte("\x00\xff not json"), []byte("null"), []byte(`{"key":"fuzzkey","schema_version":1e999}`)} {
+		[]byte("\x00\xff not json"), []byte("null"), []byte(`{"key":"fuzzkey","schema_version":1e999}`),
+		indented.Bytes(), []byte("{\"key\":\"fuzzkey\",\"schema_version\":3,\"x\":\"<&>\u2028\u2029\xff\"}\n")} {
 		f.Add(seed)
 	}
 	d, err := OpenDiskStore(f.TempDir())
@@ -145,11 +149,17 @@ func FuzzDiskStoreGet(f *testing.F) {
 			t.Fatal(err)
 		}
 		got, ok := d.Get(key)
-		if want := validDiskResult(key, data); ok != want {
-			t.Fatalf("Get hit = %v, validDiskResult = %v for %q", ok, want, data)
+		if _, want := loadDiskResult(key, data); ok != want {
+			t.Fatalf("Get hit = %v, loadDiskResult = %v for %q", ok, want, data)
 		}
-		if ok && !bytes.Equal(got, data) {
-			t.Fatalf("Get returned %q, file holds %q", got, data)
+		if ok {
+			var wire bytes.Buffer
+			if err := json.NewEncoder(&wire).Encode(json.RawMessage(data)); err != nil {
+				t.Fatal(err)
+			}
+			if want := bytes.TrimSuffix(wire.Bytes(), []byte("\n")); !bytes.Equal(got, want) {
+				t.Fatalf("Get returned %q, the encoder writes %q for %q", got, want, data)
+			}
 		}
 		again, ok2 := d.Get(key)
 		if ok2 != ok || !bytes.Equal(again, got) {
@@ -363,7 +373,7 @@ func TestServerHealsStaleV2Cache(t *testing.T) {
 	}
 
 	// Botched migration: a v2-versioned result filed under the v3 key in
-	// the v3 directory. validDiskResult must refuse it.
+	// the v3 directory. loadDiskResult must refuse it.
 	newDir := filepath.Join(root, fmt.Sprintf("v%d", SchemaVersion))
 	if err := os.MkdirAll(newDir, 0o755); err != nil {
 		t.Fatal(err)

@@ -260,3 +260,82 @@ func BenchmarkLoopbackHit(b *testing.B) {
 		b.Fatalf("%d simulations, want the warm-up's one", srv.SimRuns())
 	}
 }
+
+// hitBatch is the shape of sim_saturation's alternate path in the repository
+// benchmark: 80 units, each spelled out (the first as the base, the rest as
+// units), all cached.
+func hitBatch() Request {
+	units := make([]UnitConfig, 80)
+	for i := range units {
+		units[i] = tinyUnit
+		units[i].Seed = uint64(i + 1)
+	}
+	return Request{Base: units[0], Units: units[1:]}
+}
+
+// hitAllocsPerUnit bounds the allocations per unit of hitBatch served from
+// the memory store in process, decode, recorder and summary included. It
+// measured 3.7 (295 per request) when set, so the budget leaves about a third
+// for toolchain drift; before results were copied onto the wire verbatim and
+// each unit normalized once it was 31.8.
+const hitAllocsPerUnit = 5.0
+
+// TestSweepHitAllocBudget keeps a cache hit to its key and one store lookup:
+// re-encoding a stored result, re-normalizing a unit or building a design
+// point to validate one each cost several allocations per unit, and any of
+// them coming back breaks the budget.
+func TestSweepHitAllocBudget(t *testing.T) {
+	srv, err := NewServer(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	req := hitBatch()
+	body := sweepBody(t, req)
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+		return w
+	}
+	if w := serve(); w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"misses":80`)) {
+		t.Fatalf("warm-up: %d %s", w.Code, w.Body)
+	}
+	if w := serve(); !bytes.Contains(w.Body.Bytes(), []byte(`"hits":80`)) {
+		t.Fatalf("not all hits: %s", w.Body)
+	}
+	units := float64(len(req.Units) + 1)
+	perUnit := testing.AllocsPerRun(20, func() { serve() }) / units
+	t.Logf("%.2f allocations per unit (budget %.1f)", perUnit, hitAllocsPerUnit)
+	if perUnit > hitAllocsPerUnit {
+		t.Errorf("a cached %.0f-unit request made %.2f allocations per unit, budget %.1f", units, perUnit, hitAllocsPerUnit)
+	}
+}
+
+// BenchmarkHandlerHitBatch is hitBatch served by the handler in process, every
+// unit a memory hit: 80 keys and lookups, 80 hit lines and the summary in one
+// write.
+func BenchmarkHandlerHitBatch(b *testing.B) {
+	srv, err := NewServer(Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	body := sweepBody(b, hitBatch())
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+		return w
+	}
+	if w := serve(); w.Code != http.StatusOK {
+		b.Fatalf("warm-up: %d %s", w.Code, w.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if w := serve(); !bytes.Contains(w.Body.Bytes(), []byte(`"hits":80`)) {
+			b.Fatalf("not all hits: %s", w.Body)
+		}
+	}
+}

@@ -209,11 +209,12 @@ func TestServerUnitsShareIdleWorkers(t *testing.T) {
 func TestServerLightUnitsNeverBorrow(t *testing.T) {
 	srv, ts := newTestServer(t, Options{Workers: 2})
 	statz := func() (st struct {
-		HelpersLent     int64 `json:"helpers_lent"`
-		HelpersRecalled int64 `json:"helpers_recalled"`
-		HelpersLate     int64 `json:"helpers_late"`
-		ParallelCycles  int64 `json:"parallel_cycles"`
-		PoolDone        int64 `json:"pool_done"`
+		HelpersLent      int64 `json:"helpers_lent"`
+		HelpersRecalled  int64 `json:"helpers_recalled"`
+		HelpersLate      int64 `json:"helpers_late"`
+		HelpersUnstarted int64 `json:"helpers_unstarted"`
+		ParallelCycles   int64 `json:"parallel_cycles"`
+		PoolDone         int64 `json:"pool_done"`
 	}) {
 		resp, err := http.Get(ts.URL + "/statz")
 		if err != nil {
@@ -241,7 +242,7 @@ func TestServerLightUnitsNeverBorrow(t *testing.T) {
 			}
 		}
 	}
-	if st := statz(); st.HelpersLent != 0 || st.HelpersLate != 0 || st.ParallelCycles != 0 || st.PoolDone != 18 {
+	if st := statz(); st.HelpersLent != 0 || st.HelpersLate != 0 || st.HelpersUnstarted != 0 || st.ParallelCycles != 0 || st.PoolDone != 18 {
 		t.Fatalf("18 low-load units: %+v, want no loan and no concurrent cycle", st)
 	}
 	knee := UnitConfig{Topo: "mesh", VCsPerClass: 1, Rate: 0.30, Seed: 1, Warmup: 125, Measure: 300, Drain: 2500}
@@ -250,7 +251,7 @@ func TestServerLightUnitsNeverBorrow(t *testing.T) {
 	}
 	// (Most of its ~500 cycles on a host with two free cores; a few dozen
 	// before it gives the helper back on one that withholds the second.)
-	if st := statz(); st.HelpersLent != 1 || st.HelpersLate > 1 || st.ParallelCycles == 0 || st.HelpersRecalled != 0 || st.PoolDone != 19 {
-		t.Fatalf("after a knee unit: %+v, want one loan (given back late at most once), concurrent cycles, no recall", st)
+	if st := statz(); st.HelpersLent != 1 || st.HelpersLate > 1 || st.HelpersUnstarted > 1 || st.ParallelCycles == 0 || st.HelpersRecalled != 0 || st.PoolDone != 19 {
+		t.Fatalf("after a knee unit: %+v, want one loan (given back late, or unstarted, at most once), concurrent cycles, no recall", st)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/arbiter"
@@ -67,7 +66,7 @@ type UnitConfig struct {
 	// 0 means "current".
 	SchemaVersion int `json:"schema_version,omitempty"`
 	// Topo and VCsPerClass name a paper design point: "mesh" or "fbfly"
-	// with 1, 2 or 4 VCs per class (experiments.PointByName).
+	// with 1, 2 or 4 VCs per class (experiments.CheckPoint).
 	Topo        string `json:"topo"`
 	VCsPerClass int    `json:"vcs_per_class,omitempty"`
 	// VAArch/VAArb/VASparse select the VC allocator microarchitecture
@@ -198,13 +197,14 @@ func (c UnitConfig) Workload() traffic.Workload {
 
 // Validate checks the normalized config against the design-point,
 // allocator and pattern vocabularies, without building a network.
-func (c UnitConfig) Validate() error {
-	c = c.Normalized()
+func (c UnitConfig) Validate() error { return c.Normalized().validate() }
+
+// validate is Validate of a config that is normalized already.
+func (c UnitConfig) validate() error {
 	if c.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("sweep: schema version %d not supported (have %d)", c.SchemaVersion, SchemaVersion)
 	}
-	pt, err := experiments.PointByName(c.Topo, c.VCsPerClass)
-	if err != nil {
+	if err := experiments.CheckPoint(c.Topo, c.VCsPerClass); err != nil {
 		return err
 	}
 	if _, err := ParseArch(c.VAArch); err != nil {
@@ -228,9 +228,8 @@ func (c UnitConfig) Validate() error {
 		return fmt.Errorf("sweep: process %q is batch-only (the service cannot materialize trace bytes; use cmd/nocsim -trace)", c.Process)
 	}
 	// The workload axes (process, pattern, burst and hotspot parameters) are
-	// validated over the design point's terminal count (both paper networks
-	// concentrate to 64 terminals).
-	if err := c.Workload().Validate(terminalsFor(pt)); err != nil {
+	// validated over the design point's terminal count.
+	if err := c.Workload().Validate(unitTerminals); err != nil {
 		return err
 	}
 	if c.Rate < 0 || c.Rate > 1 {
@@ -248,12 +247,13 @@ func (c UnitConfig) Validate() error {
 	return nil
 }
 
-// terminalsFor returns a design point's terminal count without
-// instantiating the topology (both paper networks concentrate to 64).
-func terminalsFor(pt experiments.Point) int { return 64 }
+// unitTerminals is the terminal count of every design point: both paper
+// networks concentrate to 64 terminals, so no topology is built to know it.
+const unitTerminals = 64
 
-// canonical renders the normalized config in the fixed field order the
-// content hash is defined over. Rules (DESIGN.md §10):
+// appendCanonical appends the canonical serialization of the normalized
+// config c to b: the bytes the content hash is defined over. Rules
+// (DESIGN.md §10):
 //   - fields appear in schema declaration order, one "name=value" per
 //     line, after a "noc-sweep/v<version>" preamble;
 //   - floats are formatted as exact hexadecimal ('x', -1, 64), so every
@@ -264,58 +264,80 @@ func terminalsFor(pt experiments.Point) int { return 64 }
 // Renaming, reordering or adding fields therefore changes canonical output
 // only together with a SchemaVersion bump (the pinned golden hash test
 // breaks loudly otherwise).
-func (c UnitConfig) canonical() string {
-	c = c.Normalized()
-	var b strings.Builder
-	b.Grow(256)
-	fmt.Fprintf(&b, "noc-sweep/v%d\n", c.SchemaVersion)
-	wr := func(name, val string) {
-		b.WriteString(name)
-		b.WriteByte('=')
-		b.WriteString(val)
-		b.WriteByte('\n')
+func (c UnitConfig) appendCanonical(b []byte) []byte {
+	b = append(b, "noc-sweep/v"...)
+	b = strconv.AppendInt(b, int64(c.SchemaVersion), 10)
+	b = append(b, '\n')
+	str := func(name, val string) {
+		b = append(b, name...)
+		b = append(b, '=')
+		b = append(b, val...)
+		b = append(b, '\n')
 	}
-	bol := func(v bool) string {
-		if v {
-			return "1"
-		}
-		return "0"
+	num := func(name string, v int) {
+		b = append(b, name...)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(v), 10)
+		b = append(b, '\n')
 	}
-	wr("topo", c.Topo)
-	wr("vcs_per_class", strconv.Itoa(c.VCsPerClass))
-	wr("va_arch", c.VAArch)
-	wr("va_arb", c.VAArb)
-	wr("va_sparse", bol(c.VASparse))
-	wr("sa_arch", c.SAArch)
-	wr("sa_arb", c.SAArb)
-	wr("spec_mode", c.SpecMode)
-	wr("pattern", c.Pattern)
-	wr("process", c.Process)
-	wr("burst_len", strconv.FormatFloat(c.BurstLen, 'x', -1, 64))
-	wr("duty", strconv.FormatFloat(c.Duty, 'x', -1, 64))
-	hs := make([]string, len(c.Hotspots))
+	flt := func(name string, v float64) {
+		b = append(b, name...)
+		b = append(b, '=')
+		b = strconv.AppendFloat(b, v, 'x', -1, 64)
+		b = append(b, '\n')
+	}
+	str("topo", c.Topo)
+	num("vcs_per_class", c.VCsPerClass)
+	str("va_arch", c.VAArch)
+	str("va_arb", c.VAArb)
+	if c.VASparse {
+		str("va_sparse", "1")
+	} else {
+		str("va_sparse", "0")
+	}
+	str("sa_arch", c.SAArch)
+	str("sa_arb", c.SAArb)
+	str("spec_mode", c.SpecMode)
+	str("pattern", c.Pattern)
+	str("process", c.Process)
+	flt("burst_len", c.BurstLen)
+	flt("duty", c.Duty)
+	b = append(b, "hotspots="...)
 	for i, h := range c.Hotspots {
-		hs[i] = strconv.Itoa(h)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(h), 10)
 	}
-	wr("hotspots", strings.Join(hs, ","))
-	wr("hotspot_fraction", strconv.FormatFloat(c.HotspotFraction, 'x', -1, 64))
-	wr("trace_digest", c.TraceDigest)
-	wr("rate", strconv.FormatFloat(c.Rate, 'x', -1, 64))
-	wr("read_fraction", strconv.FormatFloat(*c.ReadFraction, 'x', -1, 64))
-	wr("buf_depth", strconv.Itoa(c.BufDepth))
-	wr("warmup", strconv.Itoa(c.Warmup))
-	wr("measure", strconv.Itoa(c.Measure))
-	wr("drain", strconv.Itoa(c.Drain))
-	wr("seed", strconv.FormatUint(c.Seed, 10))
-	return b.String()
+	b = append(b, '\n')
+	flt("hotspot_fraction", c.HotspotFraction)
+	str("trace_digest", c.TraceDigest)
+	flt("rate", c.Rate)
+	flt("read_fraction", *c.ReadFraction)
+	num("buf_depth", c.BufDepth)
+	num("warmup", c.Warmup)
+	num("measure", c.Measure)
+	num("drain", c.Drain)
+	b = append(b, "seed="...)
+	b = strconv.AppendUint(b, c.Seed, 10)
+	return append(b, '\n')
 }
+
+// canonical is the canonical serialization of the config, normalized first.
+func (c UnitConfig) canonical() string { return string(c.Normalized().appendCanonical(nil)) }
 
 // Key returns the unit's content address: the hex SHA-256 of its canonical
 // serialization. Two configs get the same key iff they describe the same
 // simulation semantics under the current schema version.
-func (c UnitConfig) Key() string {
-	sum := sha256.Sum256([]byte(c.canonical()))
-	return hex.EncodeToString(sum[:])
+func (c UnitConfig) Key() string { return c.Normalized().key() }
+
+// key is Key of a config that is normalized already.
+func (c UnitConfig) key() string {
+	var buf [512]byte
+	sum := sha256.Sum256(c.appendCanonical(buf[:0]))
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // BuildSim assembles the unit's sim.Config through the same
@@ -407,7 +429,7 @@ func RunUnit(ctx context.Context, c UnitConfig, lender sim.Lender) (UnitResult, 
 	}
 	return UnitResult{
 		SchemaVersion:   c.SchemaVersion,
-		Key:             c.Key(),
+		Key:             c.key(),
 		Config:          c,
 		Rate:            c.Rate,
 		Latency:         res.AvgLatency,

@@ -127,7 +127,8 @@ func (r Request) Expand() ([]UnitConfig, error) {
 	if len(rates) == 0 {
 		rates = []float64{r.Base.Rate}
 	}
-	var units []UnitConfig
+	// Each unit is normalized once, here; validate and key take it as it is.
+	units := make([]UnitConfig, 0, r.unitCount())
 	for _, arch := range archs {
 		for _, mode := range modes {
 			for _, pat := range patterns {
@@ -143,10 +144,11 @@ func (r Request) Expand() ([]UnitConfig, error) {
 			}
 		}
 	}
-	units = append(units, r.Units...)
+	for _, u := range r.Units {
+		units = append(units, u.Normalized())
+	}
 	for i := range units {
-		units[i] = units[i].Normalized()
-		if err := units[i].Validate(); err != nil {
+		if err := units[i].validate(); err != nil {
 			return nil, fmt.Errorf("unit %d: %w", i, err)
 		}
 	}
@@ -174,6 +176,47 @@ type UnitUpdate struct {
 	Error string `json:"error,omitempty"`
 	// ElapsedNS is the service time for this unit within this request.
 	ElapsedNS int64 `json:"elapsed_ns"`
+}
+
+// appendLine appends the NDJSON line of an update without an Error — a hit,
+// a miss or a coalesced unit — to b: the bytes json.Encoder writes for it,
+// with Result copied as it is. The encoder would compact Result and escape
+// '<', '>', '&', U+2028 and U+2029 in it; the store holds only results in
+// that form already (json.Marshal output, and disk loads brought to it by
+// canonicalJSON), so copying is the same. FuzzSweepLine holds the two equal.
+func appendLine(b []byte, upd *UnitUpdate) []byte {
+	b = append(b, `{"index":`...)
+	b = strconv.AppendInt(b, int64(upd.Index), 10)
+	b = append(b, `,"key":`...)
+	b = appendString(b, upd.Key)
+	b = append(b, `,"status":`...)
+	b = appendString(b, upd.Status)
+	if len(upd.Result) > 0 {
+		b = append(b, `,"result":`...)
+		b = append(b, upd.Result...)
+	}
+	b = append(b, `,"elapsed_ns":`...)
+	b = strconv.AppendInt(b, upd.ElapsedNS, 10)
+	return append(b, "}\n"...)
+}
+
+// lineBytes bounds the bytes appendLine adds to a unit's key and result: the
+// field names, the longest status and two 64-bit integers.
+const lineBytes = len(`{"index":,"key":"","status":"coalesced","result":,"elapsed_ns":}`+"\n") + 2*20
+
+// appendString appends s as a JSON string the way json.Encoder writes it. A
+// key or a status is plain ASCII and is copied between quotes; anything else
+// goes through json.Marshal, which escapes as the encoder does.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // SweepSummary is the final NDJSON line of a sweep response.
@@ -233,6 +276,7 @@ type Server struct {
 	requests       atomic.Int64
 	parallelCycles atomic.Int64
 	lateReturns    atomic.Int64
+	unstarted      atomic.Int64
 }
 
 // NewServer builds a server; callers own its lifetime and should Close it.
@@ -299,34 +343,36 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	poolDone, poolSkipped := s.pool.Stats()
 	_, lent, recalled := s.pool.LendStats()
 	stats := struct {
-		SchemaVersion   int        `json:"schema_version"`
-		Requests        int64      `json:"requests"`
-		UnitsServed     int64      `json:"units_served"`
-		SimRuns         int64      `json:"sim_runs"`
-		InFlight        int        `json:"in_flight"`
-		PoolRunning     int64      `json:"pool_running"`
-		PoolDone        int64      `json:"pool_done"`
-		PoolSkipped     int64      `json:"pool_skipped"`
-		HelpersLent     int64      `json:"helpers_lent"`
-		HelpersRecalled int64      `json:"helpers_recalled"`
-		HelpersLate     int64      `json:"helpers_late"` // loans a network ended because its helper ran late
-		ParallelCycles  int64      `json:"parallel_cycles"`
-		Store           StoreStats `json:"store"`
-		Disk            *DiskStats `json:"disk,omitempty"`
+		SchemaVersion    int        `json:"schema_version"`
+		Requests         int64      `json:"requests"`
+		UnitsServed      int64      `json:"units_served"`
+		SimRuns          int64      `json:"sim_runs"`
+		InFlight         int        `json:"in_flight"`
+		PoolRunning      int64      `json:"pool_running"`
+		PoolDone         int64      `json:"pool_done"`
+		PoolSkipped      int64      `json:"pool_skipped"`
+		HelpersLent      int64      `json:"helpers_lent"`
+		HelpersRecalled  int64      `json:"helpers_recalled"`
+		HelpersLate      int64      `json:"helpers_late"`      // loans a network ended because its helper ran late
+		HelpersUnstarted int64      `json:"helpers_unstarted"` // loans given back before the helper claimed a phase
+		ParallelCycles   int64      `json:"parallel_cycles"`
+		Store            StoreStats `json:"store"`
+		Disk             *DiskStats `json:"disk,omitempty"`
 	}{
-		SchemaVersion:   SchemaVersion,
-		Requests:        s.requests.Load(),
-		UnitsServed:     s.unitsDone.Load(),
-		SimRuns:         s.simRuns.Load(),
-		InFlight:        s.flight.InFlight(),
-		PoolRunning:     s.pool.Running(),
-		PoolDone:        poolDone,
-		PoolSkipped:     poolSkipped,
-		HelpersLent:     lent,
-		HelpersRecalled: recalled,
-		HelpersLate:     s.lateReturns.Load(),
-		ParallelCycles:  s.parallelCycles.Load(),
-		Store:           s.store.Stats(),
+		SchemaVersion:    SchemaVersion,
+		Requests:         s.requests.Load(),
+		UnitsServed:      s.unitsDone.Load(),
+		SimRuns:          s.simRuns.Load(),
+		InFlight:         s.flight.InFlight(),
+		PoolRunning:      s.pool.Running(),
+		PoolDone:         poolDone,
+		PoolSkipped:      poolSkipped,
+		HelpersLent:      lent,
+		HelpersRecalled:  recalled,
+		HelpersLate:      s.lateReturns.Load(),
+		HelpersUnstarted: s.unstarted.Load(),
+		ParallelCycles:   s.parallelCycles.Load(),
+		Store:            s.store.Stats(),
 	}
 	if s.disk != nil {
 		ds := s.disk.Stats()
@@ -356,17 +402,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	// Lines collect in out and leave in as few writes as streaming allows: a
-	// request the cache tiers answer completely is one write of known
-	// length; otherwise the hits leave before the first wait and every
-	// simulated unit as it completes.
-	var out bytes.Buffer
-	enc := json.NewEncoder(&out)
 	ctx := r.Context()
 	start := time.Now()
 	summary := SweepSummary{Done: true, Units: len(units)}
-	emit := func(upd UnitUpdate, unitStart time.Time) {
-		upd.ElapsedNS = time.Since(unitStart).Nanoseconds()
+
+	// Units a cache tier holds are answered first, in index order; the rest
+	// wait. A hit costs its key and one store lookup.
+	upds := make([]UnitUpdate, len(units))
+	size, waiting := summaryBytes, 0
+	for i := range units {
+		unitStart := time.Now()
+		upd := &upds[i]
+		upd.Index, upd.Key = i, units[i].key()
+		if b, ok := s.cacheGet(upd.Key); ok {
+			upd.Status, upd.Result = "hit", b
+			upd.ElapsedNS = time.Since(unitStart).Nanoseconds()
+			size += lineBytes + len(upd.Key) + len(b)
+		} else {
+			waiting++
+		}
+	}
+
+	// Lines collect in out and leave in as few writes as streaming allows: a
+	// request the cache tiers answer completely is one write of known
+	// length, from a buffer sized for it; otherwise the hits leave before the
+	// first wait and every simulated unit as it completes. A line with a
+	// result is written by appendLine, the rest by the encoder.
+	var out bytes.Buffer
+	out.Grow(size)
+	enc := json.NewEncoder(&out)
+	emit := func(upd *UnitUpdate) {
 		switch upd.Status {
 		case "hit":
 			summary.Hits++
@@ -380,23 +445,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			summary.Canceled++
 		}
 		s.unitsDone.Add(1)
-		enc.Encode(upd)
-	}
-
-	// Units a cache tier holds are answered inline, in index order.
-	var waiting []UnitUpdate
-	for i, u := range units {
-		unitStart := time.Now()
-		upd := UnitUpdate{Index: i, Key: u.Key()}
-		if b, ok := s.cacheGet(upd.Key); ok {
-			upd.Status, upd.Result = "hit", b
-			emit(upd, unitStart)
+		if upd.Error == "" {
+			out.Write(appendLine(out.AvailableBuffer(), upd))
 		} else {
-			waiting = append(waiting, upd)
+			enc.Encode(upd)
+		}
+	}
+	for i := range upds {
+		if upds[i].Status == "hit" {
+			emit(&upds[i])
 		}
 	}
 
-	if len(waiting) > 0 {
+	if waiting > 0 {
 		flusher, _ := w.(http.Flusher)
 		var mu sync.Mutex // guards out, enc, summary and w from here on
 		send := func() {
@@ -411,7 +472,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		sem := make(chan struct{}, s.unitConc)
 		var wg sync.WaitGroup
-		for _, upd := range waiting {
+		for i := range upds {
+			upd := &upds[i]
+			if upd.Status != "" {
+				continue
+			}
 			wg.Add(1)
 			sem <- struct{}{}
 			go func() {
@@ -430,9 +495,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 						upd.Result = data
 					}
 				}
+				upd.ElapsedNS = time.Since(unitStart).Nanoseconds()
 				mu.Lock()
 				defer mu.Unlock()
-				emit(upd, unitStart)
+				emit(upd)
 				send()
 			}()
 		}
@@ -440,11 +506,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	summary.ElapsedNS = time.Since(start).Nanoseconds()
 	enc.Encode(summary)
-	if len(waiting) == 0 {
+	if waiting == 0 {
 		w.Header().Set("Content-Length", strconv.Itoa(out.Len()))
 	}
 	w.Write(out.Bytes())
 }
+
+// summaryBytes bounds the encoded summary line: its field names and seven
+// integers of up to 20 digits.
+const summaryBytes = len(`{"done":true,"units":,"hits":,"misses":,"coalesced":,"errors":,"canceled":,"elapsed_ns":}`+"\n") + 7*20
 
 // serveUnit resolves one unit through the perf layers: memory store, disk
 // tier (promoting a disk hit into memory), in-flight coalescing, then a
@@ -478,6 +548,7 @@ func (s *Server) serveUnit(ctx context.Context, u UnitConfig, key string, probed
 			res, par, runErr = RunUnit(simCtx, u, s.lender)
 			s.parallelCycles.Add(par.Concurrent)
 			s.lateReturns.Add(par.LateReturns)
+			s.unstarted.Add(par.Unstarted)
 		})
 		if poolErr != nil {
 			return nil, poolErr
@@ -538,16 +609,17 @@ var _ Evaluator = (*Server)(nil)
 // /sweep client never run the same simulation twice.
 func (s *Server) EvalUnit(ctx context.Context, u UnitConfig) (UnitResult, error) {
 	u = u.Normalized()
-	if err := u.Validate(); err != nil {
+	if err := u.validate(); err != nil {
 		return UnitResult{}, err
 	}
-	data, _, err := s.serveUnit(ctx, u, u.Key(), false)
+	key := u.key()
+	data, _, err := s.serveUnit(ctx, u, key, false)
 	if err != nil {
 		return UnitResult{}, err
 	}
 	var res UnitResult
 	if err := json.Unmarshal(data, &res); err != nil {
-		return UnitResult{}, fmt.Errorf("sweep: stored result for %s: %w", u.Key(), err)
+		return UnitResult{}, fmt.Errorf("sweep: stored result for %s: %w", key, err)
 	}
 	return res, nil
 }
