@@ -319,28 +319,3 @@ func randomMatrix(rows, cols int, p float64, seed uint64) *repro.Matrix {
 	}
 	return m
 }
-
-// BenchmarkTorusDatelineNetwork exercises the torus extension end to end.
-func BenchmarkTorusDatelineNetwork(b *testing.B) {
-	b.ReportAllocs()
-	topo := repro.Torus(8)
-	spec := repro.NewVCSpec(2, 2, 1)
-	spec.ResourceSucc = repro.TorusResourceSucc()
-	for i := 0; i < b.N; i++ {
-		cfg := repro.SimConfig{
-			Topology: topo,
-			Routing:  repro.NewTorusDateline(topo),
-			Spec:     spec,
-			VA:       repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
-			SA:       repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
-			Workload: repro.Workload{Rate: 0.2},
-			Seed:     uint64(i) + 1,
-			Warmup:   150,
-			Measure:  300,
-			Drain:    1000,
-		}
-		if res := repro.NewNetwork(cfg).Run(); res.FlitsDelivered == 0 {
-			b.Fatal("torus wedged")
-		}
-	}
-}

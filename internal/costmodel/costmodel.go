@@ -238,29 +238,6 @@ func (t Tech) WavefrontCustomDelay(n int) float64 {
 	return (0.8*float64(n) + 6) * t.LevelDelayNS * t.WavefrontTileFactor
 }
 
-// WavefrontUnrolledGE returns the gate count of the loop-free wavefront
-// implementation of Hurt et al. [9]: instead of replicating the array per
-// priority diagonal, the array is unrolled once (2n-1 diagonals of tiles)
-// so the wave never wraps. Area grows quadratically — far cheaper than the
-// replicated scheme at large sizes.
-func (t Tech) WavefrontUnrolledGE(n int) float64 {
-	nf := float64(n)
-	const tileGE = 5
-	return 2*nf*nf*tileGE + // unrolled (2n-1 diagonal) tile array
-		nf*nf // priority-rotation input muxes
-}
-
-// WavefrontUnrolledDelay returns the unrolled implementation's critical
-// path: the wave traverses up to 2n-1 diagonals of the unrolled array, so
-// for the allocator sizes in the paper it is slower than the replicated
-// scheme (§2.2: "the implementation described earlier tends to yield lower
-// delay for the allocator sizes considered in this paper").
-func (t Tech) WavefrontUnrolledDelay(n int) float64 {
-	wave := (1.5*float64(n) + 6) * t.LevelDelayNS * t.WavefrontTileFactor
-	rot := log2ceil(n) * t.LevelDelayNS // input rotation muxes
-	return wave + rot
-}
-
 // --- VC allocators (Fig. 3, §4) ---------------------------------------------
 
 // vcGeometry captures the arbiter widths implied by a VC allocator

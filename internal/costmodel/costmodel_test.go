@@ -400,25 +400,6 @@ func TestORTreeEdges(t *testing.T) {
 	}
 }
 
-func TestWavefrontUnrolledTradeoff(t *testing.T) {
-	// Hurt et al.'s unrolled implementation is far smaller than diagonal
-	// replication at scale (quadratic vs cubic) but slower for the sizes
-	// the paper considers (§2.2).
-	for _, n := range []int{10, 20, 40, 80, 160} {
-		if tech.WavefrontUnrolledGE(n) >= tech.WavefrontGE(n) {
-			t.Errorf("n=%d: unrolled GE should undercut replicated", n)
-		}
-		if tech.WavefrontUnrolledDelay(n) <= tech.WavefrontDelay(n) {
-			t.Errorf("n=%d: unrolled delay should exceed replicated", n)
-		}
-	}
-	// Quadratic scaling check.
-	r := tech.WavefrontUnrolledGE(40) / tech.WavefrontUnrolledGE(20)
-	if r < 3.5 || r > 4.5 {
-		t.Errorf("unrolled GE scaling for 2x size = %.2f, want ~4", r)
-	}
-}
-
 func TestComponentBreakdownSumsToTotal(t *testing.T) {
 	for _, pt := range []struct {
 		p    int

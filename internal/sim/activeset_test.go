@@ -81,7 +81,6 @@ func TestActiveSchedulerBitExact(t *testing.T) {
 		}()},
 		{"fbfly/spec_req", fbflyConfig(2, 0.3)},
 		{"fbfly/wavefront-sa", func() Config { c := fbflyConfig(2, 0.3); c.SA.Arch = alloc.Wavefront; return c }()},
-		{"torus/dateline", torusConfig(1, 0.2)},
 	}
 	for _, tc := range cases {
 		tc.cfg.Warmup, tc.cfg.Measure, tc.cfg.Drain = 300, 700, 6000

@@ -107,12 +107,3 @@ func TestDenseRequestsComposesWithVariants(t *testing.T) {
 func TestLeapComposesWithVariants(t *testing.T) {
 	variantsMatrix(t, goldenRates[1].rate)
 }
-
-// TestLeapTorusGolden extends the golden matrix to the torus dateline
-// extension (distinct resource-class structure and routing).
-func TestLeapTorusGolden(t *testing.T) {
-	base := torusConfig(2, 0.002)
-	base.Seed = 42
-	base.Warmup, base.Measure, base.Drain = 200, 500, 5000
-	assertGolden(t, "torus", base, oneShard, splitLent)
-}

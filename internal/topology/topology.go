@@ -254,29 +254,3 @@ func FbflyColPort(k, conc, y, oy int) int {
 	}
 	return conc + (k - 1) + idx
 }
-
-// Torus builds a k×k torus with one terminal per router: the mesh port
-// layout plus wraparound channels, so every router has all four network
-// ports connected. Tori are the §4.2 motivating example for resource
-// classes (dateline routing). All channels have unit latency.
-func Torus(k int) *Topology {
-	if k < 3 {
-		panic("topology: torus requires k >= 3 for distinct wrap links")
-	}
-	t := newEmpty("torus", k*k, 5, 1)
-	id := func(x, y int) int { return y*k + x }
-	for y := 0; y < k; y++ {
-		for x := 0; x < k; x++ {
-			nx := (x + 1) % k
-			t.addChannel(id(x, y), MeshPortXPlus, id(nx, y), MeshPortXMinus, 1)
-			t.addChannel(id(nx, y), MeshPortXMinus, id(x, y), MeshPortXPlus, 1)
-			ny := (y + 1) % k
-			t.addChannel(id(x, y), MeshPortYPlus, id(x, ny), MeshPortYMinus, 1)
-			t.addChannel(id(x, ny), MeshPortYMinus, id(x, y), MeshPortYPlus, 1)
-		}
-	}
-	if err := t.Validate(); err != nil {
-		panic(err)
-	}
-	return t
-}

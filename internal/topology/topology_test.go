@@ -195,52 +195,3 @@ func TestTerminalPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestTorusShape(t *testing.T) {
-	to := Torus(4)
-	if to.Routers != 16 || to.Ports != 5 || to.Concentration != 1 {
-		t.Fatalf("torus: routers=%d ports=%d conc=%d", to.Routers, to.Ports, to.Concentration)
-	}
-	// Every router has all 4 network ports connected: 16*4 directed channels.
-	if got, want := len(to.Channels), 16*4; got != want {
-		t.Fatalf("channels = %d, want %d", got, want)
-	}
-	if err := to.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < 16; r++ {
-		for p := 1; p < 5; p++ {
-			if to.OutChannel[r][p] == -1 || to.InChannel[r][p] == -1 {
-				t.Fatalf("torus router %d port %d unconnected", r, p)
-			}
-		}
-	}
-}
-
-func TestTorusWrapLinks(t *testing.T) {
-	to := Torus(4)
-	// Router (3,0)=3: +x wraps to (0,0)=0.
-	ch := to.Channels[to.OutChannel[3][MeshPortXPlus]]
-	if ch.Dst != 0 {
-		t.Fatalf("+x from router 3 leads to %d, want 0 (wrap)", ch.Dst)
-	}
-	// Router (0,0)=0: -x wraps to (3,0)=3.
-	ch = to.Channels[to.OutChannel[0][MeshPortXMinus]]
-	if ch.Dst != 3 {
-		t.Fatalf("-x from router 0 leads to %d, want 3 (wrap)", ch.Dst)
-	}
-	// Router (1,3)=13: +y wraps to (1,0)=1.
-	ch = to.Channels[to.OutChannel[13][MeshPortYPlus]]
-	if ch.Dst != 1 {
-		t.Fatalf("+y from router 13 leads to %d, want 1 (wrap)", ch.Dst)
-	}
-}
-
-func TestTorusTooSmallPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Torus(2)
-}

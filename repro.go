@@ -217,10 +217,6 @@ func Mesh(k int) *Topology { return topology.Mesh(k) }
 // concentration (paper: 4×4, c=4, P=10).
 func FlattenedButterfly(k, conc int) *Topology { return topology.FlattenedButterfly(k, conc) }
 
-// Torus builds a k×k torus with one terminal per router — the §4.2
-// motivating example for resource classes (dateline routing).
-func Torus(k int) *Topology { return topology.Torus(k) }
-
 // RoutingFunction computes lookahead route decisions.
 type RoutingFunction = routing.Function
 
@@ -229,15 +225,6 @@ func NewDOR(t *Topology) RoutingFunction { return routing.NewDOR(t) }
 
 // NewUGAL returns UGAL load-balanced routing for a flattened butterfly.
 func NewUGAL(t *Topology, threshold int) RoutingFunction { return routing.NewUGAL(t, threshold) }
-
-// NewTorusDateline returns shortest-direction dimension-order routing with
-// dateline deadlock avoidance for a torus. Build the matching VCSpec with
-// ResourceSucc = TorusResourceSucc().
-func NewTorusDateline(t *Topology) RoutingFunction { return routing.NewTorusDateline(t) }
-
-// TorusResourceSucc returns the resource-class successor relation dateline
-// routing requires.
-func TorusResourceSucc() [][]int { return routing.TorusResourceSucc() }
 
 // Workload is the injection workload of a simulation: arrival process,
 // traffic pattern and the offered load Workload.Rate in flits/cycle/terminal.

@@ -178,25 +178,3 @@ func TestFacadeRand(t *testing.T) {
 		}
 	}
 }
-
-func TestFacadeExtensions(t *testing.T) {
-	// Torus + dateline end to end.
-	topo := repro.Torus(4)
-	tspec := repro.NewVCSpec(2, 2, 1)
-	tspec.ResourceSucc = repro.TorusResourceSucc()
-	res := repro.NewNetwork(repro.SimConfig{
-		Topology: topo,
-		Routing:  repro.NewTorusDateline(topo),
-		Spec:     tspec,
-		VA:       repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
-		SA:       repro.SwitchAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: repro.SpecReq},
-		Workload: repro.Workload{Rate: 0.1},
-		Seed:     1,
-		Warmup:   200,
-		Measure:  500,
-		Drain:    3000,
-	}).Run()
-	if res.Unfinished != 0 {
-		t.Fatalf("torus facade run did not drain: %+v", res)
-	}
-}
