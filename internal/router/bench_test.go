@@ -82,7 +82,6 @@ func BenchmarkStepSaturationDense(b *testing.B) { benchStep(b, 4, true) }
 // output port and every VC class alike.
 type spreadRoute struct{ ports, classes int }
 
-func (s spreadRoute) Name() string         { return "spread" }
 func (s spreadRoute) ResourceClasses() int { return s.classes }
 func (s spreadRoute) NextHop(_ int, pr *routing.PacketRoute) (int, int) {
 	return pr.DestTerminal % s.ports, pr.DestTerminal / s.ports % s.classes

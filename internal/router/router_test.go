@@ -16,7 +16,6 @@ import (
 // staticRoute sends every packet to a fixed output port with class 0.
 type staticRoute struct{ port int }
 
-func (s staticRoute) Name() string                                 { return "static" }
 func (s staticRoute) ResourceClasses() int                         { return 1 }
 func (s staticRoute) NextHop(int, *routing.PacketRoute) (int, int) { return s.port, 0 }
 
