@@ -1,9 +1,9 @@
 // Sparsevc: size a VC allocator for a custom router with the synthesis cost
 // model and show what the sparse VC allocation scheme of §4.2 saves.
 //
-// The scenario: a torus router (P = 5) with dateline deadlock avoidance —
-// two message classes, two resource classes (pre-/post-dateline), two VCs
-// per class — i.e. a design point the paper does not tabulate directly.
+// The scenario: a P = 5 router with two message classes, two resource
+// classes (two-phase routing, as in UGAL's Valiant and minimal phases) and
+// two VCs per class — a design point the paper does not tabulate directly.
 package main
 
 import (
@@ -14,9 +14,9 @@ import (
 
 func main() {
 	tech := repro.Default45nm()
-	spec := repro.NewVCSpec(2, 2, 2) // dateline torus: V = 8
+	spec := repro.NewVCSpec(2, 2, 2) // two-phase routing: V = 8
 
-	fmt.Printf("torus router, P=5, VCs %s (V=%d)\n", spec, spec.V())
+	fmt.Printf("a P = 5 router, 2 message × 2 resource classes (two-phase routing), VCs %s (V=%d)\n", spec, spec.V())
 	fmt.Printf("legal VC transitions: %d of %d\n\n", spec.CountLegalTransitions(), spec.V()*spec.V())
 
 	fmt.Println("variant      scheme  delay(ns)  area(µm²)  power(mW)")

@@ -34,7 +34,7 @@ type VCSpec struct {
 	// changes in the network.
 	MessageClasses int
 	// ResourceClasses (R) partition each message class to break cyclic
-	// resource dependencies (e.g. dateline or the two UGAL phases). A
+	// resource dependencies (e.g. the two UGAL phases). A
 	// packet's resource class may change, but only along ResourceSucc.
 	ResourceClasses int
 	// VCsPerClass (C) is the number of interchangeable VCs in each
@@ -55,9 +55,8 @@ func NewVCSpec(m, r, c int) VCSpec {
 }
 
 // DefaultSuccessors returns the monotonic successor relation used by
-// dateline and two-phase (Valiant/UGAL) routing schemes: class r may stay in
-// r or advance to r+1; the final class only stays. For R = 1 this is the
-// identity.
+// two-phase (Valiant/UGAL) routing: class r may stay in r or advance to
+// r+1; the final class only stays. For R = 1 this is the identity.
 func DefaultSuccessors(r int) [][]int {
 	succ := make([][]int, r)
 	for i := range succ {
