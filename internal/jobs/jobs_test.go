@@ -322,6 +322,28 @@ func TestPollAnswersWhenDone(t *testing.T) {
 	}
 }
 
+// TestRunningAnswersAfterMaxWait: a submit or poll of a job that is still
+// running holds its request for maxWait, then answers running. The check on
+// the low side is tight (a timer may fire late, never early); the one on the
+// high side only catches a request held far past maxWait.
+func TestRunningAnswersAfterMaxWait(t *testing.T) {
+	s := newService(make(chan struct{}))
+	defer s.Close()
+	for _, c := range []struct {
+		method, target, body string
+		code                 int
+	}{
+		{http.MethodPost, "/j", `{"name":"slow"}`, http.StatusAccepted},
+		{http.MethodGet, "/j?job=" + spec{Name: "slow"}.ID(), "", http.StatusOK},
+	} {
+		start := time.Now()
+		code, st := call(t, s, c.method, c.target, c.body)
+		if took := time.Since(start); code != c.code || st.Status != "running" || took < maxWait || took > 3*maxWait {
+			t.Errorf("%s %s: %d %q after %v, want %d running after %v", c.method, c.target, code, st.Status, took, c.code, maxWait)
+		}
+	}
+}
+
 // TestPollContextEnds: a request that ends answers the running status at once.
 func TestPollContextEnds(t *testing.T) {
 	s := newService(make(chan struct{}))
