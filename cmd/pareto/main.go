@@ -17,7 +17,7 @@
 //	pareto                          # full space, table to stdout
 //	pareto -out pareto.json         # full result as JSON
 //	pareto -cachedir ~/.noc-sweep   # disk-warm across runs
-//	pareto -topos mesh -vcs 1,2 -noprune
+//	pareto -topos mesh -vcs 1,2
 //	pareto -patterns uniform,hotspot -processes bernoulli,mmp
 //	pareto -curves                  # adaptive latency-throughput curve per frontier point
 //	pareto -smoke                   # reduced space + tiny scale (CI)
@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	curves := fs.Bool("curves", false, "after the search, trace an adaptive latency-throughput curve for every frontier point (each curve reuses the search's cached evaluation point)")
 	curveStep := fs.Float64("curvestep", experiments.DefaultLatticeStep, "rate-lattice step for -curves; every sampled rate is an exact multiple")
 	curvePoints := fs.Int("curvepoints", 0, "simulated-point budget per curve for -curves (default 64)")
-	noPrune := fs.Bool("noprune", false, "disable dominance pruning (simulate every feasible point; frontier is identical)")
 	smoke := fs.Bool("smoke", false, "reduced space at a tiny scale (CI smoke); an explicit -topos, -vcs, -warmup, -measure or -drain overrides its part")
 	profiles := prof.Flags(fs)
 	scaleOf := experiments.ScaleFlags(fs,
@@ -120,8 +119,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		BurstLen:  *burstLen, Duty: *duty,
 		Hotspots: hotList, HotspotFraction: *hotFrac,
 		Warmup: scale.Warmup, Measure: scale.Measure, Drain: scale.Drain,
-		Seed:    scale.Seed,
-		NoPrune: *noPrune,
+		Seed: scale.Seed,
 	}
 	if *smoke {
 		spec.VAArbs = []string{"rr"}
