@@ -50,11 +50,11 @@ func main() {
 	for i := range reqs {
 		if rng.Bool(0.5) {
 			m, r, _ := spec.Decompose(i % spec.V())
-			succ := spec.ResourceSucc[r]
+			lo, hi := spec.SuccessorClasses(r)
 			reqs[i] = repro.VCRequest{
 				Active:     true,
 				OutPort:    rng.Intn(5),
-				Candidates: spec.ClassMask(m, succ[rng.Intn(len(succ))]),
+				Candidates: spec.ClassMask(m, lo+rng.Intn(hi-lo)),
 			}
 		}
 	}

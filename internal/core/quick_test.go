@@ -24,8 +24,8 @@ func quickVCRequests(spec VCSpec, raw []byte) []VCRequest {
 		}
 		vc := i % v
 		m, r, _ := spec.Decompose(vc)
-		succ := spec.ResourceSucc[r]
-		nr := succ[int(raw[i]/3)%len(succ)]
+		lo, hi := spec.SuccessorClasses(r)
+		nr := lo + int(raw[i]/3)%(hi-lo)
 		reqs[i] = VCRequest{
 			Active:     true,
 			OutPort:    int(raw[i]) % p,

@@ -329,8 +329,8 @@ func runVCProgram(t *testing.T, cfg VCAllocConfig, seed uint64, prog []byte) {
 				// What the router sends: a legal successor class, less the
 				// output VCs that are taken.
 				m, rc, _ := spec.Decompose(i % v)
-				succ := spec.successors(rc)
-				lo, hi := spec.ClassRange(m, succ[rng.Intn(len(succ))])
+				first, end := spec.SuccessorClasses(rc)
+				lo, hi := spec.ClassRange(m, first+rng.Intn(end-first))
 				free := all
 				if rng.Bool(0.5) {
 					free = rng.Uint64()

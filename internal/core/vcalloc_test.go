@@ -41,8 +41,8 @@ func randomVCRequests(rng *xrand.Source, p int, spec VCSpec, rate float64) []VCR
 				continue
 			}
 			m, r, _ := spec.Decompose(vc)
-			succ := spec.ResourceSucc[r]
-			nr := succ[rng.Intn(len(succ))]
+			lo, hi := spec.SuccessorClasses(r)
+			nr := lo + rng.Intn(hi-lo)
 			reqs[port*v+vc] = VCRequest{
 				Active:     true,
 				OutPort:    rng.Intn(p),
@@ -613,9 +613,9 @@ func TestVCAllocateAndPushInterleave(t *testing.T) {
 				// thinned candidate set may be empty.
 				if rng.Bool(0.6) {
 					m, rc, _ := spec.Decompose(i % v)
-					succ := spec.ResourceSucc[rc]
+					lo, hi := spec.SuccessorClasses(rc)
 					reqs[i] = VCRequest{Active: true, OutPort: rng.Intn(p),
-						Candidates: spec.ClassMask(m, succ[rng.Intn(len(succ))]) & VCMask(rng.Uint64())}
+						Candidates: spec.ClassMask(m, lo+rng.Intn(hi-lo)) & VCMask(rng.Uint64())}
 				} else if rng.Bool(0.7) {
 					reqs[i] = VCRequest{OutPort: rng.Intn(p)} // inactive, stale port
 				}

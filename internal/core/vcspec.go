@@ -35,38 +35,25 @@ type VCSpec struct {
 	MessageClasses int
 	// ResourceClasses (R) partition each message class to break cyclic
 	// resource dependencies (e.g. the two UGAL phases). A
-	// packet's resource class may change, but only along ResourceSucc.
+	// packet's resource class may change, but only as SuccessorClasses says.
 	ResourceClasses int
 	// VCsPerClass (C) is the number of interchangeable VCs in each
 	// (message, resource) class.
 	VCsPerClass int
-	// ResourceSucc[r] lists the resource classes a packet currently in
-	// class r may occupy at the next hop (including r itself if allowed).
-	// If nil, DefaultSuccessors is used.
-	ResourceSucc [][]int
 }
 
-// NewVCSpec returns a spec with M message classes, R resource classes, C VCs
-// per class and the default monotonic successor relation.
+// NewVCSpec returns a spec with M message classes, R resource classes and C
+// VCs per class.
 func NewVCSpec(m, r, c int) VCSpec {
-	s := VCSpec{MessageClasses: m, ResourceClasses: r, VCsPerClass: c}
-	s.ResourceSucc = DefaultSuccessors(r)
-	return s
+	return VCSpec{MessageClasses: m, ResourceClasses: r, VCsPerClass: c}
 }
 
-// DefaultSuccessors returns the monotonic successor relation used by
-// two-phase (Valiant/UGAL) routing: class r may stay in r or advance to
-// r+1; the final class only stays. For R = 1 this is the identity.
-func DefaultSuccessors(r int) [][]int {
-	succ := make([][]int, r)
-	for i := range succ {
-		if i+1 < r {
-			succ[i] = []int{i, i + 1}
-		} else {
-			succ[i] = []int{i}
-		}
-	}
-	return succ
+// SuccessorClasses returns the resource classes a packet in class r may
+// occupy at the next hop, the range [lo, hi): the monotonic relation of
+// two-phase (Valiant/UGAL) routing, where class r stays in r or advances to
+// r+1 and the final class only stays. For R = 1 it is the identity.
+func (s VCSpec) SuccessorClasses(r int) (lo, hi int) {
+	return r, min(r+2, s.ResourceClasses)
 }
 
 // Validate reports an error if the spec is malformed.
@@ -74,19 +61,6 @@ func (s VCSpec) Validate() error {
 	if s.MessageClasses <= 0 || s.ResourceClasses <= 0 || s.VCsPerClass <= 0 {
 		return fmt.Errorf("core: VCSpec dimensions must be positive, got %dx%dx%d",
 			s.MessageClasses, s.ResourceClasses, s.VCsPerClass)
-	}
-	if s.ResourceSucc != nil {
-		if len(s.ResourceSucc) != s.ResourceClasses {
-			return fmt.Errorf("core: ResourceSucc has %d entries, want %d",
-				len(s.ResourceSucc), s.ResourceClasses)
-		}
-		for r, succ := range s.ResourceSucc {
-			for _, n := range succ {
-				if n < 0 || n >= s.ResourceClasses {
-					return fmt.Errorf("core: ResourceSucc[%d] contains invalid class %d", r, n)
-				}
-			}
-		}
 	}
 	return nil
 }
@@ -132,31 +106,14 @@ func (s VCSpec) ClassIndex(m, r int) int {
 	return m*s.ResourceClasses + r
 }
 
-func (s VCSpec) successors(r int) []int {
-	if s.ResourceSucc == nil {
-		if r+1 < s.ResourceClasses {
-			return []int{r, r + 1}
-		}
-		return []int{r}
-	}
-	return s.ResourceSucc[r]
-}
-
 // LegalTransition reports whether a packet occupying input VC `from` may
 // acquire output VC `to` at the next router: the message class must match
 // and the resource class of `to` must be a successor of `from`'s.
 func (s VCSpec) LegalTransition(from, to int) bool {
 	fm, fr, _ := s.Decompose(from)
 	tm, tr, _ := s.Decompose(to)
-	if fm != tm {
-		return false
-	}
-	for _, r := range s.successors(fr) {
-		if r == tr {
-			return true
-		}
-	}
-	return false
+	lo, hi := s.SuccessorClasses(fr)
+	return fm == tm && lo <= tr && tr < hi
 }
 
 // TransitionMatrix returns the V×V matrix of legal VC-to-VC transitions
@@ -226,8 +183,9 @@ func (s VCSpec) ClassMask(m, r int) VCMask { return s.rangeMask(s.ClassRange(m, 
 // to. It panics if V exceeds 64.
 func (s VCSpec) SuccessorMask(vc int) VCMask {
 	m, r, _ := s.Decompose(vc)
+	lo, hi := s.SuccessorClasses(r)
 	var mask VCMask
-	for _, nr := range s.successors(r) {
+	for nr := lo; nr < hi; nr++ {
 		mask |= s.ClassMask(m, nr)
 	}
 	return mask
@@ -235,20 +193,7 @@ func (s VCSpec) SuccessorMask(vc int) VCMask {
 
 // MaxSuccessorsPerVC returns the maximum number of legal successor VCs over
 // all input VCs; for the fbfly 2×2×4 configuration this is 8 (paper §4.2).
-// A successor list may name a class twice; it counts once.
-func (s VCSpec) MaxSuccessorsPerVC() int {
-	best := 0
-	for r := 0; r < s.ResourceClasses; r++ {
-		seen := make(map[int]bool)
-		for _, nr := range s.successors(r) {
-			seen[nr] = true
-		}
-		if n := len(seen) * s.VCsPerClass; n > best {
-			best = n
-		}
-	}
-	return best
-}
+func (s VCSpec) MaxSuccessorsPerVC() int { return s.MaxSuccessorClasses() * s.VCsPerClass }
 
 // PredecessorCount returns the number of distinct input-VC resource classes
 // that may transition into resource class r (used to size sparse output-side
@@ -256,11 +201,8 @@ func (s VCSpec) MaxSuccessorsPerVC() int {
 func (s VCSpec) PredecessorCount(r int) int {
 	n := 0
 	for p := 0; p < s.ResourceClasses; p++ {
-		for _, q := range s.successors(p) {
-			if q == r {
-				n++
-				break
-			}
+		if lo, hi := s.SuccessorClasses(p); lo <= r && r < hi {
+			n++
 		}
 	}
 	return n
@@ -271,8 +213,8 @@ func (s VCSpec) PredecessorCount(r int) int {
 func (s VCSpec) MaxSuccessorClasses() int {
 	best := 0
 	for r := 0; r < s.ResourceClasses; r++ {
-		if n := len(s.successors(r)); n > best {
-			best = n
+		if lo, hi := s.SuccessorClasses(r); hi-lo > best {
+			best = hi - lo
 		}
 	}
 	return best

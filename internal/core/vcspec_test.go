@@ -62,8 +62,6 @@ func TestVCSpecValidate(t *testing.T) {
 	bad := []VCSpec{
 		{MessageClasses: 0, ResourceClasses: 1, VCsPerClass: 1},
 		{MessageClasses: 1, ResourceClasses: -1, VCsPerClass: 1},
-		{MessageClasses: 1, ResourceClasses: 2, VCsPerClass: 1, ResourceSucc: [][]int{{0}}},
-		{MessageClasses: 1, ResourceClasses: 2, VCsPerClass: 1, ResourceSucc: [][]int{{0}, {2}}},
 	}
 	for i, s := range bad {
 		if s.Validate() == nil {
@@ -75,21 +73,15 @@ func TestVCSpecValidate(t *testing.T) {
 	}
 }
 
-func TestDefaultSuccessors(t *testing.T) {
-	s1 := DefaultSuccessors(1)
-	if len(s1) != 1 || len(s1[0]) != 1 || s1[0][0] != 0 {
-		t.Fatalf("R=1 successors = %v, want [[0]]", s1)
-	}
-	s3 := DefaultSuccessors(3)
-	want := [][]int{{0, 1}, {1, 2}, {2}}
-	for r := range want {
-		if len(s3[r]) != len(want[r]) {
-			t.Fatalf("R=3 successors[%d] = %v, want %v", r, s3[r], want[r])
-		}
-		for i := range want[r] {
-			if s3[r][i] != want[r][i] {
-				t.Fatalf("R=3 successors[%d] = %v, want %v", r, s3[r], want[r])
-			}
+// TestSuccessorClasses pins the one successor relation: class r stays in r
+// or advances to r+1, and the final class only stays.
+func TestSuccessorClasses(t *testing.T) {
+	for _, c := range []struct{ classes, r, lo, hi int }{
+		{1, 0, 0, 1},
+		{3, 0, 0, 2}, {3, 1, 1, 3}, {3, 2, 2, 3},
+	} {
+		if lo, hi := NewVCSpec(1, c.classes, 1).SuccessorClasses(c.r); lo != c.lo || hi != c.hi {
+			t.Errorf("R=%d: successors of class %d = [%d, %d), want [%d, %d)", c.classes, c.r, lo, hi, c.lo, c.hi)
 		}
 	}
 }
@@ -198,21 +190,6 @@ func TestSuccessorPredecessorClassCounts(t *testing.T) {
 	r1 := NewVCSpec(2, 1, 4)
 	if got := r1.MaxSuccessorClasses(); got != 1 {
 		t.Fatalf("R=1 MaxSuccessorClasses = %d, want 1", got)
-	}
-}
-
-func TestCustomSuccessors(t *testing.T) {
-	// A ring of resource classes (0->1->2->0) is expressible.
-	s := VCSpec{MessageClasses: 1, ResourceClasses: 3, VCsPerClass: 1,
-		ResourceSucc: [][]int{{1}, {2}, {0}}}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.LegalTransition(2, 0) {
-		t.Error("custom successor 2->0 should be legal")
-	}
-	if s.LegalTransition(0, 0) {
-		t.Error("0->0 not in custom successor set")
 	}
 }
 

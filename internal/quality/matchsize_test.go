@@ -22,8 +22,8 @@ func refVCNext(w *VCWorkload, rng *xrand.Source, rate float64) []core.VCRequest 
 			continue
 		}
 		m, r, _ := w.Spec.Decompose(i % v)
-		succ := w.Spec.ResourceSucc[r]
-		nr := succ[rng.Intn(len(succ))]
+		lo, hi := w.Spec.SuccessorClasses(r)
+		nr := lo + rng.Intn(hi-lo)
 		reqs[i] = core.VCRequest{
 			Active:     true,
 			OutPort:    rng.Intn(w.Ports),

@@ -63,9 +63,6 @@ func NewVCWorkload(ports int, spec core.VCSpec, seed uint64) *VCWorkload {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	if spec.ResourceSucc == nil {
-		spec.ResourceSucc = core.DefaultSuccessors(spec.ResourceClasses)
-	}
 	w := &VCWorkload{
 		Ports: ports,
 		Spec:  spec,
@@ -75,7 +72,8 @@ func NewVCWorkload(ports int, spec core.VCSpec, seed uint64) *VCWorkload {
 	}
 	for vc := range w.succ {
 		m, r, _ := spec.Decompose(vc)
-		for _, nr := range spec.ResourceSucc[r] {
+		lo, hi := spec.SuccessorClasses(r)
+		for nr := lo; nr < hi; nr++ {
 			w.succ[vc] = append(w.succ[vc], spec.ClassMask(m, nr))
 		}
 	}
