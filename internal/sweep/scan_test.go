@@ -59,7 +59,9 @@ func TestScanRequestMatchesJSON(t *testing.T) {
 // FuzzSweepDecode races scanRequest against encoding/json: for any body the
 // scanner either declines, or builds the Request encoding/json builds under
 // DecodeBody's rules. A body listing more than MaxUnits+1 explicit units is
-// built only that far, and both requests make Expand fail alike.
+// built only that far, and both requests make Expand fail alike. A body it
+// declines, decodeSweep decodes as DecodeBody does: the same Request, or the
+// same refusal.
 func FuzzSweepDecode(f *testing.F) {
 	for _, body := range sweepBodies {
 		f.Add([]byte(body))
@@ -80,6 +82,13 @@ func FuzzSweepDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, ok := scanRequest(body)
 		if !ok {
+			gotW, wantW := httptest.NewRecorder(), httptest.NewRecorder()
+			got, ok := decodeSweep(gotW, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+			var want Request
+			wantOK := decodeJSON(wantW, bytes.NewReader(body), &want)
+			if ok != wantOK || gotW.Code != wantW.Code || gotW.Body.String() != wantW.Body.String() || ok && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: decodeSweep %v %d %q %+v, encoding/json %v %d %q %+v", body, ok, gotW.Code, gotW.Body, got, wantOK, wantW.Code, wantW.Body, want)
+			}
 			return
 		}
 		want, ok := decodeReflect(body)
@@ -131,6 +140,104 @@ func TestSweepBoundsExplicitUnits(t *testing.T) {
 	t.Logf("%d-byte body of %d empty units allocated %.1f MB (budget %d MB)", len(body), n, float64(alloc)/(1<<20), budget>>20)
 	if alloc > budget {
 		t.Errorf("%d-byte body of %d empty units allocated %d MB, budget %d MB", len(body), n, alloc>>20, budget>>20)
+	}
+}
+
+// unitsBody is prefix, then an array of n units, {} but where at says
+// otherwise, then suffix.
+func unitsBody(prefix string, n int, at map[int]string, suffix string) []byte {
+	body := append([]byte(prefix), '[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		if u, ok := at[i]; ok {
+			body = append(body, u...)
+		} else {
+			body = append(body, "{}"...)
+		}
+	}
+	return append(append(body, ']'), suffix...)
+}
+
+// TestSweepBoundsDeclinedUnits: a MaxBodyBytes body of empty units that the
+// scanner declines — for a key after the units, a unit it cannot scan, or a
+// key in another case — gets encoding/json's answer, and decoding it
+// allocates within the budget of TestSweepBoundsExplicitUnits. encoding/json
+// alone built every listed unit first: half a gigabyte for the first body.
+func TestSweepBoundsDeclinedUnits(t *testing.T) {
+	srv, err := NewServer(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	n := (MaxBodyBytes - len(`{"units":[],"bogus":1}`) - len(`{"topo":1}`)) / len(`{},`)
+	for _, c := range []struct {
+		body []byte
+		want string
+	}{
+		{unitsBody(`{"units":`, n, nil, `,"bogus":1}`), "bad request: json: unknown field \"bogus\"\n"},
+		{unitsBody(`{"units":`, n, map[int]string{n - 2: `{"topo":1}`}, `}`), "bad request: json: cannot unmarshal number into Go struct field UnitConfig.units.topo of type string\n"},
+		{unitsBody(`{"Units":`, n, nil, `}`), "sweep: request expands to more than 65536 units\n"},
+	} {
+		w := httptest.NewRecorder()
+		hreq := httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(c.body))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		srv.Handler().ServeHTTP(w, hreq)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest || w.Body.String() != c.want {
+			t.Errorf("%.20s…: answered %d %q, want 400 %q", c.body, w.Code, w.Body, c.want)
+		}
+		const budget = 64 << 20
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%.20s…: %d-byte body of %d units allocated %.1f MB (budget %d MB)", c.body, len(c.body), n, float64(alloc)/(1<<20), budget>>20)
+		if alloc > budget {
+			t.Errorf("%.20s…: %d-byte body of %d units allocated %d MB, budget %d MB", c.body, len(c.body), n, alloc>>20, budget>>20)
+		}
+	}
+}
+
+// TestDeclinedUnitsAnswerAsJSON: a body of just over MaxUnits+1 units that
+// the scanner declines is answered exactly as encoding/json's decode of the
+// whole body and Expand answer it, wherever its first error is: before the
+// units, among the first MaxUnits+1, among the rest, after them, in a
+// repeated units key, or nowhere.
+func TestDeclinedUnitsAnswerAsJSON(t *testing.T) {
+	srv, err := NewServer(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	const n = MaxUnits + 10
+	tail := MaxUnits + 3
+	for _, body := range [][]byte{
+		unitsBody(`{"bogus":1,"units":`, n, map[int]string{tail: `{"x":1}`}, `}`),
+		unitsBody(`{"units":`, n, map[int]string{5: `{"topo":1}`, tail: `{"x":1}`}, `}`),
+		unitsBody(`{"units":`, n, map[int]string{tail: `{"seed":-1}`, tail + 2: `{"x":1}`}, `,"bogus":1}`),
+		unitsBody(`{"units":`, n, map[int]string{tail: `5`}, `}`),
+		unitsBody(`{"units":`, n, map[int]string{n - 1: `{"hotspots":[1,"x"]}`}, `}`),
+		unitsBody(`{"units":`, n, nil, `,"bogus":1}`),
+		unitsBody(`{"units":`, n, nil, `,"UNITS":[{"bogus":1}]}`),
+		unitsBody(`{"units":[{"topo":"mesh"}],"units":`, n, map[int]string{tail: `{"rate":"x"}`}, `}`),
+		unitsBody(` { "seeds" : [ 1 ] , "\u0075nits" : `, n, map[int]string{n - 1: ` { "Topo" : "mesh" } `}, ` , "base" : { "topo" : 5 } } `),
+		unitsBody(`{"Units":`, n, nil, `}`),
+		unitsBody(`{"units":`, n, map[int]string{0: `{"Topo":"mesh"}`}, `,"units":[{"x":1}]}`),
+	} {
+		rec := httptest.NewRecorder()
+		var req Request
+		want := "accepted"
+		if !decodeJSON(rec, bytes.NewReader(body), &req) {
+			want = rec.Body.String()
+		} else if _, err := req.Expand(); err != nil {
+			want = err.Error() + "\n"
+		}
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+		if got := w.Body.String(); w.Code != http.StatusBadRequest || got != want {
+			t.Errorf("%.40s…: answered %d %q, encoding/json %q", body, w.Code, got, want)
+		}
 	}
 }
 

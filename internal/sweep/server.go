@@ -64,7 +64,9 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 // decoder, which reads the bytes read so far and then whatever the read
 // stopped at: the byte stream DecodeBody would read. So every refusal keeps
 // DecodeBody's status and message; an oversized body is a 413 only where the
-// decoder reads past the limit, a 400 where it fails before.
+// decoder reads past the limit, a 400 where it fails before. The value it
+// reads is decoded as DecodeBody would decode it, but with its units bounded
+// (boundUnits).
 func decodeSweep(w http.ResponseWriter, r *http.Request) (Request, bool) {
 	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	var buf bytes.Buffer
@@ -77,14 +79,31 @@ func decodeSweep(w http.ResponseWriter, r *http.Request) (Request, bool) {
 		}
 	}
 	var req Request
-	return req, decodeJSON(w, io.MultiReader(bytes.NewReader(buf.Bytes()), body), &req)
+	var raw json.RawMessage
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), body))
+	err := dec.Decode(&raw)
+	if err == nil {
+		cut, units := boundUnits(raw)
+		if units > 0 { // every units array sets the field, so only its capacity shows
+			req.Units = make([]UnitConfig, 0, units)
+		}
+		strict := json.NewDecoder(bytes.NewReader(cut))
+		strict.DisallowUnknownFields()
+		err = strict.Decode(&req)
+	}
+	return req, answer(w, dec, err)
 }
 
 // decodeJSON is DecodeBody reading the body from rd.
 func decodeJSON(w http.ResponseWriter, rd io.Reader, v any) bool {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	return answer(w, dec, dec.Decode(v))
+}
+
+// answer reports whether a JSON value was decoded from dec without err and
+// with nothing but whitespace after it; if not, it writes the refusal.
+func answer(w http.ResponseWriter, dec *json.Decoder, err error) bool {
 	if err == nil {
 		if _, err = dec.Token(); err == io.EOF {
 			return true
