@@ -32,6 +32,29 @@ func TestStdoutGolden(t *testing.T) {
 	}
 }
 
+// TestCurveStdoutGolden pins the SHA-256 of stdout for the three network
+// figure sections at a tiny scale. Every point is an independent, seeded
+// simulation, so the digest holds for any worker count: each section is run
+// at the pinned -workers 2 and again at 1 and 4.
+func TestCurveStdoutGolden(t *testing.T) {
+	const scale = " -warmup 100 -measure 200 -drain 800 -workers 2"
+	for _, g := range []struct {
+		args string
+		want string
+	}{
+		{"-only fig13" + scale, "4dbe8d2e714f197e6817c39206aedd1b86fb1432ff5ef0c4a760885ace7222ca"},
+		{"-only fig14" + scale, "c693e076cfcb3b978b43ae80afee1f9a4c6b5b1af790abc7191d4495055acc33"},
+		{"-only vasweep" + scale, "522fcadc4e8c823865d91681f68a82530d5b49ec6c73eb1e1c36ac86cdcb9cc5"},
+	} {
+		for _, workers := range []string{"", " -workers 1", " -workers 4"} {
+			args := g.args + workers
+			if got := digest(runOK(t, strings.Fields(args)...)); got != g.want {
+				t.Errorf("%s: stdout digest %s, want %s", args, got, g.want)
+			}
+		}
+	}
+}
+
 // matrixRow matches one row of the Fig. 4 matrix: the input VC's index and
 // class tag, then one cell per output VC.
 var matrixRow = regexp.MustCompile(`(?m)^ ?\d+ \(m\d,r\d,c\d\) .*\n`)
