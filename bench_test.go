@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/curve"
 	"repro/internal/experiments"
+	"repro/internal/sweep"
 )
 
 // --- Fig. 4 -------------------------------------------------------------------
@@ -135,7 +137,7 @@ func BenchmarkFig13SwitchAllocatorNetwork(b *testing.B) {
 			rates := []float64{0.2}
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				series := experiments.Fig13(context.Background(), pt, rates, benchScale)
+				series := repro.Fig13(pt, rates, benchScale)
 				if len(series) != 3 {
 					b.Fatal("want 3 series")
 				}
@@ -158,7 +160,7 @@ func BenchmarkFig14SpeculationNetwork(b *testing.B) {
 			rates := []float64{0.2}
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				series := experiments.Fig14(context.Background(), pt, rates, benchScale)
+				series := repro.Fig14(pt, rates, benchScale)
 				if len(series) != 3 {
 					b.Fatal("want 3 series")
 				}
@@ -182,9 +184,16 @@ func BenchmarkVASweepNetwork(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		series := experiments.VASweep(context.Background(), pt, []float64{0.2}, benchScale)
-		if len(series) != 4 {
-			b.Fatal("want 4 series")
+		// A server of its own per iteration: a warm one would answer from
+		// its cache.
+		srv, err := sweep.NewServer(sweep.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		series, err := curve.VASweep(context.Background(), srv, pt, []float64{0.2}, benchScale)
+		srv.Close()
+		if err != nil || len(series) != 4 {
+			b.Fatalf("%d series, %v; want 4", len(series), err)
 		}
 	}
 }

@@ -33,9 +33,11 @@ import (
 	"slices"
 	"strings"
 
+	"repro/internal/curve"
 	"repro/internal/experiments"
 	"repro/internal/prof"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
@@ -108,45 +110,56 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return story(stdout, stderr, pt, rate, scale, *pkt)
 	}
 
+	if workload.Process == "trace" && *exp != "workload" {
+		// A trace is one recorded run: it has no offered rate to sweep and
+		// no unit to vary, and the sweep server cannot carry it.
+		return experiments.UsageError(fs, "-exp %s cannot replay a trace; use -exp workload or -exp story", *exp)
+	}
+
 	header := func(format string, args ...any) {
 		if !*asJSON {
 			fmt.Fprintf(stdout, format, args...)
 		}
 	}
-	ctx, exec := experiments.WithExecStats(context.Background())
+	srv, err := sweep.NewServer(sweep.Options{Workers: scale.Workers})
+	if err != nil {
+		fmt.Fprintln(stderr, "nocsim:", err)
+		return 1
+	}
+	defer srv.Close()
+	ctx := context.Background()
 	var series []experiments.NetSeries
+	var exec experiments.ExecStats
 	switch *exp {
 	case "fig13":
 		header("switch allocator performance (Fig. 13), %s, uniform request-reply traffic\n", pt)
-		series = experiments.Fig13(ctx, pt, rates, scale)
+		series, err = curve.Fig13(ctx, srv, pt, rates, scale)
 	case "fig14":
 		header("speculative switch allocation (Fig. 14), %s, sep_if switch allocator\n", pt)
-		series = experiments.Fig14(ctx, pt, rates, scale)
+		series, err = curve.Fig14(ctx, srv, pt, rates, scale)
 	case "vasweep":
 		header("VC allocator sensitivity (§4.3.3), %s\n", pt)
-		series = experiments.VASweep(ctx, pt, rates, scale)
+		series, err = curve.VASweep(ctx, srv, pt, rates, scale)
 	case "patterns":
 		header("traffic pattern sweep (§3.2), %s at rate %.2f\n", pt, rates[len(rates)/2])
-		var err error
-		series, err = experiments.PatternSweep(ctx, pt, rates[len(rates)/2], scale,
+		series, err = curve.PatternSweep(ctx, srv, pt, rates[len(rates)/2], scale,
 			[]string{"uniform", "transpose", "bitcomp", "bitrev", "shuffle", "tornado", "neighbor", "hotspot"})
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
 	case "workload":
 		header("workload latency-throughput sweep, %s, %s\n", pt, experiments.WorkloadName(workload))
-		wrates := rates
 		if workload.Process == "trace" {
-			// Replay's offered load is data carried by the trace, not a
-			// swept parameter: one point regenerates the recorded run.
-			wrates = []float64{0}
+			series, exec = replay(pt, scale)
+		} else {
+			series, err = curve.WorkloadCurve(ctx, srv, pt, rates, scale)
 		}
-		series = experiments.WorkloadCurve(ctx, pt, wrates, scale)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "nocsim:", err)
+		return 1
+	}
+	exec.Add(srv.Exec())
 	if *asJSON {
 		report := experiments.NetworkReport(*exp, pt, series)
-		report.Execution = exec
+		report.Execution = &exec
 		if err := report.WriteJSON(stdout); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -159,6 +172,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "%s: saturation throughput ~%.3f flits/cycle/terminal\n", s.Name, s.SaturationRate())
 	}
 	return 0
+}
+
+// replay runs the trace workload once: its offered load is data carried by
+// the trace, not a swept parameter, so one point at rate 0 regenerates the
+// recorded run.
+func replay(pt experiments.Point, scale experiments.SimScale) ([]experiments.NetSeries, experiments.ExecStats) {
+	n := sim.New(experiments.BuildSim(pt, 0, scale))
+	res := n.Run()
+	p := experiments.NetPoint{Latency: res.AvgLatency, Throughput: res.Throughput, Saturated: res.Saturated, Cycles: res.Cycles}
+	return []experiments.NetSeries{{Name: experiments.WorkloadName(scale.Workload), Points: []experiments.NetPoint{p}}}, experiments.Execution(n)
 }
 
 // recordTrace runs one simulation under the selected workload at rate with

@@ -39,8 +39,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/curve"
@@ -84,11 +82,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *smoke {
 		experiments.Preset(fs, map[string]string{"topos": "mesh", "vcs": "1,2", "warmup": "200", "measure": "400", "drain": "2000"})
 	}
-	vcList, err := splitInts(*vcs)
+	vcList, err := experiments.ParseIntsCSV(*vcs)
 	if err != nil {
 		return experiments.UsageError(fs, "-vcs: %v", err)
 	}
-	hotList, err := splitInts(*hotspots)
+	hotList, err := experiments.ParseIntsCSV(*hotspots)
 	if err != nil {
 		return experiments.UsageError(fs, "-hotspots: %v", err)
 	}
@@ -110,12 +108,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	spec := dse.Spec{
-		Topos:     splitCSV(*topos),
+		Topos:     experiments.SplitCSV(*topos),
 		VCs:       vcList,
 		MeshRate:  *meshRate,
 		FbflyRate: *fbflyRate,
-		Patterns:  splitCSV(*patterns),
-		Processes: splitCSV(*processes),
+		Patterns:  experiments.SplitCSV(*patterns),
+		Processes: experiments.SplitCSV(*processes),
 		BurstLen:  *burstLen, Duty: *duty,
 		Hotspots: hotList, HotspotFraction: *hotFrac,
 		Warmup: scale.Warmup, Measure: scale.Measure, Drain: scale.Drain,
@@ -260,27 +258,4 @@ func traceFrontier(stdout, stderr io.Writer, srv *sweep.Server, frontier []dse.F
 		fmt.Fprintf(stdout, "\n%s curves:\n%s", topo, experiments.FormatNetSeries(byTopo[topo]))
 	}
 	return traced, nil
-}
-
-func splitCSV(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
-}
-
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitCSV(s) {
-		n, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

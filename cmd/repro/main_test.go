@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sweep"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -19,8 +23,13 @@ func TestSaturationThroughputOrdering(t *testing.T) {
 	}
 	pt, _ := experiments.PointByName("fbfly", 4)
 	scale := experiments.SimScale{Warmup: 500, Measure: 1200, Drain: 1500, Seed: 9, Workers: 2}
+	srv, err := sweep.NewServer(sweep.Options{Workers: scale.Workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	var out strings.Builder
-	rows, err := saturationTable(context.Background(), &out, []experiments.Point{pt}, scale)
+	rows, err := saturationTable(context.Background(), &out, srv, []experiments.Point{pt}, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +45,30 @@ func TestSaturationThroughputOrdering(t *testing.T) {
 	}
 }
 
-// TestSaturationTableRejectsTrace: the knees are traced through the sweep
-// service, which cannot replay a packet trace.
-func TestSaturationTableRejectsTrace(t *testing.T) {
-	pt, _ := experiments.PointByName("mesh", 1)
-	scale := experiments.SimScale{Warmup: 10, Measure: 20, Drain: 50, Workload: traffic.Workload{Process: "trace"}}
-	if _, err := saturationTable(context.Background(), &strings.Builder{}, []experiments.Point{pt}, scale); err == nil {
-		t.Fatal("trace workload accepted")
+// TestTraceIsUsageError: a trace is one recorded run with no offered rate to
+// sweep, so repro refuses -trace and -process trace before simulating
+// anything, instead of replaying the one run at every rate of every figure.
+func TestTraceIsUsageError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.txt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptr := &traffic.PacketTrace{Terminals: 64, Arrivals: []traffic.Arrival{{Cycle: 3, Src: 1, Dst: 2, Type: traffic.ReadRequest}}}
+	if err := trace.WriteArrivals(f, ptr); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, args := range [][]string{
+		{"-only", "fig13", "-trace", path},
+		{"-only", "saturation", "-process", "trace", "-trace", path},
+		{"-quick", "-trace", path},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(args, &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "repro: cannot replay a trace") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", args, code, out.String(), errOut.String())
+		}
 	}
 }
 

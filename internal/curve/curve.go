@@ -242,7 +242,7 @@ type tracer struct {
 	spec    Spec
 	eval    sweep.Evaluator
 	opts    Options
-	mu      sync.Mutex
+	mu      sync.Mutex // guards results and stages while evalAll's units complete
 	results map[int]sweep.UnitResult
 	stages  map[int]string
 }
@@ -368,63 +368,31 @@ func TraceCurve(ctx context.Context, eval sweep.Evaluator, spec Spec, opts Optio
 // sampled) with up to Workers units in flight.
 func (t *tracer) evalAll(ctx context.Context, idxs []int, stage string) error {
 	var todo []int
+	var units []sweep.UnitConfig
 	for _, i := range idxs {
-		t.mu.Lock()
-		_, done := t.results[i]
-		t.mu.Unlock()
-		if !done {
+		if _, done := t.results[i]; !done {
 			todo = append(todo, i)
+			units = append(units, t.spec.unitAt(i))
 		}
 	}
-	if len(todo) == 0 {
-		return nil
-	}
-	workers := t.opts.Workers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(todo))
-	var wg sync.WaitGroup
-	for k, i := range todo {
-		k, i := k, i
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				errs[k] = ctx.Err()
-				return
-			}
-			res, err := t.eval.EvalUnit(ctx, t.spec.unitAt(i))
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			t.mu.Lock()
-			t.results[i] = res
-			t.stages[i] = stage
-			n := len(t.results)
-			t.mu.Unlock()
-			if t.opts.Progress != nil {
-				t.opts.Progress(n)
-			}
-		}()
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return fmt.Errorf("curve: point %d: %w", todo[k], err)
+	_, err := EvalUnits(ctx, t.eval, units, t.opts.Workers, func(k int, res sweep.UnitResult) {
+		t.mu.Lock()
+		t.results[todo[k]] = res
+		t.stages[todo[k]] = stage
+		n := len(t.results)
+		t.mu.Unlock()
+		if t.opts.Progress != nil {
+			t.opts.Progress(n)
 		}
+	})
+	if err != nil {
+		return fmt.Errorf("curve: %w", err)
 	}
 	return nil
 }
 
 // sortedIndices returns every sampled lattice index in ascending order.
 func (t *tracer) sortedIndices() []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	idxs := make([]int, 0, len(t.results))
 	for i := range t.results {
 		idxs = append(idxs, i)

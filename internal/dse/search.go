@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
+	"repro/internal/curve"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
 	"repro/internal/sweep"
@@ -145,22 +145,15 @@ func Search(ctx context.Context, eval sweep.Evaluator, spec Spec, opts SearchOpt
 		}
 		// Simulate the round in parallel; results land by round position so
 		// everything after this block is deterministic.
-		results := make([]sweep.UnitResult, len(round))
-		errs := make([]error, len(round))
-		var wg sync.WaitGroup
+		units := make([]sweep.UnitConfig, len(round))
 		for ri, i := range round {
-			ri, i := ri, i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[ri], errs[ri] = eval.EvalUnit(ctx, ordered[i].Unit)
-			}()
+			units[ri] = ordered[i].Unit
 		}
-		wg.Wait()
+		results, err := curve.EvalUnits(ctx, eval, units, len(units), nil)
+		if err != nil {
+			return Result{}, fmt.Errorf("dse: %w", err)
+		}
 		for ri, i := range round {
-			if errs[ri] != nil {
-				return Result{}, fmt.Errorf("dse: %s: %w", ordered[i].Key, errs[ri])
-			}
 			done[i] = true
 			cand := ordered[i]
 			perf := perfOf(results[ri], cand.Unit.Rate)

@@ -165,7 +165,7 @@ func (s Spec) Validate() error {
 	}
 	for _, topo := range s.Topos {
 		for _, v := range s.VCs {
-			if err := experiments.CheckPoint(topo, v); err != nil {
+			if _, err := experiments.PointByName(topo, v); err != nil {
 				return err
 			}
 		}

@@ -1,72 +1,16 @@
 package experiments
 
 import (
-	"context"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
-
-// quickCtxScale is a small-but-nonzero workload for the cancellation tests:
-// big enough that an uncancelled sweep would take many seconds, so a prompt
-// return can only mean the abort path fired.
-func ctxHugeScale() SimScale {
-	return SimScale{Warmup: 500, Measure: 50_000_000, Drain: 1000, Seed: 42, Workers: 2}
-}
-
-// TestFig13CtxCancelStopsEarly cancels a curve sweep whose uncancelled
-// runtime would be enormous and requires it to return promptly.
-func TestFig13CtxCancelStopsEarly(t *testing.T) {
-	pt, err := PointByName("mesh", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan []NetSeries, 1)
-	go func() { done <- Fig13(ctx, pt, []float64{0.2, 0.25, 0.3}, ctxHugeScale()) }()
-	time.Sleep(30 * time.Millisecond)
-	cancel()
-	select {
-	case series := <-done:
-		if len(series) != 3 {
-			t.Fatalf("want 3 series even when cancelled, got %d", len(series))
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled Fig13 sweep did not return within 30s")
-	}
-}
-
-// TestPatternSweepCtxCancelStopsEarly does the same through the pattern
-// sweep worker path.
-func TestPatternSweepCtxCancelStopsEarly(t *testing.T) {
-	pt, err := PointByName("mesh", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := PatternSweep(ctx, pt, 0.3, ctxHugeScale(), []string{"uniform", "transpose", "tornado"})
-		done <- err
-	}()
-	time.Sleep(30 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("cancelled sweep returned error: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled PatternSweep did not return within 30s")
-	}
-}
 
 // TestScaleFlags pins the shared flag surface: defaults pass through
 // untouched, every registered flag lands in the resolved SimScale, and no

@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
 	"repro/internal/quality"
-	"repro/internal/sim"
 )
 
 func TestPoints(t *testing.T) {
@@ -45,14 +40,20 @@ func TestPointByName(t *testing.T) {
 	if _, err := PointByName("mesh", 3); err == nil {
 		t.Fatal("unknown VC count should error")
 	}
-	// CheckPoint accepts exactly the names PointByName builds.
+	// PointByName accepts exactly the six design points' names.
+	named := 0
 	for _, topo := range []string{"mesh", "fbfly", "torus", ""} {
 		for c := -1; c <= 8; c++ {
-			_, built := PointByName(topo, c)
-			if checked := CheckPoint(topo, c); (checked == nil) != (built == nil) {
-				t.Errorf("%s C=%d: CheckPoint %v, PointByName %v", topo, c, checked, built)
+			if pt, err := PointByName(topo, c); err == nil {
+				named++
+				if pt.Topo != topo || pt.Spec.VCsPerClass != c {
+					t.Errorf("%s C=%d: built %s", topo, c, pt)
+				}
 			}
 		}
+	}
+	if named != 6 {
+		t.Errorf("%d names accepted, want the 6 design points", named)
 	}
 }
 
@@ -189,64 +190,6 @@ func TestInjectionRates(t *testing.T) {
 	}
 }
 
-func TestFig13SmallRun(t *testing.T) {
-	pt, _ := PointByName("mesh", 1)
-	scale := SimScale{Warmup: 200, Measure: 500, Drain: 2000, Seed: 3}
-	series := Fig13(context.Background(), pt, []float64{0.1}, scale)
-	if len(series) != 3 {
-		t.Fatalf("want 3 switch-arch curves, got %d", len(series))
-	}
-	for _, s := range series {
-		if s.Points[0].Latency < 15 || s.Points[0].Latency > 35 {
-			t.Errorf("%s: implausible low-load latency %.1f", s.Name, s.Points[0].Latency)
-		}
-	}
-	out := FormatNetSeries(series)
-	if !strings.Contains(out, "sep_if(lat)") {
-		t.Errorf("FormatNetSeries missing headers:\n%s", out)
-	}
-	if FormatNetSeries(nil) != "" {
-		t.Error("empty series should format empty")
-	}
-}
-
-func TestFig14SmallRun(t *testing.T) {
-	pt, _ := PointByName("mesh", 1)
-	scale := SimScale{Warmup: 200, Measure: 500, Drain: 2000, Seed: 3}
-	series := Fig14(context.Background(), pt, []float64{0.1}, scale)
-	if len(series) != 3 {
-		t.Fatalf("want 3 speculation curves, got %d", len(series))
-	}
-	var ns, sr float64
-	for _, s := range series {
-		switch s.Name {
-		case "nonspec":
-			ns = s.Points[0].Latency
-		case "spec_req":
-			sr = s.Points[0].Latency
-		}
-	}
-	if sr >= ns {
-		t.Fatalf("speculation (%.1f) should beat nonspec (%.1f) at low load", sr, ns)
-	}
-}
-
-func TestVASweepSmallRun(t *testing.T) {
-	pt, _ := PointByName("mesh", 2)
-	scale := SimScale{Warmup: 200, Measure: 500, Drain: 2000, Seed: 3}
-	series := VASweep(context.Background(), pt, []float64{0.1}, scale)
-	if len(series) != 4 {
-		t.Fatalf("want 4 VA curves, got %d", len(series))
-	}
-	base := series[0].Points[0].Latency
-	for _, s := range series[1:] {
-		diff := (s.Points[0].Latency - base) / base
-		if diff < -0.08 || diff > 0.08 {
-			t.Errorf("%s deviates from sep_if baseline by %.3f", s.Name, diff)
-		}
-	}
-}
-
 func TestSaturationRateHelper(t *testing.T) {
 	// The highest accepted throughput lies past the knee: 0.4 diverges
 	// (0.31 < 0.4·0.95 − 0.025) and 0.5 did not drain, yet accepts more
@@ -317,102 +260,6 @@ func TestBuildSimUnknownTopoPanics(t *testing.T) {
 	BuildSim(Point{Topo: "ring", Ports: 3, Spec: Points()[0].Spec}, 0.1, DefaultScale())
 }
 
-func TestPatternSweepInvariance(t *testing.T) {
-	// §3.2: conclusions largely invariant to traffic pattern selection —
-	// at low load every pattern must deliver with sane latency.
-	pt, _ := PointByName("mesh", 2)
-	scale := SimScale{Warmup: 300, Measure: 600, Drain: 3000, Seed: 5}
-	series, err := PatternSweep(context.Background(), pt, 0.1, scale, []string{"uniform", "transpose", "bitcomp", "tornado", "neighbor"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 5 {
-		t.Fatalf("want 5 pattern series, got %d", len(series))
-	}
-	for _, s := range series {
-		p := s.Points[0]
-		if p.Saturated || p.Latency < 5 || p.Latency > 60 {
-			t.Errorf("pattern %s: implausible low-load point %+v", s.Name, p)
-		}
-	}
-	if _, err := PatternSweep(context.Background(), pt, 0.1, scale, []string{"bogus"}); err == nil {
-		t.Fatal("unknown pattern should error")
-	}
-}
-
-func TestGoldenActiveMatchesDense(t *testing.T) {
-	// The Fig. 13 and Fig. 14 series (latency, throughput, saturation flags)
-	// at seed 42 are bit-identical to the simulator's reference schedule on
-	// both paper topologies.
-	rates := []float64{0.05, 0.2, 0.35}
-	def := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
-	for _, topo := range []string{"mesh", "fbfly"} {
-		pt, err := PointByName(topo, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fig := range []struct {
-			name     string
-			run      func(context.Context, Point, []float64, SimScale) []NetSeries
-			variants []variant
-		}{{"fig13", Fig13, fig13Variants()}, {"fig14", Fig14, fig14Variants()}} {
-			d := fig.run(context.Background(), pt, rates, def)
-			r := referenceSeries(pt, rates, def, fig.variants)
-			if !reflect.DeepEqual(d, r) {
-				t.Errorf("%s %s: default series diverged from the reference schedule\ndefault:   %+v\nreference: %+v",
-					topo, fig.name, d, r)
-			}
-		}
-	}
-}
-
-func TestPatternSweepWorkersMatchSerial(t *testing.T) {
-	// PatternSweep fans out one simulation per pattern; the per-pattern
-	// simulations are independently seeded, so any worker count must give
-	// results bit-identical to the serial sweep, in the requested order.
-	pt, _ := PointByName("mesh", 1)
-	patterns := []string{"uniform", "transpose", "bitcomp", "tornado"}
-	serial := SimScale{Warmup: 200, Measure: 400, Drain: 2000, Seed: 7, Workers: 1}
-	a, err := PatternSweep(context.Background(), pt, 0.1, serial, patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, runtime.NumCPU(), 64} {
-		par := serial
-		par.Workers = workers
-		b, err := PatternSweep(context.Background(), pt, 0.1, par, patterns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("workers=%d: parallel pattern sweep diverged from serial:\nserial:   %+v\nparallel: %+v",
-				workers, a, b)
-		}
-	}
-}
-
-func TestParallelCurveMatchesSerial(t *testing.T) {
-	// Per-point simulations are independent and seeded, so parallel sweeps
-	// must be bit-identical to serial ones.
-	pt, _ := PointByName("mesh", 1)
-	rates := []float64{0.1, 0.2, 0.3}
-	serial := SimScale{Warmup: 200, Measure: 400, Drain: 1500, Seed: 5, Workers: 1}
-	a := Fig13(context.Background(), pt, rates, serial)
-	for _, workers := range []int{4, runtime.NumCPU()} {
-		parallel := serial
-		parallel.Workers = workers
-		b := Fig13(context.Background(), pt, rates, parallel)
-		for si := range a {
-			for pi := range a[si].Points {
-				if a[si].Points[pi] != b[si].Points[pi] {
-					t.Fatalf("series %s point %d (workers=%d): serial %+v vs parallel %+v",
-						a[si].Name, pi, workers, a[si].Points[pi], b[si].Points[pi])
-				}
-			}
-		}
-	}
-}
-
 func TestQualityWorkersMatchSerial(t *testing.T) {
 	// Quality rate points re-seed their workload streams, so sweeping them
 	// concurrently must be bit-identical to the serial sweep.
@@ -438,80 +285,6 @@ func TestQualityWorkersMatchSerial(t *testing.T) {
 					t.Fatalf("sw series %s point %d (workers=%d): %+v vs %+v",
 						sw1[k].Name, i, workers, sw1[k].Points[i], swN[k].Points[i])
 				}
-			}
-		}
-	}
-}
-
-func TestReportsRoundTrip(t *testing.T) {
-	pt, _ := PointByName("mesh", 1)
-	qr := QualityReport("fig7", pt, VCQuality(pt, []float64{0.5}, 50, 1, 1))
-	if len(qr.Quality) != 3 || len(qr.Quality[0].Rate) != 1 {
-		t.Fatalf("quality report malformed: %+v", qr)
-	}
-	scale := SimScale{Warmup: 100, Measure: 200, Drain: 800, Seed: 1}
-	nr := NetworkReport("fig14", pt, Fig14(context.Background(), pt, []float64{0.1}, scale))
-	if len(nr.Network) != 3 || len(nr.Network[0].Latency) != 1 {
-		t.Fatalf("network report malformed: %+v", nr)
-	}
-	var buf bytes.Buffer
-	if err := nr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "\"experiment\": \"fig14\"") {
-		t.Fatal("network report JSON missing experiment tag")
-	}
-	var decoded Report
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded.Network) != 3 || decoded.Network[0].Latency[0] != nr.Network[0].Latency[0] {
-		t.Fatalf("round trip lost the curves: %+v", decoded)
-	}
-}
-
-// referenceSeries runs the variants over the rates as runVariants does, with
-// every simulation under the simulator's reference schedule.
-func referenceSeries(pt Point, rates []float64, scale SimScale, vs []variant) []NetSeries {
-	out := make([]NetSeries, len(vs))
-	for i, v := range vs {
-		out[i] = NetSeries{Name: v.name, Points: runCurve(context.Background(), rates, scale.Workers, func(j int) sim.Config {
-			cfg := BuildSim(pt, rates[j], scale)
-			v.set(&cfg)
-			cfg.Reference = true
-			return cfg
-		})}
-	}
-	return out
-}
-
-// TestLeapInvarianceFig13 pins the Fig. 13/14 pipeline end to end against
-// the reference schedule, including a drain-heavy low-rate point where the
-// default leaps over most cycles.
-func TestLeapInvarianceFig13(t *testing.T) {
-	rates := []float64{0.005, 0.2}
-	def := SimScale{Warmup: 300, Measure: 600, Drain: 4000, Seed: 42, Workers: runtime.NumCPU()}
-	for _, topo := range []string{"mesh", "fbfly"} {
-		pt, err := PointByName(topo, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := referenceSeries(pt, rates, def, fig13Variants())
-		if got := Fig13(context.Background(), pt, rates, def); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: default Fig13 series diverged from the reference\nreference: %+v\ndefault:   %+v",
-				topo, want, got)
-		}
-		// The same simulations with the simulator's self-checks on: every
-		// stepped cycle compares the wake index with the dormant/quiescent
-		// predicates, every leap the skipped span with the wheel.
-		for _, rate := range rates {
-			cd := BuildSim(pt, rate, def)
-			cr := cd
-			cr.Reference = true
-			cd.Validate = true
-			if rd, rr := sim.New(cd).Run(), sim.New(cr).Run(); rd != rr {
-				t.Errorf("%s rate=%g: validated default run diverged from the reference\nreference: %+v\ndefault:   %+v",
-					topo, rate, rr, rd)
 			}
 		}
 	}

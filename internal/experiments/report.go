@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"encoding/json"
 	"io"
-	"sync"
 
 	"repro/internal/quality"
 	"repro/internal/sim"
@@ -30,15 +28,12 @@ type Report struct {
 	Execution *ExecStats `json:"execution,omitempty"`
 }
 
-// ExecStats adds up, over the completed simulations run under a context made
-// by WithExecStats, how much of the schedule's machinery was used: cycles
-// stepped (sim.Network.ParallelStats) against cycles leapt over
-// (sim.Network.LeapStats), and the arrival gate draws behind them
-// (sim.Network.ArrivalDraws). These simulations borrow no helper, so every
-// cycle is stepped on the goroutine that runs it.
+// ExecStats adds up, over a set of completed simulations, how much of the
+// schedule's machinery was used: cycles stepped (sim.Network.ParallelStats)
+// against cycles leapt over (sim.Network.LeapStats), and the arrival gate
+// draws behind them (sim.Network.ArrivalDraws). Execution reads one network's;
+// a sweep server sums those of the units it simulates.
 type ExecStats struct {
-	mu sync.Mutex
-
 	Simulations   int64 `json:"simulations"`
 	SteppedCycles int64 `json:"stepped_cycles"`
 	Leaps         int64 `json:"leaps"`
@@ -47,32 +42,25 @@ type ExecStats struct {
 	ArrivalDraws traffic.DrawStats `json:"arrival_draws"`
 }
 
-type execStatsKey struct{}
-
-// WithExecStats returns a context under which every curve function of this
-// package accounts its simulations to the returned ExecStats. Read it once
-// the functions have returned.
-func WithExecStats(ctx context.Context) (context.Context, *ExecStats) {
-	st := new(ExecStats)
-	return context.WithValue(ctx, execStatsKey{}, st), st
-}
-
-func execStatsOf(ctx context.Context) *ExecStats {
-	st, _ := ctx.Value(execStatsKey{}).(*ExecStats)
-	return st
-}
-
-func (st *ExecStats) add(n *sim.Network) {
+// Execution returns the ExecStats of one simulation run to completion on n.
+func Execution(n *sim.Network) ExecStats {
 	leaps, leapt := n.LeapStats()
-	stepped := n.ParallelStats().Stepped
-	draws := n.ArrivalDraws()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.Simulations++
-	st.SteppedCycles += stepped
-	st.Leaps += leaps
-	st.LeaptCycles += leapt
-	st.ArrivalDraws.Add(draws)
+	return ExecStats{
+		Simulations:   1,
+		SteppedCycles: n.ParallelStats().Stepped,
+		Leaps:         leaps,
+		LeaptCycles:   leapt,
+		ArrivalDraws:  n.ArrivalDraws(),
+	}
+}
+
+// Add adds o's counts to st.
+func (st *ExecStats) Add(o ExecStats) {
+	st.Simulations += o.Simulations
+	st.SteppedCycles += o.SteppedCycles
+	st.Leaps += o.Leaps
+	st.LeaptCycles += o.LeaptCycles
+	st.ArrivalDraws.Add(o.ArrivalDraws)
 }
 
 // QualityJSON is one matching-quality curve.

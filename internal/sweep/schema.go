@@ -6,11 +6,13 @@
 // pooled scheduler with cooperative cancellation (see server.go).
 //
 // The unit schema is the one serializable description of a simulation the
-// CLIs, the repository benchmark and the service all share. Results are bit-identical to the
-// batch CLI path by construction: a unit builds its sim.Config through the
-// same experiments.BuildSim the CLIs use, so the same (config, seed)
-// produces byte-equal output whether computed by cmd/repro, a sweepd cache
-// miss, or a sweepd cache hit (golden-tested in server_test.go).
+// CLIs, the repository benchmark and the service all share, and a Server is
+// the one way a curve is simulated: cmd/repro, cmd/nocsim and cmd/pareto run
+// an in-process Server, sweepd serves one. A unit builds its sim.Config
+// through experiments.BuildSim, so the same (config, seed) produces byte-equal
+// output whether computed by a direct RunUnit, a cache miss or a cache hit
+// (golden-tested in server_test.go). Only trace replay, which a unit cannot
+// carry, runs outside it.
 package sweep
 
 import (
@@ -66,7 +68,7 @@ type UnitConfig struct {
 	// 0 means "current".
 	SchemaVersion int `json:"schema_version,omitempty"`
 	// Topo and VCsPerClass name a paper design point: "mesh" or "fbfly"
-	// with 1, 2 or 4 VCs per class (experiments.CheckPoint).
+	// with 1, 2 or 4 VCs per class (experiments.PointByName).
 	Topo        string `json:"topo"`
 	VCsPerClass int    `json:"vcs_per_class,omitempty"`
 	// VAArch/VAArb/VASparse select the VC allocator microarchitecture
@@ -204,7 +206,7 @@ func (c UnitConfig) validate() error {
 	if c.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("sweep: schema version %d not supported (have %d)", c.SchemaVersion, SchemaVersion)
 	}
-	if err := experiments.CheckPoint(c.Topo, c.VCsPerClass); err != nil {
+	if _, err := experiments.PointByName(c.Topo, c.VCsPerClass); err != nil {
 		return err
 	}
 	if _, err := ParseArch(c.VAArch); err != nil {
@@ -402,31 +404,40 @@ func (r UnitResult) NetPoint() experiments.NetPoint {
 	}
 }
 
+// RunStats is how one unit's simulation was executed, none of it part of
+// its result: the counts nocsim -json reports (experiments.Execution), and
+// how its stepped cycles were split with a lent helper.
+type RunStats struct {
+	Exec     experiments.ExecStats
+	Parallel sim.ParallelStats
+}
+
 // RunUnit simulates one unit to completion (or until ctx is cancelled,
 // checked every sim.AbortCheckInterval cycles; a cancelled run returns
 // ctx.Err() and no result) and reports how its cycles were executed. With
 // lender set, the simulation borrows a helper from it while it has heavy
 // cycles to step (sim.Network.BorrowHelpers); with nil it runs on the
 // caller's goroutine alone.
-func RunUnit(ctx context.Context, c UnitConfig, lender sim.Lender) (UnitResult, sim.ParallelStats, error) {
+func RunUnit(ctx context.Context, c UnitConfig, lender sim.Lender) (UnitResult, RunStats, error) {
 	c = c.Normalized()
 	cfg, err := c.BuildSim()
 	if err != nil {
-		return UnitResult{}, sim.ParallelStats{}, err
+		return UnitResult{}, RunStats{}, err
 	}
 	n := sim.New(cfg)
 	if lender != nil {
 		n.BorrowHelpers(lender)
 	}
 	res := n.RunCtx(ctx)
-	par := n.ParallelStats()
+	st := RunStats{Parallel: n.ParallelStats()}
 	if res.Aborted {
 		err := ctx.Err()
 		if err == nil {
 			err = context.Canceled
 		}
-		return UnitResult{}, par, err
+		return UnitResult{}, st, err
 	}
+	st.Exec = experiments.Execution(n)
 	return UnitResult{
 		SchemaVersion:   c.SchemaVersion,
 		Key:             c.key(),
@@ -443,7 +454,7 @@ func RunUnit(ctx context.Context, c UnitConfig, lender sim.Lender) (UnitResult, 
 		LatencyP99:      res.LatencyP99,
 		LatencyMax:      res.LatencyMax,
 		AvgHops:         res.AvgHops,
-	}, par, nil
+	}, st, nil
 }
 
 // ParseArch parses an allocator architecture name as rendered by

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/sim"
 )
 
@@ -321,6 +322,9 @@ type Server struct {
 	parallelCycles atomic.Int64
 	lateReturns    atomic.Int64
 	unstarted      atomic.Int64
+
+	execMu sync.Mutex
+	exec   experiments.ExecStats
 }
 
 // NewServer builds a server; callers own its lifetime and should Close it.
@@ -365,6 +369,13 @@ func (s *Server) Close() { s.pool.Close() }
 // the coalescing and cache tests assert against this counter.
 func (s *Server) SimRuns() int64 { return s.simRuns.Load() }
 
+// Exec adds up how the simulations the server has run were executed.
+func (s *Server) Exec() experiments.ExecStats {
+	s.execMu.Lock()
+	defer s.execMu.Unlock()
+	return s.exec
+}
+
 // Store exposes the result store (tests inspect eviction accounting).
 func (s *Server) Store() *Store { return s.store }
 
@@ -387,21 +398,22 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	poolDone, poolSkipped := s.pool.Stats()
 	_, lent, recalled := s.pool.LendStats()
 	stats := struct {
-		SchemaVersion    int        `json:"schema_version"`
-		Requests         int64      `json:"requests"`
-		UnitsServed      int64      `json:"units_served"`
-		SimRuns          int64      `json:"sim_runs"`
-		InFlight         int        `json:"in_flight"`
-		PoolRunning      int64      `json:"pool_running"`
-		PoolDone         int64      `json:"pool_done"`
-		PoolSkipped      int64      `json:"pool_skipped"`
-		HelpersLent      int64      `json:"helpers_lent"`
-		HelpersRecalled  int64      `json:"helpers_recalled"`
-		HelpersLate      int64      `json:"helpers_late"`      // loans a network ended because its helper ran late
-		HelpersUnstarted int64      `json:"helpers_unstarted"` // loans given back before the helper claimed a phase
-		ParallelCycles   int64      `json:"parallel_cycles"`
-		Store            StoreStats `json:"store"`
-		Disk             *DiskStats `json:"disk,omitempty"`
+		SchemaVersion    int                   `json:"schema_version"`
+		Requests         int64                 `json:"requests"`
+		UnitsServed      int64                 `json:"units_served"`
+		SimRuns          int64                 `json:"sim_runs"`
+		InFlight         int                   `json:"in_flight"`
+		PoolRunning      int64                 `json:"pool_running"`
+		PoolDone         int64                 `json:"pool_done"`
+		PoolSkipped      int64                 `json:"pool_skipped"`
+		HelpersLent      int64                 `json:"helpers_lent"`
+		HelpersRecalled  int64                 `json:"helpers_recalled"`
+		HelpersLate      int64                 `json:"helpers_late"`      // loans a network ended because its helper ran late
+		HelpersUnstarted int64                 `json:"helpers_unstarted"` // loans given back before the helper claimed a phase
+		ParallelCycles   int64                 `json:"parallel_cycles"`
+		Execution        experiments.ExecStats `json:"execution"`
+		Store            StoreStats            `json:"store"`
+		Disk             *DiskStats            `json:"disk,omitempty"`
 	}{
 		SchemaVersion:    SchemaVersion,
 		Requests:         s.requests.Load(),
@@ -416,6 +428,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		HelpersLate:      s.lateReturns.Load(),
 		HelpersUnstarted: s.unstarted.Load(),
 		ParallelCycles:   s.parallelCycles.Load(),
+		Execution:        s.Exec(),
 		Store:            s.store.Stats(),
 	}
 	if s.disk != nil {
@@ -588,11 +601,14 @@ func (s *Server) serveUnit(ctx context.Context, u UnitConfig, key string, probed
 		var runErr error
 		poolErr := s.pool.Run(runCtx, func(simCtx context.Context) {
 			s.simRuns.Add(1)
-			var par sim.ParallelStats
-			res, par, runErr = RunUnit(simCtx, u, s.lender)
-			s.parallelCycles.Add(par.Concurrent)
-			s.lateReturns.Add(par.LateReturns)
-			s.unstarted.Add(par.Unstarted)
+			var st RunStats
+			res, st, runErr = RunUnit(simCtx, u, s.lender)
+			s.parallelCycles.Add(st.Parallel.Concurrent)
+			s.lateReturns.Add(st.Parallel.LateReturns)
+			s.unstarted.Add(st.Parallel.Unstarted)
+			s.execMu.Lock()
+			s.exec.Add(st.Exec)
+			s.execMu.Unlock()
 		})
 		if poolErr != nil {
 			return nil, poolErr

@@ -93,13 +93,13 @@ func goldenScale() experiments.SimScale {
 
 // TestServerGoldenBitIdentical is the acceptance golden: for both paper
 // topologies, a sweepd-served Fig. 13 curve — assembled from the service's
-// per-unit results — must be byte-equal to the batch path
-// (experiments.Fig13, the code behind cmd/repro) for the same (config, seed),
-// on a cold cache miss AND again on a warm cache hit. The batch path runs
-// every unit on one shard; the server does too on one worker (shards=1), and
-// on two lends each heavy unit the idle worker (lent: the cold pass posts one
-// unit per request, in order, so the units run one at a time and there is
-// always an idle worker to borrow).
+// per-unit results — must be byte-equal to the same units run directly
+// (RunUnit with no lender) for the same (config, seed), on a cold cache miss
+// AND again on a warm cache hit. A direct run steps every unit on one shard;
+// the server does too on one worker (shards=1), and on two lends each heavy
+// unit the idle worker (lent: the cold pass posts one unit per request, in
+// order, so the units run one at a time and there is always an idle worker to
+// borrow).
 func TestServerGoldenBitIdentical(t *testing.T) {
 	rates := []float64{0.05, 0.2}
 	archs := []string{"sep_if", "sep_of", "wf"}
@@ -114,21 +114,33 @@ func TestServerGoldenBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				scale := goldenScale()
-				batch := experiments.Fig13(context.Background(), pt, rates, scale)
+				req := Request{
+					Base: UnitConfig{
+						Topo: pt.Topo, VCsPerClass: pt.Spec.VCsPerClass, Seed: scale.Seed,
+						Warmup: scale.Warmup, Measure: scale.Measure, Drain: scale.Drain,
+					},
+					SAArchs: archs,
+					Rates:   rates,
+				}
+				batch := make([]experiments.NetSeries, len(archs))
+				for ai, arch := range archs {
+					batch[ai].Name = arch
+					for _, rate := range rates {
+						u := req.Base
+						u.SAArch, u.Rate = arch, rate
+						res, _, err := RunUnit(context.Background(), u, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						batch[ai].Points = append(batch[ai].Points, res.NetPoint())
+					}
+				}
 				batchJSON, err := json.Marshal(batch)
 				if err != nil {
 					t.Fatal(err)
 				}
 
 				srv, ts := newTestServer(t, leg.opts)
-				req := Request{
-					Base: UnitConfig{
-						Topo: topo, VCsPerClass: 1, Seed: 42,
-						Warmup: scale.Warmup, Measure: scale.Measure, Drain: scale.Drain,
-					},
-					SAArchs: archs,
-					Rates:   rates,
-				}
 				assemble := func(r sweepResponse) []byte {
 					t.Helper()
 					series := make([]experiments.NetSeries, len(archs))
@@ -407,15 +419,20 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var stats struct {
-		SimRuns int64 `json:"sim_runs"`
-		Store   struct {
+		SimRuns   int64                 `json:"sim_runs"`
+		Execution experiments.ExecStats `json:"execution"`
+		Store     struct {
 			Entries int `json:"entries"`
 		} `json:"store"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.SimRuns != 1 || stats.Store.Entries != 1 {
+	// The unit's execution counts are summed where it ran: one simulation,
+	// whose 300 warmup and measured cycles were stepped or leapt over.
+	exec := stats.Execution
+	if stats.SimRuns != 1 || stats.Store.Entries != 1 || exec.Simulations != 1 ||
+		exec.SteppedCycles+exec.LeaptCycles < 300 || exec.ArrivalDraws.Presampled == 0 {
 		t.Fatalf("statz after one unit: %+v", stats)
 	}
 }

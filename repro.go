@@ -29,10 +29,12 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/curve"
 	"repro/internal/experiments"
 	"repro/internal/quality"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/traffic"
@@ -265,14 +267,31 @@ type NetSeries = experiments.NetSeries
 // SimScale controls experiment simulation length.
 type SimScale = experiments.SimScale
 
-// Fig13 regenerates a Fig. 13 subfigure (switch allocator comparison).
+// Fig13 regenerates a Fig. 13 subfigure (switch allocator comparison). Its
+// units run on a sweep server of s.Workers workers, as cmd/repro's do. It
+// panics on a workload a unit cannot carry: a trace has no rate to sweep.
 func Fig13(pt DesignPoint, rates []float64, s SimScale) []NetSeries {
-	return experiments.Fig13(context.Background(), pt, rates, s)
+	return figure(curve.Fig13, pt, rates, s)
 }
 
-// Fig14 regenerates a Fig. 14 subfigure (speculation scheme comparison).
+// Fig14 regenerates a Fig. 14 subfigure (speculation scheme comparison), as
+// Fig13 does.
 func Fig14(pt DesignPoint, rates []float64, s SimScale) []NetSeries {
-	return experiments.Fig14(context.Background(), pt, rates, s)
+	return figure(curve.Fig14, pt, rates, s)
+}
+
+// figure runs one figure driver on a server of its own.
+func figure(fig func(context.Context, sweep.Evaluator, DesignPoint, []float64, SimScale) ([]NetSeries, error), pt DesignPoint, rates []float64, s SimScale) []NetSeries {
+	srv, err := sweep.NewServer(sweep.Options{Workers: s.Workers})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Close()
+	series, err := fig(context.Background(), srv, pt, rates, s)
+	if err != nil {
+		panic(err)
+	}
+	return series
 }
 
 // InjectionRates returns the paper's x-axis sweep for a design point.
