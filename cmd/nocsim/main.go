@@ -186,8 +186,10 @@ func replay(pt experiments.Point, scale experiments.SimScale) ([]experiments.Net
 
 // recordTrace runs one simulation under the selected workload at rate with
 // arrival recording on and writes the packet trace to path. Replaying that
-// file (-trace path) regenerates the recorded injection stream exactly; on
-// the mesh (RNG-free routing) the replayed run is byte-identical to this one.
+// file (-trace path) regenerates the recorded injection stream exactly, and
+// at the same seed the replayed run reproduces this run's result on either
+// topology: routing draws from streams of its own, which a replay draws from
+// as the recording did.
 func recordTrace(out io.Writer, path string, pt experiments.Point, rate float64, scale experiments.SimScale) error {
 	cfg := experiments.BuildSim(pt, rate, scale)
 	cfg.RecordArrivals = true

@@ -24,7 +24,7 @@ func TestStdoutGolden(t *testing.T) {
 		want string
 	}{
 		{"-exp fig14 -topo mesh -c 1 -warmup 100 -measure 200 -drain 800 -workers 2", "83de2a410b2de663dada7113932f0e9b3599c1906fdceba10884504d00351b9f"},
-		{"-exp story -topo fbfly -c 2 -rate 0.3 -warmup 100 -measure 200 -drain 400 -seed 1", "c04bd7ddd0a25b72936220882bb79ab55594c9c659a5305b859983ed8b2ecf9e"},
+		{"-exp story -topo fbfly -c 2 -rate 0.3 -warmup 100 -measure 200 -drain 400 -seed 1", "54583935f35c53ebb46bb866a8efc247a9130a48c8814c3950ad0c5dda203cba"},
 		{"-exp story -topo mesh -c 1 -rate 0.2 -warmup 100 -measure 200 -drain 400 -seed 1", "93ffe2a59cbb50ee27dd0538658f3dd05e3568ba5a61ad453b6d2328a53eaf13"},
 	} {
 		var out, errOut bytes.Buffer
@@ -52,7 +52,7 @@ func TestCurveStdoutGolden(t *testing.T) {
 		{"-exp vasweep" + scale, "1ad2f36f536441d5f36d2d1d98fd61ea35f0baa5810a4c9a6b1427f9d4281890"},
 		{"-exp patterns" + scale, "6939f17a5865c479bffd2da5668af7522cdb08b8756f9b7b1f7308b5a2201618"},
 		{"-exp workload -process mmp" + scale, "9edadd8a073589b3eeb186f1733fbf56d967ad278e261c0a57bca6fb34b1a872"},
-		{"-json -exp fig13" + scale, "2b0b47a34803d69514d3bdb1ffb3e17bb352ecab2abd175cf12b976e3ded01df"},
+		{"-json -exp fig13" + scale, "f74aa43ba0a44dbbe74721d056f839cf15a51649dd9398c1e091884b4541badc"},
 	} {
 		for _, workers := range []string{"", " -workers 1", " -workers 4"} {
 			args := g.args + workers

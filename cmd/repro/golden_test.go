@@ -42,8 +42,8 @@ func TestCurveStdoutGolden(t *testing.T) {
 		args string
 		want string
 	}{
-		{"-only fig13" + scale, "4dbe8d2e714f197e6817c39206aedd1b86fb1432ff5ef0c4a760885ace7222ca"},
-		{"-only fig14" + scale, "c693e076cfcb3b978b43ae80afee1f9a4c6b5b1af790abc7191d4495055acc33"},
+		{"-only fig13" + scale, "ae989fe9dcb0badc50777e8b2c3d8e7904c028d7f50a664ef54a6a86780db143"},
+		{"-only fig14" + scale, "68de1402c50e3a501d4ef7cc7dd579640932fc6860963e4243dc63e17da3b166"},
 		{"-only vasweep" + scale, "522fcadc4e8c823865d91681f68a82530d5b49ec6c73eb1e1c36ac86cdcb9cc5"},
 	} {
 		for _, workers := range []string{"", " -workers 1", " -workers 4"} {

@@ -296,8 +296,11 @@ type NetSeries struct {
 }
 
 // gridStep is the spacing of the paper's fixed injection-rate grid
-// (InjectionRates).
-const gridStep = 0.05
+// (InjectionRates): every gridIndex-th point of the default rate lattice.
+const (
+	gridIndex = 5
+	gridStep  = gridIndex * DefaultLatticeStep
+)
 
 // divergeTol is the knee criterion's relative throughput tolerance.
 const divergeTol = 0.05
@@ -344,7 +347,8 @@ func (s NetSeries) SaturationRate() float64 {
 
 // InjectionRates returns the paper's x-axis sweep for a design point
 // (Figs. 13 and 14 use wider ranges for the flattened butterfly and for
-// more VCs).
+// more VCs). Its rates are default-lattice rates, so a knee point the
+// saturation table traces at one of them is the unit the figure ran.
 func InjectionRates(pt Point) []float64 {
 	var max float64
 	switch {
@@ -361,9 +365,10 @@ func InjectionRates(pt Point) []float64 {
 	default:
 		max = 0.70
 	}
+	lat := RateLattice{Step: DefaultLatticeStep}
 	var rates []float64
-	for r := gridStep; r <= max+1e-9; r += gridStep {
-		rates = append(rates, r)
+	for i := gridIndex; i <= lat.Index(max); i += gridIndex {
+		rates = append(rates, lat.Rate(i))
 	}
 	return rates
 }

@@ -188,6 +188,12 @@ func TestInjectionRates(t *testing.T) {
 	if r1[0] != 0.05 {
 		t.Fatal("sweeps start at 0.05")
 	}
+	lat := RateLattice{Step: DefaultLatticeStep}
+	for _, r := range append(r1, r4...) {
+		if lat.Snap(r) != r {
+			t.Errorf("grid rate %v is not the lattice rate %v", r, lat.Snap(r))
+		}
+	}
 }
 
 func TestSaturationRateHelper(t *testing.T) {

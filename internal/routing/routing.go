@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/topology"
+	"repro/internal/xrand"
 )
 
 // PacketRoute is the per-packet routing state carried through the network.
@@ -58,15 +59,7 @@ type Injector interface {
 	// Inject sets pr for a packet entering the network at srcRouter,
 	// consulting q and drawing from rng; with either nil it routes without
 	// them.
-	Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng Rand)
-}
-
-// Rand is the randomness routing draws at injection. *xrand.Source is one; a
-// simulator terminal is another, positioning its RNG stream before each draw
-// (internal/sim), so only a draw that is actually made costs it anything.
-type Rand interface {
-	// Intn returns a uniformly distributed integer in [0, n).
-	Intn(n int) int
+	Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng *xrand.Source)
 }
 
 // --- Dimension-order routing (mesh) ------------------------------------------
@@ -170,7 +163,7 @@ func (u *ugal) firstHopPort(r, target int) int {
 	}
 }
 
-func (u *ugal) Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng Rand) {
+func (u *ugal) Inject(srcRouter int, pr *PacketRoute, q QueueEstimator, rng *xrand.Source) {
 	destRouter, _ := u.topo.TerminalRouter(pr.DestTerminal)
 	pr.Intermediate = -1
 	pr.Phase = 1 // minimal packets use the second resource class throughout

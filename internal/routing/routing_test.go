@@ -265,8 +265,7 @@ func TestUGALPhase0AtDestinationPanics(t *testing.T) {
 }
 
 // TestOnlyUGALInjects: a simulator calls an Injector for every packet it
-// opens, and a draw the Injector makes rewinds the terminal's presampled
-// arrival, so a function that decides nothing at injection must not be one.
+// opens, so a function that decides nothing at injection must not be one.
 func TestOnlyUGALInjects(t *testing.T) {
 	if f, ok := NewDOR(topology.Mesh(4)).(Injector); ok {
 		t.Errorf("%T is an Injector", f)

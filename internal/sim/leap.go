@@ -139,8 +139,8 @@ func (n *Network) LeapStats() (events, cycles int64) {
 }
 
 // ArrivalDraws adds up the terminals' arrival gate draws: the reference
-// schedule ticks terminals × cycles of them, the default presamples them and
-// replays what a rewind (terminal.Intn) gives back.
+// schedule ticks terminals × cycles of them, the default presamples most of
+// them.
 func (n *Network) ArrivalDraws() traffic.DrawStats {
 	var d traffic.DrawStats
 	for _, t := range n.terminals {

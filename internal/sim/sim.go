@@ -256,6 +256,12 @@ func wheelSizeFor(t *topology.Topology) int64 {
 	return maxDelay + 1
 }
 
+// routeStreams keys the terminals' routing streams: terminal t draws its
+// arrivals from the root seed's Split(t+1) and its routing from
+// Split(routeStreams|t). The high bit keeps the two key ranges apart for any
+// terminal count.
+const routeStreams = 1 << 63
+
 // New builds a network simulation.
 func New(cfg Config) *Network {
 	cfg.applyDefaults()
@@ -307,7 +313,8 @@ func New(cfg Config) *Network {
 	}
 	for t := 0; t < cfg.Topology.Terminals(); t++ {
 		rid, port := cfg.Topology.TerminalRouter(t)
-		n.terminals = append(n.terminals, newTerminal(n, t, rid, port, root.Split(uint64(t)+1), pattern, procs[t]))
+		n.terminals = append(n.terminals, newTerminal(n, t, rid, port,
+			root.Split(uint64(t)+1), root.Split(routeStreams|uint64(t)), pattern, procs[t]))
 	}
 	n.shards = []*shard{n.newShard(0, 0, cfg.Topology.Routers)}
 	for t := range n.terminals {

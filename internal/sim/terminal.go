@@ -42,7 +42,12 @@ type terminal struct {
 	port     int
 	net      *Network
 	gen      *traffic.Generator
+	// rng feeds the arrival process and the request it starts; routeRNG
+	// feeds the routing decision made when a packet opens (UGAL's Valiant
+	// intermediate). Neither stream has another reader, so presampling
+	// arrivals ahead of the clock never meets a routing draw.
 	rng      *xrand.Source
+	routeRNG *xrand.Source
 	spec     core.VCSpec
 
 	// Source queues: replies take strict priority over requests.
@@ -69,7 +74,7 @@ type terminal struct {
 	sentFlits int64
 }
 
-func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, pattern traffic.Pattern, proc traffic.ArrivalProcess) *terminal {
+func newTerminal(n *Network, id, routerID, port int, rng, routeRNG *xrand.Source, pattern traffic.Pattern, proc traffic.ArrivalProcess) *terminal {
 	cfg := n.cfg
 	v := cfg.Spec.V()
 	t := &terminal{
@@ -79,6 +84,7 @@ func newTerminal(n *Network, id, routerID, port int, rng *xrand.Source, pattern 
 		net:      n,
 		gen:      traffic.NewGeneratorProcess(pattern, proc, *cfg.ReadFraction),
 		rng:      rng,
+		routeRNG: routeRNG,
 		spec:     cfg.Spec,
 		vcBusy:   make([]bool, v),
 		credits:  make([]int, v),
@@ -107,11 +113,11 @@ const never = math.MaxInt64
 //
 // An idle terminal that has presampled its next arrival (generate) sleeps
 // until that cycle: the per-cycle gate draws it would have made were
-// consumed in one batch at presample time, and a draw from its stream
-// before then rewinds and replays them first (Intn), so skipping the
-// terminal neither skips work nor desynchronizes its RNG stream. The
-// reference schedule presamples nothing, so there a terminal with offered
-// load is always awake; it visits every terminal anyway.
+// consumed in one batch at presample time, and nothing else reads its
+// arrival stream, so skipping the terminal neither skips work nor
+// desynchronizes the stream. The reference schedule presamples nothing, so
+// there a terminal with offered load is always awake; it visits every
+// terminal anyway.
 func (t *terminal) wakeAt(n *Network) int64 {
 	if t.cur != nil || !t.replyQ.empty() || !t.reqQ.empty() {
 		return n.now
@@ -168,8 +174,8 @@ func (t *terminal) generate(s *shard) {
 // past the end of the run at low p). A batch that ends without an arrival
 // parks the generator's presampled wake-up at the chunk boundary as a
 // checkpoint (PresampledReal false); the leap gate may jump there, and
-// sampling resumes. The replay cost of a rewind (Intn) is bounded by the same
-// constant.
+// sampling resumes. A terminal therefore draws at most one chunk more gates
+// than the cycles it lives through.
 const presampleChunk = 1024
 
 // generateLeap is the presampling injection path (see generate).
@@ -180,9 +186,7 @@ func (t *terminal) generateLeap(s *shard) {
 		switch {
 		case n.now < next:
 			// Woken before the presampled arrival (a reply arrived): the
-			// presample stands. Its draws already cover this cycle's gate,
-			// and it is rewound only if something reads the stream before
-			// the arrival (Intn).
+			// presample stands. Its draws already cover this cycle's gate.
 			return
 		case g.PresampledReal():
 			// now == the presampled arrival: the gate draw was consumed at
@@ -203,9 +207,7 @@ func (t *terminal) generateLeap(s *shard) {
 	}
 	if t.cur != nil || !t.replyQ.empty() || !t.reqQ.empty() {
 		// Busy terminals tick the per-cycle process: send has to run
-		// every cycle anyway, so presampling would buy nothing and the
-		// adaptive-routing draws interleaved by open() make the stream
-		// cheapest to keep aligned one cycle at a time.
+		// every cycle anyway, so presampling would buy nothing.
 		typ, dst, ok := g.NextRequest(t.id, t.rng)
 		if ok {
 			t.inject(s, typ, dst)
@@ -288,9 +290,9 @@ func (t *terminal) open(s *shard) {
 	}
 	p := q.front()
 	// Routing decision at injection (UGAL consults local queue state and
-	// draws from this terminal's stream).
+	// draws from this terminal's routing stream).
 	if n.injector != nil {
-		n.injector.Inject(t.routerID, &p.Route, n, t)
+		n.injector.Inject(t.routerID, &p.Route, n, t.routeRNG)
 	}
 	// The packet must occupy an input VC matching its message class and
 	// initial resource class: the lowest free one of that class's range.
@@ -309,18 +311,6 @@ func (t *terminal) open(s *shard) {
 	t.curSeq = 0
 	t.curVC = vc
 	t.vcBusy[vc] = true
-}
-
-// Intn implements routing.Rand: routing draws from the terminal's stream
-// after the cycle's gate draw, as per-cycle ticking has it. An outstanding
-// presample has drawn gates past this cycle, so it is rewound to this cycle
-// first. This is the only reason a presample is rewound: a terminal whose
-// routing draws nothing keeps its presample across any wake.
-func (t *terminal) Intn(k int) int {
-	if t.gen.PresampledArrival() >= 0 {
-		t.gen.Rewind(t.rng, t.net.now)
-	}
-	return t.rng.Intn(k)
 }
 
 // ArrivalTrace returns the run's recorded injection workload (requires

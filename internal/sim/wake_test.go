@@ -93,16 +93,19 @@ func TestWakeIndexVisitCounts(t *testing.T) {
 
 // earlyWakes wraps a routing function and counts the injections made while
 // the injecting terminal holds a presample: a reply woke it before its
-// presampled arrival. It passes the injection on to the wrapped function if
-// that is an Injector, and draws nothing itself.
+// presampled arrival. It finds the terminal by its routing stream, passes
+// the injection on to the wrapped function if that is an Injector, and draws
+// nothing itself.
 type earlyWakes struct {
 	routing.Function
 	n *int64
 }
 
-func (e earlyWakes) Inject(src int, pr *routing.PacketRoute, q routing.QueueEstimator, rng routing.Rand) {
-	if t := rng.(*terminal); t.gen.PresampledArrival() >= 0 {
-		*e.n++
+func (e earlyWakes) Inject(src int, pr *routing.PacketRoute, q routing.QueueEstimator, rng *xrand.Source) {
+	for _, t := range q.(*Network).terminals {
+		if t.routeRNG == rng && t.gen.PresampledArrival() >= 0 {
+			*e.n++
+		}
 	}
 	if inj, ok := e.Function.(routing.Injector); ok {
 		inj.Inject(src, pr, q, rng)
@@ -111,16 +114,11 @@ func (e earlyWakes) Inject(src int, pr *routing.PacketRoute, q routing.QueueEsti
 
 // TestArrivalDraws pins what a run's arrival gate draws cost. The reference
 // ticks every terminal every cycle. The default schedule presamples at most a
-// chunk ahead of the clock and rewinds a presample only when routing is about
-// to draw from the terminal's stream before the arrival, so:
-//
-//   - on the mesh, whose routing never draws, a reply waking a terminal early
-//     costs nothing: no rewind, and at most the reference's draws plus one
-//     chunk per terminal;
-//   - on the flattened butterfly, whose UGAL draws at every injection, the
-//     rewinds are exactly the injections made during an early wake.
-//
-// Both runs must equal the reference.
+// chunk ahead of the clock, and nothing but the arrival process reads a
+// terminal's arrival stream, so a reply that wakes a terminal early costs no
+// draw: on both topologies, UGAL's routing draws on the flattened butterfly
+// included, the default draws at most the reference's terminals × cycles
+// plus one chunk per terminal. Both runs must equal the reference.
 func TestArrivalDraws(t *testing.T) {
 	run := func(cfg Config) (Result, traffic.DrawStats, int64) {
 		var early int64
@@ -148,16 +146,9 @@ func TestArrivalDraws(t *testing.T) {
 		}
 		t.Logf("%s: %d cycles × %d terminals; default drew %+v (%.2f× the reference), %d early-wake injections",
 			name, res.Cycles, terms, draws, float64(draws.Total())/float64(refDraws.Total()), early)
-		if name == "mesh" {
-			if draws.Rewinds != 0 || draws.Replayed != 0 {
-				t.Errorf("mesh: %d rewinds replayed %d draws, want none", draws.Rewinds, draws.Replayed)
-			}
-			if bound := refDraws.Total() + terms*presampleChunk; draws.Total() > bound {
-				t.Errorf("mesh: drew %d gates, want at most %d (reference %d + %d terminals × %d)",
-					draws.Total(), bound, refDraws.Total(), terms, presampleChunk)
-			}
-		} else if draws.Rewinds != early {
-			t.Errorf("%s: %d rewinds, want one per early-wake injection: %d", name, draws.Rewinds, early)
+		if bound := refDraws.Total() + terms*presampleChunk; draws.Total() > bound {
+			t.Errorf("%s: drew %d gates, want at most %d (reference %d + %d terminals × %d)",
+				name, draws.Total(), bound, refDraws.Total(), terms, presampleChunk)
 		}
 	}
 }

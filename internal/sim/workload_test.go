@@ -22,9 +22,8 @@ func workloadConfig(mk func(int, float64) Config, rate float64, w traffic.Worklo
 
 // TestWorkloadGoldenMMP pins the default schedule against the reference
 // (assertGolden, one shard and split) for the bursty MMP arrival process on
-// both paper topologies. The fbfly leg also exercises the presample rewind
-// under UGAL's terminal-stream routing draws, now with phase state in the
-// process snapshot.
+// both paper topologies. The fbfly leg also draws UGAL's routing from each
+// terminal's routing stream while MMP's phase state rides the presample.
 func TestWorkloadGoldenMMP(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -149,36 +148,47 @@ func TestWorkloadGoldenReplay(t *testing.T) {
 	}
 }
 
-// TestRecordReplayRoundTrip is the end-to-end workload round trip on the
-// mesh (DOR consumes no routing randomness, so the replay run is the
-// recorded run): record → replay must reproduce the recording run's Result
+// TestRecordReplayRoundTrip is the end-to-end workload round trip on both
+// topologies: record → replay must reproduce the recording run's Result
 // exactly, and re-recording during the replay must serialize byte-identical
-// to the original trace.
+// to the original trace. On the flattened butterfly this holds because UGAL
+// draws from each terminal's routing stream, which a replay draws from
+// exactly as the recording did, while the arrival stream it leaves untouched.
 func TestRecordReplayRoundTrip(t *testing.T) {
-	rec := workloadConfig(meshConfig, 0.1, traffic.Workload{})
-	rec.RecordArrivals = true
-	n := New(rec)
-	want := n.Run()
-	pt := n.ArrivalTrace()
+	for _, tc := range []struct {
+		name string
+		mk   func(int, float64) Config
+	}{
+		{"mesh", meshConfig},
+		{"fbfly", fbflyConfig},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := workloadConfig(tc.mk, 0.1, traffic.Workload{})
+			rec.RecordArrivals = true
+			n := New(rec)
+			want := n.Run()
+			pt := n.ArrivalTrace()
 
-	var orig bytes.Buffer
-	if err := trace.WriteArrivals(&orig, pt); err != nil {
-		t.Fatal(err)
-	}
+			var orig bytes.Buffer
+			if err := trace.WriteArrivals(&orig, pt); err != nil {
+				t.Fatal(err)
+			}
 
-	rep := workloadConfig(meshConfig, 0, traffic.Workload{Trace: pt})
-	rep.RecordArrivals = true
-	rn := New(rep)
-	got := rn.Run()
-	if got != want {
-		t.Errorf("replay diverged from the recording run:\nrecord: %+v\nreplay: %+v", want, got)
-	}
-	var again bytes.Buffer
-	if err := trace.WriteArrivals(&again, rn.ArrivalTrace()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig.Bytes(), again.Bytes()) {
-		t.Error("re-recorded trace is not byte-identical to the original")
+			rep := workloadConfig(tc.mk, 0, traffic.Workload{Trace: pt})
+			rep.RecordArrivals = true
+			rn := New(rep)
+			got := rn.Run()
+			if got != want {
+				t.Errorf("replay diverged from the recording run:\nrecord: %+v\nreplay: %+v", want, got)
+			}
+			var again bytes.Buffer
+			if err := trace.WriteArrivals(&again, rn.ArrivalTrace()); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(orig.Bytes(), again.Bytes()) {
+				t.Error("re-recorded trace is not byte-identical to the original")
+			}
+		})
 	}
 }
 

@@ -85,8 +85,8 @@ func checkBatchedEqualsTicked(t *testing.T, proc ArrivalProcess, ref tickedProc,
 		if *a != *b {
 			t.Fatalf("cycle %d chunk %d: generator states diverged", c, max)
 		}
-		if on != nil && proc.State().on != on() {
-			t.Fatalf("cycle %d chunk %d: batched phase on=%v, ticked on=%v", c, max, proc.State().on, on())
+		if on != nil && proc.(*MMP).on != on() {
+			t.Fatalf("cycle %d chunk %d: batched phase on=%v, ticked on=%v", c, max, proc.(*MMP).on, on())
 		}
 		if want < 0 {
 			c += max
@@ -128,67 +128,46 @@ func FuzzBatchedEqualsTicked(f *testing.F) {
 	})
 }
 
-// TestRewindPanicsOnReplayedArrival: a rewind replays cycles that by
-// construction precede the presampled arrival, so finding one means the
-// snapshot and the stream disagree; that must stay a panic, not a silently
-// different run.
-func TestRewindPanicsOnReplayedArrival(t *testing.T) {
+// TestPresampleMatchesTicked pins the generator's presample against
+// per-cycle ticking from the same stream: a batch that finds an arrival
+// names the cycle NextRequest first fires in, one that finds none parks at
+// the chunk checkpoint, and either way both streams end in the same place.
+func TestPresampleMatchesTicked(t *testing.T) {
 	p, err := NewPattern("uniform", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGeneratorProcess(p, NewBernoulli(0.6), 0.5)
-	rng := xrand.New(42)
-	g.Presample(rng, 100, 1024)
-	if !g.PresampledReal() {
-		t.Fatal("no arrival in 1024 cycles at rate 0.6; the test is vacuous")
-	}
-	arrival := g.PresampledArrival()
-	defer func() {
-		if recover() == nil {
-			t.Error("Rewind through the presampled arrival did not panic")
-		}
-	}()
-	g.Rewind(rng, arrival)
-}
-
-// TestRewindReplaysExactly pins the other side: a rewind to any cycle before
-// the arrival leaves the generator exactly where per-cycle ticking from the
-// snapshot would, including one through the cycle before the snapshot,
-// which replays nothing.
-func TestRewindReplaysExactly(t *testing.T) {
-	p, err := NewPattern("uniform", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const snap = 100
+	const start, chunk = 100, 1024
 	for _, tc := range []struct {
 		name string
 		mk   func() ArrivalProcess
+		real bool // whether the chunk holds an arrival at seed 9
 	}{
-		{"bernoulli", func() ArrivalProcess { return NewBernoulli(0.01) }},
-		{"mmp", func() ArrivalProcess { m, _ := NewMMP(0.01, 8, 0.25); return m }},
+		{"bernoulli", func() ArrivalProcess { return NewBernoulli(0.01) }, true},
+		{"bernoulli-sparse", func() ArrivalProcess { return NewBernoulli(0.0001) }, false},
+		{"mmp", func() ArrivalProcess { m, _ := NewMMP(0.01, 8, 0.25); return m }, true},
 	} {
-		probe := NewGeneratorProcess(p, tc.mk(), 0.5)
-		probe.Presample(xrand.New(9), snap, 1024)
-		arrival := probe.PresampledArrival()
-		if !probe.PresampledReal() || arrival < snap+3 {
-			t.Fatalf("%s: presampled arrival at %d; pick another seed", tc.name, arrival)
+		g, ref := NewGeneratorProcess(p, tc.mk(), 0.5), NewGeneratorProcess(p, tc.mk(), 0.5)
+		rng, refRNG := xrand.New(9), xrand.New(9)
+		g.Presample(rng, start, chunk)
+		want := int64(start + chunk)
+		for c := int64(start); c < start+chunk; c++ {
+			if _, _, ok := ref.NextRequest(0, refRNG); ok {
+				want = c
+				break
+			}
 		}
-		for _, through := range []int64{snap - 1, snap, arrival - 2, arrival - 1} {
-			proc, ref := tc.mk(), tc.mk()
-			g := NewGeneratorProcess(p, proc, 0.5)
-			rng, refRNG := xrand.New(9), xrand.New(9)
-			g.Presample(rng, snap, 1024)
-			g.Rewind(rng, through)
-			for c := int64(snap); c <= through; c++ {
-				if tick(ref, refRNG) {
-					t.Fatalf("%s: reference arrival at %d, before the presampled %d", tc.name, c, arrival)
-				}
-			}
-			if *rng != *refRNG || proc.State() != ref.State() || g.PresampledArrival() != -1 {
-				t.Errorf("%s: rewind through %d left generator or process off the ticked stream", tc.name, through)
-			}
+		if got := g.PresampledArrival(); got != want || g.PresampledReal() != (want < start+chunk) {
+			t.Errorf("%s: presampled %d (real %v), ticking fires at %d", tc.name, got, g.PresampledReal(), want)
+		}
+		if g.PresampledReal() != tc.real {
+			t.Fatalf("%s: arrival in the chunk %v, want %v; pick another seed", tc.name, g.PresampledReal(), tc.real)
+		}
+		if g.PresampledReal() {
+			g.RequestAt(0, rng) // NextRequest drew the request after its gate
+		}
+		if *rng != *refRNG {
+			t.Errorf("%s: presample left the stream off the ticked one", tc.name)
 		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 // Contract (DESIGN.md §12) — every implementation must satisfy all of:
 //
 //   - Determinism: the draw sequence a tick consumes from rng is a function
-//     of the process state alone, never of network state, so replaying
-//     ticks from a snapshot reproduces the stream exactly.
+//     of the process state alone, never of network state, so a terminal's
+//     arrivals are a function of its stream alone.
 //   - Quiet at zero rate: when Rate() <= 0 NextArrivalDelta consumes no
 //     randomness and returns -1. This is what lets the active-set scheduler
 //     skip a zero-rate terminal entirely while the dense reference still
@@ -26,10 +26,6 @@ import (
 //     ticks when it returns k >= 0 (the (k+1)th tick being the arrival) and
 //     exactly max ticks when it returns -1. The event-leaping presampler
 //     relies on this to consume per-cycle gate draws in one batch.
-//   - Snapshot/rewind: State() captures everything a tick mutates, and
-//     Restore(st) followed by the same tick sequence against a restored rng
-//     reproduces the same outcomes. The presampler snapshots before a
-//     batch and rewinds when routing is about to read the RNG stream.
 type ArrivalProcess interface {
 	// Rate is the process's mean offered load in flits/cycle/terminal
 	// (0 when the process can emit nothing more).
@@ -38,26 +34,13 @@ type ArrivalProcess interface {
 	// in cycles to the next arrival (0 = the current cycle) or -1 when none
 	// of the max ticks arrived (or Rate() <= 0, consuming nothing).
 	NextArrivalDelta(rng *xrand.Source, max int) int
-	// State snapshots the process's mutable state.
-	State() ProcState
-	// Restore reinstates a snapshot taken by State.
-	Restore(st ProcState)
-}
-
-// ProcState is an opaque snapshot of an ArrivalProcess's internal state:
-// a fixed-size value so snapshotting never allocates. Each process uses the
-// fields it needs; callers only pass it back to Restore.
-type ProcState struct {
-	cycle int64
-	idx   int
-	on    bool
 }
 
 // --- Bernoulli ---------------------------------------------------------------
 
 // Bernoulli is the paper's §3.2 injection process: one independent gate draw
 // per cycle at the transaction rate (flit rate / FlitsPerTransaction). It is
-// memoryless, so State/Restore carry nothing.
+// memoryless.
 type Bernoulli struct {
 	rate float64
 	gate uint64 // xrand.Threshold of the per-cycle transaction probability
@@ -68,9 +51,7 @@ func NewBernoulli(rate float64) *Bernoulli {
 	return &Bernoulli{rate: rate, gate: xrand.Threshold(rate / FlitsPerTransaction)}
 }
 
-func (b *Bernoulli) Rate() float64       { return b.rate }
-func (b *Bernoulli) State() ProcState    { return ProcState{} }
-func (b *Bernoulli) Restore(_ ProcState) {}
+func (b *Bernoulli) Rate() float64 { return b.rate }
 
 // NextArrivalDelta consumes per-cycle gate draws until the first success —
 // the exact stream ticking would consume one cycle at a time, which is what
@@ -134,9 +115,7 @@ func NewMMP(rate, burstLen, duty float64) (*MMP, error) {
 	return m, nil
 }
 
-func (m *MMP) Rate() float64        { return m.rate }
-func (m *MMP) State() ProcState     { return ProcState{on: m.on} }
-func (m *MMP) Restore(st ProcState) { m.on = st.on }
+func (m *MMP) Rate() float64 { return m.rate }
 
 // NextArrivalDelta runs up to max cycles of the chain. A cycle that starts
 // OFF draws the OFF->ON gate and, only if that fires, the arrival gate; one
@@ -258,9 +237,8 @@ func (pt *PacketTrace) BySource(n int) [][]Arrival {
 // destination, and the Generator uses them instead of drawing from
 // ReadFraction and the Pattern. It consumes no randomness at all: a tick
 // advances an internal cycle counter and fires exactly at the recorded
-// arrival cycles, so the snapshot/rewind contract reduces to saving and
-// restoring (cycle, cursor). Once the slice is exhausted Rate() reports 0
-// and the terminal goes quiet.
+// arrival cycles. Once the slice is exhausted Rate() reports 0 and the
+// terminal goes quiet.
 type Replay struct {
 	arrivals []Arrival
 	cycle    int64 // next tick advances this simulated cycle
@@ -288,10 +266,6 @@ func (r *Replay) Rate() float64 {
 	}
 	return r.meanRate
 }
-
-func (r *Replay) State() ProcState { return ProcState{cycle: r.cycle, idx: r.idx} }
-
-func (r *Replay) Restore(st ProcState) { r.cycle, r.idx = st.cycle, st.idx }
 
 // NextArrivalDelta jumps the internal clock straight to the next recorded
 // arrival (or by max cycles), consuming no randomness: a tick advances one

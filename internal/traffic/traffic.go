@@ -255,10 +255,8 @@ func (h *hotspot) Dest(src int, rng *xrand.Source) int {
 // decide *where* they go and what kind they are (spatial) — unless the
 // process is a trace Replay, which carries both halves.
 //
-// The generator also owns the event-leaping presample state: a bounded batch
-// of future gate draws (Presample) and the RNG/process snapshot that lets a
-// caller about to read the stream rewind and replay them (Rewind; DESIGN.md
-// §12).
+// The generator also owns the event-leaping presample state: the wake-up
+// cycle a bounded batch of future gate draws found (Presample; DESIGN.md §9).
 type Generator struct {
 	// Pattern chooses destinations.
 	Pattern Pattern
@@ -269,43 +267,31 @@ type Generator struct {
 
 	// Presample state: next is the presampled wake-up cycle (-1 = not
 	// sampled) — the next transaction arrival when nextReal, otherwise a
-	// chunk checkpoint at which sampling resumes; snapRNG/snapProc/snapCycle
-	// record the RNG state, process state and cycle at presample time so a
-	// rewind can replay the per-cycle gate draws the dense reference would
-	// have made.
-	next      int64
-	nextReal  bool
-	snapRNG   xrand.Source
-	snapProc  ProcState
-	snapCycle int64
+	// chunk checkpoint at which sampling resumes.
+	next     int64
+	nextReal bool
 
 	draws DrawStats
 }
 
 // DrawStats counts a generator's gate draws — one per simulated cycle its
 // arrival process covers, whether or not the process consumes randomness for
-// it — by how they were made, and how often a presample was rewound.
+// it — by how they were made.
 type DrawStats struct {
 	// Presampled draws were made ahead of the clock, a batch at a time
 	// (Presample).
 	Presampled int64 `json:"presampled"`
-	// Replayed draws were made a second time by a rewind (Rewind).
-	Replayed int64 `json:"replayed"`
 	// Ticked draws were made one cycle at a time (NextRequest).
 	Ticked int64 `json:"ticked"`
-	// Rewinds counts the rewinds.
-	Rewinds int64 `json:"rewinds"`
 }
 
 // Total is the number of gate draws made, however they were made.
-func (d DrawStats) Total() int64 { return d.Presampled + d.Replayed + d.Ticked }
+func (d DrawStats) Total() int64 { return d.Presampled + d.Ticked }
 
 // Add accumulates o into d.
 func (d *DrawStats) Add(o DrawStats) {
 	d.Presampled += o.Presampled
-	d.Replayed += o.Replayed
 	d.Ticked += o.Ticked
-	d.Rewinds += o.Rewinds
 }
 
 // Draws returns the generator's gate draw counts since construction.
@@ -347,13 +333,12 @@ func (g *Generator) RequestAt(src int, rng *xrand.Source) (PacketType, int) {
 	return t, g.Pattern.Dest(src, rng)
 }
 
-// Presample snapshots the RNG and process state at cycle now, then
-// batch-samples up to chunk gate draws. The presampled wake-up cycle is
-// exposed by PresampledArrival: the arrival cycle itself when the batch
-// found one (PresampledReal true, possibly now itself), otherwise the
+// Presample batch-samples up to chunk gate draws from cycle now on: the
+// draws per-cycle ticking would make in those cycles. The presampled wake-up
+// cycle is exposed by PresampledArrival: the arrival cycle itself when the
+// batch found one (PresampledReal true, possibly now itself), otherwise the
 // checkpoint now+chunk where sampling must resume.
 func (g *Generator) Presample(rng *xrand.Source, now int64, chunk int) {
-	g.snapRNG, g.snapProc, g.snapCycle = rng.State(), g.proc.State(), now
 	if d := g.proc.NextArrivalDelta(rng, chunk); d < 0 {
 		g.next, g.nextReal = now+int64(chunk), false
 		g.draws.Presampled += int64(chunk)
@@ -383,22 +368,3 @@ func (g *Generator) PendingArrival() bool { return g.next >= 0 && g.nextReal }
 // RNG: the caller has reached (or consumed) the presampled cycle, so the
 // batched draws exactly cover the elapsed cycles.
 func (g *Generator) ClearPresample() { g.next = -1 }
-
-// Rewind unwinds an outstanding presample to cycle `through`: it restores
-// the RNG and process state captured by Presample and replays the per-cycle
-// gate draws for cycles snapCycle..through — all failures by construction,
-// since through precedes the presampled arrival — leaving the stream
-// exactly where dense per-cycle ticking would have it after cycle through's
-// draw, and the generator unsampled.
-func (g *Generator) Rewind(rng *xrand.Source, through int64) {
-	rng.Restore(g.snapRNG)
-	g.proc.Restore(g.snapProc)
-	g.draws.Rewinds++
-	if n := through - g.snapCycle + 1; n > 0 {
-		g.draws.Replayed += n
-		if g.proc.NextArrivalDelta(rng, int(n)) >= 0 {
-			panic("traffic: presample replay produced an arrival before the sampled one")
-		}
-	}
-	g.next = -1
-}

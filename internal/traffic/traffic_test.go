@@ -214,7 +214,7 @@ func TestNextArrivalDeltaMatchesBernoulli(t *testing.T) {
 			if leaped != ticked {
 				t.Fatalf("rate %g trial %d: NextArrivalDelta = %d, per-cycle gate = %d", rate, trial, leaped, ticked)
 			}
-			if a.State() != b.State() {
+			if *a != *b {
 				t.Fatalf("rate %g trial %d: RNG states diverged after sampling", rate, trial)
 			}
 			// Keep the streams exercised past the gate, as a real terminal
@@ -253,11 +253,11 @@ func TestNextArrivalDeltaStatistics(t *testing.T) {
 func TestNextArrivalDeltaDegenerate(t *testing.T) {
 	g := NewBernoulli(0)
 	rng := xrand.New(1)
-	before := rng.State()
+	before := *rng
 	if d := g.NextArrivalDelta(rng, 1<<30); d != -1 {
 		t.Errorf("NextArrivalDelta at rate 0 = %d, want -1", d)
 	}
-	if rng.State() != before {
+	if *rng != before {
 		t.Error("NextArrivalDelta at rate 0 consumed randomness")
 	}
 }
@@ -287,7 +287,7 @@ func TestNextArrivalDeltaChunked(t *testing.T) {
 		if total != want {
 			t.Fatalf("trial %d: chunked arrival after %d cycles, unbounded after %d", trial, total, want)
 		}
-		if a.State() != b.State() {
+		if *a != *b {
 			t.Fatalf("trial %d: RNG states diverged after chunked sampling", trial)
 		}
 	}

@@ -48,16 +48,6 @@ func (s *Source) Split(id uint64) *Source {
 	return &c
 }
 
-// State returns a copy of the generator's current state. Together with
-// Restore it lets a caller speculatively consume draws and later rewind —
-// the event-leaping simulator presamples a terminal's next arrival and must
-// replay the skipped per-cycle draws before anything else reads the
-// terminal's stream ahead of that arrival.
-func (s *Source) State() Source { return *s }
-
-// Restore rewinds the generator to a state previously captured with State.
-func (s *Source) Restore(st Source) { *s = st }
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns a uniformly distributed 64-bit value.

@@ -184,27 +184,28 @@ func BenchmarkIntn(b *testing.B) {
 	_ = acc
 }
 
-// TestStateRestore pins the rewind contract the simulator's presampling
-// path depends on: capturing the state, consuming arbitrary draws, and
-// restoring must replay the identical stream.
+// TestStateRestore pins that a Source's whole state is its value: a copy
+// taken at any point, assigned back after arbitrary draws, replays the
+// identical stream, and equal values compare equal. Tests that compare
+// streams by comparing Source values rely on both.
 func TestStateRestore(t *testing.T) {
 	s := New(99)
 	s.Uint64() // advance off the seed state
-	snap := s.State()
+	snap := *s
 	var first [32]uint64
 	for i := range first {
 		first[i] = s.Uint64()
 	}
 	s.Intn(17)
 	s.Bool(0.3)
-	s.Restore(snap)
+	*s = snap
+	if *s != snap {
+		t.Fatal("a restored Source must equal its copy")
+	}
 	for i := range first {
 		if got := s.Uint64(); got != first[i] {
-			t.Fatalf("draw %d after Restore = %d, want %d", i, got, first[i])
+			t.Fatalf("draw %d after restoring the copy = %d, want %d", i, got, first[i])
 		}
-	}
-	if snap != snap.State() {
-		t.Error("State of a copy must equal the copy")
 	}
 }
 
