@@ -92,27 +92,26 @@ func New[S Spec[S], R any](run func(ctx context.Context, spec S, progress func(P
 // job with its ID, and returns its status; a new job may be ErrBusy. A
 // canceled job is started afresh.
 func (s *Service[S, R]) Submit(spec S) (Status[S, R], error) {
-	j, err := s.submit(spec)
-	if err != nil {
-		return Status[S, R]{}, err
-	}
-	return s.snapshot(j), nil
+	_, st, err := s.submit(spec)
+	return st, err
 }
 
-func (s *Service[S, R]) submit(spec S) (*job[S, R], error) {
+// submit returns the job for spec and its status, copied under the lock that
+// starts it: a new job answers "running" even if it finishes at once.
+func (s *Service[S, R]) submit(spec S) (*job[S, R], Status[S, R], error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, Status[S, R]{}, err
 	}
 	id := spec.ID()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if ok && j.st.Status != "canceled" {
-		return j, nil
+		return j, j.st, nil
 	}
 	if s.closed || s.running >= MaxRunning {
-		return nil, ErrBusy
+		return nil, Status[S, R]{}, ErrBusy
 	}
 	if ok { // the restarted job must not be evicted as the canceled one
 		s.finished = slices.DeleteFunc(s.finished, func(f string) bool { return f == id })
@@ -122,8 +121,9 @@ func (s *Service[S, R]) submit(spec S) (*job[S, R], error) {
 	s.jobs[id] = j
 	s.running++
 	s.wg.Add(1)
+	st := j.st
 	go s.runJob(ctx, j, spec)
-	return j, nil
+	return j, st, nil
 }
 
 func (s *Service[S, R]) runJob(ctx context.Context, j *job[S, R], spec S) {
@@ -229,7 +229,7 @@ func (s *Service[S, R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if !sweep.DecodeBody(w, r, &spec) {
 			return
 		}
-		j, err := s.submit(spec)
+		j, _, err := s.submit(spec)
 		switch {
 		case errors.Is(err, ErrBusy):
 			w.Header().Set("Retry-After", "1")

@@ -283,6 +283,24 @@ func TestSubmitAnswersDone(t *testing.T) {
 	}
 }
 
+// TestSubmitAnswersRunning: a fresh job's Submit answers "running" even when
+// the job finishes before Submit returns.
+func TestSubmitAnswersRunning(t *testing.T) {
+	s := newService(openGate())
+	defer s.Close()
+	for i := 0; i < 2000; i++ {
+		st, err := s.Submit(spec{Name: strconv.Itoa(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Status != "running" {
+			t.Fatalf("fresh job %d answered %q, want running", i, st.Status)
+		}
+		j, _ := s.lookup(st.Job)
+		<-j.done
+	}
+}
+
 // asyncGet starts a GET of job id and delivers the status it answers.
 func asyncGet(t *testing.T, s *Service[spec, result], id string) <-chan Status[spec, result] {
 	answer := make(chan Status[spec, result], 1)
