@@ -6,22 +6,27 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/alloc"
+	"repro/internal/arbiter"
+	"repro/internal/core"
+	"repro/internal/routing"
+	"repro/internal/sim"
+	"repro/internal/topology"
 )
 
 func main() {
-	topo := repro.Mesh(8)
-	base := repro.SimConfig{
+	topo := topology.Mesh(8)
+	base := sim.Config{
 		Topology: topo,
-		Routing:  repro.NewDOR(topo),
+		Routing:  routing.NewDOR(topo),
 		// 2 message classes (request/reply), 1 resource class, 2 VCs per
 		// class — the paper's mesh 2x1x2 design point.
-		Spec: repro.NewVCSpec(2, 1, 2),
-		VA:   repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
-		SA: repro.SwitchAllocConfig{
-			Arch:     repro.Wavefront,
-			ArbKind:  repro.RoundRobin,
-			SpecMode: repro.SpecReq,
+		Spec: core.NewVCSpec(2, 1, 2),
+		VA:   core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
+		SA: core.SwitchAllocConfig{
+			Arch:     alloc.Wavefront,
+			ArbKind:  arbiter.RoundRobin,
+			SpecMode: core.SpecReq,
 		},
 		Seed:    7,
 		Warmup:  1000,
@@ -34,7 +39,7 @@ func main() {
 	for _, rate := range []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40} {
 		cfg := base
 		cfg.Workload.Rate = rate
-		res := repro.NewNetwork(cfg).Run()
+		res := sim.New(cfg).Run()
 		fmt.Printf("%.2f\t%8.1f\t%8.3f\t%v\n", rate, res.AvgLatency, res.Throughput, res.Saturated)
 		if res.Saturated {
 			fmt.Println("network saturated; stopping sweep")

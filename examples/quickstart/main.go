@@ -6,14 +6,16 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/alloc"
+	"repro/internal/arbiter"
+	"repro/internal/bitvec"
 )
 
 func main() {
 	const n = 6
 	// A request matrix with deliberate conflicts: rows 0-2 all want
 	// column 0, plus a scattering of alternatives.
-	req := repro.NewMatrix(n, n)
+	req := bitvec.NewMatrix(n, n)
 	for _, rc := range [][2]int{
 		{0, 0}, {1, 0}, {2, 0},
 		{1, 3}, {2, 1}, {3, 2}, {3, 4}, {4, 4}, {5, 5}, {0, 5},
@@ -24,32 +26,32 @@ func main() {
 	fmt.Println(req)
 	fmt.Println()
 
-	bound := repro.MaxMatchSize(req)
+	bound := alloc.MatchSize(req)
 	fmt.Printf("maximum matching size: %d\n\n", bound)
 
-	for _, cfg := range []repro.AllocConfig{
-		{Arch: repro.SepIF, Rows: n, Cols: n, ArbKind: repro.RoundRobin},
-		{Arch: repro.SepOF, Rows: n, Cols: n, ArbKind: repro.RoundRobin},
-		{Arch: repro.Wavefront, Rows: n, Cols: n},
-		{Arch: repro.Maximum, Rows: n, Cols: n},
+	for _, cfg := range []alloc.Config{
+		{Arch: alloc.SepIF, Rows: n, Cols: n, ArbKind: arbiter.RoundRobin},
+		{Arch: alloc.SepOF, Rows: n, Cols: n, ArbKind: arbiter.RoundRobin},
+		{Arch: alloc.Wavefront, Rows: n, Cols: n},
+		{Arch: alloc.Maximum, Rows: n, Cols: n},
 	} {
-		a := repro.NewAllocator(cfg)
+		a := alloc.New(cfg)
 		gnt := a.Allocate(req)
-		if err := repro.ValidateMatching(req, gnt); err != nil {
+		if err := alloc.Validate(req, gnt); err != nil {
 			panic(err)
 		}
 		fmt.Printf("%-9s granted %d/%d  maximal=%v\n",
-			a.Name(), gnt.Count(), bound, repro.IsMaximalMatching(req, gnt))
+			a.Name(), gnt.Count(), bound, alloc.IsMaximal(req, gnt))
 	}
 
 	// Repeated allocation with full contention demonstrates fairness: the
 	// separable allocators' iSLIP-style priority updates rotate grants.
 	fmt.Println("\nfairness under persistent contention (3 requesters, 1 resource):")
-	contended := repro.NewMatrix(3, 1)
+	contended := bitvec.NewMatrix(3, 1)
 	for i := 0; i < 3; i++ {
 		contended.Set(i, 0)
 	}
-	a := repro.NewAllocator(repro.AllocConfig{Arch: repro.SepIF, Rows: 3, Cols: 1, ArbKind: repro.RoundRobin})
+	a := alloc.New(alloc.Config{Arch: alloc.SepIF, Rows: 3, Cols: 1, ArbKind: arbiter.RoundRobin})
 	wins := [3]int{}
 	for cycle := 0; cycle < 9; cycle++ {
 		g := a.Allocate(contended)

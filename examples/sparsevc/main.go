@@ -9,23 +9,27 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/alloc"
+	"repro/internal/arbiter"
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/xrand"
 )
 
 func main() {
-	tech := repro.Default45nm()
-	spec := repro.NewVCSpec(2, 2, 2) // two-phase routing: V = 8
+	tech := costmodel.Default45nm()
+	spec := core.NewVCSpec(2, 2, 2) // two-phase routing: V = 8
 
 	fmt.Printf("a P = 5 router, 2 message × 2 resource classes (two-phase routing), VCs %s (V=%d)\n", spec, spec.V())
 	fmt.Printf("legal VC transitions: %d of %d\n\n", spec.CountLegalTransitions(), spec.V()*spec.V())
 
 	fmt.Println("variant      scheme  delay(ns)  area(µm²)  power(mW)")
-	for _, arch := range []repro.Arch{repro.SepIF, repro.SepOF, repro.Wavefront} {
+	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
 		for _, sparse := range []bool{false, true} {
-			cfg := repro.VCAllocConfig{
-				Ports: 5, Spec: spec, Arch: arch, ArbKind: repro.RoundRobin, Sparse: sparse,
+			cfg := core.VCAllocConfig{
+				Ports: 5, Spec: spec, Arch: arch, ArbKind: arbiter.RoundRobin, Sparse: sparse,
 			}
-			est := repro.VCAllocCost(tech, cfg)
+			est := costmodel.VCAllocCost(tech, cfg)
 			scheme := "dense"
 			if sparse {
 				scheme = "sparse"
@@ -43,15 +47,15 @@ func main() {
 	// dense one on router-shaped traffic, where each head flit requests one
 	// (message class, resource class) group of VCs — there the wavefront
 	// allocator is maximum per class in both layouts.
-	dense := repro.NewVCAllocator(repro.VCAllocConfig{Ports: 5, Spec: spec, Arch: repro.Wavefront})
-	sparse := repro.NewVCAllocator(repro.VCAllocConfig{Ports: 5, Spec: spec, Arch: repro.Wavefront, Sparse: true})
-	rng := repro.NewRand(1)
-	reqs := make([]repro.VCRequest, 5*spec.V())
+	dense := core.NewVCAllocator(core.VCAllocConfig{Ports: 5, Spec: spec, Arch: alloc.Wavefront})
+	sparse := core.NewVCAllocator(core.VCAllocConfig{Ports: 5, Spec: spec, Arch: alloc.Wavefront, Sparse: true})
+	rng := xrand.New(1)
+	reqs := make([]core.VCRequest, 5*spec.V())
 	for i := range reqs {
 		if rng.Bool(0.5) {
 			m, r, _ := spec.Decompose(i % spec.V())
 			lo, hi := spec.SuccessorClasses(r)
-			reqs[i] = repro.VCRequest{
+			reqs[i] = core.VCRequest{
 				Active:     true,
 				OutPort:    rng.Intn(5),
 				Candidates: spec.ClassMask(m, lo+rng.Intn(hi-lo)),

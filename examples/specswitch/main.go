@@ -8,33 +8,40 @@ package main
 import (
 	"fmt"
 
-	"repro"
+	"repro/internal/alloc"
+	"repro/internal/arbiter"
+	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/routing"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/traffic"
 )
 
 func main() {
-	topo := repro.FlattenedButterfly(4, 4)
-	tech := repro.Default45nm()
+	topo := topology.FlattenedButterfly(4, 4)
+	tech := costmodel.Default45nm()
 
 	fmt.Println("fbfly 4x4 c=4, 2x2x1 VCs, sep_if switch allocator")
 	fmt.Println("scheme    zero-load latency   allocator delay (ns)")
-	for _, mode := range []repro.SpecMode{repro.SpecNone, repro.SpecReq, repro.SpecGnt} {
-		cfg := repro.SimConfig{
+	for _, mode := range []core.SpecMode{core.SpecNone, core.SpecReq, core.SpecGnt} {
+		cfg := sim.Config{
 			Topology: topo,
-			Routing:  repro.NewUGAL(topo, 1),
-			Spec:     repro.NewVCSpec(2, 2, 1),
-			VA:       repro.VCAllocConfig{Arch: repro.SepIF, ArbKind: repro.RoundRobin},
-			SA: repro.SwitchAllocConfig{
-				Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: mode,
+			Routing:  routing.NewUGAL(topo, 1),
+			Spec:     core.NewVCSpec(2, 2, 1),
+			VA:       core.VCAllocConfig{Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin},
+			SA: core.SwitchAllocConfig{
+				Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: mode,
 			},
-			Workload: repro.Workload{Rate: 0.05},
+			Workload: traffic.Workload{Rate: 0.05},
 			Seed:     3,
 			Warmup:   1000,
 			Measure:  3000,
 			Drain:    8000,
 		}
-		res := repro.NewNetwork(cfg).Run()
-		est := repro.SwitchAllocCost(tech, repro.SwitchAllocConfig{
-			Ports: 10, VCs: 4, Arch: repro.SepIF, ArbKind: repro.RoundRobin, SpecMode: mode,
+		res := sim.New(cfg).Run()
+		est := costmodel.SwitchAllocCost(tech, core.SwitchAllocConfig{
+			Ports: 10, VCs: 4, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: mode,
 		})
 		fmt.Printf("%-9s %10.1f cycles %14.3f\n", mode, res.AvgLatency, est.DelayNS)
 	}

@@ -476,6 +476,18 @@ func BenchmarkWavefront16x16(b *testing.B) {
 }
 func BenchmarkMaximum16x16(b *testing.B) { benchAlloc(b, Config{Arch: Maximum, Rows: 16, Cols: 16}) }
 
+// BenchmarkAblationPriorityUpdate measures separable allocation with the
+// paper's conditional (iSLIP-style) priority updates; the rule's effect on
+// grants is exercised by tests, here we measure the allocator's speed.
+func BenchmarkAblationPriorityUpdate(b *testing.B) {
+	a := New(Config{Arch: SepIF, Rows: 16, Cols: 16, ArbKind: arbiter.RoundRobin})
+	req := randomMatrix(xrand.New(7), 16, 16, 0.4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a.Allocate(req)
+	}
+}
+
 func benchAlloc(b *testing.B, c Config) {
 	a := New(c)
 	rng := xrand.New(1)

@@ -377,6 +377,29 @@ func BenchmarkMatrixPick64(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationTreeArbiter compares tree vs flat arbitration for the
+// P×V-input output stage of VC allocators (§4.1).
+func BenchmarkAblationTreeArbiter(b *testing.B) {
+	req := bitvec.New(160)
+	for i := 0; i < 160; i += 7 {
+		req.Set(i)
+	}
+	b.Run("flat160", func(b *testing.B) {
+		b.ReportAllocs()
+		a := New(RoundRobin, 160)
+		for i := 0; i < b.N; i++ {
+			a.Pick(req)
+		}
+	})
+	b.Run("tree10x16", func(b *testing.B) {
+		b.ReportAllocs()
+		a := NewTree(RoundRobin, 10, 16)
+		for i := 0; i < b.N; i++ {
+			a.Pick(req)
+		}
+	})
+}
+
 // BenchmarkBankPickWord is the word form of the two benches above: the same
 // 64-wide request set, picked and updated through a bank.
 func BenchmarkBankPickWord(b *testing.B) {

@@ -665,6 +665,29 @@ func benchSwitch(b *testing.B, p, v int, arch alloc.Arch, mode SpecMode) {
 	}
 }
 
+// BenchmarkAblationSpeculationModes measures the switch allocator's cycle
+// cost per speculation scheme.
+func BenchmarkAblationSpeculationModes(b *testing.B) {
+	for _, mode := range []SpecMode{SpecNone, SpecReq, SpecGnt} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			a := NewSwitchAllocator(SwitchAllocConfig{
+				Ports: 10, VCs: 16, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, SpecMode: mode,
+			})
+			reqs := make([]SwitchRequest, 160)
+			rng := xrand.New(5)
+			for i := range reqs {
+				if rng.Bool(0.4) {
+					reqs[i] = SwitchRequest{Active: true, OutPort: rng.Intn(10), Spec: rng.Bool(0.3) && mode != SpecNone}
+				}
+			}
+			for i := 0; i < b.N; i++ {
+				a.Allocate(reqs)
+			}
+		})
+	}
+}
+
 func TestSwitchAllocStats(t *testing.T) {
 	a := NewSwitchAllocator(SwitchAllocConfig{Ports: 4, VCs: 2, Arch: alloc.SepIF,
 		ArbKind: arbiter.RoundRobin, SpecMode: SpecReq})

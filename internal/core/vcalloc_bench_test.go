@@ -7,6 +7,7 @@ import (
 	"repro/internal/arbiter"
 	"repro/internal/core"
 	"repro/internal/quality"
+	"repro/internal/xrand"
 )
 
 // The VC allocator benches run dense Allocate over a pool of request sets
@@ -44,6 +45,41 @@ func benchVC(b *testing.B, p int, spec core.VCSpec, arch alloc.Arch) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				vcGrantSink = a.Allocate(pool[i%len(pool)])
+			}
+		})
+	}
+}
+
+// BenchmarkAblationSparseVCAlloc compares dense and sparse VC allocation
+// throughput at the fbfly 2x2x4 design point (the sparse scheme also wins
+// in software because the per-class engines are smaller).
+func BenchmarkAblationSparseVCAlloc(b *testing.B) {
+	spec := core.NewVCSpec(2, 2, 4)
+	reqs := make([]core.VCRequest, 10*spec.V())
+	rng := xrand.New(3)
+	for i := range reqs {
+		if rng.Bool(0.5) {
+			m, r, _ := spec.Decompose(i % spec.V())
+			lo, hi := spec.SuccessorClasses(r)
+			reqs[i] = core.VCRequest{
+				Active:     true,
+				OutPort:    rng.Intn(10),
+				Candidates: spec.ClassMask(m, lo+rng.Intn(hi-lo)),
+			}
+		}
+	}
+	for _, sparse := range []bool{false, true} {
+		name := "dense"
+		if sparse {
+			name = "sparse"
+		}
+		b.Run(name, func(b *testing.B) {
+			a := core.NewVCAllocator(core.VCAllocConfig{
+				Ports: 10, Spec: spec, Arch: alloc.SepIF, ArbKind: arbiter.RoundRobin, Sparse: sparse,
+			})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.Allocate(reqs)
 			}
 		})
 	}

@@ -237,3 +237,14 @@ func TestQuickTransitionCountClosedForm(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func BenchmarkFig04VCTransitions(b *testing.B) {
+	spec := NewVCSpec(2, 2, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := spec.TransitionMatrix()
+		if m.Count() != 96 {
+			b.Fatalf("legal transitions = %d, want 96", m.Count())
+		}
+	}
+}

@@ -431,3 +431,23 @@ func TestComponentBreakdownSumsToTotal(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkAblationWavefrontImpl compares the synthesis cost of the paper's
+// loop-free replicated wavefront against the full-custom single-array bound
+// (§2.2).
+func BenchmarkAblationWavefrontImpl(b *testing.B) {
+	b.Run("replicated", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if tech.WavefrontGE(40) <= tech.WavefrontCustomGE(40) {
+				b.Fatal("replicated must cost more")
+			}
+		}
+	})
+	b.Run("custom", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = tech.WavefrontCustomDelay(40)
+		}
+	})
+}

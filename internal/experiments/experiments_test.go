@@ -295,3 +295,79 @@ func TestQualityWorkersMatchSerial(t *testing.T) {
 		}
 	}
 }
+
+// One benchmark per table or figure the package computes: the cost tables of
+// Figs. 5/6 and 10/11 and the matching-quality series of Figs. 7 and 12.
+
+func BenchmarkFig05VCAllocAreaDelay(b *testing.B) {
+	tech := costmodel.Default45nm()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rows := VCCost(tech)
+		if len(rows) != 60 {
+			b.Fatal("incomplete cost table")
+		}
+	}
+}
+
+func BenchmarkFig06VCAllocPowerDelay(b *testing.B) {
+	b.ReportAllocs()
+	// Power and area derive from the same synthesis pass; this target keeps
+	// the figure-to-bench mapping one-to-one.
+	tech := costmodel.Default45nm()
+	for i := 0; i < b.N; i++ {
+		for _, r := range VCCost(tech) {
+			if r.Est.Synthesized && r.Est.PowerMW <= 0 {
+				b.Fatal("bad power estimate")
+			}
+		}
+	}
+}
+
+func BenchmarkFig07VCQuality(b *testing.B) {
+	benchQuality(b, VCQuality)
+}
+
+func BenchmarkFig10SwitchAllocAreaDelay(b *testing.B) {
+	tech := costmodel.Default45nm()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rows := SwitchCost(tech)
+		if len(rows) != 90 {
+			b.Fatal("incomplete cost table")
+		}
+	}
+}
+
+func BenchmarkFig11SwitchAllocPowerDelay(b *testing.B) {
+	b.ReportAllocs()
+	tech := costmodel.Default45nm()
+	for i := 0; i < b.N; i++ {
+		for _, r := range SwitchCost(tech) {
+			if r.Est.Synthesized && r.Est.PowerMW <= 0 {
+				b.Fatal("bad power estimate")
+			}
+		}
+	}
+}
+
+func BenchmarkFig12SwitchQuality(b *testing.B) {
+	benchQuality(b, SwitchQuality)
+}
+
+// benchQuality times one figure's three quality series at rate 0.5 on every
+// design point.
+func benchQuality(b *testing.B, fig func(Point, []float64, int, uint64, int) []quality.Series) {
+	for _, pt := range Points() {
+		b.Run(pt.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			rates := []float64{0.5}
+			for i := 0; i < b.N; i++ {
+				series := fig(pt, rates, 50, uint64(i)+1, runtime.NumCPU())
+				if len(series) != 3 {
+					b.Fatal("want 3 series")
+				}
+			}
+		})
+	}
+}

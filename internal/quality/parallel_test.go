@@ -48,7 +48,7 @@ func TestVCSeriesMultiWorkerInvariance(t *testing.T) {
 	}
 	// Sequential single-config runs must agree point for point.
 	for k, cfg := range cfgs {
-		seq := VCSeries(cfg, rates, trials, seed)
+		seq := VCSeriesMulti([]core.VCAllocConfig{cfg}, rates, trials, seed, 1)[0]
 		seriesEqual(t, "vc sequential", []Series{base[k]}, []Series{seq})
 	}
 }
@@ -68,7 +68,7 @@ func TestSwitchSeriesMultiWorkerInvariance(t *testing.T) {
 		seriesEqual(t, "sw workers", base, got)
 	}
 	for k, cfg := range cfgs {
-		seq := SwitchSeries(cfg, rates, trials, seed)
+		seq := SwitchSeriesMulti([]core.SwitchAllocConfig{cfg}, rates, trials, seed, 1)[0]
 		seriesEqual(t, "sw sequential", []Series{base[k]}, []Series{seq})
 	}
 }

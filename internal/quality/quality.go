@@ -113,20 +113,14 @@ func nextActive(rng *xrand.Source, thresh uint64, i, n int) int {
 	return -1
 }
 
-// VCSeries measures the matching quality of the VC allocator configuration
-// over the given rates, using trials request matrices per rate (the paper
-// uses 10000).
-func VCSeries(cfg core.VCAllocConfig, rates []float64, trials int, seed uint64) Series {
-	return VCSeriesMulti([]core.VCAllocConfig{cfg}, rates, trials, seed, 1)[0]
-}
-
 // VCSeriesMulti measures several VC allocator configurations sharing one
-// design point (Ports and Spec) over the given rates, sweeping up to
-// `workers` rate points concurrently. Each rate point is an independent
-// task: the workload re-seeds per rate so every point sees an identical
-// request stream, and every allocator starts from its reset state, so the
-// output is bit-identical to sequential per-config VCSeries calls for any
-// worker count. Within a task the workload and the maximum-size reference
+// design point (Ports and Spec) over the given rates, using trials request
+// sets per rate (the paper uses 10000) and sweeping up to `workers` rate
+// points concurrently. Each rate point is an independent task: the workload
+// re-seeds per rate so every point sees an identical request stream, and
+// every allocator starts from its reset state, so the output is
+// bit-identical to one single-config call per configuration with one worker,
+// for any worker count. Within a task the workload and the maximum-size reference
 // are generated once and shared across all configurations.
 func VCSeriesMulti(cfgs []core.VCAllocConfig, rates []float64, trials int, seed uint64, workers int) []Series {
 	if len(cfgs) == 0 {
@@ -223,18 +217,13 @@ func (w *SwitchWorkload) Next(rate float64) []core.SwitchRequest {
 	return w.reqs
 }
 
-// SwitchSeries measures the matching quality of the switch allocator
-// configuration over the given rates.
-func SwitchSeries(cfg core.SwitchAllocConfig, rates []float64, trials int, seed uint64) Series {
-	return SwitchSeriesMulti([]core.SwitchAllocConfig{cfg}, rates, trials, seed, 1)[0]
-}
-
 // SwitchSeriesMulti is the switch-allocation analogue of VCSeriesMulti:
 // several configurations sharing one (Ports, VCs) point, swept over up to
 // `workers` concurrent rate points, with the workload and the maximum-size
 // reference shared per task. Quality is measured on the base allocator, so
-// SpecMode is forced to SpecNone. Output is bit-identical to sequential
-// per-config SwitchSeries calls for any worker count.
+// SpecMode is forced to SpecNone. Output is bit-identical to one
+// single-config call per configuration with one worker, for any worker
+// count.
 func SwitchSeriesMulti(cfgs []core.SwitchAllocConfig, rates []float64, trials int, seed uint64, workers int) []Series {
 	if len(cfgs) == 0 {
 		return nil

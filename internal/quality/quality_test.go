@@ -100,8 +100,11 @@ func TestFig7SingleVCPerClassQualityOne(t *testing.T) {
 		p    int
 		spec core.VCSpec
 	}{{5, core.NewVCSpec(2, 1, 1)}, {10, core.NewVCSpec(2, 2, 1)}} {
+		var cfgs []core.VCAllocConfig
 		for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
-			s := VCSeries(vcCfg(pt.p, pt.spec, arch), []float64{0.2, 0.6, 1.0}, testTrials, 21)
+			cfgs = append(cfgs, vcCfg(pt.p, pt.spec, arch))
+		}
+		for _, s := range VCSeriesMulti(cfgs, []float64{0.2, 0.6, 1.0}, testTrials, 21, 1) {
 			for _, p := range s.Points {
 				if p.Quality != 1 {
 					t.Errorf("%s %s rate %.1f: quality %.4f, want exactly 1",
@@ -119,7 +122,7 @@ func TestFig7WavefrontQualityOne(t *testing.T) {
 		p    int
 		spec core.VCSpec
 	}{{5, core.NewVCSpec(2, 1, 2)}, {5, core.NewVCSpec(2, 1, 4)}, {10, core.NewVCSpec(2, 2, 2)}} {
-		s := VCSeries(vcCfg(pt.p, pt.spec, alloc.Wavefront), []float64{0.3, 0.7, 1.0}, testTrials, 23)
+		s := VCSeriesMulti([]core.VCAllocConfig{vcCfg(pt.p, pt.spec, alloc.Wavefront)}, []float64{0.3, 0.7, 1.0}, testTrials, 23, 1)[0]
 		for _, p := range s.Points {
 			if p.Quality != 1 {
 				t.Errorf("wf %s rate %.1f: quality %.4f, want 1", pt.spec, p.Rate, p.Quality)
@@ -135,9 +138,9 @@ func TestFig7SeparableDegradesWithLoadAndVCs(t *testing.T) {
 	spec4 := core.NewVCSpec(2, 1, 4)
 	rates := []float64{0.2, 1.0}
 
-	sif2 := VCSeries(vcCfg(5, spec2, alloc.SepIF), rates, testTrials, 29)
-	sif4 := VCSeries(vcCfg(5, spec4, alloc.SepIF), rates, testTrials, 29)
-	sof4 := VCSeries(vcCfg(5, spec4, alloc.SepOF), rates, testTrials, 29)
+	sif2 := VCSeriesMulti([]core.VCAllocConfig{vcCfg(5, spec2, alloc.SepIF)}, rates, testTrials, 29, 1)[0]
+	s4 := VCSeriesMulti([]core.VCAllocConfig{vcCfg(5, spec4, alloc.SepIF), vcCfg(5, spec4, alloc.SepOF)}, rates, testTrials, 29, 1)
+	sif4, sof4 := s4[0], s4[1]
 
 	if !(sif4.Points[1].Quality < sif4.Points[0].Quality) {
 		t.Errorf("sep_if 2x1x4: quality should fall with rate: %v", sif4.Points)
@@ -160,11 +163,12 @@ func TestFig12SwitchQualityShapes(t *testing.T) {
 	// above sep_of, which stays above sep_if (which flattens out).
 	p, v := 10, 8
 	rates := []float64{0.05, 0.5, 1.0}
-	wf := SwitchSeries(swCfg(p, v, alloc.Wavefront), rates, testTrials, 31)
-	sof := SwitchSeries(swCfg(p, v, alloc.SepOF), rates, testTrials, 31)
-	sif := SwitchSeries(swCfg(p, v, alloc.SepIF), rates, testTrials, 31)
+	series := SwitchSeriesMulti([]core.SwitchAllocConfig{
+		swCfg(p, v, alloc.Wavefront), swCfg(p, v, alloc.SepOF), swCfg(p, v, alloc.SepIF),
+	}, rates, testTrials, 31, 1)
+	wf, sof, sif := series[0], series[1], series[2]
 
-	for _, s := range []Series{wf, sof, sif} {
+	for _, s := range series {
 		if s.Points[0].Quality < 0.95 {
 			t.Errorf("%s: low-load quality %.4f should be near 1", s.Name, s.Points[0].Quality)
 		}
@@ -184,7 +188,7 @@ func TestFig12WavefrontDipAndRecover(t *testing.T) {
 	// again as the maximum-size allocator hits its natural limit.
 	p, v := 10, 16
 	rates := []float64{0.05, 0.35, 1.0}
-	wf := SwitchSeries(swCfg(p, v, alloc.Wavefront), rates, 600, 37)
+	wf := SwitchSeriesMulti([]core.SwitchAllocConfig{swCfg(p, v, alloc.Wavefront)}, rates, 600, 37, 1)[0]
 	lo, mid, hi := wf.Points[0].Quality, wf.Points[1].Quality, wf.Points[2].Quality
 	if !(mid < lo) {
 		t.Errorf("wf quality should dip: low %.4f, mid %.4f", lo, mid)
@@ -199,9 +203,8 @@ func TestSeparableInputFirstFlattens(t *testing.T) {
 	// so its quality at saturation is markedly below wavefront for large
 	// request matrices.
 	p, v := 10, 16
-	wf := SwitchSeries(swCfg(p, v, alloc.Wavefront), []float64{1.0}, 600, 41)
-	sif := SwitchSeries(swCfg(p, v, alloc.SepIF), []float64{1.0}, 600, 41)
-	gap := wf.Points[0].Quality - sif.Points[0].Quality
+	s := SwitchSeriesMulti([]core.SwitchAllocConfig{swCfg(p, v, alloc.Wavefront), swCfg(p, v, alloc.SepIF)}, []float64{1.0}, 600, 41, 1)
+	gap := s[0].Points[0].Quality - s[1].Points[0].Quality
 	if gap < 0.02 {
 		t.Errorf("wf-sep_if saturation quality gap %.4f too small", gap)
 	}
@@ -210,7 +213,7 @@ func TestSeparableInputFirstFlattens(t *testing.T) {
 func TestSwitchSeriesForcesNonspec(t *testing.T) {
 	cfg := swCfg(5, 2, alloc.SepIF)
 	cfg.SpecMode = core.SpecGnt
-	s := SwitchSeries(cfg, []float64{0.5}, 50, 1)
+	s := SwitchSeriesMulti([]core.SwitchAllocConfig{cfg}, []float64{0.5}, 50, 1, 1)[0]
 	if !strings.Contains(s.Name, "nonspec") {
 		t.Fatalf("quality must be measured on the base allocator, got %q", s.Name)
 	}
@@ -244,17 +247,18 @@ func TestQualityAtEmptyPanics(t *testing.T) {
 
 func TestQualityNeverExceedsOne(t *testing.T) {
 	// The maximum-size reference bounds every allocator.
+	var vcs []core.VCAllocConfig
+	var sws []core.SwitchAllocConfig
 	for _, arch := range []alloc.Arch{alloc.SepIF, alloc.SepOF, alloc.Wavefront} {
-		s := VCSeries(vcCfg(5, core.NewVCSpec(2, 1, 4), arch), []float64{0.5, 1.0}, 200, 43)
+		vcs = append(vcs, vcCfg(5, core.NewVCSpec(2, 1, 4), arch))
+		sws = append(sws, swCfg(5, 4, arch))
+	}
+	rates := []float64{0.5, 1.0}
+	series := append(VCSeriesMulti(vcs, rates, 200, 43, 1), SwitchSeriesMulti(sws, rates, 200, 43, 1)...)
+	for _, s := range series {
 		for _, p := range s.Points {
 			if p.Quality > 1.0000001 {
 				t.Errorf("%s: quality %.6f exceeds 1", s.Name, p.Quality)
-			}
-		}
-		sw := SwitchSeries(swCfg(5, 4, arch), []float64{0.5, 1.0}, 200, 43)
-		for _, p := range sw.Points {
-			if p.Quality > 1.0000001 {
-				t.Errorf("%s: switch quality %.6f exceeds 1", sw.Name, p.Quality)
 			}
 		}
 	}
@@ -264,6 +268,6 @@ func BenchmarkVCQualityPoint(b *testing.B) {
 	cfg := vcCfg(5, core.NewVCSpec(2, 1, 2), alloc.SepIF)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		VCSeries(cfg, []float64{0.5}, 100, 1)
+		VCSeriesMulti([]core.VCAllocConfig{cfg}, []float64{0.5}, 100, 1, 1)
 	}
 }
