@@ -4,7 +4,7 @@
 // against a maximum-size allocator (§3.1; the paper uses 10000 matrices per
 // point). The maximum is sized straight from each request set, one word per
 // row, without building the matrix (internal/quality/matchsize.go); the
-// tables are those alloc.Maximum gives on the materialised matrices.
+// tables are those alloc.NewMaximum gives on the materialised matrices.
 //
 // Usage:
 //

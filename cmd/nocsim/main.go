@@ -15,7 +15,9 @@
 //	nocsim -exp story -topo fbfly -c 2 -rate 0.3 -packet 50   # one packet's pipeline story
 //
 // A -rate of 0 (the default) means the middle of the design point's sweep,
-// for -record and -exp story, the two runs at one rate.
+// for -record and -exp story, the two runs at one rate. The other
+// experiments sweep the rate (patterns runs at the middle of the sweep), so
+// -rate there is a usage error.
 //
 // An unknown -exp or design point, or any positional argument, is a usage
 // error (exit 2).
@@ -110,6 +112,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return story(stdout, stderr, pt, rate, scale, *pkt)
 	}
 
+	// The curves sweep the offered rate and patterns runs at the middle of
+	// the sweep: a -rate would be silently ignored.
+	rateSet := false
+	fs.Visit(func(f *flag.Flag) { rateSet = rateSet || f.Name == "rate" })
+	if rateSet {
+		return experiments.UsageError(fs, "-exp %s does not read -rate; only -exp story and -record run at one offered rate", *exp)
+	}
 	if workload.Process == "trace" && *exp != "workload" {
 		// A trace is one recorded run: it has no offered rate to sweep and
 		// no unit to vary, and the sweep server cannot carry it.

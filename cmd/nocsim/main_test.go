@@ -106,6 +106,29 @@ func TestTraceOnlyWhereItReplays(t *testing.T) {
 	}
 }
 
+// TestRateOnlyWhereItIsRead: -rate sets the one offered rate of -exp story
+// and -record; the curves sweep the rate and patterns runs at the middle of
+// the sweep, so there it is a usage error, not a full table at rates the
+// flag did not ask for.
+func TestRateOnlyWhereItIsRead(t *testing.T) {
+	const scale = " -warmup 10 -measure 20 -drain 50"
+	for _, exp := range []string{"fig13", "fig14", "vasweep", "patterns", "workload"} {
+		args := "-exp " + exp + " -rate 0.1" + scale
+		var out, errOut bytes.Buffer
+		code := run(strings.Fields(args), &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "does not read -rate") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", args, code, out.String(), errOut.String())
+		}
+	}
+	path := filepath.Join(t.TempDir(), "t.txt")
+	for _, args := range []string{"-exp story -rate 0.1", "-record " + path + " -rate 0.1"} {
+		var out, errOut bytes.Buffer
+		if code := run(strings.Fields(args+scale), &out, &errOut); code != 0 || out.Len() == 0 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want a run", args, code, out.String(), errOut.String())
+		}
+	}
+}
+
 // TestStoryAtDefaultScale: at nocsim's own phase lengths and the mid-sweep
 // rate, the default story still finds a complete packet, and -packet picks
 // a late one; the run is long enough to have evicted both from an unfiltered

@@ -60,8 +60,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	cacheDir := fs.String("cachedir", "", "disk cache directory shared with sweepd (empty = memory-only)")
 	topos := fs.String("topos", "", "comma-separated topologies to search (default mesh,fbfly)")
 	vcs := fs.String("vcs", "", "comma-separated VCs-per-class values (default 1,2,4)")
-	meshRate := fs.Float64("meshrate", 0, "mesh evaluation load (default 0.44)")
-	fbflyRate := fs.Float64("fbflyrate", 0, "fbfly evaluation load (default 0.60)")
+	meshRate := fs.Float64("meshrate", 0, fmt.Sprintf("mesh evaluation load (default %.2f)", dse.Spec{}.Normalized().MeshRate))
+	fbflyRate := fs.Float64("fbflyrate", 0, fmt.Sprintf("fbfly evaluation load (default %.2f)", dse.Spec{}.Normalized().FbflyRate))
 	patterns := fs.String("patterns", "", "comma-separated traffic patterns to search (default uniform)")
 	processes := fs.String("processes", "", "comma-separated arrival processes to search (default bernoulli; trace is batch-only)")
 	burstLen := fs.Float64("burstlen", 0, "mmp mean burst length when the processes axis includes mmp (default 32)")
@@ -91,22 +91,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return experiments.UsageError(fs, "-hotspots: %v", err)
 	}
 	scale := scaleOf()
-	if *curves {
-		// Snap the evaluation loads onto the curve lattice: the search then
-		// simulates its frontier points at canonical lattice rates, so every
-		// curve traced afterwards gets its evaluation point back as a cache
-		// hit instead of a fresh simulation.
-		lat := experiments.RateLattice{Step: *curveStep}
-		mr, fr := *meshRate, *fbflyRate
-		if mr == 0 {
-			mr = 0.44
-		}
-		if fr == 0 {
-			fr = 0.60
-		}
-		*meshRate, *fbflyRate = lat.Snap(mr), lat.Snap(fr)
-	}
-
 	spec := dse.Spec{
 		Topos:     experiments.SplitCSV(*topos),
 		VCs:       vcList,
@@ -122,6 +106,15 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *smoke {
 		spec.VAArbs = []string{"rr"}
 		spec.SAArbs = []string{"rr"}
+	}
+	if *curves {
+		// Snap the evaluation loads onto the curve lattice: the search then
+		// simulates its frontier points at canonical lattice rates, so every
+		// curve traced afterwards gets its evaluation point back as a cache
+		// hit instead of a fresh simulation.
+		lat := experiments.RateLattice{Step: *curveStep}
+		n := spec.Normalized()
+		spec.MeshRate, spec.FbflyRate = lat.Snap(n.MeshRate), lat.Snap(n.FbflyRate)
 	}
 	if err := spec.Validate(); err != nil {
 		return experiments.UsageError(fs, "%v", err)

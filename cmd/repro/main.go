@@ -32,7 +32,6 @@ import (
 	"repro/internal/prof"
 	"repro/internal/quality"
 	"repro/internal/sweep"
-	"repro/internal/traffic"
 )
 
 // sections are the names -only accepts, in the order a full run prints them;
@@ -51,7 +50,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	def := experiments.DefaultScale()
 	def.Workers = 4
 	scaleOf := experiments.ScaleFlags(fs, def)
-	workloadOf := experiments.WorkloadFlags(fs, traffic.Workload{})
 	only := fs.String("only", "", "restrict to one experiment: "+strings.Join(sections, ", "))
 	profiles := prof.Flags(fs)
 	if code, ok := experiments.ParseArgs(fs, args); !ok {
@@ -79,17 +77,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		experiments.Preset(fs, map[string]string{"warmup": "500", "measure": "1000", "drain": "4000"})
 	}
 	scale := scaleOf()
-	workload, err := workloadOf()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	if workload.Process == "trace" {
-		// A trace is one recorded run on one network: it has no offered rate
-		// to sweep, and the figures span both networks.
-		return experiments.UsageError(fs, "cannot replay a trace; the figures sweep the offered rate (use nocsim -exp workload)")
-	}
-	scale.Workload = workload
 
 	want := func(name string) bool { return *only == "" || *only == name }
 	ctx := context.Background()

@@ -46,8 +46,9 @@ func TestSaturationThroughputOrdering(t *testing.T) {
 }
 
 // TestTraceIsUsageError: a trace is one recorded run with no offered rate to
-// sweep, so repro refuses -trace and -process trace before simulating
-// anything, instead of replaying the one run at every rate of every figure.
+// sweep, and repro has no flag to name one: -trace and -process are unknown
+// flags, refused before anything is simulated even when the trace file is
+// valid.
 func TestTraceIsUsageError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.txt")
 	f, err := os.Create(path)
@@ -59,15 +60,34 @@ func TestTraceIsUsageError(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	for _, args := range [][]string{
-		{"-only", "fig13", "-trace", path},
-		{"-only", "saturation", "-process", "trace", "-trace", path},
-		{"-quick", "-trace", path},
+	for _, c := range []struct {
+		args    []string
+		unknown string
+	}{
+		{[]string{"-only", "fig13", "-trace", path}, "-trace"},
+		{[]string{"-only", "saturation", "-process", "trace", "-trace", path}, "-process"},
+		{[]string{"-quick", "-trace", path}, "-trace"},
 	} {
 		var out, errOut bytes.Buffer
-		code := run(args, &out, &errOut)
-		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "repro: cannot replay a trace") {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, no output and a usage error", args, code, out.String(), errOut.String())
+		code := run(c.args, &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "flag provided but not defined: "+c.unknown) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, no output and %s named as unknown", c.args, code, out.String(), errOut.String(), c.unknown)
+		}
+	}
+}
+
+// TestWorkloadFlagsAreUnknown: the figures fix their workload, so none of
+// the injection-workload flags nocsim takes is a repro flag; each is a usage
+// error naming it.
+func TestWorkloadFlagsAreUnknown(t *testing.T) {
+	for _, args := range [][]string{
+		{"-process", "mmp"}, {"-pattern", "hotspot"}, {"-rate", "0.1"}, {"-burstlen", "16"},
+		{"-duty", "0.5"}, {"-hotspots", "0,9"}, {"-hotfrac", "0.2"}, {"-trace", "t.txt"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(append([]string{"-only", "fig4"}, args...), &out, &errOut)
+		if code != 2 || out.Len() != 0 || !strings.Contains(errOut.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2, no output and the flag named", args, code, out.String(), errOut.String())
 		}
 	}
 }

@@ -73,3 +73,97 @@ func anyWithPrefix(names map[string]bool, prefix string) bool {
 	}
 	return false
 }
+
+// TestDocsListEveryPackage holds README.md's Architecture tree and DESIGN.md
+// §2's inventory to the packages and commands on disk: every directory under
+// internal/ and cmd/ must have a line of the tree under its parent and a row
+// of the table, and neither may list one that is gone.
+func TestDocsListEveryPackage(t *testing.T) {
+	onDisk := map[string]bool{}
+	for _, parent := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				onDisk[parent+"/"+e.Name()] = true
+			}
+		}
+	}
+	if len(onDisk) == 0 {
+		t.Fatal("found no directories under internal/ or cmd/")
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := map[string]bool{}
+	_, arch, _ := strings.Cut(string(readme), "\n## Architecture\n")
+	_, block, _ := strings.Cut(arch, "```\n")
+	block, _, _ = strings.Cut(block, "```")
+	parent := ""
+	for _, line := range strings.Split(block, "\n") {
+		name, _, _ := strings.Cut(strings.TrimSpace(line), " ")
+		switch {
+		case !strings.HasSuffix(name, "/"):
+		case !strings.HasPrefix(line, " "):
+			parent = name
+		default:
+			tree[parent+strings.TrimSuffix(name, "/")] = true
+		}
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, inventory, _ := strings.Cut(string(design), "\n## 2. System inventory\n")
+	inventory, _, _ = strings.Cut(inventory, "\n## 3.")
+	table := map[string]bool{}
+	for _, m := range inventoryRow.FindAllStringSubmatch(inventory, -1) {
+		table[m[1]] = true
+	}
+
+	for _, c := range []struct {
+		where  string
+		listed map[string]bool
+	}{{"README.md's Architecture tree", tree}, {"DESIGN.md §2", table}} {
+		for dir := range onDisk {
+			if !c.listed[dir] {
+				t.Errorf("%s does not list %s", c.where, dir)
+			}
+		}
+		for dir := range c.listed {
+			if !onDisk[dir] {
+				t.Errorf("%s lists %s, which is not a directory", c.where, dir)
+			}
+		}
+	}
+}
+
+// inventoryRow matches the module cell of a row of DESIGN.md §2's table.
+var inventoryRow = regexp.MustCompile("(?m)^\\| `((?:internal|cmd)/[a-z0-9]+)` \\|")
+
+// TestReadmeQuickstartIsTheExample holds README.md's first Go block to
+// examples/quickstart/main.go byte for byte, so the program the README shows
+// is the one TestExamplesStdoutPinned builds and runs.
+func TestReadmeQuickstartIsTheExample(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(readme), "```go\n")
+	if !ok {
+		t.Fatal("README.md has no Go block")
+	}
+	block, _, _ = strings.Cut(block, "```\n")
+	example, err := os.ReadFile("examples/quickstart/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if block != string(example) {
+		t.Errorf("README.md's first Go block is not examples/quickstart/main.go; paste the file into it verbatim")
+	}
+}

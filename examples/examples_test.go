@@ -13,7 +13,7 @@ import (
 // so its output changes only when what it computes does.
 var pinned = map[string]string{
 	"meshsim":    "f58cd1ba425dd4500c377d766516c282ecc3e2524151add97fe880f2d4a1090e",
-	"quickstart": "f286c91e4951cfe7233bf1757914fbbc156b96114c0d29cfa379def2c06bea05",
+	"quickstart": "5e63d9fb78b649573201eadea2fd78aee252891e6cd164e59fe37083409519d1",
 	"sparsevc":   "f9dcbb46ec34142645b0cf58f3e8c38aacabf270e994af70f3269343a64378ff",
 	"specswitch": "e72571542af8ec44b37c35fd5ac936f34c3ea396d7822d84f91f8e2b4df73ed3",
 }

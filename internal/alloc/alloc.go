@@ -1,6 +1,9 @@
-// Package alloc implements the generic allocator architectures studied in
-// Becker & Dally (SC '09) §2: separable input-first and output-first
-// allocators, wavefront allocators, and a maximum-size reference allocator.
+// Package alloc names the allocator architectures studied in Becker & Dally
+// (SC '09) §2 (Arch) and implements two of them on request matrices, the
+// separable input-first and the wavefront allocator, beside a maximum-size
+// reference allocator. The VC and switch allocators the simulator runs, all
+// three architectures of them, live in internal/core and work on machine
+// words; they share this package's wavefront sweep, Wave.
 //
 // An allocator computes a matching between requesters (matrix rows) and
 // resources (matrix columns): grants are a subset of requests with at most
@@ -21,8 +24,6 @@ import (
 // Allocator computes matchings between rows (requesters) and columns
 // (resources) of a request matrix.
 type Allocator interface {
-	// Shape returns the (rows, cols) dimensions the allocator was built for.
-	Shape() (rows, cols int)
 	// Allocate computes a matching for req and returns the grant matrix.
 	// The returned matrix is owned by the allocator and remains valid only
 	// until the next Allocate call; callers needing to retain it must Clone.
@@ -43,14 +44,12 @@ type Arch int
 const (
 	// SepIF is a separable input-first allocator (paper Fig. 1a).
 	SepIF Arch = iota
-	// SepOF is a separable output-first allocator (paper Fig. 1b).
+	// SepOF is a separable output-first allocator (paper Fig. 1b). Only
+	// internal/core implements it.
 	SepOF
 	// Wavefront is a wavefront allocator with rotating priority diagonal
 	// (paper Fig. 2).
 	Wavefront
-	// Maximum is a maximum-size (augmenting-path) allocator used as the
-	// matching-quality upper bound (paper §2.3). It provides no fairness.
-	Maximum
 )
 
 // String returns the paper's short name for the architecture.
@@ -62,8 +61,6 @@ func (a Arch) String() string {
 		return "sep_of"
 	case Wavefront:
 		return "wf"
-	case Maximum:
-		return "max"
 	default:
 		return fmt.Sprintf("Arch(%d)", int(a))
 	}
@@ -75,12 +72,14 @@ type Config struct {
 	Arch Arch
 	// Rows and Cols give the matrix dimensions.
 	Rows, Cols int
-	// ArbKind selects the arbiter implementation for separable
-	// architectures (ignored by Wavefront and Maximum).
+	// ArbKind selects the arbiter implementation for SepIF (ignored by
+	// Wavefront).
 	ArbKind arbiter.Kind
 }
 
-// New builds an allocator from the configuration.
+// New builds a SepIF or Wavefront allocator from the configuration. It
+// panics on any other architecture: SepOF has no matrix implementation, and
+// the maximum-size allocator is NewMaximum.
 func New(c Config) Allocator {
 	if c.Rows <= 0 || c.Cols <= 0 {
 		panic("alloc: dimensions must be positive")
@@ -88,14 +87,10 @@ func New(c Config) Allocator {
 	switch c.Arch {
 	case SepIF:
 		return newSepIF(c)
-	case SepOF:
-		return newSepOF(c)
 	case Wavefront:
 		return NewWavefront(c.Rows, c.Cols)
-	case Maximum:
-		return NewMaximum(c.Rows, c.Cols)
 	default:
-		panic(fmt.Sprintf("alloc: unknown arch %d", int(c.Arch)))
+		panic(fmt.Sprintf("alloc: no matrix allocator for arch %v (sep_of runs only in internal/core)", c.Arch))
 	}
 }
 
@@ -130,8 +125,7 @@ func newSepIF(c Config) *sepIF {
 	return a
 }
 
-func (a *sepIF) Shape() (int, int) { return a.rows, a.cols }
-func (a *sepIF) Name() string      { return a.name }
+func (a *sepIF) Name() string { return a.name }
 
 func (a *sepIF) Reset() {
 	a.inArb.Reset()
@@ -158,77 +152,6 @@ func (a *sepIF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 			a.gnt.Set(w, j)
 			a.outArb.Update(j, w)
 			a.inArb.Update(w, j)
-		}
-	}
-	return &a.gnt
-}
-
-// sepOF is a separable output-first allocator: each column first picks one
-// of the rows requesting it, then each row arbitrates among the columns that
-// selected it. Output arbiters update priority only when their pick wins the
-// row-side arbitration; row arbiters' grants are final.
-type sepOF struct {
-	rows, cols int
-	name       string
-	outArb     arbiter.Bank // per col, rows wide (first stage)
-	inArb      arbiter.Bank // per row, cols wide (second stage)
-	colReq     []bitvec.Vec // per col, rows wide: the requesting rows
-	offered    []bitvec.Vec // per row, cols wide: columns offered to row
-	gnt        bitvec.Matrix
-}
-
-func newSepOF(c Config) *sepOF {
-	a := &sepOF{rows: c.Rows, cols: c.Cols, name: "sep_of/" + c.ArbKind.String()}
-	var s arbiter.Slab
-	for pass := 0; pass < 2; pass++ {
-		a.outArb = s.Bank(c.ArbKind, c.Cols, c.Rows)
-		a.inArb = s.Bank(c.ArbKind, c.Rows, c.Cols)
-		a.colReq = s.Vecs(c.Cols, c.Rows)
-		a.offered = s.Vecs(c.Rows, c.Cols)
-		a.gnt = s.Matrix(c.Rows, c.Cols)
-		if pass == 0 {
-			s.Alloc()
-		}
-	}
-	return a
-}
-
-func (a *sepOF) Shape() (int, int) { return a.rows, a.cols }
-func (a *sepOF) Name() string      { return a.name }
-
-func (a *sepOF) Reset() {
-	a.inArb.Reset()
-	a.outArb.Reset()
-}
-
-func (a *sepOF) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
-	checkShape(req, a.rows, a.cols)
-	a.gnt.Reset()
-	// Transpose the requests into per-column vectors.
-	for j := range a.colReq {
-		a.colReq[j].Reset()
-	}
-	for i := 0; i < a.rows; i++ {
-		a.offered[i].Reset()
-		row := req.Row(i)
-		for j := row.NextSet(0); j >= 0; j = row.NextSet(j + 1) {
-			a.colReq[j].Set(i)
-		}
-	}
-	// Output stage: each column picks one of the rows requesting it.
-	for j := range a.colReq {
-		if w := a.outArb.Pick(j, &a.colReq[j]); w >= 0 {
-			a.offered[w].Set(j)
-		}
-	}
-	// Input stage: each row picks among the columns offered to it. The row
-	// grant is final: update the row arbiter, and the column arbiter whose
-	// offer was taken.
-	for i := range a.offered {
-		if c := a.inArb.Pick(i, &a.offered[i]); c >= 0 {
-			a.gnt.Set(i, c)
-			a.inArb.Update(i, c)
-			a.outArb.Update(c, i)
 		}
 	}
 	return &a.gnt
@@ -389,9 +312,8 @@ func NewWavefront(rows, cols int) Allocator {
 	return a
 }
 
-func (a *wavefront) Shape() (int, int) { return a.rows, a.cols }
-func (a *wavefront) Name() string      { return "wf" }
-func (a *wavefront) Reset()            { a.wave.Reset() }
+func (a *wavefront) Name() string { return "wf" }
+func (a *wavefront) Reset()       { a.wave.Reset() }
 
 func (a *wavefront) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	checkShape(req, a.rows, a.cols)
@@ -436,9 +358,8 @@ func NewMaximum(rows, cols int) Allocator {
 	}
 }
 
-func (a *maximum) Shape() (int, int) { return a.rows, a.cols }
-func (a *maximum) Name() string      { return "max" }
-func (a *maximum) Reset()            {}
+func (a *maximum) Name() string { return "max" }
+func (a *maximum) Reset()       {}
 
 func (a *maximum) Allocate(req *bitvec.Matrix) *bitvec.Matrix {
 	checkShape(req, a.rows, a.cols)

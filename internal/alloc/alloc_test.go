@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/arbiter"
@@ -8,14 +10,14 @@ import (
 	"repro/internal/xrand"
 )
 
-func allConfigs(rows, cols int) []Config {
-	return []Config{
-		{Arch: SepIF, Rows: rows, Cols: cols, ArbKind: arbiter.RoundRobin},
-		{Arch: SepIF, Rows: rows, Cols: cols, ArbKind: arbiter.Matrix},
-		{Arch: SepOF, Rows: rows, Cols: cols, ArbKind: arbiter.RoundRobin},
-		{Arch: SepOF, Rows: rows, Cols: cols, ArbKind: arbiter.Matrix},
-		{Arch: Wavefront, Rows: rows, Cols: cols},
-		{Arch: Maximum, Rows: rows, Cols: cols},
+// allAllocators returns one rows×cols allocator of every kind the package
+// builds, the two separable ones first.
+func allAllocators(rows, cols int) []Allocator {
+	return []Allocator{
+		New(Config{Arch: SepIF, Rows: rows, Cols: cols, ArbKind: arbiter.RoundRobin}),
+		New(Config{Arch: SepIF, Rows: rows, Cols: cols, ArbKind: arbiter.Matrix}),
+		New(Config{Arch: Wavefront, Rows: rows, Cols: cols}),
+		NewMaximum(rows, cols),
 	}
 }
 
@@ -32,7 +34,7 @@ func randomMatrix(rng *xrand.Source, rows, cols int, p float64) *bitvec.Matrix {
 }
 
 func TestArchString(t *testing.T) {
-	cases := map[Arch]string{SepIF: "sep_if", SepOF: "sep_of", Wavefront: "wf", Maximum: "max"}
+	cases := map[Arch]string{SepIF: "sep_if", SepOF: "sep_of", Wavefront: "wf"}
 	for a, want := range cases {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), want)
@@ -44,12 +46,8 @@ func TestArchString(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	want := map[string]bool{
-		"sep_if/rr": true, "sep_if/m": true, "sep_of/rr": true,
-		"sep_of/m": true, "wf": true, "max": true,
-	}
-	for _, c := range allConfigs(4, 4) {
-		a := New(c)
+	want := map[string]bool{"sep_if/rr": true, "sep_if/m": true, "wf": true, "max": true}
+	for _, a := range allAllocators(4, 4) {
 		if !want[a.Name()] {
 			t.Errorf("unexpected allocator name %q", a.Name())
 		}
@@ -57,17 +55,24 @@ func TestNames(t *testing.T) {
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	for _, c := range []Config{
-		{Arch: SepIF, Rows: 0, Cols: 4},
-		{Arch: Arch(9), Rows: 4, Cols: 4},
+	for _, c := range []struct {
+		cfg  Config
+		says string
+	}{
+		{Config{Arch: SepIF, Rows: 0, Cols: 4}, "dimensions"},
+		{Config{Arch: Arch(9), Rows: 4, Cols: 4}, "arch Arch(9)"},
+		// sep_of runs only on words, in internal/core.
+		{Config{Arch: SepOF, Rows: 4, Cols: 4}, "arch sep_of"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v: expected panic", c)
+				if r := recover(); r == nil {
+					t.Errorf("config %+v: expected panic", c.cfg)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, c.says) {
+					t.Errorf("config %+v: panic %q does not say %q", c.cfg, msg, c.says)
 				}
 			}()
-			New(c)
+			New(c.cfg)
 		}()
 	}
 }
@@ -83,8 +88,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 }
 
 func TestEmptyRequestsEmptyGrants(t *testing.T) {
-	for _, c := range allConfigs(5, 5) {
-		a := New(c)
+	for _, a := range allAllocators(5, 5) {
 		g := a.Allocate(bitvec.NewMatrix(5, 5))
 		if g.Any() {
 			t.Errorf("%s: grants for empty request matrix", a.Name())
@@ -96,8 +100,7 @@ func TestIdentityRequestsFullyGranted(t *testing.T) {
 	// Non-conflicting requests must all be granted by every architecture
 	// (paper §4.3.2: "all three allocator types are guaranteed to grant
 	// non-conflicting requests").
-	for _, c := range allConfigs(6, 6) {
-		a := New(c)
+	for _, a := range allAllocators(6, 6) {
 		req := bitvec.NewMatrix(6, 6)
 		for i := 0; i < 6; i++ {
 			req.Set(i, (i+2)%6)
@@ -111,8 +114,7 @@ func TestIdentityRequestsFullyGranted(t *testing.T) {
 
 func TestSingleConflictOneGrant(t *testing.T) {
 	// All rows request the same single column: exactly one grant.
-	for _, c := range allConfigs(5, 5) {
-		a := New(c)
+	for _, a := range allAllocators(5, 5) {
 		req := bitvec.NewMatrix(5, 5)
 		for i := 0; i < 5; i++ {
 			req.Set(i, 2)
@@ -129,8 +131,7 @@ func TestSingleConflictOneGrant(t *testing.T) {
 
 func TestValidityRandom(t *testing.T) {
 	rng := xrand.New(101)
-	for _, c := range allConfigs(8, 8) {
-		a := New(c)
+	for _, a := range allAllocators(8, 8) {
 		for trial := 0; trial < 300; trial++ {
 			req := randomMatrix(rng, 8, 8, 0.3)
 			g := a.Allocate(req)
@@ -144,8 +145,7 @@ func TestValidityRandom(t *testing.T) {
 func TestValidityRectangular(t *testing.T) {
 	rng := xrand.New(103)
 	for _, dims := range [][2]int{{3, 7}, {7, 3}, {1, 5}, {5, 1}} {
-		for _, c := range allConfigs(dims[0], dims[1]) {
-			a := New(c)
+		for _, a := range allAllocators(dims[0], dims[1]) {
 			for trial := 0; trial < 100; trial++ {
 				req := randomMatrix(rng, dims[0], dims[1], 0.4)
 				g := a.Allocate(req)
@@ -280,7 +280,7 @@ func TestMaximumDominatesAll(t *testing.T) {
 	max := NewMaximum(8, 8)
 	others := []Allocator{
 		New(Config{Arch: SepIF, Rows: 8, Cols: 8, ArbKind: arbiter.RoundRobin}),
-		New(Config{Arch: SepOF, Rows: 8, Cols: 8, ArbKind: arbiter.Matrix}),
+		New(Config{Arch: SepIF, Rows: 8, Cols: 8, ArbKind: arbiter.Matrix}),
 		New(Config{Arch: Wavefront, Rows: 8, Cols: 8}),
 	}
 	for trial := 0; trial < 300; trial++ {
@@ -321,8 +321,7 @@ func TestWavefrontDiagonalFairness(t *testing.T) {
 
 func TestSeparableFairnessUnderContention(t *testing.T) {
 	// Two rows permanently contending for one column must alternate.
-	for _, c := range allConfigs(2, 1)[:4] {
-		a := New(c)
+	for _, a := range allAllocators(2, 1)[:2] {
 		req := bitvec.NewMatrix(2, 1)
 		req.Set(0, 0)
 		req.Set(1, 0)
@@ -393,8 +392,7 @@ func TestGrantMatrixReused(t *testing.T) {
 }
 
 func TestResetAllocators(t *testing.T) {
-	for _, c := range allConfigs(4, 4) {
-		a := New(c)
+	for _, a := range allAllocators(4, 4) {
 		req := bitvec.NewMatrix(4, 4)
 		for i := 0; i < 4; i++ {
 			for j := 0; j < 4; j++ {
@@ -466,15 +464,10 @@ func TestMatchSize(t *testing.T) {
 }
 
 func BenchmarkSepIFRR16x16(b *testing.B) {
-	benchAlloc(b, Config{Arch: SepIF, Rows: 16, Cols: 16, ArbKind: arbiter.RoundRobin})
+	benchAlloc(b, New(Config{Arch: SepIF, Rows: 16, Cols: 16, ArbKind: arbiter.RoundRobin}))
 }
-func BenchmarkSepOFRR16x16(b *testing.B) {
-	benchAlloc(b, Config{Arch: SepOF, Rows: 16, Cols: 16, ArbKind: arbiter.RoundRobin})
-}
-func BenchmarkWavefront16x16(b *testing.B) {
-	benchAlloc(b, Config{Arch: Wavefront, Rows: 16, Cols: 16})
-}
-func BenchmarkMaximum16x16(b *testing.B) { benchAlloc(b, Config{Arch: Maximum, Rows: 16, Cols: 16}) }
+func BenchmarkWavefront16x16(b *testing.B) { benchAlloc(b, NewWavefront(16, 16)) }
+func BenchmarkMaximum16x16(b *testing.B)   { benchAlloc(b, NewMaximum(16, 16)) }
 
 // BenchmarkAblationPriorityUpdate measures separable allocation with the
 // paper's conditional (iSLIP-style) priority updates; the rule's effect on
@@ -488,10 +481,10 @@ func BenchmarkAblationPriorityUpdate(b *testing.B) {
 	}
 }
 
-func benchAlloc(b *testing.B, c Config) {
-	a := New(c)
+// benchAlloc times a on one random 16×16 request matrix of density 0.3.
+func benchAlloc(b *testing.B, a Allocator) {
 	rng := xrand.New(1)
-	req := randomMatrix(rng, c.Rows, c.Cols, 0.3)
+	req := randomMatrix(rng, 16, 16, 0.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Allocate(req)

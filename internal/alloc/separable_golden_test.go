@@ -11,11 +11,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// separableGolden pins, by SHA-256, the grants of the two separable
-// allocators over separableCycles random request matrices per case, with a
-// Reset halfway through. Cycle k draws its requests at density
-// separableDensities[k%4], so every case sees sparse, medium, dense and full
-// matrices against the arbiters' priority state.
+// separableGolden pins, by SHA-256, the grants of the separable input-first
+// allocator, with either arbiter kind, over separableCycles random request
+// matrices per case, with a Reset halfway through. Cycle k draws its requests
+// at density separableDensities[k%4], so every case sees sparse, medium,
+// dense and full matrices against the arbiters' priority state.
 var separableGolden = []struct {
 	arch       Arch
 	arb        arbiter.Kind
@@ -30,14 +30,6 @@ var separableGolden = []struct {
 	{SepIF, arbiter.Matrix, 5, 7, "62a99b7e628893a9c403503abbebab8995b142af1e42a81c3fe2561803904668"},
 	{SepIF, arbiter.Matrix, 16, 3, "1c2c804e664ebbd44692a13850732d9abfd1fe95c3653ea9ec242e15233afa5d"},
 	{SepIF, arbiter.Matrix, 70, 65, "01f8459d0a1bc74262964c8f7223794e8510cb745570219b8ffd00668a26fd1a"},
-	{SepOF, arbiter.RoundRobin, 2, 2, "4610d49c95c35c78201457bd578874246474c50291e11097e947f4cfcf77ac6e"},
-	{SepOF, arbiter.RoundRobin, 5, 7, "691f3758dc49157df18a32400444320e626af01fe7b96be84a7306bbadca5cdb"},
-	{SepOF, arbiter.RoundRobin, 16, 3, "e855a477706f30282344d8e45028b9395011e649699f55a229ac8f80bfbc153f"},
-	{SepOF, arbiter.RoundRobin, 70, 65, "190a54de0d73ca8445bd317cf8f7f8cda6fefbb2265b5ee7cd74ff178f2e834b"},
-	{SepOF, arbiter.Matrix, 2, 2, "4610d49c95c35c78201457bd578874246474c50291e11097e947f4cfcf77ac6e"},
-	{SepOF, arbiter.Matrix, 5, 7, "85e79d0c3afe5fe2a4b56d53b778cf5cb1286e27b5fffed0dd2207f4a924bada"},
-	{SepOF, arbiter.Matrix, 16, 3, "e409783a0a65179a47138868133decb08dff9372819e6a6f316185b0d8e70ca1"},
-	{SepOF, arbiter.Matrix, 70, 65, "3270dcbf00c87485d54ad6ec8d66d4a188ed94f8fb6b644eca229bc3abf79575"},
 }
 
 const separableCycles = 2000

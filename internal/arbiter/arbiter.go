@@ -3,12 +3,14 @@
 // arbiters, matrix arbiters, and the tree arbiters used to decompose the
 // large P×V-input output-stage arbiters of VC allocators.
 //
-// All arbiters follow the two-phase protocol required for separable
-// allocation with iSLIP-style fairness [McKeown '99]: Pick computes the
-// combinational winner for a request vector without touching arbiter state,
-// and Update advances the priority state only when the caller confirms that
-// the pick was successful end-to-end. Updating unconditionally would allow
-// traffic-pattern-dependent starvation (see §2.1 of the paper).
+// Arbiters are held in banks (Bank, TreeBank), addressed by index; a single
+// arbiter is a bank of one. All of them follow the two-phase protocol
+// required for separable allocation with iSLIP-style fairness [McKeown '99]:
+// Pick computes the combinational winner for a request vector without
+// touching arbiter state, and Update advances the priority state only when
+// the caller confirms that the pick was successful end-to-end. Updating
+// unconditionally would allow traffic-pattern-dependent starvation (see §2.1
+// of the paper).
 package arbiter
 
 import (
@@ -18,22 +20,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/slab"
 )
-
-// Arbiter selects a single winner among a set of requesters.
-type Arbiter interface {
-	// Size returns the number of request inputs.
-	Size() int
-	// Pick returns the index of the winning request in req, or -1 if req is
-	// empty. Pick is purely combinational: it must not modify arbiter state
-	// and must return the same winner for the same request vector until
-	// Update is called.
-	Pick(req *bitvec.Vec) int
-	// Update advances the priority state to reflect a successful grant to
-	// winner. Callers invoke it only when the grant was accepted end-to-end.
-	Update(winner int)
-	// Reset restores the initial priority state.
-	Reset()
-}
 
 // Kind names an arbiter implementation; it selects both functional behavior
 // and the cost-model netlist.
@@ -60,97 +46,31 @@ func (k Kind) String() string {
 	}
 }
 
-// New constructs an arbiter of the given kind with n inputs.
-func New(k Kind, n int) Arbiter {
-	switch k {
-	case RoundRobin:
-		return NewRoundRobin(n)
-	case Matrix:
-		return NewMatrix(n)
-	default:
-		panic(fmt.Sprintf("arbiter: unknown kind %d", int(k)))
-	}
-}
-
-// RoundRobinArbiter grants the first request at or after a rotating priority
-// pointer. After a successful grant to input i, the pointer moves to i+1, so
-// the just-served input becomes lowest priority. It is a round-robin Bank of
-// one, which is where the arbitration itself is written.
-type RoundRobinArbiter struct {
-	n   int32
-	ptr [1]int32
-}
-
-// NewRoundRobin returns an n-input round-robin arbiter with priority
-// initially at input 0.
-func NewRoundRobin(n int) *RoundRobinArbiter {
-	checkSize(n)
-	return &RoundRobinArbiter{n: int32(n)}
-}
-
-func checkSize(n int) {
-	if n <= 0 {
-		panic("arbiter: size must be positive")
-	}
-}
-
-func (a *RoundRobinArbiter) bank() Bank { return Bank{rrN: a.n, rr: a.ptr[:]} }
-
-// Size implements Arbiter.
-func (a *RoundRobinArbiter) Size() int { return int(a.n) }
-
-// Pick implements Arbiter.
-func (a *RoundRobinArbiter) Pick(req *bitvec.Vec) int {
-	b := a.bank()
-	return b.Pick(0, req)
-}
-
-// Update implements Arbiter.
-func (a *RoundRobinArbiter) Update(winner int) {
-	b := a.bank()
-	b.Update(0, winner)
-}
-
-// Reset implements Arbiter.
-func (a *RoundRobinArbiter) Reset() { a.ptr[0] = 0 }
-
-// MatrixArbiter implements Tamir & Chi's matrix arbiter: the priority state
-// says, for every ordered pair, whether input i beats input j. The winner is
-// the requesting input that beats every other requesting input; on Update the
-// winner's rows/columns are flipped so it becomes lowest priority against
-// everyone (least-recently-served).
+// matrix is Tamir & Chi's matrix arbiter: the priority state says, for every
+// ordered pair, whether input i beats input j. The winner is the requesting
+// input that beats every other requesting input; on update the winner's
+// rows/columns are flipped so it becomes lowest priority against everyone
+// (least-recently-served).
 //
 // The state is held as one bit vector per input (beats[i] = the set of
 // inputs i currently beats), so the winner test "does i beat every other
 // requester" is a word-parallel req &^ beats[i] instead of a per-bit scan.
-type MatrixArbiter struct {
+type matrix struct {
 	n     int
 	beats []bitvec.Vec // beats[i].Get(j): i beats j; only i != j meaningful
 	loses *bitvec.Vec  // scratch: requesters i does not beat
 }
 
-// NewMatrix returns an n-input matrix arbiter with initial priority order
-// 0 > 1 > ... > n-1.
-func NewMatrix(n int) *MatrixArbiter {
-	checkSize(n)
-	a := &MatrixArbiter{}
-	a.init(bitvec.NewSlab(n+1, n))
-	return a
-}
-
 // init builds an n-input arbiter on n+1 n-bit vectors: one beats row per
 // input and the scratch vector.
-func (a *MatrixArbiter) init(vs []bitvec.Vec) {
+func (a *matrix) init(vs []bitvec.Vec) {
 	n := len(vs) - 1
-	*a = MatrixArbiter{n: n, beats: vs[:n], loses: &vs[n]}
-	a.Reset()
+	*a = matrix{n: n, beats: vs[:n], loses: &vs[n]}
+	a.reset()
 }
 
-// Size implements Arbiter.
-func (a *MatrixArbiter) Size() int { return a.n }
-
-// Pick implements Arbiter.
-func (a *MatrixArbiter) Pick(req *bitvec.Vec) int {
+// pick is Bank.Pick on this arbiter.
+func (a *matrix) pick(req *bitvec.Vec) int {
 	if req.Len() != a.n {
 		panic(fmt.Sprintf("arbiter: request width %d, arbiter width %d", req.Len(), a.n))
 	}
@@ -167,9 +87,9 @@ func (a *MatrixArbiter) Pick(req *bitvec.Vec) int {
 	return -1
 }
 
-// pickWord is Pick for an arbiter at most 64 wide whose request vector is
+// pickWord is pick for an arbiter at most 64 wide whose request vector is
 // held in one word.
-func (a *MatrixArbiter) pickWord(req uint64) int {
+func (a *matrix) pickWord(req uint64) int {
 	checkWord(a.n, req)
 	for w := req; w != 0; w &= w - 1 {
 		c := bits.TrailingZeros64(w)
@@ -188,8 +108,8 @@ func checkWord(n int, req uint64) {
 	}
 }
 
-// Update implements Arbiter.
-func (a *MatrixArbiter) Update(winner int) {
+// update is Bank.Update on this arbiter.
+func (a *matrix) update(winner int) {
 	if winner < 0 || winner >= a.n {
 		panic(fmt.Sprintf("arbiter: winner %d out of range [0,%d)", winner, a.n))
 	}
@@ -202,8 +122,8 @@ func (a *MatrixArbiter) Update(winner int) {
 	}
 }
 
-// Reset implements Arbiter.
-func (a *MatrixArbiter) Reset() {
+// reset restores the initial priority order 0 > 1 > ... > n-1.
+func (a *matrix) reset() {
 	for i := range a.beats {
 		b := &a.beats[i]
 		b.Reset()
@@ -216,22 +136,25 @@ func (a *MatrixArbiter) Reset() {
 // Bank is a set of arbiters of one kind and one width held as bare state in
 // one contiguous slice, addressed by index: a round-robin arbiter is its
 // 4-byte pointer (the width is the bank's), a matrix arbiter its value. It is
-// what the allocators hold instead of a slice of Arbiter interfaces: no
-// per-arbiter heap object, no interface word pair per entry, and neighbours
-// in index order are neighbours in memory. The zero Bank is empty.
+// the only way to hold an arbiter: no per-arbiter heap object, no interface
+// word pair per entry, and neighbours in index order are neighbours in
+// memory. A single arbiter is a bank of one. The zero Bank is empty.
 //
-// Like a single arbiter, a bank is not safe for concurrent use, and its
-// arbiters may share scratch storage: one owner steps all of them.
+// A bank is not safe for concurrent use, and its arbiters may share scratch
+// storage: one owner steps all of them.
 type Bank struct {
 	rrN int32   // width of the round-robin arbiters
 	rr  []int32 // their priority pointers
-	mx  []MatrixArbiter
+	mx  []matrix
 }
 
-// Pick is Arbiter.Pick on arbiter i.
+// Pick returns the index of the winning request of arbiter i in req, or -1
+// if req is empty. It panics unless req is as wide as the arbiter. Pick is
+// purely combinational: it does not modify priority state and returns the
+// same winner for the same request vector until Update is called.
 func (b *Bank) Pick(i int, req *bitvec.Vec) int {
 	if b.mx != nil {
-		return b.mx[i].Pick(req)
+		return b.mx[i].pick(req)
 	}
 	if req.Len() != int(b.rrN) {
 		panic(fmt.Sprintf("arbiter: request width %d, arbiter width %d", req.Len(), b.rrN))
@@ -257,10 +180,12 @@ func (b *Bank) PickWord(i int, req uint64) int {
 	return bits.TrailingZeros64(req)
 }
 
-// Update is Arbiter.Update on arbiter i.
+// Update advances the priority state of arbiter i to reflect a successful
+// grant to winner; callers invoke it only when the grant was accepted
+// end-to-end. It panics if winner is out of range.
 func (b *Bank) Update(i, winner int) {
 	if b.mx != nil {
-		b.mx[i].Update(winner)
+		b.mx[i].update(winner)
 		return
 	}
 	if winner < 0 || winner >= int(b.rrN) {
@@ -281,7 +206,7 @@ func (b *Bank) Reset() {
 		b.rr[i] = 0
 	}
 	for i := range b.mx {
-		b.mx[i].Reset()
+		b.mx[i].reset()
 	}
 }
 
@@ -307,7 +232,7 @@ type TreeBank struct {
 	rootReq *bitvec.Vec // scratch, groups wide
 }
 
-// Pick is Arbiter.Pick on tree i. The winner is the leaf winner of the
+// Pick is Bank.Pick on tree i. The winner is the leaf winner of the
 // root-winning group, matching the RTL structure where the root arbiter
 // selects among per-group any-request signals.
 func (t *TreeBank) Pick(i int, req *bitvec.Vec) int {
@@ -358,7 +283,7 @@ func (t *TreeBank) PickWords(i int, any uint64, leaves []uint64) int {
 	return g*t.groupSize + w
 }
 
-// Update is Arbiter.Update on tree i, advancing both the root and the
+// Update is Bank.Update on tree i, advancing both the root and the
 // winning leaf.
 func (t *TreeBank) Update(i, winner int) {
 	if winner < 0 || winner >= t.size {
@@ -379,29 +304,6 @@ func (t *TreeBank) Reset() {
 	t.leaves.Reset()
 }
 
-// TreeArbiter is a single tree arbiter: a TreeBank of one.
-type TreeArbiter struct {
-	bank TreeBank
-}
-
-// NewTree returns a tree arbiter over groups*groupSize inputs with the leaf
-// and root arbiters built from the given kind.
-func NewTree(k Kind, groups, groupSize int) *TreeArbiter {
-	return &TreeArbiter{bank: NewTreeBank(k, 1, groups, groupSize)}
-}
-
-// Size implements Arbiter.
-func (t *TreeArbiter) Size() int { return t.bank.size }
-
-// Pick implements Arbiter.
-func (t *TreeArbiter) Pick(req *bitvec.Vec) int { return t.bank.Pick(0, req) }
-
-// Update implements Arbiter.
-func (t *TreeArbiter) Update(winner int) { t.bank.Update(0, winner) }
-
-// Reset implements Arbiter.
-func (t *TreeArbiter) Reset() { t.bank.Reset() }
-
 // Slab lays out any number of banks, plus whatever bit vectors their owner
 // needs (the embedded bitvec.Slab), in a handful of allocations: one state
 // slice per arbiter kind in use and the vector slab's two blocks. It is a
@@ -411,13 +313,15 @@ func (t *TreeArbiter) Reset() { t.bank.Reset() }
 type Slab struct {
 	bitvec.Slab
 	rr slab.Of[int32]
-	mx slab.Of[MatrixArbiter]
+	mx slab.Of[matrix]
 }
 
 // Bank returns count n-input arbiters of kind k (empty on the measuring
 // pass).
 func (s *Slab) Bank(k Kind, count, n int) Bank {
-	checkSize(n)
+	if n <= 0 {
+		panic("arbiter: size must be positive")
+	}
 	switch k {
 	case RoundRobin:
 		return Bank{rrN: int32(n), rr: s.rr.Take(count)}

@@ -10,6 +10,19 @@ import (
 
 func allKinds() []Kind { return []Kind{RoundRobin, Matrix} }
 
+// one returns a bank of one n-input arbiter of kind k: a single arbiter,
+// addressed as index 0.
+func one(k Kind, n int) *Bank {
+	b := NewBank(k, 1, n)
+	return &b
+}
+
+// oneTree returns a bank of one tree arbiter over groups*groupSize inputs.
+func oneTree(k Kind, groups, groupSize int) *TreeBank {
+	t := NewTreeBank(k, 1, groups, groupSize)
+	return &t
+}
+
 func vec(bits ...int) *bitvec.Vec {
 	max := 0
 	for _, b := range bits {
@@ -47,13 +60,13 @@ func TestNewUnknownKindPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(Kind(99), 4)
+	NewBank(Kind(99), 1, 4)
 }
 
 func TestPickEmptyReturnsMinusOne(t *testing.T) {
 	for _, k := range allKinds() {
-		a := New(k, 8)
-		if got := a.Pick(bitvec.New(8)); got != -1 {
+		a := one(k, 8)
+		if got := a.Pick(0, bitvec.New(8)); got != -1 {
 			t.Errorf("%v: Pick(empty) = %d, want -1", k, got)
 		}
 	}
@@ -61,9 +74,9 @@ func TestPickEmptyReturnsMinusOne(t *testing.T) {
 
 func TestPickSingleRequest(t *testing.T) {
 	for _, k := range allKinds() {
-		a := New(k, 8)
+		a := one(k, 8)
 		for i := 0; i < 8; i++ {
-			if got := a.Pick(vecN(8, i)); got != i {
+			if got := a.Pick(0, vecN(8, i)); got != i {
 				t.Errorf("%v: sole requester %d not granted (got %d)", k, i, got)
 			}
 		}
@@ -72,10 +85,10 @@ func TestPickSingleRequest(t *testing.T) {
 
 func TestPickIsStatelessUntilUpdate(t *testing.T) {
 	for _, k := range allKinds() {
-		a := New(k, 8)
+		a := one(k, 8)
 		r := vecN(8, 2, 5, 7)
-		w1 := a.Pick(r)
-		w2 := a.Pick(r)
+		w1 := a.Pick(0, r)
+		w2 := a.Pick(0, r)
 		if w1 != w2 {
 			t.Errorf("%v: Pick changed winner without Update: %d then %d", k, w1, w2)
 		}
@@ -83,51 +96,51 @@ func TestPickIsStatelessUntilUpdate(t *testing.T) {
 }
 
 func TestRoundRobinRotation(t *testing.T) {
-	a := NewRoundRobin(4)
+	a := one(RoundRobin, 4)
 	all := vecN(4, 0, 1, 2, 3)
 	want := []int{0, 1, 2, 3, 0, 1}
 	for i, w := range want {
-		got := a.Pick(all)
+		got := a.Pick(0, all)
 		if got != w {
 			t.Fatalf("step %d: got %d, want %d", i, got, w)
 		}
-		a.Update(got)
+		a.Update(0, got)
 	}
 }
 
 func TestRoundRobinSkipsNonRequesting(t *testing.T) {
-	a := NewRoundRobin(4)
-	a.Update(0) // priority now at 1
-	if got := a.Pick(vecN(4, 0, 3)); got != 3 {
+	a := one(RoundRobin, 4)
+	a.Update(0, 0) // priority now at 1
+	if got := a.Pick(0, vecN(4, 0, 3)); got != 3 {
 		t.Fatalf("got %d, want 3 (first requester at/after pointer)", got)
 	}
 }
 
 func TestMatrixLeastRecentlyServed(t *testing.T) {
-	a := NewMatrix(3)
+	a := one(Matrix, 3)
 	all := vecN(3, 0, 1, 2)
 	// initial order 0>1>2
-	if w := a.Pick(all); w != 0 {
+	if w := a.Pick(0, all); w != 0 {
 		t.Fatalf("want 0 first, got %d", w)
 	}
-	a.Update(0)
-	if w := a.Pick(all); w != 1 {
+	a.Update(0, 0)
+	if w := a.Pick(0, all); w != 1 {
 		t.Fatalf("want 1 second, got %d", w)
 	}
-	a.Update(1)
-	if w := a.Pick(all); w != 2 {
+	a.Update(0, 1)
+	if w := a.Pick(0, all); w != 2 {
 		t.Fatalf("want 2 third, got %d", w)
 	}
-	a.Update(2)
-	if w := a.Pick(all); w != 0 {
+	a.Update(0, 2)
+	if w := a.Pick(0, all); w != 0 {
 		t.Fatalf("want 0 again, got %d", w)
 	}
 	// LRS beyond simple rotation: serve 0, then 0 and 2 request; 2 was
 	// served longer ago than... both 1 and 2 unserved; after Update(0),
 	// order is 1>2>0; request {0,2} should pick 2.
 	a.Reset()
-	a.Update(0)
-	if w := a.Pick(vecN(3, 0, 2)); w != 2 {
+	a.Update(0, 0)
+	if w := a.Pick(0, vecN(3, 0, 2)); w != 2 {
 		t.Fatalf("LRS pick: got %d, want 2", w)
 	}
 }
@@ -136,11 +149,11 @@ func TestConditionalUpdatePreservesWinner(t *testing.T) {
 	// Without Update, the same input keeps winning — this is the hook the
 	// separable allocators rely on for iSLIP-style fairness.
 	for _, k := range allKinds() {
-		a := New(k, 5)
+		a := one(k, 5)
 		r := vecN(5, 1, 3)
-		w := a.Pick(r)
+		w := a.Pick(0, r)
 		for i := 0; i < 5; i++ {
-			if a.Pick(r) != w {
+			if a.Pick(0, r) != w {
 				t.Errorf("%v: winner drifted without Update", k)
 			}
 		}
@@ -155,7 +168,7 @@ func TestUpdateOutOfRangePanics(t *testing.T) {
 					t.Errorf("%v: expected panic", k)
 				}
 			}()
-			New(k, 4).Update(4)
+			one(k, 4).Update(0, 4)
 		}()
 	}
 }
@@ -168,20 +181,20 @@ func TestWidthMismatchPanics(t *testing.T) {
 					t.Errorf("%v: expected panic", k)
 				}
 			}()
-			New(k, 4).Pick(bitvec.New(5))
+			one(k, 4).Pick(0, bitvec.New(5))
 		}()
 	}
 }
 
 func TestResetRestoresInitialOrder(t *testing.T) {
 	for _, k := range allKinds() {
-		a := New(k, 4)
+		a := one(k, 4)
 		all := vecN(4, 0, 1, 2, 3)
-		first := a.Pick(all)
-		a.Update(first)
-		a.Update(a.Pick(all))
+		first := a.Pick(0, all)
+		a.Update(0, first)
+		a.Update(0, a.Pick(0, all))
 		a.Reset()
-		if got := a.Pick(all); got != first {
+		if got := a.Pick(0, all); got != first {
 			t.Errorf("%v: Reset did not restore initial winner (got %d, want %d)", k, got, first)
 		}
 	}
@@ -190,7 +203,7 @@ func TestResetRestoresInitialOrder(t *testing.T) {
 // Property: the winner is always a requesting input.
 func TestQuickWinnerRequests(t *testing.T) {
 	for _, k := range allKinds() {
-		a := New(k, 16)
+		a := one(k, 16)
 		f := func(reqBits uint16, updates uint8) bool {
 			r := bitvec.New(16)
 			for i := 0; i < 16; i++ {
@@ -198,7 +211,7 @@ func TestQuickWinnerRequests(t *testing.T) {
 					r.Set(i)
 				}
 			}
-			w := a.Pick(r)
+			w := a.Pick(0, r)
 			if !r.Any() {
 				return w == -1
 			}
@@ -206,7 +219,7 @@ func TestQuickWinnerRequests(t *testing.T) {
 				return false
 			}
 			if updates%2 == 0 {
-				a.Update(w)
+				a.Update(0, w)
 			}
 			return true
 		}
@@ -220,16 +233,16 @@ func TestQuickWinnerRequests(t *testing.T) {
 // input is served the same number of times over a full rotation multiple.
 func TestFairnessUnderFullLoad(t *testing.T) {
 	for _, k := range allKinds() {
-		a := New(k, 6)
+		a := one(k, 6)
 		all := bitvec.New(6)
 		for i := 0; i < 6; i++ {
 			all.Set(i)
 		}
 		counts := make([]int, 6)
 		for i := 0; i < 6*50; i++ {
-			w := a.Pick(all)
+			w := a.Pick(0, all)
 			counts[w]++
-			a.Update(w)
+			a.Update(0, w)
 		}
 		for i, c := range counts {
 			if c != 50 {
@@ -240,10 +253,10 @@ func TestFairnessUnderFullLoad(t *testing.T) {
 }
 
 // Fairness: under random load, no requester starves: any persistent
-// requester is served within Size grants.
+// requester is served within as many grants as the arbiter has inputs.
 func TestNoStarvation(t *testing.T) {
 	for _, k := range allKinds() {
-		a := New(k, 8)
+		a := one(k, 8)
 		rng := xrand.New(99)
 		// input 3 always requests; others randomly.
 		sinceServed := 0
@@ -255,8 +268,8 @@ func TestNoStarvation(t *testing.T) {
 					r.Set(i)
 				}
 			}
-			w := a.Pick(r)
-			a.Update(w)
+			w := a.Pick(0, r)
+			a.Update(0, w)
 			if w == 3 {
 				sinceServed = 0
 			} else {
@@ -270,21 +283,26 @@ func TestNoStarvation(t *testing.T) {
 }
 
 func TestTreeArbiterBasics(t *testing.T) {
-	tr := NewTree(RoundRobin, 3, 4) // 12 inputs
-	if tr.Size() != 12 {
-		t.Fatalf("Size = %d, want 12", tr.Size())
-	}
-	if got := tr.Pick(bitvec.New(12)); got != -1 {
+	tr := oneTree(RoundRobin, 3, 4) // 12 inputs
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an 11-wide request to a 12-input tree must panic")
+			}
+		}()
+		tr.Pick(0, bitvec.New(11))
+	}()
+	if got := tr.Pick(0, bitvec.New(12)); got != -1 {
 		t.Fatalf("Pick(empty) = %d, want -1", got)
 	}
 	// single request in group 2
-	if got := tr.Pick(vecN(12, 9)); got != 9 {
+	if got := tr.Pick(0, vecN(12, 9)); got != 9 {
 		t.Fatalf("got %d, want 9", got)
 	}
 }
 
 func TestTreeArbiterWinnerRequests(t *testing.T) {
-	tr := NewTree(Matrix, 4, 4)
+	tr := oneTree(Matrix, 4, 4)
 	rng := xrand.New(5)
 	for step := 0; step < 500; step++ {
 		r := bitvec.New(16)
@@ -293,7 +311,7 @@ func TestTreeArbiterWinnerRequests(t *testing.T) {
 				r.Set(i)
 			}
 		}
-		w := tr.Pick(r)
+		w := tr.Pick(0, r)
 		if !r.Any() {
 			if w != -1 {
 				t.Fatal("empty request must yield -1")
@@ -303,18 +321,18 @@ func TestTreeArbiterWinnerRequests(t *testing.T) {
 		if w < 0 || !r.Get(w) {
 			t.Fatalf("winner %d not a requester", w)
 		}
-		tr.Update(w)
+		tr.Update(0, w)
 	}
 }
 
 func TestTreeArbiterGroupFairness(t *testing.T) {
-	tr := NewTree(RoundRobin, 2, 2)
+	tr := oneTree(RoundRobin, 2, 2)
 	all := vecN(4, 0, 1, 2, 3)
 	counts := make([]int, 4)
 	for i := 0; i < 400; i++ {
-		w := tr.Pick(all)
+		w := tr.Pick(0, all)
 		counts[w]++
-		tr.Update(w)
+		tr.Update(0, w)
 	}
 	for i, c := range counts {
 		if c != 100 {
@@ -324,12 +342,12 @@ func TestTreeArbiterGroupFairness(t *testing.T) {
 }
 
 func TestTreeArbiterReset(t *testing.T) {
-	tr := NewTree(RoundRobin, 2, 2)
+	tr := oneTree(RoundRobin, 2, 2)
 	all := vecN(4, 0, 1, 2, 3)
-	first := tr.Pick(all)
-	tr.Update(first)
+	first := tr.Pick(0, all)
+	tr.Update(0, first)
 	tr.Reset()
-	if got := tr.Pick(all); got != first {
+	if got := tr.Pick(0, all); got != first {
 		t.Fatalf("Reset did not restore state: got %d, want %d", got, first)
 	}
 }
@@ -340,7 +358,7 @@ func TestTreeArbiterPanics(t *testing.T) {
 			t.Fatal("expected panic for bad dimensions")
 		}
 	}()
-	NewTree(RoundRobin, 0, 4)
+	NewTreeBank(RoundRobin, 1, 0, 4)
 }
 
 func TestVecHelpersInTests(t *testing.T) {
@@ -352,28 +370,28 @@ func TestVecHelpersInTests(t *testing.T) {
 }
 
 func BenchmarkRoundRobinPick64(b *testing.B) {
-	a := NewRoundRobin(64)
+	a := one(RoundRobin, 64)
 	r := bitvec.New(64)
 	for i := 0; i < 64; i += 3 {
 		r.Set(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := a.Pick(r)
-		a.Update(w)
+		w := a.Pick(0, r)
+		a.Update(0, w)
 	}
 }
 
 func BenchmarkMatrixPick64(b *testing.B) {
-	a := NewMatrix(64)
+	a := one(Matrix, 64)
 	r := bitvec.New(64)
 	for i := 0; i < 64; i += 3 {
 		r.Set(i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := a.Pick(r)
-		a.Update(w)
+		w := a.Pick(0, r)
+		a.Update(0, w)
 	}
 }
 
@@ -386,16 +404,16 @@ func BenchmarkAblationTreeArbiter(b *testing.B) {
 	}
 	b.Run("flat160", func(b *testing.B) {
 		b.ReportAllocs()
-		a := New(RoundRobin, 160)
+		a := one(RoundRobin, 160)
 		for i := 0; i < b.N; i++ {
-			a.Pick(req)
+			a.Pick(0, req)
 		}
 	})
 	b.Run("tree10x16", func(b *testing.B) {
 		b.ReportAllocs()
-		a := NewTree(RoundRobin, 10, 16)
+		a := oneTree(RoundRobin, 10, 16)
 		for i := 0; i < b.N; i++ {
-			a.Pick(req)
+			a.Pick(0, req)
 		}
 	})
 }
@@ -447,7 +465,8 @@ func BenchmarkTreeBankPickWords(b *testing.B) {
 // tournament (exactly one of "i beats j" / "j beats i" for i != j), so a
 // unique winner exists for every non-empty request set.
 func TestQuickMatrixTournamentInvariant(t *testing.T) {
-	a := NewMatrix(6)
+	bank := one(Matrix, 6)
+	a := &bank.mx[0]
 	rng := xrand.New(771)
 	check := func() {
 		for i := 0; i < 6; i++ {
@@ -469,8 +488,8 @@ func TestQuickMatrixTournamentInvariant(t *testing.T) {
 				r.Set(i)
 			}
 		}
-		if w := a.Pick(r); w >= 0 {
-			a.Update(w)
+		if w := bank.Pick(0, r); w >= 0 {
+			bank.Update(0, w)
 		}
 		check()
 	}
@@ -479,7 +498,8 @@ func TestQuickMatrixTournamentInvariant(t *testing.T) {
 // Property: a matrix arbiter's winner is unique — no two requesting inputs
 // can simultaneously beat all other requesters.
 func TestQuickMatrixWinnerUnique(t *testing.T) {
-	a := NewMatrix(8)
+	bank := one(Matrix, 8)
+	a := &bank.mx[0]
 	rng := xrand.New(773)
 	for step := 0; step < 500; step++ {
 		r := bitvec.New(8)
@@ -503,8 +523,8 @@ func TestQuickMatrixWinnerUnique(t *testing.T) {
 		if r.Any() && winners != 1 {
 			t.Fatalf("step %d: %d winners for %s", step, winners, r)
 		}
-		if w := a.Pick(r); w >= 0 && step%3 == 0 {
-			a.Update(w)
+		if w := bank.Pick(0, r); w >= 0 && step%3 == 0 {
+			bank.Update(0, w)
 		}
 	}
 }

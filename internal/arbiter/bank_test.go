@@ -9,31 +9,30 @@ import (
 	"repro/internal/xrand"
 )
 
-// refTree is the tree arbiter of §4.1 assembled from standalone flat
-// arbiters, one heap object each, with none of TreeBank's shortcuts: the
-// reference the bank layout is compared against.
+// refTree is the tree arbiter of §4.1 assembled from flat arbiters, one
+// bank of one each, with none of TreeBank's shortcuts: the reference the tree
+// bank layout is compared against. It is a single tree, so it ignores the
+// index it is addressed by.
 type refTree struct {
 	groups, groupSize int
-	root              Arbiter
-	leaves            []Arbiter
+	root              Bank
+	leaves            []Bank
 }
 
 func newRefTree(k Kind, groups, groupSize int) *refTree {
-	t := &refTree{groups: groups, groupSize: groupSize, root: New(k, groups)}
+	t := &refTree{groups: groups, groupSize: groupSize, root: NewBank(k, 1, groups)}
 	for g := 0; g < groups; g++ {
-		t.leaves = append(t.leaves, New(k, groupSize))
+		t.leaves = append(t.leaves, NewBank(k, 1, groupSize))
 	}
 	return t
 }
 
-func (t *refTree) Size() int { return t.groups * t.groupSize }
-
-func (t *refTree) Pick(req *bitvec.Vec) int {
+func (t *refTree) Pick(_ int, req *bitvec.Vec) int {
 	rootReq := bitvec.New(t.groups)
 	for i := req.NextSet(0); i >= 0; i = req.NextSet(i + 1) {
 		rootReq.Set(i / t.groupSize)
 	}
-	g := t.root.Pick(rootReq)
+	g := t.root.Pick(0, rootReq)
 	if g < 0 {
 		return -1
 	}
@@ -41,37 +40,37 @@ func (t *refTree) Pick(req *bitvec.Vec) int {
 	for i := 0; i < t.groupSize; i++ {
 		leafReq.SetTo(i, req.Get(g*t.groupSize+i))
 	}
-	return g*t.groupSize + t.leaves[g].Pick(leafReq)
+	return g*t.groupSize + t.leaves[g].Pick(0, leafReq)
 }
 
-func (t *refTree) Update(winner int) {
-	t.root.Update(winner / t.groupSize)
-	t.leaves[winner/t.groupSize].Update(winner % t.groupSize)
+func (t *refTree) Update(_, winner int) {
+	t.root.Update(0, winner/t.groupSize)
+	t.leaves[winner/t.groupSize].Update(0, winner%t.groupSize)
 }
 
 func (t *refTree) Reset() {
 	t.root.Reset()
-	for _, l := range t.leaves {
-		l.Reset()
+	for i := range t.leaves {
+		t.leaves[i].Reset()
 	}
 }
 
-// indexed is what Bank and TreeBank have in common.
+// indexed is what Bank, TreeBank and refTree have in common.
 type indexed interface {
 	Pick(i int, req *bitvec.Vec) int
 	Update(i, winner int)
 	Reset()
 }
 
-// checkBankEquivalence drives bank and one standalone reference arbiter per
-// bank slot through the same random sequence of Pick, Update and Reset calls
-// and requires identical picks throughout. Slots are visited in random order,
-// so state leaking from one slot into a neighbour shows up as a diverging
-// pick on the neighbour.
-func checkBankEquivalence(t *testing.T, bank indexed, refs []Arbiter, seed uint64) {
+// checkBankEquivalence drives bank, whose arbiters are n inputs wide, and one
+// reference arbiter per bank slot (a bank of one, addressed as index 0)
+// through the same random sequence of Pick, Update and Reset calls and
+// requires identical picks throughout. Slots are visited in random order, so
+// state leaking from one slot into a neighbour shows up as a diverging pick
+// on the neighbour.
+func checkBankEquivalence(t *testing.T, bank indexed, n int, refs []indexed, seed uint64) {
 	t.Helper()
 	rng := xrand.New(seed)
-	n := refs[0].Size()
 	req := bitvec.New(n)
 	for step := 0; step < 4000; step++ {
 		i := rng.Intn(len(refs))
@@ -90,9 +89,9 @@ func checkBankEquivalence(t *testing.T, bank indexed, refs []Arbiter, seed uint6
 					req.Set(b)
 				}
 			}
-			got, want := bank.Pick(i, req), refs[i].Pick(req)
+			got, want := bank.Pick(i, req), refs[i].Pick(0, req)
 			if got != want {
-				t.Fatalf("step %d: slot %d picked %d for %s, standalone arbiter picked %d", step, i, got, req, want)
+				t.Fatalf("step %d: slot %d picked %d for %s, the bank of one picked %d", step, i, got, req, want)
 			}
 			if again := bank.Pick(i, req); again != got {
 				t.Fatalf("step %d: slot %d pick changed from %d to %d without an Update", step, i, got, again)
@@ -106,43 +105,47 @@ func checkBankEquivalence(t *testing.T, bank indexed, refs []Arbiter, seed uint6
 			// does when a pick wins the second stage.
 			if got >= 0 && op%3 != 0 {
 				bank.Update(i, got)
-				refs[i].Update(got)
+				refs[i].Update(0, got)
 			}
 		}
 	}
 }
 
+// TestBankMatchesStandaloneArbiters: a bank of N arbiters picks what N banks
+// of one do.
 func TestBankMatchesStandaloneArbiters(t *testing.T) {
 	for _, k := range allKinds() {
 		for _, shape := range []struct{ count, n int }{{1, 1}, {3, 2}, {7, 5}, {4, 64}, {5, 65}, {2, 130}} {
 			t.Run(fmt.Sprintf("%s/%dx%d", k, shape.count, shape.n), func(t *testing.T) {
 				bank := NewBank(k, shape.count, shape.n)
-				refs := make([]Arbiter, shape.count)
+				refs := make([]indexed, shape.count)
 				for i := range refs {
-					refs[i] = New(k, shape.n)
+					refs[i] = one(k, shape.n)
 				}
-				checkBankEquivalence(t, &bank, refs, uint64(shape.count*1000+shape.n))
+				checkBankEquivalence(t, &bank, shape.n, refs, uint64(shape.count*1000+shape.n))
 			})
 		}
 	}
 }
 
+// TestTreeBankMatchesStandaloneTrees: a bank of N tree arbiters picks what N
+// refTrees do, and what N tree banks of one do.
 func TestTreeBankMatchesStandaloneTrees(t *testing.T) {
 	for _, k := range allKinds() {
 		for _, shape := range []struct{ count, groups, groupSize int }{
 			{1, 1, 1}, {6, 5, 1}, {10, 5, 2}, {3, 10, 16}, {4, 3, 64}, {2, 7, 9},
 		} {
 			t.Run(fmt.Sprintf("%s/%dx(%dx%d)", k, shape.count, shape.groups, shape.groupSize), func(t *testing.T) {
-				bank := NewTreeBank(k, shape.count, shape.groups, shape.groupSize)
-				refs := make([]Arbiter, shape.count)
-				for i := range refs {
-					refs[i] = newRefTree(k, shape.groups, shape.groupSize)
+				n, seed := shape.groups*shape.groupSize, uint64(shape.groups*100+shape.groupSize)
+				trees, ones := make([]indexed, shape.count), make([]indexed, shape.count)
+				for i := range trees {
+					trees[i] = newRefTree(k, shape.groups, shape.groupSize)
+					ones[i] = oneTree(k, shape.groups, shape.groupSize)
 				}
-				checkBankEquivalence(t, &bank, refs, uint64(shape.groups*100+shape.groupSize))
-				// NewTree is a bank of one; it must agree with the reference too.
-				single := NewTree(k, shape.groups, shape.groupSize)
-				one := NewTreeBank(k, 1, shape.groups, shape.groupSize)
-				checkBankEquivalence(t, &one, []Arbiter{single}, 7)
+				bank := NewTreeBank(k, shape.count, shape.groups, shape.groupSize)
+				checkBankEquivalence(t, &bank, n, trees, seed)
+				bank = NewTreeBank(k, shape.count, shape.groups, shape.groupSize)
+				checkBankEquivalence(t, &bank, n, ones, seed)
 			})
 		}
 	}

@@ -269,16 +269,6 @@ func (v *Vec) Or(o *Vec) {
 	}
 }
 
-// And sets v = v & o. Panics if lengths differ.
-func (v *Vec) And(o *Vec) {
-	if v.n != o.n {
-		panic("bitvec: length mismatch")
-	}
-	for i := range v.words {
-		v.words[i] &= o.words[i]
-	}
-}
-
 // AndNot sets v = v &^ o. Panics if lengths differ.
 func (v *Vec) AndNot(o *Vec) {
 	if v.n != o.n {
@@ -287,22 +277,6 @@ func (v *Vec) AndNot(o *Vec) {
 	for i := range v.words {
 		v.words[i] &^= o.words[i]
 	}
-}
-
-// AndInto sets v = a & b in a single pass and reports whether any bit is
-// set, fusing the CopyFrom+And+Any sequence allocator hot loops otherwise
-// need. Panics if lengths differ.
-func (v *Vec) AndInto(a, b *Vec) bool {
-	if v.n != a.n || v.n != b.n {
-		panic("bitvec: length mismatch")
-	}
-	var acc uint64
-	for i := range v.words {
-		w := a.words[i] & b.words[i]
-		v.words[i] = w
-		acc |= w
-	}
-	return acc != 0
 }
 
 // AndNotInto sets v = a &^ b in a single pass and reports whether any bit is
@@ -318,14 +292,6 @@ func (v *Vec) AndNotInto(a, b *Vec) bool {
 		acc |= w
 	}
 	return acc != 0
-}
-
-// SetAll sets every bit in [0, Len()).
-func (v *Vec) SetAll() {
-	for i := range v.words {
-		v.words[i] = ^uint64(0)
-	}
-	v.maskTail()
 }
 
 // maskTail clears the unused high bits of the last word so that word-level

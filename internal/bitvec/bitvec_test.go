@@ -134,11 +134,6 @@ func TestVecBoolOps(t *testing.T) {
 	if or.String() != "1110" {
 		t.Errorf("Or = %s, want 1110", or)
 	}
-	and := a.Clone()
-	and.And(b)
-	if and.String() != "1000" {
-		t.Errorf("And = %s, want 1000", and)
-	}
 	andNot := a.Clone()
 	andNot.AndNot(b)
 	if andNot.String() != "0010" {

@@ -53,22 +53,7 @@ func TestVecNextSetMatchesForEach(t *testing.T) {
 	}
 }
 
-func TestVecSetAll(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 130} {
-		v := New(n)
-		v.SetAll()
-		if v.Count() != n {
-			t.Fatalf("n=%d: SetAll Count = %d", n, v.Count())
-		}
-		// The tail word must stay masked so Count/Any remain correct.
-		v.Clear(n - 1)
-		if v.Count() != n-1 {
-			t.Fatalf("n=%d: Count after Clear = %d, want %d", n, v.Count(), n-1)
-		}
-	}
-}
-
-func TestVecAndIntoAndNotInto(t *testing.T) {
+func TestVecAndNotInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
@@ -81,18 +66,10 @@ func TestVecAndIntoAndNotInto(t *testing.T) {
 				b.Set(i)
 			}
 		}
-		wantAnd := a.Clone()
-		wantAnd.And(b)
 		wantAndNot := a.Clone()
 		wantAndNot.AndNot(b)
 
 		dst := New(n)
-		if any := dst.AndInto(a, b); any != wantAnd.Any() {
-			t.Fatalf("n=%d: AndInto any = %v, want %v", n, any, wantAnd.Any())
-		}
-		if !dst.Equal(wantAnd) {
-			t.Fatalf("n=%d: AndInto = %s, want %s", n, dst, wantAnd)
-		}
 		if any := dst.AndNotInto(a, b); any != wantAndNot.Any() {
 			t.Fatalf("n=%d: AndNotInto any = %v, want %v", n, any, wantAndNot.Any())
 		}
@@ -230,9 +207,7 @@ func FuzzWordOps(f *testing.F) {
 			bit  func(x, y bool) bool
 		}{
 			{"Or", func() *Vec { c := a.Clone(); c.Or(b); return c }, func(x, y bool) bool { return x || y }},
-			{"And", func() *Vec { c := a.Clone(); c.And(b); return c }, func(x, y bool) bool { return x && y }},
 			{"AndNot", func() *Vec { c := a.Clone(); c.AndNot(b); return c }, func(x, y bool) bool { return x && !y }},
-			{"AndInto", func() *Vec { c := New(n); c.AndInto(a, b); return c }, func(x, y bool) bool { return x && y }},
 			{"AndNotInto", func() *Vec { c := New(n); c.AndNotInto(a, b); return c }, func(x, y bool) bool { return x && !y }},
 		} {
 			got := op.word()
@@ -249,13 +224,13 @@ func FuzzWordOps(f *testing.F) {
 					n, op.name, got.Any(), got.Count(), anyRef)
 			}
 		}
-		gotAny := New(n).AndInto(a, b)
+		gotAny := New(n).AndNotInto(a, b)
 		wantAny := false
 		for i := 0; i < n; i++ {
-			wantAny = wantAny || (refA[i] && refB[i])
+			wantAny = wantAny || (refA[i] && !refB[i])
 		}
 		if gotAny != wantAny {
-			t.Fatalf("n=%d: AndInto reported any=%v, want %v", n, gotAny, wantAny)
+			t.Fatalf("n=%d: AndNotInto reported any=%v, want %v", n, gotAny, wantAny)
 		}
 
 		// Windowed extraction at a fuzzer-chosen offset, including the
@@ -277,11 +252,16 @@ func FuzzWordOps(f *testing.F) {
 				n, off, sliceAny, dst.Count(), wantSliceAny, w)
 		}
 
-		// Tail masking: SetAll must not leak bits past Len into reductions.
+		// Tail masking: a word-aligned SliceFrom out of a wider, full source
+		// must not leak bits past Len into reductions.
+		ones := New(n + 64)
+		for i := 0; i < n+64; i++ {
+			ones.Set(i)
+		}
 		full := New(n)
-		full.SetAll()
+		full.SliceFrom(ones, 0)
 		if full.Count() != n {
-			t.Fatalf("n=%d: SetAll Count = %d", n, full.Count())
+			t.Fatalf("n=%d: SliceFrom of a full source Count = %d", n, full.Count())
 		}
 		full.Clear(n - 1)
 		if full.Count() != n-1 || full.NextSet(n-1) != -1 {

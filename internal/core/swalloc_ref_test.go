@@ -14,7 +14,7 @@ import (
 // allocator (paper §5, Fig. 8/9), written from the figures and not from
 // swalloc.go: every cycle it rescans the whole request slice port by port,
 // builds fresh bit vectors and a fresh port-request matrix, and asks one
-// heap-allocated arbiter per port. It caches nothing between cycles except
+// heap-allocated arbiter per port, a bank of one each. It caches nothing between cycles except
 // the priority state the hardware itself holds. FuzzSwitchAllocator holds the
 // production engine to it grant for grant.
 type refSwitch struct {
@@ -30,9 +30,9 @@ type refSwitch struct {
 // request class.
 type refPass struct {
 	spec   bool
-	vcArb  []arbiter.Arbiter // per input port, V wide
-	outArb []arbiter.Arbiter // per output port, P wide (separable only)
-	ports  alloc.Allocator   // P×P block (wavefront)
+	vcArb  []*arbiter.Bank // per input port, one V wide
+	outArb []*arbiter.Bank // per output port, one P wide (separable only)
+	ports  alloc.Allocator // P×P block (wavefront)
 }
 
 // refProposal is a tentative grant of one input port.
@@ -53,18 +53,25 @@ func (r *refSwitch) Reset() {
 		}
 		ps := &refPass{spec: spec}
 		for i := 0; i < r.p; i++ {
-			ps.vcArb = append(ps.vcArb, arbiter.New(r.kind, r.v))
+			ps.vcArb = append(ps.vcArb, newRefArbiter(r.kind, r.v))
 		}
 		switch r.arch {
 		case alloc.SepIF, alloc.SepOF:
 			for o := 0; o < r.p; o++ {
-				ps.outArb = append(ps.outArb, arbiter.New(r.kind, r.p))
+				ps.outArb = append(ps.outArb, newRefArbiter(r.kind, r.p))
 			}
 		case alloc.Wavefront:
 			ps.ports = alloc.NewWavefront(r.p, r.p)
 		}
 		r.passes = append(r.passes, ps)
 	}
+}
+
+// newRefArbiter returns a single n-input arbiter of kind k: a bank of one,
+// addressed as index 0.
+func newRefArbiter(k arbiter.Kind, n int) *arbiter.Bank {
+	b := arbiter.NewBank(k, 1, n)
+	return &b
 }
 
 // SkipIdle is literally idleCycles cycles without a request.
@@ -146,7 +153,7 @@ func (r *refSwitch) pickVC(ps *refPass, reqs []SwitchRequest, port int, outs *bi
 			req.Set(vc)
 		}
 	}
-	return ps.vcArb[port].Pick(req)
+	return ps.vcArb[port].Pick(0, req)
 }
 
 func (r *refSwitch) propose(ps *refPass, reqs []SwitchRequest) []refProposal {
@@ -169,7 +176,7 @@ func (r *refSwitch) propose(ps *refPass, reqs []SwitchRequest) []refProposal {
 					fwd.Set(port)
 				}
 			}
-			if w := ps.outArb[o].Pick(fwd); w >= 0 {
+			if w := ps.outArb[o].Pick(0, fwd); w >= 0 {
 				props[w] = refProposal{picks[w], o}
 			}
 		}
@@ -190,7 +197,7 @@ func (r *refSwitch) propose(ps *refPass, reqs []SwitchRequest) []refProposal {
 					}
 				}
 			}
-			if w := ps.outArb[o].Pick(col); w >= 0 {
+			if w := ps.outArb[o].Pick(0, col); w >= 0 {
 				offered[w].Set(o)
 			}
 		}
@@ -229,9 +236,9 @@ func (r *refSwitch) commit(ps *refPass, props []refProposal) {
 		if pr.out < 0 {
 			continue
 		}
-		ps.vcArb[port].Update(pr.vc)
+		ps.vcArb[port].Update(0, pr.vc)
 		if ps.outArb != nil {
-			ps.outArb[pr.out].Update(port)
+			ps.outArb[pr.out].Update(0, port)
 		}
 	}
 }

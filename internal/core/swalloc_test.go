@@ -86,12 +86,11 @@ func TestSwitchAllocatorBadConfigPanics(t *testing.T) {
 	} {
 		mustPanic(t, name, fn)
 	}
-	// The maximum-size matcher bounds matching quality (alloc.Maximum); it is
-	// not a switch allocator architecture the paper evaluates.
-	if msg := mustPanic(t, "maximum arch", func() {
-		NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 1, Arch: alloc.Maximum})
-	}); !strings.Contains(msg, "unsupported switch allocator arch max") {
-		t.Errorf("maximum arch: panic %q does not name the architecture", msg)
+	// An architecture outside the paper's three is refused by name.
+	if msg := mustPanic(t, "unknown arch", func() {
+		NewSwitchAllocator(SwitchAllocConfig{Ports: 2, VCs: 1, Arch: alloc.Arch(9)})
+	}); !strings.Contains(msg, "unsupported switch allocator arch Arch(9)") {
+		t.Errorf("unknown arch: panic %q does not name the architecture", msg)
 	}
 	// Port and VC sets are single words; one more than fits must be refused
 	// at construction, by a message that says what the limit is.

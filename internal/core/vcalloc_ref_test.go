@@ -14,7 +14,8 @@ import (
 // (paper §4, Fig. 3), written from the figures and not from vcalloc.go: every
 // cycle it rescans the whole request slice once per input VC and once per
 // output VC, builds fresh bit vectors and a fresh request matrix, and asks one
-// heap-allocated arbiter per input VC and one tree arbiter per output VC. It
+// heap-allocated arbiter per input VC and one tree arbiter per output VC, each
+// a bank of one. It
 // keeps nothing between cycles except the priority state the hardware itself
 // holds. FuzzVCAllocator holds the production engine to it grant for grant.
 type refVC struct {
@@ -32,9 +33,9 @@ type refVC struct {
 // fuzz never reaches), which is when the hardware's reset state is observed.
 type refVCBlock struct {
 	off, w int
-	inArb  map[int]arbiter.Arbiter // per input VC (global index), w wide
-	outArb map[int]arbiter.Arbiter // per output VC (global index), a P×w tree
-	passes int                     // wavefront: allocations since reset
+	inArb  map[int]*arbiter.Bank     // per input VC (global index), w wide
+	outArb map[int]*arbiter.TreeBank // per output VC (global index), a P×w tree
+	passes int                       // wavefront: allocations since reset
 }
 
 func newRefVC(cfg VCAllocConfig) *refVC {
@@ -53,8 +54,8 @@ func newRefVC(cfg VCAllocConfig) *refVC {
 
 func (r *refVC) Reset() {
 	for _, b := range r.blocks {
-		b.inArb = map[int]arbiter.Arbiter{}
-		b.outArb = map[int]arbiter.Arbiter{}
+		b.inArb = map[int]*arbiter.Bank{}
+		b.outArb = map[int]*arbiter.TreeBank{}
 		b.passes = 0
 	}
 }
@@ -67,18 +68,19 @@ func (r *refVC) SkipIdle(idleCycles int) {
 	}
 }
 
-func (r *refVC) in(b *refVCBlock, gi int) arbiter.Arbiter {
+func (r *refVC) in(b *refVCBlock, gi int) *arbiter.Bank {
 	if b.inArb[gi] == nil {
-		b.inArb[gi] = arbiter.New(r.kind, b.w)
+		b.inArb[gi] = newRefArbiter(r.kind, b.w)
 	}
 	return b.inArb[gi]
 }
 
 // out is output VC g's arbiter over the block's P·w input VCs: a tree with one
 // w-input leaf per input port under a P-input root (§4.1).
-func (r *refVC) out(b *refVCBlock, g int) arbiter.Arbiter {
+func (r *refVC) out(b *refVCBlock, g int) *arbiter.TreeBank {
 	if b.outArb[g] == nil {
-		b.outArb[g] = arbiter.NewTree(r.kind, r.p, b.w)
+		t := arbiter.NewTreeBank(r.kind, 1, r.p, b.w)
+		b.outArb[g] = &t
 	}
 	return b.outArb[g]
 }
@@ -91,9 +93,9 @@ func (r *refVC) Allocate(reqs []VCRequest) []int {
 	for _, b := range r.blocks {
 		switch r.arch {
 		case alloc.SepIF:
-			r.sepIF(b, reqs, grants)
+			r.inputFirst(b, reqs, grants)
 		case alloc.SepOF:
-			r.sepOF(b, reqs, grants)
+			r.outputFirst(b, reqs, grants)
 		case alloc.Wavefront:
 			r.wavefront(b, reqs, grants)
 		}
@@ -123,9 +125,9 @@ func (r *refVC) inputs(b *refVCBlock) []int {
 	return in
 }
 
-// sepIF is Fig. 3(a): every input VC picks one of its candidate output VCs,
-// every output VC picks one of the input VCs that picked it.
-func (r *refVC) sepIF(b *refVCBlock, reqs []VCRequest, grants []int) {
+// inputFirst is Fig. 3(a): every input VC picks one of its candidate output
+// VCs, every output VC picks one of the input VCs that picked it.
+func (r *refVC) inputFirst(b *refVCBlock, reqs []VCRequest, grants []int) {
 	v := r.spec.V()
 	picked := map[int]int{} // input VC -> the output VC it bids for
 	for _, gi := range r.inputs(b) {
@@ -135,7 +137,7 @@ func (r *refVC) sepIF(b *refVCBlock, reqs []VCRequest, grants []int) {
 				cand.Set(c)
 			}
 		}
-		if c := r.in(b, gi).Pick(cand); c >= 0 {
+		if c := r.in(b, gi).Pick(0, cand); c >= 0 {
 			picked[gi] = reqs[gi].OutPort*v + b.off + c
 		}
 	}
@@ -146,18 +148,18 @@ func (r *refVC) sepIF(b *refVCBlock, reqs []VCRequest, grants []int) {
 				bids.Set(r.slot(b, gi))
 			}
 		}
-		if w := r.out(b, g).Pick(bids); w >= 0 {
+		if w := r.out(b, g).Pick(0, bids); w >= 0 {
 			gi := r.vcAt(b, w)
 			grants[gi] = g
-			r.out(b, g).Update(w)
-			r.in(b, gi).Update(g%v - b.off)
+			r.out(b, g).Update(0, w)
+			r.in(b, gi).Update(0, g%v-b.off)
 		}
 	}
 }
 
-// sepOF is Fig. 3(b): every output VC picks one of the input VCs requesting
-// it, every input VC picks one of the output VCs that picked it.
-func (r *refVC) sepOF(b *refVCBlock, reqs []VCRequest, grants []int) {
+// outputFirst is Fig. 3(b): every output VC picks one of the input VCs
+// requesting it, every input VC picks one of the output VCs that picked it.
+func (r *refVC) outputFirst(b *refVCBlock, reqs []VCRequest, grants []int) {
 	v := r.spec.V()
 	offered := map[int]*bitvec.Vec{} // input VC -> output VCs (of its port) offered to it
 	for _, g := range r.inputs(b) {
@@ -167,7 +169,7 @@ func (r *refVC) sepOF(b *refVCBlock, reqs []VCRequest, grants []int) {
 				asking.Set(r.slot(b, gi))
 			}
 		}
-		if w := r.out(b, g).Pick(asking); w >= 0 {
+		if w := r.out(b, g).Pick(0, asking); w >= 0 {
 			gi := r.vcAt(b, w)
 			if offered[gi] == nil {
 				offered[gi] = bitvec.New(b.w)
@@ -176,11 +178,11 @@ func (r *refVC) sepOF(b *refVCBlock, reqs []VCRequest, grants []int) {
 		}
 	}
 	for gi, offers := range offered {
-		c := r.in(b, gi).Pick(offers)
+		c := r.in(b, gi).Pick(0, offers)
 		g := reqs[gi].OutPort*v + b.off + c
 		grants[gi] = g
-		r.in(b, gi).Update(c)
-		r.out(b, g).Update(r.slot(b, gi))
+		r.in(b, gi).Update(0, c)
+		r.out(b, g).Update(0, r.slot(b, gi))
 	}
 }
 

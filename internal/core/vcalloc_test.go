@@ -76,7 +76,7 @@ func TestVCAllocatorBadConfigPanics(t *testing.T) {
 		func() { NewVCAllocator(VCAllocConfig{Ports: 0, Spec: NewVCSpec(1, 1, 1)}) },
 		func() { NewVCAllocator(VCAllocConfig{Ports: 2, Spec: VCSpec{}}) },
 		func() {
-			NewVCAllocator(VCAllocConfig{Ports: 2, Spec: NewVCSpec(1, 1, 1), Arch: alloc.Maximum})
+			NewVCAllocator(VCAllocConfig{Ports: 2, Spec: NewVCSpec(1, 1, 1), Arch: alloc.Arch(9)})
 		},
 		func() {
 			a := NewVCAllocator(VCAllocConfig{Ports: 2, Spec: NewVCSpec(1, 1, 1), Arch: alloc.SepIF})

@@ -374,10 +374,10 @@ func TestUnknownKindsPanic(t *testing.T) {
 		func() { tech.ArbiterGE(arbiter.Kind(9), 4) },
 		func() { tech.ArbiterDelay(arbiter.Kind(9), 4) },
 		func() {
-			VCAllocCost(tech, core.VCAllocConfig{Ports: 5, Spec: core.NewVCSpec(1, 1, 1), Arch: alloc.Maximum})
+			VCAllocCost(tech, core.VCAllocConfig{Ports: 5, Spec: core.NewVCSpec(1, 1, 1), Arch: alloc.Arch(9)})
 		},
 		func() {
-			SwitchAllocCost(tech, core.SwitchAllocConfig{Ports: 5, VCs: 2, Arch: alloc.Maximum})
+			SwitchAllocCost(tech, core.SwitchAllocConfig{Ports: 5, VCs: 2, Arch: alloc.Arch(9)})
 		},
 	} {
 		func() {

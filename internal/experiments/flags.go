@@ -83,15 +83,15 @@ func ScaleFlags(fs *flag.FlagSet, def SimScale) func() SimScale {
 // arrival process, traffic pattern, and their parameters — on fs with the
 // given defaults, and returns a function that resolves the final
 // traffic.Workload after fs.Parse (loading the -trace file when one is
-// named). It mirrors ScaleFlags: every command-line tool shares this one
-// definition, so the workload surface cannot drift between entry points.
-// A negative -rate fails fs.Parse, like a negative phase in ScaleFlags.
+// named). It mirrors ScaleFlags; nocsim is the one command that takes a
+// workload. A negative -rate fails fs.Parse, like a negative phase in
+// ScaleFlags.
 func WorkloadFlags(fs *flag.FlagSet, def traffic.Workload) func() (traffic.Workload, error) {
 	def = def.Normalized()
 	process := fs.String("process", def.Process, "arrival process: bernoulli, mmp (bursty on/off), or trace (replay -trace)")
 	pattern := fs.String("pattern", def.Pattern, "traffic pattern: uniform, transpose, bitcomp, bitrev, shuffle, tornado, neighbor, hotspot")
 	rate := nonNegFloat(def.Rate)
-	fs.Var(&rate, "rate", "offered `load` in flits/cycle/terminal (tools that sweep the x-axis ignore it)")
+	fs.Var(&rate, "rate", "offered `load` in flits/cycle/terminal of a run at one rate (0 = mid-sweep)")
 	burstLen := fs.Float64("burstlen", def.BurstLen, "mmp mean ON-burst length in cycles (0 = default 32)")
 	duty := fs.Float64("duty", def.Duty, "mmp long-run ON fraction in (0, 1] (0 = default 0.25)")
 	hotspots := fs.String("hotspots", intsCSV(def.Hotspots), "hotspot pattern: comma-separated hot terminal ids (empty = terminal 0)")

@@ -18,7 +18,7 @@ const goldenTrials = 40
 // classes the quality_openloop benchmark runs (vc fbfly C=2, sw fbfly C=2,
 // vc mesh C=4, sw mesh C=1) at two seeds. The digests were recorded with the
 // matrix normaliser (VCWorkload.Matrix/SwitchWorkload.Matrix feeding
-// alloc.Maximum) and per-entry Bool draws, so they carry the claim that the
+// alloc.NewMaximum) and per-entry Bool draws, so they carry the claim that the
 // word-level normaliser and the batched draws change no table.
 var goldenTables = []struct {
 	unit  string

@@ -9,7 +9,7 @@ import (
 // The normaliser: the size of a maximum matching of each request set, taken
 // straight from the request slices. Only the size enters a quality point, and
 // a maximum matching's size is unique, so any exact algorithm gives the
-// tables alloc.Maximum gave on the materialised request matrix.
+// tables alloc.NewMaximum gave on the materialised request matrix.
 //
 // Both request graphs split into blocks of at most 64 columns. A switch
 // request set is one block: rows are input ports, columns output ports. A VC

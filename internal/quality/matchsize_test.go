@@ -11,7 +11,7 @@ import (
 
 // The references: the request generators as they were before the batched
 // draws — one xrand.Bool per entry — and the materialised request matrices
-// the normaliser used to hand to alloc.Maximum. They exist only here; the
+// the normaliser used to hand to alloc.NewMaximum. They exist only here; the
 // workloads and the word-level normaliser are tested against them.
 
 func refVCNext(w *VCWorkload, rng *xrand.Source, rate float64) []core.VCRequest {
@@ -196,7 +196,7 @@ func FuzzMatchSize(f *testing.F) {
 var sizeSink int
 
 // BenchmarkMatchSize is ns per request set for the word-level normaliser
-// against alloc.Maximum on the materialised matrix, on the fbfly 2x2x2
+// against alloc.NewMaximum on the materialised matrix, on the fbfly 2x2x2
 // design point at rate 0.5.
 func BenchmarkMatchSize(b *testing.B) {
 	const p = 10
