@@ -60,8 +60,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	cacheDir := fs.String("cachedir", "", "disk cache directory shared with sweepd (empty = memory-only)")
 	topos := fs.String("topos", "", "comma-separated topologies to search (default mesh,fbfly)")
 	vcs := fs.String("vcs", "", "comma-separated VCs-per-class values (default 1,2,4)")
-	meshRate := fs.Float64("meshrate", 0, fmt.Sprintf("mesh evaluation load (default %.2f)", dse.Spec{}.Normalized().MeshRate))
-	fbflyRate := fs.Float64("fbflyrate", 0, fmt.Sprintf("fbfly evaluation load (default %.2f)", dse.Spec{}.Normalized().FbflyRate))
+	def := dse.Spec{}.Normalized()
+	meshRate := fs.Float64("meshrate", 0, fmt.Sprintf("mesh evaluation load (default %.2f)", def.MeshRate))
+	fbflyRate := fs.Float64("fbflyrate", 0, fmt.Sprintf("fbfly evaluation load (default %.2f)", def.FbflyRate))
 	patterns := fs.String("patterns", "", "comma-separated traffic patterns to search (default uniform)")
 	processes := fs.String("processes", "", "comma-separated arrival processes to search (default bernoulli; trace is batch-only)")
 	burstLen := fs.Float64("burstlen", 0, "mmp mean burst length when the processes axis includes mmp (default 32)")

@@ -14,9 +14,9 @@ import (
 // allocator (paper §5, Fig. 8/9), written from the figures and not from
 // swalloc.go: every cycle it rescans the whole request slice port by port,
 // builds fresh bit vectors and a fresh port-request matrix, and asks one
-// heap-allocated arbiter per port, a bank of one each. It caches nothing between cycles except
-// the priority state the hardware itself holds. FuzzSwitchAllocator holds the
-// production engine to it grant for grant.
+// heap-allocated arbiter per port, a bank of one each. It caches nothing
+// between cycles except the priority state the hardware itself holds.
+// FuzzSwitchAllocator holds the production engine to it grant for grant.
 type refSwitch struct {
 	p, v   int
 	arch   alloc.Arch

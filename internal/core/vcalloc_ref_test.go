@@ -15,9 +15,9 @@ import (
 // cycle it rescans the whole request slice once per input VC and once per
 // output VC, builds fresh bit vectors and a fresh request matrix, and asks one
 // heap-allocated arbiter per input VC and one tree arbiter per output VC, each
-// a bank of one. It
-// keeps nothing between cycles except the priority state the hardware itself
-// holds. FuzzVCAllocator holds the production engine to it grant for grant.
+// a bank of one. It keeps nothing between cycles except the priority state the
+// hardware itself holds. FuzzVCAllocator holds the production engine to it
+// grant for grant.
 type refVC struct {
 	p    int
 	spec VCSpec
